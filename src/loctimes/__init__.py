@@ -18,12 +18,12 @@ from .chain import (
 from .density import (
     CofactorOperator,
     DensityEvaluation,
-    SeriesValue,
     SimplexPoint,
     apply_cofactor_operator,
     cofactor,
     cofactor_operator,
     density,
+    density_batch,
     density_certified,
     density_quadrature,
     density_tridiagonal,

@@ -5,8 +5,6 @@ scale (|x| <= ~60) stay well inside double precision because every term is
 positive.
 """
 
-import math
-
 from .errors import DomainError
 
 _REL_TOL = 1e-16
@@ -90,7 +88,3 @@ def edge_kernel_d(c: float, lx: float, ly: float) -> float:
         if abs(term) <= _REL_TOL * abs(total) or k > 400:
             return c * ly * total
         k += 1
-
-
-def log_factorial(n: int) -> float:
-    return math.lgamma(n + 1.0)

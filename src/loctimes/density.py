@@ -17,6 +17,8 @@ Three independent evaluations are provided:
 * :func:`density` - expand G as a power series over balanced integer flows
   (only balanced monomials survive the circle averages), apply the cofactor
   operator in closed form, and certify the truncation remainder;
+  :func:`density_batch` does this for many points of one range at once, and
+  the single-point functions are batches of one;
 * :func:`density_quadrature` - the derivative-free cofactor-inside-the-
   integral form, evaluated by tensor-product periodic trapezoidal quadrature;
 * :func:`density_tridiagonal` - the nearest-neighbor product formula, one
@@ -28,10 +30,12 @@ the generator accordingly.
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
-from typing import Dict, Iterable, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 import numpy as np
+from scipy.special import gammainc
 
 from .bessel import edge_kernel, edge_kernel_d
 from .chain import Generator
@@ -42,7 +46,7 @@ from .errors import (
     NotTridiagonalError,
     ResidualImaginaryError,
 )
-from .flows import DEFAULT_FLOW_CAP, FlowTable, flow_table
+from .flows import DEFAULT_FLOW_CAP, flow_table
 
 MIN_LOCAL_TIME = 1e-12
 _ORDER_SCHEDULE = (8, 12, 18, 26, 36, 48, 64, 84, 110, 140)
@@ -73,17 +77,9 @@ class SimplexPoint:
 
 
 @dataclass
-class SeriesValue:
-    """A truncated series value with a certified remainder bound."""
-
-    value: float
-    tail_bound: float
-    order: int
-
-
-@dataclass
 class DensityEvaluation:
-    """Density value together with its truncation certificate."""
+    """A truncated series value (a density, or a derivative of the torus
+    average) together with its certified truncation bound and order."""
 
     value: float
     error_bound: float
@@ -151,10 +147,9 @@ def cofactor_subset_weights(
 
 @dataclass
 class CofactorOperator:
-    """The differential operator det_ab(-B + d/dl) in expanded form: the
-    matrix part -B plus one scalar weight per derivative subset."""
+    """The differential operator det_ab(-B + d/dl) in expanded form: one
+    scalar weight per derivative subset."""
 
-    matrix: np.ndarray                      # -B over R
     a: int
     b: int
     weights: Dict[Tuple[int, ...], float]   # Q -> det over the complement of Q
@@ -162,34 +157,44 @@ class CofactorOperator:
 
 def cofactor_operator(B: np.ndarray, a: int, b: int) -> CofactorOperator:
     B = np.asarray(B, dtype=float)
-    return CofactorOperator(matrix=-B, a=a, b=b,
-                            weights=cofactor_subset_weights(B, a, b))
+    return CofactorOperator(a=a, b=b, weights=cofactor_subset_weights(B, a, b))
 
 
 # ---------------------------------------------------------------------------
 # balanced-flow series
 # ---------------------------------------------------------------------------
 
-def _tail_sum(q: int, S: float, n0: int) -> float:
-    """Upper bound on sum over N > n0 of N^q S^N / N!."""
-    if S <= 0.0:
-        return 0.0
-    N = n0 + 1
-    log_t = q * math.log(N) + N * math.log(S) - math.lgamma(N + 1.0)
-    if log_t > 700.0:  # far from converged; report a huge bound
-        return math.inf
-    t = math.exp(log_t)
-    total = 0.0
-    while t > 0.0:
-        total += t
-        ratio = ((N + 1) / N) ** q * S / (N + 1)
-        if ratio < 0.9:
-            # ratio is decreasing in N, so a geometric majorant closes the sum
-            total += t * ratio / (1.0 - ratio)
-            break
-        N += 1
-        t *= ratio
-    return total
+# the batched series evaluates points in chunks whose (flows x points) term
+# block holds at most this many entries (and at least one point), so the
+# batch size does not raise peak memory
+_BLOCK_TERMS = 1 << 18
+
+
+@lru_cache(maxsize=None)
+def _stirling2(q: int) -> Tuple[int, ...]:
+    """Stirling numbers of the second kind S(q, k) for k = 0..q."""
+    row = (1,)
+    for n in range(1, q + 1):
+        row = tuple((k * row[k] if k < n else 0) + (row[k - 1] if k else 0)
+                    for k in range(n + 1))
+    return row
+
+
+def _tail_sums(q: int, S: np.ndarray, n0: int) -> np.ndarray:
+    """sum over N > n0 of N^q S^N / N!, elementwise in S, in closed form.
+
+    Expanding N^q = sum_k S(q,k) N(N-1)...(N-k+1) turns each piece into a
+    Poisson tail, sum_{N > n0} N(N-1)...(N-k+1) S^N/N! =
+    S^k e^S P(Poisson(S) > n0 - k), and P(Poisson(S) > m) is the regularized
+    lower incomplete gamma function P(m + 1, S).
+    """
+    total = np.zeros_like(S)
+    for k, c in enumerate(_stirling2(q)):
+        if c:
+            tail = gammainc(n0 - k + 1, S) if n0 >= k else 1.0
+            total += c * S ** k * tail
+    with np.errstate(over="ignore"):
+        return np.exp(S) * total
 
 
 def _series_support(Btilde: np.ndarray) -> Tuple[Tuple[int, int], ...]:
@@ -199,40 +204,100 @@ def _series_support(Btilde: np.ndarray) -> Tuple[Tuple[int, int], ...]:
     )
 
 
-def _series_eval(
-    table: FlowTable,
-    edge_weights: np.ndarray,
-    l: np.ndarray,
-    Q: Tuple[int, ...],
-) -> float:
-    """Sum the flow series with the Q-derivatives applied in closed form.
+class _OperatorSeries:
+    """A cofactor operator applied to the balanced-flow series of ``Btilde``.
 
-    Each balanced flow contributes prod_e w_e^{n_e}/n_e! times the monomial
-    prod_x l_x^{m_x} with m_x the out-degree; a derivative in x turns that
-    into m_x l_x^{m_x - 1} exactly.
+    Holds what does not depend on the local times: the support edges and
+    their weights, and the derivative subsets Q with their operator weights.
+    A subset holding a state that no support edge touches is dropped, since
+    the derivative in that state kills every term.
     """
-    counts = table.counts
-    if np.iscomplexobj(edge_weights):
-        # complex weights: exp(n log w) reproduces w^n exactly
-        log_w = np.log(edge_weights.astype(complex))
-        phases = np.ones(table.n_flows, dtype=complex)
-    else:
-        with np.errstate(divide="ignore"):
-            log_w = np.where(edge_weights != 0.0, np.log(np.abs(edge_weights)), 0.0)
-        phases = np.ones(table.n_flows)
-        neg = edge_weights < 0.0
-        if np.any(neg):
-            phases = np.where((counts[:, neg].sum(axis=1) % 2) == 1, -1.0, 1.0)
-    log_coef = counts @ log_w - table.log_count_factorials
-    log_mono = table.out_degree @ np.log(l)
-    terms = phases * np.exp(log_coef + log_mono)
-    if Q:
-        deg = table.out_degree[:, list(Q)].astype(float)
-        terms = terms * deg.prod(axis=1) / np.prod(l[list(Q)])
-    total = terms.sum()
-    if np.iscomplexobj(total):
-        return complex(total)
-    return float(total)
+
+    def __init__(self, Btilde: np.ndarray, weights: Dict[Tuple[int, ...], float]):
+        self.n_nodes = Btilde.shape[0]
+        self.edges = _series_support(Btilde)
+        self.w = np.array([Btilde[e] for e in self.edges])
+        touched = {x for e in self.edges for x in e}
+        self.weights = {Q: c for Q, c in weights.items() if touched.issuperset(Q)}
+
+    def majorant(self, L: np.ndarray) -> Tuple[np.ndarray, Dict[int, np.ndarray]]:
+        """The order-independent part of the remainder bound at each row of L.
+
+        The dropped terms are majorized by the full unbalanced series: with
+        S = sum |Btilde[x,y]| sqrt(l_x l_y), the undifferentiated tail is at
+        most sum_{N > order} S^N/N!, and a derivative in x at most multiplies
+        an order-N term by N / l_x.  Returns S and, per subset size q, the
+        sum over |Q| = q of |weight| / prod_{x in Q} l_x.
+        """
+        xs = [x for x, _ in self.edges]
+        ys = [y for _, y in self.edges]
+        S = np.sqrt(L[:, xs] * L[:, ys]) @ np.abs(self.w)
+        by_size: Dict[int, np.ndarray] = {}
+        for Q, c in self.weights.items():
+            part = abs(c) / np.prod(L[:, list(Q)], axis=1)
+            by_size[len(Q)] = by_size.get(len(Q), 0.0) + part
+        return S, by_size
+
+    @staticmethod
+    def tails(majorant: Tuple[np.ndarray, Dict[int, np.ndarray]], order: int) -> np.ndarray:
+        """Certified remainder bound at truncation ``order`` (see :meth:`majorant`)."""
+        S, by_size = majorant
+        total = np.zeros_like(S)
+        for q, scale in by_size.items():
+            total += scale * _tail_sums(q, S, order)
+        return total
+
+    def values(self, L: np.ndarray, order: int, flow_cap: int) -> np.ndarray:
+        """The series truncated at total flow count ``order``, for each row of L.
+
+        Each balanced flow contributes prod_e w_e^{n_e}/n_e! times the
+        monomial prod_x l_x^{m_x}, m_x its out-degree; a derivative in x
+        turns that into m_x l_x^{m_x - 1} exactly.  The base terms are
+        computed once per point, and each subset Q is one factor vector
+        prod_{x in Q} m_x applied to them.
+        """
+        if not self.weights:
+            return np.zeros(len(L))
+        table = flow_table(self.edges, self.n_nodes, order, flow_cap)
+        counts, w = table.counts, self.w
+        sign = 1.0
+        if np.iscomplexobj(w):
+            # complex weights: exp(n log w) reproduces w^n exactly
+            log_coef = counts @ np.log(w) - table.log_count_factorials
+        else:
+            log_coef = counts @ np.log(np.abs(w)) - table.log_count_factorials
+            if np.any(w < 0.0):
+                sign = np.where(counts[:, w < 0.0].sum(axis=1) % 2 == 1, -1.0, 1.0)[:, None]
+        degree = table.out_degree.astype(float)
+        subsets = list(self.weights)
+        factors = np.stack([degree[:, list(Q)].prod(axis=1) for Q in subsets])
+        coefs = np.array([self.weights[Q] for Q in subsets])
+        out = np.empty(len(L), dtype=log_coef.dtype)
+        chunk = max(1, _BLOCK_TERMS // table.n_flows)
+        for lo in range(0, len(L), chunk):
+            Lc = L[lo:lo + chunk]
+            terms = sign * np.exp(log_coef[:, None] + degree @ np.log(Lc).T)
+            per_subset = factors @ terms
+            per_subset /= np.stack([np.prod(Lc[:, list(Q)], axis=1) for Q in subsets])
+            out[lo:lo + chunk] = coefs @ per_subset
+        return out
+
+
+def _single_point(
+    Btilde, weights: Dict[Tuple[int, ...], float], l, max_total: int, flow_cap: int
+) -> DensityEvaluation:
+    Btilde = np.asarray(Btilde)
+    if not np.iscomplexobj(Btilde):
+        Btilde = Btilde.astype(float)
+    l = np.asarray(l, dtype=float)
+    if np.any(l <= 0.0) or any(np.any(l[list(Q)] < MIN_LOCAL_TIME) for Q in weights):
+        raise DomainError("the flow series needs strictly positive local times")
+    series = _OperatorSeries(Btilde, weights)
+    L = l[None, :]
+    value = series.values(L, max_total, flow_cap)[0]
+    value = complex(value) if np.iscomplexobj(value) else float(value)
+    tail = series.tails(series.majorant(L), max_total)[0]
+    return DensityEvaluation(value=value, error_bound=float(tail), order=max_total)
 
 
 def torus_series(
@@ -241,42 +306,18 @@ def torus_series(
     derivative_set: Iterable[int] = (),
     max_total: int = 40,
     flow_cap: int = DEFAULT_FLOW_CAP,
-) -> SeriesValue:
+) -> DensityEvaluation:
     """Derivatives of the torus average, as a certified balanced-flow series.
 
     Evaluates prod_{x in Q} d/dl_x applied to the circle average of
     exp(sum_{x,y} Btilde[x,y] sqrt(l_x l_y) e^{i(th_x - th_y)}), truncated at
-    total flow count ``max_total``.  Signed or complex entries are accepted
-    when the derivative set is empty (each surviving term is still a
-    monomial, and the value may then be complex); entries on the support must
-    be nonzero.
-
-    The remainder certificate majorizes the dropped terms by the full
-    unbalanced series: with S = sum |Btilde[x,y]| sqrt(l_x l_y), the tail of
-    the undifferentiated series is at most sum_{N > max_total} S^N/N!, and a
-    derivative in x at most multiplies an order-N term by N / l_x.
+    total flow count ``max_total``, with the remainder bound in
+    ``error_bound``.  Signed or complex entries are accepted when the
+    derivative set is empty (each surviving term is still a monomial, and the
+    value may then be complex); entries on the support must be nonzero.
     """
-    Btilde = np.asarray(Btilde)
-    if not np.iscomplexobj(Btilde):
-        Btilde = Btilde.astype(float)
-    r = Btilde.shape[0]
-    l = np.asarray(l, dtype=float)
     Q = tuple(sorted(set(derivative_set)))
-    if np.any(l <= 0.0) or (Q and np.any(l[list(Q)] < MIN_LOCAL_TIME)):
-        raise DomainError("torus_series needs strictly positive local times")
-    edges = _series_support(Btilde)
-    if Q and any(all(x not in e for e in edges) for x in Q):
-        # a derivative in a state untouched by the support kills every term
-        return SeriesValue(value=0.0, tail_bound=0.0, order=max_total)
-    table = flow_table(edges, r, max_total, flow_cap)
-    w = np.array([Btilde[e] for e in edges])
-    sq = np.sqrt(l)
-    S = float(sum(abs(Btilde[x, y]) * sq[x] * sq[y] for (x, y) in edges))
-    tail = _tail_sum(len(Q), S, max_total)
-    if Q:
-        tail /= float(np.prod(l[list(Q)]))
-    value = _series_eval(table, w, l, Q)
-    return SeriesValue(value=value, tail_bound=tail, order=max_total)
+    return _single_point(Btilde, {Q: 1.0}, l, max_total, flow_cap)
 
 
 def apply_cofactor_operator(
@@ -285,24 +326,90 @@ def apply_cofactor_operator(
     l,
     max_total: int = 40,
     flow_cap: int = DEFAULT_FLOW_CAP,
-) -> SeriesValue:
+) -> DensityEvaluation:
     """Apply the expanded cofactor operator to the flow series of ``Btilde``.
 
-    The operator weights come from its own matrix part; the series may carry
-    conjugated weights ``Btilde``.  2^(|R|-2) subset terms at most.
+    The series may carry conjugated weights ``Btilde``; all 2^(|R|-2) subset
+    terms at most share one pass over the flows.
     """
-    value = 0.0
-    tail = 0.0
-    for Q, w in op.weights.items():
-        part = torus_series(Btilde, l, Q, max_total, flow_cap)
-        value += w * part.value
-        tail += abs(w) * part.tail_bound
-    return SeriesValue(value=value, tail_bound=tail, order=max_total)
+    return _single_point(Btilde, op.weights, l, max_total, flow_cap)
 
 
 # ---------------------------------------------------------------------------
 # the density, three ways
 # ---------------------------------------------------------------------------
+
+def density_batch(
+    gen: Generator,
+    R: Sequence,
+    a,
+    b,
+    L,
+    tol: float = 1e-10,
+    conjugation: Optional[Sequence] = None,
+    flow_cap: int = DEFAULT_FLOW_CAP,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Certified densities at many local-time vectors on one range.
+
+    ``L`` is a (P, |R|) array with one strictly positive local-time vector
+    per row, in the order of ``R``.  Returns ``(values, error_bounds,
+    orders)``, each of length P, with every error bound at most ``tol``.
+
+    The support, the cofactor subset weights and diag(A) are prepared once.
+    The tail certificate is a closed formula, so each point gets the lowest
+    order of the schedule that certifies it before any flow is enumerated.
+    The points of one order share one flow table and one pass of
+    exponentials over it, with every derivative subset applied as a factor
+    vector on the shared terms.  Raises ``NonConvergedTruncationError`` when
+    some point cannot be certified at the top order.
+
+    ``conjugation`` optionally replaces the series weights by
+    r_x B[x,y] / r_y for a positive vector r on R (the operator weights keep
+    the unconjugated -B); the result is r-independent.
+    """
+    R = tuple(R)
+    L = np.asarray(L, dtype=float)
+    if L.ndim != 2 or L.shape[1] != len(R):
+        raise ValueError(f"local times must be an array of shape (P, {len(R)})")
+    if not np.all(L >= MIN_LOCAL_TIME):
+        raise DomainError(
+            f"local times must exceed {MIN_LOCAL_TIME}; got min {np.min(L):.3e}")
+    a_pos, b_pos = R.index(a), R.index(b)
+    A = gen.submatrix(R)
+    B = A.copy()
+    np.fill_diagonal(B, 0.0)
+    if conjugation is not None:
+        rvec = np.asarray(conjugation, dtype=float)
+        if rvec.shape != (len(R),) or np.any(rvec <= 0):
+            raise ValueError("conjugation must be a positive vector on R")
+        Btilde = B * rvec[:, None] / rvec[None, :]
+    else:
+        Btilde = B
+    series = _OperatorSeries(Btilde, cofactor_subset_weights(B, a_pos, b_pos))
+    diag_factor = np.exp(L @ np.diag(A))
+    majorant = series.majorant(L)
+
+    bounds = np.zeros(len(L))
+    orders = np.zeros(len(L), dtype=int)
+    for order in _ORDER_SCHEDULE:
+        tail = diag_factor * series.tails(majorant, order)
+        first = (orders == 0) & (tail <= tol)
+        orders[first] = order
+        bounds[first] = tail[first]
+        if np.all(orders):
+            break
+    else:
+        failed = orders == 0
+        raise NonConvergedTruncationError(
+            f"certified tail {np.max(tail[failed]):.3e} above tol {tol:.3e} at order "
+            f"{_ORDER_SCHEDULE[-1]} ({np.sum(failed)} of {len(L)} points)"
+        )
+    values = np.zeros(len(L))
+    for order in sorted(set(orders.tolist())):
+        group = orders == order
+        values[group] = diag_factor[group] * series.values(L[group], order, flow_cap)
+    return values, bounds, orders
+
 
 def density_certified(
     gen: Generator,
@@ -317,60 +424,15 @@ def density_certified(
     """Joint local-time density with a certified truncation bound.
 
     Canonical series evaluation: pull out the diagonal exp(sum A[x,x] l_x),
-    apply the cofactor operator in -B to the balanced-flow series, and grow
-    the truncation order until the certified remainder is below ``tol``.
-
-    ``conjugation`` optionally replaces the series weights by
-    r_x B[x,y] / r_y for a positive vector r on R (the operator weights keep
-    the unconjugated -B); the result is r-independent.
+    apply the cofactor operator in -B to the balanced-flow series, and take
+    the lowest truncation order whose certified remainder is below ``tol``.
+    A batch of one for :func:`density_batch`, which documents the arguments.
     """
     point = _coerce_point(R, l)
-    R = tuple(R)
-    a_pos, b_pos = R.index(a), R.index(b)
-    A = gen.submatrix(R)
-    B = A.copy()
-    np.fill_diagonal(B, 0.0)
-    if conjugation is not None:
-        rvec = np.asarray(conjugation, dtype=float)
-        if rvec.shape != (len(R),) or np.any(rvec <= 0):
-            raise ValueError("conjugation must be a positive vector on R")
-        Btilde = B * rvec[:, None] / rvec[None, :]
-    else:
-        Btilde = B
-    diag_factor = math.exp(float(np.dot(np.diag(A), point.values)))
-
-    # the tail certificate is a closed formula, so the truncation order can be
-    # chosen before any flow is enumerated
-    lvec = point.values
-    op = cofactor_operator(B, a_pos, b_pos)
-    edges = _series_support(Btilde)
-    sq = np.sqrt(lvec)
-    S = float(sum(abs(Btilde[x, y]) * sq[x] * sq[y] for (x, y) in edges))
-
-    def certified_tail(order: int) -> float:
-        total = 0.0
-        for Q, w in op.weights.items():
-            if Q and any(all(x not in e for e in edges) for x in Q):
-                continue
-            part = _tail_sum(len(Q), S, order)
-            if Q:
-                part /= float(np.prod(lvec[list(Q)]))
-            total += abs(w) * part
-        return diag_factor * total
-
-    for order in _ORDER_SCHEDULE:
-        bound = certified_tail(order)
-        if bound <= tol:
-            part = apply_cofactor_operator(op, Btilde, lvec, order, flow_cap)
-            return DensityEvaluation(
-                value=diag_factor * part.value,
-                error_bound=diag_factor * part.tail_bound,
-                order=order,
-            )
-    raise NonConvergedTruncationError(
-        f"certified tail {certified_tail(_ORDER_SCHEDULE[-1]):.3e} above tol "
-        f"{tol:.3e} at order {_ORDER_SCHEDULE[-1]}"
-    )
+    values, bounds, orders = density_batch(
+        gen, R, a, b, point.values[None, :], tol, conjugation, flow_cap)
+    return DensityEvaluation(value=float(values[0]), error_bound=float(bounds[0]),
+                             order=int(orders[0]))
 
 
 def density(
@@ -519,36 +581,3 @@ def density_tridiagonal(gen: Generator, R: Sequence, a, b, l) -> float:
         else:  # x + 1 > b: derivative in the right coordinate
             value *= edge_kernel_d(c, lvec[i + 1], lvec[i])
     return value
-
-
-def range_measure_density(gen: Generator, R: Sequence, a, b) -> "DensityOnSimplex":
-    """Convenience handle: the density as a callable of free coordinates."""
-    return DensityOnSimplex(gen, tuple(R), a, b)
-
-
-@dataclass
-class DensityOnSimplex:
-    """Callable rho(l) with one coordinate eliminated against a fixed total.
-
-    The surface measure on the simplex {l > 0, sum l = T} is Lebesgue measure
-    in the coordinates R minus one designated site; which site is eliminated
-    does not change integrals.
-    """
-
-    gen: Generator
-    range: Tuple
-    a: object
-    b: object
-    tol: float = 1e-10
-
-    def __call__(self, free_values: Union[np.ndarray, Sequence], total: float,
-                 eliminated=None) -> float:
-        elim = self.range[-1] if eliminated is None else eliminated
-        free_states = [x for x in self.range if x != elim]
-        free = np.asarray(free_values, dtype=float)
-        rest = total - float(free.sum())
-        if rest < MIN_LOCAL_TIME or np.any(free < MIN_LOCAL_TIME):
-            return 0.0
-        values = {x: v for x, v in zip(free_states, free)}
-        values[elim] = rest
-        return density(self.gen, self.range, self.a, self.b, values, self.tol)

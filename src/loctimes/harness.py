@@ -11,18 +11,16 @@ import hashlib
 import json
 import math
 import os
-import warnings
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy import integrate
 from scipy.linalg import expm
 from scipy.optimize import minimize
 from scipy.stats import chi2 as chi2_dist
 
 from .chain import Generator, generator_from_triples, srw_generator, validate_generator
-from .density import MIN_LOCAL_TIME, DensityOnSimplex
+from .density import MIN_LOCAL_TIME, density_batch
 from .errors import ConfigParseError, InsufficientConditionedError, NotSymmetricError
 from .montecarlo import (
     BatchPaths,
@@ -210,77 +208,102 @@ class SimplexHistogram:
     flagged_cells: int
 
 
-def _cell_mass_midpoint(rho, lo: np.ndarray, hi: np.ndarray, total: float,
-                        depth: int = 1, max_depth: int = 4):
-    """Midpoint rule with one refinement (and more only when flagged)."""
-    mid = 0.5 * (lo + hi)
-    vol = float(np.prod(hi - lo))
-    coarse = rho(mid, total) * vol
-    fine = 0.0
+# Gauss-Legendre points per axis of the two cell rules; the mass comes from
+# the finer one, and a cell whose two masses differ by more than _FLAG_REL of
+# it is flagged
+_CELL_ORDERS = (6, 8)
+_FLAG_REL = 1e-6
+
+
+def _unit_rule(n: int, dim: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Tensor Gauss-Legendre rule with n points per axis on [0, 1]^dim."""
+    x, w = np.polynomial.legendre.leggauss(n)
+    x, w = 0.5 * (x + 1.0), 0.5 * w
+    nodes = np.stack([g.ravel() for g in np.meshgrid(*([x] * dim), indexing="ij")], axis=1)
+    weights = np.prod([g.ravel() for g in np.meshgrid(*([w] * dim), indexing="ij")], axis=0)
+    return nodes, weights
+
+
+def _clip_to_simplex(poly: np.ndarray, total: float) -> np.ndarray:
+    """The convex polygon ``poly`` (vertices in order) cut to sum(v) <= total."""
+    excess = poly.sum(axis=1) - total
+    out = []
+    for i in range(len(poly)):
+        j = (i + 1) % len(poly)
+        if excess[i] <= 0.0:
+            out.append(poly[i])
+        if (excess[i] < 0.0 < excess[j]) or (excess[j] < 0.0 < excess[i]):
+            s = excess[i] / (excess[i] - excess[j])
+            out.append(poly[i] + s * (poly[j] - poly[i]))
+    return np.array(out)
+
+
+def _cell_rule(lo: np.ndarray, hi: np.ndarray, total: float, n: int):
+    """Nodes and weights of an n-point-per-axis rule on the part of the cell
+    [lo, hi] inside the open simplex {sum(l) < total}.
+
+    A cell inside the simplex gets the tensor rule.  In one dimension a cut
+    cell is the interval clipped at the total.  In two, the cut cell is a
+    convex polygon, fanned into triangles from its first vertex; each
+    triangle (v0, v1, v2) carries the tensor rule through the collapsed
+    (Duffy) map v0 + u (v1 - v0) + u t (v2 - v1), Jacobian u * 2 * area.
+    """
     dim = len(lo)
-    for corner in range(2 ** dim):
-        shift = np.array([(corner >> k) & 1 for k in range(dim)], dtype=float)
-        sub_lo = lo + 0.5 * shift * (hi - lo)
-        sub_hi = sub_lo + 0.5 * (hi - lo)
-        fine += rho(0.5 * (sub_lo + sub_hi), total) * float(np.prod(sub_hi - sub_lo))
-    flagged = abs(fine - coarse) > 0.01 * max(abs(fine), 1e-300)
-    if flagged and depth < max_depth:
-        fine = 0.0
-        for corner in range(2 ** dim):
-            shift = np.array([(corner >> k) & 1 for k in range(dim)], dtype=float)
-            sub_lo = lo + 0.5 * shift * (hi - lo)
-            sub_hi = sub_lo + 0.5 * (hi - lo)
-            part, _ = _cell_mass_midpoint(rho, sub_lo, sub_hi, total, depth + 1, max_depth)
-            fine += part
-        return fine, True
-    return fine, flagged
+    unit_x, unit_w = _unit_rule(n, dim)
+    if hi.sum() <= total or dim == 1:
+        top = np.minimum(hi, total)
+        return lo + (top - lo) * unit_x, unit_w * float(np.prod(top - lo))
+    corners = np.array([[lo[0], lo[1]], [hi[0], lo[1]], [hi[0], hi[1]], [lo[0], hi[1]]])
+    poly = _clip_to_simplex(corners, total)
+    u, t = unit_x[:, :1], unit_x[:, 1:]
+    min_area = 1e-12 * float(np.prod(hi - lo))
+    nodes, weights = [], []
+    for k in range(1, len(poly) - 1):
+        e1, e2 = poly[k] - poly[0], poly[k + 1] - poly[k]
+        twice_area = abs(e1[0] * e2[1] - e1[1] * e2[0])
+        if twice_area <= min_area:  # a sliver left by a vertex on the boundary
+            continue
+        nodes.append(poly[0] + u * e1 + u * t * e2)
+        weights.append(unit_w * unit_x[:, 0] * twice_area)
+    return np.concatenate(nodes), np.concatenate(weights)
 
 
-def expected_cell_masses(rho: DensityOnSimplex, edges: List[np.ndarray], total: float):
+def expected_cell_masses(rho, edges: List[np.ndarray], total: float):
     """Integrate the density over every cell of the free-coordinate grid.
 
-    Cells wholly outside the open simplex are excluded (mass 0); cells cut by
-    the simplex boundary are integrated with exact limits; interior cells use
-    the midpoint rule refined once, with further refinement only when the two
-    levels disagree by more than 1% of the cell mass.
+    ``rho`` maps a (P, dim) array of free coordinates to the P density
+    values; it is called once, on the nodes of every cell.  Cells wholly
+    outside the open simplex are excluded (mass 0).  Every other cell is
+    integrated by two fixed rules (:func:`_cell_rule` with _CELL_ORDERS
+    points per axis); the density is entire in l, so the rules converge
+    spectrally, and a cell is flagged when the two masses differ by more
+    than _FLAG_REL of the finer one.  Returns (masses, excluded, flagged).
     """
     dim = len(edges)
+    if dim > 2:
+        raise ValueError("cell integration supports at most 2 free coordinates")
     shape = tuple(len(e) - 1 for e in edges)
-    masses = np.zeros(shape)
     excluded = 0
-    flagged = 0
-    for idx in np.ndindex(*shape):
+    nodes, weights, slots = [], [], []
+    for flat, idx in enumerate(np.ndindex(*shape)):
         lo = np.array([edges[k][idx[k]] for k in range(dim)])
         hi = np.array([edges[k][idx[k] + 1] for k in range(dim)])
         if lo.sum() >= total - MIN_LOCAL_TIME:
             excluded += 1
             continue
-        if hi.sum() < total:  # interior cell
-            mass, flag = _cell_mass_midpoint(rho, lo, hi, total)
-            masses[idx] = mass
-            flagged += int(flag)
-            continue
-        # straddling cell: integrate with the simplex boundary as a limit
-        if dim == 1:
-            top = min(hi[0], total - MIN_LOCAL_TIME)
-            val, _ = integrate.quad(lambda x: rho(np.array([x]), total), lo[0], top, limit=200)
-            masses[idx] = val
-        elif dim == 2:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", integrate.IntegrationWarning)
-                val, _ = integrate.dblquad(
-                    lambda y, x: rho(np.array([x, y]), total),
-                    lo[0],
-                    min(hi[0], total - MIN_LOCAL_TIME),
-                    lambda x: lo[1],
-                    lambda x: max(lo[1], min(hi[1], total - x - MIN_LOCAL_TIME)),
-                    epsabs=1e-10,
-                    epsrel=1e-8,
-                )
-            masses[idx] = val
-        else:
-            raise ValueError("cell integration supports at most 2 free coordinates")
-    return masses, excluded, flagged
+        for level, n in enumerate(_CELL_ORDERS):
+            x, w = _cell_rule(lo, hi, total, n)
+            nodes.append(x)
+            weights.append(w)
+            slots.append(np.full(len(w), len(_CELL_ORDERS) * flat + level))
+    n_cells = int(np.prod(shape))
+    values = np.asarray(rho(np.concatenate(nodes)))
+    per_rule = np.bincount(np.concatenate(slots), weights=np.concatenate(weights) * values,
+                           minlength=len(_CELL_ORDERS) * n_cells)
+    per_rule = per_rule.reshape(n_cells, len(_CELL_ORDERS))
+    coarse, fine = per_rule[:, 0], per_rule[:, -1]
+    flagged = int(np.sum(np.abs(fine - coarse) > _FLAG_REL * np.abs(fine)))
+    return fine.reshape(shape), excluded, flagged
 
 
 # ---------------------------------------------------------------------------
@@ -354,9 +377,16 @@ def verify_density_mc(
     edges = [np.linspace(0.0, T, cells_per_axis + 1) for _ in free_states]
     counts, _ = np.histogramdd(values, bins=edges)
 
-    rho = DensityOnSimplex(gen, R, start, endpoint, tol=density_tol)
-    rho_call = lambda free, total: rho(free, total, eliminated=elim)
-    masses, excluded, flagged = expected_cell_masses(rho_call, edges, T)
+    free_pos = [R.index(x) for x in free_states]
+    elim_pos = R.index(elim)
+
+    def rho(free: np.ndarray) -> np.ndarray:
+        L = np.empty((len(free), len(R)))
+        L[:, free_pos] = free
+        L[:, elim_pos] = T - free.sum(axis=1)
+        return density_batch(gen, R, start, endpoint, L, density_tol)[0]
+
+    masses, excluded, flagged = expected_cell_masses(rho, edges, T)
 
     stat, dof, p_value, worst = chi_square_shape_test(counts.ravel(), masses.ravel())
 

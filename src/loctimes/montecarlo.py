@@ -25,11 +25,6 @@ class BatchPaths:
     jumps: np.ndarray          # (n_paths,)
     horizons: np.ndarray       # (n_paths,) elapsed time at stop
 
-    def visited_mask(self, start_index: int) -> np.ndarray:
-        mask = self.local_times > 0.0
-        mask[:, start_index] = True
-        return mask
-
 
 def spawn_rngs(seed, n: int):
     """n independent substreams, deterministically derived from one seed."""

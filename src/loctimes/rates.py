@@ -134,6 +134,10 @@ def rate_general(
         )
 
     pieces = _support_objective(A_sub, mu_sub)
+    # J is a difference of terms of the size of the mean exit rate, so near
+    # the optimum a step can lower J by a few ulps of that size and still be
+    # the exact Newton step; the sufficient-increase test cannot see it then
+    rounding = 16.0 * np.finfo(float).eps * float(np.dot(mu_sub, -np.diag(A_sub)))
     # warm start g = sqrt(mu), exact for symmetric generators
     u = 0.5 * (np.log(mu_sub) - np.log(mu_sub[0]))
     J, grad, H = pieces(u)
@@ -154,7 +158,11 @@ def rate_general(
             u_try = u.copy()
             u_try[1:] += alpha * step
             J_try, grad_try, H_try = pieces(u_try)
-            if J_try >= J + 1e-4 * alpha * float(g_red @ step):
+            # a step whose change in J is below rounding is judged by the
+            # gradient instead
+            if (J_try >= J + 1e-4 * alpha * float(g_red @ step)
+                    or (J_try >= J - rounding
+                        and float(np.linalg.norm(grad_try[1:])) < gnorm)):
                 u, J, grad, H = u_try, J_try, grad_try, H_try
                 break
             alpha *= 0.5

@@ -7,15 +7,16 @@ from scipy import integrate
 
 from loctimes.chain import srw_generator, validate_generator
 from loctimes.density import (
-    DensityOnSimplex,
     SimplexPoint,
     apply_cofactor_operator,
     cofactor,
     cofactor_operator,
     density,
+    density_batch,
     density_certified,
     density_quadrature,
     density_tridiagonal,
+    _tail_sums,
     replaced_matrix,
     torus_series,
 )
@@ -111,7 +112,7 @@ def test_series_no_derivatives_is_bessel():
 
 def test_series_zero_weights():
     v = torus_series(np.zeros((3, 3)), [0.2, 0.3, 0.5], (), 10)
-    assert v.value == 1.0 and v.tail_bound == 0.0
+    assert v.value == 1.0 and v.error_bound == 0.0
 
 
 def test_series_single_derivative_is_i1():
@@ -135,8 +136,8 @@ def test_series_tail_bound_is_certified_and_monotone():
     tails = []
     for order in (4, 8, 12, 16, 24):
         v = torus_series(Bt, l, (1,), order)
-        assert abs(v.value - reference) <= v.tail_bound * (1 + 1e-12) + 1e-15
-        tails.append(v.tail_bound)
+        assert abs(v.value - reference) <= v.error_bound * (1 + 1e-12) + 1e-15
+        tails.append(v.error_bound)
     assert all(t1 >= t2 for t1, t2 in zip(tails, tails[1:]))
 
 
@@ -144,7 +145,7 @@ def test_series_derivative_outside_support_is_zero():
     Bt = np.zeros((3, 3))
     Bt[0, 1] = Bt[1, 0] = 1.0
     v = torus_series(Bt, [0.5, 0.5, 0.5], (2,), 20)
-    assert v.value == 0.0 and v.tail_bound == 0.0
+    assert v.value == 0.0 and v.error_bound == 0.0
 
 
 def test_series_rejects_bad_local_times():
@@ -246,6 +247,66 @@ def test_density_raises_when_tail_cannot_converge():
     g = validate_generator([[0.0, 60.0], [60.0, 0.0]], (1, 2))
     with pytest.raises(NonConvergedTruncationError):
         density(g, (1, 2), 1, 2, [1.0, 1.0], tol=1e-10)
+
+
+def test_tail_sums_closed_form_matches_direct_sum():
+    S = np.array([0.3, 2.0, 9.0])
+    for q in range(4):
+        for n0 in (0, 3, 8, 26):
+            got = _tail_sums(q, S, n0)
+            for s, g in zip(S, got):
+                direct = math.fsum(
+                    math.exp(q * math.log(N) + N * math.log(s) - math.lgamma(N + 1.0))
+                    for N in range(n0 + 1, n0 + 200))
+                assert g == pytest.approx(direct, rel=1e-12)
+    assert np.all(_tail_sums(2, np.zeros(3), 8) == 0.0)
+
+
+@pytest.mark.parametrize("seed, case", enumerate(
+    ["srw3", "srw4", "srw5", "support4", "conjugated"]))
+def test_batch_matches_scalar_certified(seed, case):
+    rng = np.random.default_rng(900 + seed)
+    conjugation = None
+    if case.startswith("srw"):
+        n = int(case[-1])
+        g = srw_generator(0, n - 1)
+        T = 2.0
+    else:
+        # one random support of 9 edges (a 4-cycle plus chords)
+        n = 4
+        chain_rng = np.random.default_rng(904)
+        A = chain_rng.uniform(0.5, 1.5, (n, n)) * (chain_rng.random((n, n)) < 0.5)
+        for k in range(n):
+            A[k, (k + 1) % n] = chain_rng.uniform(0.5, 1.5)
+        np.fill_diagonal(A, 0.0)
+        g = validate_generator(A)
+        T = 1.2
+        if case == "conjugated":
+            conjugation = rng.uniform(0.7, 1.4, n)
+    R = tuple(range(n))
+    a, b = (int(x) for x in rng.integers(0, n, 2))
+    L = T * np.maximum(rng.dirichlet(np.ones(n), 40), 0.01)
+    values, bounds, orders = density_batch(g, R, a, b, L, tol=1e-10,
+                                           conjugation=conjugation)
+    assert np.all(bounds <= 1e-10)
+    for l, v, e, o in zip(L, values, bounds, orders):
+        single = density_certified(g, R, a, b, l, tol=1e-10, conjugation=conjugation)
+        assert single.order == o
+        assert abs(v - single.value) <= e + 1e-13 * abs(single.value)
+        sharp = density_certified(g, R, a, b, l, tol=1e-12)
+        assert abs(v - sharp.value) <= e + sharp.error_bound + 1e-13 * abs(sharp.value)
+
+
+def test_batch_with_one_uncertifiable_point_raises():
+    g = validate_generator([[0.0, 60.0], [60.0, 0.0]], (1, 2))
+    good = [0.01, 0.01]
+    assert density_batch(g, (1, 2), 1, 2, [good], tol=1e-10)[1][0] <= 1e-10
+    with pytest.raises(NonConvergedTruncationError, match="1 of 3 points"):
+        density_batch(g, (1, 2), 1, 2, [good, [1.0, 1.0], good], tol=1e-10)
+    with pytest.raises(DomainError):
+        density_batch(g, (1, 2), 1, 2, [good, [0.5, 0.0]])
+    with pytest.raises(ValueError):
+        density_batch(g, (1, 2), 1, 2, [[0.5, 0.5, 0.5]])
 
 
 def test_certificate_reports_order_and_bound():
@@ -365,17 +426,19 @@ def test_surface_measure_choice_of_eliminated_coordinate():
     # integrating the density over one region of the simplex must not depend
     # on which coordinate carries the unit Jacobian
     g = srw_generator(0, 2)
-    rho = DensityOnSimplex(g, (0, 1, 2), 0, 2, tol=1e-11)
     T = 1.0
     lo0, hi0 = 0.20, 0.40   # bounds on l0
     lo1, hi1 = 0.25, 0.45   # bounds on l1
 
+    def rho(l0, l1, l2):
+        return density_batch(g, (0, 1, 2), 0, 2, [[l0, l1, l2]], tol=1e-11)[0][0]
+
     with_l2_eliminated, _ = integrate.dblquad(
-        lambda y, x: rho(np.array([x, y]), T, eliminated=2),
+        lambda y, x: rho(x, y, T - x - y),
         lo0, hi0, lambda x: lo1, lambda x: hi1, epsabs=1e-11, epsrel=1e-10)
-    # same region in (l1, l2) coordinates: l2 = T - l0 - l1
+    # same region in (l1, l2) coordinates: l0 = T - l1 - l2
     with_l0_eliminated, _ = integrate.dblquad(
-        lambda z, y: rho(np.array([y, z]), T, eliminated=0),
+        lambda z, y: rho(T - y - z, y, z),
         lo1, hi1, lambda y: T - hi0 - y, lambda y: T - lo0 - y,
         epsabs=1e-11, epsrel=1e-10)
     assert with_l2_eliminated == pytest.approx(with_l0_eliminated, rel=1e-8)

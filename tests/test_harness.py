@@ -1,15 +1,18 @@
 import json
 import math
 import os
+from itertools import combinations
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from loctimes.chain import srw_generator, validate_generator
 from loctimes.errors import ConfigParseError, InsufficientConditionedError
 from loctimes.harness import (
     chi_square_shape_test,
     config_hash,
+    expected_cell_masses,
     generator_from_config,
     halfspace_rate_infimum,
     is_canonical_two_state,
@@ -133,9 +136,8 @@ def test_verify_density_two_state_quick():
     assert abs(report.analytic["z_analytic"]) < 4.0
     assert report.passed
     # the density normalization must match the analytic event probability
-    # cell masses carry the midpoint rule's O(h^2) bias, well under MC noise
     assert report.conditioning_quadrature == pytest.approx(
-        math.exp(-1.0) * math.sinh(1.0), abs=5e-5)
+        math.exp(-1.0) * math.sinh(1.0), abs=1e-9)
 
 
 def test_verify_density_three_state_quick():
@@ -269,3 +271,46 @@ def test_verify_density_asymmetric_chain():
                                cells_per_axis=5, seed=401)
     assert report.p_value > 1e-3
     assert abs(report.conditioning_z) < 4.0
+
+
+def exact_range_probability(gen, a, b, R, T):
+    """P(range up to T is exactly R, endpoint b): inclusion-exclusion over
+    the subsets S of R holding a and b, each term expm(T A_S)[a, b] of the
+    chain killed outside S."""
+    others = [x for x in R if x not in (a, b)]
+    total = 0.0
+    for k in range(len(others) + 1):
+        for dropped in combinations(others, k):
+            S = [x for x in R if x not in dropped]
+            total += (-1) ** k * expm(T * gen.submatrix(S))[S.index(a), S.index(b)]
+    return total
+
+
+@pytest.mark.parametrize("gen, T, cells", [
+    (srw_generator(0, 2), 2.0, 7),
+    (validate_generator([[0.0, 1.3, 0.0], [0.6, 0.0, 0.9], [0.0, 1.7, 0.0]], (0, 1, 2)),
+     1.5, 5),
+])
+def test_cell_masses_sum_to_exact_range_probability(gen, T, cells):
+    report = verify_density_mc(gen, 0, 2, (0, 1, 2), T, 20_000,
+                               cells_per_axis=cells, seed=5)
+    exact = exact_range_probability(gen, 0, 2, (0, 1, 2), T)
+    assert report.conditioning_quadrature == pytest.approx(exact, rel=1e-8)
+    assert report.histogram.flagged_cells == 0
+    assert report.histogram.excluded_cells == cells * (cells - 1) // 2
+
+
+def test_cell_rules_on_cut_cells_and_the_disagreement_flag():
+    # unit density: cell masses are the areas of the cells inside the simplex,
+    # including a pentagon (cell [0, .5]^2 cut at total 0.8) and triangles
+    edges = [np.linspace(0.0, 1.0, 3)] * 2
+    masses, excluded, flagged = expected_cell_masses(
+        lambda free: np.ones(len(free)), edges, 0.8)
+    assert masses == pytest.approx(np.array([[0.23, 0.045], [0.045, 0.0]]), abs=1e-14)
+    assert (excluded, flagged) == (1, 0)
+    # a polynomial of low degree is integrated exactly, a kink is flagged
+    line = [np.linspace(0.0, 1.0, 2)]
+    masses, _, flagged = expected_cell_masses(lambda free: free[:, 0] ** 5, line, 1.0)
+    assert masses[0] == pytest.approx(1.0 / 6.0, rel=1e-14) and flagged == 0
+    _, _, flagged = expected_cell_masses(lambda free: np.abs(free[:, 0] - 0.5), line, 1.0)
+    assert flagged == 1

@@ -256,6 +256,22 @@ def test_upper_bound_dominates_density_asymmetric():
         assert rho <= bound + 1e-12
 
 
+def test_upper_bound_survives_newton_step_hidden_by_rounding():
+    # on this chain the full Newton step at iteration 2 drops the gradient
+    # norm from 7e-9 to 1e-16 while J falls by one ulp, which the
+    # sufficient-increase test alone rejects (the solver then stalled)
+    g = validate_generator(
+        [[0.0, 0.5636063111895461, 0.9765317145717166],
+         [0.655292623786009, 0.0, 1.3225417834995046],
+         [1.2011180219474644, 0.847351218183209, 0.0]])
+    l = [0.6143422337787182, 0.7872411077413165, 0.01792064514420062]
+    bound = density_upper_bound(g, g.states, 0, 1, l)
+    rho = density(g, g.states, 0, 1, l)
+    assert math.isfinite(bound) and bound >= rho
+    sol = rate_general(g, np.array(l) / sum(l))
+    assert sol.final_gradient_norm <= 1e-10 and sol.iterations < 10
+
+
 # ---------------------------------------------------------------------------
 # finite-time LDP bounds
 # ---------------------------------------------------------------------------
