@@ -2,12 +2,16 @@
 
 All series are summed directly with term-ratio stopping; arguments at desk
 scale (|x| <= ~60) stay well inside double precision because every term is
-positive.
+positive.  The edge kernels raise NonConvergedTruncationError rather than
+return a truncated or infinite sum.
 """
 
-from .errors import DomainError
+import math
+
+from .errors import DomainError, NonConvergedTruncationError
 
 _REL_TOL = 1e-16
+_MAX_TERMS = 400
 
 
 def bessel_i0(x: float) -> float:
@@ -49,6 +53,29 @@ def bessel_i1(x: float) -> float:
         k += 1
 
 
+def _edge_series(z: float, shift: int) -> float:
+    """sum_k z^k / (k! (k+shift)!) for shift 0 or 1, with term-ratio stopping.
+
+    Raises NonConvergedTruncationError when _MAX_TERMS terms do not meet the
+    stop test or the sum is not finite (the exact value overflows a double).
+    """
+    term = 1.0
+    total = 1.0
+    k = 1
+    while True:
+        term *= z / (k * (k + shift))
+        total += term
+        if abs(term) <= _REL_TOL * abs(total):
+            if not math.isfinite(total):
+                raise NonConvergedTruncationError(
+                    f"edge kernel series at z = {z!r} is not finite")
+            return total
+        if k >= _MAX_TERMS:
+            raise NonConvergedTruncationError(
+                f"edge kernel series at z = {z!r} not converged in {_MAX_TERMS} terms")
+        k += 1
+
+
 def edge_kernel(c: float, lx: float, ly: float) -> float:
     """Scalar kernel of one nearest-neighbor edge.
 
@@ -59,16 +86,7 @@ def edge_kernel(c: float, lx: float, ly: float) -> float:
 
     For c >= 0 this equals I0(2*sqrt(c*lx*ly)); kernel value at t=0 is 1.
     """
-    z = c * lx * ly
-    term = 1.0
-    total = 1.0
-    k = 1
-    while True:
-        term *= z / (k * k)
-        total += term
-        if abs(term) <= _REL_TOL * abs(total) or k > 400:
-            return total
-        k += 1
+    return _edge_series(c * lx * ly, 0)
 
 
 def edge_kernel_d(c: float, lx: float, ly: float) -> float:
@@ -78,13 +96,4 @@ def edge_kernel_d(c: float, lx: float, ly: float) -> float:
     The kernel is symmetric in (lx, ly), so the derivative in ly is obtained
     by swapping the arguments.
     """
-    z = c * lx * ly
-    term = 1.0
-    total = 1.0
-    k = 1
-    while True:
-        term *= z / (k * (k + 1))
-        total += term
-        if abs(term) <= _REL_TOL * abs(total) or k > 400:
-            return c * ly * total
-        k += 1
+    return c * ly * _edge_series(c * lx * ly, 1)

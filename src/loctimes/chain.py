@@ -107,6 +107,7 @@ class InverseLocalTimeResult:
     path: PathSummary
     level: float
     pivot: object
+    jumps: int
 
 
 def validate_generator(rates, states: Optional[Sequence] = None) -> Generator:
@@ -321,4 +322,4 @@ def simulate_inverse_local_time(
     times = {gen.states[i]: float(local[i]) for i in range(gen.n_states)}
     # the stop occurs while sitting at the pivot
     path = PathSummary(local_times=times, endpoint=pivot, range=visited, horizon=float(t))
-    return InverseLocalTimeResult(path=path, level=level, pivot=pivot)
+    return InverseLocalTimeResult(path=path, level=level, pivot=pivot, jumps=jumps)

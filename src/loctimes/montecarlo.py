@@ -1,10 +1,20 @@
 """Vectorized exact-path sampling for Monte Carlo verification runs.
 
-Same event-driven construction as the scalar simulators in :mod:`chain`
-(exponential holding times, categorical jumps), but advanced for a whole
-batch of paths per round with the finished paths dropped from the working
-set.  All draws come from one stream in a fixed round order, so a seed
-reproduces every emitted number bit for bit.
+A batch of paths advances one jump per round, with finished paths dropped
+from the working set.  Jumps come from a :class:`JumpTable`: each state's
+nonzero targets with their cumulative probabilities, so a jump costs one
+uniform and one gather-and-compare per extra target.
+
+* Fixed horizon: exponential holding times are drawn each round, as in the
+  scalar :func:`chain.simulate_fixed_time`.
+* Inverse local time: the jump-chain/holding-time split (Norris, *Markov
+  Chains*, 1997, section 2.6).  The number of pivot visits is drawn first,
+  ``1 + Poisson(q_b * level)``; the rounds run only the discrete jump chain,
+  counting visits per state; each non-pivot local time is then one
+  ``Gamma(visits, 1 / q)`` draw, and the pivot's is ``level`` exactly.
+
+All draws come from one stream in a fixed order, so a seed reproduces every
+emitted number bit for bit.
 """
 
 from dataclasses import dataclass
@@ -26,6 +36,48 @@ class BatchPaths:
     horizons: np.ndarray       # (n_paths,) elapsed time at stop
 
 
+@dataclass(frozen=True)
+class JumpTable:
+    """Jump law of every state, one column per state.
+
+    Column x lists the targets y with P(x -> y) > 0 in label order and the
+    cumulative jump probabilities up to each target; from the last target on
+    the thresholds are +inf, so a uniform never maps past the last target.
+    A state with no out-jumps has itself as its only target.
+    """
+
+    exit_rates: np.ndarray     # (n,)
+    thresholds: np.ndarray     # (max out-degree, n)
+    targets: np.ndarray        # (max out-degree, n) state indices
+
+    def step(self, state: np.ndarray, u: np.ndarray) -> np.ndarray:
+        """Next states of paths in ``state`` given one uniform each."""
+        depth, n = self.targets.shape
+        flat = state.copy()
+        for k in range(depth - 1):
+            flat += n * (u >= self.thresholds[k][state])
+        return self.targets.ravel()[flat]
+
+
+def jump_table(gen: Generator) -> JumpTable:
+    """The :class:`JumpTable` of a generator, built from the cumulative
+    jump probabilities so that a uniform selects the same target as the
+    dense rule ``(u >= cum[x]).sum()`` wherever that rule is in range."""
+    exit_rates, cum = _jump_distributions(gen)
+    n = gen.n_states
+    # a target is reachable where the cumulative sum strictly increases
+    reachable = np.diff(cum, axis=1, prepend=0.0) > 0
+    depth = max(1, int(reachable.sum(axis=1).max()))
+    thresholds = np.full((depth, n), np.inf)
+    targets = np.tile(np.arange(n), (depth, 1))
+    for x in range(n):
+        ys = np.flatnonzero(reachable[x])
+        if ys.size:
+            thresholds[: ys.size - 1, x] = cum[x, ys[:-1]]
+            targets[: ys.size, x] = ys
+    return JumpTable(exit_rates=exit_rates, thresholds=thresholds, targets=targets)
+
+
 def spawn_rngs(seed, n: int):
     """n independent substreams, deterministically derived from one seed."""
     return [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(n)]
@@ -37,7 +89,8 @@ def sample_paths_fixed_time(
     """Simulate ``n_paths`` trajectories on [0, T]."""
     if T <= 0:
         raise ValueError("need T > 0")
-    exit_rates, cum = _jump_distributions(gen)
+    table = jump_table(gen)
+    exit_rates = table.exit_rates
     n = gen.n_states
     s0 = gen.index(start)
 
@@ -65,8 +118,7 @@ def sample_paths_fixed_time(
         elapsed = elapsed[keep]
         if alive.size == 0:
             break
-        u = rng.random(alive.size)
-        state = (u[:, None] >= cum[state]).sum(axis=1).astype(np.int64)
+        state = table.step(state, rng.random(alive.size))
         jumps[alive] += 1
     return BatchPaths(
         states=gen.states,
@@ -87,20 +139,36 @@ def sample_paths_inverse_local_time(
     max_rounds: int = 2_000_000,
 ) -> BatchPaths:
     """Simulate paths until the local time at the pivot first reaches the
-    level; the crossing sojourn is clipped so l(pivot) == level exactly."""
+    level; l(pivot) == level exactly on every path.
+
+    The local time at the pivot is a Poisson clock of rate q_b for leaving
+    it, so a path makes ``N = 1 + Poisson(q_b * level)`` pivot visits and
+    stops during the N-th; an absorbing pivot stops every path at its first
+    visit.  A path that reaches an absorbing state other than the pivot
+    raises :class:`BudgetExceededError`, as does a batch with paths still
+    running after ``max_rounds`` rounds (one jump each).
+    """
     if level <= 0:
         raise ValueError("need level > 0")
-    exit_rates, cum = _jump_distributions(gen)
+    table = jump_table(gen)
+    exit_rates = table.exit_rates
     n = gen.n_states
     s0 = gen.index(start)
     b = gen.index(pivot)
+    trap = (exit_rates <= 0) & (np.arange(n) != b)
 
-    local = np.zeros((n_paths, n))
+    def check_absorbed(state):
+        if trap[state].any():
+            x = gen.states[int(state[np.argmax(trap[state])])]
+            raise BudgetExceededError(
+                f"absorbed in {x!r} before reaching level at the pivot")
+
+    pivot_visits_left = 1 + rng.poisson(exit_rates[b] * level, n_paths)
+    visits = np.zeros(n * n_paths, dtype=np.int32)
     state = np.full(n_paths, s0, dtype=np.int64)
-    elapsed = np.zeros(n_paths)
-    jumps = np.zeros(n_paths, dtype=np.int64)
-    horizons = np.zeros(n_paths)
     alive = np.arange(n_paths)
+    check_absorbed(state[:1])
+    check_traps = bool(trap.any())
 
     rounds = 0
     while alive.size:
@@ -110,31 +178,30 @@ def sample_paths_inverse_local_time(
                 f"{alive.size} paths still running after {max_rounds} rounds; "
                 "pivot likely unreachable"
             )
-        rate = exit_rates[state]
-        if np.any(rate <= 0):
-            raise BudgetExceededError("a path was absorbed away from the pivot")
-        hold = rng.exponential(1.0, alive.size) / rate
-        at_pivot = state == b
-        remaining = np.where(at_pivot, level - local[alive, b], np.inf)
-        done = hold >= remaining
-        add = np.where(done, remaining, hold)
-        local[alive, state] += add
-        elapsed += add
-        if np.any(done):
-            horizons[alive[done]] = elapsed[done]
-        keep = ~done
-        alive = alive[keep]
-        state = state[keep]
-        elapsed = elapsed[keep]
-        if alive.size == 0:
-            break
-        u = rng.random(alive.size)
-        state = (u[:, None] >= cum[state]).sum(axis=1).astype(np.int64)
-        jumps[alive] += 1
+        visits[state * n_paths + alive] += 1
+        pivot_visits_left -= state == b
+        keep = pivot_visits_left > 0
+        if not keep.all():
+            alive = alive[keep]
+            state = state[keep]
+            pivot_visits_left = pivot_visits_left[keep]
+            if alive.size == 0:
+                break
+        state = table.step(state, rng.random(alive.size))
+        if check_traps:
+            check_absorbed(state)
+
+    visits = visits.reshape(n, n_paths)
+    local = np.zeros((n_paths, n))
+    for x in range(n):
+        if x == b:
+            local[:, x] = level
+        elif exit_rates[x] > 0:
+            local[:, x] = rng.gamma(visits[x], 1.0 / exit_rates[x])
     return BatchPaths(
         states=gen.states,
         local_times=local,
         endpoints=np.full(n_paths, b, dtype=np.int64),
-        jumps=jumps,
-        horizons=horizons,
+        jumps=visits.sum(axis=0, dtype=np.int64) - 1,
+        horizons=local.sum(axis=1),
     )

@@ -21,8 +21,8 @@ import math
 from typing import Dict, Optional, Tuple
 
 import numpy as np
+from scipy import special
 
-from .bessel import bessel_i0, bessel_i1
 from .chain import Generator, srw_generator
 from .density import _coerce_point, density
 from .errors import DomainError, NotIntervalError, NotSRWError
@@ -32,11 +32,19 @@ from .errors import DomainError, NotIntervalError, NotSRWError
 # kernels
 # ---------------------------------------------------------------------------
 
+def _scaled_bessel_arguments(h1: float, h2: float) -> Tuple[float, float]:
+    """z = 2 sqrt(h1 h2) and exp(-h1 - h2 + z) = exp(-(sqrt(h1) - sqrt(h2))^2),
+    so exp(-h1 - h2) I_k(z) = ive(k, z) * factor never overflows."""
+    r1, r2 = math.sqrt(h1), math.sqrt(h2)
+    return 2.0 * r1 * r2, math.exp(-((r1 - r2) ** 2))
+
+
 def rk_inner_density(h1: float, h2: float) -> float:
     """Transition density of the inner (pivot-to-start) profile chain."""
     if h1 < 0 or h2 < 0:
         raise DomainError("kernel arguments must be nonnegative")
-    return math.exp(-h1 - h2) * bessel_i0(2.0 * math.sqrt(h1 * h2))
+    z, factor = _scaled_bessel_arguments(h1, h2)
+    return float(special.i0e(z)) * factor
 
 
 def rk_outer_atom(h1: float) -> float:
@@ -52,7 +60,8 @@ def rk_outer_density(h1: float, h2: float) -> float:
         raise DomainError("need h1 >= 0 and h2 > 0")
     if h1 == 0.0:
         return 0.0
-    return math.exp(-h1 - h2) * math.sqrt(h1 / h2) * bessel_i1(2.0 * math.sqrt(h1 * h2))
+    z, factor = _scaled_bessel_arguments(h1, h2)
+    return float(special.i1e(z)) * factor * math.sqrt(h1 / h2)
 
 
 # ---------------------------------------------------------------------------

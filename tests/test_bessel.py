@@ -5,7 +5,7 @@ import pytest
 import scipy.special as sp
 
 from loctimes.bessel import bessel_i0, bessel_i1, edge_kernel, edge_kernel_d
-from loctimes.errors import DomainError
+from loctimes.errors import DomainError, NonConvergedTruncationError
 
 
 def test_i0_at_zero():
@@ -65,3 +65,23 @@ def test_edge_kernel_zero_rate_product():
 
 def test_edge_kernel_at_zero_time():
     assert edge_kernel(1.7, 0.0, 1.0) == 1.0
+
+
+@pytest.mark.parametrize("kernel", [edge_kernel, edge_kernel_d])
+def test_edge_kernel_raises_instead_of_overflowing(kernel):
+    # I0(2000) and I1(2000) exceed the double range
+    with pytest.raises(NonConvergedTruncationError, match="not finite"):
+        kernel(1.0, 1e3, 1e3)
+
+
+@pytest.mark.parametrize("kernel", [edge_kernel, edge_kernel_d])
+def test_edge_kernel_raises_at_the_term_cap(kernel):
+    # c lx ly = 1e5 is finite but needs more than 400 terms
+    with pytest.raises(NonConvergedTruncationError, match="400 terms"):
+        kernel(1.0, 100.0, 1e3)
+
+
+def test_edge_kernel_large_argument_below_the_cap():
+    z = 2.0 * math.sqrt(1e4)
+    assert edge_kernel(1.0, 100.0, 100.0) == pytest.approx(sp.iv(0, z), rel=1e-13)
+    assert edge_kernel_d(1.0, 100.0, 100.0) == pytest.approx(sp.iv(1, z), rel=1e-13)

@@ -1,0 +1,182 @@
+"""Batch samplers: the shared jump table, the fixed-time output it must leave
+unchanged, and the jump-chain inverse-local-time sampler against the scalar
+event-driven reference."""
+
+import hashlib
+import math
+
+import numpy as np
+import pytest
+from scipy import linalg, stats
+
+from loctimes.chain import simulate_inverse_local_time, srw_generator, validate_generator
+from loctimes.errors import BudgetExceededError
+from loctimes.montecarlo import (
+    jump_table,
+    sample_paths_fixed_time,
+    sample_paths_inverse_local_time,
+)
+
+# non-reversible (the cycle 0 -> 1 -> 2 -> 0 has rate product 1.8 one way and
+# 0.06 the other), every state has out-degree 3
+FOUR_STATE = validate_generator([
+    [0.0, 1.0, 0.5, 2.0],
+    [0.3, 0.0, 1.2, 0.7],
+    [1.5, 0.4, 0.0, 0.8],
+    [0.6, 1.1, 0.9, 0.0],
+])
+
+
+def _digest(batch) -> str:
+    h = hashlib.sha256()
+    for a in (batch.local_times, batch.endpoints, batch.jumps, batch.horizons):
+        h.update(np.ascontiguousarray(a).tobytes())
+    return h.hexdigest()
+
+
+# ---------------------------------------------------------------------------
+# jump table
+# ---------------------------------------------------------------------------
+
+def test_fixed_time_output_pinned():
+    # digest of the output of the dense rule (u >= cum[state]).sum(); the
+    # table draws the same targets from the same uniforms
+    batch = sample_paths_fixed_time(srw_generator(0, 2), 0, 2.0, 10_000,
+                                    np.random.default_rng(7))
+    assert _digest(batch) == (
+        "40734116d04064c26d41afd82cff4ef70e169e3b1e9d951d3086033e47d24203")
+
+
+def test_jump_table_matches_dense_rule():
+    rng = np.random.default_rng(3)
+    for n in (2, 3, 5, 8):
+        rates = rng.uniform(0.1, 2.0, (n, n)) * (rng.random((n, n)) < 0.6)
+        rates[np.arange(n), (np.arange(n) + 1) % n] = 1.0
+        np.fill_diagonal(rates, 0.0)
+        gen = validate_generator(rates)
+        table = jump_table(gen)
+        cum = np.cumsum(rates / rates.sum(axis=1, keepdims=True), axis=1)
+        assert table.targets.shape == table.thresholds.shape
+        assert table.targets.shape == ((rates > 0).sum(axis=1).max(), n)
+        state = rng.integers(0, n, 20_000)
+        u = rng.random(20_000)
+        # draws exactly on a threshold go to the next target
+        u[:2_000] = cum[state[:2_000], rng.integers(0, n, 2_000)]
+        dense = (u[:, None] >= cum[state]).sum(axis=1)
+        inside = dense < n
+        assert np.array_equal(table.step(state, u)[inside], dense[inside])
+        assert np.all(rates[state, table.step(state, u)] > 0)
+
+
+def test_jump_table_state_without_out_jumps():
+    # state 2 is absorbing: its column has itself as the only target
+    gen = validate_generator([[0.0, 1.0, 1.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+    table = jump_table(gen)
+    assert table.exit_rates[2] == 0.0
+    assert np.all(table.thresholds[:, 2] == np.inf)
+    assert np.all(table.targets[:, 2] == 2)
+    assert np.all(table.step(np.full(3, 2), np.array([0.0, 0.5, 0.999])) == 2)
+    # a fixed-time path that reaches it sits there until the horizon
+    batch = sample_paths_fixed_time(gen, 0, 3.0, 2_000, np.random.default_rng(4))
+    stuck = batch.endpoints == 2
+    assert stuck.any()
+    assert np.allclose(batch.local_times.sum(axis=1), 3.0, rtol=1e-12)
+    assert np.all(batch.local_times[stuck, 2] > 0)
+
+
+def test_jump_table_row_summing_below_one():
+    # state 0 jumps with probabilities 0.1/0.6, 0.2/0.6, 0.3/0.6, whose
+    # cumulative sum rounds to 1 - 2^-53
+    rates = np.zeros((4, 4))
+    rates[0, 1:] = [0.1, 0.2, 0.3]
+    rates[1:, 0] = 1.0
+    gen = validate_generator(rates)
+    cum = np.cumsum(gen.off_diagonal()[0] / gen.exit_rates()[0])
+    assert cum[-1] < 1.0
+    u = np.array([cum[-1], np.nextafter(1.0, 0.0)])
+    # the dense rule maps these draws past the last state
+    assert np.all((u[:, None] >= cum).sum(axis=1) == 4)
+    assert np.all(jump_table(gen).step(np.zeros(2, dtype=np.int64), u) == 3)
+
+
+# ---------------------------------------------------------------------------
+# inverse local time on the jump chain
+# ---------------------------------------------------------------------------
+
+def test_inverse_local_time_matches_event_driven_reference():
+    # two-sample check against the scalar event-driven simulator: KS on each
+    # non-pivot local time (p > 1e-3) and a z-test on the mean jump count
+    # (|z| < 4), on fixed seeds
+    start, pivot, level = 0, 2, 1.5
+    n_batch, n_ref = 20_000, 4_000
+    batch = sample_paths_inverse_local_time(FOUR_STATE, start, pivot, level, n_batch,
+                                            np.random.default_rng(21))
+    rng = np.random.default_rng(22)
+    ref = [simulate_inverse_local_time(FOUR_STATE, start, pivot, level, rng)
+           for _ in range(n_ref)]
+    for x in (0, 1, 3):
+        ref_x = np.array([r.path.local_times[x] for r in ref])
+        assert stats.ks_2samp(batch.local_times[:, x], ref_x).pvalue > 1e-3
+    ref_jumps = np.array([r.jumps for r in ref], dtype=float)
+    z = (batch.jumps.mean() - ref_jumps.mean()) / math.sqrt(
+        batch.jumps.var(ddof=1) / n_batch + ref_jumps.var(ddof=1) / n_ref)
+    assert abs(z) < 4.0
+    assert np.all(batch.local_times[:, pivot] == level)
+    assert np.array_equal(batch.horizons, batch.local_times.sum(axis=1))
+
+
+def test_inverse_local_time_exact_means_from_pivot():
+    # started at the pivot b, E[l_x] = level * pi_x / pi_b with pi stationary
+    pivot, level, n = 1, 2.0, 100_000
+    pi = linalg.null_space(FOUR_STATE.rates.T)[:, 0]
+    pi /= pi.sum()
+    batch = sample_paths_inverse_local_time(FOUR_STATE, pivot, pivot, level, n,
+                                            np.random.default_rng(23))
+    for x in (0, 2, 3):
+        lx = batch.local_times[:, x]
+        z = (lx.mean() - level * pi[x] / pi[pivot]) / (lx.std(ddof=1) / math.sqrt(n))
+        assert abs(z) < 4.0
+
+
+def test_inverse_local_time_replays_bit_for_bit():
+    g = srw_generator(-4, 6)
+    first, second = (sample_paths_inverse_local_time(g, 0, 2, 1.0, 5_000,
+                                                     np.random.default_rng(5))
+                     for _ in range(2))
+    assert _digest(first) == _digest(second)
+
+
+def test_inverse_local_time_absorbing_pivot():
+    # 0 -> 1 -> 2 with 2 absorbing: every path stops on its first visit to 2
+    gen = validate_generator([[0.0, 2.0, 0.0], [0.0, 0.0, 0.5], [0.0, 0.0, 0.0]])
+    n = 50_000
+    batch = sample_paths_inverse_local_time(gen, 0, 2, 0.7, n, np.random.default_rng(8))
+    assert np.all(batch.local_times[:, 2] == 0.7)
+    assert np.all(batch.jumps == 2)
+    assert np.all(batch.endpoints == 2)
+    for x, rate in ((0, 2.0), (1, 0.5)):
+        lx = batch.local_times[:, x]
+        assert np.all(lx > 0)
+        assert abs(lx.mean() - 1.0 / rate) < 4.0 / rate / math.sqrt(n)
+    # started at the absorbing pivot: no jump, l(pivot) = level
+    at_pivot = sample_paths_inverse_local_time(gen, 2, 2, 0.7, 10, np.random.default_rng(9))
+    assert np.all(at_pivot.jumps == 0)
+    assert np.all(at_pivot.local_times == [0.0, 0.0, 0.7])
+    assert np.all(at_pivot.horizons == 0.7)
+
+
+def test_inverse_local_time_absorbed_away_from_pivot():
+    # from 0 half the jumps go to the absorbing state 2, the pivot is 1
+    gen = validate_generator([[0.0, 1.0, 1.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+    with pytest.raises(BudgetExceededError, match="absorbed in 2"):
+        sample_paths_inverse_local_time(gen, 0, 1, 1.0, 100, np.random.default_rng(10))
+    with pytest.raises(BudgetExceededError, match="absorbed in 2"):
+        sample_paths_inverse_local_time(gen, 2, 1, 1.0, 100, np.random.default_rng(11))
+
+
+def test_inverse_local_time_round_budget():
+    # the pivot 2 is unreachable from 0 and nothing absorbs
+    gen = validate_generator([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
+    with pytest.raises(BudgetExceededError, match="after 50 rounds"):
+        sample_paths_inverse_local_time(gen, 0, 2, 1.0, 10, np.random.default_rng(12),
+                                        max_rounds=50)

@@ -31,6 +31,15 @@ def test_kernel_values():
     assert rk_outer_atom(0.0) == 1.0  # absorbed chains stay absorbed
 
 
+def test_kernels_at_large_local_times():
+    # exp(-800) I0(800): both factors leave the double range, their product
+    # does not
+    assert rk_inner_density(400.0, 400.0) == pytest.approx(sp.i0e(800.0), rel=1e-8)
+    assert rk_outer_density(400.0, 400.0) == pytest.approx(sp.i1e(800.0), rel=1e-8)
+    expected = math.exp(-(math.sqrt(900.0) - math.sqrt(400.0)) ** 2) * sp.i0e(1200.0)
+    assert rk_inner_density(900.0, 400.0) == pytest.approx(expected, rel=1e-8)
+
+
 def test_inner_kernel_limit_at_zero():
     assert rk_inner_density(0.0, 1e-12) == pytest.approx(1.0, abs=1e-10)
 
