@@ -237,6 +237,20 @@ def _jump_distributions(gen: Generator):
     return exit_rates, np.cumsum(P, axis=1)
 
 
+def _last_targets(cum: np.ndarray) -> np.ndarray:
+    """Per state, the last state it jumps to with positive probability
+    (itself if it has no out-jumps).
+
+    A jump draws u and takes the first state whose cumulative probability
+    exceeds u; when a row's cumulative sum rounds below 1, a draw above it
+    is clamped to this state, as in ``montecarlo.JumpTable``.
+    """
+    reachable = np.diff(cum, axis=1, prepend=0.0) > 0
+    n = cum.shape[1]
+    last = n - 1 - np.argmax(reachable[:, ::-1], axis=1)
+    return np.where(reachable.any(axis=1), last, np.arange(n))
+
+
 def simulate_fixed_time(
     gen: Generator, start, T: float, rng: np.random.Generator
 ) -> PathSummary:
@@ -249,6 +263,7 @@ def simulate_fixed_time(
     if T <= 0:
         raise ValueError("need T > 0")
     exit_rates, cum = _jump_distributions(gen)
+    last = _last_targets(cum)
     s = gen.index(start)
     t = 0.0
     local = np.zeros(gen.n_states)
@@ -263,7 +278,7 @@ def simulate_fixed_time(
             break
         local[s] += hold
         t += hold
-        s = int(np.searchsorted(cum[s], rng.random(), side="right"))
+        s = min(int(np.searchsorted(cum[s], rng.random(), side="right")), int(last[s]))
     visited = frozenset(gen.states[i] for i in np.nonzero(local > 0)[0]) | {start}
     times = {gen.states[i]: float(local[i]) for i in range(gen.n_states)}
     return PathSummary(local_times=times, endpoint=gen.states[s], range=visited, horizon=T)
@@ -286,6 +301,7 @@ def simulate_inverse_local_time(
     if level <= 0:
         raise ValueError("need level > 0")
     exit_rates, cum = _jump_distributions(gen)
+    last = _last_targets(cum)
     s = gen.index(start)
     b = gen.index(pivot)
     t = 0.0
@@ -314,7 +330,7 @@ def simulate_inverse_local_time(
             hold = rng.exponential(1.0 / rate)
             local[s] += hold
             t += hold
-        s = int(np.searchsorted(cum[s], rng.random(), side="right"))
+        s = min(int(np.searchsorted(cum[s], rng.random(), side="right")), int(last[s]))
         jumps += 1
         if jumps > max_jumps:
             raise BudgetExceededError(f"exceeded {max_jumps} jumps; pivot likely unreachable")

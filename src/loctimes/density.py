@@ -18,9 +18,13 @@ Three independent evaluations are provided:
   (only balanced monomials survive the circle averages), apply the cofactor
   operator in closed form, and certify the truncation remainder;
   :func:`density_batch` does this for many points of one range at once, and
-  the single-point functions are batches of one;
+  the single-point functions are batches of one.  The operator's subset
+  weights come from one batched determinant call, and the closed-form tail
+  bound picks every point's truncation order in one array pass over the
+  order schedule;
 * :func:`density_quadrature` - the derivative-free cofactor-inside-the-
-  integral form, evaluated by tensor-product periodic trapezoidal quadrature;
+  integral form, evaluated by tensor-product periodic trapezoidal quadrature
+  whose phases are products of precomputed roots of unity;
 * :func:`density_tridiagonal` - the nearest-neighbor product formula, one
   scalar edge kernel (or its derivative) per interval edge.
 
@@ -130,19 +134,24 @@ def cofactor_subset_weights(
                             det_ab^(R\\Q)(-B) * prod_{x in Q} d/dl_x,
 
     so each subset Q carries the cofactor of -B restricted to its complement.
-    Returns {Q (sorted positions): weight}, dropping exact zero weights.
+    That cofactor is the determinant of the (b,a)-replaced -B with the rows
+    and columns of Q also replaced by unit vectors (Laplace expansion along
+    them), so all subsets are one stack of |R| x |R| matrices and one
+    ``np.linalg.det`` call.  Returns {Q (sorted positions): weight}, dropping
+    exact zero weights.
     """
     r = B.shape[0]
     others = [x for x in range(r) if x != a and x != b]
-    weights: Dict[Tuple[int, ...], float] = {}
-    for size in range(len(others) + 1):
-        for Q in combinations(others, size):
-            keep = [x for x in range(r) if x not in Q]
-            sub = -B[np.ix_(keep, keep)]
-            w = cofactor(sub, keep.index(a), keep.index(b))
-            if w != 0.0:
-                weights[Q] = w
-    return weights
+    subsets = [Q for size in range(len(others) + 1) for Q in combinations(others, size)]
+    in_Q = np.zeros((len(subsets), r), dtype=bool)
+    for k, Q in enumerate(subsets):
+        in_Q[k, list(Q)] = True
+    stack = np.where(in_Q[:, :, None] | in_Q[:, None, :], 0.0,
+                     replaced_matrix(-B, a, b))
+    layer, x = np.nonzero(in_Q)
+    stack[layer, x, x] = 1.0
+    dets = np.linalg.det(stack)
+    return {Q: float(w) for Q, w in zip(subsets, dets) if w != 0.0}
 
 
 @dataclass
@@ -180,18 +189,20 @@ def _stirling2(q: int) -> Tuple[int, ...]:
     return row
 
 
-def _tail_sums(q: int, S: np.ndarray, n0: int) -> np.ndarray:
-    """sum over N > n0 of N^q S^N / N!, elementwise in S, in closed form.
+def _tail_sums(q: int, S: np.ndarray, orders: np.ndarray) -> np.ndarray:
+    """sum over N > n0 of N^q S^N / N! in closed form, for every truncation
+    order n0 in ``orders`` (rows) and every S (columns).
 
     Expanding N^q = sum_k S(q,k) N(N-1)...(N-k+1) turns each piece into a
     Poisson tail, sum_{N > n0} N(N-1)...(N-k+1) S^N/N! =
     S^k e^S P(Poisson(S) > n0 - k), and P(Poisson(S) > m) is the regularized
     lower incomplete gamma function P(m + 1, S).
     """
-    total = np.zeros_like(S)
+    n0 = np.asarray(orders)[:, None]
+    total = np.zeros((len(n0), len(S)))
     for k, c in enumerate(_stirling2(q)):
         if c:
-            tail = gammainc(n0 - k + 1, S) if n0 >= k else 1.0
+            tail = np.where(n0 >= k, gammainc(np.maximum(n0 - k + 1, 1), S), 1.0)
             total += c * S ** k * tail
     with np.errstate(over="ignore"):
         return np.exp(S) * total
@@ -239,12 +250,14 @@ class _OperatorSeries:
         return S, by_size
 
     @staticmethod
-    def tails(majorant: Tuple[np.ndarray, Dict[int, np.ndarray]], order: int) -> np.ndarray:
-        """Certified remainder bound at truncation ``order`` (see :meth:`majorant`)."""
+    def tails(majorant: Tuple[np.ndarray, Dict[int, np.ndarray]],
+              orders: np.ndarray) -> np.ndarray:
+        """Certified remainder bounds at each truncation order in ``orders``
+        (rows) and each point (columns); see :meth:`majorant`."""
         S, by_size = majorant
-        total = np.zeros_like(S)
+        total = np.zeros((len(orders), len(S)))
         for q, scale in by_size.items():
-            total += scale * _tail_sums(q, S, order)
+            total += scale * _tail_sums(q, S, orders)
         return total
 
     def values(self, L: np.ndarray, order: int, flow_cap: int) -> np.ndarray:
@@ -296,7 +309,7 @@ def _single_point(
     L = l[None, :]
     value = series.values(L, max_total, flow_cap)[0]
     value = complex(value) if np.iscomplexobj(value) else float(value)
-    tail = series.tails(series.majorant(L), max_total)[0]
+    tail = series.tails(series.majorant(L), np.array([max_total]))[0, 0]
     return DensityEvaluation(value=value, error_bound=float(tail), order=max_total)
 
 
@@ -355,9 +368,11 @@ def density_batch(
     per row, in the order of ``R``.  Returns ``(values, error_bounds,
     orders)``, each of length P, with every error bound at most ``tol``.
 
-    The support, the cofactor subset weights and diag(A) are prepared once.
-    The tail certificate is a closed formula, so each point gets the lowest
-    order of the schedule that certifies it before any flow is enumerated.
+    The support, the cofactor subset weights (one batched determinant, see
+    :func:`cofactor_subset_weights`) and diag(A) are prepared once.  The tail
+    certificate is a closed formula, evaluated at every order of the schedule
+    and every point in one array pass, so each point gets the lowest order of
+    the schedule that certifies it before any flow is enumerated.
     The points of one order share one flow table and one pass of
     exponentials over it, with every derivative subset applied as a factor
     vector on the shared terms.  Raises ``NonConvergedTruncationError`` when
@@ -389,21 +404,18 @@ def density_batch(
     diag_factor = np.exp(L @ np.diag(A))
     majorant = series.majorant(L)
 
-    bounds = np.zeros(len(L))
-    orders = np.zeros(len(L), dtype=int)
-    for order in _ORDER_SCHEDULE:
-        tail = diag_factor * series.tails(majorant, order)
-        first = (orders == 0) & (tail <= tol)
-        orders[first] = order
-        bounds[first] = tail[first]
-        if np.all(orders):
-            break
-    else:
-        failed = orders == 0
+    schedule = np.array(_ORDER_SCHEDULE)
+    tails = diag_factor * series.tails(majorant, schedule)
+    certified = tails <= tol
+    failed = ~certified.any(axis=0)
+    if failed.any():
         raise NonConvergedTruncationError(
-            f"certified tail {np.max(tail[failed]):.3e} above tol {tol:.3e} at order "
+            f"certified tail {np.max(tails[-1, failed]):.3e} above tol {tol:.3e} at order "
             f"{_ORDER_SCHEDULE[-1]} ({np.sum(failed)} of {len(L)} points)"
         )
+    first = np.argmax(certified, axis=0)
+    orders = schedule[first]
+    bounds = tails[first, np.arange(len(L))]
     values = np.zeros(len(L))
     for order in sorted(set(orders.tolist())):
         group = orders == order
@@ -460,27 +472,38 @@ def _quadrature_value(
     A: np.ndarray, B: np.ndarray, l: np.ndarray, a: int, b: int, grid_size: int
 ) -> complex:
     r = A.shape[0]
-    sq = np.sqrt(l)
     if r == 1:
         return complex(math.exp(A[0, 0] * l[0]))
-    # the integrand depends on angle differences only, so one angle is pinned
-    theta_1d = 2.0 * np.pi * np.arange(grid_size) / grid_size
-    grids = np.meshgrid(*([theta_1d] * (r - 1)), indexing="ij")
-    thetas = np.stack([g.ravel() for g in grids] + [np.zeros(grid_size ** (r - 1))], axis=1)
+    sq = np.sqrt(l)
+    D = B * (sq[None, :] / sq[:, None])
+    # det_ab is (-1)^(a+b) times the minor without row b and column a; the
+    # diagonal of that minor holds the states other than a and b
+    rows = [x for x in range(r) if x != b]
+    cols = [y for y in range(r) if y != a]
+    minor = -B[np.ix_(rows, cols)].astype(complex)
+    on_diag = [x for x in rows if x in cols]
+    mi, mj = [rows.index(x) for x in on_diag], [cols.index(x) for x in on_diag]
+    # the integrand depends on angle differences only, so the last angle is
+    # pinned at 0; the other angles run over the grid, whose nodes
+    # exp(i th) are the N-th roots of unity, so every phase
+    # e^{i(th_x - th_y)} is a product of two roots and needs no exp
+    roots = np.exp(2j * np.pi * np.arange(grid_size) / grid_size)
+    shape = (grid_size,) * (r - 1)
+    count = grid_size ** (r - 1)
+    base = float(np.dot(np.diag(A), l))
     total = 0.0 + 0.0j
-    count = thetas.shape[0]
     for lo in range(0, count, _QUAD_CHUNK):
-        th = thetas[lo : lo + _QUAD_CHUNK]
-        phase = np.exp(1j * (th[:, :, None] - th[:, None, :]))  # (P, r, r)
-        expo = np.einsum("xy,pxy->p", A * np.outer(sq, sq), phase)
-        V = np.einsum("xz,pxz->px", B * (sq[None, :] / sq[:, None]), phase)
-        M = np.broadcast_to(-B, (th.shape[0], r, r)).astype(complex).copy()
-        M[:, np.arange(r), np.arange(r)] += V
-        M[:, b, :] = 0.0
-        M[:, :, a] = 0.0
-        M[:, b, a] = 1.0
-        total += np.sum(np.linalg.det(M) * np.exp(expo))
-    return total / count
+        nodes = np.arange(lo, min(lo + _QUAD_CHUNK, count))
+        e = np.ones((len(nodes), r), dtype=complex)
+        e[:, :-1] = roots[np.stack(np.unravel_index(nodes, shape), axis=1)]
+        # V[p, x] = sum_z D[x,z] e_x conj(e_z); the exponent
+        # sum_{x,y} A[x,y] sqrt(l_x l_y) e_x conj(e_y) is then
+        # sum_x A[x,x] l_x + sum_x l_x V[p, x]
+        V = e * (e.conj() @ D.T)
+        M = np.repeat(minor[None], len(nodes), axis=0)
+        M[:, mi, mj] += V[:, on_diag]
+        total += np.sum(np.linalg.det(M) * np.exp(base + V @ l))
+    return (-1) ** (a + b) * total / count
 
 
 def density_quadrature(
@@ -499,8 +522,10 @@ def density_quadrature(
     e^{i(th_x - th_y)}) with V(th, l)[x] = sum_z B[x,z] sqrt(l_z/l_x)
     e^{i(th_x - th_z)}, averaged over the torus by an equispaced (periodic
     trapezoidal) tensor grid, which is spectrally accurate for this analytic
-    integrand.  If ``tol`` is given, the grid is doubled until two successive
-    refinements agree to ``tol``.
+    integrand.  The grid nodes e^{i th} are roots of unity, so the phases are
+    products of precomputed roots, and det_ab is taken as the signed minor.
+    If ``tol`` is given, the grid is doubled until two successive refinements
+    agree to ``tol``.
     """
     point = _coerce_point(R, l)
     R = tuple(R)

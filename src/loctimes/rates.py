@@ -17,8 +17,6 @@ from typing import Callable, Dict, Optional, Sequence
 
 import numpy as np
 from scipy.optimize import minimize
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
 
 from .chain import Generator
 from .density import _coerce_point
@@ -126,9 +124,14 @@ def rate_general(
             final_gradient_norm=0.0,
         )
 
-    adjacency = csr_matrix((A_sub > 0).astype(int))
-    n_comp, _ = connected_components(adjacency, directed=True, connection="strong")
-    if n_comp > 1:
+    # reach[x, y]: y is reachable from x in at most `steps` positive-rate
+    # jumps; squaring doubles `steps`, and m - 1 jumps reach every state
+    reach = (A_sub > 0) | np.eye(m, dtype=bool)
+    steps = 1
+    while steps < m - 1:
+        reach = reach @ reach
+        steps *= 2
+    if not reach.all():
         raise UnboundedRateError(
             "support of mu is not irreducible under the generator"
         )

@@ -266,3 +266,42 @@ def test_inverse_local_time_budget():
     with pytest.raises(BudgetExceededError):
         # start state is absorbing and is not the pivot
         simulate_inverse_local_time(g, 0, 1, 1.0, np.random.default_rng(0))
+
+
+class _TopUniformRng:
+    """Stub generator: every uniform is 1 - 2^-53, the largest double below
+    1, and every exponential is half its scale."""
+
+    def random(self):
+        return np.nextafter(1.0, 0.0)
+
+    def exponential(self, scale):
+        return 0.5 * scale
+
+
+def _row_below_one():
+    # state 0 jumps with probabilities 0.1/0.6, 0.2/0.6, 0.3/0.6, whose
+    # cumulative sum rounds to 1 - 2^-53; states 1..3 jump back to 0
+    rates = np.zeros((4, 4))
+    rates[0, 1:] = [0.1, 0.2, 0.3]
+    rates[1:, 0] = 1.0
+    return validate_generator(rates)
+
+
+def test_fixed_time_top_uniform_jumps_to_last_target():
+    # the draw 1 - 2^-53 is not below the row's cumulative sum, so it must be
+    # clamped to the last target, state 3: holds 0.5/0.6 at 0, 0.5 at 3,
+    # then from t = 4/3 at 0 past the horizon 2
+    path = simulate_fixed_time(_row_below_one(), 0, 2.0, _TopUniformRng())
+    assert path.local_times[0] == pytest.approx(1.5, rel=1e-15)
+    assert path.local_times[3] == 0.5
+    assert path.local_times[1] == path.local_times[2] == 0.0
+    assert path.endpoint == 0 and path.range == frozenset({0, 3})
+
+
+def test_inverse_local_time_top_uniform_jumps_to_last_target():
+    # pivot 3 at level 1: two half-unit sojourns there, three jumps
+    res = simulate_inverse_local_time(_row_below_one(), 0, 3, 1.0, _TopUniformRng())
+    assert res.path.local_times[3] == 1.0
+    assert res.path.local_times[0] == pytest.approx(2 * 0.5 / 0.6, rel=1e-15)
+    assert res.jumps == 3

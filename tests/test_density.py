@@ -1,4 +1,6 @@
+import importlib
 import math
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -7,10 +9,13 @@ from scipy import integrate
 
 from loctimes.chain import srw_generator, validate_generator
 from loctimes.density import (
+    _ORDER_SCHEDULE,
     SimplexPoint,
+    _OperatorSeries,
     apply_cofactor_operator,
     cofactor,
     cofactor_operator,
+    cofactor_subset_weights,
     density,
     density_batch,
     density_certified,
@@ -25,7 +30,11 @@ from loctimes.errors import (
     NonConvergedTruncationError,
     NotIntervalError,
     NotTridiagonalError,
+    ResidualImaginaryError,
 )
+
+# the package exports a function named density, so fetch the module itself
+density_module = importlib.import_module("loctimes.density")
 
 TWO_STATE = validate_generator([[0.0, 1.0], [1.0, 0.0]], (1, 2))
 
@@ -95,6 +104,49 @@ def test_tridiagonal_cofactor_factorization():
         middle = np.prod([-M[i, i + 1] for i in range(a, b)])
         right = cofactor(M[b:, b:], 0, 0)
         assert cofactor(M, a, b) == pytest.approx(left * middle * right, rel=1e-10, abs=1e-12)
+
+
+def _subset_weights_reference(B, a, b):
+    """One determinant per subset Q: the cofactor of -B on the complement of Q."""
+    r = B.shape[0]
+    others = [x for x in range(r) if x != a and x != b]
+    weights = {}
+    for size in range(len(others) + 1):
+        for Q in combinations(others, size):
+            keep = [x for x in range(r) if x not in Q]
+            w = cofactor(-B[np.ix_(keep, keep)], keep.index(a), keep.index(b))
+            if w != 0.0:
+                weights[Q] = w
+    return weights
+
+
+@pytest.mark.parametrize("r", range(2, 7))
+def test_cofactor_subset_weights_match_per_subset_determinants(r):
+    rng = np.random.default_rng(1000 + r)
+    for _ in range(3):
+        # signed, asymmetric off-diagonal part
+        B = rng.normal(size=(r, r))
+        np.fill_diagonal(B, 0.0)
+        for a in range(r):
+            for b in range(r):
+                got = cofactor_subset_weights(B, a, b)
+                expected = _subset_weights_reference(B, a, b)
+                assert list(got) == list(expected)
+                for Q, w in expected.items():
+                    assert got[Q] == pytest.approx(w, rel=1e-12)
+
+
+def test_cofactor_subset_weights_drop_exact_zeros():
+    # on a path a = 0 .. b = 4, removing any middle state disconnects a from
+    # b, so only the empty subset carries a weight
+    B = srw_generator(0, 4).off_diagonal()
+    got = cofactor_subset_weights(B, 0, 4)
+    assert list(got) == list(_subset_weights_reference(B, 0, 4)) == [()]
+    # an interior endpoint keeps some subsets and drops others
+    got = cofactor_subset_weights(B, 1, 3)
+    expected = _subset_weights_reference(B, 1, 3)
+    assert list(got) == list(expected) and len(got) < 2 ** 3
+    assert all(got[Q] == pytest.approx(w, rel=1e-12) for Q, w in expected.items())
 
 
 # ---------------------------------------------------------------------------
@@ -251,15 +303,15 @@ def test_density_raises_when_tail_cannot_converge():
 
 def test_tail_sums_closed_form_matches_direct_sum():
     S = np.array([0.3, 2.0, 9.0])
+    orders = np.array([0, 3, 8, 26])
     for q in range(4):
-        for n0 in (0, 3, 8, 26):
-            got = _tail_sums(q, S, n0)
+        for n0, got in zip(orders, _tail_sums(q, S, orders)):
             for s, g in zip(S, got):
                 direct = math.fsum(
                     math.exp(q * math.log(N) + N * math.log(s) - math.lgamma(N + 1.0))
                     for N in range(n0 + 1, n0 + 200))
                 assert g == pytest.approx(direct, rel=1e-12)
-    assert np.all(_tail_sums(2, np.zeros(3), 8) == 0.0)
+    assert np.all(_tail_sums(2, np.zeros(3), np.array([8])) == 0.0)
 
 
 @pytest.mark.parametrize("seed, case", enumerate(
@@ -303,10 +355,69 @@ def test_batch_with_one_uncertifiable_point_raises():
     assert density_batch(g, (1, 2), 1, 2, [good], tol=1e-10)[1][0] <= 1e-10
     with pytest.raises(NonConvergedTruncationError, match="1 of 3 points"):
         density_batch(g, (1, 2), 1, 2, [good, [1.0, 1.0], good], tol=1e-10)
+    with pytest.raises(NonConvergedTruncationError,
+                       match=r"at order 140 \(2 of 4 points\)"):
+        density_batch(g, (1, 2), 1, 2, [[1.0, 1.0], good, good, [1.2, 1.2]], tol=1e-10)
     with pytest.raises(DomainError):
         density_batch(g, (1, 2), 1, 2, [good, [0.5, 0.0]])
     with pytest.raises(ValueError):
         density_batch(g, (1, 2), 1, 2, [[0.5, 0.5, 0.5]])
+
+
+def test_order_selection_matches_loop_over_schedule():
+    # the lowest schedule order whose diag-scaled tail certifies, found by a
+    # loop over orders and points, with bounds equal bit for bit
+    rng = np.random.default_rng(1200)
+    n = 4
+    A = np.zeros((n, n))
+    for k in range(n):
+        A[k, (k + 1) % n] = rng.uniform(0.5, 1.5)
+    A[0, 2], A[3, 1] = rng.uniform(0.5, 1.5, 2)
+    g = validate_generator(A)
+    R = tuple(range(n))
+    L = rng.uniform(0.2, 5.0, (60, 1)) * np.maximum(rng.dirichlet(np.ones(n), 60), 0.01)
+    tol = 1e-10
+    values, bounds, orders = density_batch(g, R, 0, 2, L, tol=tol)
+
+    B = g.submatrix(R)
+    np.fill_diagonal(B, 0.0)
+    series = _OperatorSeries(B, cofactor_subset_weights(B, 0, 2))
+    diag_factor = np.exp(L @ np.diag(g.submatrix(R)))
+    majorant = series.majorant(L)
+    for p in range(len(L)):
+        for order in _ORDER_SCHEDULE:
+            tail = diag_factor[p] * series.tails(majorant, np.array([order]))[0, p]
+            if tail <= tol:
+                break
+        assert orders[p] == order
+        assert bounds[p] == tail
+    assert len(set(orders.tolist())) >= 3
+
+
+def test_single_order_error_bound_is_the_tail_majorant():
+    # torus_series and apply_cofactor_operator certify one given order: the
+    # bound is sum_Q |w_Q| / prod_{x in Q} l_x * sum_{N > order} N^|Q| S^N / N!
+    rng = np.random.default_rng(1201)
+    Bt = rng.uniform(0.5, 2.0, (3, 3))
+    np.fill_diagonal(Bt, 0.0)
+    l = rng.uniform(0.3, 1.0, 3)
+    S = float(np.sum(Bt * np.sqrt(np.outer(l, l))))
+
+    def tail(q, order):
+        return math.fsum(
+            math.exp(q * math.log(N) + N * math.log(S) - math.lgamma(N + 1.0))
+            for N in range(order + 1, order + 200))
+
+    for Q, order in (((), 12), ((1,), 16), ((0, 2), 20)):
+        v = torus_series(Bt, l, Q, order)
+        assert v.order == order
+        assert v.error_bound == pytest.approx(
+            tail(len(Q), order) / np.prod(l[list(Q)]), rel=1e-12)
+    op = cofactor_operator(Bt, 0, 1)
+    v = apply_cofactor_operator(op, Bt, l, 18)
+    expected = sum(abs(w) / np.prod(l[list(Q)]) * tail(len(Q), 18)
+                   for Q, w in op.weights.items())
+    assert v.error_bound == pytest.approx(expected, rel=1e-12)
 
 
 def test_certificate_reports_order_and_bound():
@@ -359,6 +470,45 @@ def test_quadrature_size_guard():
     g = srw_generator(0, 5)
     with pytest.raises(ValueError):
         density_quadrature(g, (0, 1, 2, 3, 4), 0, 1, [0.2] * 5)
+
+
+def _sparse_nonsymmetric(rng, n):
+    """A random non-symmetric chain on a directed n-cycle plus one chord
+    (for n >= 3), sparse enough for the certified series at n = 4."""
+    A = np.zeros((n, n))
+    for k in range(n):
+        A[k, (k + 1) % n] = rng.uniform(0.5, 1.5)
+    if n == 2:
+        return validate_generator(A)
+    A[0, 2] = rng.uniform(0.5, 1.5)
+    A[2, 0] = rng.uniform(0.5, 1.5)
+    return validate_generator(A)
+
+
+@pytest.mark.parametrize("n", (2, 3, 4))
+def test_quadrature_matches_certified_on_nonsymmetric_chains(n):
+    rng = np.random.default_rng(1300 + n)
+    R = tuple(range(n))
+    for _ in range(3):
+        g = _sparse_nonsymmetric(rng, n)
+        l = random_point(rng, n, rng.uniform(0.5, 1.5))
+        # a < b, a > b and a == b
+        for a, b in ((0, n - 1), (n - 1, 0), (1, 1)):
+            cert = density_certified(g, R, a, b, l, tol=1e-14)
+            quad = density_quadrature(g, R, a, b, l)
+            assert quad == pytest.approx(cert.value, rel=1e-9)
+            if n == 3:
+                refined = density_quadrature(g, R, a, b, l, grid_size=4, tol=1e-13)
+                assert refined == pytest.approx(cert.value, rel=1e-9)
+
+
+def test_quadrature_raises_on_imaginary_residue(monkeypatch):
+    # a real generator puts both th and -th on the grid, so the residue is
+    # rounding only; a complex node sum stands in for a broken integrand
+    monkeypatch.setattr(density_module, "_quadrature_value",
+                        lambda *args: complex(0.25, 1e-3))
+    with pytest.raises(ResidualImaginaryError):
+        density_quadrature(srw_generator(0, 2), (0, 1, 2), 0, 2, [0.5, 0.7, 0.8])
 
 
 def test_oracle_triangle_random_instances():

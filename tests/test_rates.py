@@ -192,6 +192,21 @@ def test_rate_general_reducible_support_is_unbounded():
         rate_general(g, [0.5, 0.5, 0.0])
 
 
+def test_rate_general_irreducibility_needs_every_jump_of_a_cycle():
+    # a directed 5-cycle connects its states only through paths of up to 4
+    # jumps; sending the last state back instead of around leaves it one-way
+    n = 5
+    A = np.zeros((n, n))
+    for k in range(n):
+        A[k, (k + 1) % n] = 1.0
+    mu = np.full(n, 1.0 / n)
+    # uniform mu is the stationary law of the cycle, so its rate is 0
+    assert rate_general(validate_generator(A), mu).value == pytest.approx(0.0, abs=1e-12)
+    A[n - 1, 0], A[n - 1, n - 2] = 0.0, 1.0
+    with pytest.raises(UnboundedRateError):
+        rate_general(validate_generator(A), mu)
+
+
 def test_rate_general_rejects_bad_mu():
     with pytest.raises(ValueError):
         rate_general(TWO_STATE, [0.7, 0.7])
