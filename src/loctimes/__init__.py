@@ -2,16 +2,12 @@
 large-deviation bounds, and the spatial Markov (Ray-Knight) description."""
 
 from . import errors
-from .bessel import bessel_i0, bessel_i1, edge_kernel, edge_kernel_d
+from .bessel import edge_kernel, edge_kernel_d
 from .chain import (
     Generator,
-    InverseLocalTimeResult,
-    PathSummary,
     RestrictedGenerator,
     generator_from_triples,
     restrict,
-    simulate_fixed_time,
-    simulate_inverse_local_time,
     srw_generator,
     validate_generator,
 )
@@ -50,7 +46,6 @@ from .rayknight import (
     rk_inner_density,
     rk_outer_atom,
     rk_outer_density,
-    sample_rk_profile,
     sample_rk_profile_batch,
 )
 

@@ -1,56 +1,16 @@
-"""Modified Bessel functions I0, I1 and the scalar edge kernels built on them.
+"""Scalar edge kernels of the tridiagonal density route.
 
-All series are summed directly with term-ratio stopping; arguments at desk
-scale (|x| <= ~60) stay well inside double precision because every term is
-positive.  The edge kernels raise NonConvergedTruncationError rather than
+Each kernel is a modified-Bessel power series summed directly with
+term-ratio stopping.  It raises NonConvergedTruncationError rather than
 return a truncated or infinite sum.
 """
 
 import math
 
-from .errors import DomainError, NonConvergedTruncationError
+from .errors import NonConvergedTruncationError
 
 _REL_TOL = 1e-16
 _MAX_TERMS = 400
-
-
-def bessel_i0(x: float) -> float:
-    """Modified Bessel function of the first kind, order 0.
-
-    Power series sum_k (x/2)^(2k) / (k!)^2, summed until the next term falls
-    below 1e-16 of the accumulated value.
-    """
-    if x < 0:
-        raise DomainError(f"bessel_i0 requires x >= 0, got {x}")
-    q = 0.25 * x * x
-    term = 1.0
-    total = 1.0
-    k = 1
-    while True:
-        term *= q / (k * k)
-        total += term
-        if term <= _REL_TOL * total:
-            return total
-        k += 1
-
-
-def bessel_i1(x: float) -> float:
-    """Modified Bessel function of the first kind, order 1 (= I0').
-
-    Power series (x/2) * sum_k (x^2/4)^k / (k! (k+1)!).
-    """
-    if x < 0:
-        raise DomainError(f"bessel_i1 requires x >= 0, got {x}")
-    q = 0.25 * x * x
-    term = 1.0
-    total = 1.0
-    k = 1
-    while True:
-        term *= q / (k * (k + 1))
-        total += term
-        if term <= _REL_TOL * total:
-            return 0.5 * x * total
-        k += 1
 
 
 def _edge_series(z: float, shift: int) -> float:

@@ -1,10 +1,8 @@
-"""Conservative generators, finite restrictions, and exact path simulation.
+"""Conservative generators and their finite restrictions.
 
 A generator (Q-matrix) is a square rate matrix over an ordered, finite label
 set: off-diagonal entries are nonnegative jump rates and every row sums to
-zero.  Simulation is exact event-driven stepping: holding times are
-exponential with the state's exit rate, local times are accumulated as exact
-sojourn lengths, never via time discretization.
+zero.  Paths are sampled by the batch samplers of :mod:`montecarlo`.
 """
 
 from dataclasses import dataclass, field
@@ -13,7 +11,6 @@ from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import (
-    BudgetExceededError,
     EmptySubsetError,
     NegativeRateError,
     NonConservativeError,
@@ -85,29 +82,6 @@ class RestrictedGenerator:
     @property
     def killing_matrix(self) -> np.ndarray:
         return np.diag(self.killing)
-
-
-@dataclass
-class PathSummary:
-    """Local times, endpoint and range of one simulated trajectory."""
-
-    local_times: Dict
-    endpoint: object
-    range: frozenset
-    horizon: float
-
-    def local_time_vector(self, states: Sequence) -> np.ndarray:
-        return np.array([self.local_times.get(x, 0.0) for x in states])
-
-
-@dataclass
-class InverseLocalTimeResult:
-    """Path stopped when the local time at the pivot first reaches ``level``."""
-
-    path: PathSummary
-    level: float
-    pivot: object
-    jumps: int
 
 
 def validate_generator(rates, states: Optional[Sequence] = None) -> Generator:
@@ -226,116 +200,3 @@ def restrict(gen: Generator, subset: Sequence) -> RestrictedGenerator:
     killing = np.where(np.abs(killing) < 1e-15, 0.0, killing)
     restricted = Generator(states=subset, rates=sub)
     return RestrictedGenerator(base=gen, subset=subset, restricted=restricted, killing=killing)
-
-
-def _jump_distributions(gen: Generator):
-    """Exit rates and per-state cumulative jump probabilities."""
-    exit_rates = gen.exit_rates()
-    B = gen.off_diagonal()
-    with np.errstate(invalid="ignore", divide="ignore"):
-        P = np.where(exit_rates[:, None] > 0, B / exit_rates[:, None], 0.0)
-    return exit_rates, np.cumsum(P, axis=1)
-
-
-def _last_targets(cum: np.ndarray) -> np.ndarray:
-    """Per state, the last state it jumps to with positive probability
-    (itself if it has no out-jumps).
-
-    A jump draws u and takes the first state whose cumulative probability
-    exceeds u; when a row's cumulative sum rounds below 1, a draw above it
-    is clamped to this state, as in ``montecarlo.JumpTable``.
-    """
-    reachable = np.diff(cum, axis=1, prepend=0.0) > 0
-    n = cum.shape[1]
-    last = n - 1 - np.argmax(reachable[:, ::-1], axis=1)
-    return np.where(reachable.any(axis=1), last, np.arange(n))
-
-
-def simulate_fixed_time(
-    gen: Generator, start, T: float, rng: np.random.Generator
-) -> PathSummary:
-    """Simulate one trajectory on [0, T] and return its path summary.
-
-    Holding time in x is Exponential(-A[x,x]); the jump goes to y with
-    probability A[x,y]/(-A[x,x]).  A state with zero exit rate simply sits
-    until the horizon.  The local times partition [0, T] exactly.
-    """
-    if T <= 0:
-        raise ValueError("need T > 0")
-    exit_rates, cum = _jump_distributions(gen)
-    last = _last_targets(cum)
-    s = gen.index(start)
-    t = 0.0
-    local = np.zeros(gen.n_states)
-    while True:
-        rate = exit_rates[s]
-        if rate <= 0.0:
-            local[s] += T - t
-            break
-        hold = rng.exponential(1.0 / rate)
-        if t + hold >= T:
-            local[s] += T - t
-            break
-        local[s] += hold
-        t += hold
-        s = min(int(np.searchsorted(cum[s], rng.random(), side="right")), int(last[s]))
-    visited = frozenset(gen.states[i] for i in np.nonzero(local > 0)[0]) | {start}
-    times = {gen.states[i]: float(local[i]) for i in range(gen.n_states)}
-    return PathSummary(local_times=times, endpoint=gen.states[s], range=visited, horizon=T)
-
-
-def simulate_inverse_local_time(
-    gen: Generator,
-    start,
-    pivot,
-    level: float,
-    rng: np.random.Generator,
-    max_jumps: int = 50_000_000,
-) -> InverseLocalTimeResult:
-    """Run until the local time at ``pivot`` first reaches ``level``.
-
-    The sojourn at the pivot that crosses the level is truncated exactly at
-    the level, so the returned local time at the pivot equals ``level`` and
-    the clock stops mid-sojourn there (right-continuous inverse convention).
-    """
-    if level <= 0:
-        raise ValueError("need level > 0")
-    exit_rates, cum = _jump_distributions(gen)
-    last = _last_targets(cum)
-    s = gen.index(start)
-    b = gen.index(pivot)
-    t = 0.0
-    local = np.zeros(gen.n_states)
-    jumps = 0
-    while True:
-        rate = exit_rates[s]
-        if s == b:
-            remaining = level - local[b]
-            if rate <= 0.0:
-                local[b] = level
-                t += remaining
-                break
-            hold = rng.exponential(1.0 / rate)
-            if hold >= remaining:
-                local[b] = level
-                t += remaining
-                break
-            local[b] += hold
-            t += hold
-        else:
-            if rate <= 0.0:
-                raise BudgetExceededError(
-                    f"absorbed in {gen.states[s]!r} before reaching level at the pivot"
-                )
-            hold = rng.exponential(1.0 / rate)
-            local[s] += hold
-            t += hold
-        s = min(int(np.searchsorted(cum[s], rng.random(), side="right")), int(last[s]))
-        jumps += 1
-        if jumps > max_jumps:
-            raise BudgetExceededError(f"exceeded {max_jumps} jumps; pivot likely unreachable")
-    visited = frozenset(gen.states[i] for i in np.nonzero(local > 0)[0]) | {start}
-    times = {gen.states[i]: float(local[i]) for i in range(gen.n_states)}
-    # the stop occurs while sitting at the pivot
-    path = PathSummary(local_times=times, endpoint=pivot, range=visited, horizon=float(t))
-    return InverseLocalTimeResult(path=path, level=level, pivot=pivot, jumps=jumps)

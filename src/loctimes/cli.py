@@ -6,12 +6,12 @@ acceptance failure, 2 on usage or config errors.
 """
 
 import argparse
+import math
 import sys
 
 import numpy as np
 
 from . import harness
-from .chain import simulate_fixed_time, simulate_inverse_local_time
 from .density import density_certified
 from .errors import ConfigParseError, LoctimesError
 from .montecarlo import sample_paths_fixed_time, sample_paths_inverse_local_time
@@ -121,24 +121,18 @@ def cmd_simulate(args) -> int:
     start = _parse_label(args.start)
     rng = np.random.default_rng(args.seed)
     if args.pivot is not None:
-        if args.samples == 1:
-            res = simulate_inverse_local_time(gen, start, _parse_label(args.pivot),
-                                              args.level, rng)
-            path = res.path
-        else:
-            batch = sample_paths_inverse_local_time(
-                gen, start, _parse_label(args.pivot), args.level, args.samples, rng)
-            return _emit_batch(args, gen, batch)
+        batch = sample_paths_inverse_local_time(
+            gen, start, _parse_label(args.pivot), args.level, args.samples, rng)
     else:
-        if args.samples == 1:
-            path = simulate_fixed_time(gen, start, args.T, rng)
-        else:
-            batch = sample_paths_fixed_time(gen, start, args.T, args.samples, rng)
-            return _emit_batch(args, gen, batch)
-    for x in gen.states:
-        print(f"{x},{path.local_times[x]!r}")
-    print(f"# endpoint={path.endpoint} horizon={path.horizon!r} "
-          f"range={sorted(path.range)}")
+        batch = sample_paths_fixed_time(gen, start, args.T, args.samples, rng)
+    if args.samples > 1:
+        return _emit_batch(args, gen, batch)
+    local = batch.local_times[0]
+    for x, v in zip(gen.states, local):
+        print(f"{x},{float(v)!r}")
+    visited = {x for x, v in zip(gen.states, local) if v > 0} | {start}
+    print(f"# endpoint={gen.states[batch.endpoints[0]]} "
+          f"horizon={float(batch.horizons[0])!r} range={sorted(visited)}")
     return 0
 
 
@@ -161,8 +155,10 @@ def _emit_batch(args, gen, batch) -> int:
 def _run_config_experiments(args, default_kind: str) -> int:
     config = harness.load_config(args.config)
     if "experiments" not in config:
-        config = {"experiments": [dict(config, kind=config.get("kind", default_kind))],
-                  "seed": config.get("seed", args.seed)}
+        single = dict(config, kind=config.get("kind", default_kind))
+        config = {"experiments": [single]}
+        if "seed" in single:
+            config["seed"] = single["seed"]
     if args.seed is not None:
         config["seed"] = args.seed
     for exp in config["experiments"]:
@@ -196,6 +192,16 @@ def cmd_chi_discrete(args) -> int:
                                   dim=args.dim, seed=args.seed or 0)
     print(f"{value:.10g}")
     return 0
+
+
+def _positive(kind):
+    """An argparse type: a finite value of ``kind`` greater than 0."""
+    def parse(text: str):
+        value = kind(text)
+        if not (math.isfinite(value) and value > 0):
+            raise argparse.ArgumentTypeError(f"must be finite and > 0, got {text}")
+        return value
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -236,10 +242,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="simulate paths and report local times")
     p.add_argument("--generator", required=True)
     p.add_argument("--start", required=True)
-    p.add_argument("--T", type=float, default=1.0)
+    p.add_argument("--T", type=_positive(float), default=1.0)
     p.add_argument("--pivot", default=None, help="stop at an inverse local time")
-    p.add_argument("--level", type=float, default=1.0)
-    p.add_argument("--samples", type=int, default=1)
+    p.add_argument("--level", type=_positive(float), default=1.0)
+    p.add_argument("--samples", type=_positive(int), default=1)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_simulate)

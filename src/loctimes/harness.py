@@ -819,6 +819,8 @@ def run_suite(config: dict, out_dir: str, base_dir: str = ".") -> int:
                 raise ConfigParseError(f"experiment #{k}: unknown kind {kind!r}")
         except KeyError as exc:
             raise ConfigParseError(f"experiment {name!r} is missing field {exc}") from None
+        except ValueError as exc:
+            raise ConfigParseError(f"experiment {name!r}: {exc}") from None
         summary["experiments"].append(entry)
         all_passed &= entry["passed"]
 

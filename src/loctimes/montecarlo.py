@@ -1,12 +1,12 @@
-"""Vectorized exact-path sampling for Monte Carlo verification runs.
+"""Exact path sampling, the library's one path simulator.
 
 A batch of paths advances one jump per round, with finished paths dropped
 from the working set.  Jumps come from a :class:`JumpTable`: each state's
 nonzero targets with their cumulative probabilities, so a jump costs one
 uniform and one gather-and-compare per extra target.
 
-* Fixed horizon: exponential holding times are drawn each round, as in the
-  scalar :func:`chain.simulate_fixed_time`.
+* Fixed horizon: an exponential holding time is drawn each round and the
+  local times accumulate exact sojourn lengths, never a time discretization.
 * Inverse local time: the jump-chain/holding-time split (Norris, *Markov
   Chains*, 1997, section 2.6).  The number of pivot visits is drawn first,
   ``1 + Poisson(q_b * level)``; the rounds run only the discrete jump chain,
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import Generator, _jump_distributions
+from .chain import Generator
 from .errors import BudgetExceededError
 
 
@@ -63,7 +63,11 @@ def jump_table(gen: Generator) -> JumpTable:
     """The :class:`JumpTable` of a generator, built from the cumulative
     jump probabilities so that a uniform selects the same target as the
     dense rule ``(u >= cum[x]).sum()`` wherever that rule is in range."""
-    exit_rates, cum = _jump_distributions(gen)
+    exit_rates = gen.exit_rates()
+    with np.errstate(invalid="ignore", divide="ignore"):
+        P = np.where(exit_rates[:, None] > 0,
+                     gen.off_diagonal() / exit_rates[:, None], 0.0)
+    cum = np.cumsum(P, axis=1)
     n = gen.n_states
     # a target is reachable where the cumulative sum strictly increases
     reachable = np.diff(cum, axis=1, prepend=0.0) > 0

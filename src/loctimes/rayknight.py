@@ -18,7 +18,7 @@ exactly.
 """
 
 import math
-from typing import Dict, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 from scipy import special
@@ -111,14 +111,6 @@ def sample_rk_profile_batch(
         cur = _outer_step(cur, left_rng)
         values[:, col[x]] = cur
     return sites, values
-
-
-def sample_rk_profile(
-    b: int, h: float, window: int, rng: np.random.Generator
-) -> Dict[int, float]:
-    """One local-time profile at the inverse local time, site -> value."""
-    sites, values = sample_rk_profile_batch(b, h, window, 1, rng)
-    return {int(s): float(v) for s, v in zip(sites, values[0])}
 
 
 # ---------------------------------------------------------------------------

@@ -4,31 +4,21 @@ import numpy as np
 import pytest
 import scipy.special as sp
 
-from loctimes.bessel import bessel_i0, bessel_i1, edge_kernel, edge_kernel_d
-from loctimes.errors import DomainError, NonConvergedTruncationError
-
-
-def test_i0_at_zero():
-    assert bessel_i0(0.0) == 1.0
+from loctimes.bessel import edge_kernel, edge_kernel_d
+from loctimes.errors import NonConvergedTruncationError
 
 
 def test_frozen_values():
-    # series-summation oracle values
-    assert bessel_i0(1.0) == pytest.approx(1.2660658777520084, rel=1e-15)
-    assert bessel_i1(2.0) == pytest.approx(1.5906368546373291, rel=1e-15)
+    # series-summation oracle values: edge_kernel(1, x/2, x/2) = I0(x) and
+    # edge_kernel_d(1, x/2, x/2) = I1(x)
+    assert edge_kernel(1.0, 0.5, 0.5) == pytest.approx(1.2660658777520084, rel=1e-15)
+    assert edge_kernel_d(1.0, 1.0, 1.0) == pytest.approx(1.5906368546373291, rel=1e-15)
 
 
 @pytest.mark.parametrize("x", [0.0, 1e-8, 0.3, 1.0, 2.0, 7.5, 20.0, 50.0])
 def test_series_against_scipy(x):
-    assert bessel_i0(x) == pytest.approx(sp.iv(0, x), rel=1e-14)
-    assert bessel_i1(x) == pytest.approx(sp.iv(1, x), rel=1e-14)
-
-
-def test_negative_argument_rejected():
-    with pytest.raises(DomainError):
-        bessel_i0(-0.1)
-    with pytest.raises(DomainError):
-        bessel_i1(-2.0)
+    assert edge_kernel(1.0, x / 2, x / 2) == pytest.approx(sp.iv(0, x), rel=1e-14)
+    assert edge_kernel_d(1.0, x / 2, x / 2) == pytest.approx(sp.iv(1, x), rel=1e-14)
 
 
 def test_edge_kernel_reduces_to_i0():

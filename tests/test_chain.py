@@ -7,20 +7,17 @@ from scipy.stats import chi2 as chi2_dist, poisson
 from loctimes.chain import (
     generator_from_triples,
     restrict,
-    simulate_fixed_time,
-    simulate_inverse_local_time,
     srw_generator,
     validate_generator,
 )
 from loctimes.errors import (
-    BudgetExceededError,
     EmptySubsetError,
     NegativeRateError,
     NonConservativeError,
     TooSmallStateSpaceError,
     UnknownLabelError,
 )
-from loctimes.montecarlo import sample_paths_fixed_time
+from loctimes.montecarlo import sample_paths_fixed_time, sample_paths_inverse_local_time
 
 
 TWO_STATE = validate_generator([[0.0, 1.0], [1.0, 0.0]], (1, 2))
@@ -115,15 +112,18 @@ def test_restrict_errors():
 # ---------------------------------------------------------------------------
 
 def test_local_times_partition_horizon():
+    # every path has positive local time at its start and at its endpoint, so
+    # the states with positive local time are its range
     rng = np.random.default_rng(3)
     g = srw_generator(0, 5)
-    for _ in range(50):
+    for _ in range(10):
         T = rng.uniform(0.2, 4.0)
-        path = simulate_fixed_time(g, 2, T, rng)
-        total = sum(path.local_times.values())
-        assert abs(total - T) <= 1e-12 * T
-        positive = {x for x, v in path.local_times.items() if v > 0}
-        assert path.range == positive | {2}
+        batch = sample_paths_fixed_time(g, 2, T, 500, rng)
+        assert np.allclose(batch.local_times.sum(axis=1), T, rtol=1e-12, atol=0.0)
+        assert np.all(batch.horizons == T)
+        assert np.all(batch.local_times[:, g.index(2)] > 0)
+        rows = np.arange(500)
+        assert np.all(batch.local_times[rows, batch.endpoints] > 0)
 
 
 def test_two_state_mean_local_time():
@@ -181,16 +181,18 @@ def test_jump_counts_are_poisson():
 
 def test_zero_exit_rate_sits_until_horizon():
     g = validate_generator([[0.0, 0.0], [1.0, -1.0]], (0, 1))
-    path = simulate_fixed_time(g, 0, 3.0, np.random.default_rng(0))
-    assert path.local_times[0] == 3.0
-    assert path.range == frozenset({0})
+    batch = sample_paths_fixed_time(g, 0, 3.0, 100, np.random.default_rng(0))
+    assert np.all(batch.local_times == [3.0, 0.0])
+    assert np.all(batch.endpoints == 0) and np.all(batch.jumps == 0)
 
 
 def test_fixed_time_deterministic_replay():
     g = srw_generator(0, 4)
-    p1 = simulate_fixed_time(g, 1, 2.0, np.random.default_rng(99))
-    p2 = simulate_fixed_time(g, 1, 2.0, np.random.default_rng(99))
-    assert p1.local_times == p2.local_times and p1.endpoint == p2.endpoint
+    b1, b2 = (sample_paths_fixed_time(g, 1, 2.0, 1_000, np.random.default_rng(99))
+              for _ in range(2))
+    assert np.array_equal(b1.local_times, b2.local_times)
+    assert np.array_equal(b1.endpoints, b2.endpoints)
+    assert np.array_equal(b1.jumps, b2.jumps)
 
 
 def test_restriction_reweighting_matches_full_chain():
@@ -226,31 +228,25 @@ def test_restriction_reweighting_matches_full_chain():
 
 def test_inverse_local_time_clips_exactly():
     g = srw_generator(-3, 5)
-    rng = np.random.default_rng(5)
-    for _ in range(20):
-        res = simulate_inverse_local_time(g, 0, 2, 0.7, rng)
-        assert res.path.local_times[2] == 0.7
-        assert res.path.endpoint == 2
-        total = sum(res.path.local_times.values())
-        assert abs(total - res.path.horizon) <= 1e-12 * max(res.path.horizon, 1.0)
+    batch = sample_paths_inverse_local_time(g, 0, 2, 0.7, 2_000, np.random.default_rng(5))
+    assert np.all(batch.local_times[:, g.index(2)] == 0.7)
+    assert np.all(batch.endpoints == g.index(2))
+    assert np.allclose(batch.horizons, batch.local_times.sum(axis=1), rtol=1e-12)
 
 
 def test_inverse_local_time_started_at_pivot():
+    # no jump before the level accrues happens with probability e^{-0.4}
     g = srw_generator(-2, 2)
-    rng = np.random.default_rng(6)
-    seen_pure = False
-    for _ in range(200):
-        res = simulate_inverse_local_time(g, 0, 0, 0.2, rng)
-        assert res.path.local_times[0] == 0.2
-        if res.path.range == frozenset({0}):
-            seen_pure = True
-    assert seen_pure  # no jump before the level accrues happens with prob e^{-0.4}
+    batch = sample_paths_inverse_local_time(g, 0, 0, 0.2, 200, np.random.default_rng(6))
+    assert np.all(batch.local_times[:, g.index(0)] == 0.2)
+    pure = batch.jumps == 0
+    assert pure.any() and not pure.all()
+    assert np.all(batch.local_times[pure] == np.where(np.array(g.states) == 0, 0.2, 0.0))
+    assert np.all(batch.horizons[pure] == 0.2)
 
 
 def test_inverse_local_time_atom_probability():
     # from 0 stopped at level 1 at pivot 2: P(l(3) = 0) = e^{-1}
-    from loctimes.montecarlo import sample_paths_inverse_local_time
-
     g = srw_generator(-8, 10)
     rng = np.random.default_rng(14)
     n = 100_000
@@ -259,49 +255,3 @@ def test_inverse_local_time_atom_probability():
     p = math.exp(-1.0)
     z = (frac - p) / math.sqrt(p * (1 - p) / n)
     assert abs(z) < 4.0
-
-
-def test_inverse_local_time_budget():
-    g = validate_generator([[0.0, 0.0], [1.0, -1.0]], (0, 1))
-    with pytest.raises(BudgetExceededError):
-        # start state is absorbing and is not the pivot
-        simulate_inverse_local_time(g, 0, 1, 1.0, np.random.default_rng(0))
-
-
-class _TopUniformRng:
-    """Stub generator: every uniform is 1 - 2^-53, the largest double below
-    1, and every exponential is half its scale."""
-
-    def random(self):
-        return np.nextafter(1.0, 0.0)
-
-    def exponential(self, scale):
-        return 0.5 * scale
-
-
-def _row_below_one():
-    # state 0 jumps with probabilities 0.1/0.6, 0.2/0.6, 0.3/0.6, whose
-    # cumulative sum rounds to 1 - 2^-53; states 1..3 jump back to 0
-    rates = np.zeros((4, 4))
-    rates[0, 1:] = [0.1, 0.2, 0.3]
-    rates[1:, 0] = 1.0
-    return validate_generator(rates)
-
-
-def test_fixed_time_top_uniform_jumps_to_last_target():
-    # the draw 1 - 2^-53 is not below the row's cumulative sum, so it must be
-    # clamped to the last target, state 3: holds 0.5/0.6 at 0, 0.5 at 3,
-    # then from t = 4/3 at 0 past the horizon 2
-    path = simulate_fixed_time(_row_below_one(), 0, 2.0, _TopUniformRng())
-    assert path.local_times[0] == pytest.approx(1.5, rel=1e-15)
-    assert path.local_times[3] == 0.5
-    assert path.local_times[1] == path.local_times[2] == 0.0
-    assert path.endpoint == 0 and path.range == frozenset({0, 3})
-
-
-def test_inverse_local_time_top_uniform_jumps_to_last_target():
-    # pivot 3 at level 1: two half-unit sojourns there, three jumps
-    res = simulate_inverse_local_time(_row_below_one(), 0, 3, 1.0, _TopUniformRng())
-    assert res.path.local_times[3] == 1.0
-    assert res.path.local_times[0] == pytest.approx(2 * 0.5 / 0.6, rel=1e-15)
-    assert res.jumps == 3

@@ -101,3 +101,52 @@ def test_verify_density_cli_roundtrip(tmp_path, twostate, capsys):
     assert status == 0
     summary = json.loads((out_dir / "summary.json").read_text())
     assert summary["all_passed"] is True
+
+
+def test_verify_density_config_without_seed_uses_seed_zero(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "kind": "verify-density", "name": "seedless",
+        "generator": {"states": [1, 2], "rates": [[1, 2, 1.0], [2, 1, 1.0]]},
+        "start": 1, "endpoint": 2, "range": [1, 2],
+        "T": 1.0, "samples": 20_000, "cells": 10,
+    }))
+    out_dir = tmp_path / "results"
+    assert main(["verify-density", "--config", str(cfg), "--out", str(out_dir)]) == 0
+    assert "seed=0," in (out_dir / "seedless.csv").read_text().splitlines()[0]
+
+
+def test_verify_density_four_state_range_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "kind": "verify-density", "name": "four-state",
+        "generator": {"srw": [0, 3]},
+        "start": 0, "endpoint": 3, "range": [0, 1, 2, 3], "T": 2.0, "seed": 1,
+    }))
+    status = main(["verify-density", "--config", str(cfg), "--out", str(tmp_path / "out")])
+    assert status == 2
+    err = capsys.readouterr().err
+    assert "'four-state'" in err and "|R| <= 3" in err
+
+
+@pytest.mark.parametrize("option, value, mode", [
+    ("--samples", "0", []), ("--T", "0", []), ("--level", "-1", ["--pivot", "2"])],
+    ids=["samples", "T", "level"])
+def test_simulate_rejects_nonpositive_input(twostate, capsys, option, value, mode):
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--generator", twostate, "--start", "1", *mode, option, value])
+    assert exc.value.code == 2
+    assert f"argument {option}: must be finite and > 0" in capsys.readouterr().err
+
+
+def test_simulate_single_path_format(twostate, capsys):
+    status = main(["simulate", "--generator", twostate, "--start", "1",
+                   "--T", "2.0", "--seed", "5"])
+    lines = capsys.readouterr().out.splitlines()
+    assert status == 0
+    assert [line.split(",")[0] for line in lines[:2]] == ["1", "2"]
+    local = {int(line.split(",")[0]): float(line.split(",")[1]) for line in lines[:2]}
+    assert sum(local.values()) == pytest.approx(2.0, rel=1e-12)
+    visited = sorted({x for x, v in local.items() if v > 0} | {1})
+    assert lines[2].startswith("# endpoint=")
+    assert lines[2].endswith(f" horizon=2.0 range={visited}")

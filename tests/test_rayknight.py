@@ -14,7 +14,6 @@ from loctimes.rayknight import (
     rk_inner_density,
     rk_outer_atom,
     rk_outer_density,
-    sample_rk_profile,
     sample_rk_profile_batch,
 )
 
@@ -87,10 +86,10 @@ def test_poisson_gamma_mixture_identity():
 # ---------------------------------------------------------------------------
 
 def test_profile_starts_at_level():
-    rng = np.random.default_rng(0)
-    profile = sample_rk_profile(3, 0.8, 5, rng)
-    assert profile[3] == 0.8
-    assert set(profile) == set(range(-5, 9))
+    sites, values = sample_rk_profile_batch(3, 0.8, 5, 1, np.random.default_rng(0))
+    assert values.shape == (1, 14)
+    assert sites.tolist() == list(range(-5, 9))
+    assert values[0, sites.tolist().index(3)] == 0.8
 
 
 def test_profile_atom_frequency():
@@ -138,9 +137,9 @@ def test_rare_event_atom_at_high_level():
 
 
 def test_profile_is_deterministic_given_seed():
-    p1 = sample_rk_profile(2, 1.0, 6, np.random.default_rng(42))
-    p2 = sample_rk_profile(2, 1.0, 6, np.random.default_rng(42))
-    assert p1 == p2
+    (s1, p1), (s2, p2) = (sample_rk_profile_batch(2, 1.0, 6, 1, np.random.default_rng(42))
+                          for _ in range(2))
+    assert np.array_equal(s1, s2) and np.array_equal(p1, p2)
 
 
 # ---------------------------------------------------------------------------
