@@ -40,10 +40,6 @@ def _parse_floats(text: str):
     return [float(t) for t in text.split(",") if t != ""]
 
 
-def _load_generator(path: str):
-    return harness.generator_from_config(path)
-
-
 def _add_generator_point_args(p):
     p.add_argument("--generator", required=True, help="generator JSON document")
     p.add_argument("--R", required=True, help="comma-separated range labels")
@@ -53,7 +49,7 @@ def _add_generator_point_args(p):
 
 
 def cmd_density(args) -> int:
-    gen = _load_generator(args.generator)
+    gen = harness.generator_from_config(args.generator)
     R = _parse_labels(args.R)
     l = _parse_floats(args.l)
     result = density_certified(gen, R, _parse_label(args.a), _parse_label(args.b),
@@ -65,7 +61,7 @@ def cmd_density(args) -> int:
 
 
 def cmd_bound(args) -> int:
-    gen = _load_generator(args.generator)
+    gen = harness.generator_from_config(args.generator)
     R = _parse_labels(args.R)
     l = _parse_floats(args.l)
     bound = density_upper_bound(gen, R, _parse_label(args.a), _parse_label(args.b),
@@ -75,7 +71,7 @@ def cmd_bound(args) -> int:
 
 
 def cmd_rate(args) -> int:
-    gen = _load_generator(args.generator)
+    gen = harness.generator_from_config(args.generator)
     mu = _parse_floats(args.mu)
     sol = rate_general(gen, np.array(mu), tol=args.tol)
     print(f"value = {sol.value:.12g}")
@@ -88,7 +84,7 @@ def cmd_rate(args) -> int:
 
 
 def cmd_ldp(args) -> int:
-    gen = _load_generator(args.generator)
+    gen = harness.generator_from_config(args.generator)
     S = _parse_labels(args.S)
     if args.mode == "prob":
         if args.inf_rate is not None:
@@ -106,8 +102,10 @@ def cmd_ldp(args) -> int:
         if args.sup_value is not None:
             sup_value = args.sup_value
         elif args.V is not None:
-            V = _parse_floats(args.V)
-            sup_value = harness.linear_varadhan_supremum(gen, S, V)
+            try:
+                sup_value = harness.linear_varadhan_supremum(gen, S, _parse_floats(args.V))
+            except ValueError as exc:
+                raise ConfigParseError(str(exc)) from None
         else:
             raise ConfigParseError("ldp varadhan needs --sup-value or --V v1,v2,...")
         bound = ldp_varadhan_bound(gen, S, sup_value, args.T)
@@ -117,7 +115,7 @@ def cmd_ldp(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    gen = _load_generator(args.generator)
+    gen = harness.generator_from_config(args.generator)
     start = _parse_label(args.start)
     rng = np.random.default_rng(args.seed)
     if args.pivot is not None:
@@ -152,27 +150,23 @@ def _emit_batch(args, gen, batch) -> int:
     return 0
 
 
-def _run_config_experiments(args, default_kind: str) -> int:
+def cmd_verify(args) -> int:
+    """Run every experiment of a config.  A single-experiment config without a
+    "kind" takes the command name as its kind; --seed and --samples replace
+    every seed and sample count in the config."""
     config = harness.load_config(args.config)
     if "experiments" not in config:
-        single = dict(config, kind=config.get("kind", default_kind))
+        single = dict(config, kind=config.get("kind", args.command))
         config = {"experiments": [single]}
         if "seed" in single:
             config["seed"] = single["seed"]
     if args.seed is not None:
         config["seed"] = args.seed
-    for exp in config["experiments"]:
-        if args.samples is not None:
-            exp["samples"] = args.samples
+    for key in ("seed", "samples"):
+        if getattr(args, key) is not None:
+            for exp in config["experiments"]:
+                exp[key] = getattr(args, key)
     return harness.run_suite(config, args.out)
-
-
-def cmd_verify_density(args) -> int:
-    return _run_config_experiments(args, "verify-density")
-
-
-def cmd_verify_rayknight(args) -> int:
-    return _run_config_experiments(args, "verify-rayknight")
 
 
 def cmd_chi_discrete(args) -> int:
@@ -250,14 +244,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_simulate)
 
-    for name, fn in (("verify-density", cmd_verify_density),
-                     ("verify-rayknight", cmd_verify_rayknight)):
+    for name in ("verify-density", "verify-rayknight"):
         p = sub.add_parser(name, help=f"run the {name} Monte Carlo experiment")
         p.add_argument("--config", required=True)
         p.add_argument("--out", default="results")
         p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--samples", type=int, default=None)
-        p.set_defaults(func=fn)
+        p.add_argument("--samples", type=_positive(int), default=None)
+        p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("chi-discrete", help="discrete rescaled variational value")
     p.add_argument("--radius", type=int, required=True)

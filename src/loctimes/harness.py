@@ -11,8 +11,8 @@ import hashlib
 import json
 import math
 import os
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Callable, ClassVar, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.linalg import expm
@@ -185,9 +185,7 @@ def conditioning_mask(batch: BatchPaths, gen: Generator, R: Sequence, b) -> np.n
     b_idx = gen.index(b)
     others = np.setdiff1d(np.arange(gen.n_states), idx_R)
     visited = batch.local_times > 0.0
-    mask = visited[:, idx_R].all(axis=1)
-    if others.size:
-        mask &= ~visited[:, others].any(axis=1)
+    mask = visited[:, idx_R].all(axis=1) & ~visited[:, others].any(axis=1)
     return mask & (batch.endpoints == b_idx)
 
 
@@ -307,7 +305,7 @@ def expected_cell_masses(rho, edges: List[np.ndarray], total: float):
 
 
 # ---------------------------------------------------------------------------
-# experiment: Monte Carlo law of the local times
+# reports
 # ---------------------------------------------------------------------------
 
 @dataclass
@@ -320,7 +318,32 @@ class CheckResult:
 
 
 @dataclass
-class DensityCheckReport:
+class Report:
+    """What an experiment returns: its acceptance checks, its CSV rows under
+    the class-level ``columns``, and the extra fields of its summary entry."""
+
+    checks: List[CheckResult]
+    columns: ClassVar[Tuple[str, ...]] = ()
+
+    @property
+    def passed(self) -> bool:
+        return all(c.passed for c in self.checks)
+
+    def rows(self) -> List[tuple]:
+        return [tuple(getattr(self, c) for c in self.columns)]
+
+    def summary(self) -> Dict[str, float]:
+        return {}
+
+
+# ---------------------------------------------------------------------------
+# experiment: Monte Carlo law of the local times
+# ---------------------------------------------------------------------------
+
+@dataclass
+class DensityCheckReport(Report):
+    columns = ("cell", "observed", "expected_mass")
+
     histogram: SimplexHistogram
     n_samples: int
     n_conditioned: int
@@ -332,12 +355,13 @@ class DensityCheckReport:
     conditioning_quadrature: float
     conditioning_z: float
     analytic: Optional[Dict[str, float]]
-    checks: List[CheckResult] = field(default_factory=list)
-    seed: Optional[int] = None
 
-    @property
-    def passed(self) -> bool:
-        return all(c.passed for c in self.checks)
+    def rows(self) -> List[tuple]:
+        h = self.histogram
+        return [(i, int(c), float(e)) for i, (c, e) in enumerate(zip(h.counts, h.expected))]
+
+    def summary(self) -> Dict[str, float]:
+        return {"p_value": self.p_value, "conditioning_z": self.conditioning_z}
 
 
 def verify_density_mc(
@@ -421,7 +445,7 @@ def verify_density_mc(
         histogram=hist, n_samples=n_samples, n_conditioned=n_cond,
         chi2=stat, dof=dof, p_value=p_value, worst_cell_z=worst,
         conditioning_mc=p_mc, conditioning_quadrature=p_quad,
-        conditioning_z=z_cond, analytic=analytic, checks=checks, seed=seed,
+        conditioning_z=z_cond, analytic=analytic, checks=checks,
     )
 
 
@@ -441,7 +465,10 @@ class MomentComparison:
 
 
 @dataclass
-class RayKnightReport:
+class RayKnightReport(Report):
+    columns = ("site", "mean_direct", "mean_profile", "mean_z",
+               "var_direct", "var_profile", "var_z")
+
     pivot: int
     level: float
     n_samples: int
@@ -457,12 +484,9 @@ class RayKnightReport:
     atom_left_z: float
     independence_corr_direct: float
     independence_corr_profile: float
-    checks: List[CheckResult] = field(default_factory=list)
-    seed: Optional[int] = None
 
-    @property
-    def passed(self) -> bool:
-        return all(c.passed for c in self.checks)
+    def rows(self) -> List[tuple]:
+        return [tuple(getattr(m, c) for c in self.columns) for m in self.moments]
 
 
 def _mean_var_z(x: np.ndarray, y: np.ndarray) -> Tuple[float, float]:
@@ -567,13 +591,31 @@ def verify_rayknight_mc(
         atom_site_left=left, atom_left_direct=l_d, atom_left_profile=l_p,
         atom_left_z=l_z,
         independence_corr_direct=corr_d, independence_corr_profile=corr_p,
-        checks=checks, seed=seed,
+        checks=checks,
     )
 
 
 # ---------------------------------------------------------------------------
 # experiment: finite-time LDP bounds
 # ---------------------------------------------------------------------------
+
+def _simplex_minimum(objective, m: int, constraints: List[dict], n_starts: int, seed: int,
+                     project=lambda mu0: mu0) -> float:
+    """Smallest value SLSQP reaches on the probability simplex of R^m, under
+    extra ``constraints``, from the uniform point and ``n_starts`` seeded
+    Dirichlet draws (each passed through ``project`` first); inf when no
+    start converges."""
+    rng = np.random.default_rng(seed)
+    starts = [np.full(m, 1.0 / m)] + [rng.dirichlet(np.ones(m)) for _ in range(n_starts)]
+    constraints = [{"type": "eq", "fun": lambda mu: mu.sum() - 1.0}] + constraints
+    best = math.inf
+    for mu0 in starts:
+        res = minimize(objective, project(mu0), method="SLSQP", bounds=[(0.0, 1.0)] * m,
+                       constraints=constraints, options={"maxiter": 500, "ftol": 1e-14})
+        if res.success:
+            best = min(best, float(res.fun))
+    return best
+
 
 def halfspace_rate_infimum(
     gen: Generator, S: Sequence, state, threshold: float, n_starts: int = 16, seed: int = 0
@@ -582,59 +624,40 @@ def halfspace_rate_infimum(
     S = tuple(S)
     j = S.index(state)
     m = len(S)
-    rng = np.random.default_rng(seed)
 
-    def objective(mu):
-        return rate_symmetric_on_subset(gen, S, mu)
-
-    best = math.inf
-    constraints = [
-        {"type": "eq", "fun": lambda mu: mu.sum() - 1.0},
-        {"type": "ineq", "fun": lambda mu: mu[j] - threshold},
-    ]
-    bounds = [(0.0, 1.0)] * m
-    starts = [np.full(m, 1.0 / m)]
-    for _ in range(n_starts):
-        starts.append(rng.dirichlet(np.ones(m)))
-    for mu0 in starts:
+    def project(mu0):
         mu0 = mu0.copy()
         mu0[j] = max(mu0[j], threshold)
         mu0 /= mu0.sum()
         if mu0[j] < threshold:  # renormalization can undershoot; project again
             mu0[j] = threshold
-            rest = 1.0 - threshold
             others = np.delete(np.arange(m), j)
             w = mu0[others]
-            mu0[others] = rest * (w / w.sum() if w.sum() > 0 else np.full(m - 1, 1.0 / (m - 1)))
-        res = minimize(objective, mu0, method="SLSQP", bounds=bounds,
-                       constraints=constraints, options={"maxiter": 500, "ftol": 1e-14})
-        if res.success and res.fun < best:
-            best = float(res.fun)
-    return best
+            mu0[others] = (1.0 - threshold) * (w / w.sum() if w.sum() > 0 else np.full(m - 1, 1.0 / (m - 1)))
+        return mu0
+
+    return _simplex_minimum(lambda mu: rate_symmetric_on_subset(gen, S, mu), m,
+                            [{"type": "ineq", "fun": lambda mu: mu[j] - threshold}],
+                            n_starts, seed, project)
+
+
+def _functional_on(S: Tuple, V) -> np.ndarray:
+    """A linear functional on S, given as a list in the order of S or as a
+    dict keyed by state, as a vector."""
+    if not isinstance(V, dict):
+        if len(V) != len(S):
+            raise ValueError(f"V has {len(V)} entries but S has {len(S)} states")
+        V = dict(zip(S, V))
+    return np.array([float(V[x]) for x in S])
 
 
 def linear_varadhan_supremum(gen: Generator, S: Sequence, V, n_starts: int = 16,
                              seed: int = 0) -> float:
     """sup over mu on S of <V, mu> - Dirichlet(mu) for a linear functional."""
     S = tuple(S)
-    m = len(S)
-    v = np.array([float(V[x]) if isinstance(V, dict) else float(V[i])
-                  for i, x in enumerate(S)])
-    rng = np.random.default_rng(seed)
-
-    def neg_objective(mu):
-        return rate_symmetric_on_subset(gen, S, mu) - float(v @ mu)
-
-    best = -math.inf
-    constraints = [{"type": "eq", "fun": lambda mu: mu.sum() - 1.0}]
-    bounds = [(0.0, 1.0)] * m
-    starts = [np.full(m, 1.0 / m)] + [rng.dirichlet(np.ones(m)) for _ in range(n_starts)]
-    for mu0 in starts:
-        res = minimize(neg_objective, mu0, method="SLSQP", bounds=bounds,
-                       constraints=constraints, options={"maxiter": 500, "ftol": 1e-14})
-        if res.success:
-            best = max(best, -float(res.fun))
-    return best
+    v = _functional_on(S, V)
+    return -_simplex_minimum(lambda mu: rate_symmetric_on_subset(gen, S, mu) - float(v @ mu),
+                             len(S), [], n_starts, seed)
 
 
 def log_mgf_exact(gen: Generator, start, S: Sequence, V, T: float) -> float:
@@ -642,15 +665,14 @@ def log_mgf_exact(gen: Generator, start, S: Sequence, V, T: float) -> float:
     of the killed generator A|SxS + diag(V)."""
     S = tuple(S)
     A = gen.submatrix(S)  # killed outside S: no re-conservation
-    v = np.array([float(V[x]) if isinstance(V, dict) else float(V[i])
-                  for i, x in enumerate(S)])
-    M = expm(T * (A + np.diag(v)))
-    i = S.index(start)
-    return float(np.log(M[i, :].sum()))
+    M = expm(T * (A + np.diag(_functional_on(S, V))))
+    return float(np.log(M[S.index(start), :].sum()))
 
 
 @dataclass
-class LdpProbabilityReport:
+class LdpProbabilityReport(Report):
+    columns = ("T", "inf_rate", "bound", "n_hits", "log_p_hat", "log_p_upper")
+
     T: float
     S: Tuple
     inf_rate: float
@@ -659,12 +681,6 @@ class LdpProbabilityReport:
     n_hits: int
     log_p_hat: float
     log_p_upper: float
-    checks: List[CheckResult] = field(default_factory=list)
-    seed: Optional[int] = None
-
-    @property
-    def passed(self) -> bool:
-        return all(c.passed for c in self.checks)
 
 
 def ldp_probability_experiment(
@@ -678,12 +694,8 @@ def ldp_probability_experiment(
     S = tuple(S)
     rng = np.random.default_rng(seed)
     batch = sample_paths_fixed_time(gen, start, T, n_samples, rng)
-    idx_S = gen.indices(S)
-    others = np.setdiff1d(np.arange(gen.n_states), idx_S)
-    inside = np.ones(n_samples, dtype=bool)
-    if others.size:
-        inside = ~(batch.local_times[:, others] > 0).any(axis=1)
-    hits = inside & (batch.local_times[:, gen.index(state)] / T >= threshold)
+    others = np.setdiff1d(np.arange(gen.n_states), gen.indices(S))
+    hits = ~(batch.local_times[:, others] > 0).any(axis=1) & (batch.local_times[:, gen.index(state)] / T >= threshold)
     n_hits = int(hits.sum())
 
     inf_rate = halfspace_rate_infimum(gen, S, state, threshold)
@@ -696,22 +708,19 @@ def ldp_probability_experiment(
     return LdpProbabilityReport(
         T=T, S=S, inf_rate=inf_rate, bound=bound, n_samples=n_samples,
         n_hits=n_hits, log_p_hat=log_p_hat, log_p_upper=log_p_upper,
-        checks=checks, seed=seed,
+        checks=checks,
     )
 
 
 @dataclass
-class LdpVaradhanReport:
+class LdpVaradhanReport(Report):
+    columns = ("T", "sup_value", "bound", "log_mgf")
+
     T: float
     S: Tuple
     sup_value: float
     bound: float
     log_mgf: float
-    checks: List[CheckResult] = field(default_factory=list)
-
-    @property
-    def passed(self) -> bool:
-        return all(c.passed for c in self.checks)
 
 
 def ldp_varadhan_experiment(gen: Generator, start, S: Sequence, V, T: float) -> LdpVaradhanReport:
@@ -732,11 +741,45 @@ def ldp_varadhan_experiment(gen: Generator, start, S: Sequence, V, T: float) -> 
 # suite runner
 # ---------------------------------------------------------------------------
 
-def _density_rows(report: DensityCheckReport):
-    rows = []
-    for i, (c, e) in enumerate(zip(report.histogram.counts, report.histogram.expected)):
-        rows.append((i, int(c), float(e)))
-    return rows
+# experiment kind -> runner(experiment object, seed, base_dir): the runner
+# parses the experiment's own fields and returns its report
+EXPERIMENTS: Dict[str, Callable[[dict, int, str], Report]] = {
+    "verify-density": lambda exp, seed, base_dir: verify_density_mc(
+        generator_from_config(exp["generator"], base_dir),
+        _label(exp["start"]), _label(exp["endpoint"]), [_label(x) for x in exp["range"]],
+        float(exp["T"]), int(exp.get("samples", 1_000_000)),
+        cells_per_axis=int(exp.get("cells", 7)), seed=seed),
+    "verify-rayknight": lambda exp, seed, base_dir: verify_rayknight_mc(
+        pivot=int(exp.get("pivot", 2)), level=float(exp.get("level", 1.0)),
+        n_samples=int(exp.get("samples", 200_000)), seed=seed),
+    "ldp-probability": lambda exp, seed, base_dir: ldp_probability_experiment(
+        generator_from_config(exp["generator"], base_dir),
+        _label(exp["start"]), [_label(x) for x in exp["S"]], _label(exp["state"]),
+        float(exp["threshold"]), float(exp["T"]), int(exp.get("samples", 1_000_000)), seed=seed),
+    "ldp-varadhan": lambda exp, seed, base_dir: ldp_varadhan_experiment(
+        generator_from_config(exp["generator"], base_dir),
+        _label(exp["start"]), [_label(x) for x in exp["S"]], exp["V"], float(exp["T"])),
+}
+
+
+def _experiment_names(config: dict) -> List[str]:
+    """Check every experiment's kind and name before any of them runs; return
+    the names, which are also the CSV file stems."""
+    if not isinstance(config, dict) or not isinstance(config.get("experiments"), list):
+        raise ConfigParseError("config must contain an 'experiments' list")
+    names: List[str] = []
+    for k, exp in enumerate(config["experiments"]):
+        kind = exp.get("kind") if isinstance(exp, dict) else None
+        if not isinstance(kind, str) or kind not in EXPERIMENTS:
+            raise ConfigParseError(
+                f"experiment #{k}: kind {kind!r} is not one of {', '.join(EXPERIMENTS)}")
+        name = str(exp.get("name", f"{kind}-{k}"))
+        if not name or os.path.basename(name) != name:
+            raise ConfigParseError(f"experiment #{k}: name {name!r} is not a plain file name")
+        if name in names:
+            raise ConfigParseError(f"experiment #{k}: name {name!r} is already used")
+        names.append(name)
+    return names
 
 
 def run_suite(config: dict, out_dir: str, base_dir: str = ".") -> int:
@@ -744,90 +787,33 @@ def run_suite(config: dict, out_dir: str, base_dir: str = ".") -> int:
     and a machine-readable summary.  Exit status 0 when every acceptance
     check passes, 1 otherwise (2 is reserved for config errors and raised as
     ConfigParseError by the callers)."""
-    if "experiments" not in config or not isinstance(config["experiments"], list):
-        raise ConfigParseError("config must contain an 'experiments' list")
+    names = _experiment_names(config)
     os.makedirs(out_dir, exist_ok=True)
     chash = config_hash(config)
     # the summary carries the fully resolved config so a run can be replayed
     summary = {"config_hash": chash, "config": config, "experiments": []}
-    all_passed = True
 
-    for k, exp in enumerate(config["experiments"]):
-        if not isinstance(exp, dict) or "kind" not in exp:
-            raise ConfigParseError(f"experiment #{k} needs a 'kind' field")
+    for name, exp in zip(names, config["experiments"]):
         kind = exp["kind"]
-        seed = int(exp.get("seed", config.get("seed", 0)))
-        meta = {"config_hash": chash, "seed": seed, "kind": kind}
-        name = exp.get("name", f"{kind}-{k}")
         try:
-            if kind == "verify-density":
-                gen = generator_from_config(exp["generator"], base_dir)
-                report = verify_density_mc(
-                    gen, _label(exp["start"]), _label(exp["endpoint"]),
-                    [_label(x) for x in exp["range"]], float(exp["T"]),
-                    int(exp.get("samples", 1_000_000)),
-                    cells_per_axis=int(exp.get("cells", 7)), seed=seed,
-                )
-                write_csv(os.path.join(out_dir, f"{name}.csv"), meta,
-                          ["cell", "observed", "expected_mass"], _density_rows(report))
-                entry = {
-                    "name": name, "kind": kind, "passed": report.passed,
-                    "p_value": report.p_value,
-                    "conditioning_z": report.conditioning_z,
-                    "checks": [c.__dict__ for c in report.checks],
-                }
-            elif kind == "verify-rayknight":
-                report = verify_rayknight_mc(
-                    pivot=int(exp.get("pivot", 2)), level=float(exp.get("level", 1.0)),
-                    n_samples=int(exp.get("samples", 200_000)), seed=seed,
-                )
-                rows = [
-                    (m.site, m.mean_direct, m.mean_profile, m.mean_z,
-                     m.var_direct, m.var_profile, m.var_z)
-                    for m in report.moments
-                ]
-                write_csv(os.path.join(out_dir, f"{name}.csv"), meta,
-                          ["site", "mean_direct", "mean_profile", "mean_z",
-                           "var_direct", "var_profile", "var_z"], rows)
-                entry = {"name": name, "kind": kind, "passed": report.passed,
-                         "checks": [c.__dict__ for c in report.checks]}
-            elif kind == "ldp-probability":
-                gen = generator_from_config(exp["generator"], base_dir)
-                report = ldp_probability_experiment(
-                    gen, _label(exp["start"]), [_label(x) for x in exp["S"]],
-                    _label(exp["state"]), float(exp["threshold"]), float(exp["T"]),
-                    int(exp.get("samples", 1_000_000)), seed=seed,
-                )
-                write_csv(os.path.join(out_dir, f"{name}.csv"), meta,
-                          ["T", "inf_rate", "bound", "n_hits", "log_p_hat", "log_p_upper"],
-                          [(report.T, report.inf_rate, report.bound,
-                            report.n_hits, report.log_p_hat, report.log_p_upper)])
-                entry = {"name": name, "kind": kind, "passed": report.passed,
-                         "checks": [c.__dict__ for c in report.checks]}
-            elif kind == "ldp-varadhan":
-                gen = generator_from_config(exp["generator"], base_dir)
-                report = ldp_varadhan_experiment(
-                    gen, _label(exp["start"]), [_label(x) for x in exp["S"]],
-                    exp["V"], float(exp["T"]),
-                )
-                write_csv(os.path.join(out_dir, f"{name}.csv"), meta,
-                          ["T", "sup_value", "bound", "log_mgf"],
-                          [(report.T, report.sup_value, report.bound, report.log_mgf)])
-                entry = {"name": name, "kind": kind, "passed": report.passed,
-                         "checks": [c.__dict__ for c in report.checks]}
-            else:
-                raise ConfigParseError(f"experiment #{k}: unknown kind {kind!r}")
+            seed = int(exp.get("seed", config.get("seed", 0)))
+            report = EXPERIMENTS[kind](exp, seed, base_dir)
         except KeyError as exc:
             raise ConfigParseError(f"experiment {name!r} is missing field {exc}") from None
         except ValueError as exc:
             raise ConfigParseError(f"experiment {name!r}: {exc}") from None
-        summary["experiments"].append(entry)
-        all_passed &= entry["passed"]
+        write_csv(os.path.join(out_dir, f"{name}.csv"),
+                  {"config_hash": chash, "seed": seed, "kind": kind},
+                  report.columns, report.rows())
+        summary["experiments"].append({
+            "name": name, "kind": kind, "passed": report.passed,
+            **report.summary(), "checks": [c.__dict__ for c in report.checks],
+        })
 
-    summary["all_passed"] = bool(all_passed)
+    summary["all_passed"] = all(e["passed"] for e in summary["experiments"])
     with open(os.path.join(out_dir, "summary.json"), "w") as fh:
         json.dump(summary, fh, indent=2, default=str)
-    return 0 if all_passed else 1
+    return 0 if summary["all_passed"] else 1
 
 
 def _label(x):

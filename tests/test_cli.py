@@ -150,3 +150,59 @@ def test_simulate_single_path_format(twostate, capsys):
     visited = sorted({x for x, v in local.items() if v > 0} | {1})
     assert lines[2].startswith("# endpoint=")
     assert lines[2].endswith(f" horizon=2.0 range={visited}")
+
+
+@pytest.fixture()
+def seeded_rayknight(tmp_path):
+    cfg = tmp_path / "rk.json"
+    cfg.write_text(json.dumps({"kind": "verify-rayknight", "name": "rk-seeded", "pivot": 2,
+                               "level": 1.0, "samples": 2_000, "seed": 9}))
+    return str(cfg)
+
+
+def _csv_header(path) -> str:
+    return path.read_text().splitlines()[0]
+
+
+def test_verify_seed_option_replaces_config_seed(tmp_path, seeded_rayknight):
+    out_dir = tmp_path / "seeded"
+    assert main(["verify-rayknight", "--config", seeded_rayknight, "--out", str(out_dir)]) == 0
+    # a run without --seed keeps the config's seed and its config hash
+    assert _csv_header(out_dir / "rk-seeded.csv") == (
+        "# config_hash=cd8836db0788e64b, seed=9, kind=verify-rayknight")
+    out_dir = tmp_path / "overridden"
+    assert main(["verify-rayknight", "--config", seeded_rayknight, "--out", str(out_dir),
+                 "--seed", "5"]) == 0
+    assert ", seed=5, " in _csv_header(out_dir / "rk-seeded.csv")
+    summary = json.loads((out_dir / "summary.json").read_text())
+    assert summary["config"]["seed"] == 5
+    assert [exp["seed"] for exp in summary["config"]["experiments"]] == [5]
+
+
+@pytest.mark.parametrize("command", ["verify-density", "verify-rayknight"])
+@pytest.mark.parametrize("samples", ["0", "-5"])
+def test_verify_rejects_nonpositive_samples(seeded_rayknight, capsys, command, samples):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--config", seeded_rayknight, "--samples", samples])
+    assert exc.value.code == 2
+    assert "argument --samples: must be finite and > 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("V", ["0.5", "0.5,0.1,0.2"], ids=["short", "long"])
+def test_ldp_varadhan_rejects_V_of_wrong_length(twostate, capsys, V):
+    status = main(["ldp", "--generator", twostate, "--S", "1,2", "--T", "5",
+                   "--mode", "varadhan", "--V", V])
+    assert status == 2
+    assert "V has" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("V", [[0.5], [0.0, 0.5, 0.1]], ids=["short", "long"])
+def test_verify_config_with_V_of_wrong_length_exits_2(tmp_path, capsys, V):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"experiments": [{
+        "kind": "ldp-varadhan", "name": "exponential",
+        "generator": {"states": [1, 2], "rates": [[1, 2, 1.0], [2, 1, 1.0]]},
+        "start": 1, "S": [1, 2], "V": V, "T": 5.0}]}))
+    status = main(["verify-density", "--config", str(cfg), "--out", str(tmp_path / "out")])
+    assert status == 2
+    assert "'exponential': V has" in capsys.readouterr().err

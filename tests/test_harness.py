@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -177,6 +178,20 @@ def test_linear_varadhan_supremum_matches_grid():
     assert sup == pytest.approx(float(vals.max()), abs=1e-7)
 
 
+def test_functional_as_dict_or_list():
+    three = srw_generator(0, 2)
+    listed, keyed = [0.0, 0.3, 0.1], {0: 0.0, 1: 0.3, 2: 0.1}
+    assert linear_varadhan_supremum(three, (0, 1, 2), keyed) == \
+        linear_varadhan_supremum(three, (0, 1, 2), listed)
+    assert log_mgf_exact(three, 0, (0, 1, 2), keyed, 2.0) == \
+        log_mgf_exact(three, 0, (0, 1, 2), listed, 2.0)
+    for short_or_long in ([0.0, 0.3], [0.0, 0.3, 0.1, 0.2]):
+        with pytest.raises(ValueError, match="V has"):
+            linear_varadhan_supremum(three, (0, 1, 2), short_or_long)
+        with pytest.raises(ValueError, match="V has"):
+            log_mgf_exact(three, 0, (0, 1, 2), short_or_long, 2.0)
+
+
 def test_log_mgf_exact_against_eigen_decomposition():
     V = [0.0, 0.5]
     T = 3.0
@@ -259,6 +274,54 @@ def test_run_suite_rejects_unknown_kind(tmp_path):
         run_suite({"experiments": [{"kind": "nope"}]}, str(tmp_path / "o"))
     with pytest.raises(ConfigParseError):
         run_suite({"experiments": "x"}, str(tmp_path / "o2"))
+
+
+TWO_STATE_SPEC = {"states": [1, 2], "rates": [[1, 2, 1.0], [2, 1, 1.0]]}
+VARADHAN = {"kind": "ldp-varadhan", "generator": TWO_STATE_SPEC,
+            "start": 1, "S": [1, 2], "V": [0.0, 0.5], "T": 5.0}
+
+
+@pytest.mark.parametrize("experiments, message", [
+    ([dict(VARADHAN, name="same"), dict(VARADHAN, name="same")], "'same' is already used"),
+    ([dict(VARADHAN, name="../up")], "not a plain file name"),
+    ([dict(VARADHAN, name="sub/dir")], "not a plain file name"),
+    ([dict(VARADHAN, name=f"ok-{k}") for k in range(3)] + [{"kind": "nope"}],
+     "#3: kind 'nope' is not one of"),
+], ids=["duplicate", "parent-dir", "sub-dir", "unknown-kind-last"])
+def test_run_suite_checks_every_experiment_before_running(tmp_path, experiments, message):
+    out_dir = tmp_path / "o"
+    with pytest.raises(ConfigParseError, match=message):
+        run_suite({"experiments": experiments}, str(out_dir))
+    assert not out_dir.exists() and not (tmp_path / "up.csv").exists()
+
+
+# sha256 of every file one run of this config writes; a change to a number or
+# to the CSV layout of any of the four kinds shows here.  summary.json holds
+# the config in its key order, so the entries are spelled out in full
+PINNED_CONFIG = {"seed": 3, "experiments": [
+    {"kind": "verify-density", "name": "law", "generator": TWO_STATE_SPEC, "start": 1,
+     "endpoint": 2, "range": [1, 2], "T": 1.0, "samples": 20_000, "cells": 10},
+    {"kind": "verify-rayknight", "name": "profile", "pivot": 2, "level": 1.0,
+     "samples": 2_000},
+    {"kind": "ldp-probability", "name": "halfspace", "generator": TWO_STATE_SPEC,
+     "start": 1, "S": [1, 2], "state": 2, "threshold": 0.8, "T": 5.0, "samples": 20_000},
+    {"kind": "ldp-varadhan", "name": "exponential", "generator": TWO_STATE_SPEC,
+     "start": 1, "S": [1, 2], "V": [0.0, 0.5], "T": 5.0},
+]}
+PINNED_DIGESTS = {
+    "exponential.csv": "932e85670633579a7a474a9cad36cc10d415ad19c2770002b3b045c72044d842",
+    "halfspace.csv": "0578f2debdc06cfbe383e8903f4f5186a6c1d4971913e90e7dc42242b5c209ee",
+    "law.csv": "5dea1b3f1793b3ca7c7559645163c1202331075ebe579db26b1cc4b2a314b5a5",
+    "profile.csv": "149e004d96312c307f7506a2ed045cbaff429b0c36ac3bb2bad7ee8c05f43c3f",
+    "summary.json": "6176073c20043db6e92de03d89838b37af402c162820be32b379b4b1dafb82a9",
+}
+
+
+def test_run_suite_output_of_every_kind_pinned(tmp_path):
+    assert run_suite(PINNED_CONFIG, str(tmp_path)) == 0
+    digests = {f: hashlib.sha256((tmp_path / f).read_bytes()).hexdigest()
+               for f in sorted(os.listdir(tmp_path))}
+    assert digests == PINNED_DIGESTS
 
 
 def test_verify_density_asymmetric_chain():
