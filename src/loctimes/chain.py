@@ -59,7 +59,7 @@ class Generator:
     def submatrix(self, labels: Sequence) -> np.ndarray:
         """Rate matrix restricted to labels x labels (no re-conservation)."""
         idx = self.indices(labels)
-        return self.rates[np.ix_(idx, idx)]
+        return self.rates[idx[:, None], idx]
 
     def is_symmetric(self, tol: float = 1e-12) -> bool:
         return bool(np.all(np.abs(self.rates - self.rates.T) <= tol))

@@ -90,9 +90,17 @@ def cmd_ldp(args) -> int:
         if args.inf_rate is not None:
             inf_rate = args.inf_rate
         elif args.halfspace is not None:
-            state_text, thresh_text = args.halfspace.split(":")
+            state_text, _, thresh_text = args.halfspace.partition(":")
+            try:
+                threshold = float(thresh_text)
+            except ValueError:
+                threshold = math.nan
+            if not math.isfinite(threshold):
+                raise ConfigParseError(
+                    f"--halfspace needs STATE:THRESH with a finite threshold, "
+                    f"got {args.halfspace!r}")
             inf_rate = harness.halfspace_rate_infimum(
-                gen, S, _parse_label(state_text), float(thresh_text))
+                gen, S, _parse_label(state_text), threshold)
         else:
             raise ConfigParseError("ldp prob needs --inf-rate or --halfspace STATE:THRESH")
         bound = ldp_probability_bound(gen, S, inf_rate, args.T)

@@ -28,15 +28,26 @@ Three independent evaluations are provided:
 * :func:`density_tridiagonal` - the nearest-neighbor product formula, one
   scalar edge kernel (or its derivative) per interval edge.
 
-The density depends only on the rates inside R x R; everything here slices
-the generator accordingly.
+The density depends only on the rates inside R x R, and only the local times
+change from point to point.  Everything else a request on (R, a, b) owes is
+built once into a :class:`PreparedRange` (:func:`prepare_range`): the rate
+block, B, the diagonal, eta and the symmetry flag (:class:`RangeRates`,
+shared by every route and by the bounds in :mod:`rates`), the cofactor
+operator's subsets and weights, and, filled on first use, the flow-series
+terms of each truncation order.  The cache is keyed by content (the bytes of
+the rate block, the positions of a and b, the conjugation vector), so an
+in-place edit of ``gen.rates`` misses it instead of reading a stale value; it
+is bounded at the last 16 ranges, and every cached array is read-only.  The
+diagonal stays the strided view ``np.diag(A)``: a contiguous copy changes
+``L @ diag`` in the last bit, and the values must match an uncached
+evaluation bit for bit.
 """
 
 import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
-from typing import Dict, Iterable, Optional, Sequence, Tuple
+from typing import Dict, Iterable, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.special import gammainc
@@ -189,21 +200,32 @@ def _stirling2(q: int) -> Tuple[int, ...]:
     return row
 
 
-def _tail_sums(q: int, S: np.ndarray, orders: np.ndarray) -> np.ndarray:
+def _poisson_tails(S: np.ndarray, orders: np.ndarray, shifts: int) -> np.ndarray:
+    """P(Poisson(S) > n0 - k) for every shift k < ``shifts`` (axis 0), every
+    truncation order n0 in ``orders`` (axis 1) and every S (axis 2), as one
+    call of the regularized lower incomplete gamma function P(n0 - k + 1, S);
+    1 where n0 < k."""
+    n0 = np.asarray(orders)[None, :, None]
+    k = np.arange(shifts)[:, None, None]
+    return np.where(n0 >= k, gammainc(np.maximum(n0 - k + 1, 1), S), 1.0)
+
+
+def _tail_sums(q: int, S: np.ndarray, orders: np.ndarray,
+               poisson: Optional[np.ndarray] = None) -> np.ndarray:
     """sum over N > n0 of N^q S^N / N! in closed form, for every truncation
     order n0 in ``orders`` (rows) and every S (columns).
 
     Expanding N^q = sum_k S(q,k) N(N-1)...(N-k+1) turns each piece into a
     Poisson tail, sum_{N > n0} N(N-1)...(N-k+1) S^N/N! =
-    S^k e^S P(Poisson(S) > n0 - k), and P(Poisson(S) > m) is the regularized
-    lower incomplete gamma function P(m + 1, S).
+    S^k e^S P(Poisson(S) > n0 - k), read from ``poisson`` (see
+    :func:`_poisson_tails`, which computes it when not given).
     """
-    n0 = np.asarray(orders)[:, None]
-    total = np.zeros((len(n0), len(S)))
+    if poisson is None:
+        poisson = _poisson_tails(S, orders, q + 1)
+    total = np.zeros((len(orders), len(S)))
     for k, c in enumerate(_stirling2(q)):
         if c:
-            tail = np.where(n0 >= k, gammainc(np.maximum(n0 - k + 1, 1), S), 1.0)
-            total += c * S ** k * tail
+            total += c * S ** k * poisson[k]
     with np.errstate(over="ignore"):
         return np.exp(S) * total
 
@@ -215,11 +237,27 @@ def _series_support(Btilde: np.ndarray) -> Tuple[Tuple[int, int], ...]:
     )
 
 
+def _read_only(*arrays: np.ndarray) -> None:
+    for arr in arrays:
+        arr.flags.writeable = False
+
+
+class _OrderTerms(NamedTuple):
+    """What the series needs at one truncation order, whatever the point."""
+
+    n_flows: int
+    log_coef: np.ndarray    # (F,) log of prod_e |w_e|^{n_e} / n_e!
+    sign: object            # 1.0, or (F, 1) signs of the negative weights
+    degree: np.ndarray      # (F, n_nodes) out-degrees as floats
+    factors: np.ndarray     # (subsets, F) prod_{x in Q} degree[:, x]
+
+
 class _OperatorSeries:
     """A cofactor operator applied to the balanced-flow series of ``Btilde``.
 
     Holds what does not depend on the local times: the support edges and
-    their weights, and the derivative subsets Q with their operator weights.
+    their weights, the derivative subsets Q with their operator weights and
+    index data, and, filled on first use, the terms of each truncation order.
     A subset holding a state that no support edge touches is dropped, since
     the derivative in that state kills every term.
     """
@@ -230,6 +268,34 @@ class _OperatorSeries:
         self.w = np.array([Btilde[e] for e in self.edges])
         touched = {x for e in self.edges for x in e}
         self.weights = {Q: c for Q, c in weights.items() if touched.issuperset(Q)}
+        self._subsets = list(self.weights)
+        self._xs = np.array([x for x, _ in self.edges], dtype=int)
+        self._ys = np.array([y for _, y in self.edges], dtype=int)
+        self._abs_w = np.abs(self.w)
+        self._coefs = np.array([self.weights[Q] for Q in self._subsets])
+        self._abs_coefs = np.abs(self._coefs)
+        # subset positions padded to one width with position n_nodes, which
+        # _subset_products points at a column of ones
+        width = max((len(Q) for Q in self._subsets), default=0)
+        self._padded = np.full((len(self._subsets), width), self.n_nodes)
+        self._by_size: Dict[int, list] = {}
+        for k, Q in enumerate(self._subsets):
+            self._padded[k, :len(Q)] = Q
+            self._by_size.setdefault(len(Q), []).append(k)
+        _read_only(self.w, self._xs, self._ys, self._abs_w, self._coefs,
+                   self._abs_coefs, self._padded)
+        self._terms: Dict[Tuple[int, int], _OrderTerms] = {}
+
+    def _subset_products(self, L: np.ndarray) -> np.ndarray:
+        """prod_{x in Q} l_x for each row of L (rows) and subset Q (columns),
+        multiplied in the order of Q, as ``np.prod`` does."""
+        if self._padded.shape[1] == 0:
+            return np.ones((len(L), len(self._subsets)))
+        Lp = np.concatenate([L, np.ones((len(L), 1))], axis=1)
+        prods = Lp[:, self._padded[:, 0]]
+        for k in range(1, self._padded.shape[1]):
+            prods = prods * Lp[:, self._padded[:, k]]
+        return prods
 
     def majorant(self, L: np.ndarray) -> Tuple[np.ndarray, Dict[int, np.ndarray]]:
         """The order-independent part of the remainder bound at each row of L.
@@ -238,27 +304,51 @@ class _OperatorSeries:
         S = sum |Btilde[x,y]| sqrt(l_x l_y), the undifferentiated tail is at
         most sum_{N > order} S^N/N!, and a derivative in x at most multiplies
         an order-N term by N / l_x.  Returns S and, per subset size q, the
-        sum over |Q| = q of |weight| / prod_{x in Q} l_x.
+        sum over |Q| = q of |weight| / prod_{x in Q} l_x, accumulated in the
+        order of the subsets.
         """
-        xs = [x for x, _ in self.edges]
-        ys = [y for _, y in self.edges]
-        S = np.sqrt(L[:, xs] * L[:, ys]) @ np.abs(self.w)
-        by_size: Dict[int, np.ndarray] = {}
-        for Q, c in self.weights.items():
-            part = abs(c) / np.prod(L[:, list(Q)], axis=1)
-            by_size[len(Q)] = by_size.get(len(Q), 0.0) + part
+        S = np.sqrt(L[:, self._xs] * L[:, self._ys]) @ self._abs_w
+        parts = self._abs_coefs / self._subset_products(L)
+        by_size = {q: np.add.accumulate(parts[:, cols], axis=1)[:, -1]
+                   for q, cols in self._by_size.items()}
         return S, by_size
 
     @staticmethod
     def tails(majorant: Tuple[np.ndarray, Dict[int, np.ndarray]],
               orders: np.ndarray) -> np.ndarray:
         """Certified remainder bounds at each truncation order in ``orders``
-        (rows) and each point (columns); see :meth:`majorant`."""
+        (rows) and each point (columns); see :meth:`majorant`.  The Poisson
+        tails of every Stirling shift come from one gamma-function call
+        shared by all subset sizes."""
         S, by_size = majorant
         total = np.zeros((len(orders), len(S)))
-        for q, scale in by_size.items():
-            total += scale * _tail_sums(q, S, orders)
+        if by_size:
+            poisson = _poisson_tails(S, orders, max(by_size) + 1)
+            for q, scale in by_size.items():
+                total += scale * _tail_sums(q, S, orders, poisson)
         return total
+
+    def _order_terms(self, order: int, flow_cap: int) -> _OrderTerms:
+        terms = self._terms.get((order, flow_cap))
+        if terms is not None:
+            return terms
+        table = flow_table(self.edges, self.n_nodes, order, flow_cap)
+        counts, w = table.counts, self.w
+        sign = 1.0
+        if np.iscomplexobj(w):
+            # complex weights: exp(n log w) reproduces w^n exactly
+            log_coef = counts @ np.log(w) - table.log_count_factorials
+        else:
+            log_coef = counts @ np.log(np.abs(w)) - table.log_count_factorials
+            if np.any(w < 0.0):
+                sign = np.where(counts[:, w < 0.0].sum(axis=1) % 2 == 1, -1.0, 1.0)[:, None]
+                _read_only(sign)
+        degree = table.out_degree.astype(float)
+        factors = np.stack([degree[:, list(Q)].prod(axis=1) for Q in self._subsets])
+        _read_only(log_coef, degree, factors)
+        terms = _OrderTerms(table.n_flows, log_coef, sign, degree, factors)
+        self._terms[(order, flow_cap)] = terms
+        return terms
 
     def values(self, L: np.ndarray, order: int, flow_cap: int) -> np.ndarray:
         """The series truncated at total flow count ``order``, for each row of L.
@@ -271,28 +361,15 @@ class _OperatorSeries:
         """
         if not self.weights:
             return np.zeros(len(L))
-        table = flow_table(self.edges, self.n_nodes, order, flow_cap)
-        counts, w = table.counts, self.w
-        sign = 1.0
-        if np.iscomplexobj(w):
-            # complex weights: exp(n log w) reproduces w^n exactly
-            log_coef = counts @ np.log(w) - table.log_count_factorials
-        else:
-            log_coef = counts @ np.log(np.abs(w)) - table.log_count_factorials
-            if np.any(w < 0.0):
-                sign = np.where(counts[:, w < 0.0].sum(axis=1) % 2 == 1, -1.0, 1.0)[:, None]
-        degree = table.out_degree.astype(float)
-        subsets = list(self.weights)
-        factors = np.stack([degree[:, list(Q)].prod(axis=1) for Q in subsets])
-        coefs = np.array([self.weights[Q] for Q in subsets])
-        out = np.empty(len(L), dtype=log_coef.dtype)
-        chunk = max(1, _BLOCK_TERMS // table.n_flows)
+        terms = self._order_terms(order, flow_cap)
+        out = np.empty(len(L), dtype=terms.log_coef.dtype)
+        chunk = max(1, _BLOCK_TERMS // terms.n_flows)
         for lo in range(0, len(L), chunk):
             Lc = L[lo:lo + chunk]
-            terms = sign * np.exp(log_coef[:, None] + degree @ np.log(Lc).T)
-            per_subset = factors @ terms
-            per_subset /= np.stack([np.prod(Lc[:, list(Q)], axis=1) for Q in subsets])
-            out[lo:lo + chunk] = coefs @ per_subset
+            base = terms.sign * np.exp(terms.log_coef[:, None] + terms.degree @ np.log(Lc).T)
+            per_subset = terms.factors @ base
+            per_subset /= self._subset_products(Lc).T
+            out[lo:lo + chunk] = self._coefs @ per_subset
         return out
 
 
@@ -349,6 +426,95 @@ def apply_cofactor_operator(
 
 
 # ---------------------------------------------------------------------------
+# prepared ranges
+# ---------------------------------------------------------------------------
+
+# ranges kept per process; a caller asks for many points of one range in a
+# burst, not for one range now and again much later, so a few suffice
+_PREPARED_RANGES = 16
+
+
+@dataclass(frozen=True, eq=False)
+class RangeRates:
+    """The rates on R x R and what depends on them alone.  Every array is
+    read-only, since one instance serves every request on the same block."""
+
+    A: np.ndarray       # the rate block, killed outside R (no re-conservation)
+    B: np.ndarray       # its off-diagonal part
+    diag: np.ndarray    # np.diag(A), the strided view of A (see range_rates)
+    eta: float          # max absolute row/column sum of B, floored at 1
+    symmetric: bool     # A equals its transpose to 1e-12
+
+
+@lru_cache(maxsize=_PREPARED_RANGES)
+def _range_rates(block: bytes, r: int) -> RangeRates:
+    A = np.frombuffer(block).reshape(r, r)
+    B = A.copy()
+    np.fill_diagonal(B, 0.0)
+    _read_only(B)
+    absB = np.abs(B)
+    return RangeRates(
+        A=A, B=B, diag=np.diag(A),
+        eta=float(max(absB.sum(axis=1).max(), absB.sum(axis=0).max(), 1.0)),
+        symmetric=bool(np.allclose(A, A.T, atol=1e-12)),
+    )
+
+
+def range_rates(gen: Generator, R: Sequence) -> RangeRates:
+    """The :class:`RangeRates` of ``gen`` on ``R``, memoized by content.
+
+    The key is the bytes and size of the rate block, so an in-place edit of
+    ``gen.rates`` misses the cache instead of reading a stale entry.  The
+    diagonal stays the strided view ``np.diag(A)`` of a C-ordered block,
+    as a fresh slice would give: a contiguous copy can change ``L @ diag``
+    in the last bit.
+    """
+    A = np.asarray(gen.submatrix(R), dtype=float)
+    return _range_rates(A.tobytes(), A.shape[0])
+
+
+@dataclass(frozen=True, eq=False)
+class PreparedRange:
+    """Everything a density request on (R, a, b) owes that does not depend
+    on the local times: the rates on R x R and the cofactor operator applied
+    to the (optionally conjugated) flow series, whose per-order terms fill
+    in on first use."""
+
+    rates: RangeRates
+    series: _OperatorSeries
+
+
+@lru_cache(maxsize=_PREPARED_RANGES)
+def _prepared_range(block: bytes, r: int, a: int, b: int,
+                    conjugation: Optional[bytes]) -> PreparedRange:
+    rates = _range_rates(block, r)
+    B = rates.B
+    if conjugation is not None:
+        rvec = np.frombuffer(conjugation)
+        Btilde = B * rvec[:, None] / rvec[None, :]
+    else:
+        Btilde = B
+    return PreparedRange(rates, _OperatorSeries(Btilde, cofactor_subset_weights(B, a, b)))
+
+
+def prepare_range(gen: Generator, R: Sequence, a, b,
+                  conjugation: Optional[Sequence] = None) -> PreparedRange:
+    """The :class:`PreparedRange` of a density request, memoized by content:
+    the rate block as in :func:`range_rates`, the positions of a and b, and
+    the bytes of the conjugation vector (see :func:`density_batch`)."""
+    R = tuple(R)
+    a_pos, b_pos = R.index(a), R.index(b)
+    A = np.asarray(gen.submatrix(R), dtype=float)
+    conj = None
+    if conjugation is not None:
+        rvec = np.asarray(conjugation, dtype=float)
+        if rvec.shape != (len(R),) or np.any(rvec <= 0):
+            raise ValueError("conjugation must be a positive vector on R")
+        conj = rvec.tobytes()
+    return _prepared_range(A.tobytes(), len(R), a_pos, b_pos, conj)
+
+
+# ---------------------------------------------------------------------------
 # the density, three ways
 # ---------------------------------------------------------------------------
 
@@ -369,7 +535,9 @@ def density_batch(
     orders)``, each of length P, with every error bound at most ``tol``.
 
     The support, the cofactor subset weights (one batched determinant, see
-    :func:`cofactor_subset_weights`) and diag(A) are prepared once.  The tail
+    :func:`cofactor_subset_weights`), diag(A) and the flow-series terms of
+    each order come from the memoized :func:`prepare_range`, so repeated
+    calls on one range build them once.  The tail
     certificate is a closed formula, evaluated at every order of the schedule
     and every point in one array pass, so each point gets the lowest order of
     the schedule that certifies it before any flow is enumerated.
@@ -389,19 +557,9 @@ def density_batch(
     if not np.all(L >= MIN_LOCAL_TIME):
         raise DomainError(
             f"local times must exceed {MIN_LOCAL_TIME}; got min {np.min(L):.3e}")
-    a_pos, b_pos = R.index(a), R.index(b)
-    A = gen.submatrix(R)
-    B = A.copy()
-    np.fill_diagonal(B, 0.0)
-    if conjugation is not None:
-        rvec = np.asarray(conjugation, dtype=float)
-        if rvec.shape != (len(R),) or np.any(rvec <= 0):
-            raise ValueError("conjugation must be a positive vector on R")
-        Btilde = B * rvec[:, None] / rvec[None, :]
-    else:
-        Btilde = B
-    series = _OperatorSeries(Btilde, cofactor_subset_weights(B, a_pos, b_pos))
-    diag_factor = np.exp(L @ np.diag(A))
+    prepared = prepare_range(gen, R, a, b, conjugation)
+    series = prepared.series
+    diag_factor = np.exp(L @ prepared.rates.diag)
     majorant = series.majorant(L)
 
     schedule = np.array(_ORDER_SCHEDULE)
@@ -532,9 +690,8 @@ def density_quadrature(
     if len(R) > 4:
         raise ValueError("density_quadrature is limited to |R| <= 4")
     a_pos, b_pos = R.index(a), R.index(b)
-    A = gen.submatrix(R)
-    B = A.copy()
-    np.fill_diagonal(B, 0.0)
+    rates = range_rates(gen, R)
+    A, B = rates.A, rates.B
 
     value = _quadrature_value(A, B, point.values, a_pos, b_pos, grid_size)
     if tol is not None:
@@ -585,9 +742,8 @@ def density_tridiagonal(gen: Generator, R: Sequence, a, b, l) -> float:
     a, b = int(a), int(b)
     if a > b:
         raise ValueError("density_tridiagonal requires a <= b")
-    A = gen.submatrix(R_sorted)
-    off = A.copy()
-    np.fill_diagonal(off, 0.0)
+    rates = range_rates(gen, R_sorted)
+    A, off = rates.A, rates.B
     r = len(R_sorted)
     band = np.abs(np.arange(r)[:, None] - np.arange(r)[None, :]) >= 2
     if np.any(off[band] != 0.0):
@@ -595,7 +751,7 @@ def density_tridiagonal(gen: Generator, R: Sequence, a, b, l) -> float:
 
     lvec = point.values
     pos = {x: i for i, x in enumerate(R_sorted)}
-    value = math.exp(float(np.dot(np.diag(A), lvec)))
+    value = math.exp(float(np.dot(rates.diag, lvec)))
     for x in R_sorted[:-1]:
         i = pos[x]
         c = A[i, i + 1] * A[i + 1, i]

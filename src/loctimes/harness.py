@@ -36,15 +36,20 @@ from .rayknight import sample_rk_profile_batch
 # ---------------------------------------------------------------------------
 
 def load_config(path: str) -> dict:
+    """Read a JSON config document, which must be an object at the top level."""
     try:
         with open(path) as fh:
-            return json.load(fh)
+            config = json.load(fh)
     except OSError as exc:
         raise ConfigParseError(f"cannot read config {path}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise ConfigParseError(
             f"config {path} is not valid JSON at line {exc.lineno}, column {exc.colno}"
         ) from None
+    if not isinstance(config, dict):
+        raise ConfigParseError(
+            f"config {path} must be a JSON object, got {type(config).__name__}")
+    return config
 
 
 def generator_from_config(spec, base_dir: str = ".") -> Generator:
@@ -85,7 +90,7 @@ def _match_label(states, key):
     for s in states:
         if str(s) == key:
             return s
-    raise ConfigParseError(f"diagonal key {key!r} is not a state label")
+    raise ConfigParseError(f"key {key!r} is not a state label")
 
 
 def config_hash(resolved: dict) -> str:
@@ -643,8 +648,11 @@ def halfspace_rate_infimum(
 
 def _functional_on(S: Tuple, V) -> np.ndarray:
     """A linear functional on S, given as a list in the order of S or as a
-    dict keyed by state, as a vector."""
-    if not isinstance(V, dict):
+    dict keyed by state (string keys of a JSON object are matched to the
+    labels), as a vector."""
+    if isinstance(V, dict):
+        V = {_match_label(S, k): v for k, v in V.items()}
+    else:
         if len(V) != len(S):
             raise ValueError(f"V has {len(V)} entries but S has {len(S)} states")
         V = dict(zip(S, V))

@@ -19,7 +19,7 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .chain import Generator
-from .density import _coerce_point
+from .density import _coerce_point, range_rates
 from .errors import (
     NotConvergedError,
     NotSymmetricError,
@@ -38,10 +38,7 @@ def eta(gen: Generator, R: Sequence) -> float:
     R = tuple(R)
     if not R:
         raise ValueError("eta needs a nonempty subset")
-    B = gen.submatrix(R)
-    np.fill_diagonal(B, 0.0)
-    absB = np.abs(B)
-    return float(max(absB.sum(axis=1).max(), absB.sum(axis=0).max(), 1.0))
+    return range_rates(gen, R).eta
 
 
 # ---------------------------------------------------------------------------
@@ -209,10 +206,8 @@ def density_upper_bound(
     point = _coerce_point(R, l)
     R = tuple(R)
     T = point.total
-    A = gen.submatrix(R)
-    B = A.copy()
-    np.fill_diagonal(B, 0.0)
-    eta_R = eta(gen, R)
+    rates = range_rates(gen, R)
+    B, eta_R = rates.B, rates.eta
     lvec = point.values
     mu_full = {x: v / T for x, v in zip(R, lvec)}
 
@@ -222,7 +217,7 @@ def density_upper_bound(
     )
     log_prefactor += (len(R) - 1) * math.log(eta_R)
 
-    if np.allclose(A, A.T, atol=1e-12):
+    if rates.symmetric:
         rate = rate_symmetric_on_subset(gen, R, mu_full)
         correction = (1.0 / eta_R + 1.0 / (4.0 * eta_R**2 * T)) * float(B.sum())
     else:
@@ -239,15 +234,15 @@ def rate_symmetric_on_subset(gen: Generator, R: Sequence, mu) -> float:
     """Dirichlet form of sqrt(mu) for mu supported on R (uses rates on R x R
     only, which is all the rate function sees for such mu)."""
     R = tuple(R)
-    A = gen.submatrix(R)
-    if not np.allclose(A, A.T, atol=1e-12):
+    rates = range_rates(gen, R)
+    if not rates.symmetric:
         raise NotSymmetricError("rates on R are not symmetric")
     if isinstance(mu, dict):
         vec = np.array([float(mu.get(x, 0.0)) for x in R])
     else:
         vec = np.asarray(mu, dtype=float)
     s = np.sqrt(vec)
-    return float(s @ (-A) @ s)
+    return float(s @ (-rates.A) @ s)
 
 
 # ---------------------------------------------------------------------------

@@ -206,3 +206,29 @@ def test_verify_config_with_V_of_wrong_length_exits_2(tmp_path, capsys, V):
     status = main(["verify-density", "--config", str(cfg), "--out", str(tmp_path / "out")])
     assert status == 2
     assert "'exponential': V has" in capsys.readouterr().err
+
+
+def test_verify_config_with_string_keyed_V(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"experiments": [{
+        "kind": "ldp-varadhan", "name": "d", "generator": {"srw": [0, 2]},
+        "start": 0, "S": [0, 1, 2], "V": {"0": 0.0, "1": 0.3, "2": 0.1}, "T": 5.0,
+        "samples": 2_000}]}))
+    assert main(["verify-density", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+
+
+@pytest.mark.parametrize("halfspace", ["2", "2:", "2:abc", "2:nan", "2:0.5:1"])
+def test_ldp_halfspace_without_finite_threshold_exits_2(twostate, capsys, halfspace):
+    status = main(["ldp", "--generator", twostate, "--S", "1,2", "--T", "10",
+                   "--mode", "prob", "--halfspace", halfspace])
+    assert status == 2
+    assert "--halfspace needs STATE:THRESH" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("document", ["[1, 2]", "3", '"config"', "null"])
+def test_verify_config_that_is_not_an_object_exits_2(tmp_path, capsys, document):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(document)
+    status = main(["verify-density", "--config", str(cfg), "--out", str(tmp_path / "out")])
+    assert status == 2
+    assert "must be a JSON object" in capsys.readouterr().err

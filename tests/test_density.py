@@ -1,3 +1,4 @@
+import hashlib
 import importlib
 import math
 from itertools import combinations
@@ -21,6 +22,8 @@ from loctimes.density import (
     density_certified,
     density_quadrature,
     density_tridiagonal,
+    prepare_range,
+    range_rates,
     _tail_sums,
     replaced_matrix,
     torus_series,
@@ -32,6 +35,7 @@ from loctimes.errors import (
     NotTridiagonalError,
     ResidualImaginaryError,
 )
+from loctimes.rates import density_upper_bound, eta
 
 # the package exports a function named density, so fetch the module itself
 density_module = importlib.import_module("loctimes.density")
@@ -644,3 +648,126 @@ def test_series_accepts_complex_weights():
     conj = Bt * np.array([[1.0, phase], [1.0 / phase, 1.0]])
     got = torus_series(conj, [0.7, 0.6], (), 40).value
     assert abs(got - base) < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# prepared ranges
+# ---------------------------------------------------------------------------
+
+def _pinned_chain(rng, kind, n):
+    """A random chain on n states: nearest-neighbor rates on an interval
+    (one-way at the right end for odd n), or a one-way Hamiltonian cycle plus
+    one chord."""
+    A = np.zeros((n, n))
+    if kind == "interval":
+        for i in range(n - 1):
+            A[i, i + 1], A[i + 1, i] = rng.uniform(0.5, 1.5, 2)
+        if n % 2:
+            A[n - 1, n - 2] = 0.0   # one-way last edge
+    else:
+        order = rng.permutation(n)
+        for k in range(n):
+            A[order[k], order[(k + 1) % n]] = rng.uniform(0.5, 1.5)
+        free = np.argwhere((A == 0) & ~np.eye(n, dtype=bool))
+        x, y = free[rng.integers(len(free))]
+        A[x, y] = rng.uniform(0.5, 1.5)
+    return validate_generator(A)
+
+
+def _pinned_outputs():
+    """Every route on seeded chains with |R| = 3..6, a < b and a == b, as
+    float.hex strings; one batch is conjugated."""
+    rng = np.random.default_rng(2024)
+    out = []
+    for n in (3, 4, 5, 6):
+        for kind in ("interval", "support"):
+            gen = _pinned_chain(rng, kind, n)
+            R = gen.states
+            T = 1.0 + rng.uniform(0.0, 1.0)
+            L = T * np.maximum(rng.dirichlet(np.full(n, 2.0), 3), 0.02)
+            for a, b in ((0, n - 1), (1, 1)):
+                for l in L:
+                    ev = density_certified(gen, R, a, b, l)
+                    out.append((ev.value.hex(), ev.error_bound.hex(), ev.order))
+                    if kind == "interval":
+                        out.append(density_tridiagonal(gen, R, a, b, l).hex())
+                values, bounds, orders = density_batch(gen, R, a, b, L)
+                out.extend((v.hex(), e.hex(), int(o)) for v, e, o in zip(values, bounds, orders))
+                if n <= 4:
+                    out.append(density_quadrature(gen, R, a, b, L[0]).hex())
+                if kind == "support" or n % 2 == 0:    # irreducible on R
+                    out.append(density_upper_bound(gen, R, a, b, L[0]).hex())
+            if n == 4 and kind == "support":
+                r = rng.uniform(0.7, 1.4, n)
+                values, bounds, orders = density_batch(gen, R, 0, 2, L, conjugation=r)
+                out.extend((v.hex(), e.hex(), int(o)) for v, e, o in zip(values, bounds, orders))
+    return out
+
+
+def test_routes_match_pinned_digest():
+    # sha256 of the float.hex outputs of every route, taken before the
+    # prepared-range cache existed: the cache must not move a single bit
+    out = _pinned_outputs()
+    assert len(out) == 143
+    assert hashlib.sha256(repr(out).encode()).hexdigest() == (
+        "4a7b58af5760f3109bcab1de6eb144d164ca62759cb0f30206fe859395b2af89")
+
+
+def test_repeated_request_is_identical_and_shares_the_range():
+    rng = np.random.default_rng(1300)
+    gen = _pinned_chain(rng, "support", 5)
+    R, l = gen.states, random_point(rng, 5, 1.5)
+    first = density_certified(gen, R, 0, 3, l)
+    again = density_certified(gen, R, 0, 3, l)
+    assert (again.value, again.error_bound, again.order) == (
+        first.value, first.error_bound, first.order)
+    assert prepare_range(gen, R, 0, 3) is prepare_range(gen, R, 0, 3)
+    assert prepare_range(gen, R, 0, 3).rates is range_rates(gen, R)
+
+
+def test_in_place_rate_edit_misses_the_cache():
+    rng = np.random.default_rng(1301)
+    gen = _pinned_chain(rng, "support", 4)
+    R, l = gen.states, random_point(rng, 4, 1.5)
+
+    def routes(g):
+        ev = density_certified(g, R, 0, 2, l)
+        return (ev.value, ev.error_bound, ev.order, density_quadrature(g, R, 0, 2, l),
+                density_upper_bound(g, R, 0, 2, l), eta(g, R))
+
+    before = routes(gen)
+    gen.rates[0, 1] += 0.5
+    gen.rates[0, 0] -= 0.5
+    after = routes(gen)
+    assert after != before
+    assert after == routes(validate_generator(gen.rates.copy()))
+
+
+def test_prepared_arrays_are_read_only():
+    rng = np.random.default_rng(1302)
+    gen = _pinned_chain(rng, "support", 4)
+    R = gen.states
+    density_certified(gen, R, 0, 2, random_point(rng, 4, 1.5))
+    prepared = prepare_range(gen, R, 0, 2)
+    rates, series = prepared.rates, prepared.series
+    arrays = [rates.A, rates.B, rates.diag, series.w]
+    assert series._terms
+    for terms in series._terms.values():
+        arrays += [terms.log_coef, terms.degree, terms.factors]
+    for arr in arrays:
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[(0,) * arr.ndim] = 1.0
+
+
+def test_eta_leaves_its_inputs_unchanged():
+    rng = np.random.default_rng(1303)
+    gen = _pinned_chain(rng, "interval", 4)
+    R, l = gen.states, random_point(rng, 4, 1.5)
+    rates = gen.rates.copy()
+    value = density_certified(gen, R, 0, 3, l).value
+    absB = np.abs(rates - np.diag(np.diag(rates)))
+    assert eta(gen, R) == max(absB.sum(axis=1).max(), absB.sum(axis=0).max(), 1.0)
+    assert np.array_equal(gen.rates, rates)
+    assert np.array_equal(range_rates(gen, R).A, rates)
+    assert density_certified(gen, R, 0, 3, l).value == value

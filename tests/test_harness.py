@@ -185,6 +185,14 @@ def test_functional_as_dict_or_list():
         linear_varadhan_supremum(three, (0, 1, 2), listed)
     assert log_mgf_exact(three, 0, (0, 1, 2), keyed, 2.0) == \
         log_mgf_exact(three, 0, (0, 1, 2), listed, 2.0)
+    # a JSON object has string keys; they name the same states
+    string_keyed = {"0": 0.0, "1": 0.3, "2": 0.1}
+    assert linear_varadhan_supremum(three, (0, 1, 2), string_keyed) == \
+        linear_varadhan_supremum(three, (0, 1, 2), listed)
+    assert log_mgf_exact(three, 0, (0, 1, 2), string_keyed, 2.0) == \
+        log_mgf_exact(three, 0, (0, 1, 2), listed, 2.0)
+    with pytest.raises(ConfigParseError, match="key '7' is not a state label"):
+        linear_varadhan_supremum(three, (0, 1, 2), {"0": 0.0, "1": 0.3, "7": 0.1})
     for short_or_long in ([0.0, 0.3], [0.0, 0.3, 0.1, 0.2]):
         with pytest.raises(ValueError, match="V has"):
             linear_varadhan_supremum(three, (0, 1, 2), short_or_long)
