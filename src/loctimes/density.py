@@ -67,6 +67,16 @@ MIN_LOCAL_TIME = 1e-12
 _ORDER_SCHEDULE = (8, 12, 18, 26, 36, 48, 64, 84, 110, 140)
 
 
+def _check_local_times(L: np.ndarray) -> None:
+    """Raise ``DomainError`` unless every local time in ``L`` is finite and
+    at least MIN_LOCAL_TIME: the one domain check of every density route."""
+    ok = np.isfinite(L) & (L >= MIN_LOCAL_TIME)
+    if not ok.all():
+        raise DomainError(
+            f"local times must be finite and at least {MIN_LOCAL_TIME}; "
+            f"got {L[~ok].flat[0]:.3e}")
+
+
 @dataclass
 class SimplexPoint:
     """A strictly positive local-time vector on an ordered range."""
@@ -84,10 +94,7 @@ class SimplexPoint:
             vec = np.asarray(values, dtype=float)
             if vec.shape != (len(range_),):
                 raise ValueError("local-time vector does not match the range")
-        if np.any(vec < MIN_LOCAL_TIME):
-            raise DomainError(
-                f"local times must exceed {MIN_LOCAL_TIME}; got min {vec.min():.3e}"
-            )
+        _check_local_times(vec)
         return cls(range=range_, values=vec, total=float(vec.sum()))
 
 
@@ -380,7 +387,8 @@ def _single_point(
     if not np.iscomplexobj(Btilde):
         Btilde = Btilde.astype(float)
     l = np.asarray(l, dtype=float)
-    if np.any(l <= 0.0) or any(np.any(l[list(Q)] < MIN_LOCAL_TIME) for Q in weights):
+    if (not np.all(np.isfinite(l)) or np.any(l <= 0.0)
+            or any(np.any(l[list(Q)] < MIN_LOCAL_TIME) for Q in weights)):
         raise DomainError("the flow series needs strictly positive local times")
     series = _OperatorSeries(Btilde, weights)
     L = l[None, :]
@@ -554,9 +562,7 @@ def density_batch(
     L = np.asarray(L, dtype=float)
     if L.ndim != 2 or L.shape[1] != len(R):
         raise ValueError(f"local times must be an array of shape (P, {len(R)})")
-    if not np.all(L >= MIN_LOCAL_TIME):
-        raise DomainError(
-            f"local times must exceed {MIN_LOCAL_TIME}; got min {np.min(L):.3e}")
+    _check_local_times(L)
     prepared = prepare_range(gen, R, a, b, conjugation)
     series = prepared.series
     diag_factor = np.exp(L @ prepared.rates.diag)

@@ -7,6 +7,7 @@ all reductions in fixed order, so replaying a config reproduces each number
 exactly.
 """
 
+import functools
 import hashlib
 import json
 import math
@@ -218,12 +219,16 @@ _CELL_ORDERS = (6, 8)
 _FLAG_REL = 1e-6
 
 
+@functools.lru_cache(maxsize=None)
 def _unit_rule(n: int, dim: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Tensor Gauss-Legendre rule with n points per axis on [0, 1]^dim."""
+    """Tensor Gauss-Legendre rule with n points per axis on [0, 1]^dim,
+    built once per (n, dim) and shared, so its arrays are read-only."""
     x, w = np.polynomial.legendre.leggauss(n)
     x, w = 0.5 * (x + 1.0), 0.5 * w
     nodes = np.stack([g.ravel() for g in np.meshgrid(*([x] * dim), indexing="ij")], axis=1)
     weights = np.prod([g.ravel() for g in np.meshgrid(*([w] * dim), indexing="ij")], axis=0)
+    nodes.flags.writeable = False
+    weights.flags.writeable = False
     return nodes, weights
 
 

@@ -7,6 +7,13 @@ uniform and one gather-and-compare per extra target.
 
 * Fixed horizon: an exponential holding time is drawn each round and the
   local times accumulate exact sojourn lengths, never a time discretization.
+  A round draws the holds of the paths still running, clips each at the
+  time left, and adds it into one flat path-major accumulator at
+  ``path * n + state``.  A path whose hold reaches the horizon ends there:
+  its endpoint and jump count (the round number) are written once, then.
+  The round finds the ended and the kept paths with one index pass each and
+  compacts every working array with the same kept indices.  Only the kept
+  paths draw a uniform and jump.
 * Inverse local time: the jump-chain/holding-time split (Norris, *Markov
   Chains*, 1997, section 2.6).  The number of pivot visits is drawn first,
   ``1 + Poisson(q_b * level)``; the rounds run only the discrete jump chain,
@@ -17,6 +24,7 @@ All draws come from one stream in a fixed order, so a seed reproduces every
 emitted number bit for bit.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -91,43 +99,63 @@ def sample_paths_fixed_time(
     gen: Generator, start, T: float, n_paths: int, rng: np.random.Generator
 ) -> BatchPaths:
     """Simulate ``n_paths`` trajectories on [0, T]."""
-    if T <= 0:
-        raise ValueError("need T > 0")
+    if not (math.isfinite(T) and T > 0):
+        raise ValueError("need finite T > 0")
     table = jump_table(gen)
     exit_rates = table.exit_rates
+    absorbing = bool(np.any(exit_rates <= 0))
     n = gen.n_states
     s0 = gen.index(start)
 
-    local = np.zeros((n_paths, n))
+    local = np.zeros(n_paths * n)
+    endpoints = np.full(n_paths, s0, dtype=np.int64)
+    jumps = np.zeros(n_paths, dtype=np.int64)
+    alive = np.arange(n_paths)
     state = np.full(n_paths, s0, dtype=np.int64)
     elapsed = np.zeros(n_paths)
-    jumps = np.zeros(n_paths, dtype=np.int64)
-    final_state = np.full(n_paths, s0, dtype=np.int64)
-    alive = np.arange(n_paths)
 
+    # each full-size temporary is deleted once used, so that fewer are alive
+    # when the next one is allocated: this sets the sampler's peak memory
+    rounds = 0
     while alive.size:
+        hold = rng.exponential(1.0, alive.size)
         rate = exit_rates[state]
-        with np.errstate(divide="ignore"):
-            hold = np.where(rate > 0, rng.exponential(1.0, alive.size) / rate, np.inf)
+        if absorbing:
+            with np.errstate(divide="ignore"):
+                hold = np.where(rate > 0, hold / rate, np.inf)
+        else:
+            hold /= rate
+        del rate
         remaining = T - elapsed
-        add = np.minimum(hold, remaining)
-        local[alive, state] += add
-        elapsed += add
         done = hold >= remaining
-        if np.any(done):
-            final_state[alive[done]] = state[done]
-        keep = ~done
-        alive = alive[keep]
-        state = state[keep]
-        elapsed = elapsed[keep]
-        if alive.size == 0:
-            break
+        np.minimum(hold, remaining, out=hold)
+        del remaining
+        at = alive * n
+        at += state
+        np.add.at(local, at, hold)
+        del at
+        elapsed += hold
+        del hold
+        ended = np.flatnonzero(done)
+        if ended.size:
+            who = alive[ended]
+            endpoints[who] = state[ended]
+            jumps[who] = rounds
+            del who, ended
+            kept = np.flatnonzero(~done)
+            alive = alive[kept]
+            state = state[kept]
+            elapsed = elapsed[kept]
+            del kept
+            if alive.size == 0:
+                break
+        del done
         state = table.step(state, rng.random(alive.size))
-        jumps[alive] += 1
+        rounds += 1
     return BatchPaths(
         states=gen.states,
-        local_times=local,
-        endpoints=final_state,
+        local_times=local.reshape(n_paths, n),
+        endpoints=endpoints,
         jumps=jumps,
         horizons=np.full(n_paths, float(T)),
     )
@@ -152,8 +180,8 @@ def sample_paths_inverse_local_time(
     raises :class:`BudgetExceededError`, as does a batch with paths still
     running after ``max_rounds`` rounds (one jump each).
     """
-    if level <= 0:
-        raise ValueError("need level > 0")
+    if not (math.isfinite(level) and level > 0):
+        raise ValueError("need finite level > 0")
     table = jump_table(gen)
     exit_rates = table.exit_rates
     n = gen.n_states

@@ -225,6 +225,19 @@ def test_ldp_halfspace_without_finite_threshold_exits_2(twostate, capsys, halfsp
     assert "--halfspace needs STATE:THRESH" in capsys.readouterr().err
 
 
+def test_verify_config_with_nan_horizon_exits_2(tmp_path, capsys):
+    # json reads NaN; a sampler run to a NaN horizon would never stop
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "kind": "verify-density", "name": "nan-horizon", "generator": {"srw": [0, 2]},
+        "start": 0, "endpoint": 2, "range": [0, 1, 2], "T": float("nan"), "samples": 1_000,
+    }))
+    assert '"T": NaN' in cfg.read_text()
+    status = main(["verify-density", "--config", str(cfg), "--out", str(tmp_path / "out")])
+    assert status == 2
+    assert "'nan-horizon': need finite T > 0" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("document", ["[1, 2]", "3", '"config"', "null"])
 def test_verify_config_that_is_not_an_object_exits_2(tmp_path, capsys, document):
     cfg = tmp_path / "cfg.json"

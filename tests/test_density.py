@@ -640,6 +640,21 @@ def test_simplex_point_validation():
         SimplexPoint.from_values((0, 1), [0.5, 0.2, 0.3])
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+def test_routes_reject_non_finite_local_times(bad):
+    g, R, l = srw_generator(0, 2), (0, 1, 2), [bad, 0.5, 0.5]
+    for route in (density_certified, density_quadrature, density_tridiagonal,
+                  density_upper_bound):
+        with pytest.raises(DomainError, match="finite"):
+            route(g, R, 0, 2, l)
+    with pytest.raises(DomainError, match="finite"):
+        density_batch(g, R, 0, 2, [[0.5, 0.5, 0.5], l])
+    with pytest.raises(DomainError, match="finite"):
+        SimplexPoint.from_values(R, l)
+    with pytest.raises(DomainError):
+        torus_series(np.ones((2, 2)), [bad, 0.5], (), 10)
+
+
 def test_series_accepts_complex_weights():
     # conjugating by a complex unit leaves the balanced series unchanged
     Bt = np.array([[0.0, 0.8], [1.2, 0.0]])

@@ -11,6 +11,7 @@ from scipy.linalg import expm
 from loctimes.chain import srw_generator, validate_generator
 from loctimes.errors import ConfigParseError, InsufficientConditionedError
 from loctimes.harness import (
+    _unit_rule,
     chi_square_shape_test,
     config_hash,
     expected_cell_masses,
@@ -385,3 +386,13 @@ def test_cell_rules_on_cut_cells_and_the_disagreement_flag():
     assert masses[0] == pytest.approx(1.0 / 6.0, rel=1e-14) and flagged == 0
     _, _, flagged = expected_cell_masses(lambda free: np.abs(free[:, 0] - 0.5), line, 1.0)
     assert flagged == 1
+
+
+def test_unit_rule_is_shared_and_read_only():
+    nodes, weights = _unit_rule(6, 2)
+    assert _unit_rule(6, 2)[0] is nodes
+    assert nodes.shape == (36, 2) and weights.sum() == pytest.approx(1.0, rel=1e-14)
+    for arr in (nodes, weights):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = 0.0

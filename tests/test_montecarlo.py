@@ -67,6 +67,41 @@ def test_fixed_time_output_pinned():
         "40734116d04064c26d41afd82cff4ef70e169e3b1e9d951d3086033e47d24203")
 
 
+# a change to the round kernel must keep every draw and every output bit
+@pytest.mark.parametrize("gen, start, T, n_paths, seed, digest", [
+    (FOUR_STATE, 0, 3.0, 10_000, 31,
+     "8e39160e88a5ae93ac87891ade61157f13d1fb793cbc358300c4d03eac34cf41"),
+    # state 2 is absorbing, so the holds take the zero-exit-rate branch
+    (validate_generator([[0.0, 1.0, 1.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]),
+     0, 3.0, 10_000, 32,
+     "eb49ca814063ea382987f904b66a6585ebc8815ce97d0173bca58e45bdd5c72f"),
+    (srw_generator(-3, 4), 0, 5.0, 1, 33,
+     "cbee3da3537e3cfe879d600e87597f8090bbc5b83e63738edc7a60736f070ebd"),
+], ids=["four-state", "absorbing", "one-path"])
+def test_fixed_time_output_pinned_beyond_srw(gen, start, T, n_paths, seed, digest):
+    batch = sample_paths_fixed_time(gen, start, T, n_paths, np.random.default_rng(seed))
+    assert _digest(batch) == digest
+
+
+@pytest.mark.parametrize("n_paths", [0, 1, 500])
+def test_fixed_time_output_layout(n_paths):
+    batch = sample_paths_fixed_time(FOUR_STATE, 1, 2.0, n_paths, np.random.default_rng(6))
+    assert batch.local_times.shape == (n_paths, 4)
+    assert batch.local_times.flags.c_contiguous
+    assert batch.endpoints.shape == batch.jumps.shape == batch.horizons.shape == (n_paths,)
+    assert batch.endpoints.dtype == batch.jumps.dtype == np.int64
+    assert np.allclose(batch.local_times.sum(axis=1), 2.0, rtol=1e-12)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+def test_samplers_reject_non_finite_horizon(bad):
+    g = srw_generator(0, 2)
+    with pytest.raises(ValueError, match="need finite T > 0"):
+        sample_paths_fixed_time(g, 0, bad, 10, np.random.default_rng(0))
+    with pytest.raises(ValueError, match="need finite level > 0"):
+        sample_paths_inverse_local_time(g, 0, 2, bad, 10, np.random.default_rng(0))
+
+
 def test_jump_table_matches_dense_rule():
     rng = np.random.default_rng(3)
     for n in (2, 3, 5, 8):
