@@ -12,12 +12,10 @@ from .chain import (
     validate_generator,
 )
 from .density import (
-    CofactorOperator,
     DensityEvaluation,
-    SimplexPoint,
     apply_cofactor_operator,
     cofactor,
-    cofactor_operator,
+    cofactor_subset_weights,
     density,
     density_batch,
     density_certified,
@@ -25,7 +23,6 @@ from .density import (
     density_tridiagonal,
     torus_series,
 )
-from .flows import BalancedFlow, enumerate_balanced_flows
 from .montecarlo import (
     sample_paths_fixed_time,
     sample_paths_inverse_local_time,

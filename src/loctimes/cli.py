@@ -8,6 +8,7 @@ acceptance failure, 2 on usage or config errors.
 import argparse
 import math
 import sys
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -40,6 +41,16 @@ def _parse_floats(text: str):
     return [float(t) for t in text.split(",") if t != ""]
 
 
+@contextmanager
+def _request_errors():
+    """Re-raise a ValueError of a malformed request (a label outside the
+    range, a vector of the wrong length) as ConfigParseError: exit status 2."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ConfigParseError(str(exc)) from None
+
+
 def _add_generator_point_args(p):
     p.add_argument("--generator", required=True, help="generator JSON document")
     p.add_argument("--R", required=True, help="comma-separated range labels")
@@ -50,10 +61,10 @@ def _add_generator_point_args(p):
 
 def cmd_density(args) -> int:
     gen = harness.generator_from_config(args.generator)
-    R = _parse_labels(args.R)
-    l = _parse_floats(args.l)
-    result = density_certified(gen, R, _parse_label(args.a), _parse_label(args.b),
-                               l, tol=args.tol)
+    with _request_errors():
+        result = density_certified(gen, _parse_labels(args.R), _parse_label(args.a),
+                                   _parse_label(args.b), _parse_floats(args.l),
+                                   tol=args.tol)
     print(f"{result.value:.10g}")
     print(f"certified truncation error <= {result.error_bound:.3e} "
           f"(series order {result.order})")
@@ -62,24 +73,25 @@ def cmd_density(args) -> int:
 
 def cmd_bound(args) -> int:
     gen = harness.generator_from_config(args.generator)
-    R = _parse_labels(args.R)
-    l = _parse_floats(args.l)
-    bound = density_upper_bound(gen, R, _parse_label(args.a), _parse_label(args.b),
-                                l, rate_tol=args.tol)
+    with _request_errors():
+        bound = density_upper_bound(gen, _parse_labels(args.R), _parse_label(args.a),
+                                    _parse_label(args.b), _parse_floats(args.l),
+                                    rate_tol=args.tol)
     print(f"{bound:.10g}")
     return 0
 
 
 def cmd_rate(args) -> int:
     gen = harness.generator_from_config(args.generator)
-    mu = _parse_floats(args.mu)
-    sol = rate_general(gen, np.array(mu), tol=args.tol)
+    with _request_errors():
+        mu = np.array(_parse_floats(args.mu))
+        sol = rate_general(gen, mu, tol=args.tol)
     print(f"value = {sol.value:.12g}")
     print(f"iterations = {sol.iterations}, gradient_norm = {sol.final_gradient_norm:.3e}")
     g_str = ", ".join(f"{k}: {v:.8g}" for k, v in sol.minimizer.items())
     print(f"minimizer g = {{{g_str}}}")
     if gen.is_symmetric():
-        print(f"dirichlet form = {rate_symmetric(gen, np.array(mu)):.12g}")
+        print(f"dirichlet form = {rate_symmetric(gen, mu):.12g}")
     return 0
 
 
@@ -110,10 +122,8 @@ def cmd_ldp(args) -> int:
         if args.sup_value is not None:
             sup_value = args.sup_value
         elif args.V is not None:
-            try:
+            with _request_errors():
                 sup_value = harness.linear_varadhan_supremum(gen, S, _parse_floats(args.V))
-            except ValueError as exc:
-                raise ConfigParseError(str(exc)) from None
         else:
             raise ConfigParseError("ldp varadhan needs --sup-value or --V v1,v2,...")
         bound = ldp_varadhan_bound(gen, S, sup_value, args.T)
@@ -216,18 +226,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("density", help="evaluate the joint local-time density")
     _add_generator_point_args(p)
-    p.add_argument("--tol", type=float, default=1e-10)
+    p.add_argument("--tol", type=_positive(float), default=1e-10)
     p.set_defaults(func=cmd_density)
 
     p = sub.add_parser("bound", help="pointwise upper bound on the density")
     _add_generator_point_args(p)
-    p.add_argument("--tol", type=float, default=1e-10)
+    p.add_argument("--tol", type=_positive(float), default=1e-10)
     p.set_defaults(func=cmd_bound)
 
     p = sub.add_parser("rate", help="occupation-measure rate function")
     p.add_argument("--generator", required=True)
     p.add_argument("--mu", required=True, help="comma-separated probability vector")
-    p.add_argument("--tol", type=float, default=1e-10)
+    p.add_argument("--tol", type=_positive(float), default=1e-10)
     p.set_defaults(func=cmd_rate)
 
     p = sub.add_parser("ldp", help="finite-time large-deviation bounds")
@@ -266,7 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dim", type=int, default=1)
     p.add_argument("--delta-weight", type=float, default=None,
                    help="linear functional: weight at the origin cell")
-    p.add_argument("--tol", type=float, default=1e-8)
+    p.add_argument("--tol", type=_positive(float), default=1e-8)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_chi_discrete)
 

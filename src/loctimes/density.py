@@ -28,6 +28,9 @@ Three independent evaluations are provided:
 * :func:`density_tridiagonal` - the nearest-neighbor product formula, one
   scalar edge kernel (or its derivative) per interval edge.
 
+Every route, the density bound and the Ray-Knight check read a request in one
+place: :func:`_range_positions` checks R, a and b, :func:`_local_times` reads l.
+
 The density depends only on the rates inside R x R, and only the local times
 change from point to point.  Everything else a request on (R, a, b) owes is
 built once into a :class:`PreparedRange` (:func:`prepare_range`): the rate
@@ -61,7 +64,7 @@ from .errors import (
     NotTridiagonalError,
     ResidualImaginaryError,
 )
-from .flows import DEFAULT_FLOW_CAP, flow_table
+from .flows import flow_table
 
 MIN_LOCAL_TIME = 1e-12
 _ORDER_SCHEDULE = (8, 12, 18, 26, 36, 48, 64, 84, 110, 140)
@@ -78,27 +81,6 @@ def _check_local_times(L: np.ndarray) -> None:
 
 
 @dataclass
-class SimplexPoint:
-    """A strictly positive local-time vector on an ordered range."""
-
-    range: Tuple
-    values: np.ndarray
-    total: float
-
-    @classmethod
-    def from_values(cls, range_: Sequence, values) -> "SimplexPoint":
-        range_ = tuple(range_)
-        if isinstance(values, dict):
-            vec = np.array([float(values[x]) for x in range_])
-        else:
-            vec = np.asarray(values, dtype=float)
-            if vec.shape != (len(range_),):
-                raise ValueError("local-time vector does not match the range")
-        _check_local_times(vec)
-        return cls(range=range_, values=vec, total=float(vec.sum()))
-
-
-@dataclass
 class DensityEvaluation:
     """A truncated series value (a density, or a derivative of the torus
     average) together with its certified truncation bound and order."""
@@ -108,12 +90,39 @@ class DensityEvaluation:
     order: int
 
 
-def _coerce_point(R: Sequence, l) -> SimplexPoint:
-    if isinstance(l, SimplexPoint):
-        if tuple(l.range) != tuple(R):
-            raise ValueError("SimplexPoint range does not match R")
-        return l
-    return SimplexPoint.from_values(R, l)
+def _range_positions(R: Sequence, a, b) -> Tuple[Tuple, int, int]:
+    """The front door of a density request on (R, a, b): R as a tuple and
+    the positions of a and b in it.  Raises ``ValueError``, naming the label,
+    when R repeats a label or when a or b is not in R."""
+    R = tuple(R)
+    if len(set(R)) != len(R):
+        repeated = next(x for i, x in enumerate(R) if x in R[:i])
+        raise ValueError(f"range {R!r} repeats the label {repeated!r}")
+    for site in (a, b):
+        if site not in R:
+            raise ValueError(f"site {site!r} is not in the range {R!r}")
+    return R, R.index(a), R.index(b)
+
+
+def _local_times(R: Tuple, l) -> np.ndarray:
+    """The local times of a request as floats in the order of R.
+
+    ``l`` is a dict keyed by the states of R or a sequence in R's order; a
+    missing state or a wrong length raises ``ValueError``, and a value
+    outside the domain ``DomainError`` (see :func:`_check_local_times`).
+    """
+    if isinstance(l, dict):
+        missing = [x for x in R if x not in l]
+        if missing:
+            raise ValueError(f"local times miss the state {missing[0]!r} of the range")
+        vec = np.array([float(l[x]) for x in R])
+    else:
+        vec = np.asarray(l, dtype=float)
+        if vec.shape != (len(R),):
+            raise ValueError(f"local-time vector of shape {vec.shape} does not match "
+                             f"the range of {len(R)} states")
+    _check_local_times(vec)
+    return vec
 
 
 # ---------------------------------------------------------------------------
@@ -170,21 +179,6 @@ def cofactor_subset_weights(
     stack[layer, x, x] = 1.0
     dets = np.linalg.det(stack)
     return {Q: float(w) for Q, w in zip(subsets, dets) if w != 0.0}
-
-
-@dataclass
-class CofactorOperator:
-    """The differential operator det_ab(-B + d/dl) in expanded form: one
-    scalar weight per derivative subset."""
-
-    a: int
-    b: int
-    weights: Dict[Tuple[int, ...], float]   # Q -> det over the complement of Q
-
-
-def cofactor_operator(B: np.ndarray, a: int, b: int) -> CofactorOperator:
-    B = np.asarray(B, dtype=float)
-    return CofactorOperator(a=a, b=b, weights=cofactor_subset_weights(B, a, b))
 
 
 # ---------------------------------------------------------------------------
@@ -291,7 +285,7 @@ class _OperatorSeries:
             self._by_size.setdefault(len(Q), []).append(k)
         _read_only(self.w, self._xs, self._ys, self._abs_w, self._coefs,
                    self._abs_coefs, self._padded)
-        self._terms: Dict[Tuple[int, int], _OrderTerms] = {}
+        self._terms: Dict[int, _OrderTerms] = {}
 
     def _subset_products(self, L: np.ndarray) -> np.ndarray:
         """prod_{x in Q} l_x for each row of L (rows) and subset Q (columns),
@@ -335,11 +329,11 @@ class _OperatorSeries:
                 total += scale * _tail_sums(q, S, orders, poisson)
         return total
 
-    def _order_terms(self, order: int, flow_cap: int) -> _OrderTerms:
-        terms = self._terms.get((order, flow_cap))
+    def _order_terms(self, order: int) -> _OrderTerms:
+        terms = self._terms.get(order)
         if terms is not None:
             return terms
-        table = flow_table(self.edges, self.n_nodes, order, flow_cap)
+        table = flow_table(self.edges, self.n_nodes, order)
         counts, w = table.counts, self.w
         sign = 1.0
         if np.iscomplexobj(w):
@@ -354,10 +348,10 @@ class _OperatorSeries:
         factors = np.stack([degree[:, list(Q)].prod(axis=1) for Q in self._subsets])
         _read_only(log_coef, degree, factors)
         terms = _OrderTerms(table.n_flows, log_coef, sign, degree, factors)
-        self._terms[(order, flow_cap)] = terms
+        self._terms[order] = terms
         return terms
 
-    def values(self, L: np.ndarray, order: int, flow_cap: int) -> np.ndarray:
+    def values(self, L: np.ndarray, order: int) -> np.ndarray:
         """The series truncated at total flow count ``order``, for each row of L.
 
         Each balanced flow contributes prod_e w_e^{n_e}/n_e! times the
@@ -368,7 +362,7 @@ class _OperatorSeries:
         """
         if not self.weights:
             return np.zeros(len(L))
-        terms = self._order_terms(order, flow_cap)
+        terms = self._order_terms(order)
         out = np.empty(len(L), dtype=terms.log_coef.dtype)
         chunk = max(1, _BLOCK_TERMS // terms.n_flows)
         for lo in range(0, len(L), chunk):
@@ -381,18 +375,16 @@ class _OperatorSeries:
 
 
 def _single_point(
-    Btilde, weights: Dict[Tuple[int, ...], float], l, max_total: int, flow_cap: int
+    Btilde, weights: Dict[Tuple[int, ...], float], l, max_total: int
 ) -> DensityEvaluation:
     Btilde = np.asarray(Btilde)
     if not np.iscomplexobj(Btilde):
         Btilde = Btilde.astype(float)
     l = np.asarray(l, dtype=float)
-    if (not np.all(np.isfinite(l)) or np.any(l <= 0.0)
-            or any(np.any(l[list(Q)] < MIN_LOCAL_TIME) for Q in weights)):
-        raise DomainError("the flow series needs strictly positive local times")
+    _check_local_times(l)
     series = _OperatorSeries(Btilde, weights)
     L = l[None, :]
-    value = series.values(L, max_total, flow_cap)[0]
+    value = series.values(L, max_total)[0]
     value = complex(value) if np.iscomplexobj(value) else float(value)
     tail = series.tails(series.majorant(L), np.array([max_total]))[0, 0]
     return DensityEvaluation(value=value, error_bound=float(tail), order=max_total)
@@ -403,7 +395,6 @@ def torus_series(
     l,
     derivative_set: Iterable[int] = (),
     max_total: int = 40,
-    flow_cap: int = DEFAULT_FLOW_CAP,
 ) -> DensityEvaluation:
     """Derivatives of the torus average, as a certified balanced-flow series.
 
@@ -415,22 +406,23 @@ def torus_series(
     value may then be complex); entries on the support must be nonzero.
     """
     Q = tuple(sorted(set(derivative_set)))
-    return _single_point(Btilde, {Q: 1.0}, l, max_total, flow_cap)
+    return _single_point(Btilde, {Q: 1.0}, l, max_total)
 
 
 def apply_cofactor_operator(
-    op: CofactorOperator,
+    weights: Dict[Tuple[int, ...], float],
     Btilde: np.ndarray,
     l,
     max_total: int = 40,
-    flow_cap: int = DEFAULT_FLOW_CAP,
 ) -> DensityEvaluation:
     """Apply the expanded cofactor operator to the flow series of ``Btilde``.
 
-    The series may carry conjugated weights ``Btilde``; all 2^(|R|-2) subset
-    terms at most share one pass over the flows.
+    ``weights`` is the {Q: weight} expansion of the operator that
+    :func:`cofactor_subset_weights` returns.  The series may carry conjugated
+    weights ``Btilde``; all 2^(|R|-2) subset terms at most share one pass
+    over the flows.
     """
-    return _single_point(Btilde, op.weights, l, max_total, flow_cap)
+    return _single_point(Btilde, weights, l, max_total)
 
 
 # ---------------------------------------------------------------------------
@@ -510,8 +502,7 @@ def prepare_range(gen: Generator, R: Sequence, a, b,
     """The :class:`PreparedRange` of a density request, memoized by content:
     the rate block as in :func:`range_rates`, the positions of a and b, and
     the bytes of the conjugation vector (see :func:`density_batch`)."""
-    R = tuple(R)
-    a_pos, b_pos = R.index(a), R.index(b)
+    R, a_pos, b_pos = _range_positions(R, a, b)
     A = np.asarray(gen.submatrix(R), dtype=float)
     conj = None
     if conjugation is not None:
@@ -534,7 +525,6 @@ def density_batch(
     L,
     tol: float = 1e-10,
     conjugation: Optional[Sequence] = None,
-    flow_cap: int = DEFAULT_FLOW_CAP,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Certified densities at many local-time vectors on one range.
 
@@ -583,7 +573,7 @@ def density_batch(
     values = np.zeros(len(L))
     for order in sorted(set(orders.tolist())):
         group = orders == order
-        values[group] = diag_factor[group] * series.values(L[group], order, flow_cap)
+        values[group] = diag_factor[group] * series.values(L[group], order)
     return values, bounds, orders
 
 
@@ -595,7 +585,6 @@ def density_certified(
     l,
     tol: float = 1e-10,
     conjugation: Optional[Sequence] = None,
-    flow_cap: int = DEFAULT_FLOW_CAP,
 ) -> DensityEvaluation:
     """Joint local-time density with a certified truncation bound.
 
@@ -604,9 +593,8 @@ def density_certified(
     the lowest truncation order whose certified remainder is below ``tol``.
     A batch of one for :func:`density_batch`, which documents the arguments.
     """
-    point = _coerce_point(R, l)
-    values, bounds, orders = density_batch(
-        gen, R, a, b, point.values[None, :], tol, conjugation, flow_cap)
+    lvec = _local_times(tuple(R), l)
+    values, bounds, orders = density_batch(gen, R, a, b, lvec[None, :], tol, conjugation)
     return DensityEvaluation(value=float(values[0]), error_bound=float(bounds[0]),
                              order=int(orders[0]))
 
@@ -619,14 +607,13 @@ def density(
     l,
     tol: float = 1e-10,
     conjugation: Optional[Sequence] = None,
-    flow_cap: int = DEFAULT_FLOW_CAP,
 ) -> float:
     """Joint density of the local times on {range = R, endpoint = b}.
 
     See :func:`density_certified` for the evaluation contract; this returns
     just the value.
     """
-    return density_certified(gen, R, a, b, l, tol, conjugation, flow_cap).value
+    return density_certified(gen, R, a, b, l, tol, conjugation).value
 
 
 _QUAD_CHUNK = 65536
@@ -691,19 +678,18 @@ def density_quadrature(
     If ``tol`` is given, the grid is doubled until two successive refinements
     agree to ``tol``.
     """
-    point = _coerce_point(R, l)
-    R = tuple(R)
+    R, a_pos, b_pos = _range_positions(R, a, b)
+    lvec = _local_times(R, l)
     if len(R) > 4:
         raise ValueError("density_quadrature is limited to |R| <= 4")
-    a_pos, b_pos = R.index(a), R.index(b)
     rates = range_rates(gen, R)
     A, B = rates.A, rates.B
 
-    value = _quadrature_value(A, B, point.values, a_pos, b_pos, grid_size)
+    value = _quadrature_value(A, B, lvec, a_pos, b_pos, grid_size)
     if tol is not None:
         while grid_size <= 512:
             grid_size *= 2
-            refined = _quadrature_value(A, B, point.values, a_pos, b_pos, grid_size)
+            refined = _quadrature_value(A, B, lvec, a_pos, b_pos, grid_size)
             if abs(refined - value) <= tol:
                 value = refined
                 break
@@ -739,12 +725,11 @@ def density_tridiagonal(gen: Generator, R: Sequence, a, b, l) -> float:
     the two-state case pins them down: the density of one rightward crossing
     carries the rate of that jump.
     """
-    point = _coerce_point(R, l)
+    R, _, _ = _range_positions(R, a, b)
+    lvec = _local_times(R, l)
     R_sorted = _integer_interval(R)
-    if tuple(R) != R_sorted:
-        point = SimplexPoint.from_values(
-            R_sorted, {x: v for x, v in zip(R, point.values)}
-        )
+    if R != R_sorted:
+        lvec = _local_times(R_sorted, dict(zip(R, lvec)))
     a, b = int(a), int(b)
     if a > b:
         raise ValueError("density_tridiagonal requires a <= b")
@@ -755,11 +740,8 @@ def density_tridiagonal(gen: Generator, R: Sequence, a, b, l) -> float:
     if np.any(off[band] != 0.0):
         raise NotTridiagonalError("generator has rates beyond nearest neighbors in R")
 
-    lvec = point.values
-    pos = {x: i for i, x in enumerate(R_sorted)}
     value = math.exp(float(np.dot(rates.diag, lvec)))
-    for x in R_sorted[:-1]:
-        i = pos[x]
+    for i, x in enumerate(R_sorted[:-1]):
         c = A[i, i + 1] * A[i + 1, i]
         if x < a:
             value *= edge_kernel_d(c, lvec[i], lvec[i + 1])

@@ -36,7 +36,6 @@ class FlowTable:
     counts: np.ndarray                   # (F, E) int64, one row per flow
     out_degree: np.ndarray               # (F, n_nodes) int64, row sums per tail node
     log_count_factorials: np.ndarray     # (F,) sum_e log(n_e!)
-    totals: np.ndarray                   # (F,) total edge count per flow
 
     @property
     def n_flows(self) -> int:
@@ -130,47 +129,4 @@ def flow_table(
         counts=counts,
         out_degree=out_degree,
         log_count_factorials=gammaln(counts + 1.0).sum(axis=1),
-        totals=counts.sum(axis=1),
     )
-
-
-@dataclass
-class BalancedFlow:
-    """One term of the torus-integral series: edge counts plus node degrees."""
-
-    counts: dict     # (x, y) -> n_xy over distinct ordered state pairs
-    degree: dict     # x -> sum_y (n_xy + n_yx)
-
-
-def enumerate_balanced_flows(
-    support: Sequence[Tuple], max_total: int, cap: int = DEFAULT_FLOW_CAP
-) -> List[BalancedFlow]:
-    """All balanced flows on ``support`` with total count <= ``max_total``,
-    in lexicographic order of the count vector over the given edge order.
-
-    ``support`` is a sequence of ordered (from, to) pairs of distinct states.
-    """
-    support = list(support)
-    for (x, y) in support:
-        if x == y:
-            raise ValueError(f"support contains a loop edge {(x, y)!r}")
-    if len(set(support)) != len(support):
-        raise ValueError("support contains repeated edges")
-    nodes = []
-    for (x, y) in support:
-        for s in (x, y):
-            if s not in nodes:
-                nodes.append(s)
-    pos = {s: i for i, s in enumerate(nodes)}
-    edge_positions = tuple((pos[x], pos[y]) for (x, y) in support)
-    table = flow_table(edge_positions, len(nodes), max_total, cap)
-    rows = sorted(tuple(int(v) for v in row) for row in table.counts)
-    out = []
-    for row in rows:
-        counts = {support[k]: row[k] for k in range(len(support))}
-        degree = {s: 0 for s in nodes}
-        for (x, y), n in counts.items():
-            degree[x] += n
-            degree[y] += n
-        out.append(BalancedFlow(counts=counts, degree=degree))
-    return out

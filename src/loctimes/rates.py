@@ -19,7 +19,7 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .chain import Generator
-from .density import _coerce_point, range_rates
+from .density import _local_times, _range_positions, range_rates
 from .errors import (
     NotConvergedError,
     NotSymmetricError,
@@ -107,6 +107,8 @@ def rate_general(
     be irreducible (strongly connected through positive rates), otherwise the
     optimum escapes to infinity and ``UnboundedRateError`` is raised.
     """
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"rate_general needs a finite tol > 0, got {tol!r}")
     vec = _coerce_probability(gen, mu)
     support = np.nonzero(vec > 0)[0]
     labels = [gen.states[i] for i in support]
@@ -203,17 +205,15 @@ def density_upper_bound(
     |R| [1 + 1/(4 eta T)] (equality for unit-rate complete supports); the
     sharper form is kept in both branches.
     """
-    point = _coerce_point(R, l)
-    R = tuple(R)
-    T = point.total
+    R, a_pos, b_pos = _range_positions(R, a, b)
+    lvec = _local_times(R, l)
+    T = float(lvec.sum())
     rates = range_rates(gen, R)
     B, eta_R = rates.B, rates.eta
-    lvec = point.values
     mu_full = {x: v / T for x, v in zip(R, lvec)}
 
-    excluded = {a, b}
     log_prefactor = 0.5 * sum(
-        math.log(T / lvec[i]) for i, x in enumerate(R) if x not in excluded
+        math.log(T / lvec[i]) for i in range(len(R)) if i not in (a_pos, b_pos)
     )
     log_prefactor += (len(R) - 1) * math.log(eta_R)
 

@@ -24,8 +24,8 @@ import numpy as np
 from scipy import special
 
 from .chain import Generator, srw_generator
-from .density import _coerce_point, density
-from .errors import DomainError, NotIntervalError, NotSRWError
+from .density import _integer_interval, _local_times, _range_positions, density
+from .errors import DomainError, NotSRWError
 
 
 # ---------------------------------------------------------------------------
@@ -68,15 +68,11 @@ def rk_outer_density(h1: float, h2: float) -> float:
 # exact samplers (Poisson-Gamma mixtures)
 # ---------------------------------------------------------------------------
 
-def _inner_step(cur: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    K = rng.poisson(cur)
-    return rng.gamma(K + 1.0)
-
-
-def _outer_step(cur: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    K = rng.poisson(cur)
-    # Gamma with shape 0 is the point mass at 0: the chain is absorbed
-    return rng.gamma(K.astype(float))
+def _step(cur: np.ndarray, shift: float, rng: np.random.Generator) -> np.ndarray:
+    """One step of a profile chain: Gamma(K + shift, 1) with K ~ Poisson(cur).
+    Shift 1 is the inner kernel f, shift 0 the outer kernel P*, whose
+    Gamma(0, 1) is the point mass at 0 where the chain is absorbed."""
+    return rng.gamma(rng.poisson(cur) + shift)
 
 
 def sample_rk_profile_batch(
@@ -98,17 +94,17 @@ def sample_rk_profile_batch(
     cur = np.full(n, float(h))
     values[:, col[b]] = cur
     for x in range(b - 1, -1, -1):
-        cur = _inner_step(cur, inner_rng)
+        cur = _step(cur, 1.0, inner_rng)
         values[:, col[x]] = cur
 
     cur = np.full(n, float(h))
     for x in range(b + 1, b + window + 1):
-        cur = _outer_step(cur, right_rng)
+        cur = _step(cur, 0.0, right_rng)
         values[:, col[x]] = cur
 
     cur = values[:, col[0]].copy()
     for x in range(-1, -window - 1, -1):
-        cur = _outer_step(cur, left_rng)
+        cur = _step(cur, 0.0, left_rng)
         values[:, col[x]] = cur
     return sites, values
 
@@ -152,21 +148,19 @@ def rk_fixed_time_check(
     interval end from which the walk can escape (end escape rates are read
     off the generator; the default is the escape-free walk on R itself).
     """
-    R_sorted = tuple(sorted(int(x) for x in R))
-    if any(R_sorted[i + 1] - R_sorted[i] != 1 for i in range(len(R_sorted) - 1)):
-        raise NotIntervalError(f"{R!r} is not a contiguous integer interval")
+    R, _, _ = _range_positions(R, a, b)
+    R_sorted = _integer_interval(R)
     a, b = int(a), int(b)
-    if not (R_sorted[0] <= a <= b <= R_sorted[-1]):
-        raise ValueError("need a <= b inside R")
+    if a > b:
+        raise ValueError("rk_fixed_time_check requires a <= b")
     if generator is None:
         if len(R_sorted) == 1:
             raise ValueError("the default generator needs |R| >= 2")
         generator = srw_generator(R_sorted[0], R_sorted[-1])
     escape = _check_srw_on_interval(generator, R_sorted)
 
-    point = _coerce_point(R, l)
-    lvec = {x: v for x, v in zip(R, point.values)}
-    rho = density(generator, R_sorted, a, b, {x: lvec[x] for x in R_sorted}, tol=1e-13)
+    lvec = dict(zip(R, _local_times(R, l)))
+    rho = density(generator, R_sorted, a, b, lvec, tol=1e-13)
 
     kernel = math.exp(-float(sum(escape[i] * lvec[x] for i, x in enumerate(R_sorted))))
     for x in range(R_sorted[0] + 1, a + 1):          # left outer chain

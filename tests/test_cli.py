@@ -245,3 +245,34 @@ def test_verify_config_that_is_not_an_object_exits_2(tmp_path, capsys, document)
     status = main(["verify-density", "--config", str(cfg), "--out", str(tmp_path / "out")])
     assert status == 2
     assert "must be a JSON object" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, option, value", [
+    ("density", "--a", "5"), ("density", "--l", "0.5"), ("density", "--R", "1,1"),
+    ("bound", "--a", "5"), ("bound", "--l", "0.5"), ("bound", "--R", "1,1")])
+def test_point_command_with_a_bad_request_exits_2(twostate, capsys, command, option, value):
+    request = {"--R": "1,2", "--a": "1", "--b": "2", "--l": "0.5,0.5", option: value}
+    status = main([command, "--generator", twostate,
+                   *[text for item in request.items() for text in item]])
+    assert status == 2
+    assert capsys.readouterr().err.startswith("config error: ")
+
+
+def test_rate_command_with_a_short_mu_exits_2(twostate, capsys):
+    assert main(["rate", "--generator", twostate, "--mu", "1.0"]) == 2
+    assert "mu does not match" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["-1", "0", "nan", "inf"])
+@pytest.mark.parametrize("command, rest", [
+    ("density", ["--R", "1,2", "--a", "1", "--b", "2", "--l", "0.5,0.5"]),
+    ("bound", ["--R", "1,2", "--a", "1", "--b", "2", "--l", "0.5,0.5"]),
+    ("rate", ["--mu", "0.75,0.25"]),
+    ("chi-discrete", ["--radius", "1", "--alpha", "1.0"])],
+    ids=["density", "bound", "rate", "chi-discrete"])
+def test_tol_must_be_finite_and_positive(twostate, capsys, command, rest, value):
+    generator = [] if command == "chi-discrete" else ["--generator", twostate]
+    with pytest.raises(SystemExit) as exc:
+        main([command, *generator, *rest, "--tol", value])
+    assert exc.value.code == 2
+    assert "argument --tol: must be finite and > 0" in capsys.readouterr().err

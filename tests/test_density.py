@@ -11,11 +11,9 @@ from scipy import integrate
 from loctimes.chain import srw_generator, validate_generator
 from loctimes.density import (
     _ORDER_SCHEDULE,
-    SimplexPoint,
     _OperatorSeries,
     apply_cofactor_operator,
     cofactor,
-    cofactor_operator,
     cofactor_subset_weights,
     density,
     density_batch,
@@ -36,6 +34,7 @@ from loctimes.errors import (
     ResidualImaginaryError,
 )
 from loctimes.rates import density_upper_bound, eta
+from loctimes.rayknight import rk_fixed_time_check
 
 # the package exports a function named density, so fetch the module itself
 density_module = importlib.import_module("loctimes.density")
@@ -216,9 +215,9 @@ def test_series_rejects_bad_local_times():
 def test_operator_two_state_off_diagonal():
     B = np.array([[0.0, 0.7], [0.4, 0.0]])
     l = np.array([0.6, 0.9])
-    op = cofactor_operator(B, 0, 1)
-    assert op.weights == {(): pytest.approx(0.7)}
-    got = apply_cofactor_operator(op, B, l, 50)
+    weights = cofactor_subset_weights(B, 0, 1)
+    assert weights == {(): pytest.approx(0.7)}
+    got = apply_cofactor_operator(weights, B, l, 50)
     z = 2.0 * math.sqrt(0.7 * 0.4 * l[0] * l[1])
     assert got.value == pytest.approx(0.7 * sp.iv(0, z), rel=1e-12)
 
@@ -226,18 +225,18 @@ def test_operator_two_state_off_diagonal():
 def test_operator_two_state_diagonal_is_derivative():
     B = np.array([[0.0, 1.0], [1.0, 0.0]])
     l = np.array([0.8, 0.5])
-    op = cofactor_operator(B, 0, 0)
+    weights = cofactor_subset_weights(B, 0, 0)
     # the pure-derivative subset carries the trivial replacement determinant
-    assert op.weights[(1,)] == pytest.approx(1.0)
-    got = apply_cofactor_operator(op, B, l, 60)
+    assert weights[(1,)] == pytest.approx(1.0)
+    got = apply_cofactor_operator(weights, B, l, 60)
     expected = math.sqrt(l[0] / l[1]) * sp.iv(1, 2.0 * math.sqrt(l[0] * l[1]))
     assert got.value == pytest.approx(expected, rel=1e-12)
 
 
 def test_operator_vanishes_for_zero_rates_off_diagonal():
     B = np.zeros((3, 3))
-    op = cofactor_operator(B, 0, 1)
-    got = apply_cofactor_operator(op, B, np.array([0.3, 0.3, 0.4]), 10)
+    weights = cofactor_subset_weights(B, 0, 1)
+    got = apply_cofactor_operator(weights, B, np.array([0.3, 0.3, 0.4]), 10)
     assert got.value == 0.0
 
 
@@ -417,10 +416,10 @@ def test_single_order_error_bound_is_the_tail_majorant():
         assert v.order == order
         assert v.error_bound == pytest.approx(
             tail(len(Q), order) / np.prod(l[list(Q)]), rel=1e-12)
-    op = cofactor_operator(Bt, 0, 1)
-    v = apply_cofactor_operator(op, Bt, l, 18)
+    weights = cofactor_subset_weights(Bt, 0, 1)
+    v = apply_cofactor_operator(weights, Bt, l, 18)
     expected = sum(abs(w) / np.prod(l[list(Q)]) * tail(len(Q), 18)
-                   for Q, w in op.weights.items())
+                   for Q, w in weights.items())
     assert v.error_bound == pytest.approx(expected, rel=1e-12)
 
 
@@ -631,13 +630,48 @@ def test_nonnegativity_sweep():
         assert res.value >= -(res.error_bound + 1e-12)
 
 
-def test_simplex_point_validation():
-    p = SimplexPoint.from_values((0, 1), {0: 0.4, 1: 0.6})
-    assert p.total == pytest.approx(1.0)
-    with pytest.raises(DomainError):
-        SimplexPoint.from_values((0, 1), [0.5, 0.0])
-    with pytest.raises(ValueError):
-        SimplexPoint.from_values((0, 1), [0.5, 0.2, 0.3])
+POINT_ROUTES = (density_certified, density_quadrature, density_tridiagonal,
+                density_upper_bound)
+
+
+def test_point_routes_read_dict_and_sequence_alike():
+    g, R = srw_generator(-1, 3), (2, 0, 1)
+    l = [0.7, 0.4, 0.6]
+    for route in POINT_ROUTES:
+        assert route(g, R, 0, 2, dict(zip(R, l))) == route(g, R, 0, 2, l)
+        with pytest.raises(DomainError):
+            route(g, R, 0, 2, [0.7, 0.0, 0.6])
+        with pytest.raises(ValueError, match="does not match"):
+            route(g, R, 0, 2, [0.7, 0.4])
+
+
+def test_every_route_rejects_a_repeated_label():
+    g, R, l = srw_generator(0, 3), (0, 1, 1), [0.5, 0.7, 0.8]
+    for route in POINT_ROUTES:
+        with pytest.raises(ValueError, match="repeats the label 1"):
+            route(g, R, 0, 1, l)
+    with pytest.raises(ValueError, match="repeats the label 1"):
+        density_batch(g, R, 0, 1, [l])
+    with pytest.raises(ValueError, match="repeats the label 1"):
+        rk_fixed_time_check(R, 0, 1, l)
+
+
+@pytest.mark.parametrize("R, a, b, l, message", [
+    ((0, 1), 0, 5, [0.5, 0.7], "site 5 is not in the range"),
+    ((1, 2), 0, 2, [0.5, 0.7], "site 0 is not in the range"),
+    ((1, 2), 1, 3, {1: 0.5, 2: 0.7}, "site 3 is not in the range"),
+    ((1, 2), 1, 2, {1: 0.5}, "miss the state 2 "),
+], ids=["b-outside", "a-outside", "b-outside-dict-l", "dict-l-misses-a-state"])
+def test_every_route_names_a_label_outside_the_request(R, a, b, l, message):
+    g = srw_generator(0, 3)
+    for route in POINT_ROUTES:
+        with pytest.raises(ValueError, match=message):
+            route(g, R, a, b, l)
+    with pytest.raises(ValueError, match=message):
+        rk_fixed_time_check(R, a, b, l, generator=g)
+    if not isinstance(l, dict):
+        with pytest.raises(ValueError, match=message):
+            density_batch(g, R, a, b, [l])
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
@@ -649,8 +683,6 @@ def test_routes_reject_non_finite_local_times(bad):
             route(g, R, 0, 2, l)
     with pytest.raises(DomainError, match="finite"):
         density_batch(g, R, 0, 2, [[0.5, 0.5, 0.5], l])
-    with pytest.raises(DomainError, match="finite"):
-        SimplexPoint.from_values(R, l)
     with pytest.raises(DomainError):
         torus_series(np.ones((2, 2)), [bad, 0.5], (), 10)
 

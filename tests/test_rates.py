@@ -214,6 +214,13 @@ def test_rate_general_rejects_bad_mu():
         rate_general(TWO_STATE, [-0.1, 1.1])
 
 
+@pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1.0])
+def test_rate_general_rejects_a_tolerance_that_is_not_finite_and_positive(tol):
+    # with tol = nan the final check `gnorm > tol` never fires
+    with pytest.raises(ValueError, match="finite tol > 0"):
+        rate_general(TWO_STATE, [0.75, 0.25], tol=tol)
+
+
 # ---------------------------------------------------------------------------
 # pointwise density bound
 # ---------------------------------------------------------------------------
