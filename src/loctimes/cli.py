@@ -41,14 +41,20 @@ def _parse_floats(text: str):
     return [float(t) for t in text.split(",") if t != ""]
 
 
+class UsageError(Exception):
+    """A malformed command-line request, with no config involved: exit
+    status 2 under the label "usage error" (a bad config is a
+    ConfigParseError, "config error")."""
+
+
 @contextmanager
 def _request_errors():
     """Re-raise a ValueError of a malformed request (a label outside the
-    range, a vector of the wrong length) as ConfigParseError: exit status 2."""
+    range, a vector of the wrong length) as UsageError."""
     try:
         yield
     except ValueError as exc:
-        raise ConfigParseError(str(exc)) from None
+        raise UsageError(str(exc)) from None
 
 
 def _add_generator_point_args(p):
@@ -108,13 +114,13 @@ def cmd_ldp(args) -> int:
             except ValueError:
                 threshold = math.nan
             if not math.isfinite(threshold):
-                raise ConfigParseError(
+                raise UsageError(
                     f"--halfspace needs STATE:THRESH with a finite threshold, "
                     f"got {args.halfspace!r}")
             inf_rate = harness.halfspace_rate_infimum(
                 gen, S, _parse_label(state_text), threshold)
         else:
-            raise ConfigParseError("ldp prob needs --inf-rate or --halfspace STATE:THRESH")
+            raise UsageError("ldp prob needs --inf-rate or --halfspace STATE:THRESH")
         bound = ldp_probability_bound(gen, S, inf_rate, args.T)
         print(f"inf_rate = {inf_rate:.10g}")
         print(f"log-probability bound = {bound:.10g}")
@@ -125,7 +131,7 @@ def cmd_ldp(args) -> int:
             with _request_errors():
                 sup_value = harness.linear_varadhan_supremum(gen, S, _parse_floats(args.V))
         else:
-            raise ConfigParseError("ldp varadhan needs --sup-value or --V v1,v2,...")
+            raise UsageError("ldp varadhan needs --sup-value or --V v1,v2,...")
         bound = ldp_varadhan_bound(gen, S, sup_value, args.T)
         print(f"sup_value = {sup_value:.10g}")
         print(f"log-moment bound = {bound:.10g}")
@@ -288,6 +294,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except UsageError as exc:
+        print(f"usage error: {exc}", file=sys.stderr)
+        return 2
     except ConfigParseError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

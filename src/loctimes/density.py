@@ -553,7 +553,14 @@ def density_batch(
     if L.ndim != 2 or L.shape[1] != len(R):
         raise ValueError(f"local times must be an array of shape (P, {len(R)})")
     _check_local_times(L)
-    prepared = prepare_range(gen, R, a, b, conjugation)
+    return _certified_rows(prepare_range(gen, R, a, b, conjugation), L, tol)
+
+
+def _certified_rows(
+    prepared: PreparedRange, L: np.ndarray, tol: float
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`density_batch` on rows ``L`` that already passed
+    :func:`_check_local_times`."""
     series = prepared.series
     diag_factor = np.exp(L @ prepared.rates.diag)
     majorant = series.majorant(L)
@@ -594,7 +601,8 @@ def density_certified(
     A batch of one for :func:`density_batch`, which documents the arguments.
     """
     lvec = _local_times(tuple(R), l)
-    values, bounds, orders = density_batch(gen, R, a, b, lvec[None, :], tol, conjugation)
+    values, bounds, orders = _certified_rows(
+        prepare_range(gen, R, a, b, conjugation), lvec[None, :], tol)
     return DensityEvaluation(value=float(values[0]), error_bound=float(bounds[0]),
                              order=int(orders[0]))
 

@@ -199,6 +199,31 @@ def conditioning_mask(batch: BatchPaths, gen: Generator, R: Sequence, b) -> np.n
 # simplex cell integration
 # ---------------------------------------------------------------------------
 
+def _grid_counts(columns: Sequence[np.ndarray], edges: List[np.ndarray]) -> np.ndarray:
+    """Counts of the points (one coordinate array per axis, finite values)
+    in the cells of a grid of equal-width bins: ``np.histogramdd(
+    np.stack(columns, axis=1), bins=edges)[0]``, without its sort-based search.
+
+    The bin of a value is guessed from the bin width and corrected against
+    the edges themselves, so a value on an edge lands where histogramdd puts
+    it: in the bin above an interior edge, the top edge in the last bin, and
+    a value outside the grid in none.
+    """
+    flat = np.zeros(len(columns[0]), dtype=np.intp)
+    inside = np.ones(len(flat), dtype=bool)
+    for v, e in zip(columns, edges):
+        n = len(e) - 1
+        k = np.floor((v - e[0]) * (n / (e[-1] - e[0]))).astype(np.intp)
+        np.clip(k, 0, n - 1, out=k)
+        k -= (v < e[k]) & (k > 0)          # the guess is one bin too high
+        k += (v >= e[k + 1]) & (k < n - 1)  # or one bin too low
+        inside &= (v >= e[0]) & (v <= e[-1])
+        flat *= n
+        flat += k
+    shape = tuple(len(e) - 1 for e in edges)
+    return np.bincount(flat[inside], minlength=int(np.prod(shape))).astype(float).reshape(shape)
+
+
 @dataclass
 class SimplexHistogram:
     """Binned free coordinates of conditioned samples with expected masses."""
@@ -405,11 +430,11 @@ def verify_density_mc(
 
     elim = endpoint if eliminated is None else eliminated
     free_states = [x for x in R if x != elim]
-    free_idx = gen.indices(free_states)
-    values = batch.local_times[mask][:, free_idx]
+    rows = np.flatnonzero(mask)
+    columns = [batch.local_times[rows, j] for j in gen.indices(free_states)]
 
     edges = [np.linspace(0.0, T, cells_per_axis + 1) for _ in free_states]
-    counts, _ = np.histogramdd(values, bins=edges)
+    counts = _grid_counts(columns, edges)
 
     free_pos = [R.index(x) for x in free_states]
     elim_pos = R.index(elim)
@@ -518,7 +543,6 @@ def verify_rayknight_mc(
     n_samples: int = 200_000,
     seed: int = 0,
     sim_window: Tuple[int, int] = (-8, 10),
-    profile_window: int = 10,
     compare_sites: Sequence[int] = (0, 1, 3),
     moment_z_threshold: float = 3.0,
     atom_z_threshold: float = 4.0,
@@ -526,6 +550,14 @@ def verify_rayknight_mc(
     """Compare direct inverse-local-time simulation against the spatial
     Markov-chain profile sampler: per-site means and variances, absorption
     atom frequencies, and the independence of inner and outer randomness.
+
+    The checks read the sites ``compare_sites`` (moments), ``pivot + 1``
+    and ``-1`` (absorption atoms) and ``pivot - 1`` (independence), and the
+    profile is drawn on the smallest window that covers those sites and no
+    further (sites -1 to 3 with the defaults).  Each profile chain draws one
+    step at a time from its own substream, so a shorter profile is a prefix
+    of a longer one and the sites read get the same values whatever the
+    window.
 
     The simulation window is a finite interval; truncating it leaves the law
     of the local times at the compared interior sites unchanged (excursions
@@ -539,9 +571,10 @@ def verify_rayknight_mc(
     batch = sample_paths_inverse_local_time(gen, 0, pivot, level, n_samples, rng_direct)
     direct = {x: batch.local_times[:, gen.index(x)] for x in gen.states}
 
-    sites, values = sample_rk_profile_batch(pivot, level, profile_window, n_samples, rng_profile)
-    col = {int(s): i for i, s in enumerate(sites)}
-    profile = {x: values[:, col[x]] for x in col}
+    read = [*compare_sites, pivot - 1, pivot + 1, -1]
+    window = max(0, -min(read), max(read) - pivot)
+    sites, values = sample_rk_profile_batch(pivot, level, window, n_samples, rng_profile)
+    profile = {int(s): values[:, i] for i, s in enumerate(sites)}
 
     moments = []
     checks = []

@@ -255,6 +255,23 @@ def test_point_command_with_a_bad_request_exits_2(twostate, capsys, command, opt
     status = main([command, "--generator", twostate,
                    *[text for item in request.items() for text in item]])
     assert status == 2
+    assert capsys.readouterr().err.startswith("usage error: ")
+
+
+def test_usage_and_config_errors_carry_their_own_labels(tmp_path, twostate, capsys):
+    # a bad command-line request involves no config; a bad config document does
+    request = ["--R", "1,2", "--a", "5", "--b", "2", "--l", "0.5,0.5"]
+    assert main(["density", "--generator", twostate, *request]) == 2
+    assert capsys.readouterr().err == "usage error: site 5 is not in the range (1, 2)\n"
+    assert main(["ldp", "--generator", twostate, "--S", "1,2", "--T", "10"]) == 2
+    assert capsys.readouterr().err.startswith("usage error: ldp prob needs")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text("[1, 2]")
+    assert main(["verify-density", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith("config error: ")
+    bad_generator = tmp_path / "gen.json"
+    bad_generator.write_text('{"states": [1, 2]}')
+    assert main(["density", "--generator", str(bad_generator), *request]) == 2
     assert capsys.readouterr().err.startswith("config error: ")
 
 

@@ -687,6 +687,18 @@ def test_routes_reject_non_finite_local_times(bad):
         torus_series(np.ones((2, 2)), [bad, 0.5], (), 10)
 
 
+def test_certified_request_checks_its_local_times_once(monkeypatch):
+    calls = []
+    check = density_module._check_local_times
+    monkeypatch.setattr(density_module, "_check_local_times",
+                        lambda L: calls.append(L) or check(L))
+    g, R, l = srw_generator(0, 2), (0, 1, 2), [0.5, 0.7, 0.8]
+    density_certified(g, R, 0, 2, l)
+    assert len(calls) == 1
+    density_batch(g, R, 0, 2, [l, l])
+    assert len(calls) == 2
+
+
 def test_series_accepts_complex_weights():
     # conjugating by a complex unit leaves the balanced series unchanged
     Bt = np.array([[0.0, 0.8], [1.2, 0.0]])

@@ -11,6 +11,7 @@ from scipy.linalg import expm
 from loctimes.chain import srw_generator, validate_generator
 from loctimes.errors import ConfigParseError, InsufficientConditionedError
 from loctimes.harness import (
+    _grid_counts,
     _unit_rule,
     chi_square_shape_test,
     config_hash,
@@ -396,3 +397,21 @@ def test_unit_rule_is_shared_and_read_only():
         assert not arr.flags.writeable
         with pytest.raises(ValueError):
             arr[0] = 0.0
+
+
+@pytest.mark.parametrize("total, cells, dim", [(2.0, 7, 2), (1.5, 6, 2), (0.3, 3, 2),
+                                               (1.0, 30, 1), (2.0, 5, 1)])
+def test_grid_counts_match_histogramdd_on_every_edge(total, cells, dim):
+    # values exactly on each edge (0, the interior edges, the top edge), one
+    # ulp to either side of it, random values, and values off the grid
+    edges = np.linspace(0.0, total, cells + 1)
+    on_edge = np.concatenate([edges, np.nextafter(edges, -np.inf),
+                              np.nextafter(edges, np.inf), [-1.0, 2.0 * total]])
+    rng = np.random.default_rng(7)
+    axis = np.concatenate([on_edge, rng.uniform(0.0, total, 500)])
+    grids = np.meshgrid(*([axis] * dim), indexing="ij")
+    columns = [g.ravel() for g in grids]
+    counts = _grid_counts(columns, [edges] * dim)
+    expected, _ = np.histogramdd(np.stack(columns, axis=1), bins=[edges] * dim)
+    assert counts.dtype == expected.dtype and counts.shape == expected.shape
+    assert np.array_equal(counts, expected)

@@ -142,6 +142,19 @@ def test_profile_is_deterministic_given_seed():
     assert np.array_equal(s1, s2) and np.array_equal(p1, p2)
 
 
+@pytest.mark.parametrize("b", [1, 2, 3])
+@pytest.mark.parametrize("window, wider", [(0, 1), (1, 10), (2, 5)])
+def test_profile_at_a_smaller_window_is_a_prefix(b, window, wider):
+    # each chain draws one step at a time from its own substream, so a
+    # shorter profile holds the same values at its sites as a longer one
+    sites, values = sample_rk_profile_batch(b, 1.3, window, 2_000, np.random.default_rng(11))
+    wide_sites, wide = sample_rk_profile_batch(b, 1.3, wider, 2_000, np.random.default_rng(11))
+    wide_col = {int(s): i for i, s in enumerate(wide_sites)}
+    assert sites.tolist() == list(range(-window, b + window + 1))
+    for i, s in enumerate(sites):
+        assert np.array_equal(values[:, i], wide[:, wide_col[int(s)]])
+
+
 # ---------------------------------------------------------------------------
 # fixed-time product identity
 # ---------------------------------------------------------------------------
