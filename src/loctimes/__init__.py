@@ -5,16 +5,13 @@ from . import errors
 from .bessel import edge_kernel, edge_kernel_d
 from .chain import (
     Generator,
-    RestrictedGenerator,
     generator_from_triples,
-    restrict,
     srw_generator,
     validate_generator,
 )
 from .density import (
     DensityEvaluation,
     apply_cofactor_operator,
-    cofactor,
     cofactor_subset_weights,
     density,
     density_batch,
@@ -26,7 +23,6 @@ from .density import (
 from .montecarlo import (
     sample_paths_fixed_time,
     sample_paths_inverse_local_time,
-    spawn_rngs,
 )
 from .rates import (
     RateSolution,

@@ -1,4 +1,4 @@
-"""Conservative generators and their finite restrictions.
+"""Conservative generators.
 
 A generator (Q-matrix) is a square rate matrix over an ordered, finite label
 set: off-diagonal entries are nonnegative jump rates and every row sums to
@@ -11,7 +11,6 @@ from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import (
-    EmptySubsetError,
     NegativeRateError,
     NonConservativeError,
     TooSmallStateSpaceError,
@@ -63,25 +62,6 @@ class Generator:
 
     def is_symmetric(self, tol: float = 1e-12) -> bool:
         return bool(np.all(np.abs(self.rates - self.rates.T) <= tol))
-
-
-@dataclass(eq=False)
-class RestrictedGenerator:
-    """A generator conservatively restricted to a subset, plus the diagonal
-    killing matrix of escape rates.  The identity
-
-        restricted_rates[x, y] = base_rates[x, y] + killing[x, y]
-
-    holds exactly on the subset (killing is diagonal)."""
-
-    base: Generator
-    subset: Tuple
-    restricted: Generator
-    killing: np.ndarray  # (r,) diagonal of escape rates
-
-    @property
-    def killing_matrix(self) -> np.ndarray:
-        return np.diag(self.killing)
 
 
 def validate_generator(rates, states: Optional[Sequence] = None) -> Generator:
@@ -175,28 +155,3 @@ def srw_generator(lo: int, hi: int) -> Generator:
         A[i, i + 1] = 1.0
         A[i + 1, i] = 1.0
     return validate_generator(A, states)
-
-
-def restrict(gen: Generator, subset: Sequence) -> RestrictedGenerator:
-    """Conservative restriction of a generator to a subset of its states.
-
-    The restricted matrix keeps the off-diagonal rates inside the subset and
-    recomputes the diagonal so each row sums to zero; the killing diagonal
-    collects the escape rates to the complement.
-    """
-    subset = tuple(subset)
-    if not subset:
-        raise EmptySubsetError("restriction subset is empty")
-    if len(set(subset)) != len(subset):
-        raise ValueError("restriction subset has repeated labels")
-    idx = gen.indices(subset)
-    r = len(subset)
-    sub = gen.rates[np.ix_(idx, idx)].copy()
-    off = sub.copy()
-    np.fill_diagonal(off, 0.0)
-    sub[np.arange(r), np.arange(r)] = -off.sum(axis=1)
-    killing = -np.diag(gen.rates)[idx] - off.sum(axis=1)
-    # guard against tiny negative values from float cancellation
-    killing = np.where(np.abs(killing) < 1e-15, 0.0, killing)
-    restricted = Generator(states=subset, rates=sub)
-    return RestrictedGenerator(base=gen, subset=subset, restricted=restricted, killing=killing)

@@ -129,25 +129,13 @@ def _local_times(R: Tuple, l) -> np.ndarray:
 # cofactors
 # ---------------------------------------------------------------------------
 
-def replaced_matrix(M: np.ndarray, a: int, b: int) -> np.ndarray:
+def _replaced_matrix(M: np.ndarray, a: int, b: int) -> np.ndarray:
     """Row b and column a replaced by the (b,a) unit pair."""
     N = np.array(M, copy=True)
     N[b, :] = 0.0
     N[:, a] = 0.0
     N[b, a] = 1.0
     return N
-
-
-def cofactor(M: np.ndarray, a: int, b: int) -> float:
-    """The (b,a) cofactor of M: det of the replaced matrix.
-
-    ``a`` and ``b`` index rows/columns of M.  Evaluated by LU with partial
-    pivoting; the matrices here are small.
-    """
-    M = np.asarray(M, dtype=float)
-    if M.shape[0] != M.shape[1]:
-        raise ValueError("cofactor needs a square matrix")
-    return float(np.linalg.det(replaced_matrix(M, a, b)))
 
 
 def cofactor_subset_weights(
@@ -174,7 +162,7 @@ def cofactor_subset_weights(
     for k, Q in enumerate(subsets):
         in_Q[k, list(Q)] = True
     stack = np.where(in_Q[:, :, None] | in_Q[:, None, :], 0.0,
-                     replaced_matrix(-B, a, b))
+                     _replaced_matrix(-B, a, b))
     layer, x = np.nonzero(in_Q)
     stack[layer, x, x] = 1.0
     dets = np.linalg.det(stack)

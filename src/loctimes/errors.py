@@ -5,7 +5,7 @@ class LoctimesError(Exception):
     """Base class for all package errors."""
 
 
-# ---- generator construction and restriction ----
+# ---- generator construction ----
 
 class NegativeRateError(LoctimesError):
     """An off-diagonal rate is negative."""
@@ -17,10 +17,6 @@ class TooSmallStateSpaceError(LoctimesError):
 
 class NonConservativeError(LoctimesError):
     """A provided diagonal violates the zero-row-sum condition."""
-
-
-class EmptySubsetError(LoctimesError):
-    """A restriction subset is empty."""
 
 
 class UnknownLabelError(LoctimesError):

@@ -524,16 +524,19 @@ class RayKnightReport(Report):
         return [tuple(getattr(m, c) for c in self.columns) for m in self.moments]
 
 
+def _var_se(v: np.ndarray) -> float:
+    """Moment-based standard error of the sample variance of ``v``."""
+    c = v - v.mean()
+    c2 = c * c
+    m2 = c2.mean()
+    m4 = (c2 * c2).mean()
+    return math.sqrt(max(m4 - m2 * m2, 1e-300) / len(v))
+
+
 def _mean_var_z(x: np.ndarray, y: np.ndarray) -> Tuple[float, float]:
     nx, ny = len(x), len(y)
     mz = (x.mean() - y.mean()) / math.sqrt(x.var(ddof=1) / nx + y.var(ddof=1) / ny)
-    # moment-based standard error of the sample variance
-    def var_se(v):
-        c = v - v.mean()
-        m2 = (c * c).mean()
-        m4 = (c ** 4).mean()
-        return math.sqrt(max(m4 - m2 * m2, 1e-300) / len(v))
-    vz = (x.var(ddof=1) - y.var(ddof=1)) / math.sqrt(var_se(x) ** 2 + var_se(y) ** 2)
+    vz = (x.var(ddof=1) - y.var(ddof=1)) / math.sqrt(_var_se(x) ** 2 + _var_se(y) ** 2)
     return float(mz), float(vz)
 
 
@@ -542,7 +545,6 @@ def verify_rayknight_mc(
     level: float = 1.0,
     n_samples: int = 200_000,
     seed: int = 0,
-    sim_window: Tuple[int, int] = (-8, 10),
     compare_sites: Sequence[int] = (0, 1, 3),
     moment_z_threshold: float = 3.0,
     atom_z_threshold: float = 4.0,
@@ -552,34 +554,38 @@ def verify_rayknight_mc(
     atom frequencies, and the independence of inner and outer randomness.
 
     The checks read the sites ``compare_sites`` (moments), ``pivot + 1``
-    and ``-1`` (absorption atoms) and ``pivot - 1`` (independence), and the
-    profile is drawn on the smallest window that covers those sites and no
-    further (sites -1 to 3 with the defaults).  Each profile chain draws one
-    step at a time from its own substream, so a shorter profile is a prefix
-    of a longer one and the sites read get the same values whatever the
-    window.
+    and ``-1`` (absorption atoms) and ``pivot - 1`` (independence).  Both
+    sides run on the smallest window -w..pivot+w that covers those sites and
+    no further (sites -1 to 3 with the defaults).  Each profile chain draws
+    one step at a time from its own substream, so a shorter profile is a
+    prefix of a longer one.  The direct side is the reflected walk
+    ``srw_generator(-w, pivot + w)``: this is exactly the trace of the walk
+    on Z on the window, because the walk on Z always comes back from outside
+    it, so the local times on the window at the pivot's inverse local time
+    have the same joint law, atoms included.
 
-    The simulation window is a finite interval; truncating it leaves the law
-    of the local times at the compared interior sites unchanged (excursions
-    beyond the window return without touching them), so the window only needs
-    to contain the compared sites with a margin.
+    A compared site equal to the pivot holds the level exactly on both
+    sides, so its row reports z = 0 and its checks pass.
     """
     rng_direct, rng_profile = [
         np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(2)
     ]
-    gen = srw_generator(*sim_window)
-    batch = sample_paths_inverse_local_time(gen, 0, pivot, level, n_samples, rng_direct)
-    direct = {x: batch.local_times[:, gen.index(x)] for x in gen.states}
-
     read = [*compare_sites, pivot - 1, pivot + 1, -1]
     window = max(0, -min(read), max(read) - pivot)
     sites, values = sample_rk_profile_batch(pivot, level, window, n_samples, rng_profile)
     profile = {int(s): values[:, i] for i, s in enumerate(sites)}
 
+    gen = srw_generator(-window, pivot + window)
+    batch = sample_paths_inverse_local_time(gen, 0, pivot, level, n_samples, rng_direct)
+    direct = {x: batch.local_times[:, gen.index(x)] for x in gen.states}
+
     moments = []
     checks = []
     for site in compare_sites:
-        mz, vz = _mean_var_z(direct[site], profile[site])
+        if site == pivot:
+            mz = vz = 0.0
+        else:
+            mz, vz = _mean_var_z(direct[site], profile[site])
         moments.append(MomentComparison(
             site=site,
             mean_direct=float(direct[site].mean()),

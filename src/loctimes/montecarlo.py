@@ -90,11 +90,6 @@ def jump_table(gen: Generator) -> JumpTable:
     return JumpTable(exit_rates=exit_rates, thresholds=thresholds, targets=targets)
 
 
-def spawn_rngs(seed, n: int):
-    """n independent substreams, deterministically derived from one seed."""
-    return [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(n)]
-
-
 def sample_paths_fixed_time(
     gen: Generator, start, T: float, n_paths: int, rng: np.random.Generator
 ) -> BatchPaths:

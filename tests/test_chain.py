@@ -6,12 +6,10 @@ from scipy.stats import chi2 as chi2_dist, poisson
 
 from loctimes.chain import (
     generator_from_triples,
-    restrict,
     srw_generator,
     validate_generator,
 )
 from loctimes.errors import (
-    EmptySubsetError,
     NegativeRateError,
     NonConservativeError,
     TooSmallStateSpaceError,
@@ -66,45 +64,6 @@ def test_triples_diagnostics():
         generator_from_triples(("a", "b"), [("a", "b", 1.0), ("a", 1.0)])
     with pytest.raises(UnknownLabelError, match="#0"):
         generator_from_triples(("a", "b"), [("a", "c", 1.0)])
-
-
-# ---------------------------------------------------------------------------
-# restriction
-# ---------------------------------------------------------------------------
-
-def test_restrict_srw_to_pair():
-    g = srw_generator(-2, 3)
-    res = restrict(g, (0, 1))
-    assert np.allclose(res.restricted.rates, [[-1.0, 1.0], [1.0, -1.0]])
-    assert np.allclose(res.killing, [1.0, 1.0])  # escape to -1 and to 2
-
-
-def test_restrict_identity_holds_exactly():
-    g = srw_generator(0, 4)
-    res = restrict(g, (1, 2, 3))
-    base_block = g.submatrix((1, 2, 3))
-    assert np.array_equal(res.restricted.rates, base_block + res.killing_matrix)
-
-
-def test_restrict_full_set_is_noop():
-    g = TWO_STATE
-    res = restrict(g, (1, 2))
-    assert np.array_equal(res.restricted.rates, g.rates)
-    assert np.all(res.killing == 0.0)
-
-
-def test_restrict_singleton():
-    g = TWO_STATE
-    res = restrict(g, (1,))
-    assert res.restricted.rates.tolist() == [[0.0]]
-    assert res.killing.tolist() == [1.0]  # minus the original diagonal
-
-
-def test_restrict_errors():
-    with pytest.raises(EmptySubsetError):
-        restrict(TWO_STATE, ())
-    with pytest.raises(UnknownLabelError):
-        restrict(TWO_STATE, (1, 7))
 
 
 # ---------------------------------------------------------------------------
@@ -201,7 +160,11 @@ def test_restriction_reweighting_matches_full_chain():
     rng_full, rng_restr = (np.random.default_rng(s) for s in (21, 22))
     g = srw_generator(0, 4)
     R = (1, 2, 3)
-    res = restrict(g, R)
+    # the chain kept inside R by recomputing its diagonal, and the rates at
+    # which the full chain escapes R
+    block = g.submatrix(R)
+    restricted = validate_generator(block - np.diag(np.diag(block)), R)
+    killing = -block.sum(axis=1)
     T, n, b = 1.0, 150_000, 2
 
     full = sample_paths_fixed_time(g, 1, T, n, rng_full)
@@ -212,9 +175,9 @@ def test_restriction_reweighting_matches_full_chain():
     p_full = target.mean()
     se_full = math.sqrt(p_full * (1 - p_full) / n)
 
-    sub = sample_paths_fixed_time(res.restricted, 1, T, n, rng_restr)
-    weights = np.exp(-(sub.local_times * res.killing[None, :]).sum(axis=1))
-    weights *= sub.endpoints == res.restricted.index(b)
+    sub = sample_paths_fixed_time(restricted, 1, T, n, rng_restr)
+    weights = np.exp(-(sub.local_times * killing[None, :]).sum(axis=1))
+    weights *= sub.endpoints == restricted.index(b)
     est = weights.mean()
     se_rest = weights.std(ddof=1) / math.sqrt(n)
 

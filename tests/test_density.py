@@ -13,7 +13,6 @@ from loctimes.density import (
     _ORDER_SCHEDULE,
     _OperatorSeries,
     apply_cofactor_operator,
-    cofactor,
     cofactor_subset_weights,
     density,
     density_batch,
@@ -22,8 +21,8 @@ from loctimes.density import (
     density_tridiagonal,
     prepare_range,
     range_rates,
+    _replaced_matrix,
     _tail_sums,
-    replaced_matrix,
     torus_series,
 )
 from loctimes.errors import (
@@ -67,6 +66,11 @@ def random_point(rng, n, T):
 # cofactor
 # ---------------------------------------------------------------------------
 
+def cofactor(M, a, b):
+    """The (b,a) cofactor of M: det of the (b,a)-replaced matrix."""
+    return float(np.linalg.det(_replaced_matrix(np.asarray(M, dtype=float), a, b)))
+
+
 def test_cofactor_identity_matrix():
     for n in (1, 2, 4):
         M = np.eye(n)
@@ -83,7 +87,7 @@ def test_cofactor_two_by_two_off_diagonal():
 
 def test_replaced_matrix_layout():
     M = np.arange(9, dtype=float).reshape(3, 3)
-    N = replaced_matrix(M, 0, 2)
+    N = _replaced_matrix(M, 0, 2)
     assert np.all(N[2, :] == [1.0, 0.0, 0.0])
     assert np.all(N[:2, 0] == 0.0)
     assert np.all(N[:2, 1:] == M[:2, 1:])

@@ -12,7 +12,9 @@ from loctimes.chain import srw_generator, validate_generator
 from loctimes.errors import ConfigParseError, InsufficientConditionedError
 from loctimes.harness import (
     _grid_counts,
+    _mean_var_z,
     _unit_rule,
+    _var_se,
     chi_square_shape_test,
     config_hash,
     expected_cell_masses,
@@ -28,9 +30,11 @@ from loctimes.harness import (
     run_suite,
     two_state_event_probabilities,
     verify_density_mc,
+    verify_rayknight_mc,
     wilson_upper,
     write_csv,
 )
+from loctimes.montecarlo import sample_paths_inverse_local_time
 
 TWO_STATE = validate_generator([[0.0, 1.0], [1.0, 0.0]], (1, 2))
 
@@ -117,9 +121,12 @@ def test_two_state_probabilities_sum_to_one():
         assert sum(two_state_event_probabilities(T)) == pytest.approx(1.0, abs=1e-14)
 
 
-def test_spawn_rngs_are_deterministic_and_distinct():
-    from loctimes.montecarlo import spawn_rngs
+def spawn_rngs(seed, n: int):
+    """n independent substreams, deterministically derived from one seed."""
+    return [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(n)]
 
+
+def test_spawn_rngs_are_deterministic_and_distinct():
     a = [r.random(3).tolist() for r in spawn_rngs(99, 3)]
     b = [r.random(3).tolist() for r in spawn_rngs(99, 3)]
     assert a == b
@@ -155,6 +162,71 @@ def test_verify_density_three_state_quick():
 def test_verify_density_insufficient_conditioning():
     with pytest.raises(InsufficientConditionedError):
         verify_density_mc(TWO_STATE, 1, 2, (1, 2), 0.01, 2000, seed=1)
+
+
+# ---------------------------------------------------------------------------
+# Ray-Knight experiment
+# ---------------------------------------------------------------------------
+
+def test_trace_window_local_times_have_the_walk_on_z_means():
+    # walk on Z from 0 stopped when its local time at b reaches h: E l_x is
+    # h + b - max(0, x) below b and h from b up; the reflected walk on
+    # [-1, 3] is the trace of the walk on Z there, so it has the same means
+    b, h, n = 2, 1.0, 200_000
+    g = srw_generator(-1, 3)
+    (rng,) = spawn_rngs(31, 1)
+    local = sample_paths_inverse_local_time(g, 0, b, h, n, rng).local_times
+    for x in g.states:
+        col = local[:, g.index(x)]
+        if x == b:
+            assert np.all(col == h)
+            continue
+        exact = h + b - max(0, x) if x < b else h
+        z = (col.mean() - exact) / (col.std(ddof=1) / math.sqrt(n))
+        assert abs(z) < 4.0, (x, col.mean(), exact, z)
+
+
+def test_trace_window_matches_a_wide_window():
+    # the same law on the sites -1..3 whether the walk runs on [-1, 3] or on
+    # [-8, 10]: means, variances and the absorption atoms at 3 and -1
+    b, h, n = 2, 1.0, 200_000
+    narrow_rng, wide_rng = spawn_rngs(32, 2)
+    narrow_gen, wide_gen = srw_generator(-1, 3), srw_generator(-8, 10)
+    narrow = sample_paths_inverse_local_time(narrow_gen, 0, b, h, n, narrow_rng).local_times
+    wide = sample_paths_inverse_local_time(wide_gen, 0, b, h, n, wide_rng).local_times
+    for x in (-1, 0, 1, 3):
+        x_narrow = narrow[:, narrow_gen.index(x)]
+        x_wide = wide[:, wide_gen.index(x)]
+        mz, vz = _mean_var_z(x_narrow, x_wide)
+        assert abs(mz) < 4.0 and abs(vz) < 4.0, (x, mz, vz)
+        if x in (-1, 3):
+            p, q = (x_narrow == 0.0).mean(), (x_wide == 0.0).mean()
+            z = (p - q) / math.sqrt(p * (1 - p) / n + q * (1 - q) / n)
+            assert abs(z) < 4.0, (x, p, q, z)
+
+
+def test_var_se_matches_the_fourth_power_moment():
+    rng = np.random.default_rng(5)
+    for shape in (0.3, 1.0, 2.5, 7.0):
+        v = rng.gamma(shape, 1.0, 50_000)
+        c = v - v.mean()
+        m2, m4 = (c * c).mean(), (c ** 4).mean()
+        reference = math.sqrt(max(m4 - m2 * m2, 1e-300) / len(v))
+        assert _var_se(v) == pytest.approx(reference, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("pivot", [1, 2, 3])
+def test_rayknight_check_at_a_compared_pivot(pivot):
+    # the default compared sites are 0, 1 and 3, so pivots 1 and 3 compare
+    # the pivot itself, where both sides hold the level exactly
+    report = verify_rayknight_mc(pivot=pivot, n_samples=5_000, seed=7)
+    assert len(report.rows()) == 3
+    values = [c.value for c in report.checks]
+    assert all(math.isfinite(v) for v in values)
+    pivot_checks = [c for c in report.checks if c.name.endswith(f"_site_{pivot}")]
+    assert len(pivot_checks) == (2 if pivot in (1, 3) else 0)
+    assert all(c.passed and c.value == 0.0 for c in pivot_checks)
+    assert report.passed
 
 
 # ---------------------------------------------------------------------------
@@ -322,8 +394,8 @@ PINNED_DIGESTS = {
     "exponential.csv": "932e85670633579a7a474a9cad36cc10d415ad19c2770002b3b045c72044d842",
     "halfspace.csv": "0578f2debdc06cfbe383e8903f4f5186a6c1d4971913e90e7dc42242b5c209ee",
     "law.csv": "5dea1b3f1793b3ca7c7559645163c1202331075ebe579db26b1cc4b2a314b5a5",
-    "profile.csv": "149e004d96312c307f7506a2ed045cbaff429b0c36ac3bb2bad7ee8c05f43c3f",
-    "summary.json": "6176073c20043db6e92de03d89838b37af402c162820be32b379b4b1dafb82a9",
+    "profile.csv": "71feca5453fcbf3d97dfaaef54dd729fdc67822d091ead6f5dc17ced7dcc32b3",
+    "summary.json": "7f16857da67c6052c1468a4c9edb5d3ba880ea079b4c8b02914d965e773318bd",
 }
 
 
