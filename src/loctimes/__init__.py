@@ -11,14 +11,11 @@ from .chain import (
 )
 from .density import (
     DensityEvaluation,
-    apply_cofactor_operator,
-    cofactor_subset_weights,
     density,
     density_batch,
     density_certified,
     density_quadrature,
     density_tridiagonal,
-    torus_series,
 )
 from .montecarlo import (
     sample_paths_fixed_time,

@@ -18,18 +18,20 @@ Three independent evaluations are provided:
   (only balanced monomials survive the circle averages), apply the cofactor
   operator in closed form, and certify the truncation remainder;
   :func:`density_batch` does this for many points of one range at once, and
-  the single-point functions are batches of one.  The operator's subset
-  weights come from one batched determinant call, and the closed-form tail
-  bound picks every point's truncation order in one array pass over the
-  order schedule;
+  the single-point functions are batches of one; they are the only way into
+  the series.  The operator's subset weights come from one batched
+  determinant call, and the closed-form tail bound picks every point's
+  truncation order in one array pass over the order schedule;
 * :func:`density_quadrature` - the derivative-free cofactor-inside-the-
   integral form, evaluated by tensor-product periodic trapezoidal quadrature
   whose phases are products of precomputed roots of unity;
 * :func:`density_tridiagonal` - the nearest-neighbor product formula, one
-  scalar edge kernel (or its derivative) per interval edge.
+  scalar edge kernel (or its derivative) per interval edge, for a and b in
+  either order.
 
 Every route, the density bound and the Ray-Knight check read a request in one
-place: :func:`_range_positions` checks R, a and b, :func:`_local_times` reads l.
+place: :func:`_range_positions` checks R, a and b, :func:`_local_times` reads l,
+and :func:`range_rates` raises ``NegativeRateError`` on a negative rate in R.
 
 The density depends only on the rates inside R x R, and only the local times
 change from point to point.  Everything else a request on (R, a, b) owes is
@@ -50,7 +52,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
-from typing import Dict, Iterable, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.special import gammainc
@@ -59,6 +61,7 @@ from .bessel import edge_kernel, edge_kernel_d
 from .chain import Generator
 from .errors import (
     DomainError,
+    NegativeRateError,
     NonConvergedTruncationError,
     NotIntervalError,
     NotTridiagonalError,
@@ -82,8 +85,8 @@ def _check_local_times(L: np.ndarray) -> None:
 
 @dataclass
 class DensityEvaluation:
-    """A truncated series value (a density, or a derivative of the torus
-    average) together with its certified truncation bound and order."""
+    """A truncated series density together with its certified truncation
+    bound and order."""
 
     value: float
     error_bound: float
@@ -138,7 +141,7 @@ def _replaced_matrix(M: np.ndarray, a: int, b: int) -> np.ndarray:
     return N
 
 
-def cofactor_subset_weights(
+def _cofactor_subset_weights(
     B: np.ndarray, a: int, b: int
 ) -> Dict[Tuple[int, ...], float]:
     """Coefficients of the cofactor differential operator det_ab(-B + d/dl).
@@ -200,17 +203,15 @@ def _poisson_tails(S: np.ndarray, orders: np.ndarray, shifts: int) -> np.ndarray
 
 
 def _tail_sums(q: int, S: np.ndarray, orders: np.ndarray,
-               poisson: Optional[np.ndarray] = None) -> np.ndarray:
+               poisson: np.ndarray) -> np.ndarray:
     """sum over N > n0 of N^q S^N / N! in closed form, for every truncation
     order n0 in ``orders`` (rows) and every S (columns).
 
     Expanding N^q = sum_k S(q,k) N(N-1)...(N-k+1) turns each piece into a
     Poisson tail, sum_{N > n0} N(N-1)...(N-k+1) S^N/N! =
     S^k e^S P(Poisson(S) > n0 - k), read from ``poisson`` (see
-    :func:`_poisson_tails`, which computes it when not given).
+    :func:`_poisson_tails`).
     """
-    if poisson is None:
-        poisson = _poisson_tails(S, orders, q + 1)
     total = np.zeros((len(orders), len(S)))
     for k, c in enumerate(_stirling2(q)):
         if c:
@@ -235,8 +236,7 @@ class _OrderTerms(NamedTuple):
     """What the series needs at one truncation order, whatever the point."""
 
     n_flows: int
-    log_coef: np.ndarray    # (F,) log of prod_e |w_e|^{n_e} / n_e!
-    sign: object            # 1.0, or (F, 1) signs of the negative weights
+    log_coef: np.ndarray    # (F,) log of prod_e w_e^{n_e} / n_e!
     degree: np.ndarray      # (F, n_nodes) out-degrees as floats
     factors: np.ndarray     # (subsets, F) prod_{x in Q} degree[:, x]
 
@@ -260,7 +260,6 @@ class _OperatorSeries:
         self._subsets = list(self.weights)
         self._xs = np.array([x for x, _ in self.edges], dtype=int)
         self._ys = np.array([y for _, y in self.edges], dtype=int)
-        self._abs_w = np.abs(self.w)
         self._coefs = np.array([self.weights[Q] for Q in self._subsets])
         self._abs_coefs = np.abs(self._coefs)
         # subset positions padded to one width with position n_nodes, which
@@ -271,7 +270,7 @@ class _OperatorSeries:
         for k, Q in enumerate(self._subsets):
             self._padded[k, :len(Q)] = Q
             self._by_size.setdefault(len(Q), []).append(k)
-        _read_only(self.w, self._xs, self._ys, self._abs_w, self._coefs,
+        _read_only(self.w, self._xs, self._ys, self._coefs,
                    self._abs_coefs, self._padded)
         self._terms: Dict[int, _OrderTerms] = {}
 
@@ -290,13 +289,13 @@ class _OperatorSeries:
         """The order-independent part of the remainder bound at each row of L.
 
         The dropped terms are majorized by the full unbalanced series: with
-        S = sum |Btilde[x,y]| sqrt(l_x l_y), the undifferentiated tail is at
+        S = sum Btilde[x,y] sqrt(l_x l_y), the undifferentiated tail is at
         most sum_{N > order} S^N/N!, and a derivative in x at most multiplies
         an order-N term by N / l_x.  Returns S and, per subset size q, the
         sum over |Q| = q of |weight| / prod_{x in Q} l_x, accumulated in the
         order of the subsets.
         """
-        S = np.sqrt(L[:, self._xs] * L[:, self._ys]) @ self._abs_w
+        S = np.sqrt(L[:, self._xs] * L[:, self._ys]) @ self.w
         parts = self._abs_coefs / self._subset_products(L)
         by_size = {q: np.add.accumulate(parts[:, cols], axis=1)[:, -1]
                    for q, cols in self._by_size.items()}
@@ -322,20 +321,11 @@ class _OperatorSeries:
         if terms is not None:
             return terms
         table = flow_table(self.edges, self.n_nodes, order)
-        counts, w = table.counts, self.w
-        sign = 1.0
-        if np.iscomplexobj(w):
-            # complex weights: exp(n log w) reproduces w^n exactly
-            log_coef = counts @ np.log(w) - table.log_count_factorials
-        else:
-            log_coef = counts @ np.log(np.abs(w)) - table.log_count_factorials
-            if np.any(w < 0.0):
-                sign = np.where(counts[:, w < 0.0].sum(axis=1) % 2 == 1, -1.0, 1.0)[:, None]
-                _read_only(sign)
+        log_coef = table.counts @ np.log(self.w) - table.log_count_factorials
         degree = table.out_degree.astype(float)
         factors = np.stack([degree[:, list(Q)].prod(axis=1) for Q in self._subsets])
         _read_only(log_coef, degree, factors)
-        terms = _OrderTerms(table.n_flows, log_coef, sign, degree, factors)
+        terms = _OrderTerms(table.n_flows, log_coef, degree, factors)
         self._terms[order] = terms
         return terms
 
@@ -351,66 +341,15 @@ class _OperatorSeries:
         if not self.weights:
             return np.zeros(len(L))
         terms = self._order_terms(order)
-        out = np.empty(len(L), dtype=terms.log_coef.dtype)
+        out = np.empty(len(L))
         chunk = max(1, _BLOCK_TERMS // terms.n_flows)
         for lo in range(0, len(L), chunk):
             Lc = L[lo:lo + chunk]
-            base = terms.sign * np.exp(terms.log_coef[:, None] + terms.degree @ np.log(Lc).T)
+            base = np.exp(terms.log_coef[:, None] + terms.degree @ np.log(Lc).T)
             per_subset = terms.factors @ base
             per_subset /= self._subset_products(Lc).T
             out[lo:lo + chunk] = self._coefs @ per_subset
         return out
-
-
-def _single_point(
-    Btilde, weights: Dict[Tuple[int, ...], float], l, max_total: int
-) -> DensityEvaluation:
-    Btilde = np.asarray(Btilde)
-    if not np.iscomplexobj(Btilde):
-        Btilde = Btilde.astype(float)
-    l = np.asarray(l, dtype=float)
-    _check_local_times(l)
-    series = _OperatorSeries(Btilde, weights)
-    L = l[None, :]
-    value = series.values(L, max_total)[0]
-    value = complex(value) if np.iscomplexobj(value) else float(value)
-    tail = series.tails(series.majorant(L), np.array([max_total]))[0, 0]
-    return DensityEvaluation(value=value, error_bound=float(tail), order=max_total)
-
-
-def torus_series(
-    Btilde: np.ndarray,
-    l,
-    derivative_set: Iterable[int] = (),
-    max_total: int = 40,
-) -> DensityEvaluation:
-    """Derivatives of the torus average, as a certified balanced-flow series.
-
-    Evaluates prod_{x in Q} d/dl_x applied to the circle average of
-    exp(sum_{x,y} Btilde[x,y] sqrt(l_x l_y) e^{i(th_x - th_y)}), truncated at
-    total flow count ``max_total``, with the remainder bound in
-    ``error_bound``.  Signed or complex entries are accepted when the
-    derivative set is empty (each surviving term is still a monomial, and the
-    value may then be complex); entries on the support must be nonzero.
-    """
-    Q = tuple(sorted(set(derivative_set)))
-    return _single_point(Btilde, {Q: 1.0}, l, max_total)
-
-
-def apply_cofactor_operator(
-    weights: Dict[Tuple[int, ...], float],
-    Btilde: np.ndarray,
-    l,
-    max_total: int = 40,
-) -> DensityEvaluation:
-    """Apply the expanded cofactor operator to the flow series of ``Btilde``.
-
-    ``weights`` is the {Q: weight} expansion of the operator that
-    :func:`cofactor_subset_weights` returns.  The series may carry conjugated
-    weights ``Btilde``; all 2^(|R|-2) subset terms at most share one pass
-    over the flows.
-    """
-    return _single_point(Btilde, weights, l, max_total)
 
 
 # ---------------------------------------------------------------------------
@@ -428,9 +367,9 @@ class RangeRates:
     read-only, since one instance serves every request on the same block."""
 
     A: np.ndarray       # the rate block, killed outside R (no re-conservation)
-    B: np.ndarray       # its off-diagonal part
+    B: np.ndarray       # its off-diagonal part, nonnegative
     diag: np.ndarray    # np.diag(A), the strided view of A (see range_rates)
-    eta: float          # max absolute row/column sum of B, floored at 1
+    eta: float          # max row/column sum of B, floored at 1
     symmetric: bool     # A equals its transpose to 1e-12
 
 
@@ -439,11 +378,14 @@ def _range_rates(block: bytes, r: int) -> RangeRates:
     A = np.frombuffer(block).reshape(r, r)
     B = A.copy()
     np.fill_diagonal(B, 0.0)
+    if np.any(B < 0.0):
+        x, y = np.argwhere(B < 0.0)[0]
+        raise NegativeRateError(
+            f"negative rate {B[x, y]} from position {x} to position {y} of the range")
     _read_only(B)
-    absB = np.abs(B)
     return RangeRates(
         A=A, B=B, diag=np.diag(A),
-        eta=float(max(absB.sum(axis=1).max(), absB.sum(axis=0).max(), 1.0)),
+        eta=float(max(B.sum(axis=1).max(), B.sum(axis=0).max(), 1.0)),
         symmetric=bool(np.allclose(A, A.T, atol=1e-12)),
     )
 
@@ -452,10 +394,11 @@ def range_rates(gen: Generator, R: Sequence) -> RangeRates:
     """The :class:`RangeRates` of ``gen`` on ``R``, memoized by content.
 
     The key is the bytes and size of the rate block, so an in-place edit of
-    ``gen.rates`` misses the cache instead of reading a stale entry.  The
-    diagonal stays the strided view ``np.diag(A)`` of a C-ordered block,
-    as a fresh slice would give: a contiguous copy can change ``L @ diag``
-    in the last bit.
+    ``gen.rates`` misses the cache instead of reading a stale entry.  A
+    negative off-diagonal rate raises ``NegativeRateError``.  The diagonal
+    stays the strided view ``np.diag(A)`` of a C-ordered block, as a fresh
+    slice would give: a contiguous copy can change ``L @ diag`` in the last
+    bit.
     """
     A = np.asarray(gen.submatrix(R), dtype=float)
     return _range_rates(A.tobytes(), A.shape[0])
@@ -482,7 +425,7 @@ def _prepared_range(block: bytes, r: int, a: int, b: int,
         Btilde = B * rvec[:, None] / rvec[None, :]
     else:
         Btilde = B
-    return PreparedRange(rates, _OperatorSeries(Btilde, cofactor_subset_weights(B, a, b)))
+    return PreparedRange(rates, _OperatorSeries(Btilde, _cofactor_subset_weights(B, a, b)))
 
 
 def prepare_range(gen: Generator, R: Sequence, a, b,
@@ -521,7 +464,7 @@ def density_batch(
     orders)``, each of length P, with every error bound at most ``tol``.
 
     The support, the cofactor subset weights (one batched determinant, see
-    :func:`cofactor_subset_weights`), diag(A) and the flow-series terms of
+    :func:`_cofactor_subset_weights`), diag(A) and the flow-series terms of
     each order come from the memoized :func:`prepare_range`, so repeated
     calls on one range build them once.  The tail
     certificate is a closed formula, evaluated at every order of the schedule
@@ -715,11 +658,11 @@ def density_tridiagonal(gen: Generator, R: Sequence, a, b, l) -> float:
 
     For tridiagonal A the cofactor factorizes across the interval, so the
     density is a product of one scalar edge kernel per middle edge (between a
-    and b, each weighted by the rightward rate across it) and one kernel
-    derivative per outer edge, times the diagonal exponential.  O(|R|) kernel
-    evaluations.  For unit-rate walks the middle rate factors are invisible;
-    the two-state case pins them down: the density of one rightward crossing
-    carries the rate of that jump.
+    and b, each weighted by the rate across it in the direction from a to b)
+    and one kernel derivative per outer edge (outside min(a, b)..max(a, b)),
+    times the diagonal exponential.  O(|R|) kernel evaluations.  For unit-rate
+    walks the middle rate factors are invisible; the two-state case pins them
+    down: the density of one crossing carries the rate of that jump.
     """
     R, _, _ = _range_positions(R, a, b)
     lvec = _local_times(R, l)
@@ -727,8 +670,7 @@ def density_tridiagonal(gen: Generator, R: Sequence, a, b, l) -> float:
     if R != R_sorted:
         lvec = _local_times(R_sorted, dict(zip(R, lvec)))
     a, b = int(a), int(b)
-    if a > b:
-        raise ValueError("density_tridiagonal requires a <= b")
+    lo, hi = min(a, b), max(a, b)
     rates = range_rates(gen, R_sorted)
     A, off = rates.A, rates.B
     r = len(R_sorted)
@@ -739,10 +681,11 @@ def density_tridiagonal(gen: Generator, R: Sequence, a, b, l) -> float:
     value = math.exp(float(np.dot(rates.diag, lvec)))
     for i, x in enumerate(R_sorted[:-1]):
         c = A[i, i + 1] * A[i + 1, i]
-        if x < a:
+        if x < lo:
             value *= edge_kernel_d(c, lvec[i], lvec[i + 1])
-        elif x < b:
-            value *= A[i, i + 1] * edge_kernel(c, lvec[i], lvec[i + 1])
-        else:  # x + 1 > b: derivative in the right coordinate
+        elif x < hi:
+            rate = A[i, i + 1] if a <= b else A[i + 1, i]
+            value *= rate * edge_kernel(c, lvec[i], lvec[i + 1])
+        else:  # x + 1 > hi: derivative in the right coordinate
             value *= edge_kernel_d(c, lvec[i + 1], lvec[i])
     return value

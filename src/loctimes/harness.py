@@ -28,7 +28,7 @@ from .montecarlo import (
     sample_paths_fixed_time,
     sample_paths_inverse_local_time,
 )
-from .rates import eta, ldp_probability_bound, ldp_varadhan_bound, rate_symmetric_on_subset
+from .rates import ldp_probability_bound, ldp_varadhan_bound, rate_symmetric_on_subset
 from .rayknight import sample_rk_profile_batch
 
 
@@ -119,16 +119,20 @@ def _fmt(v) -> str:
 # shared statistics helpers
 # ---------------------------------------------------------------------------
 
-def merge_cells(observed: np.ndarray, expected: np.ndarray, min_expected: float = 5.0):
+# the chi-square validity floor on the expected count of a merged cell
+_MIN_EXPECTED = 5.0
+
+
+def merge_cells(observed: np.ndarray, expected: np.ndarray):
     """Merge scan-order neighbors until every expected count reaches the
-    chi-square validity floor."""
+    chi-square validity floor _MIN_EXPECTED."""
     obs_m: List[float] = []
     exp_m: List[float] = []
     acc_o = acc_e = 0.0
     for o, e in zip(observed, expected):
         acc_o += float(o)
         acc_e += float(e)
-        if acc_e >= min_expected:
+        if acc_e >= _MIN_EXPECTED:
             obs_m.append(acc_o)
             exp_m.append(acc_e)
             acc_o = acc_e = 0.0
@@ -141,8 +145,7 @@ def merge_cells(observed: np.ndarray, expected: np.ndarray, min_expected: float 
     return np.array(obs_m), np.array(exp_m)
 
 
-def chi_square_shape_test(observed: np.ndarray, expected_masses: np.ndarray,
-                          min_expected: float = 5.0):
+def chi_square_shape_test(observed: np.ndarray, expected_masses: np.ndarray):
     """Chi-square of observed counts against expected masses, normalized to
     the observed total (a pure shape comparison).  Returns (stat, dof,
     p-value, worst-cell z)."""
@@ -151,7 +154,7 @@ def chi_square_shape_test(observed: np.ndarray, expected_masses: np.ndarray,
     # normalize to expected counts before merging so the validity floor
     # applies to counts, not to raw masses
     expected = expected_masses * (observed.sum() / expected_masses.sum())
-    obs, exp = merge_cells(observed, expected, min_expected)
+    obs, exp = merge_cells(observed, expected)
     stat = float(((obs - exp) ** 2 / exp).sum())
     dof = max(len(obs) - 1, 1)
     worst = float(np.max(np.abs(obs - exp) / np.sqrt(exp)))
@@ -229,7 +232,6 @@ class SimplexHistogram:
     """Binned free coordinates of conditioned samples with expected masses."""
 
     range: Tuple
-    eliminated: object
     edges: List[np.ndarray]
     counts: np.ndarray            # flattened, C order over the cell grid
     expected: np.ndarray          # integral of the density over each cell
@@ -375,6 +377,12 @@ class Report:
 # experiment: Monte Carlo law of the local times
 # ---------------------------------------------------------------------------
 
+# tolerance of the cell-integrated density, and the chi-square p-value below
+# which the law check fails
+_DENSITY_TOL = 1e-9
+_P_THRESHOLD = 1e-3
+
+
 @dataclass
 class DensityCheckReport(Report):
     columns = ("cell", "observed", "expected_mass")
@@ -408,14 +416,12 @@ def verify_density_mc(
     n_samples: int,
     cells_per_axis: int = 7,
     seed: int = 0,
-    eliminated=None,
-    density_tol: float = 1e-9,
-    p_threshold: float = 1e-3,
 ) -> DensityCheckReport:
     """Bin conditioned local times and compare with cell integrals of the
     density by a chi-square shape test; also compare the conditioning
     probability with the density normalization (and with the closed-form
-    values for the canonical two-state chain)."""
+    values for the canonical two-state chain).  The free coordinates are the
+    local times off the endpoint."""
     R = tuple(range_)
     if len(R) - 1 > 2:
         raise ValueError("default cell grid supports |R| <= 3")
@@ -428,8 +434,7 @@ def verify_density_mc(
             f"only {n_cond} of {n_samples} samples hit the conditioning event"
         )
 
-    elim = endpoint if eliminated is None else eliminated
-    free_states = [x for x in R if x != elim]
+    free_states = [x for x in R if x != endpoint]
     rows = np.flatnonzero(mask)
     columns = [batch.local_times[rows, j] for j in gen.indices(free_states)]
 
@@ -437,13 +442,13 @@ def verify_density_mc(
     counts = _grid_counts(columns, edges)
 
     free_pos = [R.index(x) for x in free_states]
-    elim_pos = R.index(elim)
+    elim_pos = R.index(endpoint)
 
     def rho(free: np.ndarray) -> np.ndarray:
         L = np.empty((len(free), len(R)))
         L[:, free_pos] = free
         L[:, elim_pos] = T - free.sum(axis=1)
-        return density_batch(gen, R, start, endpoint, L, density_tol)[0]
+        return density_batch(gen, R, start, endpoint, L, _DENSITY_TOL)[0]
 
     masses, excluded, flagged = expected_cell_masses(rho, edges, T)
 
@@ -455,7 +460,7 @@ def verify_density_mc(
     z_cond = (p_mc - p_quad) / se
 
     checks = [
-        CheckResult("chi_square_p_value", p_value > p_threshold, p_value, p_threshold),
+        CheckResult("chi_square_p_value", p_value > _P_THRESHOLD, p_value, _P_THRESHOLD),
         CheckResult("conditioning_probability_z", abs(z_cond) < 4.0, z_cond, 4.0),
     ]
     analytic = None
@@ -473,7 +478,7 @@ def verify_density_mc(
         checks.append(CheckResult("conditioning_vs_analytic_z", abs(z_t) < 4.0, z_t, 4.0))
 
     hist = SimplexHistogram(
-        range=R, eliminated=elim, edges=edges, counts=counts.ravel(),
+        range=R, edges=edges, counts=counts.ravel(),
         expected=masses.ravel(), excluded_cells=excluded, flagged_cells=flagged,
     )
     return DensityCheckReport(
@@ -540,20 +545,24 @@ def _mean_var_z(x: np.ndarray, y: np.ndarray) -> Tuple[float, float]:
     return float(mz), float(vz)
 
 
+# the sites whose moments are compared, and the |z| below which a moment and
+# an absorption-atom comparison pass
+_COMPARE_SITES = (0, 1, 3)
+_MOMENT_Z = 3.0
+_ATOM_Z = 4.0
+
+
 def verify_rayknight_mc(
     pivot: int = 2,
     level: float = 1.0,
     n_samples: int = 200_000,
     seed: int = 0,
-    compare_sites: Sequence[int] = (0, 1, 3),
-    moment_z_threshold: float = 3.0,
-    atom_z_threshold: float = 4.0,
 ) -> RayKnightReport:
     """Compare direct inverse-local-time simulation against the spatial
     Markov-chain profile sampler: per-site means and variances, absorption
     atom frequencies, and the independence of inner and outer randomness.
 
-    The checks read the sites ``compare_sites`` (moments), ``pivot + 1``
+    The checks read the sites _COMPARE_SITES (moments), ``pivot + 1``
     and ``-1`` (absorption atoms) and ``pivot - 1`` (independence).  Both
     sides run on the smallest window -w..pivot+w that covers those sites and
     no further (sites -1 to 3 with the defaults).  Each profile chain draws
@@ -570,7 +579,7 @@ def verify_rayknight_mc(
     rng_direct, rng_profile = [
         np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(2)
     ]
-    read = [*compare_sites, pivot - 1, pivot + 1, -1]
+    read = [*_COMPARE_SITES, pivot - 1, pivot + 1, -1]
     window = max(0, -min(read), max(read) - pivot)
     sites, values = sample_rk_profile_batch(pivot, level, window, n_samples, rng_profile)
     profile = {int(s): values[:, i] for i, s in enumerate(sites)}
@@ -581,7 +590,7 @@ def verify_rayknight_mc(
 
     moments = []
     checks = []
-    for site in compare_sites:
+    for site in _COMPARE_SITES:
         if site == pivot:
             mz = vz = 0.0
         else:
@@ -596,9 +605,8 @@ def verify_rayknight_mc(
             var_z=vz,
         ))
         checks.append(CheckResult(
-            f"mean_z_site_{site}", abs(mz) < moment_z_threshold, mz, moment_z_threshold))
-        checks.append(CheckResult(
-            f"var_z_site_{site}", abs(vz) < moment_z_threshold, vz, moment_z_threshold))
+            f"mean_z_site_{site}", abs(mz) < _MOMENT_Z, mz, _MOMENT_Z))
+        checks.append(CheckResult(f"var_z_site_{site}", abs(vz) < _MOMENT_Z, vz, _MOMENT_Z))
 
     def atom_freqs(site):
         d = float((direct[site] == 0.0).mean())
@@ -613,10 +621,10 @@ def verify_rayknight_mc(
     a_exact_z = (a_d - exact) / se_exact
     left = -1
     l_d, l_p, l_z = atom_freqs(left)
-    checks.append(CheckResult("atom_right_z", abs(a_z) < atom_z_threshold, a_z, atom_z_threshold))
+    checks.append(CheckResult("atom_right_z", abs(a_z) < _ATOM_Z, a_z, _ATOM_Z))
     checks.append(CheckResult(
-        "atom_right_vs_exact_z", abs(a_exact_z) < atom_z_threshold, a_exact_z, atom_z_threshold))
-    checks.append(CheckResult("atom_left_z", abs(l_z) < atom_z_threshold, l_z, atom_z_threshold))
+        "atom_right_vs_exact_z", abs(a_exact_z) < _ATOM_Z, a_exact_z, _ATOM_Z))
+    checks.append(CheckResult("atom_left_z", abs(l_z) < _ATOM_Z, l_z, _ATOM_Z))
 
     def indep_corr(data):
         # residual of the inner step at site pivot-1 given the pivot value,
@@ -627,7 +635,7 @@ def verify_rayknight_mc(
 
     corr_d = indep_corr(direct)
     corr_p = indep_corr(profile)
-    corr_threshold = atom_z_threshold / math.sqrt(n_samples)
+    corr_threshold = _ATOM_Z / math.sqrt(n_samples)
     checks.append(CheckResult(
         "independence_corr_direct", abs(corr_d) < corr_threshold, corr_d, corr_threshold))
     checks.append(CheckResult(
@@ -648,14 +656,18 @@ def verify_rayknight_mc(
 # experiment: finite-time LDP bounds
 # ---------------------------------------------------------------------------
 
-def _simplex_minimum(objective, m: int, constraints: List[dict], n_starts: int, seed: int,
+# seeded Dirichlet starts of the simplex optimizer, after the uniform point
+_SIMPLEX_STARTS = 16
+
+
+def _simplex_minimum(objective, m: int, constraints: List[dict],
                      project=lambda mu0: mu0) -> float:
     """Smallest value SLSQP reaches on the probability simplex of R^m, under
-    extra ``constraints``, from the uniform point and ``n_starts`` seeded
-    Dirichlet draws (each passed through ``project`` first); inf when no
-    start converges."""
-    rng = np.random.default_rng(seed)
-    starts = [np.full(m, 1.0 / m)] + [rng.dirichlet(np.ones(m)) for _ in range(n_starts)]
+    extra ``constraints``, from the uniform point and _SIMPLEX_STARTS
+    Dirichlet draws of seed 0 (each passed through ``project`` first); inf
+    when no start converges."""
+    rng = np.random.default_rng(0)
+    starts = [np.full(m, 1.0 / m)] + [rng.dirichlet(np.ones(m)) for _ in range(_SIMPLEX_STARTS)]
     constraints = [{"type": "eq", "fun": lambda mu: mu.sum() - 1.0}] + constraints
     best = math.inf
     for mu0 in starts:
@@ -666,9 +678,7 @@ def _simplex_minimum(objective, m: int, constraints: List[dict], n_starts: int, 
     return best
 
 
-def halfspace_rate_infimum(
-    gen: Generator, S: Sequence, state, threshold: float, n_starts: int = 16, seed: int = 0
-) -> float:
+def halfspace_rate_infimum(gen: Generator, S: Sequence, state, threshold: float) -> float:
     """inf of the Dirichlet form over {mu on S : mu(state) >= threshold}."""
     S = tuple(S)
     j = S.index(state)
@@ -687,7 +697,7 @@ def halfspace_rate_infimum(
 
     return _simplex_minimum(lambda mu: rate_symmetric_on_subset(gen, S, mu), m,
                             [{"type": "ineq", "fun": lambda mu: mu[j] - threshold}],
-                            n_starts, seed, project)
+                            project)
 
 
 def _functional_on(S: Tuple, V) -> np.ndarray:
@@ -703,13 +713,12 @@ def _functional_on(S: Tuple, V) -> np.ndarray:
     return np.array([float(V[x]) for x in S])
 
 
-def linear_varadhan_supremum(gen: Generator, S: Sequence, V, n_starts: int = 16,
-                             seed: int = 0) -> float:
+def linear_varadhan_supremum(gen: Generator, S: Sequence, V) -> float:
     """sup over mu on S of <V, mu> - Dirichlet(mu) for a linear functional."""
     S = tuple(S)
     v = _functional_on(S, V)
     return -_simplex_minimum(lambda mu: rate_symmetric_on_subset(gen, S, mu) - float(v @ mu),
-                             len(S), [], n_starts, seed)
+                             len(S), [])
 
 
 def log_mgf_exact(gen: Generator, start, S: Sequence, V, T: float) -> float:

@@ -8,12 +8,12 @@ import pytest
 import scipy.special as sp
 from scipy import integrate
 
-from loctimes.chain import srw_generator, validate_generator
+from loctimes.chain import Generator, srw_generator, validate_generator
 from loctimes.density import (
     _ORDER_SCHEDULE,
     _OperatorSeries,
-    apply_cofactor_operator,
-    cofactor_subset_weights,
+    _cofactor_subset_weights,
+    _poisson_tails,
     density,
     density_batch,
     density_certified,
@@ -23,10 +23,10 @@ from loctimes.density import (
     range_rates,
     _replaced_matrix,
     _tail_sums,
-    torus_series,
 )
 from loctimes.errors import (
     DomainError,
+    NegativeRateError,
     NonConvergedTruncationError,
     NotIntervalError,
     NotTridiagonalError,
@@ -136,7 +136,7 @@ def test_cofactor_subset_weights_match_per_subset_determinants(r):
         np.fill_diagonal(B, 0.0)
         for a in range(r):
             for b in range(r):
-                got = cofactor_subset_weights(B, a, b)
+                got = _cofactor_subset_weights(B, a, b)
                 expected = _subset_weights_reference(B, a, b)
                 assert list(got) == list(expected)
                 for Q, w in expected.items():
@@ -147,10 +147,10 @@ def test_cofactor_subset_weights_drop_exact_zeros():
     # on a path a = 0 .. b = 4, removing any middle state disconnects a from
     # b, so only the empty subset carries a weight
     B = srw_generator(0, 4).off_diagonal()
-    got = cofactor_subset_weights(B, 0, 4)
+    got = _cofactor_subset_weights(B, 0, 4)
     assert list(got) == list(_subset_weights_reference(B, 0, 4)) == [()]
     # an interior endpoint keeps some subsets and drops others
-    got = cofactor_subset_weights(B, 1, 3)
+    got = _cofactor_subset_weights(B, 1, 3)
     expected = _subset_weights_reference(B, 1, 3)
     assert list(got) == list(expected) and len(got) < 2 ** 3
     assert all(got[Q] == pytest.approx(w, rel=1e-12) for Q, w in expected.items())
@@ -160,30 +160,39 @@ def test_cofactor_subset_weights_drop_exact_zeros():
 # torus series
 # ---------------------------------------------------------------------------
 
+def series_at(Bt, weights, l, order):
+    """The operator ``weights`` ({Q: weight}) applied to the flow series of
+    ``Bt`` truncated at ``order``, at one point: (value, certified bound)."""
+    series = _OperatorSeries(np.asarray(Bt, dtype=float), weights)
+    L = np.asarray(l, dtype=float)[None, :]
+    tail = series.tails(series.majorant(L), np.array([order]))[0, 0]
+    return series.values(L, order)[0], tail
+
+
 def test_series_no_derivatives_is_bessel():
     Bt = np.array([[0.0, 1.0], [1.0, 0.0]])
     # value is I0(2 sqrt(l1 l2)) by the collapsed pair series
-    v = torus_series(Bt, [0.5, 0.5], (), 40)
-    assert v.value == pytest.approx(sp.iv(0, 1.0), rel=1e-13)
-    v = torus_series(Bt, [0.25, 0.25], (), 40)
-    assert v.value == pytest.approx(sp.iv(0, 0.5), rel=1e-13)
+    value, _ = series_at(Bt, {(): 1.0}, [0.5, 0.5], 40)
+    assert value == pytest.approx(sp.iv(0, 1.0), rel=1e-13)
+    value, _ = series_at(Bt, {(): 1.0}, [0.25, 0.25], 40)
+    assert value == pytest.approx(sp.iv(0, 0.5), rel=1e-13)
 
 
 def test_series_zero_weights():
-    v = torus_series(np.zeros((3, 3)), [0.2, 0.3, 0.5], (), 10)
-    assert v.value == 1.0 and v.error_bound == 0.0
+    value, bound = series_at(np.zeros((3, 3)), {(): 1.0}, [0.2, 0.3, 0.5], 10)
+    assert value == 1.0 and bound == 0.0
 
 
 def test_series_single_derivative_is_i1():
     Bt = np.array([[0.0, 1.0], [1.0, 0.0]])
-    v = torus_series(Bt, [1.0, 1.0], (1,), 60)
-    assert v.value == pytest.approx(sp.iv(1, 2.0), rel=1e-12)
+    value, _ = series_at(Bt, {(1,): 1.0}, [1.0, 1.0], 60)
+    assert value == pytest.approx(sp.iv(1, 2.0), rel=1e-12)
     rng = np.random.default_rng(3)
     for _ in range(10):
         l = rng.uniform(0.1, 2.0, 2)
-        v = torus_series(Bt, l, (1,), 60)
+        value, _ = series_at(Bt, {(1,): 1.0}, l, 60)
         expected = math.sqrt(l[0] / l[1]) * sp.iv(1, 2.0 * math.sqrt(l[0] * l[1]))
-        assert v.value == pytest.approx(expected, rel=1e-12)
+        assert value == pytest.approx(expected, rel=1e-12)
 
 
 def test_series_tail_bound_is_certified_and_monotone():
@@ -191,25 +200,28 @@ def test_series_tail_bound_is_certified_and_monotone():
     Bt = np.abs(rng.uniform(0.5, 2.0, (3, 3)))
     np.fill_diagonal(Bt, 0.0)
     l = rng.uniform(0.3, 1.0, 3)
-    reference = torus_series(Bt, l, (1,), 70).value
+    reference, _ = series_at(Bt, {(1,): 1.0}, l, 70)
     tails = []
     for order in (4, 8, 12, 16, 24):
-        v = torus_series(Bt, l, (1,), order)
-        assert abs(v.value - reference) <= v.error_bound * (1 + 1e-12) + 1e-15
-        tails.append(v.error_bound)
+        value, bound = series_at(Bt, {(1,): 1.0}, l, order)
+        assert abs(value - reference) <= bound * (1 + 1e-12) + 1e-15
+        tails.append(bound)
     assert all(t1 >= t2 for t1, t2 in zip(tails, tails[1:]))
 
 
 def test_series_derivative_outside_support_is_zero():
     Bt = np.zeros((3, 3))
     Bt[0, 1] = Bt[1, 0] = 1.0
-    v = torus_series(Bt, [0.5, 0.5, 0.5], (2,), 20)
-    assert v.value == 0.0 and v.error_bound == 0.0
+    value, bound = series_at(Bt, {(2,): 1.0}, [0.5, 0.5, 0.5], 20)
+    assert value == 0.0 and bound == 0.0
 
 
 def test_series_rejects_bad_local_times():
+    # density_certified and density_batch are the ways into the series
     with pytest.raises(DomainError):
-        torus_series(np.zeros((2, 2)), [0.5, 0.0], (), 10)
+        density_certified(TWO_STATE, (1, 2), 1, 2, [0.5, 0.0])
+    with pytest.raises(DomainError):
+        density_batch(TWO_STATE, (1, 2), 1, 2, [[0.5, 0.0]])
 
 
 # ---------------------------------------------------------------------------
@@ -219,29 +231,29 @@ def test_series_rejects_bad_local_times():
 def test_operator_two_state_off_diagonal():
     B = np.array([[0.0, 0.7], [0.4, 0.0]])
     l = np.array([0.6, 0.9])
-    weights = cofactor_subset_weights(B, 0, 1)
+    weights = _cofactor_subset_weights(B, 0, 1)
     assert weights == {(): pytest.approx(0.7)}
-    got = apply_cofactor_operator(weights, B, l, 50)
+    value, _ = series_at(B, weights, l, 50)
     z = 2.0 * math.sqrt(0.7 * 0.4 * l[0] * l[1])
-    assert got.value == pytest.approx(0.7 * sp.iv(0, z), rel=1e-12)
+    assert value == pytest.approx(0.7 * sp.iv(0, z), rel=1e-12)
 
 
 def test_operator_two_state_diagonal_is_derivative():
     B = np.array([[0.0, 1.0], [1.0, 0.0]])
     l = np.array([0.8, 0.5])
-    weights = cofactor_subset_weights(B, 0, 0)
+    weights = _cofactor_subset_weights(B, 0, 0)
     # the pure-derivative subset carries the trivial replacement determinant
     assert weights[(1,)] == pytest.approx(1.0)
-    got = apply_cofactor_operator(weights, B, l, 60)
+    value, _ = series_at(B, weights, l, 60)
     expected = math.sqrt(l[0] / l[1]) * sp.iv(1, 2.0 * math.sqrt(l[0] * l[1]))
-    assert got.value == pytest.approx(expected, rel=1e-12)
+    assert value == pytest.approx(expected, rel=1e-12)
 
 
 def test_operator_vanishes_for_zero_rates_off_diagonal():
     B = np.zeros((3, 3))
-    weights = cofactor_subset_weights(B, 0, 1)
-    got = apply_cofactor_operator(weights, B, np.array([0.3, 0.3, 0.4]), 10)
-    assert got.value == 0.0
+    weights = _cofactor_subset_weights(B, 0, 1)
+    value, _ = series_at(B, weights, [0.3, 0.3, 0.4], 10)
+    assert value == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -312,13 +324,14 @@ def test_tail_sums_closed_form_matches_direct_sum():
     S = np.array([0.3, 2.0, 9.0])
     orders = np.array([0, 3, 8, 26])
     for q in range(4):
-        for n0, got in zip(orders, _tail_sums(q, S, orders)):
+        for n0, got in zip(orders, _tail_sums(q, S, orders, _poisson_tails(S, orders, q + 1))):
             for s, g in zip(S, got):
                 direct = math.fsum(
                     math.exp(q * math.log(N) + N * math.log(s) - math.lgamma(N + 1.0))
                     for N in range(n0 + 1, n0 + 200))
                 assert g == pytest.approx(direct, rel=1e-12)
-    assert np.all(_tail_sums(2, np.zeros(3), np.array([8])) == 0.0)
+    zero, order = np.zeros(3), np.array([8])
+    assert np.all(_tail_sums(2, zero, order, _poisson_tails(zero, order, 3)) == 0.0)
 
 
 @pytest.mark.parametrize("seed, case", enumerate(
@@ -388,7 +401,7 @@ def test_order_selection_matches_loop_over_schedule():
 
     B = g.submatrix(R)
     np.fill_diagonal(B, 0.0)
-    series = _OperatorSeries(B, cofactor_subset_weights(B, 0, 2))
+    series = _OperatorSeries(B, _cofactor_subset_weights(B, 0, 2))
     diag_factor = np.exp(L @ np.diag(g.submatrix(R)))
     majorant = series.majorant(L)
     for p in range(len(L)):
@@ -402,8 +415,8 @@ def test_order_selection_matches_loop_over_schedule():
 
 
 def test_single_order_error_bound_is_the_tail_majorant():
-    # torus_series and apply_cofactor_operator certify one given order: the
-    # bound is sum_Q |w_Q| / prod_{x in Q} l_x * sum_{N > order} N^|Q| S^N / N!
+    # the series certifies one given order: the bound is
+    # sum_Q |w_Q| / prod_{x in Q} l_x * sum_{N > order} N^|Q| S^N / N!
     rng = np.random.default_rng(1201)
     Bt = rng.uniform(0.5, 2.0, (3, 3))
     np.fill_diagonal(Bt, 0.0)
@@ -416,15 +429,13 @@ def test_single_order_error_bound_is_the_tail_majorant():
             for N in range(order + 1, order + 200))
 
     for Q, order in (((), 12), ((1,), 16), ((0, 2), 20)):
-        v = torus_series(Bt, l, Q, order)
-        assert v.order == order
-        assert v.error_bound == pytest.approx(
-            tail(len(Q), order) / np.prod(l[list(Q)]), rel=1e-12)
-    weights = cofactor_subset_weights(Bt, 0, 1)
-    v = apply_cofactor_operator(weights, Bt, l, 18)
+        _, bound = series_at(Bt, {Q: 1.0}, l, order)
+        assert bound == pytest.approx(tail(len(Q), order) / np.prod(l[list(Q)]), rel=1e-12)
+    weights = _cofactor_subset_weights(Bt, 0, 1)
+    _, bound = series_at(Bt, weights, l, 18)
     expected = sum(abs(w) / np.prod(l[list(Q)]) * tail(len(Q), 18)
                    for Q, w in weights.items())
-    assert v.error_bound == pytest.approx(expected, rel=1e-12)
+    assert bound == pytest.approx(expected, rel=1e-12)
 
 
 def test_certificate_reports_order_and_bound():
@@ -531,7 +542,7 @@ def test_oracle_triangle_random_instances():
         v2 = density_quadrature(g, R, a, b, l, grid_size=32)
         scale = max(abs(v1), 1e-12)
         assert abs(v1 - v2) / scale < 1e-8
-        if tridiagonal and a <= b:
+        if tridiagonal:
             v3 = density_tridiagonal(g, R, a, b, l)
             assert abs(v1 - v3) / scale < 1e-8
 
@@ -548,8 +559,16 @@ def test_tridiagonal_requires_interval_and_band():
         [[0, 1, 0.3], [1, 0, 1], [0.3, 1, 0]], (0, 1, 2))
     with pytest.raises(NotTridiagonalError):
         density_tridiagonal(dense, (0, 1, 2), 0, 2, [0.5, 0.4, 0.1])
-    with pytest.raises(ValueError):
-        density_tridiagonal(g, (0, 1, 2), 2, 0, [0.5, 0.4, 0.1])
+    # a > b: the path edges take the leftward rate
+    rng = np.random.default_rng(5)
+    for _ in range(40):
+        n = int(rng.integers(2, 6))
+        g = random_conservative(rng, n, tridiagonal=True)
+        b, a = sorted(int(x) for x in rng.choice(n, 2, replace=False))
+        l = random_point(rng, n, rng.uniform(0.5, 3.0))
+        R = tuple(range(n))
+        cert = density_certified(g, R, a, b, l, tol=1e-13)
+        assert density_tridiagonal(g, R, a, b, l) == pytest.approx(cert.value, rel=1e-12)
 
 
 def test_tridiagonal_matches_series_on_interior_interval():
@@ -687,8 +706,6 @@ def test_routes_reject_non_finite_local_times(bad):
             route(g, R, 0, 2, l)
     with pytest.raises(DomainError, match="finite"):
         density_batch(g, R, 0, 2, [[0.5, 0.5, 0.5], l])
-    with pytest.raises(DomainError):
-        torus_series(np.ones((2, 2)), [bad, 0.5], (), 10)
 
 
 def test_certified_request_checks_its_local_times_once(monkeypatch):
@@ -703,14 +720,22 @@ def test_certified_request_checks_its_local_times_once(monkeypatch):
     assert len(calls) == 2
 
 
-def test_series_accepts_complex_weights():
-    # conjugating by a complex unit leaves the balanced series unchanged
-    Bt = np.array([[0.0, 0.8], [1.2, 0.0]])
-    base = torus_series(Bt, [0.7, 0.6], (), 40).value
-    phase = np.exp(0.7j)
-    conj = Bt * np.array([[1.0, phase], [1.0 / phase, 1.0]])
-    got = torus_series(conj, [0.7, 0.6], (), 40).value
-    assert abs(got - base) < 1e-12
+def test_every_route_raises_on_a_negative_rate():
+    # a hand-built Generator skips validate_generator, and an in-place edit of
+    # gen.rates skips it too; the series would take the log of the rate
+    R, l = (0, 1, 2), [0.5, 0.7, 0.8]
+    hand = Generator(states=R, rates=[[-0.5, -0.5, 1.0], [1.0, -2.0, 1.0], [0.0, 1.0, -1.0]])
+    edited = srw_generator(0, 2)
+    density_certified(edited, R, 0, 2, l)
+    edited.rates[1, 0] = -0.5
+    for gen in (hand, edited):
+        for route in POINT_ROUTES:
+            with pytest.raises(NegativeRateError, match="negative rate -0.5"):
+                route(gen, R, 0, 2, l)
+        with pytest.raises(NegativeRateError):
+            density_batch(gen, R, 0, 2, [l])
+        with pytest.raises(NegativeRateError):
+            eta(gen, R)
 
 
 # ---------------------------------------------------------------------------

@@ -97,7 +97,7 @@ def test_write_csv_header(tmp_path):
 def test_merge_cells_floors_expectations():
     obs = np.array([1.0, 1, 1, 1, 50, 2])
     exp = np.array([1.0, 1, 2, 2, 48, 3])
-    obs_m, exp_m = merge_cells(obs, exp, min_expected=5.0)
+    obs_m, exp_m = merge_cells(obs, exp)
     assert np.all(exp_m >= 5.0)
     assert obs_m.sum() == obs.sum() and exp_m.sum() == exp.sum()
 
