@@ -67,10 +67,10 @@ class Generator:
 def validate_generator(rates, states: Optional[Sequence] = None) -> Generator:
     """Validate a square rate matrix and return a :class:`Generator`.
 
-    Off-diagonal entries must be nonnegative and the label set must have at
-    least two elements.  An all-zero diagonal (with some positive off-diagonal
-    entry) is treated as absent and recomputed as the negative off-diagonal
-    row sum; otherwise the provided diagonal must satisfy the zero-row-sum
+    Entries must be finite, off-diagonal ones nonnegative, and the label set
+    must have at least two elements.  An all-zero diagonal (with some positive
+    off-diagonal entry) is treated as absent and recomputed as the negative
+    off-diagonal row sum; otherwise the provided diagonal must satisfy the zero-row-sum
     condition to within 1e-12 relative.
     """
     A = np.array(rates, dtype=float)
@@ -88,6 +88,9 @@ def validate_generator(rates, states: Optional[Sequence] = None) -> Generator:
     if n < 2:
         raise TooSmallStateSpaceError("a generator needs at least two states")
 
+    if not np.all(np.isfinite(A)):
+        x, y = np.argwhere(~np.isfinite(A))[0]
+        raise ValueError(f"rate {A[x, y]} from {states[x]!r} to {states[y]!r} is not finite")
     off = A.copy()
     np.fill_diagonal(off, 0.0)
     if np.any(off < 0):

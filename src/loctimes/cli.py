@@ -117,8 +117,9 @@ def cmd_ldp(args) -> int:
                 raise UsageError(
                     f"--halfspace needs STATE:THRESH with a finite threshold, "
                     f"got {args.halfspace!r}")
-            inf_rate = harness.halfspace_rate_infimum(
-                gen, S, _parse_label(state_text), threshold)
+            with _request_errors():
+                inf_rate = harness.halfspace_rate_infimum(
+                    gen, S, _parse_label(state_text), threshold)
         else:
             raise UsageError("ldp prob needs --inf-rate or --halfspace STATE:THRESH")
         bound = ldp_probability_bound(gen, S, inf_rate, args.T)

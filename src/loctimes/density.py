@@ -31,7 +31,8 @@ Three independent evaluations are provided:
 
 Every route, the density bound and the Ray-Knight check read a request in one
 place: :func:`_range_positions` checks R, a and b, :func:`_local_times` reads l,
-and :func:`range_rates` raises ``NegativeRateError`` on a negative rate in R.
+and :func:`range_rates` raises ``NegativeRateError`` on a negative rate in R
+and ``ValueError`` on a rate that is not finite.
 
 The density depends only on the rates inside R x R, and only the local times
 change from point to point.  Everything else a request on (R, a, b) owes is
@@ -376,6 +377,10 @@ class RangeRates:
 @lru_cache(maxsize=_PREPARED_RANGES)
 def _range_rates(block: bytes, r: int) -> RangeRates:
     A = np.frombuffer(block).reshape(r, r)
+    if not np.all(np.isfinite(A)):
+        x, y = np.argwhere(~np.isfinite(A))[0]
+        raise ValueError(
+            f"rate {A[x, y]} from position {x} to position {y} of the range is not finite")
     B = A.copy()
     np.fill_diagonal(B, 0.0)
     if np.any(B < 0.0):
@@ -395,10 +400,10 @@ def range_rates(gen: Generator, R: Sequence) -> RangeRates:
 
     The key is the bytes and size of the rate block, so an in-place edit of
     ``gen.rates`` misses the cache instead of reading a stale entry.  A
-    negative off-diagonal rate raises ``NegativeRateError``.  The diagonal
-    stays the strided view ``np.diag(A)`` of a C-ordered block, as a fresh
-    slice would give: a contiguous copy can change ``L @ diag`` in the last
-    bit.
+    negative off-diagonal rate raises ``NegativeRateError``, a non-finite
+    one ``ValueError``.  The diagonal stays the strided view ``np.diag(A)`` of
+    a C-ordered block, as a fresh slice would give: a contiguous copy can
+    change ``L @ diag`` in the last bit.
     """
     A = np.asarray(gen.submatrix(R), dtype=float)
     return _range_rates(A.tobytes(), A.shape[0])

@@ -17,18 +17,18 @@ from typing import Callable, ClassVar, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.linalg import expm
-from scipy.optimize import minimize
+from scipy.optimize import minimize_scalar
 from scipy.stats import chi2 as chi2_dist
 
 from .chain import Generator, generator_from_triples, srw_generator, validate_generator
-from .density import MIN_LOCAL_TIME, density_batch
+from .density import MIN_LOCAL_TIME, _range_positions, density_batch, range_rates
 from .errors import ConfigParseError, InsufficientConditionedError, NotSymmetricError
 from .montecarlo import (
     BatchPaths,
     sample_paths_fixed_time,
     sample_paths_inverse_local_time,
 )
-from .rates import ldp_probability_bound, ldp_varadhan_bound, rate_symmetric_on_subset
+from .rates import ldp_probability_bound, ldp_varadhan_bound
 from .rayknight import sample_rk_profile_batch
 
 
@@ -656,48 +656,45 @@ def verify_rayknight_mc(
 # experiment: finite-time LDP bounds
 # ---------------------------------------------------------------------------
 
-# seeded Dirichlet starts of the simplex optimizer, after the uniform point
-_SIMPLEX_STARTS = 16
-
-
-def _simplex_minimum(objective, m: int, constraints: List[dict],
-                     project=lambda mu0: mu0) -> float:
-    """Smallest value SLSQP reaches on the probability simplex of R^m, under
-    extra ``constraints``, from the uniform point and _SIMPLEX_STARTS
-    Dirichlet draws of seed 0 (each passed through ``project`` first); inf
-    when no start converges."""
-    rng = np.random.default_rng(0)
-    starts = [np.full(m, 1.0 / m)] + [rng.dirichlet(np.ones(m)) for _ in range(_SIMPLEX_STARTS)]
-    constraints = [{"type": "eq", "fun": lambda mu: mu.sum() - 1.0}] + constraints
-    best = math.inf
-    for mu0 in starts:
-        res = minimize(objective, project(mu0), method="SLSQP", bounds=[(0.0, 1.0)] * m,
-                       constraints=constraints, options={"maxiter": 500, "ftol": 1e-14})
-        if res.success:
-            best = min(best, float(res.fun))
-    return best
+def _dirichlet_block(gen: Generator, S: Tuple) -> np.ndarray:
+    """Q = -A on S x S, killed outside S: the Dirichlet form of mu is <psi, Q psi>
+    with psi = sqrt(mu), and as Q has no positive off-diagonal entry, |psi|
+    does as well as psi, so psi may range over all unit vectors."""
+    rates = range_rates(gen, S)
+    if not rates.symmetric:
+        raise NotSymmetricError(f"the rates on {S!r} are not symmetric")
+    return -rates.A
 
 
 def halfspace_rate_infimum(gen: Generator, S: Sequence, state, threshold: float) -> float:
-    """inf of the Dirichlet form over {mu on S : mu(state) >= threshold}."""
-    S = tuple(S)
-    j = S.index(state)
-    m = len(S)
+    """inf of the Dirichlet form over {mu on S : mu(state) >= threshold}: the
+    least psi^T Q psi over unit psi with psi_j^2 >= threshold.  Its Lagrange
+    dual, the max over lam >= 0 of the concave
+    d(lam) = lambda_min(Q - lam e_j e_j^T) + lam threshold, is exact for one
+    quadratic constraint (S-lemma).  As d(lam) <= Q_jj - lam (1 - threshold),
+    one bounded search over [0, (Q_jj - d(0)) / (1 - threshold)] finds it, and
+    each d(lam) is a lower bound, so search error only loosens an LDP bound."""
+    S, j, _ = _range_positions(S, state, state)
+    Q = _dirichlet_block(gen, S)
+    if not math.isfinite(threshold):
+        raise ValueError(f"the threshold must be finite, got {threshold!r}")
+    if threshold > 1.0:
+        return math.inf
+    if threshold == 1.0:
+        return float(Q[j, j])
 
-    def project(mu0):
-        mu0 = mu0.copy()
-        mu0[j] = max(mu0[j], threshold)
-        mu0 /= mu0.sum()
-        if mu0[j] < threshold:  # renormalization can undershoot; project again
-            mu0[j] = threshold
-            others = np.delete(np.arange(m), j)
-            w = mu0[others]
-            mu0[others] = (1.0 - threshold) * (w / w.sum() if w.sum() > 0 else np.full(m - 1, 1.0 / (m - 1)))
-        return mu0
+    def dual(lam: float) -> float:
+        shifted = Q.copy()
+        shifted[j, j] -= lam
+        return float(np.linalg.eigvalsh(shifted)[0]) + lam * threshold
 
-    return _simplex_minimum(lambda mu: rate_symmetric_on_subset(gen, S, mu), m,
-                            [{"type": "ineq", "fun": lambda mu: mu[j] - threshold}],
-                            project)
+    best = dual(0.0)
+    hi = (Q[j, j] - best) / (1.0 - threshold)
+    if hi > 0.0:
+        res = minimize_scalar(lambda lam: -dual(lam), bounds=(0.0, hi), method="bounded",
+                              options={"xatol": 1e-12})
+        best = max(best, -float(res.fun))
+    return best
 
 
 def _functional_on(S: Tuple, V) -> np.ndarray:
@@ -714,11 +711,11 @@ def _functional_on(S: Tuple, V) -> np.ndarray:
 
 
 def linear_varadhan_supremum(gen: Generator, S: Sequence, V) -> float:
-    """sup over mu on S of <V, mu> - Dirichlet(mu) for a linear functional."""
+    """sup over mu on S of <V, mu> - Dirichlet(mu) for a linear functional:
+    the top eigenvalue of diag(V) - Q, reached at psi = sqrt(mu)."""
     S = tuple(S)
     v = _functional_on(S, V)
-    return -_simplex_minimum(lambda mu: rate_symmetric_on_subset(gen, S, mu) - float(v @ mu),
-                             len(S), [])
+    return float(np.linalg.eigvalsh(np.diag(v) - _dirichlet_block(gen, S))[-1])
 
 
 def log_mgf_exact(gen: Generator, start, S: Sequence, V, T: float) -> float:

@@ -27,6 +27,10 @@ from .errors import (
     UnboundedRateError,
 )
 
+_NEWTON_MAX_ITER = 200  # Newton iterations of rate_general before it gives up
+_CHI_RESTARTS = 8  # random L-BFGS starts of rescaled_chi_discrete after the uniform one
+_CHI_MAX_ITER = 1000  # L-BFGS iterations of each rescaled_chi_discrete start
+
 
 # ---------------------------------------------------------------------------
 # eta: the Hadamard-bound constant
@@ -96,9 +100,7 @@ def _support_objective(A_sub: np.ndarray, mu_sub: np.ndarray):
     return pieces
 
 
-def rate_general(
-    gen: Generator, mu, tol: float = 1e-10, max_iter: int = 200
-) -> RateSolution:
+def rate_general(gen: Generator, mu, tol: float = 1e-10) -> RateSolution:
     """Variational rate function for a general conservative generator.
 
     Maximizes the concave objective in u = log g over the support of mu with
@@ -144,7 +146,7 @@ def rate_general(
     u = 0.5 * (np.log(mu_sub) - np.log(mu_sub[0]))
     J, grad, H = pieces(u)
     iterations = 0
-    for iterations in range(1, max_iter + 1):
+    for iterations in range(1, _NEWTON_MAX_ITER + 1):
         g_red = grad[1:]
         gnorm = float(np.linalg.norm(g_red))
         if gnorm <= tol:
@@ -210,7 +212,6 @@ def density_upper_bound(
     T = float(lvec.sum())
     rates = range_rates(gen, R)
     B, eta_R = rates.B, rates.eta
-    mu_full = {x: v / T for x, v in zip(R, lvec)}
 
     log_prefactor = 0.5 * sum(
         math.log(T / lvec[i]) for i in range(len(R)) if i not in (a_pos, b_pos)
@@ -218,31 +219,17 @@ def density_upper_bound(
     log_prefactor += (len(R) - 1) * math.log(eta_R)
 
     if rates.symmetric:
-        rate = rate_symmetric_on_subset(gen, R, mu_full)
+        s = np.sqrt(lvec / T)
+        rate = float(s @ (-rates.A) @ s)
         correction = (1.0 / eta_R + 1.0 / (4.0 * eta_R**2 * T)) * float(B.sum())
     else:
-        sol = rate_general(gen, mu_full, tol=rate_tol)
+        sol = rate_general(gen, {x: v / T for x, v in zip(R, lvec)}, tol=rate_tol)
         rate = sol.value
         g = np.array([sol.minimizer[x] for x in R])
         sq = np.sqrt(lvec)
         btilde = B * (sq[:, None] / sq[None, :]) * (g[None, :] / g[:, None])
         correction = (1.0 / eta_R + 1.0 / (4.0 * eta_R**2 * T)) * float(btilde.sum())
     return math.exp(-T * rate + log_prefactor + correction)
-
-
-def rate_symmetric_on_subset(gen: Generator, R: Sequence, mu) -> float:
-    """Dirichlet form of sqrt(mu) for mu supported on R (uses rates on R x R
-    only, which is all the rate function sees for such mu)."""
-    R = tuple(R)
-    rates = range_rates(gen, R)
-    if not rates.symmetric:
-        raise NotSymmetricError("rates on R are not symmetric")
-    if isinstance(mu, dict):
-        vec = np.array([float(mu.get(x, 0.0)) for x in R])
-    else:
-        vec = np.asarray(mu, dtype=float)
-    s = np.sqrt(vec)
-    return float(s @ (-rates.A) @ s)
 
 
 # ---------------------------------------------------------------------------
@@ -303,10 +290,8 @@ def rescaled_chi_discrete(
     F: Callable[[np.ndarray], float],
     tol: float = 1e-8,
     dim: int = 1,
-    restarts: int = 8,
     seed: int = 0,
     grad_F: Optional[Callable[[np.ndarray], np.ndarray]] = None,
-    max_iter: int = 1000,
 ) -> float:
     """Minimize the discrete rescaled functional over the probability simplex
     of the box [-box_radius, box_radius]^dim:
@@ -316,7 +301,7 @@ def rescaled_chi_discrete(
 
     ``F`` receives the vector of rescaled step-density heights on the box
     sites (lexicographic site order).  mu is parameterized as a softmax of
-    free variables and minimized by L-BFGS from ``restarts`` random starts
+    free variables and minimized by L-BFGS from _CHI_RESTARTS random starts
     (plus the uniform start); the best value with projected gradient norm
     below ``tol`` is returned.
     """
@@ -367,12 +352,12 @@ def rescaled_chi_discrete(
         grad_w = mu * (grad_mu - float(grad_mu @ mu))
         return value, grad_w
 
-    starts = [np.zeros(m)] + [rng.normal(0.0, 1.0, m) for _ in range(restarts)]
+    starts = [np.zeros(m)] + [rng.normal(0.0, 1.0, m) for _ in range(_CHI_RESTARTS)]
     best = None
     for w0 in starts:
         res = minimize(
             objective, w0, jac=True, method="L-BFGS-B",
-            options={"maxiter": max_iter, "gtol": tol * 0.1, "ftol": 1e-15},
+            options={"maxiter": _CHI_MAX_ITER, "gtol": tol * 0.1, "ftol": 1e-15},
         )
         _, gw = objective(res.x)
         gnorm = float(np.linalg.norm(gw))

@@ -142,17 +142,17 @@ def rk_fixed_time_check(
 ) -> Tuple[float, float]:
     """Evaluate both sides of the fixed-time product identity.
 
-    Returns (density-engine value, kernel-product value).  The kernel product
-    chains outer density factors from a down and from b up, inner density
-    factors between a and b, and an absorption atom exp(-l_end) for each
-    interval end from which the walk can escape (end escape rates are read
-    off the generator; the default is the escape-free walk on R itself).
+    Returns (density-engine value, kernel-product value).  The walk is
+    reversible, so with lo <= hi the ends a, b in either order, the kernel
+    product chains outer density factors from lo down and from hi up, inner
+    factors between them, and an absorption atom exp(-l_end) for each interval
+    end the walk can escape from (escape rates are read off the generator;
+    the default is the escape-free walk on R itself).
     """
     R, _, _ = _range_positions(R, a, b)
     R_sorted = _integer_interval(R)
     a, b = int(a), int(b)
-    if a > b:
-        raise ValueError("rk_fixed_time_check requires a <= b")
+    lo, hi = sorted((a, b))
     if generator is None:
         if len(R_sorted) == 1:
             raise ValueError("the default generator needs |R| >= 2")
@@ -163,10 +163,10 @@ def rk_fixed_time_check(
     rho = density(generator, R_sorted, a, b, lvec, tol=1e-13)
 
     kernel = math.exp(-float(sum(escape[i] * lvec[x] for i, x in enumerate(R_sorted))))
-    for x in range(R_sorted[0] + 1, a + 1):          # left outer chain
+    for x in range(R_sorted[0] + 1, lo + 1):         # left outer chain
         kernel *= rk_outer_density(lvec[x], lvec[x - 1])
-    for x in range(a, b):                            # inner block
+    for x in range(lo, hi):                          # inner block
         kernel *= rk_inner_density(lvec[x], lvec[x + 1])
-    for x in range(b, R_sorted[-1]):                 # right outer chain
+    for x in range(hi, R_sorted[-1]):                # right outer chain
         kernel *= rk_outer_density(lvec[x], lvec[x + 1])
     return rho, kernel

@@ -42,6 +42,14 @@ def test_negative_rate_rejected():
         validate_generator([[0.0, -0.5], [1.0, 0.0]])
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_rate_rejected(bad):
+    with pytest.raises(ValueError, match=r"rate .* from 0 to 1 is not finite"):
+        validate_generator([[0.0, bad, 0.5], [1.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
+    with pytest.raises(ValueError, match=r"rate .* from 2 to 2 is not finite"):
+        validate_generator([[-1.0, 1.0, 0.0], [1.0, -2.0, 1.0], [0.0, 1.0, bad]])
+
+
 def test_too_small_state_space():
     with pytest.raises(TooSmallStateSpaceError):
         validate_generator([[0.0]])

@@ -275,6 +275,29 @@ def test_usage_and_config_errors_carry_their_own_labels(tmp_path, twostate, caps
     assert capsys.readouterr().err.startswith("config error: ")
 
 
+def test_ldp_halfspace_state_outside_S_exits_2(tmp_path, capsys):
+    srw = tmp_path / "srw.json"
+    srw.write_text(json.dumps({"srw": [0, 2]}))
+    status = main(["ldp", "--generator", str(srw), "--S", "0,1,2", "--T", "2",
+                   "--halfspace", "7:0.5"])
+    assert status == 2
+    assert capsys.readouterr().err == "usage error: site 7 is not in the range (0, 1, 2)\n"
+    assert main(["ldp", "--generator", str(srw), "--S", "0,1,2", "--T", "2",
+                 "--mode", "varadhan", "--V", "0,0.3,0.1"]) == 0
+    assert "log-moment bound = " in capsys.readouterr().out
+
+
+def test_generator_with_a_nan_rate_is_a_config_error(tmp_path, twostate, capsys):
+    # json reads NaN; validate_generator refuses it
+    bad_generator = tmp_path / "gen.json"
+    bad_generator.write_text(json.dumps(
+        {"states": [1, 2], "rates": [[1, 2, float("nan")], [2, 1, 1.0]]}))
+    status = main(["density", "--generator", str(bad_generator), "--R", "1,2",
+                   "--a", "1", "--b", "2", "--l", "0.5,0.5"])
+    assert status == 2
+    assert capsys.readouterr().err.startswith("config error: generator spec: rate nan")
+
+
 def test_rate_command_with_a_short_mu_exits_2(twostate, capsys):
     assert main(["rate", "--generator", twostate, "--mu", "1.0"]) == 2
     assert "mu does not match" in capsys.readouterr().err

@@ -738,6 +738,21 @@ def test_every_route_raises_on_a_negative_rate():
             eta(gen, R)
 
 
+def test_every_route_raises_on_a_non_finite_rate():
+    # the nan used to reach the diagonal's determinant ("invalid value
+    # encountered in det") and end as NonConvergedTruncationError
+    R, l = (0, 1, 2), [0.5, 0.7, 0.8]
+    for bad in (math.nan, math.inf):
+        gen = Generator(states=R, rates=[[-1.5, bad, 0.5], [1.0, -2.0, 1.0], [0.0, 1.0, -1.0]])
+        for route in POINT_ROUTES:
+            with pytest.raises(ValueError, match="from position 0 to position 1 of the range"):
+                route(gen, R, 0, 2, l)
+        with pytest.raises(ValueError, match="not finite"):
+            density_batch(gen, R, 0, 2, [l])
+        with pytest.raises(ValueError, match="not finite"):
+            eta(gen, R)
+
+
 # ---------------------------------------------------------------------------
 # prepared ranges
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ import pytest
 from scipy.linalg import expm
 
 from loctimes.chain import srw_generator, validate_generator
-from loctimes.errors import ConfigParseError, InsufficientConditionedError
+from loctimes.errors import ConfigParseError, InsufficientConditionedError, NotSymmetricError
 from loctimes.harness import (
     _grid_counts,
     _mean_var_z,
@@ -234,14 +234,120 @@ def test_rayknight_check_at_a_compared_pivot(pivot):
 # ---------------------------------------------------------------------------
 
 def test_halfspace_infimum_two_state():
-    value = halfspace_rate_infimum(TWO_STATE, (1, 2), 2, 0.8)
-    assert value == pytest.approx((math.sqrt(0.2) - math.sqrt(0.8)) ** 2, abs=1e-9)
+    for theta in (0.6, 0.8, 0.95):
+        value = halfspace_rate_infimum(TWO_STATE, (1, 2), 2, theta)
+        assert value == pytest.approx(
+            (math.sqrt(1.0 - theta) - math.sqrt(theta)) ** 2, abs=1e-12)
 
 
 def test_halfspace_infimum_inactive_constraint():
     # with a low threshold the unconstrained minimum (uniform) is feasible
     value = halfspace_rate_infimum(TWO_STATE, (1, 2), 2, 0.3)
     assert value == pytest.approx(0.0, abs=1e-10)
+
+
+# three states, killed at rate 0.4 out of state 0; its ground state puts
+# about 0.41 of its mass on state 2
+KILLED_THREE = validate_generator(
+    [[0.0, 1.0, 0.3, 0.4], [1.0, 0.0, 0.5, 0.0], [0.3, 0.5, 0.0, 0.0],
+     [0.4, 0.0, 0.0, 0.0]])
+
+
+def _simplex_grid(n_per_axis):
+    """Every mu on the 3-state simplex with coordinates in steps of
+    1/n_per_axis, one row each."""
+    i, j = np.meshgrid(np.arange(n_per_axis + 1), np.arange(n_per_axis + 1), indexing="ij")
+    keep = i + j <= n_per_axis
+    i, j = i[keep], j[keep]
+    return np.stack([i, j, n_per_axis - i - j], axis=1) / n_per_axis
+
+
+def _dirichlet_forms(Q, mus):
+    roots = np.sqrt(mus)
+    return np.einsum("pi,ij,pj->p", roots, Q, roots)
+
+
+def test_halfspace_infimum_against_simplex_grid():
+    Q = -KILLED_THREE.rates[:3, :3]
+    mus = _simplex_grid(1000)
+    forms = _dirichlet_forms(Q, mus)
+    ground = float(np.linalg.eigvalsh(Q)[0])
+    for theta, active in ((0.7, True), (0.2, False)):
+        value = halfspace_rate_infimum(KILLED_THREE, (0, 1, 2), 2, theta)
+        grid_min = float(forms[mus[:, 2] >= theta].min())
+        # grid points are feasible, so the grid can only overshoot the infimum
+        assert value <= grid_min + 1e-14
+        assert value == pytest.approx(grid_min, abs=1e-5)
+        if active:
+            assert value > ground + 1e-2
+        else:
+            assert value == ground
+
+
+def test_halfspace_infimum_degenerate_ground_state():
+    # S = {0, 1} and {3, 4} of the walk on 0..4, with no rate between them:
+    # two mirror-image blocks with one ground-state energy; the constraint
+    # binds in the block of state 0, and the optimum stays inside it
+    g = srw_generator(0, 4)
+    S = (0, 1, 3, 4)
+    Q = -g.submatrix(S)
+    eigs = np.linalg.eigvalsh(Q)
+    assert eigs[1] - eigs[0] < 1e-12
+    for theta in (0.3, 0.9):
+        value = halfspace_rate_infimum(g, S, 0, theta)
+        assert value == pytest.approx(halfspace_rate_infimum(g, (0, 1), 0, theta), abs=1e-12)
+    assert halfspace_rate_infimum(g, S, 0, 0.3) == pytest.approx(eigs[0], abs=1e-15)
+    # the two-state block [[1, -1], [-1, 2]] at mu_0 = 0.9
+    assert halfspace_rate_infimum(g, S, 0, 0.9) == pytest.approx(
+        0.9 + 2 * 0.1 - 2 * math.sqrt(0.9 * 0.1), abs=1e-12)
+
+
+def test_halfspace_infimum_single_state_and_edge_thresholds():
+    g = srw_generator(0, 3)
+    assert halfspace_rate_infimum(g, (1,), 1, 0.0) == 2.0
+    assert halfspace_rate_infimum(g, (1,), 1, 1.0) == 2.0
+    assert halfspace_rate_infimum(g, (1,), 1, 1.5) == math.inf
+    assert halfspace_rate_infimum(KILLED_THREE, (0, 1, 2), 1, 1.0) == 1.5
+    assert halfspace_rate_infimum(KILLED_THREE, (0, 1, 2), 1, 1.5) == math.inf
+    with pytest.raises(ValueError, match="site 7 is not in the range"):
+        halfspace_rate_infimum(KILLED_THREE, (0, 1, 2), 7, 0.5)
+    with pytest.raises(ValueError, match="threshold must be finite"):
+        halfspace_rate_infimum(KILLED_THREE, (0, 1, 2), 1, math.nan)
+
+
+def test_halfspace_infimum_is_below_every_feasible_point():
+    rng = np.random.default_rng(14)
+    for _ in range(10):
+        n = int(rng.integers(2, 5))
+        upper = np.triu(rng.uniform(0.2, 1.5, (n + 1, n + 1)), 1)
+        g = validate_generator(upper + upper.T)
+        S, j, theta = tuple(range(n)), int(rng.integers(0, n)), rng.uniform(0.05, 0.95)
+        value = halfspace_rate_infimum(g, S, j, theta)
+        Q = -g.submatrix(S)
+        # theta e_j + (1 - theta) nu has mass at least theta at j
+        mus = (1.0 - theta) * rng.dirichlet(np.ones(n), size=20)
+        mus[:, j] += theta
+        assert value <= float(_dirichlet_forms(Q, mus).min())
+
+
+def test_spectral_ldp_values_need_symmetric_rates():
+    g = validate_generator([[0.0, 1.0, 0.0], [0.5, 0.0, 1.0], [0.0, 1.0, 0.0]])
+    with pytest.raises(NotSymmetricError):
+        halfspace_rate_infimum(g, (0, 1, 2), 1, 0.5)
+    with pytest.raises(NotSymmetricError):
+        linear_varadhan_supremum(g, (0, 1, 2), [0.0, 0.3, 0.1])
+    # the rates on S = {1, 2} alone are symmetric
+    assert linear_varadhan_supremum(g, (1, 2), [0.0, 0.3]) == pytest.approx(
+        float(np.linalg.eigvalsh(np.diag([0.0, 0.3]) + g.submatrix((1, 2)))[-1]), abs=1e-15)
+
+
+def test_linear_varadhan_supremum_against_simplex_grid():
+    V = np.array([0.9, 0.1, 0.6])
+    mus = _simplex_grid(1000)
+    grid_max = float((mus @ V - _dirichlet_forms(-KILLED_THREE.rates[:3, :3], mus)).max())
+    sup = linear_varadhan_supremum(KILLED_THREE, (0, 1, 2), list(V))
+    assert sup >= grid_max - 1e-14
+    assert sup == pytest.approx(grid_max, abs=1e-5)
 
 
 def test_linear_varadhan_supremum_matches_grid():
@@ -391,11 +497,11 @@ PINNED_CONFIG = {"seed": 3, "experiments": [
      "start": 1, "S": [1, 2], "V": [0.0, 0.5], "T": 5.0},
 ]}
 PINNED_DIGESTS = {
-    "exponential.csv": "932e85670633579a7a474a9cad36cc10d415ad19c2770002b3b045c72044d842",
-    "halfspace.csv": "0578f2debdc06cfbe383e8903f4f5186a6c1d4971913e90e7dc42242b5c209ee",
+    "exponential.csv": "7644721e0ec7eb06c670051d0259bb7a14726e203419291bf75991d3a75c6af7",
+    "halfspace.csv": "7eff0499b1f3d53ea89960076d0cb860d2b58284304d3d480aa756020e699091",
     "law.csv": "5dea1b3f1793b3ca7c7559645163c1202331075ebe579db26b1cc4b2a314b5a5",
     "profile.csv": "71feca5453fcbf3d97dfaaef54dd729fdc67822d091ead6f5dc17ced7dcc32b3",
-    "summary.json": "7f16857da67c6052c1468a4c9edb5d3ba880ea079b4c8b02914d965e773318bd",
+    "summary.json": "dc08b3ff5ad3018bebd6f319c976418bbd5eaff1bd56e1a88615daace61c0439",
 }
 
 

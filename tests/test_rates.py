@@ -236,12 +236,9 @@ def test_upper_bound_singleton_reduces_to_rate_term():
     g = srw_generator(0, 3)
     T = 1.3
     bound = density_upper_bound(g, (1,), 1, 1, [T])
-    assert bound == pytest.approx(math.exp(-T * rate_symmetric_on_r(g, (1,))), rel=1e-12)
-
-
-def rate_symmetric_on_r(g, R):
-    from loctimes.rates import rate_symmetric_on_subset
-    return rate_symmetric_on_subset(g, R, {x: 1.0 for x in R})
+    # the Dirichlet form of the point mass at 1 is its exit rate -A[1, 1]
+    x = g.index(1)
+    assert bound == pytest.approx(math.exp(-T * -g.rates[x, x]), rel=1e-12)
 
 
 def test_upper_bound_dominates_density_symmetric_sweep():

@@ -216,6 +216,19 @@ def test_fixed_time_sweep_small_intervals():
                 assert rho == pytest.approx(kernel, rel=1e-10, abs=1e-13)
 
 
+def test_fixed_time_answers_both_orders_of_the_ends():
+    # the walk is reversible, so the kernel product of (a, b) serves (b, a)
+    rng = np.random.default_rng(46)
+    for R in ((0, 1, 2), (0, 1, 2, 3), (1, 2, 3)):
+        l = rng.dirichlet(np.ones(len(R))) + 0.05
+        for gen in (None, srw_generator(R[0] - 2, R[-1] + 2), srw_generator(R[0], R[-1] + 1)):
+            for a in R:
+                for b in R:
+                    rho, kernel = rk_fixed_time_check(R, a, b, l, generator=gen)
+                    assert rho == pytest.approx(kernel, rel=1e-12)
+                    assert kernel == rk_fixed_time_check(R, b, a, l, generator=gen)[1]
+
+
 # ---------------------------------------------------------------------------
 # distributional equivalence (quick check; the full run lives in acceptance)
 # ---------------------------------------------------------------------------
