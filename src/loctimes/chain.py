@@ -18,6 +18,12 @@ from .errors import (
 )
 
 _CONSERVATIVE_TOL = 1e-12
+_SYMMETRIC_TOL = 1e-12
+
+
+def _is_symmetric(A: np.ndarray) -> bool:
+    """Whether A equals its transpose entrywise to within _SYMMETRIC_TOL."""
+    return bool(np.all(np.abs(A - A.T) <= _SYMMETRIC_TOL))
 
 
 @dataclass(eq=False)
@@ -60,8 +66,8 @@ class Generator:
         idx = self.indices(labels)
         return self.rates[idx[:, None], idx]
 
-    def is_symmetric(self, tol: float = 1e-12) -> bool:
-        return bool(np.all(np.abs(self.rates - self.rates.T) <= tol))
+    def is_symmetric(self) -> bool:
+        return _is_symmetric(self.rates)
 
 
 def validate_generator(rates, states: Optional[Sequence] = None) -> Generator:

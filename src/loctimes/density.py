@@ -59,7 +59,7 @@ import numpy as np
 from scipy.special import gammainc
 
 from .bessel import edge_kernel, edge_kernel_d
-from .chain import Generator
+from .chain import Generator, _is_symmetric
 from .errors import (
     DomainError,
     NegativeRateError,
@@ -94,14 +94,21 @@ class DensityEvaluation:
     order: int
 
 
-def _range_positions(R: Sequence, a, b) -> Tuple[Tuple, int, int]:
-    """The front door of a density request on (R, a, b): R as a tuple and
-    the positions of a and b in it.  Raises ``ValueError``, naming the label,
-    when R repeats a label or when a or b is not in R."""
+def _distinct_labels(R: Sequence) -> Tuple:
+    """R as a tuple; raises ``ValueError``, naming the label, when R repeats
+    a label."""
     R = tuple(R)
     if len(set(R)) != len(R):
         repeated = next(x for i, x in enumerate(R) if x in R[:i])
         raise ValueError(f"range {R!r} repeats the label {repeated!r}")
+    return R
+
+
+def _range_positions(R: Sequence, a, b) -> Tuple[Tuple, int, int]:
+    """The front door of a density request on (R, a, b): R as a tuple and
+    the positions of a and b in it.  Raises ``ValueError``, naming the label,
+    when R repeats a label or when a or b is not in R."""
+    R = _distinct_labels(R)
     for site in (a, b):
         if site not in R:
             raise ValueError(f"site {site!r} is not in the range {R!r}")
@@ -371,7 +378,7 @@ class RangeRates:
     B: np.ndarray       # its off-diagonal part, nonnegative
     diag: np.ndarray    # np.diag(A), the strided view of A (see range_rates)
     eta: float          # max row/column sum of B, floored at 1
-    symmetric: bool     # A equals its transpose to 1e-12
+    symmetric: bool     # A equals its transpose entrywise to 1e-12
 
 
 @lru_cache(maxsize=_PREPARED_RANGES)
@@ -391,7 +398,7 @@ def _range_rates(block: bytes, r: int) -> RangeRates:
     return RangeRates(
         A=A, B=B, diag=np.diag(A),
         eta=float(max(B.sum(axis=1).max(), B.sum(axis=0).max(), 1.0)),
-        symmetric=bool(np.allclose(A, A.T, atol=1e-12)),
+        symmetric=_is_symmetric(A),
     )
 
 
@@ -400,12 +407,13 @@ def range_rates(gen: Generator, R: Sequence) -> RangeRates:
 
     The key is the bytes and size of the rate block, so an in-place edit of
     ``gen.rates`` misses the cache instead of reading a stale entry.  A
-    negative off-diagonal rate raises ``NegativeRateError``, a non-finite
+    repeated label in R raises ``ValueError``, as in :func:`_range_positions`;
+    a negative off-diagonal rate raises ``NegativeRateError``, a non-finite
     one ``ValueError``.  The diagonal stays the strided view ``np.diag(A)`` of
     a C-ordered block, as a fresh slice would give: a contiguous copy can
     change ``L @ diag`` in the last bit.
     """
-    A = np.asarray(gen.submatrix(R), dtype=float)
+    A = np.asarray(gen.submatrix(_distinct_labels(R)), dtype=float)
     return _range_rates(A.tobytes(), A.shape[0])
 
 

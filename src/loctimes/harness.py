@@ -13,7 +13,7 @@ import json
 import math
 import os
 from dataclasses import dataclass
-from typing import Callable, ClassVar, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Sequence, Tuple
 
 import numpy as np
 from scipy.linalg import expm
@@ -227,18 +227,6 @@ def _grid_counts(columns: Sequence[np.ndarray], edges: List[np.ndarray]) -> np.n
     return np.bincount(flat[inside], minlength=int(np.prod(shape))).astype(float).reshape(shape)
 
 
-@dataclass
-class SimplexHistogram:
-    """Binned free coordinates of conditioned samples with expected masses."""
-
-    range: Tuple
-    edges: List[np.ndarray]
-    counts: np.ndarray            # flattened, C order over the cell grid
-    expected: np.ndarray          # integral of the density over each cell
-    excluded_cells: int
-    flagged_cells: int
-
-
 # Gauss-Legendre points per axis of the two cell rules; the mass comes from
 # the finer one, and a cell whose two masses differ by more than _FLAG_REL of
 # it is flagged
@@ -351,26 +339,26 @@ class CheckResult:
     passed: bool
     value: float
     threshold: float
-    detail: str = ""
+
+
+def _z_check(name: str, z: float, threshold: float) -> CheckResult:
+    """A check that passes when |z| is below the threshold."""
+    return CheckResult(name, abs(z) < threshold, z, threshold)
 
 
 @dataclass
 class Report:
     """What an experiment returns: its acceptance checks, its CSV rows under
-    the class-level ``columns``, and the extra fields of its summary entry."""
+    ``columns``, and the diagnostics its summary entry carries."""
 
     checks: List[CheckResult]
-    columns: ClassVar[Tuple[str, ...]] = ()
+    columns: Tuple[str, ...]
+    rows: List[tuple]
+    diagnostics: Dict[str, float]
 
     @property
     def passed(self) -> bool:
         return all(c.passed for c in self.checks)
-
-    def rows(self) -> List[tuple]:
-        return [tuple(getattr(self, c) for c in self.columns)]
-
-    def summary(self) -> Dict[str, float]:
-        return {}
 
 
 # ---------------------------------------------------------------------------
@@ -383,30 +371,6 @@ _DENSITY_TOL = 1e-9
 _P_THRESHOLD = 1e-3
 
 
-@dataclass
-class DensityCheckReport(Report):
-    columns = ("cell", "observed", "expected_mass")
-
-    histogram: SimplexHistogram
-    n_samples: int
-    n_conditioned: int
-    chi2: float
-    dof: int
-    p_value: float
-    worst_cell_z: float
-    conditioning_mc: float
-    conditioning_quadrature: float
-    conditioning_z: float
-    analytic: Optional[Dict[str, float]]
-
-    def rows(self) -> List[tuple]:
-        h = self.histogram
-        return [(i, int(c), float(e)) for i, (c, e) in enumerate(zip(h.counts, h.expected))]
-
-    def summary(self) -> Dict[str, float]:
-        return {"p_value": self.p_value, "conditioning_z": self.conditioning_z}
-
-
 def verify_density_mc(
     gen: Generator,
     start,
@@ -416,7 +380,7 @@ def verify_density_mc(
     n_samples: int,
     cells_per_axis: int = 7,
     seed: int = 0,
-) -> DensityCheckReport:
+) -> Report:
     """Bin conditioned local times and compare with cell integrals of the
     density by a chi-square shape test; also compare the conditioning
     probability with the density normalization (and with the closed-form
@@ -459,75 +423,32 @@ def verify_density_mc(
     se = math.sqrt(max(p_quad * (1 - p_quad), 1e-300) / n_samples)
     z_cond = (p_mc - p_quad) / se
 
+    diagnostics = {
+        "p_value": p_value, "conditioning_z": z_cond,
+        "n_samples": int(n_samples), "n_conditioned": n_cond, "chi2": stat, "dof": dof,
+        "worst_cell_z": worst, "conditioning_mc": p_mc, "conditioning_quadrature": p_quad,
+        "excluded_cells": excluded, "flagged_cells": flagged,
+    }
     checks = [
         CheckResult("chi_square_p_value", p_value > _P_THRESHOLD, p_value, _P_THRESHOLD),
-        CheckResult("conditioning_probability_z", abs(z_cond) < 4.0, z_cond, 4.0),
+        _z_check("conditioning_probability_z", z_cond, 4.0),
     ]
-    analytic = None
     if is_canonical_two_state(gen):
         no_jump, switched, returned = two_state_event_probabilities(T)
         target = switched if endpoint != start else returned
         se_t = math.sqrt(target * (1 - target) / n_samples)
         z_t = (p_mc - target) / se_t
-        analytic = {
-            "no_jump": no_jump,
-            "switched": switched,
-            "returned": returned,
-            "z_analytic": z_t,
-        }
-        checks.append(CheckResult("conditioning_vs_analytic_z", abs(z_t) < 4.0, z_t, 4.0))
+        diagnostics.update(no_jump=no_jump, switched=switched, returned=returned, z_analytic=z_t)
+        checks.append(_z_check("conditioning_vs_analytic_z", z_t, 4.0))
 
-    hist = SimplexHistogram(
-        range=R, edges=edges, counts=counts.ravel(),
-        expected=masses.ravel(), excluded_cells=excluded, flagged_cells=flagged,
-    )
-    return DensityCheckReport(
-        histogram=hist, n_samples=n_samples, n_conditioned=n_cond,
-        chi2=stat, dof=dof, p_value=p_value, worst_cell_z=worst,
-        conditioning_mc=p_mc, conditioning_quadrature=p_quad,
-        conditioning_z=z_cond, analytic=analytic, checks=checks,
-    )
+    cells = enumerate(zip(counts.ravel(), masses.ravel()))
+    return Report(checks, ("cell", "observed", "expected_mass"),
+                  [(i, int(c), float(e)) for i, (c, e) in cells], diagnostics)
 
 
 # ---------------------------------------------------------------------------
 # experiment: Ray-Knight distributional equivalence
 # ---------------------------------------------------------------------------
-
-@dataclass
-class MomentComparison:
-    site: int
-    mean_direct: float
-    mean_profile: float
-    mean_z: float
-    var_direct: float
-    var_profile: float
-    var_z: float
-
-
-@dataclass
-class RayKnightReport(Report):
-    columns = ("site", "mean_direct", "mean_profile", "mean_z",
-               "var_direct", "var_profile", "var_z")
-
-    pivot: int
-    level: float
-    n_samples: int
-    moments: List[MomentComparison]
-    atom_site_right: int
-    atom_right_direct: float
-    atom_right_profile: float
-    atom_right_z: float
-    atom_right_vs_exact_z: float
-    atom_site_left: int
-    atom_left_direct: float
-    atom_left_profile: float
-    atom_left_z: float
-    independence_corr_direct: float
-    independence_corr_profile: float
-
-    def rows(self) -> List[tuple]:
-        return [tuple(getattr(m, c) for c in self.columns) for m in self.moments]
-
 
 def _var_se(v: np.ndarray) -> float:
     """Moment-based standard error of the sample variance of ``v``."""
@@ -557,7 +478,7 @@ def verify_rayknight_mc(
     level: float = 1.0,
     n_samples: int = 200_000,
     seed: int = 0,
-) -> RayKnightReport:
+) -> Report:
     """Compare direct inverse-local-time simulation against the spatial
     Markov-chain profile sampler: per-site means and variances, absorption
     atom frequencies, and the independence of inner and outer randomness.
@@ -588,25 +509,17 @@ def verify_rayknight_mc(
     batch = sample_paths_inverse_local_time(gen, 0, pivot, level, n_samples, rng_direct)
     direct = {x: batch.local_times[:, gen.index(x)] for x in gen.states}
 
-    moments = []
+    rows = []
     checks = []
     for site in _COMPARE_SITES:
         if site == pivot:
             mz = vz = 0.0
         else:
             mz, vz = _mean_var_z(direct[site], profile[site])
-        moments.append(MomentComparison(
-            site=site,
-            mean_direct=float(direct[site].mean()),
-            mean_profile=float(profile[site].mean()),
-            mean_z=mz,
-            var_direct=float(direct[site].var(ddof=1)),
-            var_profile=float(profile[site].var(ddof=1)),
-            var_z=vz,
-        ))
-        checks.append(CheckResult(
-            f"mean_z_site_{site}", abs(mz) < _MOMENT_Z, mz, _MOMENT_Z))
-        checks.append(CheckResult(f"var_z_site_{site}", abs(vz) < _MOMENT_Z, vz, _MOMENT_Z))
+        rows.append((site, float(direct[site].mean()), float(profile[site].mean()), mz,
+                     float(direct[site].var(ddof=1)), float(profile[site].var(ddof=1)), vz))
+        checks.append(_z_check(f"mean_z_site_{site}", mz, _MOMENT_Z))
+        checks.append(_z_check(f"var_z_site_{site}", vz, _MOMENT_Z))
 
     def atom_freqs(site):
         d = float((direct[site] == 0.0).mean())
@@ -618,13 +531,10 @@ def verify_rayknight_mc(
     a_d, a_p, a_z = atom_freqs(right)
     exact = math.exp(-level)
     se_exact = math.sqrt(exact * (1 - exact) / n_samples)
-    a_exact_z = (a_d - exact) / se_exact
-    left = -1
-    l_d, l_p, l_z = atom_freqs(left)
-    checks.append(CheckResult("atom_right_z", abs(a_z) < _ATOM_Z, a_z, _ATOM_Z))
-    checks.append(CheckResult(
-        "atom_right_vs_exact_z", abs(a_exact_z) < _ATOM_Z, a_exact_z, _ATOM_Z))
-    checks.append(CheckResult("atom_left_z", abs(l_z) < _ATOM_Z, l_z, _ATOM_Z))
+    l_d, l_p, l_z = atom_freqs(-1)
+    checks.append(_z_check("atom_right_z", a_z, _ATOM_Z))
+    checks.append(_z_check("atom_right_vs_exact_z", (a_d - exact) / se_exact, _ATOM_Z))
+    checks.append(_z_check("atom_left_z", l_z, _ATOM_Z))
 
     def indep_corr(data):
         # residual of the inner step at site pivot-1 given the pivot value,
@@ -633,23 +543,17 @@ def verify_rayknight_mc(
         outer = data[right]
         return float(np.corrcoef(proxy, outer)[0, 1])
 
-    corr_d = indep_corr(direct)
-    corr_p = indep_corr(profile)
     corr_threshold = _ATOM_Z / math.sqrt(n_samples)
-    checks.append(CheckResult(
-        "independence_corr_direct", abs(corr_d) < corr_threshold, corr_d, corr_threshold))
-    checks.append(CheckResult(
-        "independence_corr_profile", abs(corr_p) < corr_threshold, corr_p, corr_threshold))
+    checks.append(_z_check("independence_corr_direct", indep_corr(direct), corr_threshold))
+    checks.append(_z_check("independence_corr_profile", indep_corr(profile), corr_threshold))
 
-    return RayKnightReport(
-        pivot=pivot, level=level, n_samples=n_samples, moments=moments,
-        atom_site_right=right, atom_right_direct=a_d, atom_right_profile=a_p,
-        atom_right_z=a_z, atom_right_vs_exact_z=a_exact_z,
-        atom_site_left=left, atom_left_direct=l_d, atom_left_profile=l_p,
-        atom_left_z=l_z,
-        independence_corr_direct=corr_d, independence_corr_profile=corr_p,
-        checks=checks,
-    )
+    diagnostics = {
+        "n_samples": int(n_samples),
+        "atom_right_direct": a_d, "atom_right_profile": a_p,
+        "atom_left_direct": l_d, "atom_left_profile": l_p,
+    }
+    return Report(checks, ("site", "mean_direct", "mean_profile", "mean_z",
+                           "var_direct", "var_profile", "var_z"), rows, diagnostics)
 
 
 # ---------------------------------------------------------------------------
@@ -722,29 +626,15 @@ def log_mgf_exact(gen: Generator, start, S: Sequence, V, T: float) -> float:
     """log E[exp(<V, local times>); range within S], by the matrix exponential
     of the killed generator A|SxS + diag(V)."""
     S = tuple(S)
-    A = gen.submatrix(S)  # killed outside S: no re-conservation
+    A = range_rates(gen, S).A  # killed outside S: no re-conservation
     M = expm(T * (A + np.diag(_functional_on(S, V))))
     return float(np.log(M[S.index(start), :].sum()))
-
-
-@dataclass
-class LdpProbabilityReport(Report):
-    columns = ("T", "inf_rate", "bound", "n_hits", "log_p_hat", "log_p_upper")
-
-    T: float
-    S: Tuple
-    inf_rate: float
-    bound: float
-    n_samples: int
-    n_hits: int
-    log_p_hat: float
-    log_p_upper: float
 
 
 def ldp_probability_experiment(
     gen: Generator, start, S: Sequence, state, threshold: float, T: float,
     n_samples: int, seed: int = 0,
-) -> LdpProbabilityReport:
+) -> Report:
     """Monte Carlo estimate of P(normalized local time at ``state`` >=
     ``threshold``, range within S) against the closed-form upper bound."""
     if not gen.is_symmetric():
@@ -763,25 +653,13 @@ def ldp_probability_experiment(
     log_p_upper = math.log(p_upper)
     checks = [CheckResult("log_upper_ci_below_bound", log_p_upper <= bound,
                           log_p_upper, bound)]
-    return LdpProbabilityReport(
-        T=T, S=S, inf_rate=inf_rate, bound=bound, n_samples=n_samples,
-        n_hits=n_hits, log_p_hat=log_p_hat, log_p_upper=log_p_upper,
-        checks=checks,
-    )
+    diagnostics = {"T": T, "inf_rate": inf_rate, "bound": bound, "n_samples": int(n_samples),
+                   "n_hits": n_hits, "log_p_hat": log_p_hat, "log_p_upper": log_p_upper}
+    columns = ("T", "inf_rate", "bound", "n_hits", "log_p_hat", "log_p_upper")
+    return Report(checks, columns, [tuple(diagnostics[c] for c in columns)], diagnostics)
 
 
-@dataclass
-class LdpVaradhanReport(Report):
-    columns = ("T", "sup_value", "bound", "log_mgf")
-
-    T: float
-    S: Tuple
-    sup_value: float
-    bound: float
-    log_mgf: float
-
-
-def ldp_varadhan_experiment(gen: Generator, start, S: Sequence, V, T: float) -> LdpVaradhanReport:
+def ldp_varadhan_experiment(gen: Generator, start, S: Sequence, V, T: float) -> Report:
     """Exact exponential-functional value (matrix exponential) against the
     closed-form upper bound for a linear functional."""
     if not gen.is_symmetric():
@@ -791,13 +669,22 @@ def ldp_varadhan_experiment(gen: Generator, start, S: Sequence, V, T: float) -> 
     bound = ldp_varadhan_bound(gen, S, sup_value, T)
     value = log_mgf_exact(gen, start, S, V, T)
     checks = [CheckResult("log_mgf_below_bound", value <= bound, value, bound)]
-    return LdpVaradhanReport(T=T, S=S, sup_value=sup_value, bound=bound,
-                             log_mgf=value, checks=checks)
+    diagnostics = {"T": T, "sup_value": sup_value, "bound": bound, "log_mgf": value}
+    columns = ("T", "sup_value", "bound", "log_mgf")
+    return Report(checks, columns, [tuple(diagnostics[c] for c in columns)], diagnostics)
 
 
 # ---------------------------------------------------------------------------
 # suite runner
 # ---------------------------------------------------------------------------
+
+def _count(exp: dict, field: str, default: int, least: int = 1) -> int:
+    """The integer config field ``field`` of an experiment, at least ``least``."""
+    value = int(exp.get(field, default))
+    if value < least:
+        raise ValueError(f"{field!r} must be at least {least}, got {value}")
+    return value
+
 
 # experiment kind -> runner(experiment object, seed, base_dir): the runner
 # parses the experiment's own fields and returns its report
@@ -805,15 +692,15 @@ EXPERIMENTS: Dict[str, Callable[[dict, int, str], Report]] = {
     "verify-density": lambda exp, seed, base_dir: verify_density_mc(
         generator_from_config(exp["generator"], base_dir),
         _label(exp["start"]), _label(exp["endpoint"]), [_label(x) for x in exp["range"]],
-        float(exp["T"]), int(exp.get("samples", 1_000_000)),
-        cells_per_axis=int(exp.get("cells", 7)), seed=seed),
+        float(exp["T"]), _count(exp, "samples", 1_000_000),
+        cells_per_axis=_count(exp, "cells", 7), seed=seed),
     "verify-rayknight": lambda exp, seed, base_dir: verify_rayknight_mc(
         pivot=int(exp.get("pivot", 2)), level=float(exp.get("level", 1.0)),
-        n_samples=int(exp.get("samples", 200_000)), seed=seed),
+        n_samples=_count(exp, "samples", 200_000, least=2), seed=seed),
     "ldp-probability": lambda exp, seed, base_dir: ldp_probability_experiment(
         generator_from_config(exp["generator"], base_dir),
         _label(exp["start"]), [_label(x) for x in exp["S"]], _label(exp["state"]),
-        float(exp["threshold"]), float(exp["T"]), int(exp.get("samples", 1_000_000)), seed=seed),
+        float(exp["threshold"]), float(exp["T"]), _count(exp, "samples", 1_000_000), seed=seed),
     "ldp-varadhan": lambda exp, seed, base_dir: ldp_varadhan_experiment(
         generator_from_config(exp["generator"], base_dir),
         _label(exp["start"]), [_label(x) for x in exp["S"]], exp["V"], float(exp["T"])),
@@ -862,10 +749,10 @@ def run_suite(config: dict, out_dir: str, base_dir: str = ".") -> int:
             raise ConfigParseError(f"experiment {name!r}: {exc}") from None
         write_csv(os.path.join(out_dir, f"{name}.csv"),
                   {"config_hash": chash, "seed": seed, "kind": kind},
-                  report.columns, report.rows())
+                  report.columns, report.rows)
         summary["experiments"].append({
             "name": name, "kind": kind, "passed": report.passed,
-            **report.summary(), "checks": [c.__dict__ for c in report.checks],
+            **report.diagnostics, "checks": [c.__dict__ for c in report.checks],
         })
 
     summary["all_passed"] = all(e["passed"] for e in summary["experiments"])

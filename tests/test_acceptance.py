@@ -159,18 +159,19 @@ def test_criterion_04_monte_carlo_law():
     g3 = srw_generator(0, 2)
     rep = verify_density_mc(g3, 0, 2, (0, 1, 2), 2.0, 1_000_000,
                             cells_per_axis=7, seed=20240804)
-    ok = rep.p_value > 1e-3 and abs(rep.conditioning_z) < 4.0
+    diag = rep.diagnostics
+    ok = diag["p_value"] > 1e-3 and abs(diag["conditioning_z"]) < 4.0
 
-    details = [f"3-state chi-square p={rep.p_value:.4f} over {rep.dof + 1} merged "
+    details = [f"3-state chi-square p={diag['p_value']:.4f} over {diag['dof'] + 1} merged "
                f"cells (threshold 0.001)"]
     rep12 = verify_density_mc(TWO_STATE, 1, 2, (1, 2), 1.0, 1_000_000,
                               cells_per_axis=40, seed=20240805)
-    z12 = rep12.analytic["z_analytic"]
+    z12 = rep12.diagnostics["z_analytic"]
     rep11 = verify_density_mc(TWO_STATE, 1, 1, (1, 2), 1.0, 1_000_000,
                               cells_per_axis=40, seed=20240806)
-    z11 = rep11.analytic["z_analytic"]
-    ok = ok and abs(z12) < 4.0 and abs(z11) < 4.0 and rep12.p_value > 1e-3 \
-        and rep11.p_value > 1e-3
+    z11 = rep11.diagnostics["z_analytic"]
+    ok = ok and abs(z12) < 4.0 and abs(z11) < 4.0 \
+        and rep12.diagnostics["p_value"] > 1e-3 and rep11.diagnostics["p_value"] > 1e-3
     details.append(f"two-state conditioning z(switch)={z12:.2f}, "
                    f"z(return)={z11:.2f} (|z|<4)")
     elapsed = time.time() - t_start
@@ -304,18 +305,18 @@ def test_criterion_07_ldp_dominance():
         rep = ldp_probability_experiment(TWO_STATE, 1, (1, 2), 2, 0.8, T,
                                          1_000_000, seed=20240809 + int(T))
         ok &= rep.passed
-        details.append(f"2-state T={T:g}: logP_up={rep.log_p_upper:.2f} <= "
-                       f"bound={rep.bound:.2f}")
+        details.append(f"2-state T={T:g}: logP_up={rep.diagnostics['log_p_upper']:.2f} <= "
+                       f"bound={rep.diagnostics['bound']:.2f}")
         rep = ldp_probability_experiment(three, 0, (0, 1), 1, 0.7, T,
                                          1_000_000, seed=20240819 + int(T))
         ok &= rep.passed
-        details.append(f"3-state T={T:g}: logP_up={rep.log_p_upper:.2f} <= "
-                       f"bound={rep.bound:.2f}")
+        details.append(f"3-state T={T:g}: logP_up={rep.diagnostics['log_p_upper']:.2f} <= "
+                       f"bound={rep.diagnostics['bound']:.2f}")
     for T in (1.0, 5.0, 20.0):
         rep = ldp_varadhan_experiment(TWO_STATE, 1, (1, 2), [0.0, 0.5], T)
         ok &= rep.passed
-        details.append(f"varadhan T={T:g}: logE={rep.log_mgf:.2f} <= "
-                       f"bound={rep.bound:.2f}")
+        details.append(f"varadhan T={T:g}: logE={rep.diagnostics['log_mgf']:.2f} <= "
+                       f"bound={rep.diagnostics['bound']:.2f}")
         rep = ldp_varadhan_experiment(three, 0, (0, 1, 2), [0.0, 0.3, 0.1], T)
         ok &= rep.passed
     elapsed = time.time() - t_start
@@ -423,13 +424,14 @@ def test_criterion_10_rayknight_equivalence():
     t_start = time.time()
     rep = verify_rayknight_mc(pivot=2, level=1.0, n_samples=200_000,
                               seed=20240812)
-    moment_zs = [(m.site, m.mean_z, m.var_z) for m in rep.moments]
+    moment_zs = [(row[0], row[3], row[6]) for row in rep.rows]
+    z = {c.name: c.value for c in rep.checks}
     ok = rep.passed
     elapsed = time.time() - t_start
     report(10, ok,
            f"moment z-scores {moment_zs} (|z|<3), atom z right "
-           f"{rep.atom_right_z:.2f}, vs exact {rep.atom_right_vs_exact_z:.2f}, "
-           f"left {rep.atom_left_z:.2f} (|z|<4), {elapsed:.0f}s")
+           f"{z['atom_right_z']:.2f}, vs exact {z['atom_right_vs_exact_z']:.2f}, "
+           f"left {z['atom_left_z']:.2f} (|z|<4), {elapsed:.0f}s")
 
 
 # ---------------------------------------------------------------------------

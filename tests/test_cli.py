@@ -238,6 +238,20 @@ def test_verify_config_with_nan_horizon_exits_2(tmp_path, capsys):
     assert "'nan-horizon': need finite T > 0" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, experiment, field", [
+    ("verify-density", {"generator": {"srw": [0, 2]}, "start": 0, "endpoint": 2,
+                        "range": [0, 1, 2], "T": 2.0, "cells": 0}, "'cells'"),
+    ("verify-rayknight", {"samples": 1}, "'samples'"),
+])
+def test_verify_config_with_a_bad_count_exits_2(tmp_path, capsys, command, experiment, field):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(dict(experiment, kind=command, name="bad-count")))
+    status = main([command, "--config", str(cfg), "--out", str(tmp_path / "out")])
+    assert status == 2
+    assert capsys.readouterr().err.startswith(
+        f"config error: experiment 'bad-count': {field} must be at least ")
+
+
 @pytest.mark.parametrize("document", ["[1, 2]", "3", '"config"', "null"])
 def test_verify_config_that_is_not_an_object_exits_2(tmp_path, capsys, document):
     cfg = tmp_path / "cfg.json"

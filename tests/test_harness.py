@@ -9,6 +9,7 @@ import pytest
 from scipy.linalg import expm
 
 from loctimes.chain import srw_generator, validate_generator
+from loctimes.density import range_rates
 from loctimes.errors import ConfigParseError, InsufficientConditionedError, NotSymmetricError
 from loctimes.harness import (
     _grid_counts,
@@ -35,6 +36,7 @@ from loctimes.harness import (
     write_csv,
 )
 from loctimes.montecarlo import sample_paths_inverse_local_time
+from loctimes.rates import eta, ldp_probability_bound
 
 TWO_STATE = validate_generator([[0.0, 1.0], [1.0, 0.0]], (1, 2))
 
@@ -140,13 +142,12 @@ def test_spawn_rngs_are_deterministic_and_distinct():
 def test_verify_density_two_state_quick():
     report = verify_density_mc(TWO_STATE, 1, 2, (1, 2), 1.0, 150_000,
                                cells_per_axis=30, seed=101)
-    assert report.p_value > 1e-3
-    assert abs(report.conditioning_z) < 4.0
-    assert report.analytic is not None
-    assert abs(report.analytic["z_analytic"]) < 4.0
+    assert report.diagnostics["p_value"] > 1e-3
+    assert abs(report.diagnostics["conditioning_z"]) < 4.0
+    assert abs(report.diagnostics["z_analytic"]) < 4.0
     assert report.passed
     # the density normalization must match the analytic event probability
-    assert report.conditioning_quadrature == pytest.approx(
+    assert report.diagnostics["conditioning_quadrature"] == pytest.approx(
         math.exp(-1.0) * math.sinh(1.0), abs=1e-9)
 
 
@@ -154,9 +155,9 @@ def test_verify_density_three_state_quick():
     g = srw_generator(0, 2)
     report = verify_density_mc(g, 0, 2, (0, 1, 2), 2.0, 120_000,
                                cells_per_axis=5, seed=102)
-    assert report.p_value > 1e-3
-    assert abs(report.conditioning_z) < 4.0
-    assert report.histogram.excluded_cells > 0
+    assert report.diagnostics["p_value"] > 1e-3
+    assert abs(report.diagnostics["conditioning_z"]) < 4.0
+    assert report.diagnostics["excluded_cells"] > 0
 
 
 def test_verify_density_insufficient_conditioning():
@@ -220,7 +221,7 @@ def test_rayknight_check_at_a_compared_pivot(pivot):
     # the default compared sites are 0, 1 and 3, so pivots 1 and 3 compare
     # the pivot itself, where both sides hold the level exactly
     report = verify_rayknight_mc(pivot=pivot, n_samples=5_000, seed=7)
-    assert len(report.rows()) == 3
+    assert len(report.rows) == 3
     values = [c.value for c in report.checks]
     assert all(math.isfinite(v) for v in values)
     pivot_checks = [c for c in report.checks if c.name.endswith(f"_site_{pivot}")]
@@ -341,6 +342,29 @@ def test_spectral_ldp_values_need_symmetric_rates():
         float(np.linalg.eigvalsh(np.diag([0.0, 0.3]) + g.submatrix((1, 2)))[-1]), abs=1e-15)
 
 
+def test_symmetry_is_one_entrywise_test():
+    # 1.000009 is within a relative 1e-5 of 1.0 but not within 1e-12: the
+    # generator and its range rates must agree that this is not symmetric
+    g = validate_generator([[0.0, 1.0], [1.000009, 0.0]])
+    assert not g.is_symmetric()
+    assert not range_rates(g, (0, 1)).symmetric
+    with pytest.raises(NotSymmetricError):
+        linear_varadhan_supremum(g, (0, 1), [0.0, 0.5])
+    near = validate_generator([[0.0, 1.0], [1.0 + 1e-13, 0.0]])
+    assert near.is_symmetric() and range_rates(near, (0, 1)).symmetric
+
+
+@pytest.mark.parametrize("call", [
+    lambda g: log_mgf_exact(g, 0, (0, 1, 1), [0.0, 0.3, 0.3], 2.0),
+    lambda g: linear_varadhan_supremum(g, (0, 1, 1), [0.0, 0.3, 0.3]),
+    lambda g: eta(g, (0, 1, 1)),
+    lambda g: ldp_probability_bound(g, (0, 1, 1), 0.2, 2.0),
+], ids=["log_mgf_exact", "linear_varadhan_supremum", "eta", "ldp_probability_bound"])
+def test_a_repeated_label_in_S_raises(call):
+    with pytest.raises(ValueError, match="range \\(0, 1, 1\\) repeats the label 1"):
+        call(srw_generator(0, 2))
+
+
 def test_linear_varadhan_supremum_against_simplex_grid():
     V = np.array([0.9, 0.1, 0.6])
     mus = _simplex_grid(1000)
@@ -395,14 +419,14 @@ def test_ldp_probability_experiment_quick():
     report = ldp_probability_experiment(TWO_STATE, 1, (1, 2), 2, 0.8, 5.0,
                                         100_000, seed=5)
     assert report.passed
-    assert report.log_p_upper <= report.bound
-    assert report.inf_rate == pytest.approx(0.2, abs=1e-8)
+    assert report.diagnostics["log_p_upper"] <= report.diagnostics["bound"]
+    assert report.diagnostics["inf_rate"] == pytest.approx(0.2, abs=1e-8)
 
 
 def test_ldp_varadhan_experiment_values():
     report = ldp_varadhan_experiment(TWO_STATE, 1, (1, 2), [0.0, 0.5], 5.0)
     assert report.passed
-    assert report.log_mgf <= report.bound
+    assert report.diagnostics["log_mgf"] <= report.diagnostics["bound"]
 
 
 # ---------------------------------------------------------------------------
@@ -455,6 +479,22 @@ def test_run_suite_replay_is_bit_for_bit(tmp_path):
         (tmp_path / "b" / "replay.csv").read_bytes()
     assert (tmp_path / "a" / "summary.json").read_bytes() == \
         (tmp_path / "b" / "summary.json").read_bytes()
+    # the summary entry carries the law check's diagnostics, the analytic
+    # two-state values included
+    entry = json.loads((tmp_path / "a" / "summary.json").read_text())["experiments"][0]
+    assert list(entry) == [
+        "name", "kind", "passed", "p_value", "conditioning_z", "n_samples", "n_conditioned",
+        "chi2", "dof", "worst_cell_z", "conditioning_mc", "conditioning_quadrature",
+        "excluded_cells", "flagged_cells", "no_jump", "switched", "returned", "z_analytic",
+        "checks"]
+    rows = (tmp_path / "a" / "replay.csv").read_text().splitlines()[2:]
+    assert entry["n_samples"] == 40_000
+    assert entry["n_conditioned"] == sum(int(r.split(",")[1]) for r in rows)
+    assert entry["conditioning_mc"] == entry["n_conditioned"] / 40_000
+    assert entry["excluded_cells"] == 0 and entry["flagged_cells"] == 0
+    assert [c["name"] for c in entry["checks"]] == [
+        "chi_square_p_value", "conditioning_probability_z", "conditioning_vs_analytic_z"]
+    assert entry["checks"][0]["value"] == entry["p_value"]
 
 
 def test_run_suite_rejects_unknown_kind(tmp_path):
@@ -483,6 +523,27 @@ def test_run_suite_checks_every_experiment_before_running(tmp_path, experiments,
     assert not out_dir.exists() and not (tmp_path / "up.csv").exists()
 
 
+LAW = {"kind": "verify-density", "name": "law", "generator": TWO_STATE_SPEC, "start": 1,
+       "endpoint": 2, "range": [1, 2], "T": 1.0}
+PROBABILITY = {"kind": "ldp-probability", "name": "halfspace", "generator": TWO_STATE_SPEC,
+               "start": 1, "S": [1, 2], "state": 2, "threshold": 0.8, "T": 5.0}
+
+
+@pytest.mark.parametrize("experiment, message", [
+    (dict(LAW, cells=0), "'cells' must be at least 1, got 0"),
+    (dict(LAW, cells=-2), "'cells' must be at least 1, got -2"),
+    (dict(LAW, samples=0), "'samples' must be at least 1, got 0"),
+    ({"kind": "verify-rayknight", "samples": 0}, "'samples' must be at least 2, got 0"),
+    ({"kind": "verify-rayknight", "samples": 1}, "'samples' must be at least 2, got 1"),
+    (dict(PROBABILITY, samples=-1), "'samples' must be at least 1, got -1"),
+], ids=["cells-0", "cells-negative", "density-samples-0", "rayknight-samples-0",
+        "rayknight-samples-1", "probability-samples-negative"])
+def test_run_suite_rejects_a_bad_count(tmp_path, experiment, message):
+    with pytest.raises(ConfigParseError, match=message):
+        run_suite({"experiments": [experiment]}, str(tmp_path))
+    assert not list(tmp_path.glob("*.csv"))
+
+
 # sha256 of every file one run of this config writes; a change to a number or
 # to the CSV layout of any of the four kinds shows here.  summary.json holds
 # the config in its key order, so the entries are spelled out in full
@@ -501,7 +562,7 @@ PINNED_DIGESTS = {
     "halfspace.csv": "7eff0499b1f3d53ea89960076d0cb860d2b58284304d3d480aa756020e699091",
     "law.csv": "5dea1b3f1793b3ca7c7559645163c1202331075ebe579db26b1cc4b2a314b5a5",
     "profile.csv": "71feca5453fcbf3d97dfaaef54dd729fdc67822d091ead6f5dc17ced7dcc32b3",
-    "summary.json": "dc08b3ff5ad3018bebd6f319c976418bbd5eaff1bd56e1a88615daace61c0439",
+    "summary.json": "25b9e3eefb76130683b9c39344cb14b7ce3081d4f6f26220f4262f94f05eef5d",
 }
 
 
@@ -520,8 +581,8 @@ def test_verify_density_asymmetric_chain():
         [[0.0, 1.3, 0.0], [0.6, 0.0, 0.9], [0.0, 1.7, 0.0]], (0, 1, 2))
     report = verify_density_mc(g, 0, 2, (0, 1, 2), 1.5, 300_000,
                                cells_per_axis=5, seed=401)
-    assert report.p_value > 1e-3
-    assert abs(report.conditioning_z) < 4.0
+    assert report.diagnostics["p_value"] > 1e-3
+    assert abs(report.diagnostics["conditioning_z"]) < 4.0
 
 
 def exact_range_probability(gen, a, b, R, T):
@@ -546,9 +607,9 @@ def test_cell_masses_sum_to_exact_range_probability(gen, T, cells):
     report = verify_density_mc(gen, 0, 2, (0, 1, 2), T, 20_000,
                                cells_per_axis=cells, seed=5)
     exact = exact_range_probability(gen, 0, 2, (0, 1, 2), T)
-    assert report.conditioning_quadrature == pytest.approx(exact, rel=1e-8)
-    assert report.histogram.flagged_cells == 0
-    assert report.histogram.excluded_cells == cells * (cells - 1) // 2
+    assert report.diagnostics["conditioning_quadrature"] == pytest.approx(exact, rel=1e-8)
+    assert report.diagnostics["flagged_cells"] == 0
+    assert report.diagnostics["excluded_cells"] == cells * (cells - 1) // 2
 
 
 def test_cell_rules_on_cut_cells_and_the_disagreement_flag():
