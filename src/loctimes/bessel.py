@@ -19,6 +19,7 @@ def _edge_series(z: float, shift: int) -> float:
     Raises NonConvergedTruncationError when _MAX_TERMS terms do not meet the
     stop test or the sum is not finite (the exact value overflows a double).
     """
+    z = float(z)  # Python floats overflow to inf quietly, which the test below catches
     term = 1.0
     total = 1.0
     k = 1

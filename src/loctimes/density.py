@@ -510,7 +510,11 @@ def _certified_rows(
     majorant = series.majorant(L)
 
     schedule = np.array(_ORDER_SCHEDULE)
-    tails = diag_factor * series.tails(majorant, schedule)
+    # a bound beyond double range (an overflowed tail, or one times a diagonal
+    # factor that underflowed to 0) is inf: it certifies nothing
+    with np.errstate(over="ignore", invalid="ignore"):
+        tails = diag_factor * series.tails(majorant, schedule)
+    tails[np.isnan(tails)] = np.inf
     certified = tails <= tol
     failed = ~certified.any(axis=0)
     if failed.any():

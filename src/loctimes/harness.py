@@ -16,9 +16,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Sequence, Tuple
 
 import numpy as np
-from scipy.linalg import expm
-from scipy.optimize import minimize_scalar
-from scipy.stats import chi2 as chi2_dist
+from scipy.special import chdtrc
 
 from .chain import Generator, generator_from_triples, srw_generator, validate_generator
 from .density import MIN_LOCAL_TIME, _range_positions, density_batch, range_rates
@@ -158,7 +156,13 @@ def chi_square_shape_test(observed: np.ndarray, expected_masses: np.ndarray):
     stat = float(((obs - exp) ** 2 / exp).sum())
     dof = max(len(obs) - 1, 1)
     worst = float(np.max(np.abs(obs - exp) / np.sqrt(exp)))
-    return stat, dof, float(chi2_dist.sf(stat, dof)), worst
+    return stat, dof, _chi2_sf(stat, dof), worst
+
+
+def _chi2_sf(stat: float, dof: int) -> float:
+    """P(chi-square with ``dof`` degrees of freedom > ``stat``): the function
+    that scipy.stats.chi2.sf calls, without importing scipy.stats."""
+    return float(chdtrc(dof, stat))
 
 
 def wilson_upper(successes: int, total: int, z: float = 2.3263478740408408) -> float:
@@ -595,6 +599,8 @@ def halfspace_rate_infimum(gen: Generator, S: Sequence, state, threshold: float)
     best = dual(0.0)
     hi = (Q[j, j] - best) / (1.0 - threshold)
     if hi > 0.0:
+        from scipy.optimize import minimize_scalar
+
         res = minimize_scalar(lambda lam: -dual(lam), bounds=(0.0, hi), method="bounded",
                               options={"xatol": 1e-12})
         best = max(best, -float(res.fun))
@@ -625,6 +631,8 @@ def linear_varadhan_supremum(gen: Generator, S: Sequence, V) -> float:
 def log_mgf_exact(gen: Generator, start, S: Sequence, V, T: float) -> float:
     """log E[exp(<V, local times>); range within S], by the matrix exponential
     of the killed generator A|SxS + diag(V)."""
+    from scipy.linalg import expm
+
     S = tuple(S)
     A = range_rates(gen, S).A  # killed outside S: no re-conservation
     M = expm(T * (A + np.diag(_functional_on(S, V))))

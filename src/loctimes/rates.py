@@ -16,7 +16,6 @@ from itertools import product
 from typing import Callable, Dict, Optional, Sequence
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .chain import Generator
 from .density import _local_times, _range_positions, range_rates
@@ -305,6 +304,8 @@ def rescaled_chi_discrete(
     (plus the uniform start); the best value with projected gradient norm
     below ``tol`` is returned.
     """
+    from scipy.optimize import minimize
+
     sites, edges = _box_edges(box_radius, dim)
     m = len(sites)
     scale = float(alpha) ** dim

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -62,6 +63,15 @@ def test_edge_kernel_raises_instead_of_overflowing(kernel):
     # I0(2000) and I1(2000) exceed the double range
     with pytest.raises(NonConvergedTruncationError, match="not finite"):
         kernel(1.0, 1e3, 1e3)
+
+
+@pytest.mark.parametrize("kernel", [edge_kernel, edge_kernel_d])
+def test_edge_kernel_overflow_of_numpy_scalars_does_not_warn(kernel):
+    # the density routes pass numpy scalars, whose arithmetic warns on overflow
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(NonConvergedTruncationError, match="not finite"):
+            kernel(np.float64(1.0), np.float64(200.0), np.float64(800.0))
 
 
 @pytest.mark.parametrize("kernel", [edge_kernel, edge_kernel_d])

@@ -1,6 +1,7 @@
 import hashlib
 import importlib
 import math
+import warnings
 from itertools import combinations
 
 import numpy as np
@@ -318,6 +319,18 @@ def test_density_raises_when_tail_cannot_converge():
     g = validate_generator([[0.0, 60.0], [60.0, 0.0]], (1, 2))
     with pytest.raises(NonConvergedTruncationError):
         density(g, (1, 2), 1, 2, [1.0, 1.0], tol=1e-10)
+
+
+@pytest.mark.parametrize("route", [density_tridiagonal, density_certified])
+def test_large_local_times_raise_a_typed_error(route):
+    # at l = (200, 800) the series overflow a double and the diagonal factor
+    # exp(-1000) underflows to 0: no RuntimeWarning and no nan may escape
+    g = validate_generator([[0.0, 1.0], [1.0, 0.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(NonConvergedTruncationError) as info:
+            route(g, (0, 1), 0, 1, [200.0, 800.0])
+    assert "nan" not in str(info.value)
 
 
 def test_tail_sums_closed_form_matches_direct_sum():

@@ -12,6 +12,7 @@ from loctimes.chain import srw_generator, validate_generator
 from loctimes.density import range_rates
 from loctimes.errors import ConfigParseError, InsufficientConditionedError, NotSymmetricError
 from loctimes.harness import (
+    _chi2_sf,
     _grid_counts,
     _mean_var_z,
     _unit_rule,
@@ -110,6 +111,29 @@ def test_chi_square_shape_test_on_exact_multinomial():
     counts = rng.multinomial(200_000, masses)
     stat, dof, p, worst = chi_square_shape_test(counts, masses * 0.37)
     assert dof == 4 and p > 1e-3 and worst < 4.0
+
+
+@pytest.mark.parametrize("dof", [1, 2, 48, 199])
+@pytest.mark.parametrize("stat", [0.0, 1e-300, 0.5, 3.7, 47.0, 210.3, 1e4, math.inf])
+def test_chi2_survival_function_matches_scipy_stats(dof, stat):
+    from scipy.stats import chi2
+
+    assert _chi2_sf(stat, dof) == float(chi2.sf(stat, dof))
+
+
+@pytest.mark.parametrize("dof", [1, 2, 48, 199])
+def test_chi_square_p_value_is_bit_identical_to_scipy_stats(dof):
+    from scipy.stats import chi2
+
+    rng = np.random.default_rng(dof)
+    masses = rng.uniform(0.5, 1.5, dof + 1)
+    counts = rng.multinomial(1000 * (dof + 1), masses / masses.sum())
+    # the second pair is exactly proportional: the statistic is 0
+    for observed, expected in ((counts, masses), (counts, counts * 0.5)):
+        stat, got_dof, p, _ = chi_square_shape_test(observed, expected)
+        assert got_dof == dof
+        assert p == float(chi2.sf(stat, dof))
+    assert stat == 0.0 and p == 1.0
 
 
 def test_wilson_upper_bounds_proportion():
