@@ -24,7 +24,9 @@ Three independent evaluations are provided:
   truncation order in one array pass over the order schedule;
 * :func:`density_quadrature` - the derivative-free cofactor-inside-the-
   integral form, evaluated by tensor-product periodic trapezoidal quadrature
-  whose phases are products of precomputed roots of unity;
+  whose phases are products of roots of unity, kept per grid when the grid
+  fits in one chunk; the cofactor is a minor of rates and node vectors whose
+  determinant is one closed-form Laplace expansion, with no LAPACK call;
 * :func:`density_tridiagonal` - the nearest-neighbor product formula, one
   scalar edge kernel (or its derivative) per interval edge, for a and b in
   either order.
@@ -486,7 +488,11 @@ def density_batch(
     The points of one order share one flow table and one pass of
     exponentials over it, with every derivative subset applied as a factor
     vector on the shared terms.  Raises ``NonConvergedTruncationError`` when
-    some point cannot be certified at the top order.
+    some point cannot be certified at the top order.  At a point whose
+    diagonal factor exp(sum A[x,x] l_x) underflows below the smallest normal
+    double, the bound covers the whole density, exp(sum A[x,x] l_x +
+    log(|series| + tail)) taken in log space, instead of a product that
+    rounds to 0.
 
     ``conjugation`` optionally replaces the series weights by
     r_x B[x,y] / r_y for a positive vector r on R (the operator weights keep
@@ -506,14 +512,16 @@ def _certified_rows(
     """:func:`density_batch` on rows ``L`` that already passed
     :func:`_check_local_times`."""
     series = prepared.series
-    diag_factor = np.exp(L @ prepared.rates.diag)
+    log_diag = L @ prepared.rates.diag
+    diag_factor = np.exp(log_diag)
     majorant = series.majorant(L)
 
     schedule = np.array(_ORDER_SCHEDULE)
     # a bound beyond double range (an overflowed tail, or one times a diagonal
     # factor that underflowed to 0) is inf: it certifies nothing
     with np.errstate(over="ignore", invalid="ignore"):
-        tails = diag_factor * series.tails(majorant, schedule)
+        raw_tails = series.tails(majorant, schedule)
+        tails = diag_factor * raw_tails
     tails[np.isnan(tails)] = np.inf
     certified = tails <= tol
     failed = ~certified.any(axis=0)
@@ -525,10 +533,22 @@ def _certified_rows(
     first = np.argmax(certified, axis=0)
     orders = schedule[first]
     bounds = tails[first, np.arange(len(L))]
-    values = np.zeros(len(L))
+    sums = np.zeros(len(L))
     for order in sorted(set(orders.tolist())):
         group = orders == order
-        values[group] = diag_factor[group] * series.values(L[group], order)
+        sums[group] = series.values(L[group], order)
+    values = diag_factor * sums
+    # where the diagonal factor underflows, the products above lose their
+    # size (down to a false 0 bound); bound the whole density there instead,
+    # |density| <= exp(sum A_xx l_x) (|series| + tail), in log space.  This
+    # stays below tol: it needs a majorant above e^685 to exceed it, and such
+    # a majorant keeps nearly all its mass beyond order 140, so no order of
+    # the schedule would have certified
+    low = diag_factor < np.finfo(float).tiny
+    if low.any():
+        raw = raw_tails[first[low], np.flatnonzero(low)]
+        with np.errstate(divide="ignore", over="ignore"):
+            bounds[low] = np.exp(log_diag[low] + np.log(np.abs(sums[low]) + raw))
     return values, bounds, orders
 
 
@@ -573,43 +593,92 @@ def density(
 
 
 _QUAD_CHUNK = 65536
+# the refinement of density_quadrature(tol=...) stops before a grid of more
+# points per angle or more nodes than these (1024 x 1024 at |R| = 3)
+_QUAD_MAX_GRID = 1024
+_QUAD_MAX_NODES = 1 << 20
+
+
+def _grid_phases(grid_size: int, r: int, lo: int, hi: int) -> np.ndarray:
+    """The phases e^{i th_x} at the grid nodes lo..hi-1 (rows) for each state
+    x (columns).  The integrand depends on angle differences only, so the
+    last angle is pinned at 0; the other angles run over the grid, whose
+    nodes e^{i th} are the N-th roots of unity, so every phase
+    e^{i(th_x - th_y)} is a product of two roots and needs no exp."""
+    roots = np.exp(2j * np.pi * np.arange(grid_size) / grid_size)
+    nodes = np.arange(lo, hi)
+    e = np.ones((len(nodes), r), dtype=complex)
+    e[:, :-1] = roots[np.stack(np.unravel_index(nodes, (grid_size,) * (r - 1)), axis=1)]
+    return e
+
+
+@lru_cache(maxsize=4)
+def _cached_phases(grid_size: int, r: int) -> Tuple[np.ndarray, np.ndarray]:
+    """:func:`_grid_phases` of a whole grid that fits in one chunk, and their
+    conjugates, read-only."""
+    e = _grid_phases(grid_size, r, 0, grid_size ** (r - 1))
+    ec = e.conj()
+    _read_only(e, ec)
+    return e, ec
+
+
+@lru_cache(maxsize=None)
+def _minor_layout(r: int, a: int, b: int) -> Tuple[Tuple[Tuple[int, int], ...], ...]:
+    """The (x, y) position in the range of each entry of the minor without
+    row b and column a, row by row; its diagonal entries (x == y) are the
+    states other than a and b."""
+    rows = [x for x in range(r) if x != b]
+    cols = [y for y in range(r) if y != a]
+    return tuple(tuple((x, y) for y in cols) for x in rows)
+
+
+def _laplace_det(entries, cols: Tuple[int, ...]):
+    """The determinant of the rows of ``entries`` below the first
+    len(entries) - len(cols) and the columns ``cols``, by Laplace expansion
+    along its first row.  An entry is a float or a vector over the nodes; a
+    0.0 entry drops its term."""
+    if not cols:
+        return 1.0
+    row = entries[len(entries) - len(cols)]
+    total = 0.0
+    for k, c in enumerate(cols):
+        if isinstance(row[c], float) and row[c] == 0.0:
+            continue
+        term = row[c] * _laplace_det(entries, cols[:k] + cols[k + 1:])
+        total = total - term if k % 2 else total + term
+    return total
 
 
 def _quadrature_value(
     A: np.ndarray, B: np.ndarray, l: np.ndarray, a: int, b: int, grid_size: int
 ) -> complex:
+    """The (complex) trapezoidal average of the cofactor-inside integrand on
+    a grid_size^(|R| - 1) grid; see :func:`density_quadrature`."""
     r = A.shape[0]
     if r == 1:
         return complex(math.exp(A[0, 0] * l[0]))
     sq = np.sqrt(l)
     D = B * (sq[None, :] / sq[:, None])
-    # det_ab is (-1)^(a+b) times the minor without row b and column a; the
-    # diagonal of that minor holds the states other than a and b
-    rows = [x for x in range(r) if x != b]
-    cols = [y for y in range(r) if y != a]
-    minor = -B[np.ix_(rows, cols)].astype(complex)
-    on_diag = [x for x in rows if x in cols]
-    mi, mj = [rows.index(x) for x in on_diag], [cols.index(x) for x in on_diag]
-    # the integrand depends on angle differences only, so the last angle is
-    # pinned at 0; the other angles run over the grid, whose nodes
-    # exp(i th) are the N-th roots of unity, so every phase
-    # e^{i(th_x - th_y)} is a product of two roots and needs no exp
-    roots = np.exp(2j * np.pi * np.arange(grid_size) / grid_size)
-    shape = (grid_size,) * (r - 1)
+    layout = _minor_layout(r, a, b)
+    cols = tuple(range(r - 1))
     count = grid_size ** (r - 1)
     base = float(np.dot(np.diag(A), l))
     total = 0.0 + 0.0j
     for lo in range(0, count, _QUAD_CHUNK):
-        nodes = np.arange(lo, min(lo + _QUAD_CHUNK, count))
-        e = np.ones((len(nodes), r), dtype=complex)
-        e[:, :-1] = roots[np.stack(np.unravel_index(nodes, shape), axis=1)]
+        if count <= _QUAD_CHUNK:
+            e, ec = _cached_phases(grid_size, r)
+        else:
+            e = _grid_phases(grid_size, r, lo, min(lo + _QUAD_CHUNK, count))
+            ec = e.conj()
         # V[p, x] = sum_z D[x,z] e_x conj(e_z); the exponent
         # sum_{x,y} A[x,y] sqrt(l_x l_y) e_x conj(e_y) is then
         # sum_x A[x,x] l_x + sum_x l_x V[p, x]
-        V = e * (e.conj() @ D.T)
-        M = np.repeat(minor[None], len(nodes), axis=0)
-        M[:, mi, mj] += V[:, on_diag]
-        total += np.sum(np.linalg.det(M) * np.exp(base + V @ l))
+        V = e * (ec @ D.T)
+        # det_ab is (-1)^(a+b) times the minor without row b and column a:
+        # -B off its diagonal, and -B[x,x] + V[:, x] = V[:, x] on it
+        entries = [[V[:, x] if x == y else -float(B[x, y]) for x, y in row]
+                   for row in layout]
+        total += np.sum(_laplace_det(entries, cols) * np.exp(base + V @ l))
     return (-1) ** (a + b) * total / count
 
 
@@ -628,28 +697,47 @@ def density_quadrature(
     The integrand is det_ab(-B + V(th, l)) exp(sum A[x,y] sqrt(l_x l_y)
     e^{i(th_x - th_y)}) with V(th, l)[x] = sum_z B[x,z] sqrt(l_z/l_x)
     e^{i(th_x - th_z)}, averaged over the torus by an equispaced (periodic
-    trapezoidal) tensor grid, which is spectrally accurate for this analytic
-    integrand.  The grid nodes e^{i th} are roots of unity, so the phases are
-    products of precomputed roots, and det_ab is taken as the signed minor.
-    If ``tol`` is given, the grid is doubled until two successive refinements
-    agree to ``tol``.
+    trapezoidal) tensor grid of ``grid_size`` points per angle, which is
+    spectrally accurate for this analytic integrand.  The grid nodes e^{i th}
+    are roots of unity, so the phases are products of precomputed roots; the
+    phases of a grid of at most ``_QUAD_CHUNK`` nodes are built once and
+    kept.  det_ab is the signed minor without row b and column a, kept as
+    entries (a rate, or a node vector on its diagonal) and expanded in
+    closed form along its first row, so no node calls a linear-algebra
+    routine.
+
+    If ``tol`` is given, the grid is doubled until two successive grids agree
+    to ``tol``; no grid goes beyond 1024 points per angle or 2^20 nodes, and
+    ``NonConvergedTruncationError`` reports the last two values when none
+    agree.  A ``grid_size`` that is not a positive integer, or a ``tol`` that
+    is not finite and positive, raises ``ValueError``; so does |R| > 4.
     """
     R, a_pos, b_pos = _range_positions(R, a, b)
     lvec = _local_times(R, l)
     if len(R) > 4:
         raise ValueError("density_quadrature is limited to |R| <= 4")
+    if not isinstance(grid_size, (int, np.integer)) or grid_size < 1:
+        raise ValueError(f"grid_size must be a positive integer; got {grid_size!r}")
+    if tol is not None and not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be finite and positive; got {tol!r}")
     rates = range_rates(gen, R)
     A, B = rates.A, rates.B
 
     value = _quadrature_value(A, B, lvec, a_pos, b_pos, grid_size)
     if tol is not None:
-        while grid_size <= 512:
-            grid_size *= 2
-            refined = _quadrature_value(A, B, lvec, a_pos, b_pos, grid_size)
-            if abs(refined - value) <= tol:
-                value = refined
-                break
-            value = refined
+        coarse = None
+        while coarse is None or abs(value - coarse) > tol:
+            finer = 2 * grid_size
+            if finer > _QUAD_MAX_GRID or finer ** (len(R) - 1) > _QUAD_MAX_NODES:
+                seen = (f"grid {grid_size} gives {value.real:.10e}" if coarse is None else
+                        f"grids {grid_size // 2} and {grid_size} give {coarse.real:.10e} "
+                        f"and {value.real:.10e}")
+                raise NonConvergedTruncationError(
+                    f"quadrature not converged to tol {tol:.3e}: {seen}, and a finer "
+                    f"grid exceeds {_QUAD_MAX_GRID} points per angle or "
+                    f"{_QUAD_MAX_NODES} nodes")
+            coarse, grid_size = value, finer
+            value = _quadrature_value(A, B, lvec, a_pos, b_pos, grid_size)
     if abs(value.imag) > 1e-8 * abs(value.real) + 1e-12:
         raise ResidualImaginaryError(
             f"imaginary residue {value.imag:.3e} against real part {value.real:.3e}"

@@ -2,7 +2,7 @@ import hashlib
 import importlib
 import math
 import warnings
-from itertools import combinations
+from itertools import combinations, permutations
 
 import numpy as np
 import pytest
@@ -333,6 +333,27 @@ def test_large_local_times_raise_a_typed_error(route):
     assert "nan" not in str(info.value)
 
 
+def test_certificate_holds_where_the_diagonal_factor_underflows():
+    # 0 <-> 1 at rate 1, both killed at rate 9 on R = (0, 1): the diagonal
+    # factor exp(-760) underflows to 0, and the bound must still cover the
+    # exact density e^{-760} I0(76) = 4.016e-299
+    A = np.zeros((3, 3))
+    A[0, 1] = A[1, 0] = A[2, 0] = 1.0
+    A[0, 2] = A[1, 2] = 9.0
+    g = validate_generator(A)
+    exact = math.exp(76.0 - 760.0) * sp.ive(0, 76.0)
+    assert exact > 1e-299
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        ev = density_certified(g, (0, 1), 0, 1, (38.0, 38.0))
+    assert abs(ev.value - exact) <= ev.error_bound <= 1e-10
+    # in a batch, a point whose diagonal factor is normal is not touched
+    values, bounds, _ = density_batch(g, (0, 1), 0, 1, [[38.0, 38.0], [3.0, 2.0]])
+    single = density_certified(g, (0, 1), 0, 1, (3.0, 2.0))
+    assert (values[1], bounds[1]) == (single.value, single.error_bound)
+    assert bounds[0] == ev.error_bound
+
+
 def test_tail_sums_closed_form_matches_direct_sum():
     S = np.array([0.3, 2.0, 9.0])
     orders = np.array([0, 3, 8, 26])
@@ -540,6 +561,138 @@ def test_quadrature_raises_on_imaginary_residue(monkeypatch):
                         lambda *args: complex(0.25, 1e-3))
     with pytest.raises(ResidualImaginaryError):
         density_quadrature(srw_generator(0, 2), (0, 1, 2), 0, 2, [0.5, 0.7, 0.8])
+
+
+def _lapack_quadrature_value(A, B, l, a, b, grid_size):
+    """The torus kernel as it was before the closed-form minor: one
+    ``np.linalg.det`` call on the (nodes, k, k) stack of minors per chunk.
+    Returns the node average and its rounding scale, the average of
+    perm(|minor|) |exp(...)| over the nodes."""
+    r = A.shape[0]
+    if r == 1:
+        return complex(math.exp(A[0, 0] * l[0])), 1.0
+    sq = np.sqrt(l)
+    D = B * (sq[None, :] / sq[:, None])
+    rows = [x for x in range(r) if x != b]
+    cols = [y for y in range(r) if y != a]
+    minor = -B[np.ix_(rows, cols)].astype(complex)
+    on_diag = [x for x in rows if x in cols]
+    mi, mj = [rows.index(x) for x in on_diag], [cols.index(x) for x in on_diag]
+    roots = np.exp(2j * np.pi * np.arange(grid_size) / grid_size)
+    shape = (grid_size,) * (r - 1)
+    count = grid_size ** (r - 1)
+    base = float(np.dot(np.diag(A), l))
+    total, scale = 0j, 0.0
+    for lo in range(0, count, density_module._QUAD_CHUNK):
+        nodes = np.arange(lo, min(lo + density_module._QUAD_CHUNK, count))
+        e = np.ones((len(nodes), r), dtype=complex)
+        e[:, :-1] = roots[np.stack(np.unravel_index(nodes, shape), axis=1)]
+        V = e * (e.conj() @ D.T)
+        M = np.repeat(minor[None], len(nodes), axis=0)
+        M[:, mi, mj] += V[:, on_diag]
+        ex = np.exp(base + V @ l)
+        total += np.sum(np.linalg.det(M) * ex)
+        k = r - 1
+        perm = sum(np.prod(np.abs(M[:, np.arange(k), list(p)]), axis=1)
+                   for p in permutations(range(k)))
+        scale += np.sum(perm * np.abs(ex))
+    return (-1) ** (a + b) * total / count, scale / count
+
+
+def _assert_matches_lapack(A, B, l, a, b, grid_size):
+    """The kernel agrees with the LAPACK reference to 1e-13 relative, or to
+    1e-15 of the rounding scale where the node sum cancels below 1% of it
+    (a density that is 0 or nearly so)."""
+    ref, scale = _lapack_quadrature_value(A, B, l, a, b, grid_size)
+    got = density_module._quadrature_value(A, B, l, a, b, grid_size)
+    assert abs(got - ref) <= 1e-13 * max(abs(ref), 1e-2 * scale), (got, ref, scale)
+
+
+def test_quadrature_kernel_matches_the_lapack_reference():
+    rng = np.random.default_rng(1700)
+    seen = set()
+    for _ in range(840):
+        r = int(rng.integers(1, 5))
+        B = rng.uniform(0.3, 1.3, (r, r))
+        one_way = rng.uniform(size=(r, r)) < 0.25
+        B[one_way.T & ~one_way] = 0.0
+        np.fill_diagonal(B, 0.0)
+        A = B.copy()
+        np.fill_diagonal(A, -B.sum(axis=1))
+        l = rng.dirichlet(np.ones(r)) * rng.uniform(0.3, 2.0) + 0.01
+        a, b = (int(x) for x in rng.integers(0, r, 2))
+        grid_size = int(rng.choice((8, 12, 16) if r == 4 else (8, 16, 32)))
+        _assert_matches_lapack(A, B, l, a, b, grid_size)
+        seen.add((r, np.sign(b - a), bool(np.any((B == 0) & (B.T > 0)))))
+    assert {(r, s) for r, s, _ in seen} >= {(r, s) for r in (2, 3, 4) for s in (-1, 0, 1)}
+    assert {r for r, _, one_way in seen if one_way} == {2, 3, 4}
+
+
+@pytest.mark.parametrize("r, grid_size", [(3, 257), (4, 41)])
+def test_quadrature_kernel_beyond_one_chunk_matches_and_is_not_cached(r, grid_size):
+    assert grid_size ** (r - 1) > density_module._QUAD_CHUNK
+    rng = np.random.default_rng(1701 + r)
+    g = random_conservative(rng, r)
+    A, B = range_rates(g, g.states).A, range_rates(g, g.states).B
+    l = random_point(rng, r, 1.2)
+    density_module._cached_phases.cache_clear()
+    for a, b in ((0, r - 1), (r - 1, 0), (1, 1)):
+        _assert_matches_lapack(A, B, l, a, b, grid_size)
+    density_quadrature(g, g.states, 0, r - 1, l, grid_size=grid_size)
+    assert density_module._cached_phases.cache_info().currsize == 0
+
+
+def test_cached_node_phases_are_read_only():
+    g = srw_generator(0, 3)
+    density_module._cached_phases.cache_clear()
+    density_quadrature(g, (0, 1, 2), 0, 2, [0.5, 0.7, 0.8])
+    density_quadrature(g, (0, 1, 2, 3), 0, 3, [0.5, 0.7, 0.8, 0.4], grid_size=16)
+    assert density_module._cached_phases.cache_info().currsize == 2
+    for grid_size, r in ((32, 3), (16, 4)):
+        e, ec = density_module._cached_phases(grid_size, r)
+        assert e.shape == (grid_size ** (r - 1), r)
+        assert np.array_equal(ec, e.conj())
+        for arr in (e, ec):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0, 0] = 2.0
+
+
+def test_quadrature_refinement_raises_when_no_two_grids_agree():
+    # at l = (1e5, 1e5) no grid up to 1024 points per angle resolves the
+    # integrand: grid 1024 gives 1.0218e-3 against the exact
+    # ive(1, 2e5) = 8.92e-4
+    g = srw_generator(0, 1)
+    for l in ((1e5, 1e5), (1e6, 1e6)):
+        with pytest.raises(NonConvergedTruncationError, match="grids 512 and 1024"):
+            density_quadrature(g, (0, 1), 0, 0, l, grid_size=8, tol=1e-12)
+
+
+def test_quadrature_refinement_stops_before_2_20_nodes(monkeypatch):
+    grids = []
+
+    def disagreeing(A, B, l, a, b, grid_size):
+        grids.append(grid_size)
+        return complex(len(grids))
+
+    monkeypatch.setattr(density_module, "_quadrature_value", disagreeing)
+    with pytest.raises(NonConvergedTruncationError, match="grids 32 and 64"):
+        density_quadrature(srw_generator(0, 3), (0, 1, 2, 3), 0, 3, [0.5] * 4,
+                           grid_size=8, tol=1e-10)
+    assert grids == [8, 16, 32, 64]
+
+
+@pytest.mark.parametrize("grid_size", [0, -4, 2.5])
+def test_quadrature_rejects_a_bad_grid_size(grid_size):
+    with pytest.raises(ValueError, match="grid_size"):
+        density_quadrature(srw_generator(0, 2), (0, 1, 2), 0, 2, [0.5, 0.7, 0.8],
+                           grid_size=grid_size)
+
+
+@pytest.mark.parametrize("tol", [0.0, -1e-10, math.nan, math.inf])
+def test_quadrature_rejects_a_bad_tol(tol):
+    with pytest.raises(ValueError, match="tol"):
+        density_quadrature(srw_generator(0, 2), (0, 1, 2), 0, 2, [0.5, 0.7, 0.8], tol=tol)
 
 
 def test_oracle_triangle_random_instances():
@@ -821,12 +974,13 @@ def _pinned_outputs():
 
 
 def test_routes_match_pinned_digest():
-    # sha256 of the float.hex outputs of every route, taken before the
-    # prepared-range cache existed: the cache must not move a single bit
+    # sha256 of the float.hex outputs of every route: a cache or a refactor
+    # must not move a single bit; a change of arithmetic re-pins it and lists
+    # the entries it moved in CHANGES.md
     out = _pinned_outputs()
     assert len(out) == 143
     assert hashlib.sha256(repr(out).encode()).hexdigest() == (
-        "4a7b58af5760f3109bcab1de6eb144d164ca62759cb0f30206fe859395b2af89")
+        "1144f61a7f7d2606c097b0c7911d4b8cf3a315a4d6ed3ee46201c4e22ca903f0")
 
 
 def test_repeated_request_is_identical_and_shares_the_range():
