@@ -633,13 +633,13 @@ def _minor_layout(r: int, a: int, b: int) -> Tuple[Tuple[Tuple[int, int], ...], 
 
 
 def _laplace_det(entries, cols: Tuple[int, ...]):
-    """The determinant of the rows of ``entries`` below the first
-    len(entries) - len(cols) and the columns ``cols``, by Laplace expansion
-    along its first row.  An entry is a float or a vector over the nodes; a
-    0.0 entry drops its term."""
-    if not cols:
-        return 1.0
+    """The determinant of the last len(cols) rows of ``entries`` on the
+    (nonempty) columns ``cols``, by Laplace expansion along its first row.
+    An entry is a float or a vector over the nodes; a 0.0 entry drops its
+    term."""
     row = entries[len(entries) - len(cols)]
+    if len(cols) == 1:
+        return row[cols[0]]
     total = 0.0
     for k, c in enumerate(cols):
         if isinstance(row[c], float) and row[c] == 0.0:

@@ -980,7 +980,7 @@ def test_routes_match_pinned_digest():
     out = _pinned_outputs()
     assert len(out) == 143
     assert hashlib.sha256(repr(out).encode()).hexdigest() == (
-        "1144f61a7f7d2606c097b0c7911d4b8cf3a315a4d6ed3ee46201c4e22ca903f0")
+        "9ea8f8de6b337f560aa4004bacab2afecaf11c41cce7c9af14489c6910462332")
 
 
 def test_repeated_request_is_identical_and_shares_the_range():
