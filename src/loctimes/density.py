@@ -21,7 +21,14 @@ Three independent evaluations are provided:
   the single-point functions are batches of one; they are the only way into
   the series.  The operator's subset weights come from one batched
   determinant call, and the closed-form tail bound picks every point's
-  truncation order in one array pass over the order schedule;
+  truncation order in one array pass over the order schedule, under one
+  ``np.errstate``.  The pass reads its fixed data from module constants and
+  caches: the schedule as a read-only array, the smallest normal double, and
+  per (orders, shifts) the read-only gamma-function arguments and mask of the
+  Poisson tails (:func:`_gamma_arguments`), so the tails are one ``gammainc``
+  and one ``where``; the subset products of the local times are computed once
+  and shared by the bound and the values, and a batch whose points share one
+  order (a batch of one always does) skips the per-order group masks;
 * :func:`density_quadrature` - the derivative-free cofactor-inside-the-
   integral form, evaluated by tensor-product periodic trapezoidal quadrature
   whose phases are products of roots of unity, kept per grid when the grid
@@ -55,7 +62,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
-from typing import Dict, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.special import gammainc
@@ -74,6 +81,11 @@ from .flows import flow_table
 
 MIN_LOCAL_TIME = 1e-12
 _ORDER_SCHEDULE = (8, 12, 18, 26, 36, 48, 64, 84, 110, 140)
+# the schedule as the array the certificate indexes, and the smallest normal
+# double, below which a diagonal factor has lost its size
+_SCHEDULE = np.array(_ORDER_SCHEDULE)
+_SCHEDULE.flags.writeable = False
+_TINY = np.finfo(float).tiny
 
 
 def _check_local_times(L: np.ndarray) -> None:
@@ -202,32 +214,55 @@ def _stirling2(q: int) -> Tuple[int, ...]:
     return row
 
 
-def _poisson_tails(S: np.ndarray, orders: np.ndarray, shifts: int) -> np.ndarray:
+@lru_cache(maxsize=16)
+def _gamma_arguments(orders: Tuple[int, ...], shifts: int) -> Tuple[np.ndarray, np.ndarray]:
+    """The first argument n0 - k + 1 (floored at 1, as floats) of the
+    regularized gamma function for every shift k < ``shifts`` (axis 0) and
+    truncation order n0 (axis 1), and the mask n0 >= k; read-only."""
+    n0 = np.array(orders)[None, :, None]
+    k = np.arange(shifts)[:, None, None]
+    arguments = np.maximum(n0 - k + 1, 1).astype(float)
+    above = n0 >= k
+    _read_only(arguments, above)
+    return arguments, above
+
+
+def _poisson_tails(S: np.ndarray, orders: Sequence[int], shifts: int) -> np.ndarray:
     """P(Poisson(S) > n0 - k) for every shift k < ``shifts`` (axis 0), every
     truncation order n0 in ``orders`` (axis 1) and every S (axis 2), as one
     call of the regularized lower incomplete gamma function P(n0 - k + 1, S);
-    1 where n0 < k."""
-    n0 = np.asarray(orders)[None, :, None]
-    k = np.arange(shifts)[:, None, None]
-    return np.where(n0 >= k, gammainc(np.maximum(n0 - k + 1, 1), S), 1.0)
+    1 where n0 < k.  The arguments come from :func:`_gamma_arguments`."""
+    arguments, above = _gamma_arguments(tuple(map(int, orders)), shifts)
+    return np.where(above, gammainc(arguments, S), 1.0)
 
 
-def _tail_sums(q: int, S: np.ndarray, orders: np.ndarray,
-               poisson: np.ndarray) -> np.ndarray:
-    """sum over N > n0 of N^q S^N / N! in closed form, for every truncation
-    order n0 in ``orders`` (rows) and every S (columns).
+def _tail_sums(sizes: Sequence[int], S: np.ndarray,
+               poisson: np.ndarray) -> List[np.ndarray]:
+    """sum over N > n0 of N^q S^N / N! in closed form, for each q in
+    ``sizes``, every truncation order n0 of ``poisson`` (rows) and every S
+    (columns).
 
     Expanding N^q = sum_k S(q,k) N(N-1)...(N-k+1) turns each piece into a
     Poisson tail, sum_{N > n0} N(N-1)...(N-k+1) S^N/N! =
     S^k e^S P(Poisson(S) > n0 - k), read from ``poisson`` (see
-    :func:`_poisson_tails`).
+    :func:`_poisson_tails`); the powers S^k and e^S are shared by all sizes.
+    An overflow gives inf; the certificate pass runs this under its one
+    ``np.errstate``.
     """
-    total = np.zeros((len(orders), len(S)))
-    for k, c in enumerate(_stirling2(q)):
-        if c:
-            total += c * S ** k * poisson[k]
-    with np.errstate(over="ignore"):
-        return np.exp(S) * total
+    powers = [S ** k for k in range(max(sizes) + 1)]
+    growth = np.exp(S)
+    # S(q, k) = 1 multiplies exactly, so S^k P(...) serves every such (q, k);
+    # these shared terms are never added into, so the first sum is a new array
+    unit = [powers[k] * poisson[k] for k in range(len(powers))]
+    sums = []
+    for q in sizes:
+        terms = [unit[k] if c == 1 else c * powers[k] * poisson[k]
+                 for k, c in enumerate(_stirling2(q)) if c]
+        total = terms[0] if len(terms) == 1 else terms[0] + terms[1]
+        for term in terms[2:]:
+            total += term
+        sums.append(growth * total)
+    return sums
 
 
 def _series_support(Btilde: np.ndarray) -> Tuple[Tuple[int, int], ...]:
@@ -273,30 +308,30 @@ class _OperatorSeries:
         self._coefs = np.array([self.weights[Q] for Q in self._subsets])
         self._abs_coefs = np.abs(self._coefs)
         # subset positions padded to one width with position n_nodes, which
-        # _subset_products points at a column of ones
+        # subset_products points at a column of ones
         width = max((len(Q) for Q in self._subsets), default=0)
         self._padded = np.full((len(self._subsets), width), self.n_nodes)
-        self._by_size: Dict[int, list] = {}
+        by_size: Dict[int, list] = {}
         for k, Q in enumerate(self._subsets):
             self._padded[k, :len(Q)] = Q
-            self._by_size.setdefault(len(Q), []).append(k)
+            by_size.setdefault(len(Q), []).append(k)
+        self._by_size = {q: np.array(cols) for q, cols in by_size.items()}
         _read_only(self.w, self._xs, self._ys, self._coefs,
-                   self._abs_coefs, self._padded)
+                   self._abs_coefs, self._padded, *self._by_size.values())
         self._terms: Dict[int, _OrderTerms] = {}
 
-    def _subset_products(self, L: np.ndarray) -> np.ndarray:
+    def subset_products(self, L: np.ndarray) -> np.ndarray:
         """prod_{x in Q} l_x for each row of L (rows) and subset Q (columns),
         multiplied in the order of Q, as ``np.prod`` does."""
         if self._padded.shape[1] == 0:
             return np.ones((len(L), len(self._subsets)))
         Lp = np.concatenate([L, np.ones((len(L), 1))], axis=1)
-        prods = Lp[:, self._padded[:, 0]]
-        for k in range(1, self._padded.shape[1]):
-            prods = prods * Lp[:, self._padded[:, k]]
-        return prods
+        return np.multiply.reduce(Lp[:, self._padded], axis=2)
 
-    def majorant(self, L: np.ndarray) -> Tuple[np.ndarray, Dict[int, np.ndarray]]:
-        """The order-independent part of the remainder bound at each row of L.
+    def majorant(self, L: np.ndarray,
+                 products: np.ndarray) -> Tuple[np.ndarray, Dict[int, np.ndarray]]:
+        """The order-independent part of the remainder bound at each row of L,
+        whose :meth:`subset_products` are ``products``.
 
         The dropped terms are majorized by the full unbalanced series: with
         S = sum Btilde[x,y] sqrt(l_x l_y), the undifferentiated tail is at
@@ -306,24 +341,28 @@ class _OperatorSeries:
         order of the subsets.
         """
         S = np.sqrt(L[:, self._xs] * L[:, self._ys]) @ self.w
-        parts = self._abs_coefs / self._subset_products(L)
-        by_size = {q: np.add.accumulate(parts[:, cols], axis=1)[:, -1]
+        parts = self._abs_coefs / products
+        by_size = {q: parts[:, cols[0]] if len(cols) == 1
+                   else np.add.accumulate(parts[:, cols], axis=1)[:, -1]
                    for q, cols in self._by_size.items()}
         return S, by_size
 
     @staticmethod
     def tails(majorant: Tuple[np.ndarray, Dict[int, np.ndarray]],
-              orders: np.ndarray) -> np.ndarray:
+              orders: Sequence[int]) -> np.ndarray:
         """Certified remainder bounds at each truncation order in ``orders``
         (rows) and each point (columns); see :meth:`majorant`.  The Poisson
         tails of every Stirling shift come from one gamma-function call
-        shared by all subset sizes."""
+        shared by all subset sizes, with its arguments cached per orders."""
         S, by_size = majorant
-        total = np.zeros((len(orders), len(S)))
-        if by_size:
-            poisson = _poisson_tails(S, orders, max(by_size) + 1)
-            for q, scale in by_size.items():
-                total += scale * _tail_sums(q, S, orders, poisson)
+        if not by_size:
+            return np.zeros((len(orders), len(S)))
+        poisson = _poisson_tails(S, orders, max(by_size) + 1)
+        terms = [scale * tail for scale, tail in
+                 zip(by_size.values(), _tail_sums(list(by_size), S, poisson))]
+        total = terms[0]
+        for term in terms[1:]:
+            total += term
         return total
 
     def _order_terms(self, order: int) -> _OrderTerms:
@@ -339,8 +378,9 @@ class _OperatorSeries:
         self._terms[order] = terms
         return terms
 
-    def values(self, L: np.ndarray, order: int) -> np.ndarray:
-        """The series truncated at total flow count ``order``, for each row of L.
+    def values(self, L: np.ndarray, products: np.ndarray, order: int) -> np.ndarray:
+        """The series truncated at total flow count ``order``, for each row of
+        L, whose :meth:`subset_products` are ``products``.
 
         Each balanced flow contributes prod_e w_e^{n_e}/n_e! times the
         monomial prod_x l_x^{m_x}, m_x its out-degree; a derivative in x
@@ -354,10 +394,10 @@ class _OperatorSeries:
         out = np.empty(len(L))
         chunk = max(1, _BLOCK_TERMS // terms.n_flows)
         for lo in range(0, len(L), chunk):
-            Lc = L[lo:lo + chunk]
-            base = np.exp(terms.log_coef[:, None] + terms.degree @ np.log(Lc).T)
+            base = np.exp(terms.log_coef[:, None]
+                          + terms.degree @ np.log(L[lo:lo + chunk]).T)
             per_subset = terms.factors @ base
-            per_subset /= self._subset_products(Lc).T
+            per_subset /= products[lo:lo + chunk].T
             out[lo:lo + chunk] = self._coefs @ per_subset
         return out
 
@@ -513,41 +553,46 @@ def _certified_rows(
     :func:`_check_local_times`."""
     series = prepared.series
     log_diag = L @ prepared.rates.diag
-    diag_factor = np.exp(log_diag)
-    majorant = series.majorant(L)
-
-    schedule = np.array(_ORDER_SCHEDULE)
-    # a bound beyond double range (an overflowed tail, or one times a diagonal
-    # factor that underflowed to 0) is inf: it certifies nothing
-    with np.errstate(over="ignore", invalid="ignore"):
-        raw_tails = series.tails(majorant, schedule)
+    products = series.subset_products(L)
+    # one errstate for the pass: a bound beyond double range (an overflowed
+    # tail, or one times a diagonal factor that underflowed to 0) is inf or
+    # nan and certifies nothing.  The series values stay finite at any point
+    # that certifies: their terms are below the majorant of the tail, which
+    # is finite there
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        diag_factor = np.exp(log_diag)
+        raw_tails = series.tails(series.majorant(L, products), _ORDER_SCHEDULE)
         tails = diag_factor * raw_tails
-    tails[np.isnan(tails)] = np.inf
-    certified = tails <= tol
-    failed = ~certified.any(axis=0)
-    if failed.any():
-        raise NonConvergedTruncationError(
-            f"certified tail {np.max(tails[-1, failed]):.3e} above tol {tol:.3e} at order "
-            f"{_ORDER_SCHEDULE[-1]} ({np.sum(failed)} of {len(L)} points)"
-        )
-    first = np.argmax(certified, axis=0)
-    orders = schedule[first]
-    bounds = tails[first, np.arange(len(L))]
-    sums = np.zeros(len(L))
-    for order in sorted(set(orders.tolist())):
-        group = orders == order
-        sums[group] = series.values(L[group], order)
-    values = diag_factor * sums
-    # where the diagonal factor underflows, the products above lose their
-    # size (down to a false 0 bound); bound the whole density there instead,
-    # |density| <= exp(sum A_xx l_x) (|series| + tail), in log space.  This
-    # stays below tol: it needs a majorant above e^685 to exceed it, and such
-    # a majorant keeps nearly all its mass beyond order 140, so no order of
-    # the schedule would have certified
-    low = diag_factor < np.finfo(float).tiny
-    if low.any():
-        raw = raw_tails[first[low], np.flatnonzero(low)]
-        with np.errstate(divide="ignore", over="ignore"):
+        certified = tails <= tol
+        first = certified.argmax(axis=0)
+        columns = np.arange(len(L))
+        bounds = tails[first, columns]
+        if not certified[first, columns].all():
+            tails[np.isnan(tails)] = np.inf
+            failed = ~certified.any(axis=0)
+            raise NonConvergedTruncationError(
+                f"certified tail {np.max(tails[-1, failed]):.3e} above tol {tol:.3e} at "
+                f"order {_ORDER_SCHEDULE[-1]} ({np.sum(failed)} of {len(L)} points)"
+            )
+        orders = _SCHEDULE[first]
+        levels = sorted(set(orders.tolist()))
+        if len(levels) == 1:
+            sums = series.values(L, products, levels[0])
+        else:
+            sums = np.empty(len(L))
+            for order in levels:
+                group = orders == order
+                sums[group] = series.values(L[group], products[group], order)
+        values = diag_factor * sums
+        # where the diagonal factor underflows, the products above lose their
+        # size (down to a false 0 bound); bound the whole density there
+        # instead, |density| <= exp(sum A_xx l_x) (|series| + tail), in log
+        # space.  This stays below tol: it needs a majorant above e^685 to
+        # exceed it, and such a majorant keeps nearly all its mass beyond
+        # order 140, so no order of the schedule would have certified
+        low = diag_factor < _TINY
+        if low.any():
+            raw = raw_tails[first[low], np.flatnonzero(low)]
             bounds[low] = np.exp(log_diag[low] + np.log(np.abs(sums[low]) + raw))
     return values, bounds, orders
 

@@ -8,9 +8,13 @@ when its multi-index is balanced.
 Enumeration sweeps the edges once, extending all partial assignments in
 lockstep (numpy arrays, no per-flow Python work).  Edges are visited in a
 node-closing order: all edges incident to the lowest node first, then the
-rest incident to the next node, and so on, so each node's balance constraint
-prunes as early as possible; a remaining-budget bound on the positive
-imbalance prunes the rest.  The resulting table order is a pure function of
+rest incident to the next node, and so on.  A free edge extends each prefix
+by every count that fits the budget.  At an edge that is the last to touch a
+node, the count is forced: only -imbalance[i] (or +imbalance[j]) balances the
+node it closes, and both must agree when it closes both ends, so each prefix
+gets one row, or none when the forced count is negative or does not fit.  A
+remaining-budget bound on the positive imbalance prunes the rest.  The table
+lists the flows lexicographically in the closing order, a pure function of
 the support, so repeated evaluations reduce in the same order, and tables are
 memoized per (support, max_total) for reuse across derivative subsets.
 """
@@ -73,28 +77,37 @@ def _enumerate(edges, n_nodes, max_total, cap) -> np.ndarray:
 
     for pos, k in enumerate(order):
         i, j = edges[k]
-        reps = max_total - used + 1
-        if int(reps.sum()) > 4 * cap:
-            # guard the expansion allocation itself, not just the result
-            raise ExplosionGuardError(
-                f"balanced-flow expansion would exceed {4 * cap} rows; "
-                f"shrink the support or max_total"
-            )
-        rows = np.repeat(np.arange(counts.shape[0]), reps)
-        offsets = (np.arange(reps.sum()) - np.repeat(np.cumsum(reps) - reps, reps)
-                   ).astype(np.int32)
+        closes_i, closes_j = last_touch[i] == pos, last_touch[j] == pos
+        if closes_i or closes_j:
+            # only the count that balances the closed node can be kept: one
+            # row per prefix, dropped here when negative (or when the two
+            # closed nodes force different counts) and below when over budget
+            offsets = -imbalance[:, i] if closes_i else imbalance[:, j]
+            ok = offsets >= 0
+            if closes_i and closes_j:
+                ok &= imbalance[:, j] == offsets
+            rows = np.flatnonzero(ok)
+            offsets = offsets[rows]
+        else:
+            reps = max_total - used + 1
+            if int(reps.sum()) > 4 * cap:
+                # guard the expansion allocation itself, not just the result
+                raise ExplosionGuardError(
+                    f"balanced-flow expansion would exceed {4 * cap} rows; "
+                    f"shrink the support or max_total"
+                )
+            rows = np.repeat(np.arange(counts.shape[0]), reps)
+            offsets = (np.arange(reps.sum()) - np.repeat(np.cumsum(reps) - reps, reps)
+                       ).astype(np.int32)
         counts = np.concatenate([counts[rows], offsets[:, None]], axis=1)
-        imbalance = imbalance[rows].copy()
+        imbalance = imbalance[rows]
         imbalance[:, i] += offsets
         imbalance[:, j] -= offsets
         used = used[rows] + offsets
 
         # each later edge unit cancels at most one unit of positive imbalance
+        # (a count over the budget leaves max_total - used negative)
         keep = np.maximum(imbalance, 0).sum(axis=1) <= max_total - used
-        if last_touch[i] == pos:
-            keep &= imbalance[:, i] == 0
-        if last_touch[j] == pos:
-            keep &= imbalance[:, j] == 0
         counts, imbalance, used = counts[keep], imbalance[keep], used[keep]
         if counts.shape[0] > cap:
             raise ExplosionGuardError(
@@ -123,10 +136,12 @@ def flow_table(
     out_degree = np.zeros((counts.shape[0], n_nodes), dtype=np.int64)
     for k, (i, _) in enumerate(edges):
         out_degree[:, i] += counts[:, k]
+    # log(n!) is read from a table of the max_total + 1 possible counts
+    log_factorial = gammaln(np.arange(max_total + 1) + 1.0)
     return FlowTable(
         edges=tuple(edges),
         n_nodes=n_nodes,
         counts=counts,
         out_degree=out_degree,
-        log_count_factorials=gammaln(counts + 1.0).sum(axis=1),
+        log_count_factorials=log_factorial[counts].sum(axis=1),
     )
