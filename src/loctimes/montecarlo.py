@@ -7,30 +7,42 @@ uniform and one gather-and-compare per extra target.
 
 * Fixed horizon: an exponential holding time is drawn each round and the
   local times accumulate exact sojourn lengths, never a time discretization.
-  A round draws the holds of the paths still running, clips each at the
-  time left, and adds it into one flat path-major accumulator at
-  ``path * n + state``.  A path whose hold reaches the horizon ends there:
-  its endpoint and jump count (the round number) are written once, then.
-  The round finds the ended and the kept paths with one index pass each and
-  compacts every working array with the same kept indices.  Only the kept
-  paths draw a uniform and jump.
+  The paths run in blocks of ``_BLOCK``, in path order, each block to the
+  horizon before the next starts, so that a block's working arrays stay in
+  cache; a batch of at most ``_BLOCK`` paths is one block.  A round draws
+  the holds of the block's paths still running, clips each at the time
+  left, and adds it into the block's slice of one flat path-major
+  accumulator at ``path * n + state``.  A path whose hold reaches the
+  horizon ends there: its endpoint and jump count (the round number) are
+  written once, then.  The round finds the ended and the kept paths with
+  one index pass each and compacts every working array with the same kept
+  indices.  Only the kept paths draw a uniform and jump.
 * Inverse local time: the jump-chain/holding-time split (Norris, *Markov
   Chains*, 1997, section 2.6).  The number of pivot visits is drawn first,
   ``1 + Poisson(q_b * level)``; the rounds run only the discrete jump chain,
   counting visits per state; each non-pivot local time is then one
   ``Gamma(visits, 1 / q)`` draw, and the pivot's is ``level`` exactly.
 
-All draws come from one stream in a fixed order, so a seed reproduces every
-emitted number bit for bit.
+All draws come from one stream in a fixed order (for the fixed horizon,
+block after block), so a seed reproduces every emitted number bit for bit.
+Both samplers raise ``ValueError`` on an ``n_paths`` that is negative or not
+an integer.
 """
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .chain import Generator
 from .errors import BudgetExceededError
+
+# paths per block of the fixed-time sampler: a block's working arrays and its
+# slice of the accumulator stay near a core's L2 cache, whereas one pass over a
+# million paths streams each of them through memory every round.  A batch of at
+# most this many paths is one block, drawn exactly as an unblocked run.
+_BLOCK = 1 << 16
 
 
 @dataclass
@@ -90,63 +102,38 @@ def jump_table(gen: Generator) -> JumpTable:
     return JumpTable(exit_rates=exit_rates, thresholds=thresholds, targets=targets)
 
 
+def _path_count(n_paths) -> int:
+    """``n_paths`` as a Python int, or ``ValueError`` if it is negative or
+    not integral (any integer type, numpy's included, is accepted)."""
+    try:
+        count = operator.index(n_paths)
+    except TypeError:
+        raise ValueError(
+            f"n_paths must be a non-negative integer, got {n_paths!r}") from None
+    if count < 0:
+        raise ValueError(f"n_paths must be a non-negative integer, got {count}")
+    return count
+
+
 def sample_paths_fixed_time(
     gen: Generator, start, T: float, n_paths: int, rng: np.random.Generator
 ) -> BatchPaths:
-    """Simulate ``n_paths`` trajectories on [0, T]."""
+    """Simulate ``n_paths`` trajectories on [0, T], in blocks of ``_BLOCK``
+    paths run one after another from the one ``rng``."""
     if not (math.isfinite(T) and T > 0):
         raise ValueError("need finite T > 0")
+    n_paths = _path_count(n_paths)
     table = jump_table(gen)
-    exit_rates = table.exit_rates
-    absorbing = bool(np.any(exit_rates <= 0))
     n = gen.n_states
     s0 = gen.index(start)
 
     local = np.zeros(n_paths * n)
     endpoints = np.full(n_paths, s0, dtype=np.int64)
     jumps = np.zeros(n_paths, dtype=np.int64)
-    alive = np.arange(n_paths)
-    state = np.full(n_paths, s0, dtype=np.int64)
-    elapsed = np.zeros(n_paths)
-
-    # each full-size temporary is deleted once used, so that fewer are alive
-    # when the next one is allocated: this sets the sampler's peak memory
-    rounds = 0
-    while alive.size:
-        hold = rng.exponential(1.0, alive.size)
-        rate = exit_rates[state]
-        if absorbing:
-            with np.errstate(divide="ignore"):
-                hold = np.where(rate > 0, hold / rate, np.inf)
-        else:
-            hold /= rate
-        del rate
-        remaining = T - elapsed
-        done = hold >= remaining
-        np.minimum(hold, remaining, out=hold)
-        del remaining
-        at = alive * n
-        at += state
-        np.add.at(local, at, hold)
-        del at
-        elapsed += hold
-        del hold
-        ended = np.flatnonzero(done)
-        if ended.size:
-            who = alive[ended]
-            endpoints[who] = state[ended]
-            jumps[who] = rounds
-            del who, ended
-            kept = np.flatnonzero(~done)
-            alive = alive[kept]
-            state = state[kept]
-            elapsed = elapsed[kept]
-            del kept
-            if alive.size == 0:
-                break
-        del done
-        state = table.step(state, rng.random(alive.size))
-        rounds += 1
+    for lo in range(0, n_paths, _BLOCK):
+        hi = min(lo + _BLOCK, n_paths)
+        _fixed_time_block(table, s0, T, rng,
+                          local[lo * n:hi * n], endpoints[lo:hi], jumps[lo:hi])
     return BatchPaths(
         states=gen.states,
         local_times=local.reshape(n_paths, n),
@@ -154,6 +141,48 @@ def sample_paths_fixed_time(
         jumps=jumps,
         horizons=np.full(n_paths, float(T)),
     )
+
+
+def _fixed_time_block(table: JumpTable, s0: int, T: float, rng: np.random.Generator,
+                      local: np.ndarray, endpoints: np.ndarray,
+                      jumps: np.ndarray) -> None:
+    """Run the paths of one block, all started in ``s0``, to the horizon,
+    writing into the block's views of the flat accumulator, the endpoints
+    and the jump counts."""
+    exit_rates = table.exit_rates
+    absorbing = bool(np.any(exit_rates <= 0))
+    n = exit_rates.size
+    alive = np.arange(endpoints.size)
+    state = np.full(alive.size, s0, dtype=np.int64)
+    elapsed = np.zeros(alive.size)
+
+    rounds = 0
+    while alive.size:
+        hold = rng.standard_exponential(alive.size)
+        rate = exit_rates[state]
+        if absorbing:
+            with np.errstate(divide="ignore"):
+                hold = np.where(rate > 0, hold / rate, np.inf)
+        else:
+            hold /= rate
+        remaining = T - elapsed
+        done = hold >= remaining
+        np.minimum(hold, remaining, out=hold)
+        np.add.at(local, alive * n + state, hold)
+        elapsed += hold
+        ended = np.flatnonzero(done)
+        if ended.size:
+            who = alive[ended]
+            endpoints[who] = state[ended]
+            jumps[who] = rounds
+            kept = np.flatnonzero(~done)
+            alive = alive[kept]
+            state = state[kept]
+            elapsed = elapsed[kept]
+            if alive.size == 0:
+                break
+        state = table.step(state, rng.random(alive.size))
+        rounds += 1
 
 
 def sample_paths_inverse_local_time(
@@ -177,6 +206,7 @@ def sample_paths_inverse_local_time(
     """
     if not (math.isfinite(level) and level > 0):
         raise ValueError("need finite level > 0")
+    n_paths = _path_count(n_paths)
     table = jump_table(gen)
     exit_rates = table.exit_rates
     n = gen.n_states

@@ -1,6 +1,7 @@
 """Batch samplers: the shared jump table, the fixed-time output it must leave
-unchanged, and the jump-chain inverse-local-time sampler against an
-event-driven reference simulator kept in this module."""
+unchanged, the fixed-time sampler's block order, and the jump-chain
+inverse-local-time sampler against an event-driven reference simulator kept
+in this module."""
 
 import hashlib
 import math
@@ -12,6 +13,7 @@ from scipy import linalg, stats
 from loctimes.chain import srw_generator, validate_generator
 from loctimes.errors import BudgetExceededError
 from loctimes.montecarlo import (
+    _BLOCK,
     jump_table,
     sample_paths_fixed_time,
     sample_paths_inverse_local_time,
@@ -47,10 +49,15 @@ def _event_driven_inverse_local_time(gen, start, pivot, level, rng):
         jumps += 1
 
 
+def _bytes(batch):
+    return [np.ascontiguousarray(a).tobytes()
+            for a in (batch.local_times, batch.endpoints, batch.jumps, batch.horizons)]
+
+
 def _digest(batch) -> str:
     h = hashlib.sha256()
-    for a in (batch.local_times, batch.endpoints, batch.jumps, batch.horizons):
-        h.update(np.ascontiguousarray(a).tobytes())
+    for b in _bytes(batch):
+        h.update(b)
     return h.hexdigest()
 
 
@@ -81,6 +88,63 @@ def test_fixed_time_output_pinned():
 def test_fixed_time_output_pinned_beyond_srw(gen, start, T, n_paths, seed, digest):
     batch = sample_paths_fixed_time(gen, start, T, n_paths, np.random.default_rng(seed))
     assert _digest(batch) == digest
+
+
+# ---------------------------------------------------------------------------
+# fixed time in blocks of _BLOCK paths
+# ---------------------------------------------------------------------------
+
+ABSORBING = validate_generator([[0.0, 1.0, 1.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+
+
+@pytest.mark.parametrize("gen", [FOUR_STATE, ABSORBING], ids=["four-state", "absorbing"])
+@pytest.mark.parametrize("extra", [0, 1, 17])
+def test_fixed_time_blocks_draw_in_order(gen, extra):
+    # a batch is its first _BLOCK paths, then the rest drawn from the state
+    # of the rng that the first block left
+    rng = np.random.default_rng(40)
+    head = sample_paths_fixed_time(gen, 0, 3.0, _BLOCK, rng)
+    tail = sample_paths_fixed_time(gen, 0, 3.0, extra, rng)
+    whole = sample_paths_fixed_time(gen, 0, 3.0, _BLOCK + extra, np.random.default_rng(40))
+    assert whole.local_times.flags.c_contiguous
+    for w, h, t in zip(_bytes(whole), _bytes(head), _bytes(tail)):
+        assert w == h + t
+
+
+# one block of exactly _BLOCK paths: the digests of the unblocked sampler;
+# 150,000 paths: several blocks, so a change to _BLOCK moves these digests
+@pytest.mark.parametrize("gen, n_paths, seed, digest", [
+    (FOUR_STATE, _BLOCK, 34,
+     "0f81f5caf87e10093111efcfd48f033ba86a176e8819c30e6840dc33688df79a"),
+    (ABSORBING, _BLOCK, 35,
+     "35f169da538a710176b6577fd705bc0dcf2097156af2be153f25c88bdea8cf6d"),
+    (FOUR_STATE, 150_000, 34,
+     "1fdc4af1e012d20aa9b30305714a9022a9bb14f635d594ef1b97d484c37a8dc8"),
+    (ABSORBING, 150_000, 35,
+     "fe7d781692c24cd4960398cf4f72bb3711fff9dc99d2a6504033af14c5214f7c"),
+], ids=["four-state-one-block", "absorbing-one-block",
+        "four-state-blocks", "absorbing-blocks"])
+def test_fixed_time_block_output_pinned(gen, n_paths, seed, digest):
+    batch = sample_paths_fixed_time(gen, 0, 3.0, n_paths, np.random.default_rng(seed))
+    assert _digest(batch) == digest
+
+
+@pytest.mark.parametrize("bad", [-1, 2.5])
+def test_samplers_reject_bad_path_counts(bad):
+    g = srw_generator(0, 2)
+    with pytest.raises(ValueError, match="n_paths"):
+        sample_paths_fixed_time(g, 0, 1.0, bad, np.random.default_rng(0))
+    with pytest.raises(ValueError, match="n_paths"):
+        sample_paths_inverse_local_time(g, 0, 2, 1.0, bad, np.random.default_rng(0))
+
+
+def test_samplers_take_numpy_integer_path_counts():
+    g = srw_generator(0, 2)
+    count = np.int64(3)
+    assert sample_paths_fixed_time(g, 0, 1.0, count, np.random.default_rng(0)
+                                   ).local_times.shape == (3, 3)
+    assert sample_paths_inverse_local_time(g, 0, 2, 1.0, count, np.random.default_rng(0)
+                                           ).local_times.shape == (3, 3)
 
 
 @pytest.mark.parametrize("n_paths", [0, 1, 500])
