@@ -160,8 +160,12 @@ def cmd_simulate(args) -> int:
 
 
 def _emit_batch(args, gen, batch) -> int:
-    means = batch.local_times.mean(axis=0)
-    stds = batch.local_times.std(axis=0, ddof=1)
+    # on C-ordered rows the column reductions add path after path; on the
+    # inverse sampler's transposed (site-major) buffer numpy would sum each
+    # column pairwise and move the last printed digits
+    local = np.ascontiguousarray(batch.local_times)
+    means = local.mean(axis=0)
+    stds = local.std(axis=0, ddof=1)
     rows = [(x, float(means[i]), float(stds[i])) for i, x in enumerate(gen.states)]
     resolved = {"generator": args.generator, "start": args.start, "T": args.T,
                 "pivot": args.pivot, "level": args.level,

@@ -13,7 +13,7 @@ import json
 import math
 import os
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 from scipy.special import chdtrc
@@ -454,20 +454,43 @@ def verify_density_mc(
 # experiment: Ray-Knight distributional equivalence
 # ---------------------------------------------------------------------------
 
-def _var_se(v: np.ndarray) -> float:
-    """Moment-based standard error of the sample variance of ``v``."""
-    c = v - v.mean()
-    c2 = c * c
-    m2 = c2.mean()
+class _Moments(NamedTuple):
+    """Size, mean, sample variance and the moment-based standard error of
+    the sample variance of one sample."""
+
+    n: int
+    mean: float
+    var: float
+    var_se: float
+
+
+def _moments(v: np.ndarray) -> _Moments:
+    """The :class:`_Moments` of ``v`` from one centring pass; ``mean`` and
+    ``var`` are bit for bit ``v.mean()`` and ``v.var(ddof=1)``."""
+    n = len(v)
+    mean = v.mean()
+    c2 = v - mean
+    c2 *= c2
+    s2 = c2.sum()
+    m2 = s2 / n
     m4 = (c2 * c2).mean()
-    return math.sqrt(max(m4 - m2 * m2, 1e-300) / len(v))
+    return _Moments(n, float(mean), float(s2 / (n - 1)),
+                    math.sqrt(max(m4 - m2 * m2, 1e-300) / n))
 
 
-def _mean_var_z(x: np.ndarray, y: np.ndarray) -> Tuple[float, float]:
-    nx, ny = len(x), len(y)
-    mz = (x.mean() - y.mean()) / math.sqrt(x.var(ddof=1) / nx + y.var(ddof=1) / ny)
-    vz = (x.var(ddof=1) - y.var(ddof=1)) / math.sqrt(_var_se(x) ** 2 + _var_se(y) ** 2)
-    return float(mz), float(vz)
+def _z(diff: float, se: float) -> float:
+    """``diff / se``; with a zero standard error, 0 when the two statistics
+    are equal and an infinite z, whose check fails, when they are not."""
+    if se == 0:
+        return 0.0 if diff == 0 else math.copysign(math.inf, diff)
+    return diff / se
+
+
+def _mean_var_z(x: _Moments, y: _Moments) -> Tuple[float, float]:
+    """z-scores of the differences in mean and in variance of two samples."""
+    mz = _z(x.mean - y.mean, math.sqrt(x.var / x.n + y.var / y.n))
+    vz = _z(x.var - y.var, math.sqrt(x.var_se ** 2 + y.var_se ** 2))
+    return mz, vz
 
 
 # the sites whose moments are compared, and the |z| below which a moment and
@@ -498,8 +521,11 @@ def verify_rayknight_mc(
     it, so the local times on the window at the pivot's inverse local time
     have the same joint law, atoms included.
 
-    A compared site equal to the pivot holds the level exactly on both
-    sides, so its row reports z = 0 and its checks pass.
+    A z whose standard error is zero reads 0 where the two statistics are
+    equal and is infinite, so that its check fails, where they are not; a
+    side that is constant has correlation 0 with anything.  So a compared
+    site equal to the pivot, which holds the level exactly on both sides,
+    reports z = 0 and its checks pass.
     """
     rng_direct, rng_profile = [
         np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(2)
@@ -516,12 +542,9 @@ def verify_rayknight_mc(
     rows = []
     checks = []
     for site in _COMPARE_SITES:
-        if site == pivot:
-            mz = vz = 0.0
-        else:
-            mz, vz = _mean_var_z(direct[site], profile[site])
-        rows.append((site, float(direct[site].mean()), float(profile[site].mean()), mz,
-                     float(direct[site].var(ddof=1)), float(profile[site].var(ddof=1)), vz))
+        d, p = _moments(direct[site]), _moments(profile[site])
+        mz, vz = _mean_var_z(d, p)
+        rows.append((site, d.mean, p.mean, mz, d.var, p.var, vz))
         checks.append(_z_check(f"mean_z_site_{site}", mz, _MOMENT_Z))
         checks.append(_z_check(f"var_z_site_{site}", vz, _MOMENT_Z))
 
@@ -529,7 +552,7 @@ def verify_rayknight_mc(
         d = float((direct[site] == 0.0).mean())
         p = float((profile[site] == 0.0).mean())
         se = math.sqrt(d * (1 - d) / n_samples + p * (1 - p) / n_samples)
-        return d, p, (d - p) / se if se > 0 else 0.0
+        return d, p, _z(d - p, se)
 
     right = pivot + 1
     a_d, a_p, a_z = atom_freqs(right)
@@ -537,14 +560,17 @@ def verify_rayknight_mc(
     se_exact = math.sqrt(exact * (1 - exact) / n_samples)
     l_d, l_p, l_z = atom_freqs(-1)
     checks.append(_z_check("atom_right_z", a_z, _ATOM_Z))
-    checks.append(_z_check("atom_right_vs_exact_z", (a_d - exact) / se_exact, _ATOM_Z))
+    checks.append(_z_check("atom_right_vs_exact_z", _z(a_d - exact, se_exact), _ATOM_Z))
     checks.append(_z_check("atom_left_z", l_z, _ATOM_Z))
 
     def indep_corr(data):
         # residual of the inner step at site pivot-1 given the pivot value,
-        # against the first right outer value; the pivot value is exactly h
+        # against the first right outer value; the pivot value is exactly h.
+        # A constant side is independent of the other: correlation 0.
         proxy = data[pivot - 1] - (level + 1.0)
         outer = data[right]
+        if np.ptp(proxy) == 0 or np.ptp(outer) == 0:
+            return 0.0
         return float(np.corrcoef(proxy, outer)[0, 1])
 
     corr_threshold = _ATOM_Z / math.sqrt(n_samples)

@@ -23,6 +23,15 @@ uniform and one gather-and-compare per extra target.
   counting visits per state; each non-pivot local time is then one
   ``Gamma(visits, 1 / q)`` draw, and the pivot's is ``level`` exactly.
 
+The two samplers lay their output out for the way they write it.  The
+fixed-time rounds scatter each hold into one path's row, so that sampler
+keeps a path-major (C-ordered) ``(n_paths, n)`` array and its blocks are
+contiguous slices of it.  The inverse sampler writes a whole state at once
+(its visit counts, its Gamma draw), so it fills a site-major ``(n, n_paths)``
+buffer, one contiguous row per state, and returns its transpose: the same
+``(n_paths, n)`` shape, Fortran-ordered, whose column for a state reads as a
+contiguous vector; its horizons are those rows added in state order.
+
 All draws come from one stream in a fixed order (for the fixed horizon,
 block after block), so a seed reproduces every emitted number bit for bit.
 Both samplers raise ``ValueError`` on an ``n_paths`` that is negative or not
@@ -47,7 +56,13 @@ _BLOCK = 1 << 16
 
 @dataclass
 class BatchPaths:
-    """Local times (one row per path), endpoints and jump counts."""
+    """Local times (one row per path), endpoints and jump counts.
+
+    ``local_times`` is C-ordered from the fixed-time sampler and the
+    Fortran-ordered transpose of a site-major buffer from the inverse
+    sampler; reductions over it that must not depend on the sampler should
+    run on ``np.ascontiguousarray(local_times)``.
+    """
 
     states: tuple
     local_times: np.ndarray    # (n_paths, n_states)
@@ -102,16 +117,17 @@ def jump_table(gen: Generator) -> JumpTable:
     return JumpTable(exit_rates=exit_rates, thresholds=thresholds, targets=targets)
 
 
-def _path_count(n_paths) -> int:
-    """``n_paths`` as a Python int, or ``ValueError`` if it is negative or
-    not integral (any integer type, numpy's included, is accepted)."""
+def _path_count(value, name: str = "n_paths") -> int:
+    """``value`` as a Python int, or ``ValueError`` naming the argument
+    ``name`` if it is negative or not integral (any integer type, numpy's
+    included, is accepted)."""
     try:
-        count = operator.index(n_paths)
+        count = operator.index(value)
     except TypeError:
         raise ValueError(
-            f"n_paths must be a non-negative integer, got {n_paths!r}") from None
+            f"{name} must be a non-negative integer, got {value!r}") from None
     if count < 0:
-        raise ValueError(f"n_paths must be a non-negative integer, got {count}")
+        raise ValueError(f"{name} must be a non-negative integer, got {count}")
     return count
 
 
@@ -249,16 +265,16 @@ def sample_paths_inverse_local_time(
             check_absorbed(state)
 
     visits = visits.reshape(n, n_paths)
-    local = np.zeros((n_paths, n))
+    local = np.zeros((n, n_paths))
     for x in range(n):
         if x == b:
-            local[:, x] = level
+            local[x] = level
         elif exit_rates[x] > 0:
-            local[:, x] = rng.gamma(visits[x], 1.0 / exit_rates[x])
+            local[x] = rng.gamma(visits[x], 1.0 / exit_rates[x])
     return BatchPaths(
         states=gen.states,
-        local_times=local,
+        local_times=local.T,
         endpoints=np.full(n_paths, b, dtype=np.int64),
         jumps=visits.sum(axis=0, dtype=np.int64) - 1,
-        horizons=local.sum(axis=1),
+        horizons=local.sum(axis=0),
     )

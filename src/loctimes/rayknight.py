@@ -26,6 +26,7 @@ from scipy import special
 from .chain import Generator, srw_generator
 from .density import _integer_interval, _local_times, _range_positions, density
 from .errors import DomainError, NotSRWError
+from .montecarlo import _path_count
 
 
 # ---------------------------------------------------------------------------
@@ -82,31 +83,42 @@ def sample_rk_profile_batch(
 
     The inner chain runs from the pivot down to 0; the right outer chain
     starts at the pivot value h, the left outer chain at the inner chain's
-    endpoint; the three chains use independent substreams.
+    endpoint; the three chains use independent substreams.  Each step draws
+    one site's values for all n profiles at once, so they are written into
+    one contiguous row per site and the ``(n, sites)`` array returned is the
+    transpose of that buffer (Fortran-ordered): a site's column reads as
+    fast as a contiguous vector.  Raises ``ValueError`` naming the argument
+    on a ``b``, ``window`` or ``n`` that is not an integer, on ``b < 1`` or a
+    negative ``window`` or ``n``, and on an ``h`` that is not finite and
+    positive.
     """
-    if b < 1 or h <= 0 or window < 0:
-        raise ValueError("need b >= 1, h > 0, window >= 0")
+    b = _path_count(b, "b")
+    window = _path_count(window, "window")
+    n = _path_count(n, "n")
+    if b < 1:
+        raise ValueError(f"need b >= 1, got {b}")
+    if not (math.isfinite(h) and h > 0):
+        raise ValueError(f"h must be finite and positive, got {h!r}")
     inner_rng, right_rng, left_rng = rng.spawn(3)
     sites = np.arange(-window, b + window + 1)
-    values = np.zeros((n, len(sites)))
-    col = {s: i for i, s in enumerate(sites)}
+    values = np.zeros((len(sites), n))     # row x + window holds site x
 
     cur = np.full(n, float(h))
-    values[:, col[b]] = cur
+    values[b + window] = cur
     for x in range(b - 1, -1, -1):
         cur = _step(cur, 1.0, inner_rng)
-        values[:, col[x]] = cur
+        values[x + window] = cur
 
     cur = np.full(n, float(h))
     for x in range(b + 1, b + window + 1):
         cur = _step(cur, 0.0, right_rng)
-        values[:, col[x]] = cur
+        values[x + window] = cur
 
-    cur = values[:, col[0]].copy()
+    cur = values[window]
     for x in range(-1, -window - 1, -1):
         cur = _step(cur, 0.0, left_rng)
-        values[:, col[x]] = cur
-    return sites, values
+        values[x + window] = cur
+    return sites, values.T
 
 
 # ---------------------------------------------------------------------------

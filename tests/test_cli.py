@@ -81,6 +81,19 @@ def test_simulate_inverse_mode(twostate, capsys):
     assert "endpoint=2" in out
 
 
+def test_simulate_inverse_mode_batch_output_pinned(tmp_path, capsys):
+    # printed by the path-major sampler that preceded the site-major buffer;
+    # the column means and deviations keep their summation order
+    srw = tmp_path / "srw.json"
+    srw.write_text(json.dumps({"srw": [0, 2]}))
+    assert main(["simulate", "--generator", str(srw), "--start", "0", "--pivot", "2",
+                 "--level", "1", "--samples", "5000", "--seed", "7"]) == 0
+    assert capsys.readouterr().out == (
+        "0,2.9683370889416083,2.8841405700835088\n"
+        "1,1.9932996308930921,1.7405406353252846\n"
+        "2,1.0,0.0\n")
+
+
 def test_chi_discrete_zero_functional(capsys):
     status = main(["chi-discrete", "--radius", "2", "--alpha", "2.0"])
     assert status == 0

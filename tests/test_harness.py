@@ -15,8 +15,8 @@ from loctimes.harness import (
     _chi2_sf,
     _grid_counts,
     _mean_var_z,
+    _moments,
     _unit_rule,
-    _var_se,
     chi_square_shape_test,
     config_hash,
     expected_cell_masses,
@@ -222,7 +222,7 @@ def test_trace_window_matches_a_wide_window():
     for x in (-1, 0, 1, 3):
         x_narrow = narrow[:, narrow_gen.index(x)]
         x_wide = wide[:, wide_gen.index(x)]
-        mz, vz = _mean_var_z(x_narrow, x_wide)
+        mz, vz = _mean_var_z(_moments(x_narrow), _moments(x_wide))
         assert abs(mz) < 4.0 and abs(vz) < 4.0, (x, mz, vz)
         if x in (-1, 3):
             p, q = (x_narrow == 0.0).mean(), (x_wide == 0.0).mean()
@@ -230,14 +230,41 @@ def test_trace_window_matches_a_wide_window():
             assert abs(z) < 4.0, (x, p, q, z)
 
 
-def test_var_se_matches_the_fourth_power_moment():
+def test_moments_match_numpy_and_the_fourth_power_moment():
     rng = np.random.default_rng(5)
     for shape in (0.3, 1.0, 2.5, 7.0):
         v = rng.gamma(shape, 1.0, 50_000)
+        moments = _moments(v)
+        assert moments.n == len(v)
+        assert moments.mean == v.mean() and moments.var == v.var(ddof=1)
         c = v - v.mean()
         m2, m4 = (c * c).mean(), (c ** 4).mean()
         reference = math.sqrt(max(m4 - m2 * m2, 1e-300) / len(v))
-        assert _var_se(v) == pytest.approx(reference, rel=1e-12, abs=0.0)
+        assert moments.var_se == pytest.approx(reference, rel=1e-12, abs=0.0)
+
+
+def test_z_of_a_zero_standard_error():
+    # equal statistics read z = 0, unequal ones an infinite z that fails
+    zero, half = _moments(np.zeros(4)), _moments(np.full(4, 0.5))
+    assert _mean_var_z(zero, zero) == (0.0, 0.0)
+    mz, vz = _mean_var_z(zero, half)
+    assert mz == -math.inf and vz == 0.0
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_rayknight_check_with_a_constant_site(seed):
+    # at level 0.01 two samples almost surely both sit in the atom at 0 of
+    # site 3 on both sides: its moments and the independence correlations
+    # have zero standard error, and report 0 without a RuntimeWarning
+    report = verify_rayknight_mc(pivot=2, level=0.01, n_samples=2, seed=seed)
+    row = {r[0]: r for r in report.rows}[3]
+    assert row[1:] == (0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+    checks = {c.name: c for c in report.checks}
+    for name in ("mean_z_site_3", "var_z_site_3",
+                 "independence_corr_direct", "independence_corr_profile"):
+        assert checks[name].passed and checks[name].value == 0.0
+    assert all(not math.isnan(c.value) for c in report.checks)
 
 
 @pytest.mark.parametrize("pivot", [1, 2, 3])

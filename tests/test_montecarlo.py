@@ -1,7 +1,7 @@
 """Batch samplers: the shared jump table, the fixed-time output it must leave
 unchanged, the fixed-time sampler's block order, and the jump-chain
-inverse-local-time sampler against an event-driven reference simulator kept
-in this module."""
+inverse-local-time sampler (its pinned output, its site-major layout, and its
+law against an event-driven reference simulator kept in this module)."""
 
 import hashlib
 import math
@@ -255,6 +255,36 @@ def test_inverse_local_time_exact_means_from_pivot():
         lx = batch.local_times[:, x]
         z = (lx.mean() - level * pi[x] / pi[pivot]) / (lx.std(ddof=1) / math.sqrt(n))
         assert abs(z) < 4.0
+
+
+# digests taken from the path-major sampler that preceded the site-major
+# buffer: the layout moved, no draw and no output bit did
+@pytest.mark.parametrize("gen, start, pivot, level, n_paths, seed, digest", [
+    (srw_generator(-1, 3), 0, 2, 1.0, 10_000, 41,
+     "24fafa4f66c045d3683a706a9dd09d2af7d4d59dcdf11ea35aadab05245e3153"),
+    (FOUR_STATE, 0, 2, 1.5, 10_000, 42,
+     "2e202e729bc11b4ea62ddf011e5d1b85f01e2801a479a6d7f1f9a46b0914e88b"),
+    (FOUR_STATE, 1, 1, 2.0, 10_000, 43,
+     "5f08b5e253cbee120af25c503ca261161f2e21afd5f255c27c1e21ce6a807a01"),
+    (srw_generator(-1, 3), 0, 2, 1.0, 1, 44,
+     "cdd05b38d591cfb6ee377c023a3103954b12cf4e5ef2d9398a0fd585998f748a"),
+], ids=["srw", "four-state", "at-pivot", "one-path"])
+def test_inverse_local_time_output_pinned(gen, start, pivot, level, n_paths, seed, digest):
+    batch = sample_paths_inverse_local_time(gen, start, pivot, level, n_paths,
+                                            np.random.default_rng(seed))
+    assert _digest(batch) == digest
+
+
+@pytest.mark.parametrize("gen", [FOUR_STATE, srw_generator(-4, 6)], ids=["four-state", "srw-11"])
+@pytest.mark.parametrize("n_paths", [0, 1, 500])
+def test_inverse_local_time_output_layout(gen, n_paths):
+    # site-major buffer, returned transposed: one contiguous column per state
+    batch = sample_paths_inverse_local_time(gen, 0, 2, 1.0, n_paths, np.random.default_rng(6))
+    assert batch.local_times.shape == (n_paths, gen.n_states)
+    assert batch.local_times.flags.f_contiguous
+    assert batch.endpoints.shape == batch.jumps.shape == batch.horizons.shape == (n_paths,)
+    assert batch.endpoints.dtype == batch.jumps.dtype == np.int64
+    assert batch.horizons.tobytes() == batch.local_times.sum(axis=1).tobytes()
 
 
 def test_inverse_local_time_replays_bit_for_bit():

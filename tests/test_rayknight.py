@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -153,6 +154,52 @@ def test_profile_at_a_smaller_window_is_a_prefix(b, window, wider):
     assert sites.tolist() == list(range(-window, b + window + 1))
     for i, s in enumerate(sites):
         assert np.array_equal(values[:, i], wide[:, wide_col[int(s)]])
+
+
+# digests taken from the profile-major sampler that preceded the site-major
+# buffer: the layout moved, no draw and no output bit did
+@pytest.mark.parametrize("b, h, window, n, seed, digest", [
+    (2, 1.0, 1, 10_000, 51,
+     "20f7f26ff76e4e7b7e2bd39cbee0fc1305b59f8b20b4f63473856b953b6b84c5"),
+    (3, 0.5, 2, 10_000, 52,
+     "7f1b7603c461d6402078261f23da4c93bb8cb37bc35253213ba9d7277c24717f"),
+    (1, 2.0, 0, 1, 53,
+     "863630bb4fe8ef30ba02753ef0d71a21c35e3cacd0b1fd1344da2cde07680651"),
+])
+def test_profile_output_pinned(b, h, window, n, seed, digest):
+    sites, values = sample_rk_profile_batch(b, h, window, n, np.random.default_rng(seed))
+    d = hashlib.sha256()
+    for a in (sites, values):
+        d.update(np.ascontiguousarray(a).tobytes())
+    assert d.hexdigest() == digest
+
+
+@pytest.mark.parametrize("n", [0, 1, 500])
+def test_profile_output_layout(n):
+    # one contiguous row per site, returned transposed; numpy integers count
+    # as integers
+    sites, values = sample_rk_profile_batch(np.int64(2), 1.0, np.int64(3), np.int64(n),
+                                            np.random.default_rng(12))
+    assert sites.tolist() == list(range(-3, 6))
+    assert values.shape == (n, 9)
+    assert values.flags.f_contiguous
+    assert np.all(values[:, sites.tolist().index(2)] == 1.0)
+
+
+@pytest.mark.parametrize("b, h, window, n, name", [
+    (2, 1.0, 1, -1, "n"),
+    (2, 1.0, 1, 2.5, "n"),
+    (2, math.nan, 1, 10, "h"),
+    (2, math.inf, 1, 10, "h"),
+    (2, 0.0, 1, 10, "h"),
+    (2.5, 1.0, 1, 10, "b"),
+    (0, 1.0, 1, 10, "b"),
+    (2, 1.0, 1.5, 10, "window"),
+    (2, 1.0, -1, 10, "window"),
+])
+def test_profile_rejects_bad_arguments(b, h, window, n, name):
+    with pytest.raises(ValueError, match=rf"\b{name}\b"):
+        sample_rk_profile_batch(b, h, window, n, np.random.default_rng(0))
 
 
 # ---------------------------------------------------------------------------
