@@ -5,6 +5,14 @@ Every experiment draws from a generator seeded by the config, records the
 seed and a hash of the fully resolved config in each emitted file, and keeps
 all reductions in fixed order, so replaying a config reproduces each number
 exactly.
+
+The two fixed-time checks (the density law and the LDP probability bound)
+take their paths block by block from :func:`montecarlo.fixed_time_blocks`
+and keep only per-path counts, summed over the blocks, so their memory is
+that of one block whatever the sample count, and every number they report
+equals the one a whole batch gives, bit for bit (the counts are integers).
+The Ray-Knight check keeps its whole batches: its moments are reductions
+over all samples at once, whose bits depend on that.
 """
 
 import functools
@@ -23,7 +31,8 @@ from .density import MIN_LOCAL_TIME, _range_positions, density_batch, range_rate
 from .errors import ConfigParseError, InsufficientConditionedError, NotSymmetricError
 from .montecarlo import (
     BatchPaths,
-    sample_paths_fixed_time,
+    _path_count,
+    fixed_time_blocks,
     sample_paths_inverse_local_time,
 )
 from .rates import ldp_probability_bound, ldp_varadhan_bound
@@ -389,25 +398,30 @@ def verify_density_mc(
     density by a chi-square shape test; also compare the conditioning
     probability with the density normalization (and with the closed-form
     values for the canonical two-state chain).  The free coordinates are the
-    local times off the endpoint."""
+    local times off the endpoint.
+
+    The paths are conditioned and binned one block at a time, so memory is
+    that of one block, not of ``n_samples`` paths, and the counts (integers)
+    equal those of one whole batch bit for bit.  ``ValueError`` on an
+    ``n_samples`` that is negative or not an integer."""
     R = tuple(range_)
     if len(R) - 1 > 2:
         raise ValueError("default cell grid supports |R| <= 3")
-    rng = np.random.default_rng(seed)
-    batch = sample_paths_fixed_time(gen, start, T, n_samples, rng)
-    mask = conditioning_mask(batch, gen, R, endpoint)
-    n_cond = int(mask.sum())
+    n_samples = _path_count(n_samples, "n_samples")
+    blocks = fixed_time_blocks(gen, start, T, n_samples, np.random.default_rng(seed))
+    free_states = [x for x in R if x != endpoint]
+    free_idx = gen.indices(free_states)
+    edges = [np.linspace(0.0, T, cells_per_axis + 1) for _ in free_states]
+    counts = np.zeros(tuple(len(e) - 1 for e in edges))
+    n_cond = 0
+    for batch in blocks:
+        rows = np.flatnonzero(conditioning_mask(batch, gen, R, endpoint))
+        n_cond += rows.size
+        counts += _grid_counts([batch.local_times[rows, j] for j in free_idx], edges)
     if n_cond < 1000:
         raise InsufficientConditionedError(
             f"only {n_cond} of {n_samples} samples hit the conditioning event"
         )
-
-    free_states = [x for x in R if x != endpoint]
-    rows = np.flatnonzero(mask)
-    columns = [batch.local_times[rows, j] for j in gen.indices(free_states)]
-
-    edges = [np.linspace(0.0, T, cells_per_axis + 1) for _ in free_states]
-    counts = _grid_counts(columns, edges)
 
     free_pos = [R.index(x) for x in free_states]
     elim_pos = R.index(endpoint)
@@ -429,7 +443,7 @@ def verify_density_mc(
 
     diagnostics = {
         "p_value": p_value, "conditioning_z": z_cond,
-        "n_samples": int(n_samples), "n_conditioned": n_cond, "chi2": stat, "dof": dof,
+        "n_samples": n_samples, "n_conditioned": n_cond, "chi2": stat, "dof": dof,
         "worst_cell_z": worst, "conditioning_mc": p_mc, "conditioning_quadrature": p_quad,
         "excluded_cells": excluded, "flagged_cells": flagged,
     }
@@ -454,6 +468,11 @@ def verify_density_mc(
 # experiment: Ray-Knight distributional equivalence
 # ---------------------------------------------------------------------------
 
+# relative size, against m4, below which m4 - m2^2 is rounding error: the
+# pairwise sums behind both moments err by a few ulp, far below this
+_MOMENT_ROUNDING = 1e-12
+
+
 class _Moments(NamedTuple):
     """Size, mean, sample variance and the moment-based standard error of
     the sample variance of one sample."""
@@ -466,7 +485,13 @@ class _Moments(NamedTuple):
 
 def _moments(v: np.ndarray) -> _Moments:
     """The :class:`_Moments` of ``v`` from one centring pass; ``mean`` and
-    ``var`` are bit for bit ``v.mean()`` and ``v.var(ddof=1)``."""
+    ``var`` are bit for bit ``v.mean()`` and ``v.var(ddof=1)``.
+
+    ``var_se`` is sqrt((m4 - m2^2) / n), and 0 where m4 - m2^2 is within
+    _MOMENT_ROUNDING of m4: that excess is 0 exactly for two samples, or
+    for any sample of two values taken equally often, and what is left of it
+    after rounding would turn the variance z into numbers such as 1e150
+    instead of the 0 or infinite z (:func:`_z`) of a zero standard error."""
     n = len(v)
     mean = v.mean()
     c2 = v - mean
@@ -474,8 +499,9 @@ def _moments(v: np.ndarray) -> _Moments:
     s2 = c2.sum()
     m2 = s2 / n
     m4 = (c2 * c2).mean()
-    return _Moments(n, float(mean), float(s2 / (n - 1)),
-                    math.sqrt(max(m4 - m2 * m2, 1e-300) / n))
+    excess = m4 - m2 * m2
+    var_se = math.sqrt(excess / n) if excess > _MOMENT_ROUNDING * m4 else 0.0
+    return _Moments(n, float(mean), float(s2 / (n - 1)), var_se)
 
 
 def _z(diff: float, se: float) -> float:
@@ -525,8 +551,12 @@ def verify_rayknight_mc(
     equal and is infinite, so that its check fails, where they are not; a
     side that is constant has correlation 0 with anything.  So a compared
     site equal to the pivot, which holds the level exactly on both sides,
-    reports z = 0 and its checks pass.
+    reports z = 0 and its checks pass.  ``ValueError`` on an ``n_samples``
+    that is not an integer of at least 2.
     """
+    n_samples = _path_count(n_samples, "n_samples")
+    if n_samples < 2:
+        raise ValueError(f"n_samples must be at least 2, got {n_samples}")
     rng_direct, rng_profile = [
         np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(2)
     ]
@@ -578,7 +608,7 @@ def verify_rayknight_mc(
     checks.append(_z_check("independence_corr_profile", indep_corr(profile), corr_threshold))
 
     diagnostics = {
-        "n_samples": int(n_samples),
+        "n_samples": n_samples,
         "atom_right_direct": a_d, "atom_right_profile": a_p,
         "atom_left_direct": l_d, "atom_left_profile": l_p,
     }
@@ -670,15 +700,23 @@ def ldp_probability_experiment(
     n_samples: int, seed: int = 0,
 ) -> Report:
     """Monte Carlo estimate of P(normalized local time at ``state`` >=
-    ``threshold``, range within S) against the closed-form upper bound."""
+    ``threshold``, range within S) against the closed-form upper bound.
+
+    The hits are counted one block of paths at a time, so memory is that of
+    one block, not of ``n_samples`` paths, and the count equals that of one
+    whole batch.  ``ValueError`` on an ``n_samples`` that is negative or not
+    an integer."""
     if not gen.is_symmetric():
         raise NotSymmetricError("the probability bound requires a symmetric generator")
     S = tuple(S)
-    rng = np.random.default_rng(seed)
-    batch = sample_paths_fixed_time(gen, start, T, n_samples, rng)
+    n_samples = _path_count(n_samples, "n_samples")
+    blocks = fixed_time_blocks(gen, start, T, n_samples, np.random.default_rng(seed))
     others = np.setdiff1d(np.arange(gen.n_states), gen.indices(S))
-    hits = ~(batch.local_times[:, others] > 0).any(axis=1) & (batch.local_times[:, gen.index(state)] / T >= threshold)
-    n_hits = int(hits.sum())
+    j = gen.index(state)
+    n_hits = 0
+    for batch in blocks:
+        local = batch.local_times
+        n_hits += int((~(local[:, others] > 0).any(axis=1) & (local[:, j] / T >= threshold)).sum())
 
     inf_rate = halfspace_rate_infimum(gen, S, state, threshold)
     bound = ldp_probability_bound(gen, S, inf_rate, T)
@@ -687,7 +725,7 @@ def ldp_probability_experiment(
     log_p_upper = math.log(p_upper)
     checks = [CheckResult("log_upper_ci_below_bound", log_p_upper <= bound,
                           log_p_upper, bound)]
-    diagnostics = {"T": T, "inf_rate": inf_rate, "bound": bound, "n_samples": int(n_samples),
+    diagnostics = {"T": T, "inf_rate": inf_rate, "bound": bound, "n_samples": n_samples,
                    "n_hits": n_hits, "log_p_hat": log_p_hat, "log_p_upper": log_p_upper}
     columns = ("T", "inf_rate", "bound", "n_hits", "log_p_hat", "log_p_upper")
     return Report(checks, columns, [tuple(diagnostics[c] for c in columns)], diagnostics)

@@ -17,6 +17,8 @@ uniform and one gather-and-compare per extra target.
   written once, then.  The round finds the ended and the kept paths with
   one index pass each and compacts every working array with the same kept
   indices.  Only the kept paths draw a uniform and jump.
+  :func:`fixed_time_blocks` hands the same blocks out one at a time, so a
+  reduction over a large batch needs memory for one block only.
 * Inverse local time: the jump-chain/holding-time split (Norris, *Markov
   Chains*, 1997, section 2.6).  The number of pivot visits is drawn first,
   ``1 + Poisson(q_b * level)``; the rounds run only the discrete jump chain,
@@ -41,6 +43,7 @@ an integer.
 import math
 import operator
 from dataclasses import dataclass
+from typing import Iterator, Tuple
 
 import numpy as np
 
@@ -131,17 +134,23 @@ def _path_count(value, name: str = "n_paths") -> int:
     return count
 
 
+def _fixed_time_args(gen: Generator, start, T: float, n_paths) -> Tuple[int, int]:
+    """The start's index and the path count of a fixed-time request, or
+    ``ValueError`` for a horizon that is not finite and positive."""
+    if not (math.isfinite(T) and T > 0):
+        raise ValueError("need finite T > 0")
+    n_paths = _path_count(n_paths)
+    return gen.index(start), n_paths
+
+
 def sample_paths_fixed_time(
     gen: Generator, start, T: float, n_paths: int, rng: np.random.Generator
 ) -> BatchPaths:
     """Simulate ``n_paths`` trajectories on [0, T], in blocks of ``_BLOCK``
     paths run one after another from the one ``rng``."""
-    if not (math.isfinite(T) and T > 0):
-        raise ValueError("need finite T > 0")
-    n_paths = _path_count(n_paths)
+    s0, n_paths = _fixed_time_args(gen, start, T, n_paths)
     table = jump_table(gen)
     n = gen.n_states
-    s0 = gen.index(start)
 
     local = np.zeros(n_paths * n)
     endpoints = np.full(n_paths, s0, dtype=np.int64)
@@ -157,6 +166,20 @@ def sample_paths_fixed_time(
         jumps=jumps,
         horizons=np.full(n_paths, float(T)),
     )
+
+
+def fixed_time_blocks(
+    gen: Generator, start, T: float, n_paths: int, rng: np.random.Generator
+) -> Iterator[BatchPaths]:
+    """The rows of ``sample_paths_fixed_time(gen, start, T, n_paths, rng)``
+    as consecutive batches of at most ``_BLOCK`` paths each, drawn one at a
+    time as the iterator advances: the same draws in the same order, so the
+    blocks are the whole batch's rows bit for bit, and a caller that reduces
+    each block before taking the next holds one block, not the batch.  The
+    arguments are checked at the call, before any block is drawn."""
+    n_paths = _fixed_time_args(gen, start, T, n_paths)[1]
+    return (sample_paths_fixed_time(gen, start, T, min(_BLOCK, n_paths - lo), rng)
+            for lo in range(0, n_paths, _BLOCK))
 
 
 def _fixed_time_block(table: JumpTable, s0: int, T: float, rng: np.random.Generator,

@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import os
+import tracemalloc
 from itertools import combinations
 
 import numpy as np
@@ -36,7 +37,7 @@ from loctimes.harness import (
     wilson_upper,
     write_csv,
 )
-from loctimes.montecarlo import sample_paths_inverse_local_time
+from loctimes.montecarlo import _BLOCK, sample_paths_inverse_local_time
 from loctimes.rates import eta, ldp_probability_bound
 
 TWO_STATE = validate_generator([[0.0, 1.0], [1.0, 0.0]], (1, 2))
@@ -189,6 +190,60 @@ def test_verify_density_insufficient_conditioning():
         verify_density_mc(TWO_STATE, 1, 2, (1, 2), 0.01, 2000, seed=1)
 
 
+def _report_digest(report) -> str:
+    data = json.dumps([report.rows, report.diagnostics, [c.__dict__ for c in report.checks]],
+                      default=lambda v: v.item())
+    return hashlib.sha256(data.encode()).hexdigest()
+
+
+# several blocks of paths and a partial one; the digests were taken from the
+# whole-batch reduction, so a block-by-block one must give the same bits
+MULTI_BLOCK = 3 * _BLOCK + 1_234
+
+
+@pytest.mark.parametrize("seed, digest", [
+    (0, "411e4ed72a67677b311ce65b792e8fc158b5f1829d1f25a725fcad34073a89c7"),
+    (1, "8b6c5cdc888b1ce928ba984902bdb6a7cabfc864318787bd99468b719b298710"),
+])
+def test_verify_density_over_several_blocks_pinned(seed, digest):
+    report = verify_density_mc(srw_generator(0, 2), 0, 2, (0, 1, 2), 2.0, MULTI_BLOCK,
+                               seed=seed)
+    assert _report_digest(report) == digest
+
+
+@pytest.mark.parametrize("seed, digest", [
+    (0, "9ebf5b47390ab29ff255a240d8d719fe0889c4d39636a5d12886b8a63596fb09"),
+    (1, "e42b00a7a03f383d6bcdb68370c7f50a868278c516704509337951d14901c537"),
+])
+def test_ldp_probability_over_several_blocks_pinned(seed, digest):
+    report = ldp_probability_experiment(srw_generator(0, 2), 0, (0, 1), 0, 0.6, 2.0,
+                                        MULTI_BLOCK, seed=seed)
+    assert _report_digest(report) == digest
+
+
+def test_verify_density_memory_is_one_block():
+    # 16 blocks of paths held at once take 64 MB; one block at a time, the
+    # traced peak is about 11 MB, most of it the cell integration
+    g = srw_generator(0, 2)
+    verify_density_mc(g, 0, 2, (0, 1, 2), 2.0, 2 * _BLOCK, seed=0)  # warm caches
+    tracemalloc.start()
+    try:
+        verify_density_mc(g, 0, 2, (0, 1, 2), 2.0, 16 * _BLOCK, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2 ** 20
+
+
+@pytest.mark.parametrize("bad", [-1, 2.5])
+def test_fixed_time_checks_reject_bad_sample_counts(bad):
+    g = srw_generator(0, 2)
+    with pytest.raises(ValueError, match="n_samples"):
+        verify_density_mc(g, 0, 2, (0, 1, 2), 2.0, bad)
+    with pytest.raises(ValueError, match="n_samples"):
+        ldp_probability_experiment(g, 0, (0, 1), 0, 0.6, 2.0, bad)
+
+
 # ---------------------------------------------------------------------------
 # Ray-Knight experiment
 # ---------------------------------------------------------------------------
@@ -239,7 +294,7 @@ def test_moments_match_numpy_and_the_fourth_power_moment():
         assert moments.mean == v.mean() and moments.var == v.var(ddof=1)
         c = v - v.mean()
         m2, m4 = (c * c).mean(), (c ** 4).mean()
-        reference = math.sqrt(max(m4 - m2 * m2, 1e-300) / len(v))
+        reference = math.sqrt(max(m4 - m2 * m2, 0.0) / len(v))
         assert moments.var_se == pytest.approx(reference, rel=1e-12, abs=0.0)
 
 
@@ -256,15 +311,24 @@ def test_z_of_a_zero_standard_error():
 def test_rayknight_check_with_a_constant_site(seed):
     # at level 0.01 two samples almost surely both sit in the atom at 0 of
     # site 3 on both sides: its moments and the independence correlations
-    # have zero standard error, and report 0 without a RuntimeWarning
+    # have zero standard error, and report 0 without a RuntimeWarning.  Two
+    # samples have m4 = m2^2, so every variance z is 0 or infinite, never a
+    # huge finite number made of rounding error
     report = verify_rayknight_mc(pivot=2, level=0.01, n_samples=2, seed=seed)
     row = {r[0]: r for r in report.rows}[3]
     assert row[1:] == (0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+    assert all(r[6] in (0.0, math.inf, -math.inf) for r in report.rows)
     checks = {c.name: c for c in report.checks}
     for name in ("mean_z_site_3", "var_z_site_3",
                  "independence_corr_direct", "independence_corr_profile"):
         assert checks[name].passed and checks[name].value == 0.0
     assert all(not math.isnan(c.value) for c in report.checks)
+
+
+@pytest.mark.parametrize("bad", [-1, 0, 1, 2.5])
+def test_rayknight_check_rejects_bad_sample_counts(bad):
+    with pytest.raises(ValueError, match="n_samples"):
+        verify_rayknight_mc(n_samples=bad)
 
 
 @pytest.mark.parametrize("pivot", [1, 2, 3])

@@ -1,7 +1,8 @@
 """Batch samplers: the shared jump table, the fixed-time output it must leave
-unchanged, the fixed-time sampler's block order, and the jump-chain
-inverse-local-time sampler (its pinned output, its site-major layout, and its
-law against an event-driven reference simulator kept in this module)."""
+unchanged, the fixed-time sampler's block order and block iterator, and the
+jump-chain inverse-local-time sampler (its pinned output, its site-major
+layout, and its law against an event-driven reference simulator kept in this
+module)."""
 
 import hashlib
 import math
@@ -11,9 +12,10 @@ import pytest
 from scipy import linalg, stats
 
 from loctimes.chain import srw_generator, validate_generator
-from loctimes.errors import BudgetExceededError
+from loctimes.errors import BudgetExceededError, UnknownLabelError
 from loctimes.montecarlo import (
     _BLOCK,
+    fixed_time_blocks,
     jump_table,
     sample_paths_fixed_time,
     sample_paths_inverse_local_time,
@@ -127,6 +129,30 @@ def test_fixed_time_blocks_draw_in_order(gen, extra):
 def test_fixed_time_block_output_pinned(gen, n_paths, seed, digest):
     batch = sample_paths_fixed_time(gen, 0, 3.0, n_paths, np.random.default_rng(seed))
     assert _digest(batch) == digest
+
+
+@pytest.mark.parametrize("gen", [FOUR_STATE, ABSORBING], ids=["four-state", "absorbing"])
+@pytest.mark.parametrize("n_paths", [0, 1, _BLOCK, 2 * _BLOCK + 17])
+def test_fixed_time_block_iterator_is_the_whole_batch(gen, n_paths):
+    # the blocks are _BLOCK paths each and the rest last; joined, they are
+    # the whole batch byte for byte
+    blocks = list(fixed_time_blocks(gen, 0, 3.0, n_paths, np.random.default_rng(41)))
+    whole = sample_paths_fixed_time(gen, 0, 3.0, n_paths, np.random.default_rng(41))
+    full, rest = divmod(n_paths, _BLOCK)
+    assert [b.local_times.shape[0] for b in blocks] == [_BLOCK] * full + [rest] * (rest > 0)
+    for k, w in enumerate(_bytes(whole)):
+        assert w == b"".join(_bytes(b)[k] for b in blocks)
+
+
+@pytest.mark.parametrize("start, T, n_paths, error", [
+    (0, 3.0, -1, ValueError), (0, 3.0, 2.5, ValueError),
+    (0, math.nan, 5, ValueError), (9, 3.0, 0, UnknownLabelError),
+], ids=["negative", "fractional", "nan-horizon", "unknown-start"])
+def test_fixed_time_block_iterator_checks_at_the_call(start, T, n_paths, error):
+    # the arguments are checked when the iterator is made, before any block,
+    # so a request for no paths with a bad start still fails
+    with pytest.raises(error):
+        fixed_time_blocks(FOUR_STATE, start, T, n_paths, np.random.default_rng(0))
 
 
 @pytest.mark.parametrize("bad", [-1, 2.5])
