@@ -9,8 +9,8 @@ exactly.
 The two fixed-time checks (the density law and the LDP probability bound)
 take their paths block by block from :func:`montecarlo.fixed_time_blocks`
 and keep only per-path counts, summed over the blocks, so their memory is
-that of one block whatever the sample count, and every number they report
-equals the one a whole batch gives, bit for bit (the counts are integers).
+O(block), whatever the sample count, and every number they report equals
+the one a whole batch gives, bit for bit (the counts are integers).
 The Ray-Knight check keeps its whole batches: its moments are reductions
 over all samples at once, whose bits depend on that.
 """
@@ -400,8 +400,8 @@ def verify_density_mc(
     values for the canonical two-state chain).  The free coordinates are the
     local times off the endpoint.
 
-    The paths are conditioned and binned one block at a time, so memory is
-    that of one block, not of ``n_samples`` paths, and the counts (integers)
+    The paths are conditioned and binned one sampler block at a time, so
+    memory is O(block), not O(``n_samples``), and the counts (integers)
     equal those of one whole batch bit for bit.  ``ValueError`` on an
     ``n_samples`` that is negative or not an integer."""
     R = tuple(range_)
@@ -702,9 +702,9 @@ def ldp_probability_experiment(
     """Monte Carlo estimate of P(normalized local time at ``state`` >=
     ``threshold``, range within S) against the closed-form upper bound.
 
-    The hits are counted one block of paths at a time, so memory is that of
-    one block, not of ``n_samples`` paths, and the count equals that of one
-    whole batch.  ``ValueError`` on an ``n_samples`` that is negative or not
+    The hits are counted one sampler block at a time, so memory is
+    O(block), not O(``n_samples``), and the count equals that of one whole
+    batch.  ``ValueError`` on an ``n_samples`` that is negative or not
     an integer."""
     if not gen.is_symmetric():
         raise NotSymmetricError("the probability bound requires a symmetric generator")

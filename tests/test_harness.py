@@ -222,8 +222,8 @@ def test_ldp_probability_over_several_blocks_pinned(seed, digest):
 
 
 def test_verify_density_memory_is_one_block():
-    # 16 blocks of paths held at once take 64 MB; one block at a time, the
-    # traced peak is about 11 MB, most of it the cell integration
+    # 16 blocks of paths held at once peak at about 67 MB; taken one block at
+    # a time, the traced peak is about 11 MB at any number of blocks
     g = srw_generator(0, 2)
     verify_density_mc(g, 0, 2, (0, 1, 2), 2.0, 2 * _BLOCK, seed=0)  # warm caches
     tracemalloc.start()
