@@ -7,10 +7,12 @@ all reductions in fixed order, so replaying a config reproduces each number
 exactly.
 
 The two fixed-time checks (the density law and the LDP probability bound)
-take their paths block by block from :func:`montecarlo.fixed_time_blocks`
-and keep only per-path counts, summed over the blocks, so their memory is
-O(block), whatever the sample count, and every number they report equals
-the one a whole batch gives, bit for bit (the counts are integers).
+take their paths block by block from :func:`montecarlo.fixed_time_blocks`,
+reduce each block before taking the next (the iterator writes every block
+into the same buffers), and keep only per-path counts, summed over the
+blocks, so their memory is O(block), whatever the sample count, and every
+number they report equals the one a whole batch gives, bit for bit (the
+counts are integers).
 The Ray-Knight check keeps its whole batches: its moments are reductions
 over all samples at once, whose bits depend on that.
 """
@@ -201,14 +203,21 @@ def is_canonical_two_state(gen: Generator) -> bool:
     )
 
 
-def conditioning_mask(batch: BatchPaths, gen: Generator, R: Sequence, b) -> np.ndarray:
-    """Paths whose visited set equals R exactly and whose endpoint is b."""
+def conditioning_mask(gen: Generator, R: Sequence, b) -> Callable[[BatchPaths], np.ndarray]:
+    """The conditioning event of a request as a test of a batch: the mask of
+    the paths whose visited set equals R exactly and whose endpoint is b.
+    The state indices it needs are worked out once, here, for every batch
+    it is applied to."""
     idx_R = gen.indices(R)
     b_idx = gen.index(b)
     others = np.setdiff1d(np.arange(gen.n_states), idx_R)
-    visited = batch.local_times > 0.0
-    mask = visited[:, idx_R].all(axis=1) & ~visited[:, others].any(axis=1)
-    return mask & (batch.endpoints == b_idx)
+
+    def mask(batch: BatchPaths) -> np.ndarray:
+        visited = batch.local_times > 0.0
+        hit = visited[:, idx_R].all(axis=1) & ~visited[:, others].any(axis=1)
+        return hit & (batch.endpoints == b_idx)
+
+    return mask
 
 
 # ---------------------------------------------------------------------------
@@ -402,20 +411,28 @@ def verify_density_mc(
 
     The paths are conditioned and binned one sampler block at a time, so
     memory is O(block), not O(``n_samples``), and the counts (integers)
-    equal those of one whole batch bit for bit.  ``ValueError`` on an
-    ``n_samples`` that is negative or not an integer."""
-    R = tuple(range_)
-    if len(R) - 1 > 2:
-        raise ValueError("default cell grid supports |R| <= 3")
+    equal those of one whole batch bit for bit.  ``ValueError``, before any
+    path is drawn, on an ``n_samples`` that is negative or not an integer,
+    and on a ``range_`` that repeats a state, misses the start or the
+    endpoint, or has fewer than 2 or more than 3 states."""
+    try:
+        R = _range_positions(range_, start, endpoint)[0]
+    except ValueError as exc:
+        raise ValueError(f"range_: {exc}") from None
+    if not 2 <= len(R) <= 3:
+        raise ValueError(
+            f"range_ must have 2 or 3 states (the default cell grid supports |R| <= 3), "
+            f"got {R!r}")
     n_samples = _path_count(n_samples, "n_samples")
     blocks = fixed_time_blocks(gen, start, T, n_samples, np.random.default_rng(seed))
+    conditioned = conditioning_mask(gen, R, endpoint)
     free_states = [x for x in R if x != endpoint]
     free_idx = gen.indices(free_states)
     edges = [np.linspace(0.0, T, cells_per_axis + 1) for _ in free_states]
     counts = np.zeros(tuple(len(e) - 1 for e in edges))
     n_cond = 0
     for batch in blocks:
-        rows = np.flatnonzero(conditioning_mask(batch, gen, R, endpoint))
+        rows = np.flatnonzero(conditioned(batch))
         n_cond += rows.size
         counts += _grid_counts([batch.local_times[rows, j] for j in free_idx], edges)
     if n_cond < 1000:

@@ -16,9 +16,14 @@ uniform and one gather-and-compare per extra target.
   horizon ends there: its endpoint and jump count (the round number) are
   written once, then.  The round finds the ended and the kept paths with
   one index pass each and compacts every working array with the same kept
-  indices.  Only the kept paths draw a uniform and jump.
-  :func:`fixed_time_blocks` hands the same blocks out one at a time, so a
-  reduction over a large batch needs memory for one block only.
+  indices.  Only the kept paths draw a uniform and jump.  One workspace per
+  request (:class:`_FixedTimeSampler`) holds the jump table and the round
+  buffers, which every block and round fill with ``out=``, so a request
+  allocates them once, not once per block and round.
+  :func:`fixed_time_blocks` hands the same blocks out one at a time, each
+  written into one set of block-sized output buffers, so a reduction over a
+  large batch needs memory for one block only; a yielded block is valid
+  until the iterator advances.
 * Inverse local time: the jump-chain/holding-time split (Norris, *Markov
   Chains*, 1997, section 2.6).  The number of pivot visits is drawn first,
   ``1 + Poisson(q_b * level)``; the rounds run only the discrete jump chain,
@@ -43,7 +48,7 @@ an integer.
 import math
 import operator
 from dataclasses import dataclass
-from typing import Iterator, Tuple
+from typing import Iterator
 
 import numpy as np
 
@@ -60,6 +65,9 @@ _BLOCK = 1 << 16
 @dataclass
 class BatchPaths:
     """Local times (one row per path), endpoints and jump counts.
+
+    A batch from :func:`fixed_time_blocks` is a set of views of buffers
+    that the next block overwrites; copy it to keep it.
 
     ``local_times`` is C-ordered from the fixed-time sampler and the
     Fortran-ordered transpose of a site-major buffer from the inverse
@@ -134,31 +142,120 @@ def _path_count(value, name: str = "n_paths") -> int:
     return count
 
 
-def _fixed_time_args(gen: Generator, start, T: float, n_paths) -> Tuple[int, int]:
-    """The start's index and the path count of a fixed-time request, or
-    ``ValueError`` for a horizon that is not finite and positive."""
-    if not (math.isfinite(T) and T > 0):
-        raise ValueError("need finite T > 0")
-    n_paths = _path_count(n_paths)
-    return gen.index(start), n_paths
+class _FixedTimeSampler:
+    """The workspace of one fixed-time request: the jump table, built once,
+    and the round buffers of :meth:`run`, ``min(_BLOCK, n_paths)`` long, of
+    which each block uses prefixes.  The compacted working set (path index,
+    state, elapsed time) alternates between the two rows of its buffers, so
+    a round gathers the kept paths into the row it is not reading.
+
+    ``ValueError`` for a horizon that is not finite and positive or a bad
+    ``n_paths``; an unknown start raises from ``gen.index``."""
+
+    def __init__(self, gen: Generator, start, T: float, n_paths) -> None:
+        if not (math.isfinite(T) and T > 0):
+            raise ValueError("need finite T > 0")
+        self.n_paths = _path_count(n_paths)
+        self.s0 = gen.index(start)
+        self.T = T
+        self.states = gen.states
+        self.table = jump_table(gen)
+        self.absorbing = bool(np.any(self.table.exit_rates <= 0))
+        m = min(_BLOCK, self.n_paths)
+        self._paths = np.arange(m)
+        self._hold, self._rate, self._remaining, self._u = np.empty((4, m))
+        self._done = np.empty(m, dtype=bool)
+        self._flat = np.empty(m, dtype=np.int64)
+        self._alive = np.empty((2, m), dtype=np.int64)
+        self._state = np.empty((2, m), dtype=np.int64)
+        self._elapsed = np.empty((2, m))
+
+    def run(self, rng: np.random.Generator, local: np.ndarray,
+            endpoints: np.ndarray, jumps: np.ndarray) -> None:
+        """Run the paths of one block (at most ``_BLOCK``), all started in
+        the start state, to the horizon, adding into the block's view of the
+        flat accumulator and writing its endpoints and jump counts."""
+        exit_rates = self.table.exit_rates
+        n = exit_rates.size
+        T = self.T
+        m = endpoints.size
+        alive = self._paths[:m]
+        state = self._state[1, :m]
+        state.fill(self.s0)
+        elapsed = self._elapsed[1, :m]
+        elapsed.fill(0.0)
+        to = 0  # the row the next compaction gathers into
+
+        rounds = 0
+        while alive.size:
+            k = alive.size
+            hold = rng.standard_exponential(out=self._hold[:k])
+            rate = np.take(exit_rates, state, out=self._rate[:k], mode="clip")
+            if self.absorbing:
+                with np.errstate(divide="ignore"):
+                    hold[:] = np.where(rate > 0, hold / rate, np.inf)
+            else:
+                hold /= rate
+            remaining = np.subtract(T, elapsed, out=self._remaining[:k])
+            done = np.greater_equal(hold, remaining, out=self._done[:k])
+            np.minimum(hold, remaining, out=hold)
+            flat = np.multiply(alive, n, out=self._flat[:k])
+            flat += state
+            np.add.at(local, flat, hold)
+            elapsed += hold
+            ended = np.flatnonzero(done)
+            if ended.size:
+                who = alive[ended]
+                endpoints[who] = state[ended]
+                jumps[who] = rounds
+                kept = np.flatnonzero(np.logical_not(done, out=done))
+                j = kept.size
+                # mode="clip" (the indices are in range) lets take write into
+                # ``out`` directly; under the default "raise" it buffers a copy
+                alive = np.take(alive, kept, out=self._alive[to, :j], mode="clip")
+                state = np.take(state, kept, out=self._state[to, :j], mode="clip")
+                elapsed = np.take(elapsed, kept, out=self._elapsed[to, :j], mode="clip")
+                to ^= 1
+                if j == 0:
+                    break
+            state = self.table.step(state, rng.random(out=self._u[:alive.size]))
+            rounds += 1
+
+    def blocks(self, rng: np.random.Generator) -> Iterator[BatchPaths]:
+        """The request's paths as consecutive blocks of at most ``_BLOCK``,
+        each one zero-filled into, and yielded as views of, one set of
+        output buffers: a block is valid until the iterator advances."""
+        n = self.table.exit_rates.size
+        m = self._paths.size
+        local = np.empty(m * n)
+        endpoints = np.empty(m, dtype=np.int64)
+        jumps = np.empty(m, dtype=np.int64)
+        horizons = np.full(m, float(self.T))
+        for lo in range(0, self.n_paths, _BLOCK):
+            k = min(_BLOCK, self.n_paths - lo)
+            local[:k * n] = 0.0
+            endpoints[:k] = self.s0
+            jumps[:k] = 0
+            self.run(rng, local[:k * n], endpoints[:k], jumps[:k])
+            yield BatchPaths(states=self.states, local_times=local[:k * n].reshape(k, n),
+                             endpoints=endpoints[:k], jumps=jumps[:k],
+                             horizons=horizons[:k])
 
 
 def sample_paths_fixed_time(
     gen: Generator, start, T: float, n_paths: int, rng: np.random.Generator
 ) -> BatchPaths:
     """Simulate ``n_paths`` trajectories on [0, T], in blocks of ``_BLOCK``
-    paths run one after another from the one ``rng``."""
-    s0, n_paths = _fixed_time_args(gen, start, T, n_paths)
-    table = jump_table(gen)
-    n = gen.n_states
-
+    paths run one after another from the one ``rng`` into slices of the
+    whole batch's outputs."""
+    sampler = _FixedTimeSampler(gen, start, T, n_paths)
+    n_paths, n = sampler.n_paths, gen.n_states
     local = np.zeros(n_paths * n)
-    endpoints = np.full(n_paths, s0, dtype=np.int64)
+    endpoints = np.full(n_paths, sampler.s0, dtype=np.int64)
     jumps = np.zeros(n_paths, dtype=np.int64)
     for lo in range(0, n_paths, _BLOCK):
         hi = min(lo + _BLOCK, n_paths)
-        _fixed_time_block(table, s0, T, rng,
-                          local[lo * n:hi * n], endpoints[lo:hi], jumps[lo:hi])
+        sampler.run(rng, local[lo * n:hi * n], endpoints[lo:hi], jumps[lo:hi])
     return BatchPaths(
         states=gen.states,
         local_times=local.reshape(n_paths, n),
@@ -175,53 +272,14 @@ def fixed_time_blocks(
     as consecutive batches of at most ``_BLOCK`` paths each, drawn one at a
     time as the iterator advances: the same draws in the same order, so the
     blocks are the whole batch's rows bit for bit, and a caller that reduces
-    each block before taking the next holds one block, not the batch.  The
-    arguments are checked at the call, before any block is drawn."""
-    n_paths = _fixed_time_args(gen, start, T, n_paths)[1]
-    return (sample_paths_fixed_time(gen, start, T, min(_BLOCK, n_paths - lo), rng)
-            for lo in range(0, n_paths, _BLOCK))
+    each block before taking the next holds one block, not the batch.
 
-
-def _fixed_time_block(table: JumpTable, s0: int, T: float, rng: np.random.Generator,
-                      local: np.ndarray, endpoints: np.ndarray,
-                      jumps: np.ndarray) -> None:
-    """Run the paths of one block, all started in ``s0``, to the horizon,
-    writing into the block's views of the flat accumulator, the endpoints
-    and the jump counts."""
-    exit_rates = table.exit_rates
-    absorbing = bool(np.any(exit_rates <= 0))
-    n = exit_rates.size
-    alive = np.arange(endpoints.size)
-    state = np.full(alive.size, s0, dtype=np.int64)
-    elapsed = np.zeros(alive.size)
-
-    rounds = 0
-    while alive.size:
-        hold = rng.standard_exponential(alive.size)
-        rate = exit_rates[state]
-        if absorbing:
-            with np.errstate(divide="ignore"):
-                hold = np.where(rate > 0, hold / rate, np.inf)
-        else:
-            hold /= rate
-        remaining = T - elapsed
-        done = hold >= remaining
-        np.minimum(hold, remaining, out=hold)
-        np.add.at(local, alive * n + state, hold)
-        elapsed += hold
-        ended = np.flatnonzero(done)
-        if ended.size:
-            who = alive[ended]
-            endpoints[who] = state[ended]
-            jumps[who] = rounds
-            kept = np.flatnonzero(~done)
-            alive = alive[kept]
-            state = state[kept]
-            elapsed = elapsed[kept]
-            if alive.size == 0:
-                break
-        state = table.step(state, rng.random(alive.size))
-        rounds += 1
+    Every block is written into the same buffers, and the jump table and
+    round buffers are made once for the request: a yielded block's arrays
+    are valid only until the iterator advances, so a caller that keeps a
+    block must copy it.  The arguments are checked at the call, before any
+    block is drawn."""
+    return _FixedTimeSampler(gen, start, T, n_paths).blocks(rng)
 
 
 def sample_paths_inverse_local_time(

@@ -11,6 +11,7 @@ from scipy.linalg import expm
 
 from loctimes.chain import srw_generator, validate_generator
 from loctimes.density import range_rates
+from loctimes import harness
 from loctimes.errors import ConfigParseError, InsufficientConditionedError, NotSymmetricError
 from loctimes.harness import (
     _chi2_sf,
@@ -242,6 +243,19 @@ def test_fixed_time_checks_reject_bad_sample_counts(bad):
         verify_density_mc(g, 0, 2, (0, 1, 2), 2.0, bad)
     with pytest.raises(ValueError, match="n_samples"):
         ldp_probability_experiment(g, 0, (0, 1), 0, 0.6, 2.0, bad)
+
+
+@pytest.mark.parametrize("start, endpoint, range_", [
+    (0, 0, [0]), (0, 2, [1, 2]), (0, 2, [0, 1]), (0, 2, [0, 1, 1, 2]),
+], ids=["one-state", "start-outside", "endpoint-outside", "repeated"])
+def test_verify_density_rejects_a_bad_range_before_drawing(monkeypatch, start, endpoint,
+                                                           range_):
+    def no_blocks(*args):
+        raise AssertionError("a block was drawn")
+
+    monkeypatch.setattr(harness, "fixed_time_blocks", no_blocks)
+    with pytest.raises(ValueError, match="range_"):
+        verify_density_mc(srw_generator(0, 2), start, endpoint, range_, 2.0, 1000)
 
 
 # ---------------------------------------------------------------------------
@@ -686,6 +700,26 @@ def test_run_suite_output_of_every_kind_pinned(tmp_path):
     digests = {f: hashlib.sha256((tmp_path / f).read_bytes()).hexdigest()
                for f in sorted(os.listdir(tmp_path))}
     assert digests == PINNED_DIGESTS
+
+
+# sha256 of every file a run of configs/demo.json writes, taken before the
+# sampler reused its buffers: the 3-state 200,000-path law and the
+# 200,000-path half-space bound are pinned nowhere else
+DEMO_CONFIG = os.path.join(os.path.dirname(__file__), os.pardir, "configs", "demo.json")
+DEMO_DIGESTS = {
+    "exponential-bound.csv": "c0bd97132aca3dbb108b98cd718d004fe5735b066683baef882693bdc727458c",
+    "halfspace-bound.csv": "83e26729640e378bc45613f09e77990b4cffb8f1119072e04c98e0d6ffe211e4",
+    "profile-equivalence.csv": "e26339f7f4d74bc05c594a1c9553806acd77f946f49b2ea4f6fe9aa2c5f333fe",
+    "summary.json": "efdd7f781f2b655f28a6d9eaa69020565d48884decf113682049dec2c605bc01",
+    "three-state-law.csv": "263ceee7ef4bac09df0d4694b9d10a70838de21d431086e32c68fac9af7ba76b",
+}
+
+
+def test_demo_config_output_pinned(tmp_path):
+    assert run_suite(load_config(DEMO_CONFIG), str(tmp_path)) == 0
+    digests = {f: hashlib.sha256((tmp_path / f).read_bytes()).hexdigest()
+               for f in sorted(os.listdir(tmp_path))}
+    assert digests == DEMO_DIGESTS
 
 
 def test_verify_density_asymmetric_chain():

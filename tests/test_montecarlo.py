@@ -1,8 +1,8 @@
 """Batch samplers: the shared jump table, the fixed-time output it must leave
-unchanged, the fixed-time sampler's block order and block iterator, and the
-jump-chain inverse-local-time sampler (its pinned output, its site-major
-layout, and its law against an event-driven reference simulator kept in this
-module)."""
+unchanged, the fixed-time sampler's block order, block iterator and one
+workspace per request, and the jump-chain inverse-local-time sampler (its
+pinned output, its site-major layout, and its law against an event-driven
+reference simulator kept in this module)."""
 
 import hashlib
 import math
@@ -12,6 +12,7 @@ import pytest
 from scipy import linalg, stats
 
 from loctimes.chain import srw_generator, validate_generator
+from loctimes import montecarlo
 from loctimes.errors import BudgetExceededError, UnknownLabelError
 from loctimes.montecarlo import (
     _BLOCK,
@@ -135,13 +136,37 @@ def test_fixed_time_block_output_pinned(gen, n_paths, seed, digest):
 @pytest.mark.parametrize("n_paths", [0, 1, _BLOCK, 2 * _BLOCK + 17])
 def test_fixed_time_block_iterator_is_the_whole_batch(gen, n_paths):
     # the blocks are _BLOCK paths each and the rest last; joined, they are
-    # the whole batch byte for byte
-    blocks = list(fixed_time_blocks(gen, 0, 3.0, n_paths, np.random.default_rng(41)))
+    # the whole batch byte for byte.  A block is valid until the iterator
+    # advances, so its bytes are taken as it arrives
+    blocks = [(b.local_times.shape[0], _bytes(b))
+              for b in fixed_time_blocks(gen, 0, 3.0, n_paths, np.random.default_rng(41))]
     whole = sample_paths_fixed_time(gen, 0, 3.0, n_paths, np.random.default_rng(41))
     full, rest = divmod(n_paths, _BLOCK)
-    assert [b.local_times.shape[0] for b in blocks] == [_BLOCK] * full + [rest] * (rest > 0)
+    assert [size for size, _ in blocks] == [_BLOCK] * full + [rest] * (rest > 0)
     for k, w in enumerate(_bytes(whole)):
-        assert w == b"".join(_bytes(b)[k] for b in blocks)
+        assert w == b"".join(b[k] for _, b in blocks)
+
+
+def test_fixed_time_blocks_reuse_one_set_of_outputs():
+    # every block of a request is written into the same output buffers
+    blocks = fixed_time_blocks(FOUR_STATE, 0, 3.0, 2 * _BLOCK + 17, np.random.default_rng(42))
+    first = next(blocks)
+    for later in blocks:
+        for name in ("local_times", "endpoints", "jumps"):
+            assert np.shares_memory(getattr(first, name), getattr(later, name))
+
+
+def test_fixed_time_blocks_build_the_jump_table_once(monkeypatch):
+    calls = []
+
+    def counting_jump_table(gen):
+        calls.append(gen)
+        return jump_table(gen)
+
+    monkeypatch.setattr(montecarlo, "jump_table", counting_jump_table)
+    for _ in fixed_time_blocks(FOUR_STATE, 0, 3.0, 2 * _BLOCK + 17, np.random.default_rng(43)):
+        pass
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("start, T, n_paths, error", [
