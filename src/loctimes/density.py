@@ -758,14 +758,16 @@ def density_quadrature(
     If ``tol`` is given, the grid is doubled until two successive grids agree
     to ``tol``; no grid goes beyond 1024 points per angle or 2^20 nodes, and
     ``NonConvergedTruncationError`` reports the last two values when none
-    agree.  A ``grid_size`` that is not a positive integer, or a ``tol`` that
-    is not finite and positive, raises ``ValueError``; so does |R| > 4.
+    agree.  A ``grid_size`` that is not a positive integer (a bool is not
+    one), or a ``tol`` that is not finite and positive, raises
+    ``ValueError``; so does |R| > 4.
     """
     R, a_pos, b_pos = _range_positions(R, a, b)
     lvec = _local_times(R, l)
     if len(R) > 4:
         raise ValueError("density_quadrature is limited to |R| <= 4")
-    if not isinstance(grid_size, (int, np.integer)) or grid_size < 1:
+    if (isinstance(grid_size, bool) or not isinstance(grid_size, (int, np.integer))
+            or grid_size < 1):
         raise ValueError(f"grid_size must be a positive integer; got {grid_size!r}")
     if tol is not None and not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be finite and positive; got {tol!r}")

@@ -14,7 +14,14 @@ blocks, so their memory is O(block), whatever the sample count, and every
 number they report equals the one a whole batch gives, bit for bit (the
 counts are integers).
 The Ray-Knight check keeps its whole batches: its moments are reductions
-over all samples at once, whose bits depend on that.
+over all samples at once, whose bits depend on that.  Its two sides run at
+once on independent streams spawned from the seed, the profile side on one
+worker thread per call (joined before the call returns), the direct side on
+the calling thread; each reduces its own samples before the two are
+compared, so the results do not depend on how the threads are scheduled.
+
+Integer config fields (counts, the pivot, the seed) are checked, not
+truncated: a fraction or a boolean is a ``ValueError`` naming the field.
 """
 
 import functools
@@ -22,6 +29,7 @@ import hashlib
 import json
 import math
 import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Dict, List, NamedTuple, Sequence, Tuple
 
@@ -38,7 +46,7 @@ from .montecarlo import (
     sample_paths_inverse_local_time,
 )
 from .rates import ldp_probability_bound, ldp_varadhan_bound
-from .rayknight import sample_rk_profile_batch
+from .rayknight import _profile_arguments, sample_rk_profile_batch
 
 
 # ---------------------------------------------------------------------------
@@ -543,6 +551,49 @@ _MOMENT_Z = 3.0
 _ATOM_Z = 4.0
 
 
+class _RayKnightSide(NamedTuple):
+    """What the Ray-Knight checks read of one side's samples: the moments at
+    _COMPARE_SITES, the frequencies of the absorption atom at ``pivot + 1``
+    and at -1, and the independence correlation."""
+
+    moments: Tuple[_Moments, ...]
+    atom_right: float
+    atom_left: float
+    corr: float
+
+
+def _rayknight_side(columns: Dict[int, np.ndarray], pivot: int, level: float) -> _RayKnightSide:
+    """Reduce one side's samples, one column per site, to a :class:`_RayKnightSide`."""
+
+    def atom(site):
+        return float((columns[site] == 0.0).mean())
+
+    # residual of the inner step at site pivot-1 given the pivot value, against
+    # the first right outer value; the pivot value is exactly the level.  A
+    # constant side is independent of the other: correlation 0
+    proxy = columns[pivot - 1] - (level + 1.0)
+    outer = columns[pivot + 1]
+    corr = 0.0
+    if np.ptp(proxy) != 0 and np.ptp(outer) != 0:
+        corr = float(np.corrcoef(proxy, outer)[0, 1])
+    return _RayKnightSide(tuple(_moments(columns[site]) for site in _COMPARE_SITES),
+                          atom(pivot + 1), atom(-1), corr)
+
+
+def _direct_side(pivot, level, window, n_samples, rng) -> _RayKnightSide:
+    """Inverse-local-time simulation of the reflected walk on the window."""
+    gen = srw_generator(-window, pivot + window)
+    batch = sample_paths_inverse_local_time(gen, 0, pivot, level, n_samples, rng)
+    return _rayknight_side({x: batch.local_times[:, gen.index(x)] for x in gen.states},
+                           pivot, level)
+
+
+def _profile_side(pivot, level, window, n_samples, rng, out) -> _RayKnightSide:
+    """The spatial Markov-chain profiles on the window, written into ``out``."""
+    sites, values = sample_rk_profile_batch(pivot, level, window, n_samples, rng, out)
+    return _rayknight_side({int(s): values[:, i] for i, s in enumerate(sites)}, pivot, level)
+
+
 def verify_rayknight_mc(
     pivot: int = 2,
     level: float = 1.0,
@@ -564,12 +615,21 @@ def verify_rayknight_mc(
     it, so the local times on the window at the pivot's inverse local time
     have the same joint law, atoms included.
 
+    The two sides run at once: the profile side on one worker thread, started
+    for this call and joined before it returns, the direct side on the
+    calling thread.  Each draws from its own stream spawned from ``seed`` and
+    reduces its samples to what the checks read before the two are compared,
+    so the results do not depend on how the threads are scheduled, and every
+    error is the one the sides give run one after the other, profile first.
+
     A z whose standard error is zero reads 0 where the two statistics are
     equal and is infinite, so that its check fails, where they are not; a
     side that is constant has correlation 0 with anything.  So a compared
     site equal to the pivot, which holds the level exactly on both sides,
     reports z = 0 and its checks pass.  ``ValueError`` on an ``n_samples``
-    that is not an integer of at least 2.
+    that is not an integer of at least 2, and on a ``pivot`` or ``level``
+    that :func:`rayknight.sample_rk_profile_batch` rejects, before any
+    sample is drawn.
     """
     n_samples = _path_count(n_samples, "n_samples")
     if n_samples < 2:
@@ -579,55 +639,48 @@ def verify_rayknight_mc(
     ]
     read = [*_COMPARE_SITES, pivot - 1, pivot + 1, -1]
     window = max(0, -min(read), max(read) - pivot)
-    sites, values = sample_rk_profile_batch(pivot, level, window, n_samples, rng_profile)
-    profile = {int(s): values[:, i] for i, s in enumerate(sites)}
-
-    gen = srw_generator(-window, pivot + window)
-    batch = sample_paths_inverse_local_time(gen, 0, pivot, level, n_samples, rng_direct)
-    direct = {x: batch.local_times[:, gen.index(x)] for x in gen.states}
+    b, window, n_samples = _profile_arguments(pivot, level, window, n_samples)
+    # the profile buffer comes from the calling thread's heap, which reuses
+    # it from call to call; glibc keeps a worker thread's freed memory in
+    # that thread's own arena, so a buffer taken there would stay resident
+    out = np.empty((b + 2 * window + 1, n_samples))
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        pending = pool.submit(_profile_side, pivot, level, window, n_samples, rng_profile, out)
+        del out                     # the profile side frees it once reduced
+        try:
+            direct = _direct_side(pivot, level, window, n_samples, rng_direct)
+        except BaseException:
+            pending.result()        # a profile side's error comes first
+            raise
+        profile = pending.result()
 
     rows = []
     checks = []
-    for site in _COMPARE_SITES:
-        d, p = _moments(direct[site]), _moments(profile[site])
+    for site, d, p in zip(_COMPARE_SITES, direct.moments, profile.moments):
         mz, vz = _mean_var_z(d, p)
         rows.append((site, d.mean, p.mean, mz, d.var, p.var, vz))
         checks.append(_z_check(f"mean_z_site_{site}", mz, _MOMENT_Z))
         checks.append(_z_check(f"var_z_site_{site}", vz, _MOMENT_Z))
 
-    def atom_freqs(site):
-        d = float((direct[site] == 0.0).mean())
-        p = float((profile[site] == 0.0).mean())
-        se = math.sqrt(d * (1 - d) / n_samples + p * (1 - p) / n_samples)
-        return d, p, _z(d - p, se)
+    def atom_z(d, p):
+        return _z(d - p, math.sqrt(d * (1 - d) / n_samples + p * (1 - p) / n_samples))
 
-    right = pivot + 1
-    a_d, a_p, a_z = atom_freqs(right)
     exact = math.exp(-level)
     se_exact = math.sqrt(exact * (1 - exact) / n_samples)
-    l_d, l_p, l_z = atom_freqs(-1)
-    checks.append(_z_check("atom_right_z", a_z, _ATOM_Z))
-    checks.append(_z_check("atom_right_vs_exact_z", _z(a_d - exact, se_exact), _ATOM_Z))
-    checks.append(_z_check("atom_left_z", l_z, _ATOM_Z))
-
-    def indep_corr(data):
-        # residual of the inner step at site pivot-1 given the pivot value,
-        # against the first right outer value; the pivot value is exactly h.
-        # A constant side is independent of the other: correlation 0.
-        proxy = data[pivot - 1] - (level + 1.0)
-        outer = data[right]
-        if np.ptp(proxy) == 0 or np.ptp(outer) == 0:
-            return 0.0
-        return float(np.corrcoef(proxy, outer)[0, 1])
-
+    checks.append(_z_check("atom_right_z", atom_z(direct.atom_right, profile.atom_right),
+                           _ATOM_Z))
+    checks.append(_z_check("atom_right_vs_exact_z",
+                           _z(direct.atom_right - exact, se_exact), _ATOM_Z))
+    checks.append(_z_check("atom_left_z", atom_z(direct.atom_left, profile.atom_left),
+                           _ATOM_Z))
     corr_threshold = _ATOM_Z / math.sqrt(n_samples)
-    checks.append(_z_check("independence_corr_direct", indep_corr(direct), corr_threshold))
-    checks.append(_z_check("independence_corr_profile", indep_corr(profile), corr_threshold))
+    checks.append(_z_check("independence_corr_direct", direct.corr, corr_threshold))
+    checks.append(_z_check("independence_corr_profile", profile.corr, corr_threshold))
 
     diagnostics = {
         "n_samples": n_samples,
-        "atom_right_direct": a_d, "atom_right_profile": a_p,
-        "atom_left_direct": l_d, "atom_left_profile": l_p,
+        "atom_right_direct": direct.atom_right, "atom_right_profile": profile.atom_right,
+        "atom_left_direct": direct.atom_left, "atom_left_profile": profile.atom_left,
     }
     return Report(checks, ("site", "mean_direct", "mean_profile", "mean_z",
                            "var_direct", "var_profile", "var_z"), rows, diagnostics)
@@ -767,9 +820,21 @@ def ldp_varadhan_experiment(gen: Generator, start, S: Sequence, V, T: float) -> 
 # suite runner
 # ---------------------------------------------------------------------------
 
+def _integer(exp: dict, field: str, default: int) -> int:
+    """The integer config field ``field`` of an experiment: ``ValueError``
+    naming the field for a boolean or a number that is not integral (a JSON
+    number such as ``2e5`` that is a whole number is accepted)."""
+    value = exp.get(field, default)
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{field!r} must be an integer, got {value!r}")
+    return value
+
+
 def _count(exp: dict, field: str, default: int, least: int = 1) -> int:
     """The integer config field ``field`` of an experiment, at least ``least``."""
-    value = int(exp.get(field, default))
+    value = _integer(exp, field, default)
     if value < least:
         raise ValueError(f"{field!r} must be at least {least}, got {value}")
     return value
@@ -784,7 +849,7 @@ EXPERIMENTS: Dict[str, Callable[[dict, int, str], Report]] = {
         float(exp["T"]), _count(exp, "samples", 1_000_000),
         cells_per_axis=_count(exp, "cells", 7), seed=seed),
     "verify-rayknight": lambda exp, seed, base_dir: verify_rayknight_mc(
-        pivot=int(exp.get("pivot", 2)), level=float(exp.get("level", 1.0)),
+        pivot=_integer(exp, "pivot", 2), level=float(exp.get("level", 1.0)),
         n_samples=_count(exp, "samples", 200_000, least=2), seed=seed),
     "ldp-probability": lambda exp, seed, base_dir: ldp_probability_experiment(
         generator_from_config(exp["generator"], base_dir),
@@ -830,7 +895,7 @@ def run_suite(config: dict, out_dir: str, base_dir: str = ".") -> int:
     for name, exp in zip(names, config["experiments"]):
         kind = exp["kind"]
         try:
-            seed = int(exp.get("seed", config.get("seed", 0)))
+            seed = _integer(exp, "seed", config.get("seed", 0))
             report = EXPERIMENTS[kind](exp, seed, base_dir)
         except KeyError as exc:
             raise ConfigParseError(f"experiment {name!r} is missing field {exc}") from None

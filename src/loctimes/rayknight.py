@@ -76,8 +76,24 @@ def _step(cur: np.ndarray, shift: float, rng: np.random.Generator) -> np.ndarray
     return rng.gamma(rng.poisson(cur) + shift)
 
 
+def _profile_arguments(b, h: float, window, n) -> Tuple[int, int, int]:
+    """``b``, ``window`` and ``n`` as Python ints after the checks of
+    :func:`sample_rk_profile_batch`, which raise the ``ValueError`` it
+    documents; a caller that runs the sampler later (on another thread, say)
+    can raise its argument errors first."""
+    b = _path_count(b, "b")
+    window = _path_count(window, "window")
+    n = _path_count(n, "n")
+    if b < 1:
+        raise ValueError(f"need b >= 1, got {b}")
+    if not (math.isfinite(h) and h > 0):
+        raise ValueError(f"h must be finite and positive, got {h!r}")
+    return b, window, n
+
+
 def sample_rk_profile_batch(
-    b: int, h: float, window: int, n: int, rng: np.random.Generator
+    b: int, h: float, window: int, n: int, rng: np.random.Generator,
+    out: Optional[np.ndarray] = None,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """n independent profiles on sites -window..b+window, one row each.
 
@@ -91,17 +107,25 @@ def sample_rk_profile_batch(
     on a ``b``, ``window`` or ``n`` that is not an integer, on ``b < 1`` or a
     negative ``window`` or ``n``, and on an ``h`` that is not finite and
     positive.
+
+    ``out``, if given, is the buffer the profiles are written into: a
+    C-ordered float64 array of shape ``(b + 2 * window + 1, n)``, every entry
+    of which is overwritten; the array returned is its transpose.  A caller
+    that runs the sampler on a worker thread passes one of its own, so that
+    the buffer is not taken from the worker's heap, which glibc keeps apart
+    per thread and which holds on to what is freed in it.  ``ValueError``
+    naming ``out`` for any other array.
     """
-    b = _path_count(b, "b")
-    window = _path_count(window, "window")
-    n = _path_count(n, "n")
-    if b < 1:
-        raise ValueError(f"need b >= 1, got {b}")
-    if not (math.isfinite(h) and h > 0):
-        raise ValueError(f"h must be finite and positive, got {h!r}")
-    inner_rng, right_rng, left_rng = rng.spawn(3)
+    b, window, n = _profile_arguments(b, h, window, n)
     sites = np.arange(-window, b + window + 1)
-    values = np.zeros((len(sites), n))     # row x + window holds site x
+    shape = (len(sites), n)                # row x + window holds site x
+    if out is None:
+        values = np.zeros(shape)
+    elif out.shape != shape or out.dtype != np.float64 or not out.flags.c_contiguous:
+        raise ValueError(f"out must be a C-ordered float64 array of shape {shape}")
+    else:
+        values = out
+    inner_rng, right_rng, left_rng = rng.spawn(3)
 
     cur = np.full(n, float(h))
     values[b + window] = cur

@@ -265,6 +265,28 @@ def test_verify_config_with_a_bad_count_exits_2(tmp_path, capsys, command, exper
         f"config error: experiment 'bad-count': {field} must be at least ")
 
 
+@pytest.mark.parametrize("command, experiment, message", [
+    ("verify-density", {"generator": {"srw": [0, 2]}, "start": 0, "endpoint": 2,
+                        "range": [0, 1, 2], "T": 2.0, "samples": 20000.7, "cells": 3.9},
+     "'samples' must be an integer, got 20000.7"),
+    ("verify-rayknight", {"pivot": 2.6, "samples": 2000}, "'pivot' must be an integer, got 2.6"),
+    ("verify-rayknight", {"samples": 2000.5}, "'samples' must be an integer, got 2000.5"),
+    ("verify-rayknight", {"level": -1}, "h must be finite and positive, got -1.0"),
+])
+def test_verify_config_with_a_bad_number_exits_2(tmp_path, capsys, command, experiment,
+                                                 message):
+    # a count is not truncated (20000.7 samples on 3.9 cells used to run 20000
+    # paths on a 3x3 grid, and pivot 2.6 ran pivot 2), and a bad level is a
+    # config error, not a traceback from the worker thread
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(dict(experiment, kind=command, name="bad-count")))
+    status = main([command, "--config", str(cfg), "--out", str(tmp_path / "out")])
+    assert status == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: experiment 'bad-count': {message}")
+    assert not (tmp_path / "out" / "bad-count.csv").exists()
+
+
 @pytest.mark.parametrize("document", ["[1, 2]", "3", '"config"', "null"])
 def test_verify_config_that_is_not_an_object_exits_2(tmp_path, capsys, document):
     cfg = tmp_path / "cfg.json"

@@ -790,7 +790,7 @@ def test_quadrature_refinement_stops_before_2_20_nodes(monkeypatch):
     assert grids == [8, 16, 32, 64]
 
 
-@pytest.mark.parametrize("grid_size", [0, -4, 2.5])
+@pytest.mark.parametrize("grid_size", [0, -4, 2.5, True, False])
 def test_quadrature_rejects_a_bad_grid_size(grid_size):
     with pytest.raises(ValueError, match="grid_size"):
         density_quadrature(srw_generator(0, 2), (0, 1, 2), 0, 2, [0.5, 0.7, 0.8],

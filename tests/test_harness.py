@@ -2,6 +2,8 @@ import hashlib
 import json
 import math
 import os
+import threading
+import time
 import tracemalloc
 from itertools import combinations
 
@@ -359,6 +361,123 @@ def test_rayknight_check_at_a_compared_pivot(pivot):
     assert report.passed
 
 
+# sha256 of the rows, diagnostics and checks of the Ray-Knight check, taken
+# when its two sides ran one after the other: running them at once, each on
+# its own stream, moves no bit
+RAYKNIGHT_SETTINGS = {
+    "default": {},
+    "pivot-1": dict(pivot=1, level=0.5, n_samples=20_000),
+    "pivot-4": dict(pivot=4, level=2.5, n_samples=30_001),
+}
+RAYKNIGHT_DIGESTS = {
+    ("default", 0): "e49356b6acc0e8bfc746d70c35a8b6c20182bb1268caea0db5462a2f92e4f173",
+    ("default", 1): "a6f98ffc888b42967d4234c2d65862b4d0259530cf6fa362142ae43ac99050fc",
+    ("default", 2): "35192ebf2e0d30c1640ff1526a94400e707edfea1cbc6bf7c548f58465402398",
+    ("default", 3): "da5cc9290f8e27244baeaac6451d05a9ba8b950ad9e2130b3ba0eba94d996b45",
+    ("pivot-1", 0): "86451395eb8c0c047242f6260abf493d0df369e46d73ccc17a0cb5986ada94b7",
+    ("pivot-1", 1): "654ba944a20931bfb60c00a96c199030d2bc1ba66c15ce1bb73f330464e2531e",
+    ("pivot-1", 2): "281782d5038b2fef800075a059c804107505d1834a1c827033ae7a38b26191e4",
+    ("pivot-1", 3): "0680ff57fa7b35c2dad95cdadd7c376723fe8236ad4c9e6fa5bc957c03bc5983",
+    ("pivot-4", 0): "7cbbacddac90d8ced6994eecbb0d63ee43e11dbecebc02097dd2d3a6ec00e98d",
+    ("pivot-4", 1): "440801f1389ce7b13fabd40930337ad5caa7698b16281af11f74e6ec89e9eaa3",
+    ("pivot-4", 2): "747d1828ce12343bdc86b79bf399005268209aa0431079a38f0c291e58ec6429",
+    ("pivot-4", 3): "e09a7069d78d44877cae3377e106c367e1d194c35fd17905a9e0ab684d685e33",
+}
+
+
+@pytest.mark.parametrize("setting, seed", sorted(RAYKNIGHT_DIGESTS))
+def test_rayknight_check_output_pinned(setting, seed):
+    report = verify_rayknight_mc(seed=seed, **RAYKNIGHT_SETTINGS[setting])
+    assert _report_digest(report) == RAYKNIGHT_DIGESTS[setting, seed]
+
+
+@pytest.mark.parametrize("late", ["sample_rk_profile_batch", "sample_paths_inverse_local_time"])
+def test_rayknight_check_does_not_depend_on_scheduling(monkeypatch, late):
+    # hold one side back so that the other finishes first: the report keeps
+    # its bits whichever side ends first
+    original = getattr(harness, late)
+
+    def sleep_then_sample(*args, **kwargs):
+        time.sleep(0.2)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(harness, late, sleep_then_sample)
+    report = verify_rayknight_mc(seed=2, **RAYKNIGHT_SETTINGS["pivot-1"])
+    assert _report_digest(report) == RAYKNIGHT_DIGESTS["pivot-1", 2]
+
+
+def test_rayknight_profile_side_runs_on_a_worker_thread(monkeypatch):
+    threads = {}
+    for name in ("sample_rk_profile_batch", "sample_paths_inverse_local_time"):
+        def record(*args, _name=name, _original=getattr(harness, name), **kwargs):
+            threads[_name] = threading.get_ident()
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(harness, name, record)
+    verify_rayknight_mc(n_samples=1_000, seed=0)
+    assert threads["sample_paths_inverse_local_time"] == threading.get_ident()
+    assert threads["sample_rk_profile_batch"] != threading.get_ident()
+
+
+def _never(*args, **kwargs):
+    raise AssertionError("a sampler ran")
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    (dict(pivot=0), "need b >= 1, got 0"),
+    (dict(level=math.nan), "h must be finite and positive, got nan"),
+    (dict(level=-1), "h must be finite and positive, got -1"),
+    (dict(pivot=0, level=-1), "need b >= 1, got 0"),
+    (dict(pivot=2.5), "b must be a non-negative integer, got 2.5"),
+], ids=["pivot-0", "level-nan", "level-negative", "pivot-before-level", "pivot-fraction"])
+def test_rayknight_check_rejects_bad_arguments_before_sampling(monkeypatch, kwargs, message):
+    # the profile sampler's own errors, raised on the calling thread before
+    # either side draws a sample or a thread starts
+    monkeypatch.setattr(harness, "sample_rk_profile_batch", _never)
+    monkeypatch.setattr(harness, "sample_paths_inverse_local_time", _never)
+    count = threading.active_count()
+    with pytest.raises(ValueError) as info:
+        verify_rayknight_mc(n_samples=100, **kwargs)
+    assert type(info.value) is ValueError and str(info.value) == message
+    assert threading.active_count() == count
+
+
+class _DirectError(Exception):
+    pass
+
+
+class _ProfileError(Exception):
+    pass
+
+
+def _raise(error, delay=0.0):
+    def sampler(*args, **kwargs):
+        time.sleep(delay)
+        raise error("side failed")
+    return sampler
+
+
+@pytest.mark.parametrize("direct, profile, expected", [
+    (None, None, None),
+    (_raise(_DirectError), None, _DirectError),
+    (None, _raise(_ProfileError), _ProfileError),
+    # the profile side ran first when the sides ran one after the other, so
+    # its error wins even when it comes last
+    (_raise(_DirectError), _raise(_ProfileError, delay=0.2), _ProfileError),
+], ids=["none", "direct", "profile", "both"])
+def test_rayknight_check_leaves_no_thread_behind(monkeypatch, direct, profile, expected):
+    if direct is not None:
+        monkeypatch.setattr(harness, "sample_paths_inverse_local_time", direct)
+    if profile is not None:
+        monkeypatch.setattr(harness, "sample_rk_profile_batch", profile)
+    count = threading.active_count()
+    if expected is None:
+        verify_rayknight_mc(n_samples=1_000, seed=0)
+    else:
+        with pytest.raises(expected):
+            verify_rayknight_mc(n_samples=1_000, seed=0)
+    assert threading.active_count() == count
+
+
 # ---------------------------------------------------------------------------
 # LDP experiments
 # ---------------------------------------------------------------------------
@@ -665,12 +784,32 @@ PROBABILITY = {"kind": "ldp-probability", "name": "halfspace", "generator": TWO_
     ({"kind": "verify-rayknight", "samples": 0}, "'samples' must be at least 2, got 0"),
     ({"kind": "verify-rayknight", "samples": 1}, "'samples' must be at least 2, got 1"),
     (dict(PROBABILITY, samples=-1), "'samples' must be at least 1, got -1"),
+    (dict(LAW, samples=20000.7, cells=3.9), "'samples' must be an integer, got 20000.7"),
+    (dict(LAW, cells=3.9), "'cells' must be an integer, got 3.9"),
+    ({"kind": "verify-rayknight", "pivot": 2.6}, "'pivot' must be an integer, got 2.6"),
+    ({"kind": "verify-rayknight", "samples": True}, "'samples' must be an integer, got True"),
+    ({"kind": "verify-rayknight", "pivot": "2"}, "'pivot' must be an integer, got '2'"),
+    (dict(PROBABILITY, samples=math.inf), "'samples' must be an integer, got inf"),
+    (dict(LAW, seed=2.6), "'seed' must be an integer, got 2.6"),
 ], ids=["cells-0", "cells-negative", "density-samples-0", "rayknight-samples-0",
-        "rayknight-samples-1", "probability-samples-negative"])
+        "rayknight-samples-1", "probability-samples-negative", "density-samples-fraction",
+        "cells-fraction", "pivot-fraction", "samples-bool", "pivot-string",
+        "samples-infinite", "seed-fraction"])
 def test_run_suite_rejects_a_bad_count(tmp_path, experiment, message):
     with pytest.raises(ConfigParseError, match=message):
         run_suite({"experiments": [experiment]}, str(tmp_path))
     assert not list(tmp_path.glob("*.csv"))
+
+
+def test_run_suite_takes_whole_numbers_written_as_floats(tmp_path):
+    # a JSON number such as 2e3 is a float: a whole one is the same count
+    as_int = {"kind": "verify-rayknight", "name": "p", "pivot": 2, "samples": 2_000, "seed": 4}
+    as_float = dict(as_int, pivot=2.0, samples=2e3, seed=4.0)
+    rows = []
+    for k, exp in enumerate((as_int, as_float)):
+        run_suite({"experiments": [exp]}, str(tmp_path / str(k)))
+        rows.append((tmp_path / str(k) / "p.csv").read_text().splitlines()[1:])
+    assert rows[0] == rows[1] and len(rows[0]) == 4
 
 
 # sha256 of every file one run of this config writes; a change to a number or

@@ -186,6 +186,23 @@ def test_profile_output_layout(n):
     assert np.all(values[:, sites.tolist().index(2)] == 1.0)
 
 
+def test_profile_written_into_a_given_buffer():
+    # the same bits as in the sampler's own buffer; every entry is written
+    sites, values = sample_rk_profile_batch(3, 0.5, 2, 1_000, np.random.default_rng(5))
+    out = np.full((8, 1_000), np.nan)
+    got_sites, got = sample_rk_profile_batch(3, 0.5, 2, 1_000, np.random.default_rng(5), out)
+    assert np.shares_memory(got, out)
+    assert np.array_equal(got_sites, sites) and np.array_equal(got, values)
+
+
+@pytest.mark.parametrize("out", [
+    np.empty((7, 10)), np.empty((8, 10), dtype=np.float32), np.empty((10, 8)).T,
+], ids=["shape", "dtype", "order"])
+def test_profile_rejects_a_bad_buffer(out):
+    with pytest.raises(ValueError, match=r"\bout\b"):
+        sample_rk_profile_batch(3, 0.5, 2, 10, np.random.default_rng(0), out)
+
+
 @pytest.mark.parametrize("b, h, window, n, name", [
     (2, 1.0, 1, -1, "n"),
     (2, 1.0, 1, 2.5, "n"),
