@@ -199,20 +199,12 @@ def cmd_verify(args) -> int:
 
 
 def cmd_chi_discrete(args) -> int:
-    if args.delta_weight is not None:
-        weight = args.delta_weight
-        origin_index = None
-
-        def F(values):
-            nonlocal origin_index
-            if origin_index is None:
-                origin_index = (len(values) - 1) // 2
-            return weight * values[origin_index]
-    else:
-        def F(values):
-            return 0.0
-    value = rescaled_chi_discrete(args.radius, args.alpha, F, tol=args.tol,
-                                  dim=args.dim, seed=args.seed or 0)
+    # the origin is the middle site; a bad radius or dim builds some V of
+    # the wrong length, and rescaled_chi_discrete names the bad argument
+    m = max((2 * args.radius + 1) ** args.dim, 0)
+    V = np.where(np.arange(m) == (m - 1) // 2, args.delta_weight, 0.0)
+    with _request_errors():
+        value = rescaled_chi_discrete(args.radius, args.alpha, V, dim=args.dim)
     print(f"{value:.10g}")
     return 0
 
@@ -283,12 +275,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("chi-discrete", help="discrete rescaled variational value")
     p.add_argument("--radius", type=int, required=True)
-    p.add_argument("--alpha", type=float, required=True)
+    p.add_argument("--alpha", type=_positive(float), required=True)
     p.add_argument("--dim", type=int, default=1)
-    p.add_argument("--delta-weight", type=float, default=None,
+    p.add_argument("--delta-weight", type=float, default=0.0,
                    help="linear functional: weight at the origin cell")
-    p.add_argument("--tol", type=_positive(float), default=1e-8)
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_chi_discrete)
 
     return parser

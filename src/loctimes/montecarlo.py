@@ -130,9 +130,11 @@ def jump_table(gen: Generator) -> JumpTable:
 
 def _path_count(value, name: str = "n_paths") -> int:
     """``value`` as a Python int, or ``ValueError`` naming the argument
-    ``name`` if it is negative or not integral (any integer type, numpy's
-    included, is accepted)."""
+    ``name`` if it is negative, a bool or not integral (any other integer
+    type, numpy's included, is accepted)."""
     try:
+        if isinstance(value, bool):
+            raise TypeError
         count = operator.index(value)
     except TypeError:
         raise ValueError(

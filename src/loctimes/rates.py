@@ -8,12 +8,16 @@ which collapses to the Dirichlet form <sqrt(mu), (-A) sqrt(mu)> when A is
 symmetric.  The general case is solved by substituting g = e^u: the objective
 becomes concave in u, and a damped Newton iteration with the gauge u = 0
 pinned at the first support state finds the optimum.
+
+The discrete rescaled quantity chi of a box of Z^d takes a linear
+functional V, so it is one eigenvalue: the smallest of
+alpha^2 L - alpha^d diag(V), L the box's graph Laplacian.
 """
 
 import math
 from dataclasses import dataclass
 from itertools import product
-from typing import Callable, Dict, Optional, Sequence
+from typing import Dict, Sequence
 
 import numpy as np
 
@@ -25,10 +29,9 @@ from .errors import (
     TooEarlyError,
     UnboundedRateError,
 )
+from .montecarlo import _path_count
 
 _NEWTON_MAX_ITER = 200  # Newton iterations of rate_general before it gives up
-_CHI_RESTARTS = 8  # random L-BFGS starts of rescaled_chi_discrete after the uniform one
-_CHI_MAX_ITER = 1000  # L-BFGS iterations of each rescaled_chi_discrete start
 
 
 # ---------------------------------------------------------------------------
@@ -272,6 +275,8 @@ def ldp_varadhan_bound(gen: Generator, S: Sequence, sup_value: float, T: float) 
 # ---------------------------------------------------------------------------
 
 def _box_edges(radius: int, dim: int):
+    """The nearest-neighbor pairs (i, j) of the box [-radius, radius]^dim,
+    its sites indexed in lexicographic order."""
     sites = list(product(range(-radius, radius + 1), repeat=dim))
     index = {s: i for i, s in enumerate(sites)}
     edges = []
@@ -280,92 +285,37 @@ def _box_edges(radius: int, dim: int):
             t = tuple(s[k] + (1 if k == axis else 0) for k in range(dim))
             if t in index:
                 edges.append((index[s], index[t]))
-    return sites, edges
+    return edges
 
 
-def rescaled_chi_discrete(
-    box_radius: int,
-    alpha: float,
-    F: Callable[[np.ndarray], float],
-    tol: float = 1e-8,
-    dim: int = 1,
-    seed: int = 0,
-    grad_F: Optional[Callable[[np.ndarray], np.ndarray]] = None,
-) -> float:
-    """Minimize the discrete rescaled functional over the probability simplex
-    of the box [-box_radius, box_radius]^dim:
+def rescaled_chi_discrete(box_radius: int, alpha: float, V, dim: int = 1) -> float:
+    """The infimum of the discrete rescaled functional over the probability
+    simplex of the box [-box_radius, box_radius]^dim:
 
         alpha^2 * (1/2) sum over ordered neighbor pairs (sqrt(mu_x)-sqrt(mu_y))^2
-        - F(alpha^dim * mu).
+        - <V, alpha^dim * mu>,
 
-    ``F`` receives the vector of rescaled step-density heights on the box
-    sites (lexicographic site order).  mu is parameterized as a softmax of
-    free variables and minimized by L-BFGS from _CHI_RESTARTS random starts
-    (plus the uniform start); the best value with projected gradient norm
-    below ``tol`` is returned.
+    with ``V`` indexed like the box sites (lexicographic site order).  As
+    psi = sqrt(mu) ranges over unit vectors, the infimum is the smallest
+    eigenvalue of alpha^2 L - alpha^dim diag(V), L the box's graph Laplacian.
+
+    ``ValueError`` for a ``box_radius`` that is not an integer >= 0, a
+    ``dim`` that is not an integer >= 1, an ``alpha`` that is not finite and
+    positive, or a ``V`` that is not finite or has not (2 box_radius + 1)^dim
+    entries.
     """
-    from scipy.optimize import minimize
-
-    sites, edges = _box_edges(box_radius, dim)
-    m = len(sites)
-    scale = float(alpha) ** dim
-    rng = np.random.default_rng(seed)
-
-    def dirichlet_and_grad(mu: np.ndarray):
-        srt = np.sqrt(mu)
-        val = 0.0
-        grad = np.zeros(m)
-        for (i, j) in edges:
-            d = srt[i] - srt[j]
-            val += d * d
-            # d/dmu of (sqrt(mu_i)-sqrt(mu_j))^2, guarded at the boundary
-            if srt[i] > 0:
-                grad[i] += d / srt[i]
-            if srt[j] > 0:
-                grad[j] -= d / srt[j]
-        return val, grad
-
-    def f_and_grad_mu(mu: np.ndarray):
-        fval = float(F(scale * mu))
-        if grad_F is not None:
-            gmu = scale * np.asarray(grad_F(scale * mu), dtype=float)
-        else:
-            gmu = np.zeros(m)
-            h = 1e-7
-            base = scale * mu
-            for i in range(m):
-                bumped_up = base.copy()
-                bumped_up[i] += scale * h
-                bumped_dn = base.copy()
-                bumped_dn[i] -= scale * h
-                gmu[i] = (float(F(bumped_up)) - float(F(bumped_dn))) / (2 * h)
-        return fval, gmu
-
-    def objective(w: np.ndarray):
-        shifted = w - w.max()
-        e = np.exp(shifted)
-        mu = e / e.sum()
-        dval, dgrad_mu = dirichlet_and_grad(mu)
-        fval, fgrad_mu = f_and_grad_mu(mu)
-        value = alpha**2 * dval - fval
-        grad_mu = alpha**2 * dgrad_mu - fgrad_mu
-        # softmax Jacobian: diag(mu) - mu mu^T
-        grad_w = mu * (grad_mu - float(grad_mu @ mu))
-        return value, grad_w
-
-    starts = [np.zeros(m)] + [rng.normal(0.0, 1.0, m) for _ in range(_CHI_RESTARTS)]
-    best = None
-    for w0 in starts:
-        res = minimize(
-            objective, w0, jac=True, method="L-BFGS-B",
-            options={"maxiter": _CHI_MAX_ITER, "gtol": tol * 0.1, "ftol": 1e-15},
-        )
-        _, gw = objective(res.x)
-        gnorm = float(np.linalg.norm(gw))
-        if gnorm <= tol and (best is None or res.fun < best):
-            best = float(res.fun)
-    if best is None:
-        raise NotConvergedError(
-            f"rescaled_chi_discrete: no restart reached gradient norm {tol}"
-        )
-    return best
+    box_radius = _path_count(box_radius, "box_radius")
+    dim = _path_count(dim, "dim")
+    if dim < 1:
+        raise ValueError(f"dim must be an integer >= 1, got {dim}")
+    if not (math.isfinite(alpha) and alpha > 0):
+        raise ValueError(f"alpha must be finite and positive, got {alpha!r}")
+    m = (2 * box_radius + 1) ** dim
+    V = np.asarray(V, dtype=float)
+    if V.shape != (m,) or not np.all(np.isfinite(V)):
+        raise ValueError(f"V must be {m} finite values, one per box site")
+    i, j = np.array(_box_edges(box_radius, dim), dtype=int).reshape(-1, 2).T
+    L = np.zeros((m, m))
+    L[i, j] = L[j, i] = -1.0
+    L[np.diag_indices(m)] = -L.sum(axis=1)
+    return float(np.linalg.eigvalsh(alpha**2 * L - alpha**dim * np.diag(V))[0])

@@ -100,6 +100,15 @@ def test_chi_discrete_zero_functional(capsys):
     assert abs(float(capsys.readouterr().out.strip())) < 1e-9
 
 
+@pytest.mark.parametrize("box, name", [
+    (["--radius", "-1"], "box_radius"),
+    (["--radius", "1", "--dim", "0"], "dim"),
+    (["--radius", "1", "--delta-weight", "inf"], "V")])
+def test_chi_discrete_bad_box_exits_2(capsys, box, name):
+    assert main(["chi-discrete", "--alpha", "1", *box]) == 2
+    assert capsys.readouterr().err.startswith(f"usage error: {name} must")
+
+
 def test_verify_density_cli_roundtrip(tmp_path, twostate, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({
@@ -356,12 +365,10 @@ def test_rate_command_with_a_short_mu_exits_2(twostate, capsys):
 @pytest.mark.parametrize("command, rest", [
     ("density", ["--R", "1,2", "--a", "1", "--b", "2", "--l", "0.5,0.5"]),
     ("bound", ["--R", "1,2", "--a", "1", "--b", "2", "--l", "0.5,0.5"]),
-    ("rate", ["--mu", "0.75,0.25"]),
-    ("chi-discrete", ["--radius", "1", "--alpha", "1.0"])],
-    ids=["density", "bound", "rate", "chi-discrete"])
+    ("rate", ["--mu", "0.75,0.25"])],
+    ids=["density", "bound", "rate"])
 def test_tol_must_be_finite_and_positive(twostate, capsys, command, rest, value):
-    generator = [] if command == "chi-discrete" else ["--generator", twostate]
     with pytest.raises(SystemExit) as exc:
-        main([command, *generator, *rest, "--tol", value])
+        main([command, "--generator", twostate, *rest, "--tol", value])
     assert exc.value.code == 2
     assert "argument --tol: must be finite and > 0" in capsys.readouterr().err

@@ -10,7 +10,7 @@ PROBE = """
 import sys
 import loctimes, loctimes.cli, loctimes.harness
 print(sorted({"scipy.stats", "scipy.optimize", "scipy.linalg"} & set(sys.modules)))
-print(loctimes.rescaled_chi_discrete(1, 1.0, lambda v: 0.0))
+print(loctimes.rescaled_chi_discrete(1, 1.0, [0.0, 0.0, 0.0]))
 print(loctimes.harness.halfspace_rate_infimum(loctimes.srw_generator(0, 2), (0, 1, 2), 1, 0.5))
 """
 
@@ -22,6 +22,7 @@ def test_import_loads_no_stats_optimize_or_linalg():
                          env=env, capture_output=True, text=True, check=True).stdout
     loaded, chi, rate = out.splitlines()
     assert loaded == "[]"
-    # the functions that import scipy.optimize on first call still answer
+    # rescaled_chi_discrete needs no scipy; the functions that import
+    # scipy.optimize on first call still answer
     assert abs(float(chi)) < 1e-10
     assert 0.0 < float(rate) < float("inf")

@@ -21,6 +21,7 @@ from loctimes.montecarlo import (
     sample_paths_fixed_time,
     sample_paths_inverse_local_time,
 )
+from loctimes.rayknight import sample_rk_profile_batch
 
 # non-reversible (the cycle 0 -> 1 -> 2 -> 0 has rate product 1.8 one way and
 # 0.06 the other), every state has out-degree 3
@@ -180,13 +181,18 @@ def test_fixed_time_block_iterator_checks_at_the_call(start, T, n_paths, error):
         fixed_time_blocks(FOUR_STATE, start, T, n_paths, np.random.default_rng(0))
 
 
-@pytest.mark.parametrize("bad", [-1, 2.5])
+@pytest.mark.parametrize("bad", [-1, 2.5, True])
 def test_samplers_reject_bad_path_counts(bad):
     g = srw_generator(0, 2)
     with pytest.raises(ValueError, match="n_paths"):
         sample_paths_fixed_time(g, 0, 1.0, bad, np.random.default_rng(0))
     with pytest.raises(ValueError, match="n_paths"):
         sample_paths_inverse_local_time(g, 0, 2, 1.0, bad, np.random.default_rng(0))
+    # the profile sampler's pivot b and count n
+    with pytest.raises(ValueError, match="^b must"):
+        sample_rk_profile_batch(bad, 1.0, 1, 2, np.random.default_rng(0))
+    with pytest.raises(ValueError, match="^n must"):
+        sample_rk_profile_batch(2, 1.0, 1, bad, np.random.default_rng(0))
 
 
 def test_samplers_take_numpy_integer_path_counts():

@@ -11,7 +11,9 @@ from loctimes.errors import (
     TooEarlyError,
     UnboundedRateError,
 )
+from loctimes.harness import linear_varadhan_supremum
 from loctimes.rates import (
+    _box_edges,
     density_upper_bound,
     eta,
     ldp_probability_bound,
@@ -325,19 +327,17 @@ def test_ldp_bounds_reject_early_times():
 # ---------------------------------------------------------------------------
 
 def test_chi_discrete_zero_functional():
+    # a constant V = c is a constant functional on the simplex: chi = -alpha^d c
     for alpha in (1.0, 2.5):
-        value = rescaled_chi_discrete(2, alpha, lambda v: 0.0, tol=1e-8, seed=1)
-        assert abs(value) < 1e-10
+        assert abs(rescaled_chi_discrete(2, alpha, np.zeros(5))) < 1e-10
+        value = rescaled_chi_discrete(1, alpha, np.full(3, 0.3 * alpha))
+        assert value == pytest.approx(-0.3 * alpha**2, abs=1e-12)
 
 
 def test_chi_discrete_linear_delta_matches_dense_grid():
     alpha = 1.5
     weight = 0.8
-
-    def F(values):
-        return weight * values[1]  # delta at the origin of the 3-site box
-
-    value = rescaled_chi_discrete(1, alpha, F, tol=1e-9, seed=2)
+    value = rescaled_chi_discrete(1, alpha, [0.0, weight, 0.0])  # delta at the origin
 
     # exhaustive oracle over the 2-simplex
     grid = np.linspace(0.0, 1.0, 501)
@@ -353,13 +353,33 @@ def test_chi_discrete_linear_delta_matches_dense_grid():
     assert value == pytest.approx(best, abs=2e-5)
 
 
-def test_chi_discrete_gradient_path_matches_numeric():
-    def F(values):
-        return 0.3 * float(values.sum() ** 2)
+@pytest.mark.parametrize("dim, radius", [(1, 3), (2, 2), (3, 1)])
+def test_chi_discrete_is_minus_the_varadhan_supremum_of_the_box_walk(dim, radius):
+    # the box walk with rates alpha^2 has Dirichlet form alpha^2 D, and
+    # functional alpha^d V
+    alpha = 1.3
+    m = (2 * radius + 1) ** dim
+    V = np.random.default_rng(dim).uniform(-1.0, 1.0, m)
+    A = np.zeros((m, m))
+    for i, j in _box_edges(radius, dim):
+        A[i, j] = A[j, i] = alpha**2
+    walk = validate_generator(A)
+    expected = -linear_varadhan_supremum(walk, range(m), alpha**dim * V)
+    assert rescaled_chi_discrete(radius, alpha, V, dim=dim) == pytest.approx(
+        expected, abs=1e-12)
 
-    def grad_F(values):
-        return 0.6 * values.sum() * np.ones_like(values)
 
-    v1 = rescaled_chi_discrete(1, 1.2, F, tol=1e-8, seed=3)
-    v2 = rescaled_chi_discrete(1, 1.2, F, tol=1e-8, seed=3, grad_F=grad_F)
-    assert v1 == pytest.approx(v2, abs=1e-7)
+@pytest.mark.parametrize("args, name", [
+    ((-1, 1.0, [0.0]), "box_radius"),
+    ((1.5, 1.0, [0.0] * 3), "box_radius"),
+    ((True, 1.0, [0.0] * 3), "box_radius"),
+    ((1, 1.0, [0.0] * 3, 0), "dim"),
+    ((1, math.nan, [0.0] * 3), "alpha"),
+    ((1, -1.0, [0.0] * 3), "alpha"),
+    ((1, 1.0, [0.0] * 2), "V"),
+    ((1, 1.0, [0.0, math.inf, 0.0]), "V")],
+    ids=["negative-radius", "fractional-radius", "bool-radius", "zero-dim",
+         "nan-alpha", "negative-alpha", "short-V", "infinite-V"])
+def test_chi_discrete_rejects_bad_arguments(args, name):
+    with pytest.raises(ValueError, match=f"^{name} must"):
+        rescaled_chi_discrete(*args)
