@@ -421,7 +421,7 @@ def verify_density_mc(
     memory is O(block), not O(``n_samples``), and the counts (integers)
     equal those of one whole batch bit for bit.  ``ValueError``, before any
     path is drawn, on an ``n_samples`` that is negative or not an integer,
-    and on a ``range_`` that repeats a state, misses the start or the
+    a ``cells_per_axis`` that is not an integer >= 1, and on a ``range_`` that repeats a state, misses the start or the
     endpoint, or has fewer than 2 or more than 3 states."""
     try:
         R = _range_positions(range_, start, endpoint)[0]
@@ -432,6 +432,9 @@ def verify_density_mc(
             f"range_ must have 2 or 3 states (the default cell grid supports |R| <= 3), "
             f"got {R!r}")
     n_samples = _path_count(n_samples, "n_samples")
+    cells_per_axis = _path_count(cells_per_axis, "cells_per_axis")
+    if cells_per_axis < 1:
+        raise ValueError(f"cells_per_axis must be at least 1, got {cells_per_axis}")
     blocks = fixed_time_blocks(gen, start, T, n_samples, np.random.default_rng(seed))
     conditioned = conditioning_mask(gen, R, endpoint)
     free_states = [x for x in R if x != endpoint]

@@ -16,10 +16,18 @@ uniform and one gather-and-compare per extra target.
   horizon ends there: its endpoint and jump count (the round number) are
   written once, then.  The round finds the ended and the kept paths with
   one index pass each and compacts every working array with the same kept
-  indices.  Only the kept paths draw a uniform and jump.  One workspace per
-  request (:class:`_FixedTimeSampler`) holds the jump table and the round
-  buffers, which every block and round fill with ``out=``, so a request
-  allocates them once, not once per block and round.
+  indices.  Only the kept paths draw a uniform and jump.  The first round
+  uses that every path of a block starts in the start state at time 0: its
+  holds are divided by one exit rate and compared with T itself, written
+  into the start state's column of the zero-filled accumulator, its kept
+  paths are one index pass, and their first jump compares the uniforms with
+  the start column's thresholds, so it gathers and scatters nothing and
+  draws exactly as the general round would.  A batch still running after
+  ``_MAX_ROUNDS`` rounds (a horizon too long for the chain's jump rates)
+  raises :class:`BudgetExceededError`.  One workspace per request
+  (:class:`_FixedTimeSampler`) holds the jump table and the round buffers,
+  which every block and round fill with ``out=``, so a request allocates
+  them once, not once per block and round.
   :func:`fixed_time_blocks` hands the same blocks out one at a time, each
   written into one set of block-sized output buffers, so a reduction over a
   large batch needs memory for one block only; a yielded block is valid
@@ -60,6 +68,11 @@ from .errors import BudgetExceededError
 # million paths streams each of them through memory every round.  A batch of at
 # most this many paths is one block, drawn exactly as an unblocked run.
 _BLOCK = 1 << 16
+
+# rounds (one jump each) that a batch of either sampler may run before it
+# raises BudgetExceededError: a horizon, or a level at a pivot, that the chain
+# would take more jumps than this to reach is refused rather than run on
+_MAX_ROUNDS = 2_000_000
 
 
 @dataclass
@@ -147,9 +160,15 @@ def _path_count(value, name: str = "n_paths") -> int:
 class _FixedTimeSampler:
     """The workspace of one fixed-time request: the jump table, built once,
     and the round buffers of :meth:`run`, ``min(_BLOCK, n_paths)`` long, of
-    which each block uses prefixes.  The compacted working set (path index,
-    state, elapsed time) alternates between the two rows of its buffers, so
-    a round gathers the kept paths into the row it is not reading.
+    which each block uses prefixes.  :meth:`run` starts a block with a
+    first round specialised to the shared start state (no per-path rate,
+    time left or scatter, and first jumps read off the start state's
+    column), whose kept paths, elapsed times and states seed the working
+    set.  The compacted working set
+    (path index, state, elapsed time) then alternates between the two rows
+    of its buffers, so a round gathers the kept paths into the row it is not
+    reading.  A block still running after ``_MAX_ROUNDS`` rounds raises
+    :class:`BudgetExceededError` with the number of paths left.
 
     ``ValueError`` for a horizon that is not finite and positive or a bad
     ``n_paths``; an unknown start raises from ``gen.index``."""
@@ -164,7 +183,6 @@ class _FixedTimeSampler:
         self.table = jump_table(gen)
         self.absorbing = bool(np.any(self.table.exit_rates <= 0))
         m = min(_BLOCK, self.n_paths)
-        self._paths = np.arange(m)
         self._hold, self._rate, self._remaining, self._u = np.empty((4, m))
         self._done = np.empty(m, dtype=bool)
         self._flat = np.empty(m, dtype=np.int64)
@@ -175,22 +193,51 @@ class _FixedTimeSampler:
     def run(self, rng: np.random.Generator, local: np.ndarray,
             endpoints: np.ndarray, jumps: np.ndarray) -> None:
         """Run the paths of one block (at most ``_BLOCK``), all started in
-        the start state, to the horizon, adding into the block's view of the
-        flat accumulator and writing its endpoints and jump counts."""
+        the start state, to the horizon, writing into the block's view of the
+        zero-filled flat accumulator and into its endpoints and jump counts,
+        prefilled with the start state and 0."""
         exit_rates = self.table.exit_rates
         n = exit_rates.size
         T = self.T
+        s0 = self.s0
         m = endpoints.size
-        alive = self._paths[:m]
-        state = self._state[1, :m]
-        state.fill(self.s0)
-        elapsed = self._elapsed[1, :m]
-        elapsed.fill(0.0)
+
+        # round 0: every path holds in s0 from time 0, so the rate, the time
+        # left and the accumulator's column are the same for all of them
+        hold = rng.standard_exponential(out=self._hold[:m])
+        q0 = exit_rates[s0]
+        if q0 > 0:
+            hold /= q0
+        else:
+            hold.fill(np.inf)
+        done = np.greater_equal(hold, T, out=self._done[:m])
+        np.minimum(hold, T, out=hold)
+        local[s0::n] = hold
+        alive = np.flatnonzero(np.logical_not(done, out=done))
+        k = alive.size
+        if k == 0:
+            return
+        elapsed = np.take(hold, alive, out=self._elapsed[1, :k], mode="clip")
+        u = rng.random(out=self._u[:k])
+        targets, thresholds = self.table.targets[:, s0], self.table.thresholds[:, s0]
+        state = self._state[1, :k]
+        state.fill(targets[0])
+        # the thresholds increase along the column, so the last one that a
+        # uniform reaches names its target
+        for d in range(thresholds.size - 1):
+            if not math.isfinite(thresholds[d]):
+                break
+            np.copyto(state, targets[d + 1],
+                      where=np.greater_equal(u, thresholds[d], out=self._done[:k]))
         to = 0  # the row the next compaction gathers into
 
-        rounds = 0
+        rounds = 1
         while alive.size:
             k = alive.size
+            if rounds >= _MAX_ROUNDS:
+                raise BudgetExceededError(
+                    f"{k} paths still running after {_MAX_ROUNDS} rounds; "
+                    f"horizon T = {T!r} is too long for the chain's jump rates")
             hold = rng.standard_exponential(out=self._hold[:k])
             rate = np.take(exit_rates, state, out=self._rate[:k], mode="clip")
             if self.absorbing:
@@ -228,7 +275,7 @@ class _FixedTimeSampler:
         each one zero-filled into, and yielded as views of, one set of
         output buffers: a block is valid until the iterator advances."""
         n = self.table.exit_rates.size
-        m = self._paths.size
+        m = self._hold.size
         local = np.empty(m * n)
         endpoints = np.empty(m, dtype=np.int64)
         jumps = np.empty(m, dtype=np.int64)
@@ -291,7 +338,7 @@ def sample_paths_inverse_local_time(
     level: float,
     n_paths: int,
     rng: np.random.Generator,
-    max_rounds: int = 2_000_000,
+    max_rounds: int = _MAX_ROUNDS,
 ) -> BatchPaths:
     """Simulate paths until the local time at the pivot first reaches the
     level; l(pivot) == level exactly on every path.

@@ -260,6 +260,17 @@ def test_verify_density_rejects_a_bad_range_before_drawing(monkeypatch, start, e
         verify_density_mc(srw_generator(0, 2), start, endpoint, range_, 2.0, 1000)
 
 
+@pytest.mark.parametrize("cells", [0, -1, 2.5, True])
+def test_verify_density_rejects_bad_cell_counts(monkeypatch, cells):
+    def no_blocks(*args):
+        raise AssertionError("a block was drawn")
+
+    monkeypatch.setattr(harness, "fixed_time_blocks", no_blocks)
+    with pytest.raises(ValueError, match="cells_per_axis"):
+        verify_density_mc(srw_generator(0, 2), 0, 2, (0, 1, 2), 2.0, 1000,
+                          cells_per_axis=cells)
+
+
 # ---------------------------------------------------------------------------
 # Ray-Knight experiment
 # ---------------------------------------------------------------------------

@@ -148,6 +148,46 @@ def test_fixed_time_block_iterator_is_the_whole_batch(gen, n_paths):
         assert w == b"".join(b[k] for _, b in blocks)
 
 
+# the first round runs every path from the start state at once: digests of
+# the round-by-round kernel on cases where that round ends every path (a start
+# in an absorbing state, local time T there), most paths (a short horizon) or
+# few, across two full blocks and a partial one, whole and block by block
+@pytest.mark.parametrize("gen, start, T, seed, digest", [
+    (ABSORBING, 2, 3.0, 50,
+     "6d0f5e91cea7f1028a0be2ffd100c5560c0387ed31928f9914a09c5eb39a3584"),
+    (FOUR_STATE, 1, 0.05, 51,
+     "2ac2a67a5385f8a076d3176aecccf250e97a05f205c32afe459078f8c12ef850"),
+    (srw_generator(0, 2), 1, 2.0, 52,
+     "a50e8ce21e70ea4c2727365e5f2eeab82f2811cbfe1ce06d6ab0ab7e2b0bacf9"),
+], ids=["absorbing-start", "four-state-short", "srw-middle"])
+def test_fixed_time_first_round_output_pinned(gen, start, T, seed, digest):
+    n_paths = 2 * _BLOCK + 17
+    batch = sample_paths_fixed_time(gen, start, T, n_paths, np.random.default_rng(seed))
+    assert _digest(batch) == digest
+    blocks = [_bytes(b) for b in fixed_time_blocks(gen, start, T, n_paths,
+                                                    np.random.default_rng(seed))]
+    h = hashlib.sha256()
+    for k in range(4):
+        h.update(b"".join(b[k] for b in blocks))
+    assert h.hexdigest() == digest
+
+
+def test_fixed_time_absorbing_start_ends_in_the_first_round():
+    batch = sample_paths_fixed_time(ABSORBING, 2, 3.0, 1000, np.random.default_rng(53))
+    assert np.all(batch.local_times == [0.0, 0.0, 3.0])
+    assert np.all(batch.endpoints == 2) and np.all(batch.jumps == 0)
+
+
+def test_fixed_time_rounds_are_budgeted(monkeypatch):
+    # about 10^6 jumps to the horizon, against a budget of 50 rounds
+    monkeypatch.setattr(montecarlo, "_MAX_ROUNDS", 50)
+    g = srw_generator(0, 2)
+    with pytest.raises(BudgetExceededError, match="3 paths still running after 50 rounds"):
+        sample_paths_fixed_time(g, 0, 1e6, 3, np.random.default_rng(0))
+    with pytest.raises(BudgetExceededError, match="after 50 rounds"):
+        next(fixed_time_blocks(g, 0, 1e6, 3, np.random.default_rng(0)))
+
+
 def test_fixed_time_blocks_reuse_one_set_of_outputs():
     # every block of a request is written into the same output buffers
     blocks = fixed_time_blocks(FOUR_STATE, 0, 3.0, 2 * _BLOCK + 17, np.random.default_rng(42))
