@@ -1,40 +1,49 @@
 """Scalar edge kernels of the tridiagonal density route.
 
-Each kernel is a modified-Bessel power series summed directly with
-term-ratio stopping.  It raises NonConvergedTruncationError rather than
-return a truncated or infinite sum.
+For c = B_xy * B_yx >= 0 the kernel of one nearest-neighbor edge is I0(z),
+with z = 2*sqrt(c*lx*ly), and its derivative in lx is c*ly * I1(z) / (z/2).
+Both are read from scipy's exponentially scaled ``ive``:
+:func:`scaled_edge_kernel` returns z and the kernel divided by e^z, which is
+a double at every z, so a product of kernels can apply its exponent once.
+The unscaled kernels multiply by e^z and raise NonConvergedTruncationError
+rather than return inf.
 """
 
 import math
+from typing import Tuple
+
+from scipy.special import ive
 
 from .errors import NonConvergedTruncationError
 
-_REL_TOL = 1e-16
-_MAX_TERMS = 400
 
+def scaled_edge_kernel(order: int, c: float, lx: float, ly: float) -> Tuple[float, float]:
+    """(z, K / e^z) for the edge kernel K (order 0) or its derivative in lx
+    (order 1), with z = 2*sqrt(c*lx*ly).
 
-def _edge_series(z: float, shift: int) -> float:
-    """sum_k z^k / (k! (k+shift)!) for shift 0 or 1, with term-ratio stopping.
-
-    Raises NonConvergedTruncationError when _MAX_TERMS terms do not meet the
-    stop test or the sum is not finite (the exact value overflows a double).
+    Order 0 is ive(0, z); order 1 is c*ly * ive(1, z) / (z/2), and exactly
+    c*ly at z = 0.  A rate product c < 0 raises ``ValueError``.
     """
-    z = float(z)  # Python floats overflow to inf quietly, which the test below catches
-    term = 1.0
-    total = 1.0
-    k = 1
-    while True:
-        term *= z / (k * (k + shift))
-        total += term
-        if abs(term) <= _REL_TOL * abs(total):
-            if not math.isfinite(total):
-                raise NonConvergedTruncationError(
-                    f"edge kernel series at z = {z!r} is not finite")
-            return total
-        if k >= _MAX_TERMS:
-            raise NonConvergedTruncationError(
-                f"edge kernel series at z = {z!r} not converged in {_MAX_TERMS} terms")
-        k += 1
+    c, lx, ly = float(c), float(lx), float(ly)  # Python floats do not warn
+    if c < 0:
+        raise ValueError(f"edge kernel rate product must be >= 0; got {c!r}")
+    z = 2.0 * math.sqrt(c * lx * ly)
+    if order == 0:
+        return z, float(ive(0, z))
+    if z == 0.0:
+        return z, c * ly
+    return z, c * ly * float(ive(1, z)) / (z / 2)
+
+
+def _unscaled(order: int, c: float, lx: float, ly: float) -> float:
+    z, scaled = scaled_edge_kernel(order, c, lx, ly)
+    try:
+        value = scaled * math.exp(z)
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise NonConvergedTruncationError(f"edge kernel at z = {z!r} is not finite")
+    return value
 
 
 def edge_kernel(c: float, lx: float, ly: float) -> float:
@@ -43,18 +52,19 @@ def edge_kernel(c: float, lx: float, ly: float) -> float:
     Value of the circle average of exp(t(B_xy e^{i th} + B_yx e^{-i th})) at
     t = sqrt(lx*ly), which collapses to the series
 
-        sum_k c^k (lx*ly)^k / (k!)^2,      c = B_xy * B_yx.
+        sum_k c^k (lx*ly)^k / (k!)^2 = I0(2*sqrt(c*lx*ly)),   c = B_xy * B_yx.
 
-    For c >= 0 this equals I0(2*sqrt(c*lx*ly)); kernel value at t=0 is 1.
+    The kernel value at t = 0 is 1.  Where I0 or e^z is not a double
+    (z > 709.78), NonConvergedTruncationError is raised.
     """
-    return _edge_series(c * lx * ly, 0)
+    return _unscaled(0, c, lx, ly)
 
 
 def edge_kernel_d(c: float, lx: float, ly: float) -> float:
     """Derivative of :func:`edge_kernel` with respect to its first local time.
 
-    d/dlx sum_k c^k (lx*ly)^k / (k!)^2 = c*ly * sum_k (c*lx*ly)^k / (k!(k+1)!).
-    The kernel is symmetric in (lx, ly), so the derivative in ly is obtained
-    by swapping the arguments.
+    d/dlx I0(2*sqrt(c*lx*ly)) = c*ly * I1(z) / (z/2), which is c*ly at
+    lx = 0.  The kernel is symmetric in (lx, ly), so the derivative in ly is
+    obtained by swapping the arguments.
     """
-    return c * ly * _edge_series(c * lx * ly, 1)
+    return _unscaled(1, c, lx, ly)

@@ -39,8 +39,8 @@ Three independent evaluations are provided:
   fits in one chunk; the cofactor is a minor of rates and node vectors whose
   determinant is one closed-form Laplace expansion, with no LAPACK call;
 * :func:`density_tridiagonal` - the nearest-neighbor product formula, one
-  scalar edge kernel (or its derivative) per interval edge, for a and b in
-  either order.
+  scalar edge kernel (or its derivative) per interval edge, scaled by e^{-z}
+  and multiplied by one final exponential, for a and b in either order.
 
 Every route, the density bound and the Ray-Knight check read a request in one
 place: :func:`_range_positions` checks R, a and b, :func:`_local_times` reads l,
@@ -71,7 +71,7 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 import numpy as np
 from scipy.special import gammainc
 
-from .bessel import edge_kernel, edge_kernel_d
+from .bessel import scaled_edge_kernel
 from .chain import Generator, _is_symmetric
 from .errors import (
     DomainError,
@@ -642,10 +642,6 @@ def density(
 
 
 _QUAD_CHUNK = 65536
-# the refinement of density_quadrature(tol=...) stops before a grid of more
-# points per angle or more nodes than these (1024 x 1024 at |R| = 3)
-_QUAD_MAX_GRID = 1024
-_QUAD_MAX_NODES = 1 << 20
 
 
 def _grid_phases(grid_size: int, r: int, lo: int, hi: int) -> np.ndarray:
@@ -738,7 +734,6 @@ def density_quadrature(
     b,
     l,
     grid_size: int = 32,
-    tol: Optional[float] = None,
 ) -> float:
     """Density via the derivative-free form: the cofactor moves inside the
     torus integral with a diagonal correction.
@@ -755,12 +750,8 @@ def density_quadrature(
     closed form along its first row, so no node calls a linear-algebra
     routine.
 
-    If ``tol`` is given, the grid is doubled until two successive grids agree
-    to ``tol``; no grid goes beyond 1024 points per angle or 2^20 nodes, and
-    ``NonConvergedTruncationError`` reports the last two values when none
-    agree.  A ``grid_size`` that is not a positive integer (a bool is not
-    one), or a ``tol`` that is not finite and positive, raises
-    ``ValueError``; so does |R| > 4.
+    A ``grid_size`` that is not a positive integer (a bool is not one)
+    raises ``ValueError``; so does |R| > 4.
     """
     R, a_pos, b_pos = _range_positions(R, a, b)
     lvec = _local_times(R, l)
@@ -769,26 +760,10 @@ def density_quadrature(
     if (isinstance(grid_size, bool) or not isinstance(grid_size, (int, np.integer))
             or grid_size < 1):
         raise ValueError(f"grid_size must be a positive integer; got {grid_size!r}")
-    if tol is not None and not (math.isfinite(tol) and tol > 0):
-        raise ValueError(f"tol must be finite and positive; got {tol!r}")
     rates = range_rates(gen, R)
     A, B = rates.A, rates.B
 
     value = _quadrature_value(A, B, lvec, a_pos, b_pos, grid_size)
-    if tol is not None:
-        coarse = None
-        while coarse is None or abs(value - coarse) > tol:
-            finer = 2 * grid_size
-            if finer > _QUAD_MAX_GRID or finer ** (len(R) - 1) > _QUAD_MAX_NODES:
-                seen = (f"grid {grid_size} gives {value.real:.10e}" if coarse is None else
-                        f"grids {grid_size // 2} and {grid_size} give {coarse.real:.10e} "
-                        f"and {value.real:.10e}")
-                raise NonConvergedTruncationError(
-                    f"quadrature not converged to tol {tol:.3e}: {seen}, and a finer "
-                    f"grid exceeds {_QUAD_MAX_GRID} points per angle or "
-                    f"{_QUAD_MAX_NODES} nodes")
-            coarse, grid_size = value, finer
-            value = _quadrature_value(A, B, lvec, a_pos, b_pos, grid_size)
     if abs(value.imag) > 1e-8 * abs(value.real) + 1e-12:
         raise ResidualImaginaryError(
             f"imaginary residue {value.imag:.3e} against real part {value.real:.3e}"
@@ -816,9 +791,12 @@ def density_tridiagonal(gen: Generator, R: Sequence, a, b, l) -> float:
     density is a product of one scalar edge kernel per middle edge (between a
     and b, each weighted by the rate across it in the direction from a to b)
     and one kernel derivative per outer edge (outside min(a, b)..max(a, b)),
-    times the diagonal exponential.  O(|R|) kernel evaluations.  For unit-rate
-    walks the middle rate factors are invisible; the two-state case pins them
-    down: the density of one crossing carries the rate of that jump.
+    times the diagonal exponential.  O(|R|) kernel evaluations, each scaled
+    by e^{-z} (:func:`bessel.scaled_edge_kernel`), with the diagonal exponent
+    and every z applied in one final exp, so no kernel overflows where the
+    density is a double.  For unit-rate walks the middle rate factors are
+    invisible; the two-state case pins them down: the density of one
+    crossing carries the rate of that jump.
     """
     R, _, _ = _range_positions(R, a, b)
     lvec = _local_times(R, l)
@@ -834,14 +812,19 @@ def density_tridiagonal(gen: Generator, R: Sequence, a, b, l) -> float:
     if np.any(off[band] != 0.0):
         raise NotTridiagonalError("generator has rates beyond nearest neighbors in R")
 
-    value = math.exp(float(np.dot(rates.diag, lvec)))
+    # the scaled factors times one exponent sum A_xx l_x + sum_e z_e; by
+    # AM-GM each z_e <= B_xy l_x + B_yx l_y, so the exponent is <= 0
+    factor, exponent = 1.0, float(np.dot(rates.diag, lvec))
     for i, x in enumerate(R_sorted[:-1]):
         c = A[i, i + 1] * A[i + 1, i]
         if x < lo:
-            value *= edge_kernel_d(c, lvec[i], lvec[i + 1])
+            z, scaled = scaled_edge_kernel(1, c, lvec[i], lvec[i + 1])
         elif x < hi:
             rate = A[i, i + 1] if a <= b else A[i + 1, i]
-            value *= rate * edge_kernel(c, lvec[i], lvec[i + 1])
+            z, scaled = scaled_edge_kernel(0, c, lvec[i], lvec[i + 1])
+            scaled *= rate
         else:  # x + 1 > hi: derivative in the right coordinate
-            value *= edge_kernel_d(c, lvec[i + 1], lvec[i])
-    return value
+            z, scaled = scaled_edge_kernel(1, c, lvec[i + 1], lvec[i])
+        factor *= scaled
+        exponent += z
+    return factor * math.exp(exponent)

@@ -338,7 +338,6 @@ def sample_paths_inverse_local_time(
     level: float,
     n_paths: int,
     rng: np.random.Generator,
-    max_rounds: int = _MAX_ROUNDS,
 ) -> BatchPaths:
     """Simulate paths until the local time at the pivot first reaches the
     level; l(pivot) == level exactly on every path.
@@ -348,7 +347,7 @@ def sample_paths_inverse_local_time(
     stops during the N-th; an absorbing pivot stops every path at its first
     visit.  A path that reaches an absorbing state other than the pivot
     raises :class:`BudgetExceededError`, as does a batch with paths still
-    running after ``max_rounds`` rounds (one jump each).
+    running after ``_MAX_ROUNDS`` rounds (one jump each).
     """
     if not (math.isfinite(level) and level > 0):
         raise ValueError("need finite level > 0")
@@ -376,9 +375,9 @@ def sample_paths_inverse_local_time(
     rounds = 0
     while alive.size:
         rounds += 1
-        if rounds > max_rounds:
+        if rounds > _MAX_ROUNDS:
             raise BudgetExceededError(
-                f"{alive.size} paths still running after {max_rounds} rounds; "
+                f"{alive.size} paths still running after {_MAX_ROUNDS} rounds; "
                 "pivot likely unreachable"
             )
         visits[state * n_paths + alive] += 1

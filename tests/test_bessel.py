@@ -56,6 +56,7 @@ def test_edge_kernel_zero_rate_product():
 
 def test_edge_kernel_at_zero_time():
     assert edge_kernel(1.7, 0.0, 1.0) == 1.0
+    assert edge_kernel_d(1.7, 0.0, 1.3) == 1.7 * 1.3
 
 
 @pytest.mark.parametrize("kernel", [edge_kernel, edge_kernel_d])
@@ -75,10 +76,18 @@ def test_edge_kernel_overflow_of_numpy_scalars_does_not_warn(kernel):
 
 
 @pytest.mark.parametrize("kernel", [edge_kernel, edge_kernel_d])
-def test_edge_kernel_raises_at_the_term_cap(kernel):
-    # c lx ly = 1e5 is finite but needs more than 400 terms
-    with pytest.raises(NonConvergedTruncationError, match="400 terms"):
-        kernel(1.0, 100.0, 1e3)
+def test_edge_kernel_at_a_large_finite_argument(kernel):
+    # c lx ly = 1e5, z = 632.46: I0(z) = 7.4547e272, far past the terms a
+    # direct power series would need; the derivative is sqrt(ly/lx) I1(z)
+    z = 2.0 * math.sqrt(1e5)
+    expected = sp.iv(0, z) if kernel is edge_kernel else math.sqrt(10.0) * sp.iv(1, z)
+    assert kernel(1.0, 100.0, 1e3) == pytest.approx(expected, rel=1e-13)
+
+
+@pytest.mark.parametrize("kernel", [edge_kernel, edge_kernel_d])
+def test_edge_kernel_rejects_a_negative_rate_product(kernel):
+    with pytest.raises(ValueError, match="rate product"):
+        kernel(-1.0, 0.5, 0.5)
 
 
 def test_edge_kernel_large_argument_below_the_cap():

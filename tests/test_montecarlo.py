@@ -420,9 +420,9 @@ def test_inverse_local_time_absorbed_away_from_pivot():
         sample_paths_inverse_local_time(gen, 2, 1, 1.0, 100, np.random.default_rng(11))
 
 
-def test_inverse_local_time_round_budget():
+def test_inverse_local_time_round_budget(monkeypatch):
     # the pivot 2 is unreachable from 0 and nothing absorbs
+    monkeypatch.setattr(montecarlo, "_MAX_ROUNDS", 50)
     gen = validate_generator([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
     with pytest.raises(BudgetExceededError, match="after 50 rounds"):
-        sample_paths_inverse_local_time(gen, 0, 2, 1.0, 10, np.random.default_rng(12),
-                                        max_rounds=50)
+        sample_paths_inverse_local_time(gen, 0, 2, 1.0, 10, np.random.default_rng(12))
