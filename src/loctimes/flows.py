@@ -28,7 +28,7 @@ from scipy.special import gammaln
 
 from .errors import ExplosionGuardError
 
-DEFAULT_FLOW_CAP = 2_000_000
+_FLOW_CAP = 2_000_000
 
 
 @dataclass(frozen=True)
@@ -127,12 +127,11 @@ def flow_table(
     edges: Tuple[Tuple[int, int], ...],
     n_nodes: int,
     max_total: int,
-    cap: int = DEFAULT_FLOW_CAP,
 ) -> FlowTable:
     """Balanced flows with total count <= max_total on the given support."""
     if max_total < 0:
         raise ValueError("max_total must be >= 0")
-    counts = _enumerate(tuple(edges), n_nodes, max_total, cap)
+    counts = _enumerate(tuple(edges), n_nodes, max_total, _FLOW_CAP)
     out_degree = np.zeros((counts.shape[0], n_nodes), dtype=np.int64)
     for k, (i, _) in enumerate(edges):
         out_degree[:, i] += counts[:, k]

@@ -37,7 +37,7 @@ import numpy as np
 from scipy.special import chdtrc
 
 from .chain import Generator, generator_from_triples, srw_generator, validate_generator
-from .density import MIN_LOCAL_TIME, _range_positions, density_batch, range_rates
+from .density import _range_positions, density_batch, range_rates
 from .errors import ConfigParseError, InsufficientConditionedError, NotSymmetricError
 from .montecarlo import (
     BatchPaths,
@@ -277,75 +277,61 @@ def _unit_rule(n: int, dim: int) -> Tuple[np.ndarray, np.ndarray]:
     return nodes, weights
 
 
-def _clip_to_simplex(poly: np.ndarray, total: float) -> np.ndarray:
-    """The convex polygon ``poly`` (vertices in order) cut to sum(v) <= total."""
-    excess = poly.sum(axis=1) - total
-    out = []
-    for i in range(len(poly)):
-        j = (i + 1) % len(poly)
-        if excess[i] <= 0.0:
-            out.append(poly[i])
-        if (excess[i] < 0.0 < excess[j]) or (excess[j] < 0.0 < excess[i]):
-            s = excess[i] / (excess[i] - excess[j])
-            out.append(poly[i] + s * (poly[j] - poly[i]))
-    return np.array(out)
+def _collapsed_coordinates(columns: Sequence[np.ndarray], total: float) -> List[np.ndarray]:
+    """The collapsed coordinates (s, v_1 .. v_{d-1}) of points given by their
+    free local times l_1 .. l_d (one array per coordinate, all positive):
+    s = l_1 + ... + l_d, clipped at ``total``, and v_k = l_k / (l_k + ... +
+    l_d).  Each denominator is the suffix sum l_k + (l_{k+1} + ...), which
+    rounds to at least l_k, so every fraction lies in [0, 1] and every point
+    lands in a cell of the collapsed grid."""
+    suffix = columns[-1]
+    fractions = []
+    for l in reversed(columns[:-1]):
+        suffix = l + suffix
+        fractions.append(l / suffix)
+    return [np.minimum(suffix, total), *reversed(fractions)]
 
 
-def _cell_rule(lo: np.ndarray, hi: np.ndarray, total: float, n: int):
-    """Nodes and weights of an n-point-per-axis rule on the part of the cell
-    [lo, hi] inside the open simplex {sum(l) < total}.
+def _collapsed_rule(lo: np.ndarray, hi: np.ndarray, n: int):
+    """Nodes (free local times) and weights of the n-point-per-axis tensor
+    rule on the collapsed cell [lo, hi] of (s, v_1 .. v_{d-1}).
 
-    A cell inside the simplex gets the tensor rule.  In one dimension a cut
-    cell is the interval clipped at the total.  In two, the cut cell is a
-    convex polygon, fanned into triangles from its first vertex; each
-    triangle (v0, v1, v2) carries the tensor rule through the collapsed
-    (Duffy) map v0 + u (v1 - v0) + u t (v2 - v1), Jacobian u * 2 * area.
+    The cell's points map to l_k = s v_k prod_{j<k} (1 - v_j), with v_d = 1,
+    whose Jacobian s^{d-1} prod_{k<=d-2} (1 - v_k)^{d-1-k} is a polynomial
+    the rule integrates exactly.  In one dimension l_1 = s and the rule is
+    the plain Gauss-Legendre rule on the interval.
     """
     dim = len(lo)
     unit_x, unit_w = _unit_rule(n, dim)
-    if hi.sum() <= total or dim == 1:
-        top = np.minimum(hi, total)
-        return lo + (top - lo) * unit_x, unit_w * float(np.prod(top - lo))
-    corners = np.array([[lo[0], lo[1]], [hi[0], lo[1]], [hi[0], hi[1]], [lo[0], hi[1]]])
-    poly = _clip_to_simplex(corners, total)
-    u, t = unit_x[:, :1], unit_x[:, 1:]
-    min_area = 1e-12 * float(np.prod(hi - lo))
-    nodes, weights = [], []
-    for k in range(1, len(poly) - 1):
-        e1, e2 = poly[k] - poly[0], poly[k + 1] - poly[k]
-        twice_area = abs(e1[0] * e2[1] - e1[1] * e2[0])
-        if twice_area <= min_area:  # a sliver left by a vertex on the boundary
-            continue
-        nodes.append(poly[0] + u * e1 + u * t * e2)
-        weights.append(unit_w * unit_x[:, 0] * twice_area)
-    return np.concatenate(nodes), np.concatenate(weights)
+    y = lo + (hi - lo) * unit_x
+    s, v = y[:, :1], y[:, 1:]
+    ones = np.ones_like(s)
+    prefix = np.concatenate([ones, np.cumprod(1.0 - v, axis=1)], axis=1)
+    jacobian = s[:, 0] ** (dim - 1) * np.prod(prefix[:, :-1], axis=1)
+    nodes = s * prefix * np.concatenate([v, ones], axis=1)
+    return nodes, unit_w * float(np.prod(hi - lo)) * jacobian
 
 
-def expected_cell_masses(rho, edges: List[np.ndarray], total: float):
-    """Integrate the density over every cell of the free-coordinate grid.
+def expected_cell_masses(rho, edges: List[np.ndarray]):
+    """Integrate the density over every cell of the collapsed grid.
 
-    ``rho`` maps a (P, dim) array of free coordinates to the P density
-    values; it is called once, on the nodes of every cell.  Cells wholly
-    outside the open simplex are excluded (mass 0).  Every other cell is
-    integrated by two fixed rules (:func:`_cell_rule` with _CELL_ORDERS
-    points per axis); the density is entire in l, so the rules converge
-    spectrally, and a cell is flagged when the two masses differ by more
-    than _FLAG_REL of the finer one.  Returns (masses, excluded, flagged).
+    ``edges`` are the cell edges of s (on [0, T]) and of each fraction v
+    (on [0, 1]); every cell lies inside the simplex.  ``rho`` maps a (P, d)
+    array of free local times to the P density values; it is called once,
+    on the nodes of every cell.  Each cell is integrated by two fixed rules
+    (:func:`_collapsed_rule` with _CELL_ORDERS points per axis); the density
+    is entire in l, so the rules converge spectrally, and a cell is flagged
+    when the two masses differ by more than _FLAG_REL of the finer one.
+    Returns (masses, flagged).
     """
     dim = len(edges)
-    if dim > 2:
-        raise ValueError("cell integration supports at most 2 free coordinates")
     shape = tuple(len(e) - 1 for e in edges)
-    excluded = 0
     nodes, weights, slots = [], [], []
     for flat, idx in enumerate(np.ndindex(*shape)):
         lo = np.array([edges[k][idx[k]] for k in range(dim)])
         hi = np.array([edges[k][idx[k] + 1] for k in range(dim)])
-        if lo.sum() >= total - MIN_LOCAL_TIME:
-            excluded += 1
-            continue
         for level, n in enumerate(_CELL_ORDERS):
-            x, w = _cell_rule(lo, hi, total, n)
+            x, w = _collapsed_rule(lo, hi, n)
             nodes.append(x)
             weights.append(w)
             slots.append(np.full(len(w), len(_CELL_ORDERS) * flat + level))
@@ -356,7 +342,7 @@ def expected_cell_masses(rho, edges: List[np.ndarray], total: float):
     per_rule = per_rule.reshape(n_cells, len(_CELL_ORDERS))
     coarse, fine = per_rule[:, 0], per_rule[:, -1]
     flagged = int(np.sum(np.abs(fine - coarse) > _FLAG_REL * np.abs(fine)))
-    return fine.reshape(shape), excluded, flagged
+    return fine.reshape(shape), flagged
 
 
 # ---------------------------------------------------------------------------
@@ -414,23 +400,31 @@ def verify_density_mc(
     """Bin conditioned local times and compare with cell integrals of the
     density by a chi-square shape test; also compare the conditioning
     probability with the density normalization (and with the closed-form
-    values for the canonical two-state chain).  The free coordinates are the
-    local times off the endpoint.
+    values for the canonical two-state chain).
+
+    The free coordinates are the local times l_1 .. l_d off the endpoint,
+    in the order of ``range_``.  They are binned in collapsed coordinates
+    (:func:`_collapsed_coordinates`): their sum s on ``cells_per_axis``
+    equal cells of [0, T], and each fraction v_k = l_k / (l_k + ... + l_d),
+    k < d, on as many of [0, 1].  So every cell lies inside the simplex and
+    every conditioned path lands in one.  The report's ``cell`` is the flat
+    index over (s, v_1, ...); with d = 1 it is the local time's own cell.
 
     The paths are conditioned and binned one sampler block at a time, so
     memory is O(block), not O(``n_samples``), and the counts (integers)
     equal those of one whole batch bit for bit.  ``ValueError``, before any
     path is drawn, on an ``n_samples`` that is negative or not an integer,
-    a ``cells_per_axis`` that is not an integer >= 1, and on a ``range_`` that repeats a state, misses the start or the
-    endpoint, or has fewer than 2 or more than 3 states."""
+    a ``cells_per_axis`` that is not an integer >= 1, and on a ``range_``
+    that repeats a state, misses the start or the endpoint, or has fewer
+    than 2 or more than 4 states: the density rows the cells need grow as
+    ``cells_per_axis ** (|R| - 1)``, about 13 million at |R| = 5 with the
+    default 7 cells."""
     try:
         R = _range_positions(range_, start, endpoint)[0]
     except ValueError as exc:
         raise ValueError(f"range_: {exc}") from None
-    if not 2 <= len(R) <= 3:
-        raise ValueError(
-            f"range_ must have 2 or 3 states (the default cell grid supports |R| <= 3), "
-            f"got {R!r}")
+    if not 2 <= len(R) <= 4:
+        raise ValueError(f"range_ must have 2 to 4 states (|R| <= 4), got {R!r}")
     n_samples = _path_count(n_samples, "n_samples")
     cells_per_axis = _path_count(cells_per_axis, "cells_per_axis")
     if cells_per_axis < 1:
@@ -439,13 +433,15 @@ def verify_density_mc(
     conditioned = conditioning_mask(gen, R, endpoint)
     free_states = [x for x in R if x != endpoint]
     free_idx = gen.indices(free_states)
-    edges = [np.linspace(0.0, T, cells_per_axis + 1) for _ in free_states]
+    edges = [np.linspace(0.0, T, cells_per_axis + 1)]
+    edges += [np.linspace(0.0, 1.0, cells_per_axis + 1) for _ in free_states[1:]]
     counts = np.zeros(tuple(len(e) - 1 for e in edges))
     n_cond = 0
     for batch in blocks:
         rows = np.flatnonzero(conditioned(batch))
         n_cond += rows.size
-        counts += _grid_counts([batch.local_times[rows, j] for j in free_idx], edges)
+        free = [batch.local_times[rows, j] for j in free_idx]
+        counts += _grid_counts(_collapsed_coordinates(free, T), edges)
     if n_cond < 1000:
         raise InsufficientConditionedError(
             f"only {n_cond} of {n_samples} samples hit the conditioning event"
@@ -460,7 +456,7 @@ def verify_density_mc(
         L[:, elim_pos] = T - free.sum(axis=1)
         return density_batch(gen, R, start, endpoint, L, _DENSITY_TOL)[0]
 
-    masses, excluded, flagged = expected_cell_masses(rho, edges, T)
+    masses, flagged = expected_cell_masses(rho, edges)
 
     stat, dof, p_value, worst = chi_square_shape_test(counts.ravel(), masses.ravel())
 
@@ -473,7 +469,7 @@ def verify_density_mc(
         "p_value": p_value, "conditioning_z": z_cond,
         "n_samples": n_samples, "n_conditioned": n_cond, "chi2": stat, "dof": dof,
         "worst_cell_z": worst, "conditioning_mc": p_mc, "conditioning_quadrature": p_quad,
-        "excluded_cells": excluded, "flagged_cells": flagged,
+        "flagged_cells": flagged,
     }
     checks = [
         CheckResult("chi_square_p_value", p_value > _P_THRESHOLD, p_value, _P_THRESHOLD),

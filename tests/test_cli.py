@@ -138,17 +138,17 @@ def test_verify_density_config_without_seed_uses_seed_zero(tmp_path):
     assert "seed=0," in (out_dir / "seedless.csv").read_text().splitlines()[0]
 
 
-def test_verify_density_four_state_range_exits_2(tmp_path, capsys):
+def test_verify_density_five_state_range_exits_2(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({
-        "kind": "verify-density", "name": "four-state",
-        "generator": {"srw": [0, 3]},
-        "start": 0, "endpoint": 3, "range": [0, 1, 2, 3], "T": 2.0, "seed": 1,
+        "kind": "verify-density", "name": "five-state",
+        "generator": {"srw": [0, 4]},
+        "start": 0, "endpoint": 4, "range": [0, 1, 2, 3, 4], "T": 2.0, "seed": 1,
     }))
     status = main(["verify-density", "--config", str(cfg), "--out", str(tmp_path / "out")])
     assert status == 2
     err = capsys.readouterr().err
-    assert "'four-state'" in err and "|R| <= 3" in err
+    assert "'five-state'" in err and "|R| <= 4" in err
 
 
 @pytest.mark.parametrize("option, value, mode", [

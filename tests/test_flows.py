@@ -5,10 +5,10 @@ import pytest
 
 from loctimes.errors import ExplosionGuardError
 from loctimes.density import _ORDER_SCHEDULE
-from loctimes.flows import DEFAULT_FLOW_CAP, _closing_order, _enumerate, flow_table
+from loctimes.flows import _FLOW_CAP, _closing_order, _enumerate, flow_table
 
 
-def flows_on(support, max_total, cap=DEFAULT_FLOW_CAP):
+def flows_on(support, max_total):
     """The count rows of ``flow_table`` on a support given by state labels,
     with the labels mapped to positions in order of first appearance."""
     pos = {}
@@ -16,7 +16,7 @@ def flows_on(support, max_total, cap=DEFAULT_FLOW_CAP):
         for x in edge:
             pos.setdefault(x, len(pos))
     edges = tuple((pos[x], pos[y]) for x, y in support)
-    table = flow_table(edges, len(pos), max_total, cap)
+    table = flow_table(edges, len(pos), max_total)
     return [tuple(int(n) for n in row) for row in table.counts]
 
 
@@ -62,9 +62,9 @@ def test_matches_brute_force(support, max_total):
 
 
 def test_explosion_guard():
-    support = [(i, j) for i in range(4) for j in range(4) if i != j]
+    edges = tuple((i, j) for i in range(4) for j in range(4) if i != j)
     with pytest.raises(ExplosionGuardError):
-        flows_on(support, 40, cap=1000)
+        _enumerate(edges, 4, 40, 1000)
 
 
 def test_flow_table_packs_out_degrees():
@@ -188,5 +188,5 @@ def test_forced_counts_match_expand_and_prune(seed):
     for n in (2, 3, 4, 5, 6):
         edges = random_support(rng, n)
         for max_total in _ORDER_SCHEDULE[:5]:
-            assert_same_table(_enumerate(edges, n, max_total, DEFAULT_FLOW_CAP),
+            assert_same_table(_enumerate(edges, n, max_total, _FLOW_CAP),
                               expand_and_prune(edges, n, max_total))

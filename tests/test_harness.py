@@ -185,7 +185,6 @@ def test_verify_density_three_state_quick():
                                cells_per_axis=5, seed=102)
     assert report.diagnostics["p_value"] > 1e-3
     assert abs(report.diagnostics["conditioning_z"]) < 4.0
-    assert report.diagnostics["excluded_cells"] > 0
 
 
 def test_verify_density_insufficient_conditioning():
@@ -205,8 +204,8 @@ MULTI_BLOCK = 3 * _BLOCK + 1_234
 
 
 @pytest.mark.parametrize("seed, digest", [
-    (0, "411e4ed72a67677b311ce65b792e8fc158b5f1829d1f25a725fcad34073a89c7"),
-    (1, "8b6c5cdc888b1ce928ba984902bdb6a7cabfc864318787bd99468b719b298710"),
+    (0, "37172de41fd8cd402b71eff6c5d73a41e3bb6813612af7d4270de233e3d304d8"),
+    (1, "314f03ae42c60041feaa398ddbe817d5c4d97b9f4493a81f6283115742457560"),
 ])
 def test_verify_density_over_several_blocks_pinned(seed, digest):
     report = verify_density_mc(srw_generator(0, 2), 0, 2, (0, 1, 2), 2.0, MULTI_BLOCK,
@@ -744,13 +743,12 @@ def test_run_suite_replay_is_bit_for_bit(tmp_path):
     assert list(entry) == [
         "name", "kind", "passed", "p_value", "conditioning_z", "n_samples", "n_conditioned",
         "chi2", "dof", "worst_cell_z", "conditioning_mc", "conditioning_quadrature",
-        "excluded_cells", "flagged_cells", "no_jump", "switched", "returned", "z_analytic",
-        "checks"]
+        "flagged_cells", "no_jump", "switched", "returned", "z_analytic", "checks"]
     rows = (tmp_path / "a" / "replay.csv").read_text().splitlines()[2:]
     assert entry["n_samples"] == 40_000
     assert entry["n_conditioned"] == sum(int(r.split(",")[1]) for r in rows)
     assert entry["conditioning_mc"] == entry["n_conditioned"] / 40_000
-    assert entry["excluded_cells"] == 0 and entry["flagged_cells"] == 0
+    assert entry["flagged_cells"] == 0
     assert [c["name"] for c in entry["checks"]] == [
         "chi_square_p_value", "conditioning_probability_z", "conditioning_vs_analytic_z"]
     assert entry["checks"][0]["value"] == entry["p_value"]
@@ -841,7 +839,7 @@ PINNED_DIGESTS = {
     "halfspace.csv": "7eff0499b1f3d53ea89960076d0cb860d2b58284304d3d480aa756020e699091",
     "law.csv": "5dea1b3f1793b3ca7c7559645163c1202331075ebe579db26b1cc4b2a314b5a5",
     "profile.csv": "71feca5453fcbf3d97dfaaef54dd729fdc67822d091ead6f5dc17ced7dcc32b3",
-    "summary.json": "25b9e3eefb76130683b9c39344cb14b7ce3081d4f6f26220f4262f94f05eef5d",
+    "summary.json": "a51ce2ff89dad9a44b1dd8f55a77e409f20ecb0e0473d6bbf7e25863817c7e98",
 }
 
 
@@ -860,8 +858,8 @@ DEMO_DIGESTS = {
     "exponential-bound.csv": "c0bd97132aca3dbb108b98cd718d004fe5735b066683baef882693bdc727458c",
     "halfspace-bound.csv": "83e26729640e378bc45613f09e77990b4cffb8f1119072e04c98e0d6ffe211e4",
     "profile-equivalence.csv": "e26339f7f4d74bc05c594a1c9553806acd77f946f49b2ea4f6fe9aa2c5f333fe",
-    "summary.json": "efdd7f781f2b655f28a6d9eaa69020565d48884decf113682049dec2c605bc01",
-    "three-state-law.csv": "263ceee7ef4bac09df0d4694b9d10a70838de21d431086e32c68fac9af7ba76b",
+    "summary.json": "00478b40bd320df29a51225a3c100daf99aaf6e17c9ee7da2869d699ef454040",
+    "three-state-law.csv": "a281e48c2f82e8a3b083b3a0e67b482a5bfbf8866debe5369875ec91d98f02d7",
 }
 
 
@@ -901,30 +899,81 @@ def exact_range_probability(gen, a, b, R, T):
     (srw_generator(0, 2), 2.0, 7),
     (validate_generator([[0.0, 1.3, 0.0], [0.6, 0.0, 0.9], [0.0, 1.7, 0.0]], (0, 1, 2)),
      1.5, 5),
+    (srw_generator(0, 3), 2.0, 3),
 ])
 def test_cell_masses_sum_to_exact_range_probability(gen, T, cells):
-    report = verify_density_mc(gen, 0, 2, (0, 1, 2), T, 20_000,
-                               cells_per_axis=cells, seed=5)
-    exact = exact_range_probability(gen, 0, 2, (0, 1, 2), T)
+    # the range is every state, from the first to the last
+    R, end = gen.states, gen.states[-1]
+    report = verify_density_mc(gen, 0, end, R, T, 20_000, cells_per_axis=cells, seed=5)
+    exact = exact_range_probability(gen, 0, end, R, T)
     assert report.diagnostics["conditioning_quadrature"] == pytest.approx(exact, rel=1e-8)
     assert report.diagnostics["flagged_cells"] == 0
-    assert report.diagnostics["excluded_cells"] == cells * (cells - 1) // 2
+    assert len(report.rows) == cells ** (len(R) - 1)
 
 
-def test_cell_rules_on_cut_cells_and_the_disagreement_flag():
-    # unit density: cell masses are the areas of the cells inside the simplex,
-    # including a pentagon (cell [0, .5]^2 cut at total 0.8) and triangles
-    edges = [np.linspace(0.0, 1.0, 3)] * 2
-    masses, excluded, flagged = expected_cell_masses(
-        lambda free: np.ones(len(free)), edges, 0.8)
-    assert masses == pytest.approx(np.array([[0.23, 0.045], [0.045, 0.0]]), abs=1e-14)
-    assert (excluded, flagged) == (1, 0)
-    # a polynomial of low degree is integrated exactly, a kink is flagged
+def _unit_density(free):
+    return np.ones(len(free))
+
+
+def test_collapsed_rule_volumes_polynomials_and_the_disagreement_flag():
+    # unit density: the cell [s0, s1] x [v0, v1] of the 2-simplex has volume
+    # (v1 - v0) (s1^2 - s0^2) / 2
+    s_edges, v_edges = np.linspace(0.0, 2.0, 4), np.linspace(0.0, 1.0, 3)
+    masses, flagged = expected_cell_masses(_unit_density, [s_edges, v_edges])
+    exact = np.outer(np.diff(s_edges ** 2) / 2, np.diff(v_edges))
+    assert masses == pytest.approx(exact, rel=1e-14) and flagged == 0
+    # in three dimensions the cell's volume is the integral of the Jacobian
+    # s^2 (1 - v1): (s1^3 - s0^3) / 3 times the v1 integral of 1 - v1 times
+    # the width in v2; the cells sum to the simplex volume T^3 / 6
+    edges = [np.linspace(0.0, 1.5, 3), np.linspace(0.0, 1.0, 3), np.linspace(0.0, 1.0, 4)]
+    masses, flagged = expected_cell_masses(_unit_density, edges)
+    one_minus = np.diff(-(1.0 - edges[1]) ** 2 / 2)
+    exact = (np.diff(edges[0] ** 3)[:, None, None] / 3 * one_minus[None, :, None]
+             * np.diff(edges[2])[None, None, :])
+    assert masses == pytest.approx(exact, rel=1e-14) and flagged == 0
+    assert masses.sum() == pytest.approx(1.5 ** 3 / 6, rel=1e-14)
+    # a polynomial of low degree in l is integrated exactly: over the
+    # simplex l1 + l2 <= 1, l1^2 l2 integrates to 2! 1! / 5! = 1/60
+    masses, flagged = expected_cell_masses(lambda free: free[:, 0] ** 2 * free[:, 1],
+                                           [np.linspace(0.0, 1.0, 3)] * 2)
+    assert masses.sum() == pytest.approx(1.0 / 60.0, rel=1e-13) and flagged == 0
     line = [np.linspace(0.0, 1.0, 2)]
-    masses, _, flagged = expected_cell_masses(lambda free: free[:, 0] ** 5, line, 1.0)
+    masses, flagged = expected_cell_masses(lambda free: free[:, 0] ** 5, line)
     assert masses[0] == pytest.approx(1.0 / 6.0, rel=1e-14) and flagged == 0
-    _, _, flagged = expected_cell_masses(lambda free: np.abs(free[:, 0] - 0.5), line, 1.0)
+    # a kink is flagged
+    _, flagged = expected_cell_masses(lambda free: np.abs(free[:, 0] - 0.5), line)
     assert flagged == 1
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_collapsed_nodes_map_back_into_their_own_cell(dim):
+    T, cells = 2.0, 3
+    edges = [np.linspace(0.0, T, cells + 1)] + [np.linspace(0.0, 1.0, cells + 1)] * (dim - 1)
+    for n in harness._CELL_ORDERS:
+        for flat, idx in enumerate(np.ndindex(*[cells] * dim)):
+            lo = np.array([e[k] for e, k in zip(edges, idx)])
+            hi = np.array([e[k + 1] for e, k in zip(edges, idx)])
+            nodes, weights = harness._collapsed_rule(lo, hi, n)
+            assert (nodes > 0.0).all() and (nodes.sum(axis=1) < T).all() and (weights > 0).all()
+            counts = _grid_counts(harness._collapsed_coordinates(list(nodes.T), T), edges)
+            assert counts.ravel()[flat] == len(nodes) == counts.sum()
+
+
+def test_collapsed_coordinates_count_every_row():
+    # a last coordinate of the smallest subnormal (its fraction rounds to 1,
+    # the top edge) and free sums that round above T still land in a cell
+    T, tiny = 2.0, 5e-324
+    rows = np.array([
+        [1.0, 0.5, tiny],
+        [tiny, tiny, tiny],
+        [T, np.nextafter(T, 0.0), np.nextafter(T, 0.0)],
+        [np.nextafter(T, 0.0), tiny, 1e-300],
+        [0.7, 0.6, 0.7],
+    ])
+    edges = [np.linspace(0.0, T, 8)] + [np.linspace(0.0, 1.0, 8)] * 2
+    coords = harness._collapsed_coordinates(list(rows.T), T)
+    assert coords[0].max() == T and all(((0.0 <= v) & (v <= 1.0)).all() for v in coords[1:])
+    assert _grid_counts(coords, edges).sum() == len(rows)
 
 
 def test_unit_rule_is_shared_and_read_only():
