@@ -2,7 +2,7 @@
 large-deviation bounds, and the spatial Markov (Ray-Knight) description."""
 
 from . import errors
-from .bessel import edge_kernel, edge_kernel_d
+from .bessel import edge_kernel
 from .chain import (
     Generator,
     generator_from_triples,

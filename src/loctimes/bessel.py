@@ -1,12 +1,13 @@
-"""Scalar edge kernels of the tridiagonal density route.
+"""Scalar edge kernels, the one place a Bessel function is evaluated.
 
 For c = B_xy * B_yx >= 0 the kernel of one nearest-neighbor edge is I0(z),
 with z = 2*sqrt(c*lx*ly), and its derivative in lx is c*ly * I1(z) / (z/2).
 Both are read from scipy's exponentially scaled ``ive``:
 :func:`scaled_edge_kernel` returns z and the kernel divided by e^z, which is
 a double at every z, so a product of kernels can apply its exponent once.
-The unscaled kernels multiply by e^z and raise NonConvergedTruncationError
-rather than return inf.
+The tridiagonal density route and the Ray-Knight transition kernels are
+built on it.  :func:`edge_kernel` multiplies by e^z and raises
+NonConvergedTruncationError rather than return inf.
 """
 
 import math
@@ -35,17 +36,6 @@ def scaled_edge_kernel(order: int, c: float, lx: float, ly: float) -> Tuple[floa
     return z, c * ly * float(ive(1, z)) / (z / 2)
 
 
-def _unscaled(order: int, c: float, lx: float, ly: float) -> float:
-    z, scaled = scaled_edge_kernel(order, c, lx, ly)
-    try:
-        value = scaled * math.exp(z)
-    except OverflowError:
-        value = math.inf
-    if not math.isfinite(value):
-        raise NonConvergedTruncationError(f"edge kernel at z = {z!r} is not finite")
-    return value
-
-
 def edge_kernel(c: float, lx: float, ly: float) -> float:
     """Scalar kernel of one nearest-neighbor edge.
 
@@ -57,14 +47,11 @@ def edge_kernel(c: float, lx: float, ly: float) -> float:
     The kernel value at t = 0 is 1.  Where I0 or e^z is not a double
     (z > 709.78), NonConvergedTruncationError is raised.
     """
-    return _unscaled(0, c, lx, ly)
-
-
-def edge_kernel_d(c: float, lx: float, ly: float) -> float:
-    """Derivative of :func:`edge_kernel` with respect to its first local time.
-
-    d/dlx I0(2*sqrt(c*lx*ly)) = c*ly * I1(z) / (z/2), which is c*ly at
-    lx = 0.  The kernel is symmetric in (lx, ly), so the derivative in ly is
-    obtained by swapping the arguments.
-    """
-    return _unscaled(1, c, lx, ly)
+    z, scaled = scaled_edge_kernel(0, c, lx, ly)
+    try:
+        value = scaled * math.exp(z)
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise NonConvergedTruncationError(f"edge kernel at z = {z!r} is not finite")
+    return value

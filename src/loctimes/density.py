@@ -35,9 +35,10 @@ Three independent evaluations are provided:
   order (a batch of one always does) skips the per-order group masks;
 * :func:`density_quadrature` - the derivative-free cofactor-inside-the-
   integral form, evaluated by tensor-product periodic trapezoidal quadrature
-  whose phases are products of roots of unity, kept per grid when the grid
-  fits in one chunk; the cofactor is a minor of rates and node vectors whose
-  determinant is one closed-form Laplace expansion, with no LAPACK call;
+  on a fixed grid of 32 points per angle, whose phases are products of roots
+  of unity, kept per range size; the cofactor is a minor of rates and node
+  vectors whose determinant is one closed-form Laplace expansion, with no
+  LAPACK call;
 * :func:`density_tridiagonal` - the nearest-neighbor product formula, one
   scalar edge kernel (or its derivative) per interval edge, scaled by e^{-z}
   and multiplied by one final exponential, for a and b in either order.
@@ -641,27 +642,21 @@ def density(
     return density_certified(gen, R, a, b, l, tol, conjugation).value
 
 
-_QUAD_CHUNK = 65536
-
-
-def _grid_phases(grid_size: int, r: int, lo: int, hi: int) -> np.ndarray:
-    """The phases e^{i th_x} at the grid nodes lo..hi-1 (rows) for each state
-    x (columns).  The integrand depends on angle differences only, so the
-    last angle is pinned at 0; the other angles run over the grid, whose
-    nodes e^{i th} are the N-th roots of unity, so every phase
-    e^{i(th_x - th_y)} is a product of two roots and needs no exp."""
-    roots = np.exp(2j * np.pi * np.arange(grid_size) / grid_size)
-    nodes = np.arange(lo, hi)
-    e = np.ones((len(nodes), r), dtype=complex)
-    e[:, :-1] = roots[np.stack(np.unravel_index(nodes, (grid_size,) * (r - 1)), axis=1)]
-    return e
+_QUAD_GRID = 32
 
 
 @lru_cache(maxsize=4)
-def _cached_phases(grid_size: int, r: int) -> Tuple[np.ndarray, np.ndarray]:
-    """:func:`_grid_phases` of a whole grid that fits in one chunk, and their
-    conjugates, read-only."""
-    e = _grid_phases(grid_size, r, 0, grid_size ** (r - 1))
+def _cached_phases(grid: int, r: int) -> Tuple[np.ndarray, np.ndarray]:
+    """The phases e^{i th_x} at every node of a grid^(r - 1) grid (rows) for
+    each state x (columns), and their conjugates, read-only.  The integrand
+    depends on angle differences only, so the last angle is pinned at 0; the
+    other angles run over the grid, whose nodes e^{i th} are the N-th roots
+    of unity, so every phase e^{i(th_x - th_y)} is a product of two roots and
+    needs no exp."""
+    roots = np.exp(2j * np.pi * np.arange(grid) / grid)
+    count = grid ** (r - 1)
+    e = np.ones((count, r), dtype=complex)
+    e[:, :-1] = roots[np.stack(np.unravel_index(np.arange(count), (grid,) * (r - 1)), axis=1)]
     ec = e.conj()
     _read_only(e, ec)
     return e, ec
@@ -695,75 +690,55 @@ def _laplace_det(entries, cols: Tuple[int, ...]):
 
 
 def _quadrature_value(
-    A: np.ndarray, B: np.ndarray, l: np.ndarray, a: int, b: int, grid_size: int
+    A: np.ndarray, B: np.ndarray, l: np.ndarray, a: int, b: int, grid: int
 ) -> complex:
     """The (complex) trapezoidal average of the cofactor-inside integrand on
-    a grid_size^(|R| - 1) grid; see :func:`density_quadrature`."""
+    a grid^(|R| - 1) grid; see :func:`density_quadrature`."""
     r = A.shape[0]
     if r == 1:
         return complex(math.exp(A[0, 0] * l[0]))
     sq = np.sqrt(l)
     D = B * (sq[None, :] / sq[:, None])
-    layout = _minor_layout(r, a, b)
-    cols = tuple(range(r - 1))
-    count = grid_size ** (r - 1)
+    e, ec = _cached_phases(grid, r)
     base = float(np.dot(np.diag(A), l))
+    # V[p, x] = sum_z D[x,z] e_x conj(e_z); the exponent
+    # sum_{x,y} A[x,y] sqrt(l_x l_y) e_x conj(e_y) is then
+    # sum_x A[x,x] l_x + sum_x l_x V[p, x]
+    V = e * (ec @ D.T)
+    # det_ab is (-1)^(a+b) times the minor without row b and column a:
+    # -B off its diagonal, and -B[x,x] + V[:, x] = V[:, x] on it
+    entries = [[V[:, x] if x == y else -float(B[x, y]) for x, y in row]
+               for row in _minor_layout(r, a, b)]
     total = 0.0 + 0.0j
-    for lo in range(0, count, _QUAD_CHUNK):
-        if count <= _QUAD_CHUNK:
-            e, ec = _cached_phases(grid_size, r)
-        else:
-            e = _grid_phases(grid_size, r, lo, min(lo + _QUAD_CHUNK, count))
-            ec = e.conj()
-        # V[p, x] = sum_z D[x,z] e_x conj(e_z); the exponent
-        # sum_{x,y} A[x,y] sqrt(l_x l_y) e_x conj(e_y) is then
-        # sum_x A[x,x] l_x + sum_x l_x V[p, x]
-        V = e * (ec @ D.T)
-        # det_ab is (-1)^(a+b) times the minor without row b and column a:
-        # -B off its diagonal, and -B[x,x] + V[:, x] = V[:, x] on it
-        entries = [[V[:, x] if x == y else -float(B[x, y]) for x, y in row]
-                   for row in layout]
-        total += np.sum(_laplace_det(entries, cols) * np.exp(base + V @ l))
-    return (-1) ** (a + b) * total / count
+    total += np.sum(_laplace_det(entries, tuple(range(r - 1))) * np.exp(base + V @ l))
+    return (-1) ** (a + b) * total / len(e)
 
 
-def density_quadrature(
-    gen: Generator,
-    R: Sequence,
-    a,
-    b,
-    l,
-    grid_size: int = 32,
-) -> float:
+def density_quadrature(gen: Generator, R: Sequence, a, b, l) -> float:
     """Density via the derivative-free form: the cofactor moves inside the
     torus integral with a diagonal correction.
 
     The integrand is det_ab(-B + V(th, l)) exp(sum A[x,y] sqrt(l_x l_y)
     e^{i(th_x - th_y)}) with V(th, l)[x] = sum_z B[x,z] sqrt(l_z/l_x)
     e^{i(th_x - th_z)}, averaged over the torus by an equispaced (periodic
-    trapezoidal) tensor grid of ``grid_size`` points per angle, which is
-    spectrally accurate for this analytic integrand.  The grid nodes e^{i th}
-    are roots of unity, so the phases are products of precomputed roots; the
-    phases of a grid of at most ``_QUAD_CHUNK`` nodes are built once and
-    kept.  det_ab is the signed minor without row b and column a, kept as
-    entries (a rate, or a node vector on its diagonal) and expanded in
-    closed form along its first row, so no node calls a linear-algebra
-    routine.
+    trapezoidal) tensor grid of 32 points per angle, which is spectrally
+    accurate for this analytic integrand at moderate local times.  The grid
+    nodes e^{i th} are roots of unity, so the phases are products of
+    precomputed roots, built once per range size and kept.  det_ab is the
+    signed minor without row b and column a, kept as entries (a rate, or a
+    node vector on its diagonal) and expanded in closed form along its first
+    row, so no node calls a linear-algebra routine.
 
-    A ``grid_size`` that is not a positive integer (a bool is not one)
-    raises ``ValueError``; so does |R| > 4.
+    |R| > 4 raises ``ValueError``.
     """
     R, a_pos, b_pos = _range_positions(R, a, b)
     lvec = _local_times(R, l)
     if len(R) > 4:
         raise ValueError("density_quadrature is limited to |R| <= 4")
-    if (isinstance(grid_size, bool) or not isinstance(grid_size, (int, np.integer))
-            or grid_size < 1):
-        raise ValueError(f"grid_size must be a positive integer; got {grid_size!r}")
     rates = range_rates(gen, R)
     A, B = rates.A, rates.B
 
-    value = _quadrature_value(A, B, lvec, a_pos, b_pos, grid_size)
+    value = _quadrature_value(A, B, lvec, a_pos, b_pos, _QUAD_GRID)
     if abs(value.imag) > 1e-8 * abs(value.real) + 1e-12:
         raise ResidualImaginaryError(
             f"imaginary residue {value.imag:.3e} against real part {value.real:.3e}"

@@ -88,7 +88,6 @@ class BatchPaths:
     run on ``np.ascontiguousarray(local_times)``.
     """
 
-    states: tuple
     local_times: np.ndarray    # (n_paths, n_states)
     endpoints: np.ndarray      # (n_paths,) state indices
     jumps: np.ndarray          # (n_paths,)
@@ -179,7 +178,6 @@ class _FixedTimeSampler:
         self.n_paths = _path_count(n_paths)
         self.s0 = gen.index(start)
         self.T = T
-        self.states = gen.states
         self.table = jump_table(gen)
         self.absorbing = bool(np.any(self.table.exit_rates <= 0))
         m = min(_BLOCK, self.n_paths)
@@ -286,7 +284,7 @@ class _FixedTimeSampler:
             endpoints[:k] = self.s0
             jumps[:k] = 0
             self.run(rng, local[:k * n], endpoints[:k], jumps[:k])
-            yield BatchPaths(states=self.states, local_times=local[:k * n].reshape(k, n),
+            yield BatchPaths(local_times=local[:k * n].reshape(k, n),
                              endpoints=endpoints[:k], jumps=jumps[:k],
                              horizons=horizons[:k])
 
@@ -306,7 +304,6 @@ def sample_paths_fixed_time(
         hi = min(lo + _BLOCK, n_paths)
         sampler.run(rng, local[lo * n:hi * n], endpoints[lo:hi], jumps[lo:hi])
     return BatchPaths(
-        states=gen.states,
         local_times=local.reshape(n_paths, n),
         endpoints=endpoints,
         jumps=jumps,
@@ -401,7 +398,6 @@ def sample_paths_inverse_local_time(
         elif exit_rates[x] > 0:
             local[x] = rng.gamma(visits[x], 1.0 / exit_rates[x])
     return BatchPaths(
-        states=gen.states,
         local_times=local.T,
         endpoints=np.full(n_paths, b, dtype=np.int64),
         jumps=visits.sum(axis=0, dtype=np.int64) - 1,

@@ -21,8 +21,8 @@ import math
 from typing import Optional, Tuple
 
 import numpy as np
-from scipy import special
 
+from .bessel import scaled_edge_kernel
 from .chain import Generator, srw_generator
 from .density import _integer_interval, _local_times, _range_positions, density
 from .errors import DomainError, NotSRWError
@@ -33,19 +33,17 @@ from .montecarlo import _path_count
 # kernels
 # ---------------------------------------------------------------------------
 
-def _scaled_bessel_arguments(h1: float, h2: float) -> Tuple[float, float]:
-    """z = 2 sqrt(h1 h2) and exp(-h1 - h2 + z) = exp(-(sqrt(h1) - sqrt(h2))^2),
-    so exp(-h1 - h2) I_k(z) = ive(k, z) * factor never overflows."""
-    r1, r2 = math.sqrt(h1), math.sqrt(h2)
-    return 2.0 * r1 * r2, math.exp(-((r1 - r2) ** 2))
+def _gap_factor(h1: float, h2: float) -> float:
+    """exp(-h1 - h2 + z) = exp(-(sqrt(h1) - sqrt(h2))^2) for z = 2 sqrt(h1 h2),
+    so exp(-h1 - h2) I_k(z) = (I_k(z) / e^z) * factor never overflows."""
+    return math.exp(-((math.sqrt(h1) - math.sqrt(h2)) ** 2))
 
 
 def rk_inner_density(h1: float, h2: float) -> float:
     """Transition density of the inner (pivot-to-start) profile chain."""
     if h1 < 0 or h2 < 0:
         raise DomainError("kernel arguments must be nonnegative")
-    z, factor = _scaled_bessel_arguments(h1, h2)
-    return float(special.i0e(z)) * factor
+    return scaled_edge_kernel(0, 1.0, h1, h2)[1] * _gap_factor(h1, h2)
 
 
 def rk_outer_atom(h1: float) -> float:
@@ -56,13 +54,11 @@ def rk_outer_atom(h1: float) -> float:
 
 
 def rk_outer_density(h1: float, h2: float) -> float:
-    """Absolutely continuous part of the outer kernel on (0, infinity)."""
+    """Absolutely continuous part of the outer kernel on (0, infinity): the
+    edge kernel's derivative in h2, h1 I1(z) / (z/2) = sqrt(h1/h2) I1(z)."""
     if h1 < 0 or h2 <= 0:
         raise DomainError("need h1 >= 0 and h2 > 0")
-    if h1 == 0.0:
-        return 0.0
-    z, factor = _scaled_bessel_arguments(h1, h2)
-    return float(special.i1e(z)) * factor * math.sqrt(h1 / h2)
+    return scaled_edge_kernel(1, 1.0, h2, h1)[1] * _gap_factor(h1, h2)
 
 
 # ---------------------------------------------------------------------------

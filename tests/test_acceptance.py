@@ -105,7 +105,7 @@ def test_criterion_02_oracle_triangle():
         l = rng.dirichlet(np.ones(size)) * T
         l = np.maximum(l, 0.03 * T)
         v_series = density(window, R, a, b, l, tol=1e-12)
-        v_quad = density_quadrature(window, R, a, b, l, grid_size=32)
+        v_quad = density_quadrature(window, R, a, b, l)
         v_tri = density_tridiagonal(window, R, a, b, l)
         scale = max(abs(v_series), 1e-300)
         worst = max(worst, abs(v_series - v_quad) / scale,

@@ -348,7 +348,7 @@ def test_tridiagonal_at_large_local_times(rates, l, exponent, z):
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         value = density_tridiagonal(g, (0, 1), 0, 1, l)
-    assert value == pytest.approx(math.exp(exponent) * sp.ive(0, z), rel=1e-12)
+    assert value == pytest.approx(math.exp(exponent) * sp.ive(0, z), rel=1e-12, abs=0)
 
 
 def test_certificate_holds_where_the_diagonal_factor_underflows():
@@ -625,7 +625,7 @@ def test_r_invariance_of_the_series():
 
 def test_quadrature_matches_series_two_state():
     v_series = density(TWO_STATE, (1, 2), 1, 2, [0.5, 0.5], tol=1e-12)
-    v_quad = density_quadrature(TWO_STATE, (1, 2), 1, 2, [0.5, 0.5], grid_size=32)
+    v_quad = density_quadrature(TWO_STATE, (1, 2), 1, 2, [0.5, 0.5])
     assert v_quad == pytest.approx(v_series, abs=1e-10)
 
 
@@ -668,6 +668,15 @@ def test_quadrature_matches_certified_on_nonsymmetric_chains(n):
             assert quad == pytest.approx(cert.value, rel=1e-9)
 
 
+@pytest.mark.xfail(strict=True, reason="the fixed 32-point grid does not resolve the "
+                   "integrand at large local times and nothing bounds its error; the "
+                   "quadrature returns 2.2152 times the exact value here")
+def test_quadrature_at_large_local_times():
+    # the unit two-state chain: e^{-200} I0(800) = 1.95226e-89
+    value = density_quadrature(TWO_STATE, (1, 2), 1, 2, [200.0, 800.0])
+    assert value == pytest.approx(math.exp(-200.0) * sp.ive(0, 800.0), rel=1e-8, abs=0)
+
+
 def test_quadrature_raises_on_imaginary_residue(monkeypatch):
     # a real generator puts both th and -th on the grid, so the residue is
     # rounding only; a complex node sum stands in for a broken integrand
@@ -679,7 +688,7 @@ def test_quadrature_raises_on_imaginary_residue(monkeypatch):
 
 def _lapack_quadrature_value(A, B, l, a, b, grid_size):
     """The torus kernel as it was before the closed-form minor: one
-    ``np.linalg.det`` call on the (nodes, k, k) stack of minors per chunk.
+    ``np.linalg.det`` call on the (nodes, k, k) stack of minors.
     Returns the node average and its rounding scale, the average of
     perm(|minor|) |exp(...)| over the nodes."""
     r = A.shape[0]
@@ -693,23 +702,19 @@ def _lapack_quadrature_value(A, B, l, a, b, grid_size):
     on_diag = [x for x in rows if x in cols]
     mi, mj = [rows.index(x) for x in on_diag], [cols.index(x) for x in on_diag]
     roots = np.exp(2j * np.pi * np.arange(grid_size) / grid_size)
-    shape = (grid_size,) * (r - 1)
     count = grid_size ** (r - 1)
-    base = float(np.dot(np.diag(A), l))
-    total, scale = 0j, 0.0
-    for lo in range(0, count, density_module._QUAD_CHUNK):
-        nodes = np.arange(lo, min(lo + density_module._QUAD_CHUNK, count))
-        e = np.ones((len(nodes), r), dtype=complex)
-        e[:, :-1] = roots[np.stack(np.unravel_index(nodes, shape), axis=1)]
-        V = e * (e.conj() @ D.T)
-        M = np.repeat(minor[None], len(nodes), axis=0)
-        M[:, mi, mj] += V[:, on_diag]
-        ex = np.exp(base + V @ l)
-        total += np.sum(np.linalg.det(M) * ex)
-        k = r - 1
-        perm = sum(np.prod(np.abs(M[:, np.arange(k), list(p)]), axis=1)
-                   for p in permutations(range(k)))
-        scale += np.sum(perm * np.abs(ex))
+    e = np.ones((count, r), dtype=complex)
+    e[:, :-1] = roots[np.stack(np.unravel_index(np.arange(count), (grid_size,) * (r - 1)),
+                               axis=1)]
+    V = e * (e.conj() @ D.T)
+    M = np.repeat(minor[None], count, axis=0)
+    M[:, mi, mj] += V[:, on_diag]
+    ex = np.exp(float(np.dot(np.diag(A), l)) + V @ l)
+    total = np.sum(np.linalg.det(M) * ex)
+    k = r - 1
+    perm = sum(np.prod(np.abs(M[:, np.arange(k), list(p)]), axis=1)
+               for p in permutations(range(k)))
+    scale = np.sum(perm * np.abs(ex))
     return (-1) ** (a + b) * total / count, scale / count
 
 
@@ -742,41 +747,20 @@ def test_quadrature_kernel_matches_the_lapack_reference():
     assert {r for r, _, one_way in seen if one_way} == {2, 3, 4}
 
 
-@pytest.mark.parametrize("r, grid_size", [(3, 257), (4, 41)])
-def test_quadrature_kernel_beyond_one_chunk_matches_and_is_not_cached(r, grid_size):
-    assert grid_size ** (r - 1) > density_module._QUAD_CHUNK
-    rng = np.random.default_rng(1701 + r)
-    g = random_conservative(rng, r)
-    A, B = range_rates(g, g.states).A, range_rates(g, g.states).B
-    l = random_point(rng, r, 1.2)
-    density_module._cached_phases.cache_clear()
-    for a, b in ((0, r - 1), (r - 1, 0), (1, 1)):
-        _assert_matches_lapack(A, B, l, a, b, grid_size)
-    density_quadrature(g, g.states, 0, r - 1, l, grid_size=grid_size)
-    assert density_module._cached_phases.cache_info().currsize == 0
-
-
 def test_cached_node_phases_are_read_only():
     g = srw_generator(0, 3)
     density_module._cached_phases.cache_clear()
     density_quadrature(g, (0, 1, 2), 0, 2, [0.5, 0.7, 0.8])
-    density_quadrature(g, (0, 1, 2, 3), 0, 3, [0.5, 0.7, 0.8, 0.4], grid_size=16)
+    density_quadrature(g, (0, 1, 2, 3), 0, 3, [0.5, 0.7, 0.8, 0.4])
     assert density_module._cached_phases.cache_info().currsize == 2
-    for grid_size, r in ((32, 3), (16, 4)):
-        e, ec = density_module._cached_phases(grid_size, r)
-        assert e.shape == (grid_size ** (r - 1), r)
+    for grid, r in ((32, 3), (32, 4)):
+        e, ec = density_module._cached_phases(grid, r)
+        assert e.shape == (grid ** (r - 1), r)
         assert np.array_equal(ec, e.conj())
         for arr in (e, ec):
             assert not arr.flags.writeable
             with pytest.raises(ValueError):
                 arr[0, 0] = 2.0
-
-
-@pytest.mark.parametrize("grid_size", [0, -4, 2.5, True, False])
-def test_quadrature_rejects_a_bad_grid_size(grid_size):
-    with pytest.raises(ValueError, match="grid_size"):
-        density_quadrature(srw_generator(0, 2), (0, 1, 2), 0, 2, [0.5, 0.7, 0.8],
-                           grid_size=grid_size)
 
 
 def test_oracle_triangle_random_instances():
@@ -789,7 +773,7 @@ def test_oracle_triangle_random_instances():
         a, b = rng.integers(0, n, 2)
         R = tuple(range(n))
         v1 = density(g, R, a, b, l, tol=1e-12)
-        v2 = density_quadrature(g, R, a, b, l, grid_size=32)
+        v2 = density_quadrature(g, R, a, b, l)
         scale = max(abs(v1), 1e-12)
         assert abs(v1 - v2) / scale < 1e-8
         if tridiagonal:

@@ -203,24 +203,28 @@ def _report_digest(report) -> str:
 MULTI_BLOCK = 3 * _BLOCK + 1_234
 
 
-@pytest.mark.parametrize("seed, digest", [
-    (0, "37172de41fd8cd402b71eff6c5d73a41e3bb6813612af7d4270de233e3d304d8"),
-    (1, "314f03ae42c60041feaa398ddbe817d5c4d97b9f4493a81f6283115742457560"),
-])
-def test_verify_density_over_several_blocks_pinned(seed, digest):
+VERIFY_DENSITY_DIGESTS = {
+    0: "37172de41fd8cd402b71eff6c5d73a41e3bb6813612af7d4270de233e3d304d8",
+    1: "314f03ae42c60041feaa398ddbe817d5c4d97b9f4493a81f6283115742457560",
+}
+LDP_PROBABILITY_DIGESTS = {
+    0: "9ebf5b47390ab29ff255a240d8d719fe0889c4d39636a5d12886b8a63596fb09",
+    1: "e42b00a7a03f383d6bcdb68370c7f50a868278c516704509337951d14901c537",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(VERIFY_DENSITY_DIGESTS))
+def test_verify_density_over_several_blocks_pinned(seed):
     report = verify_density_mc(srw_generator(0, 2), 0, 2, (0, 1, 2), 2.0, MULTI_BLOCK,
                                seed=seed)
-    assert _report_digest(report) == digest
+    assert _report_digest(report) == VERIFY_DENSITY_DIGESTS[seed]
 
 
-@pytest.mark.parametrize("seed, digest", [
-    (0, "9ebf5b47390ab29ff255a240d8d719fe0889c4d39636a5d12886b8a63596fb09"),
-    (1, "e42b00a7a03f383d6bcdb68370c7f50a868278c516704509337951d14901c537"),
-])
-def test_ldp_probability_over_several_blocks_pinned(seed, digest):
+@pytest.mark.parametrize("seed", sorted(LDP_PROBABILITY_DIGESTS))
+def test_ldp_probability_over_several_blocks_pinned(seed):
     report = ldp_probability_experiment(srw_generator(0, 2), 0, (0, 1), 0, 0.6, 2.0,
                                         MULTI_BLOCK, seed=seed)
-    assert _report_digest(report) == digest
+    assert _report_digest(report) == LDP_PROBABILITY_DIGESTS[seed]
 
 
 def test_verify_density_memory_is_one_block():

@@ -3,6 +3,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import loctimes
+
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 # run in a fresh interpreter: the test modules import scipy.stats themselves
@@ -26,3 +28,17 @@ def test_import_loads_no_stats_optimize_or_linalg():
     # scipy.optimize on first call still answer
     assert abs(float(chi)) < 1e-10
     assert 0.0 < float(rate) < float("inf")
+
+
+def test_public_api_is_pinned():
+    # adding or removing an export is a deliberate edit of this list
+    assert sorted(loctimes.__all__) == [
+        "DensityEvaluation", "Generator", "RateSolution", "bessel", "chain", "density",
+        "density_batch", "density_certified", "density_quadrature", "density_tridiagonal",
+        "density_upper_bound", "edge_kernel", "errors", "eta", "flows",
+        "generator_from_triples", "ldp_probability_bound", "ldp_varadhan_bound",
+        "montecarlo", "rate_general", "rate_symmetric", "rates", "rayknight",
+        "rescaled_chi_discrete", "rk_fixed_time_check", "rk_inner_density", "rk_outer_atom",
+        "rk_outer_density", "sample_paths_fixed_time", "sample_paths_inverse_local_time",
+        "sample_rk_profile_batch", "srw_generator", "validate_generator",
+    ]
