@@ -12,11 +12,12 @@ where B is the off-diagonal part of A on R, det_ab is the (b,a) cofactor
     G(l) = integral over [0,2pi]^R of
            exp(sum_{x,y} B[x,y] sqrt(l_x l_y) e^{i(th_x - th_y)}) dth/(2pi)^R.
 
-Three independent evaluations are provided:
+Three independent evaluations are provided, and :func:`density` routes
+between them by the structure of the undirected support of B on R:
 
-* :func:`density` - expand G as a power series over balanced integer flows
-  (only balanced monomials survive the circle averages), apply the cofactor
-  operator in closed form, and certify the truncation remainder;
+* :func:`density_certified` - expand G as a power series over balanced
+  integer flows (only balanced monomials survive the circle averages), apply
+  the cofactor operator in closed form, and certify the truncation remainder;
   :func:`density_batch` does this for many points of one range at once, and
   the single-point functions are batches of one in code path; they are the
   only way into the series.  A point's value and bound can differ from its
@@ -39,9 +40,15 @@ Three independent evaluations are provided:
   of unity, kept per range size; the cofactor is a minor of rates and node
   vectors whose determinant is one closed-form Laplace expansion, with no
   LAPACK call;
-* :func:`density_tridiagonal` - the nearest-neighbor product formula, one
-  scalar edge kernel (or its derivative) per interval edge, scaled by e^{-z}
-  and multiplied by one final exponential, for a and b in either order.
+* :func:`density_tree` - where the support is a tree the cofactor factorizes
+  along it: one scalar edge kernel per edge of the a-b path (times the rate
+  across it from a toward b) and one kernel derivative per edge off it, each
+  scaled by e^{-z} and multiplied by one final exponential, O(|R|) kernels
+  and no flows.  :func:`density_tridiagonal` is this product on the path
+  graph of an integer interval, for nearest-neighbor chains.
+
+:func:`density` takes the tree product where the support is a tree and the
+certified series' value everywhere else.
 
 Every route, the density bound and the Ray-Knight check read a request in one
 place: :func:`_range_positions` checks R, a and b, :func:`_local_times` reads l,
@@ -51,8 +58,9 @@ and ``ValueError`` on a rate that is not finite.
 The density depends only on the rates inside R x R, and only the local times
 change from point to point.  Everything else a request on (R, a, b) owes is
 built once into a :class:`PreparedRange` (:func:`prepare_range`): the rate
-block, B, the diagonal, eta and the symmetry flag (:class:`RangeRates`,
-shared by every route and by the bounds in :mod:`rates`), the cofactor
+block, B, the diagonal, eta, the symmetry flag and the undirected support
+with its cyclomatic number and tree flag (:class:`RangeRates`, shared by
+every route and by the bounds in :mod:`rates`), the cofactor
 operator's subsets and weights, and, filled on first use, the flow-series
 terms of each truncation order.  The cache is keyed by content (the bytes of
 the rate block, the positions of a and b, the conjugation vector), so an
@@ -60,7 +68,9 @@ in-place edit of ``gen.rates`` misses it instead of reading a stale value; it
 is bounded at the last 16 ranges, and every cached array is read-only.  The
 diagonal stays the strided view ``np.diag(A)``: a contiguous copy changes
 ``L @ diag`` in the last bit, and the values must match an uncached
-evaluation bit for bit.
+evaluation bit for bit.  The tree route reads only the :class:`RangeRates`
+and, cached by the same rate-block key with the positions of a and b, the
+factors of its product (:func:`_tree_factors`), so it builds no series.
 """
 
 import math
@@ -79,6 +89,7 @@ from .errors import (
     NegativeRateError,
     NonConvergedTruncationError,
     NotIntervalError,
+    NotTreeError,
     NotTridiagonalError,
     ResidualImaginaryError,
 )
@@ -426,6 +437,32 @@ class RangeRates:
     diag: np.ndarray    # np.diag(A), the strided view of A (see range_rates)
     eta: float          # max row/column sum of B, floored at 1
     symmetric: bool     # A equals its transpose entrywise to 1e-12
+    edges: Tuple[Tuple[int, int], ...]  # undirected support of B, x < y, row order
+    cyclomatic: int     # len(edges) - |R| + connected components
+    tree: bool          # the support is connected and acyclic
+
+
+def _undirected_support(B: np.ndarray) -> Tuple[Tuple[Tuple[int, int], ...], int, bool]:
+    """The pairs x < y (in row order) with B_xy or B_yx nonzero, the
+    cyclomatic number of that graph, and whether it is a tree."""
+    r = B.shape[0]
+    xs, ys = np.nonzero(np.triu((B != 0.0) | (B.T != 0.0), 1))
+    edges = tuple(zip(xs.tolist(), ys.tolist()))
+    root = list(range(r))
+
+    def find(x: int) -> int:
+        while root[x] != x:
+            x = root[x]
+        return x
+
+    components = r
+    for x, y in edges:
+        rx, ry = find(x), find(y)
+        if rx != ry:
+            root[rx] = ry
+            components -= 1
+    cyclomatic = len(edges) - r + components
+    return edges, cyclomatic, components == 1 and cyclomatic == 0
 
 
 @lru_cache(maxsize=_PREPARED_RANGES)
@@ -442,11 +479,20 @@ def _range_rates(block: bytes, r: int) -> RangeRates:
         raise NegativeRateError(
             f"negative rate {B[x, y]} from position {x} to position {y} of the range")
     _read_only(B)
+    edges, cyclomatic, tree = _undirected_support(B)
     return RangeRates(
         A=A, B=B, diag=np.diag(A),
         eta=float(max(B.sum(axis=1).max(), B.sum(axis=0).max(), 1.0)),
         symmetric=_is_symmetric(A),
+        edges=edges, cyclomatic=cyclomatic, tree=tree,
     )
+
+
+def _rate_block(gen: Generator, R: Tuple) -> Tuple[bytes, int]:
+    """The key of the rate caches: the bytes and size of the block of
+    ``gen`` on R (R already read by :func:`_distinct_labels`)."""
+    A = np.asarray(gen.submatrix(R), dtype=float)
+    return A.tobytes(), A.shape[0]
 
 
 def range_rates(gen: Generator, R: Sequence) -> RangeRates:
@@ -460,8 +506,7 @@ def range_rates(gen: Generator, R: Sequence) -> RangeRates:
     a C-ordered block, as a fresh slice would give: a contiguous copy can
     change ``L @ diag`` in the last bit.
     """
-    A = np.asarray(gen.submatrix(_distinct_labels(R)), dtype=float)
-    return _range_rates(A.tobytes(), A.shape[0])
+    return _range_rates(*_rate_block(gen, _distinct_labels(R)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -494,14 +539,13 @@ def prepare_range(gen: Generator, R: Sequence, a, b,
     the rate block as in :func:`range_rates`, the positions of a and b, and
     the bytes of the conjugation vector (see :func:`density_batch`)."""
     R, a_pos, b_pos = _range_positions(R, a, b)
-    A = np.asarray(gen.submatrix(R), dtype=float)
     conj = None
     if conjugation is not None:
         rvec = np.asarray(conjugation, dtype=float)
         if rvec.shape != (len(R),) or np.any(rvec <= 0):
             raise ValueError("conjugation must be a positive vector on R")
         conj = rvec.tobytes()
-    return _prepared_range(A.tobytes(), len(R), a_pos, b_pos, conj)
+    return _prepared_range(*_rate_block(gen, R), a_pos, b_pos, conj)
 
 
 # ---------------------------------------------------------------------------
@@ -636,9 +680,17 @@ def density(
 ) -> float:
     """Joint density of the local times on {range = R, endpoint = b}.
 
-    See :func:`density_certified` for the evaluation contract; this returns
-    just the value.
+    Routes by the structure of the undirected support of B on R, which is
+    computed once per rate block (:class:`RangeRates`): where it is a tree,
+    the kernel product :func:`density_tree`, O(|R|) Bessel kernels and no
+    flow series, for which ``tol`` and ``conjugation`` do not apply (the
+    product has no truncation to certify); everywhere else the certified
+    series, ``density_certified(gen, R, a, b, l, tol, conjugation).value``
+    bit for bit, whose evaluation contract and errors
+    :func:`density_certified` documents.
     """
+    if range_rates(gen, R).tree:
+        return density_tree(gen, R, a, b, l)
     return density_certified(gen, R, a, b, l, tol, conjugation).value
 
 
@@ -762,44 +814,123 @@ def _integer_interval(R: Sequence) -> Tuple[int, ...]:
 def density_tridiagonal(gen: Generator, R: Sequence, a, b, l) -> float:
     """Density of a nearest-neighbor chain on an integer interval.
 
-    For tridiagonal A the cofactor factorizes across the interval, so the
-    density is a product of one scalar edge kernel per middle edge (between a
-    and b, each weighted by the rate across it in the direction from a to b)
-    and one kernel derivative per outer edge (outside min(a, b)..max(a, b)),
-    times the diagonal exponential.  O(|R|) kernel evaluations, each scaled
-    by e^{-z} (:func:`bessel.scaled_edge_kernel`), with the diagonal exponent
-    and every z applied in one final exp, so no kernel overflows where the
-    density is a double.  For unit-rate walks the middle rate factors are
-    invisible; the two-state case pins them down: the density of one
-    crossing carries the rate of that jump.
+    The tree product (:func:`density_tree`) on the path graph of the sorted
+    interval, whose edges hold the support of a nearest-neighbor chain even
+    where a rate pair is 0 (a support that is not connected gives 0): one
+    scalar edge kernel per middle edge (between a and b, each weighted by the
+    rate across it in the direction from a to b) and one kernel derivative
+    per outer edge (outside min(a, b)..max(a, b)), times the diagonal
+    exponential, multiplied from left to right.  For unit-rate walks the
+    middle rate factors are invisible; the two-state case pins them down:
+    the density of one crossing carries the rate of that jump.  Labels that
+    are not a contiguous integer interval raise ``NotIntervalError``, and a
+    rate beyond nearest neighbors ``NotTridiagonalError``.
     """
     R, _, _ = _range_positions(R, a, b)
     lvec = _local_times(R, l)
     R_sorted = _integer_interval(R)
     if R != R_sorted:
         lvec = _local_times(R_sorted, dict(zip(R, lvec)))
-    a, b = int(a), int(b)
-    lo, hi = min(a, b), max(a, b)
-    rates = range_rates(gen, R_sorted)
-    A, off = rates.A, rates.B
-    r = len(R_sorted)
-    band = np.abs(np.arange(r)[:, None] - np.arange(r)[None, :]) >= 2
-    if np.any(off[band] != 0.0):
+    block, r = _rate_block(gen, R_sorted)
+    rates = _range_rates(block, r)
+    if any(y - x >= 2 for x, y in rates.edges):
         raise NotTridiagonalError("generator has rates beyond nearest neighbors in R")
+    path = tuple(zip(range(r - 1), range(1, r)))
+    factors = _tree_factors(block, r, R_sorted.index(int(a)), R_sorted.index(int(b)), path)
+    return _tree_product(factors, rates.diag, lvec)
 
-    # the scaled factors times one exponent sum A_xx l_x + sum_e z_e; by
-    # AM-GM each z_e <= B_xy l_x + B_yx l_y, so the exponent is <= 0
-    factor, exponent = 1.0, float(np.dot(rates.diag, lvec))
-    for i, x in enumerate(R_sorted[:-1]):
-        c = A[i, i + 1] * A[i + 1, i]
-        if x < lo:
-            z, scaled = scaled_edge_kernel(1, c, lvec[i], lvec[i + 1])
-        elif x < hi:
-            rate = A[i, i + 1] if a <= b else A[i + 1, i]
-            z, scaled = scaled_edge_kernel(0, c, lvec[i], lvec[i + 1])
-            scaled *= rate
-        else:  # x + 1 > hi: derivative in the right coordinate
-            z, scaled = scaled_edge_kernel(1, c, lvec[i + 1], lvec[i])
-        factor *= scaled
+
+class _TreeFactor(NamedTuple):
+    """One factor of the tree product: the scaled kernel of ``order`` (0 on
+    the a-b path, 1 off it) at (l_first, l_second), times ``rate``."""
+
+    order: int
+    first: int      # on the path the lower position, off it the far end
+    second: int
+    c: float        # B_xy * B_yx
+    rate: float     # on the path the rate from a toward b, off it 1.0
+
+
+@lru_cache(maxsize=_PREPARED_RANGES)
+def _tree_factors(block: bytes, r: int, a: int, b: int,
+                tree: Tuple[Tuple[int, int], ...]) -> Tuple[_TreeFactor, ...]:
+    """The factors of :func:`density_tree` on the spanning tree ``tree``
+    (pairs x < y) of positions 0..r-1, in the order of ``tree``, for the rate
+    block ``block`` and endpoints at positions a and b.
+
+    Rooted at a, the a-b path is b and its ancestors, and each edge off the
+    path joins a child (the end farther from the path, since no descendant of
+    an off-path node is on the path) to its parent.
+    """
+    A = _range_rates(block, r).A
+    neighbors: Dict[int, List[int]] = {x: [] for x in range(r)}
+    for x, y in tree:
+        neighbors[x].append(y)
+        neighbors[y].append(x)
+    parent = {a: a}
+    queue = [a]
+    for x in queue:
+        for y in neighbors[x]:
+            if y not in parent:
+                parent[y] = x
+                queue.append(y)
+    on_path = set()
+    x = b
+    while x != a:
+        on_path.add(x)
+        x = parent[x]
+    factors = []
+    for x, y in tree:
+        child, near = (y, x) if parent[y] == x else (x, y)
+        c = float(A[x, y]) * float(A[y, x])
+        if child in on_path:
+            factors.append(_TreeFactor(0, x, y, c, float(A[near, child])))
+        else:
+            factors.append(_TreeFactor(1, child, near, c, 1.0))
+    return tuple(factors)
+
+
+def _tree_product(factors: Tuple[_TreeFactor, ...], diag: np.ndarray, lvec: np.ndarray) -> float:
+    """The product of the scaled ``factors`` times one exponential of
+    sum A_xx l_x + sum_e z_e; by AM-GM each z_e <= B_xy l_x + B_yx l_y, so
+    the exponent is <= 0 and neither the product nor its exponent overflows
+    where the density is a double."""
+    l = lvec.tolist()
+    factor, exponent = 1.0, float(np.dot(diag, lvec))
+    for order, first, second, c, rate in factors:
+        z, scaled = scaled_edge_kernel(order, c, l[first], l[second])
+        factor *= scaled * rate
         exponent += z
     return factor * math.exp(exponent)
+
+
+def density_tree(gen: Generator, R: Sequence, a, b, l) -> float:
+    """Density of a chain whose support on R is a tree.
+
+    When the undirected support of B on R (the pairs with B_xy or B_yx
+    nonzero) is a tree, the cofactor factorizes along it.  Let a = x0, ...,
+    xk = b be the tree path and c_e = B_xy B_yx.  Then
+
+        rho(l) = exp(sum_x A_xx l_x)
+                 * prod_path A[x_i, x_{i+1}] K0(c_e, l_{x_i}, l_{x_{i+1}})
+                 * prod_off-path K1(c_e, l_far, l_near),
+
+    with K0 and K1 the order-0 and order-1 :func:`bessel.scaled_edge_kernel`
+    and "far" the end farther from the path.  Each kernel is scaled by e^{-z}
+    and the exponent sum A_xx l_x + sum_e z_e is applied once, so there is
+    no truncation and no cancellation: every factor is nonnegative.  a == b
+    (no path edges), a > b and one-way edges (c_e = 0, where an off-path edge
+    gives 0 and a path edge its one rate) follow from the same formula.  The
+    tree flag and the path come from the caches of the rate block, so a call
+    pays no graph search.  A support that is not a tree raises
+    ``NotTreeError``.
+    """
+    R, a_pos, b_pos = _range_positions(R, a, b)
+    lvec = _local_times(R, l)
+    block, r = _rate_block(gen, R)
+    rates = _range_rates(block, r)
+    if not rates.tree:
+        raise NotTreeError(
+            f"the support on {R!r} is not a tree (cyclomatic number {rates.cyclomatic}"
+            f"{'' if rates.cyclomatic else ', not connected'})")
+    return _tree_product(_tree_factors(block, r, a_pos, b_pos, rates.edges), rates.diag, lvec)

@@ -55,6 +55,10 @@ class NotIntervalError(LoctimesError):
     """The requested subset is not a contiguous integer interval."""
 
 
+class NotTreeError(LoctimesError):
+    """The undirected support of the generator on the range is not a tree."""
+
+
 # ---- rate functions and bounds ----
 
 class NotSymmetricError(LoctimesError):

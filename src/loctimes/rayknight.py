@@ -24,7 +24,7 @@ import numpy as np
 
 from .bessel import scaled_edge_kernel
 from .chain import Generator, srw_generator
-from .density import _integer_interval, _local_times, _range_positions, density
+from .density import _integer_interval, _local_times, _range_positions, density_certified
 from .errors import DomainError, NotSRWError
 from .montecarlo import _path_count
 
@@ -39,25 +39,32 @@ def _gap_factor(h1: float, h2: float) -> float:
     return math.exp(-((math.sqrt(h1) - math.sqrt(h2)) ** 2))
 
 
+def _check_kernel_argument(name: str, h: float, positive: bool = False) -> None:
+    """Raise ``DomainError``, naming the argument, unless ``h`` is finite and
+    nonnegative (positive if ``positive``)."""
+    if not (math.isfinite(h) and (h > 0 if positive else h >= 0)):
+        sign = "positive" if positive else "nonnegative"
+        raise DomainError(f"kernel argument {name} must be finite and {sign}; got {h!r}")
+
+
 def rk_inner_density(h1: float, h2: float) -> float:
     """Transition density of the inner (pivot-to-start) profile chain."""
-    if h1 < 0 or h2 < 0:
-        raise DomainError("kernel arguments must be nonnegative")
+    _check_kernel_argument("h1", h1)
+    _check_kernel_argument("h2", h2)
     return scaled_edge_kernel(0, 1.0, h1, h2)[1] * _gap_factor(h1, h2)
 
 
 def rk_outer_atom(h1: float) -> float:
     """Mass of the absorbing atom at zero of the outer kernel."""
-    if h1 < 0:
-        raise DomainError("kernel arguments must be nonnegative")
+    _check_kernel_argument("h1", h1)
     return math.exp(-h1)
 
 
 def rk_outer_density(h1: float, h2: float) -> float:
     """Absolutely continuous part of the outer kernel on (0, infinity): the
     edge kernel's derivative in h2, h1 I1(z) / (z/2) = sqrt(h1/h2) I1(z)."""
-    if h1 < 0 or h2 <= 0:
-        raise DomainError("need h1 >= 0 and h2 > 0")
+    _check_kernel_argument("h1", h1)
+    _check_kernel_argument("h2", h2, positive=True)
     return scaled_edge_kernel(1, 1.0, h2, h1)[1] * _gap_factor(h1, h2)
 
 
@@ -174,7 +181,7 @@ def rk_fixed_time_check(
 ) -> Tuple[float, float]:
     """Evaluate both sides of the fixed-time product identity.
 
-    Returns (density-engine value, kernel-product value).  The walk is
+    Returns (certified-series value, kernel-product value).  The walk is
     reversible, so with lo <= hi the ends a, b in either order, the kernel
     product chains outer density factors from lo down and from hi up, inner
     factors between them, and an absorption atom exp(-l_end) for each interval
@@ -192,7 +199,9 @@ def rk_fixed_time_check(
     escape = _check_srw_on_interval(generator, R_sorted)
 
     lvec = dict(zip(R, _local_times(R, l)))
-    rho = density(generator, R_sorted, a, b, lvec, tol=1e-13)
+    # the series, not the routed density: on an interval that would be the
+    # tree product, which is this kernel product again
+    rho = density_certified(generator, R_sorted, a, b, lvec, tol=1e-13).value
 
     kernel = math.exp(-float(sum(escape[i] * lvec[x] for i, x in enumerate(R_sorted))))
     for x in range(R_sorted[0] + 1, lo + 1):         # left outer chain

@@ -104,7 +104,7 @@ def test_criterion_02_oracle_triangle():
         T = rng.uniform(0.4, 2.0)
         l = rng.dirichlet(np.ones(size)) * T
         l = np.maximum(l, 0.03 * T)
-        v_series = density(window, R, a, b, l, tol=1e-12)
+        v_series = density_certified(window, R, a, b, l, tol=1e-12).value
         v_quad = density_quadrature(window, R, a, b, l)
         v_tri = density_tridiagonal(window, R, a, b, l)
         scale = max(abs(v_series), 1e-300)
@@ -140,9 +140,9 @@ def test_criterion_03_r_invariance():
         l = np.maximum(rng.dirichlet(np.ones(n)), 0.03) * T
         a, b = (int(v) for v in rng.integers(0, n, 2))
         R = tuple(range(n))
-        base = density(g, R, a, b, l, tol=1e-11)
+        base = density_certified(g, R, a, b, l, tol=1e-11).value
         r = rng.uniform(0.5, 2.0, n)
-        conj = density(g, R, a, b, l, tol=1e-11, conjugation=r)
+        conj = density_certified(g, R, a, b, l, tol=1e-11, conjugation=r).value
         worst = max(worst, abs(conj - base) / max(1.0, abs(base)))
     elapsed = time.time() - t_start
     report(3, worst < 1e-9,
@@ -450,7 +450,7 @@ def test_criterion_11_boundary_vanishing():
             rest = [0.5] * (len(V) - 1)
             l = {x: (lc if x == c else rest.pop()) for x in V}
             v_tri = density_tridiagonal(g, V, c, c, l)
-            v_ser = density(g, V, c, c, l, tol=1e-13)
+            v_ser = density_certified(g, V, c, c, l, tol=1e-13).value
             ok &= abs(v_tri - v_ser) <= 1e-10 * max(1.0, abs(v_ser))
             values.append(v_tri)
         ok &= values[0] > values[1] > values[2] > 0.0

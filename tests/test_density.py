@@ -20,6 +20,7 @@ from loctimes.density import (
     density_batch,
     density_certified,
     density_quadrature,
+    density_tree,
     density_tridiagonal,
     prepare_range,
     range_rates,
@@ -31,6 +32,7 @@ from loctimes.errors import (
     NegativeRateError,
     NonConvergedTruncationError,
     NotIntervalError,
+    NotTreeError,
     NotTridiagonalError,
     ResidualImaginaryError,
 )
@@ -320,7 +322,7 @@ def test_density_rejects_boundary_point():
 def test_density_raises_when_tail_cannot_converge():
     g = validate_generator([[0.0, 60.0], [60.0, 0.0]], (1, 2))
     with pytest.raises(NonConvergedTruncationError):
-        density(g, (1, 2), 1, 2, [1.0, 1.0], tol=1e-10)
+        density_certified(g, (1, 2), 1, 2, [1.0, 1.0], tol=1e-10)
 
 
 @pytest.mark.parametrize("route", [density_certified])
@@ -406,7 +408,7 @@ def test_tail_sums_closed_form_matches_direct_sum():
                 direct = math.fsum(
                     math.exp(q * math.log(N) + N * math.log(s) - math.lgamma(N + 1.0))
                     for N in range(n0 + 1, n0 + 200))
-                assert g == pytest.approx(direct, rel=1e-12)
+                assert g == pytest.approx(direct, rel=1e-12, abs=0)
     zero, order = np.zeros(3), np.array([8])
     assert np.all(_tail_sums([2], zero, _poisson_tails(zero, order, 3))[0] == 0.0)
 
@@ -448,7 +450,7 @@ def test_tails_at_orders_off_the_schedule():
                 by_size[q][p] * math.exp(q * math.log(N) + N * math.log(S[p])
                                          - math.lgamma(N + 1.0))
                 for q in by_size for N in range(n0 + 1, n0 + 300))
-            assert got == pytest.approx(direct, rel=1e-12)
+            assert got == pytest.approx(direct, rel=1e-12, abs=0)
 
 
 # a chain and points with dyadic rates and local times (l_x = (k_x / 8)^2):
@@ -599,7 +601,7 @@ def test_single_order_error_bound_is_the_tail_majorant():
 def test_certificate_reports_order_and_bound():
     res = density_certified(TWO_STATE, (1, 2), 1, 2, [0.5, 0.5], tol=1e-10)
     assert res.error_bound <= 1e-10
-    high = density(TWO_STATE, (1, 2), 1, 2, [0.5, 0.5], tol=1e-13)
+    high = density_certified(TWO_STATE, (1, 2), 1, 2, [0.5, 0.5], tol=1e-13).value
     assert abs(res.value - high) <= res.error_bound + 1e-15
 
 
@@ -611,11 +613,11 @@ def test_r_invariance_of_the_series():
         l = random_point(rng, n, rng.uniform(0.5, 1.5))
         a, b = rng.integers(0, n, 2)
         R = tuple(range(n))
-        base = density(g, R, a, b, l, tol=1e-11)
+        base = density_certified(g, R, a, b, l, tol=1e-11).value
         # wide ratios inflate the conjugated majorant (the value is invariant
         # but the certificate is not), so keep r moderate
         r = rng.uniform(0.5, 2.0, n)
-        conj = density(g, R, a, b, l, tol=1e-11, conjugation=r)
+        conj = density_certified(g, R, a, b, l, tol=1e-11, conjugation=r).value
         assert abs(conj - base) <= 1e-9 * max(1.0, abs(base))
 
 
@@ -624,7 +626,7 @@ def test_r_invariance_of_the_series():
 # ---------------------------------------------------------------------------
 
 def test_quadrature_matches_series_two_state():
-    v_series = density(TWO_STATE, (1, 2), 1, 2, [0.5, 0.5], tol=1e-12)
+    v_series = density_certified(TWO_STATE, (1, 2), 1, 2, [0.5, 0.5], tol=1e-12).value
     v_quad = density_quadrature(TWO_STATE, (1, 2), 1, 2, [0.5, 0.5])
     assert v_quad == pytest.approx(v_series, abs=1e-10)
 
@@ -772,7 +774,7 @@ def test_oracle_triangle_random_instances():
         l = random_point(rng, n, rng.uniform(0.4, 1.2))
         a, b = rng.integers(0, n, 2)
         R = tuple(range(n))
-        v1 = density(g, R, a, b, l, tol=1e-12)
+        v1 = density_certified(g, R, a, b, l, tol=1e-12).value
         v2 = density_quadrature(g, R, a, b, l)
         scale = max(abs(v1), 1e-12)
         assert abs(v1 - v2) / scale < 1e-8
@@ -809,7 +811,7 @@ def test_tridiagonal_matches_series_on_interior_interval():
     g = srw_generator(-3, 6)
     R = (0, 1, 2)
     l = [0.3, 0.4, 0.3]
-    v1 = density(g, R, 0, 2, l, tol=1e-12)
+    v1 = density_certified(g, R, 0, 2, l, tol=1e-12).value
     v2 = density_tridiagonal(g, R, 0, 2, l)
     # hand value: e^{-2T} I0(2 sqrt(l0 l1)) I0(2 sqrt(l1 l2))
     hand = math.exp(-2.0) * sp.iv(0, 2 * math.sqrt(0.12)) * sp.iv(0, 2 * math.sqrt(0.12))
@@ -826,6 +828,149 @@ def test_boundary_vanishing_at_interval_endpoint():
     assert values[0] > values[1] > values[2] > 0.0
     # the decay is linear in l_c near the boundary
     assert values[2] < 0.05 * values[0]
+
+
+# ---------------------------------------------------------------------------
+# tree route and routing
+# ---------------------------------------------------------------------------
+
+# the undirected supports the tree route is checked on, as pairs of positions
+TREES = {
+    "path4": [(0, 1), (1, 2), (2, 3)],
+    "path6": [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)],
+    "star-K13": [(0, 1), (0, 2), (0, 3)],
+    "star-K14": [(0, 1), (0, 2), (0, 3), (0, 4)],
+    "branching5": [(0, 1), (1, 2), (1, 3), (3, 4)],
+    "branching6": [(0, 1), (1, 2), (1, 3), (3, 4), (3, 5)],
+    "spider6": [(0, 1), (0, 2), (2, 3), (2, 4), (4, 5)],
+}
+
+
+def _tree_chain(rng, tree, one_way):
+    """Random rates on ``tree`` with its nodes relabelled at random, and one
+    state killed into a state outside the range 0..n-1.  With ``one_way``,
+    one edge keeps a single direction, returned as (from, to); else None."""
+    n = max(max(e) for e in tree) + 1
+    perm = rng.permutation(n)
+    A = np.zeros((n + 1, n + 1))
+    for x, y in tree:
+        A[perm[x], perm[y]], A[perm[y], perm[x]] = rng.uniform(0.3, 1.3, 2)
+    kept = None
+    if one_way:
+        x, y = tree[rng.integers(len(tree))]
+        A[perm[y], perm[x]] = 0.0
+        kept = (int(perm[x]), int(perm[y]))
+    A[rng.integers(n), n] = rng.uniform(0.3, 1.3)
+    return validate_generator(A), tuple(range(n)), kept
+
+
+@pytest.mark.parametrize("name", sorted(TREES))
+def test_tree_route_matches_the_series(name):
+    rng = np.random.default_rng(2900 + sorted(TREES).index(name))
+    for one_way in (False, True):
+        gen, R, kept = _tree_chain(rng, TREES[name], one_way)
+        n = len(R)
+        pairs = [(0, n - 1), (n - 1, 0), (1, 1), (2, 0)]
+        if kept:
+            # across the one-way edge: along its direction, and against it
+            pairs += [kept, kept[::-1]]
+        values = []
+        for a, b in pairs:
+            l = rng.uniform(0.1, 0.4, n) * rng.uniform(0.8, 1.5)
+            value = density_tree(gen, R, a, b, l)
+            series = density_certified(gen, R, a, b, l, tol=1e-13).value
+            if value == 0.0:
+                # a one-way edge off the path or against it: the exact
+                # density is 0, and the series rounds to it
+                assert one_way and abs(series) < 1e-15
+            else:
+                assert abs(value - series) <= 1e-10 * abs(series)
+            values.append(value)
+        if kept:
+            assert values[-2] > 0.0 and values[-1] == 0.0
+
+
+def test_tree_route_is_the_tridiagonal_product_on_intervals():
+    rng = np.random.default_rng(2910)
+    for _ in range(40):
+        n = int(rng.integers(1, 7))
+        gen = _pinned_chain(rng, "interval", n) if n > 1 else srw_generator(0, 2)
+        R = tuple(range(n))
+        l = random_point(rng, n, rng.uniform(0.5, 3.0))
+        for a, b in ((0, n - 1), (n - 1, 0), (n // 2, n // 2)):
+            tri = density_tridiagonal(gen, R, a, b, l)
+            assert density_tree(gen, R, a, b, l).hex() == tri.hex()
+            assert density(gen, R, a, b, l).hex() == tri.hex()
+
+
+def test_tridiagonal_keeps_an_interval_that_is_not_connected():
+    # no rate across the middle edge: the support is two pieces, not a tree,
+    # and no path covers R
+    A = np.zeros((4, 4))
+    A[0, 1] = A[1, 0] = A[2, 3] = A[3, 2] = 1.0
+    gen, R, l = validate_generator(A), (0, 1, 2, 3), [0.3, 0.2, 0.4, 0.1]
+    assert density_tridiagonal(gen, R, 0, 3, l) == 0.0
+    assert density_tridiagonal(gen, R, 1, 1, l) == 0.0
+    with pytest.raises(NotTreeError, match="not connected"):
+        density_tree(gen, R, 0, 3, l)
+    assert density(gen, R, 0, 3, l) == density_certified(gen, R, 0, 3, l).value
+
+
+@pytest.mark.parametrize("route", [density_tree, density])
+def test_tree_route_at_large_local_times(route):
+    g = validate_generator([[0.0, 1.0], [1.0, 0.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        value = route(g, (0, 1), 0, 1, [200.0, 800.0])
+    assert value == pytest.approx(math.exp(-200.0) * sp.ive(0, 800.0), rel=1e-12, abs=0)
+
+
+def test_range_structure():
+    def structure(rates, R=None):
+        gen = validate_generator(rates)
+        rr = range_rates(gen, R if R is not None else gen.states)
+        return rr.edges, rr.cyclomatic, rr.tree
+
+    K4 = np.ones((4, 4)) - np.eye(4)
+    assert structure(K4) == (((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)), 3, False)
+    cycle = np.roll(np.eye(4), 1, axis=1)       # one-way 4-cycle
+    assert structure(cycle) == (((0, 1), (0, 3), (1, 2), (2, 3)), 1, False)
+    star = np.zeros((4, 4))
+    star[1:, 0] = 1.0                          # one-way edges into 0
+    assert structure(star) == (((0, 1), (0, 2), (0, 3)), 0, True)
+    assert structure(star, (1, 2, 3)) == ((), 0, False)
+    assert structure(star, (2,)) == ((), 0, True)
+
+
+def test_density_routes_by_structure(monkeypatch):
+    rng = np.random.default_rng(2920)
+    # not a tree: the series, bit for bit, with tol and conjugation applied
+    for gen in (_pinned_chain(rng, "support", 3), _pinned_chain(rng, "support", 5),
+                random_conservative(rng, 4)):
+        n = len(gen.states)
+        R, l, r = gen.states, random_point(rng, n, 1.5), rng.uniform(0.7, 1.4, n)
+        assert not range_rates(gen, R).tree
+        assert density(gen, R, 0, 1, l).hex() == density_certified(gen, R, 0, 1, l).value.hex()
+        assert density(gen, R, 0, 1, l, tol=1e-12, conjugation=r).hex() == (
+            density_certified(gen, R, 0, 1, l, tol=1e-12, conjugation=r).value.hex())
+    # a tree: the product, whatever tol and conjugation, and no part of the
+    # series is built, even where the series cannot converge
+    monkeypatch.setattr(density_module, "_prepared_range", _refuse)
+    monkeypatch.setattr(density_module, "flow_table", _refuse)
+    gen = validate_generator([[0.0, 60.0], [60.0, 0.0]], (1, 2))
+    value = density(gen, (1, 2), 1, 2, [1.0, 1.0], tol=1e-13, conjugation=[1.0, 2.0])
+    assert value.hex() == density_tree(gen, (1, 2), 1, 2, [1.0, 1.0]).hex()
+    assert value == pytest.approx(math.exp(-120.0) * sp.iv(0, 120.0) * 60.0, rel=1e-12)
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("the tree route built a part of the series")
+
+
+def test_tree_route_rejects_a_support_with_a_cycle():
+    gen = random_conservative(np.random.default_rng(2930), 3)
+    with pytest.raises(NotTreeError, match="cyclomatic number 1"):
+        density_tree(gen, gen.states, 0, 2, [0.3, 0.3, 0.4])
 
 
 # ---------------------------------------------------------------------------
@@ -887,8 +1032,8 @@ def test_nonnegativity_sweep():
         assert res.value >= -(res.error_bound + 1e-12)
 
 
-POINT_ROUTES = (density_certified, density_quadrature, density_tridiagonal,
-                density_upper_bound)
+POINT_ROUTES = (density, density_certified, density_quadrature, density_tree,
+                density_tridiagonal, density_upper_bound)
 
 
 def test_point_routes_read_dict_and_sequence_alike():
@@ -934,8 +1079,7 @@ def test_every_route_names_a_label_outside_the_request(R, a, b, l, message):
 @pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
 def test_routes_reject_non_finite_local_times(bad):
     g, R, l = srw_generator(0, 2), (0, 1, 2), [bad, 0.5, 0.5]
-    for route in (density_certified, density_quadrature, density_tridiagonal,
-                  density_upper_bound):
+    for route in POINT_ROUTES:
         with pytest.raises(DomainError, match="finite"):
             route(g, R, 0, 2, l)
     with pytest.raises(DomainError, match="finite"):

@@ -33,12 +33,12 @@ def test_import_loads_no_stats_optimize_or_linalg():
 def test_public_api_is_pinned():
     # adding or removing an export is a deliberate edit of this list
     assert sorted(loctimes.__all__) == [
-        "DensityEvaluation", "Generator", "RateSolution", "bessel", "chain", "density",
-        "density_batch", "density_certified", "density_quadrature", "density_tridiagonal",
-        "density_upper_bound", "edge_kernel", "errors", "eta", "flows",
-        "generator_from_triples", "ldp_probability_bound", "ldp_varadhan_bound",
-        "montecarlo", "rate_general", "rate_symmetric", "rates", "rayknight",
+        "DensityEvaluation", "Generator", "RateSolution", "density", "density_batch",
+        "density_certified", "density_quadrature", "density_tree", "density_tridiagonal",
+        "density_upper_bound", "edge_kernel", "errors", "eta", "generator_from_triples",
+        "ldp_probability_bound", "ldp_varadhan_bound", "rate_general", "rate_symmetric",
         "rescaled_chi_discrete", "rk_fixed_time_check", "rk_inner_density", "rk_outer_atom",
         "rk_outer_density", "sample_paths_fixed_time", "sample_paths_inverse_local_time",
         "sample_rk_profile_batch", "srw_generator", "validate_generator",
     ]
+    assert all(hasattr(loctimes, name) for name in loctimes.__all__)

@@ -53,6 +53,19 @@ def test_kernels_reject_negative_arguments():
         rk_outer_atom(-2.0)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("call, name", [
+    (lambda h: rk_inner_density(h, 1.0), "h1"),
+    (lambda h: rk_inner_density(1.0, h), "h2"),
+    (lambda h: rk_outer_density(h, 1.0), "h1"),
+    (lambda h: rk_outer_density(1.0, h), "h2"),
+    (lambda h: rk_outer_atom(h), "h1"),
+], ids=["inner-h1", "inner-h2", "outer-h1", "outer-h2", "atom-h1"])
+def test_kernels_reject_non_finite_arguments(call, name, bad):
+    with pytest.raises(DomainError, match=f"kernel argument {name} must be finite"):
+        call(bad)
+
+
 @pytest.mark.parametrize("h1", [0.1, 1.0, 5.0])
 def test_inner_kernel_normalization(h1):
     total, _ = integrate.quad(lambda h2: rk_inner_density(h1, h2), 0.0, np.inf,
