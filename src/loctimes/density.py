@@ -56,21 +56,21 @@ and :func:`range_rates` raises ``NegativeRateError`` on a negative rate in R
 and ``ValueError`` on a rate that is not finite.
 
 The density depends only on the rates inside R x R, and only the local times
-change from point to point.  Everything else a request on (R, a, b) owes is
-built once into a :class:`PreparedRange` (:func:`prepare_range`): the rate
-block, B, the diagonal, eta, the symmetry flag and the undirected support
-with its cyclomatic number and tree flag (:class:`RangeRates`, shared by
-every route and by the bounds in :mod:`rates`), the cofactor
-operator's subsets and weights, and, filled on first use, the flow-series
-terms of each truncation order.  The cache is keyed by content (the bytes of
-the rate block, the positions of a and b, the conjugation vector), so an
-in-place edit of ``gen.rates`` misses it instead of reading a stale value; it
-is bounded at the last 16 ranges, and every cached array is read-only.  The
-diagonal stays the strided view ``np.diag(A)``: a contiguous copy changes
-``L @ diag`` in the last bit, and the values must match an uncached
-evaluation bit for bit.  The tree route reads only the :class:`RangeRates`
-and, cached by the same rate-block key with the positions of a and b, the
-factors of its product (:func:`_tree_factors`), so it builds no series.
+change from point to point.  The rates are one :class:`RangeRates` per rate
+block, read by every route, the bounds and rate function in :mod:`rates` and
+the Ray-Knight check: the block, B, the diagonal, eta, the symmetry flag and
+the undirected support with its cyclomatic number and tree flag.  The series
+of a request on (R, a, b) (:func:`prepare_range`) holds its
+:class:`RangeRates`, the cofactor operator's subsets and weights, and, filled
+on first use, the flow-series terms of each truncation order.  The caches are
+keyed by content (the bytes of the rate block and, for the series, the
+positions of a and b and the conjugation vector), so an in-place edit of
+``gen.rates`` misses them instead of reading a stale value; each is bounded at
+16 entries, and every cached array is read-only.  The diagonal stays the
+strided view ``np.diag(A)``: a contiguous copy changes ``L @ diag`` in the
+last bit, and the values must match an uncached evaluation bit for bit.  The
+tree route reads only the :class:`RangeRates` and the factors of its product
+(:func:`_tree_factors`, cached by the rate block and the positions of a and b).
 """
 
 import math
@@ -303,16 +303,19 @@ class _OrderTerms(NamedTuple):
 
 
 class _OperatorSeries:
-    """A cofactor operator applied to the balanced-flow series of ``Btilde``.
+    """A cofactor operator applied to the balanced-flow series of ``Btilde``,
+    the (optionally conjugated) B of its :class:`RangeRates` ``rates``.
 
-    Holds what does not depend on the local times: the support edges and
-    their weights, the derivative subsets Q with their operator weights and
-    index data, and, filled on first use, the terms of each truncation order.
-    A subset holding a state that no support edge touches is dropped, since
-    the derivative in that state kills every term.
+    Holds what does not depend on the local times: ``rates``, the support
+    edges and their weights, the derivative subsets Q with their operator
+    weights and index data, and, filled on first use, the terms of each
+    truncation order.  A subset holding a state that no support edge touches
+    is dropped, since the derivative in that state kills every term.
     """
 
-    def __init__(self, Btilde: np.ndarray, weights: Dict[Tuple[int, ...], float]):
+    def __init__(self, rates: "RangeRates", Btilde: np.ndarray,
+                 weights: Dict[Tuple[int, ...], float]):
+        self.rates = rates
         self.n_nodes = Btilde.shape[0]
         self.edges = _series_support(Btilde)
         self.w = np.array([Btilde[e] for e in self.edges])
@@ -442,26 +445,24 @@ class RangeRates:
     tree: bool          # the support is connected and acyclic
 
 
+def _reachability(adjacent: np.ndarray) -> np.ndarray:
+    """reach[x, y]: y is reachable from x along the pairs of the boolean
+    m x m ``adjacent``; each squaring doubles the steps, up to m - 1."""
+    m = len(adjacent)
+    reach = adjacent | np.eye(m, dtype=bool)
+    for _ in range(max(m - 2, 0).bit_length()):
+        reach = reach @ reach
+    return reach
+
+
 def _undirected_support(B: np.ndarray) -> Tuple[Tuple[Tuple[int, int], ...], int, bool]:
     """The pairs x < y (in row order) with B_xy or B_yx nonzero, the
     cyclomatic number of that graph, and whether it is a tree."""
-    r = B.shape[0]
-    xs, ys = np.nonzero(np.triu((B != 0.0) | (B.T != 0.0), 1))
+    adjacent = (B != 0.0) | (B.T != 0.0)
+    xs, ys = np.nonzero(np.triu(adjacent, 1))
     edges = tuple(zip(xs.tolist(), ys.tolist()))
-    root = list(range(r))
-
-    def find(x: int) -> int:
-        while root[x] != x:
-            x = root[x]
-        return x
-
-    components = r
-    for x, y in edges:
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            root[rx] = ry
-            components -= 1
-    cyclomatic = len(edges) - r + components
+    components = len(np.unique(_reachability(adjacent), axis=0))
+    cyclomatic = len(edges) - B.shape[0] + components
     return edges, cyclomatic, components == 1 and cyclomatic == 0
 
 
@@ -509,20 +510,9 @@ def range_rates(gen: Generator, R: Sequence) -> RangeRates:
     return _range_rates(*_rate_block(gen, _distinct_labels(R)))
 
 
-@dataclass(frozen=True, eq=False)
-class PreparedRange:
-    """Everything a density request on (R, a, b) owes that does not depend
-    on the local times: the rates on R x R and the cofactor operator applied
-    to the (optionally conjugated) flow series, whose per-order terms fill
-    in on first use."""
-
-    rates: RangeRates
-    series: _OperatorSeries
-
-
 @lru_cache(maxsize=_PREPARED_RANGES)
 def _prepared_range(block: bytes, r: int, a: int, b: int,
-                    conjugation: Optional[bytes]) -> PreparedRange:
+                    conjugation: Optional[bytes]) -> _OperatorSeries:
     rates = _range_rates(block, r)
     B = rates.B
     if conjugation is not None:
@@ -530,14 +520,15 @@ def _prepared_range(block: bytes, r: int, a: int, b: int,
         Btilde = B * rvec[:, None] / rvec[None, :]
     else:
         Btilde = B
-    return PreparedRange(rates, _OperatorSeries(Btilde, _cofactor_subset_weights(B, a, b)))
+    return _OperatorSeries(rates, Btilde, _cofactor_subset_weights(B, a, b))
 
 
 def prepare_range(gen: Generator, R: Sequence, a, b,
-                  conjugation: Optional[Sequence] = None) -> PreparedRange:
-    """The :class:`PreparedRange` of a density request, memoized by content:
-    the rate block as in :func:`range_rates`, the positions of a and b, and
-    the bytes of the conjugation vector (see :func:`density_batch`)."""
+                  conjugation: Optional[Sequence] = None) -> _OperatorSeries:
+    """The :class:`_OperatorSeries` of a density request, holding its
+    :class:`RangeRates` as ``.rates``, memoized by content: the rate block as
+    in :func:`range_rates`, the positions of a and b, and the bytes of the
+    conjugation vector (see :func:`density_batch`)."""
     R, a_pos, b_pos = _range_positions(R, a, b)
     conj = None
     if conjugation is not None:
@@ -596,12 +587,11 @@ def density_batch(
 
 
 def _certified_rows(
-    prepared: PreparedRange, L: np.ndarray, tol: float
+    series: _OperatorSeries, L: np.ndarray, tol: float
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """:func:`density_batch` on rows ``L`` that already passed
     :func:`_check_local_times`."""
-    series = prepared.series
-    log_diag = L @ prepared.rates.diag
+    log_diag = L @ series.rates.diag
     products = series.subset_products(L)
     # one errstate for the pass: a bound beyond double range (an overflowed
     # tail, or one times a diagonal factor that underflowed to 0) is inf or
@@ -788,9 +778,7 @@ def density_quadrature(gen: Generator, R: Sequence, a, b, l) -> float:
     if len(R) > 4:
         raise ValueError("density_quadrature is limited to |R| <= 4")
     rates = range_rates(gen, R)
-    A, B = rates.A, rates.B
-
-    value = _quadrature_value(A, B, lvec, a_pos, b_pos, _QUAD_GRID)
+    value = _quadrature_value(rates.A, rates.B, lvec, a_pos, b_pos, _QUAD_GRID)
     if abs(value.imag) > 1e-8 * abs(value.real) + 1e-12:
         raise ResidualImaginaryError(
             f"imaginary residue {value.imag:.3e} against real part {value.real:.3e}"
@@ -814,9 +802,9 @@ def _integer_interval(R: Sequence) -> Tuple[int, ...]:
 def density_tridiagonal(gen: Generator, R: Sequence, a, b, l) -> float:
     """Density of a nearest-neighbor chain on an integer interval.
 
-    The tree product (:func:`density_tree`) on the path graph of the sorted
-    interval, whose edges hold the support of a nearest-neighbor chain even
-    where a rate pair is 0 (a support that is not connected gives 0): one
+    The tree product (:func:`density_tree`) on the sorted interval, whose
+    support is its path graph where no rate pair is 0 (a pair of 0 rates cuts
+    the interval, and the density is 0): one
     scalar edge kernel per middle edge (between a and b, each weighted by the
     rate across it in the direction from a to b) and one kernel derivative
     per outer edge (outside min(a, b)..max(a, b)), times the diagonal
@@ -835,8 +823,9 @@ def density_tridiagonal(gen: Generator, R: Sequence, a, b, l) -> float:
     rates = _range_rates(block, r)
     if any(y - x >= 2 for x, y in rates.edges):
         raise NotTridiagonalError("generator has rates beyond nearest neighbors in R")
-    path = tuple(zip(range(r - 1), range(1, r)))
-    factors = _tree_factors(block, r, R_sorted.index(int(a)), R_sorted.index(int(b)), path)
+    if not rates.tree:
+        return 0.0
+    factors = _tree_factors(block, r, R_sorted.index(int(a)), R_sorted.index(int(b)))
     return _tree_product(factors, rates.diag, lvec)
 
 
@@ -852,17 +841,17 @@ class _TreeFactor(NamedTuple):
 
 
 @lru_cache(maxsize=_PREPARED_RANGES)
-def _tree_factors(block: bytes, r: int, a: int, b: int,
-                tree: Tuple[Tuple[int, int], ...]) -> Tuple[_TreeFactor, ...]:
-    """The factors of :func:`density_tree` on the spanning tree ``tree``
-    (pairs x < y) of positions 0..r-1, in the order of ``tree``, for the rate
-    block ``block`` and endpoints at positions a and b.
+def _tree_factors(block: bytes, r: int, a: int, b: int) -> Tuple[_TreeFactor, ...]:
+    """The factors of :func:`density_tree`, in the order of the edges, for
+    the rate block ``block``, whose support (:class:`RangeRates` ``edges``)
+    is a tree, and endpoints at positions a and b.
 
     Rooted at a, the a-b path is b and its ancestors, and each edge off the
     path joins a child (the end farther from the path, since no descendant of
     an off-path node is on the path) to its parent.
     """
-    A = _range_rates(block, r).A
+    rates = _range_rates(block, r)
+    A, tree = rates.A, rates.edges
     neighbors: Dict[int, List[int]] = {x: [] for x in range(r)}
     for x, y in tree:
         neighbors[x].append(y)
@@ -933,4 +922,4 @@ def density_tree(gen: Generator, R: Sequence, a, b, l) -> float:
         raise NotTreeError(
             f"the support on {R!r} is not a tree (cyclomatic number {rates.cyclomatic}"
             f"{'' if rates.cyclomatic else ', not connected'})")
-    return _tree_product(_tree_factors(block, r, a_pos, b_pos, rates.edges), rates.diag, lvec)
+    return _tree_product(_tree_factors(block, r, a_pos, b_pos), rates.diag, lvec)

@@ -70,15 +70,16 @@ def load_config(path: str) -> dict:
     return config
 
 
-def generator_from_config(spec, base_dir: str = ".") -> Generator:
-    """Build a generator from a config object or a path to one.
+def generator_from_config(spec) -> Generator:
+    """Build a generator from a config object or a path to one (a relative
+    path is read from the working directory).
 
     Accepted forms: {"srw": [lo, hi]}, {"states": [...], "rates":
     [[from, to, rate], ...], "diagonal": {...}} (diagonal optional), or
     {"states": [...], "matrix": [[...], ...]}.
     """
     if isinstance(spec, str):
-        spec = load_config(os.path.join(base_dir, spec) if not os.path.isabs(spec) else spec)
+        spec = load_config(spec)
     if not isinstance(spec, dict):
         raise ConfigParseError(f"generator spec must be an object, got {type(spec).__name__}")
     try:
@@ -839,23 +840,23 @@ def _count(exp: dict, field: str, default: int, least: int = 1) -> int:
     return value
 
 
-# experiment kind -> runner(experiment object, seed, base_dir): the runner
+# experiment kind -> runner(experiment object, seed): the runner
 # parses the experiment's own fields and returns its report
-EXPERIMENTS: Dict[str, Callable[[dict, int, str], Report]] = {
-    "verify-density": lambda exp, seed, base_dir: verify_density_mc(
-        generator_from_config(exp["generator"], base_dir),
+EXPERIMENTS: Dict[str, Callable[[dict, int], Report]] = {
+    "verify-density": lambda exp, seed: verify_density_mc(
+        generator_from_config(exp["generator"]),
         _label(exp["start"]), _label(exp["endpoint"]), [_label(x) for x in exp["range"]],
         float(exp["T"]), _count(exp, "samples", 1_000_000),
         cells_per_axis=_count(exp, "cells", 7), seed=seed),
-    "verify-rayknight": lambda exp, seed, base_dir: verify_rayknight_mc(
+    "verify-rayknight": lambda exp, seed: verify_rayknight_mc(
         pivot=_integer(exp, "pivot", 2), level=float(exp.get("level", 1.0)),
         n_samples=_count(exp, "samples", 200_000, least=2), seed=seed),
-    "ldp-probability": lambda exp, seed, base_dir: ldp_probability_experiment(
-        generator_from_config(exp["generator"], base_dir),
+    "ldp-probability": lambda exp, seed: ldp_probability_experiment(
+        generator_from_config(exp["generator"]),
         _label(exp["start"]), [_label(x) for x in exp["S"]], _label(exp["state"]),
         float(exp["threshold"]), float(exp["T"]), _count(exp, "samples", 1_000_000), seed=seed),
-    "ldp-varadhan": lambda exp, seed, base_dir: ldp_varadhan_experiment(
-        generator_from_config(exp["generator"], base_dir),
+    "ldp-varadhan": lambda exp, seed: ldp_varadhan_experiment(
+        generator_from_config(exp["generator"]),
         _label(exp["start"]), [_label(x) for x in exp["S"]], exp["V"], float(exp["T"])),
 }
 
@@ -880,7 +881,7 @@ def _experiment_names(config: dict) -> List[str]:
     return names
 
 
-def run_suite(config: dict, out_dir: str, base_dir: str = ".") -> int:
+def run_suite(config: dict, out_dir: str) -> int:
     """Run the experiments in a config document; write one CSV per experiment
     and a machine-readable summary.  Exit status 0 when every acceptance
     check passes, 1 otherwise (2 is reserved for config errors and raised as
@@ -895,7 +896,7 @@ def run_suite(config: dict, out_dir: str, base_dir: str = ".") -> int:
         kind = exp["kind"]
         try:
             seed = _integer(exp, "seed", config.get("seed", 0))
-            report = EXPERIMENTS[kind](exp, seed, base_dir)
+            report = EXPERIMENTS[kind](exp, seed)
         except KeyError as exc:
             raise ConfigParseError(f"experiment {name!r} is missing field {exc}") from None
         except ValueError as exc:

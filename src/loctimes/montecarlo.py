@@ -24,7 +24,10 @@ uniform and one gather-and-compare per extra target.
   the start column's thresholds, so it gathers and scatters nothing and
   draws exactly as the general round would.  A batch still running after
   ``_MAX_ROUNDS`` rounds (a horizon too long for the chain's jump rates)
-  raises :class:`BudgetExceededError`.  One workspace per request
+  raises :class:`BudgetExceededError`, and both samplers refuse a batch that
+  could only end so before any draw (:func:`_refuse_hopeless`): where no exit
+  rate is 0 and T min(q) is twice the budget or more, or, for the inverse
+  sampler, q_b * level is.  One workspace per request
   (:class:`_FixedTimeSampler`) holds the jump table and the round buffers,
   which every block and round fill with ``out=``, so a request allocates
   them once, not once per block and round.
@@ -156,6 +159,18 @@ def _path_count(value, name: str = "n_paths") -> int:
     return count
 
 
+def _refuse_hopeless(n_paths: int, least_mean_jumps: float, what: str) -> None:
+    """Raise :class:`BudgetExceededError` before any draw when there are
+    paths, each makes at least Poisson(``least_mean_jumps``) jumps, and that
+    mean is twice the round budget or more: the rounds could then only end in
+    the same error, after a long run."""
+    if n_paths and least_mean_jumps >= 2 * _MAX_ROUNDS:
+        raise BudgetExceededError(
+            f"{n_paths} paths refused before drawing: {what} needs at least "
+            f"Poisson({least_mean_jumps:.3g}) jumps per path, a mean of twice the "
+            f"budget of {_MAX_ROUNDS} rounds or more")
+
+
 class _FixedTimeSampler:
     """The workspace of one fixed-time request: the jump table, built once,
     and the round buffers of :meth:`run`, ``min(_BLOCK, n_paths)`` long, of
@@ -167,7 +182,8 @@ class _FixedTimeSampler:
     (path index, state, elapsed time) then alternates between the two rows
     of its buffers, so a round gathers the kept paths into the row it is not
     reading.  A block still running after ``_MAX_ROUNDS`` rounds raises
-    :class:`BudgetExceededError` with the number of paths left.
+    :class:`BudgetExceededError` with the number of paths left, and a
+    request that could only end so is refused here (:func:`_refuse_hopeless`).
 
     ``ValueError`` for a horizon that is not finite and positive or a bad
     ``n_paths``; an unknown start raises from ``gen.index``."""
@@ -180,6 +196,9 @@ class _FixedTimeSampler:
         self.T = T
         self.table = jump_table(gen)
         self.absorbing = bool(np.any(self.table.exit_rates <= 0))
+        if not self.absorbing:
+            _refuse_hopeless(self.n_paths, T * float(self.table.exit_rates.min()),
+                             f"horizon T = {T!r}")
         m = min(_BLOCK, self.n_paths)
         self._hold, self._rate, self._remaining, self._u = np.empty((4, m))
         self._done = np.empty(m, dtype=bool)
@@ -344,7 +363,8 @@ def sample_paths_inverse_local_time(
     stops during the N-th; an absorbing pivot stops every path at its first
     visit.  A path that reaches an absorbing state other than the pivot
     raises :class:`BudgetExceededError`, as does a batch with paths still
-    running after ``_MAX_ROUNDS`` rounds (one jump each).
+    running after ``_MAX_ROUNDS`` rounds (one jump each) and, before any
+    draw, a batch whose q_b * level is twice that budget or more.
     """
     if not (math.isfinite(level) and level > 0):
         raise ValueError("need finite level > 0")
@@ -362,6 +382,8 @@ def sample_paths_inverse_local_time(
             raise BudgetExceededError(
                 f"absorbed in {x!r} before reaching level at the pivot")
 
+    _refuse_hopeless(n_paths, float(exit_rates[b]) * level,
+                     f"level {level!r} at the pivot {pivot!r}")
     pivot_visits_left = 1 + rng.poisson(exit_rates[b] * level, n_paths)
     visits = np.zeros(n * n_paths, dtype=np.int32)
     state = np.full(n_paths, s0, dtype=np.int64)

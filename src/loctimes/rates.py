@@ -22,7 +22,7 @@ from typing import Dict, Sequence
 import numpy as np
 
 from .chain import Generator
-from .density import _local_times, _range_positions, range_rates
+from .density import _local_times, _range_positions, _reachability, range_rates
 from .errors import (
     NotConvergedError,
     NotSymmetricError,
@@ -84,15 +84,14 @@ class RateSolution:
     final_gradient_norm: float
 
 
-def _support_objective(A_sub: np.ndarray, mu_sub: np.ndarray):
+def _support_objective(B: np.ndarray, diag: np.ndarray, mu_sub: np.ndarray):
     """Concave objective J(u) = -sum_x mu_x sum_y A[x,y] e^{u_y - u_x} and its
-    derivatives, on the support submatrix."""
-    offdiag = A_sub.copy()
-    np.fill_diagonal(offdiag, 0.0)
-    const = -float(np.dot(mu_sub, np.diag(A_sub)))
+    derivatives, on the support's off-diagonal rates ``B`` and diagonal
+    ``diag``."""
+    const = -float(np.dot(mu_sub, diag))
 
     def pieces(u: np.ndarray):
-        W = mu_sub[:, None] * offdiag * np.exp(u[None, :] - u[:, None])
+        W = mu_sub[:, None] * B * np.exp(u[None, :] - u[:, None])
         J = const - W.sum()
         grad = W.sum(axis=1) - W.sum(axis=0)  # out minus in at each state
         C = W + W.T
@@ -107,43 +106,37 @@ def rate_general(gen: Generator, mu, tol: float = 1e-10) -> RateSolution:
 
     Maximizes the concave objective in u = log g over the support of mu with
     u pinned to 0 at the first support state; a damped Newton iteration with
-    backtracking converges to the global value.  The support submatrix must
-    be irreducible (strongly connected through positive rates), otherwise the
-    optimum escapes to infinity and ``UnboundedRateError`` is raised.
+    backtracking converges to the global value.  The rates on the support of
+    mu (:func:`density.range_rates`, so a negative one raises
+    ``NegativeRateError``) must be irreducible (strongly connected through
+    positive rates), otherwise the optimum escapes to infinity and
+    ``UnboundedRateError`` is raised.
     """
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"rate_general needs a finite tol > 0, got {tol!r}")
     vec = _coerce_probability(gen, mu)
     support = np.nonzero(vec > 0)[0]
     labels = [gen.states[i] for i in support]
-    A_sub = gen.rates[np.ix_(support, support)]
+    rates = range_rates(gen, labels)
     mu_sub = vec[support]
     m = len(support)
     if m == 1:
         return RateSolution(
-            value=float(-A_sub[0, 0] * mu_sub[0]),
+            value=float(-rates.A[0, 0] * mu_sub[0]),
             minimizer={labels[0]: 1.0},
             iterations=0,
             final_gradient_norm=0.0,
         )
-
-    # reach[x, y]: y is reachable from x in at most `steps` positive-rate
-    # jumps; squaring doubles `steps`, and m - 1 jumps reach every state
-    reach = (A_sub > 0) | np.eye(m, dtype=bool)
-    steps = 1
-    while steps < m - 1:
-        reach = reach @ reach
-        steps *= 2
-    if not reach.all():
+    if not _reachability(rates.B > 0).all():
         raise UnboundedRateError(
             "support of mu is not irreducible under the generator"
         )
 
-    pieces = _support_objective(A_sub, mu_sub)
+    pieces = _support_objective(rates.B, rates.diag, mu_sub)
     # J is a difference of terms of the size of the mean exit rate, so near
     # the optimum a step can lower J by a few ulps of that size and still be
     # the exact Newton step; the sufficient-increase test cannot see it then
-    rounding = 16.0 * np.finfo(float).eps * float(np.dot(mu_sub, -np.diag(A_sub)))
+    rounding = 16.0 * np.finfo(float).eps * float(np.dot(mu_sub, -rates.diag))
     # warm start g = sqrt(mu), exact for symmetric generators
     u = 0.5 * (np.log(mu_sub) - np.log(mu_sub[0]))
     J, grad, H = pieces(u)

@@ -24,7 +24,8 @@ import numpy as np
 
 from .bessel import scaled_edge_kernel
 from .chain import Generator, srw_generator
-from .density import _integer_interval, _local_times, _range_positions, density_certified
+from .density import (_integer_interval, _local_times, _range_positions, density_certified,
+                      range_rates)
 from .errors import DomainError, NotSRWError
 from .montecarlo import _path_count
 
@@ -153,26 +154,23 @@ def sample_rk_profile_batch(
 # ---------------------------------------------------------------------------
 
 def _check_srw_on_interval(gen: Generator, R: Tuple[int, ...]) -> np.ndarray:
-    """Escape rates of a unit-rate nearest-neighbor generator on interval R."""
-    A = gen.submatrix(R)
-    r = len(R)
-    off = A.copy()
-    np.fill_diagonal(off, 0.0)
-    for i in range(r):
-        for j in range(r):
-            expect = 1.0 if abs(i - j) == 1 else 0.0
-            if i != j and abs(off[i, j] - expect) > 1e-12:
-                raise NotSRWError(
-                    f"rate {off[i, j]} from {R[i]} to {R[j]} is not unit nearest-neighbor"
-                )
-    escape = -np.diag(A) - off.sum(axis=1)
-    for i in range(r):
-        interior = 0 < i < r - 1
-        allowed = (0.0,) if interior else (0.0, 1.0)
-        if min(abs(escape[i] - v) for v in allowed) > 1e-12:
-            raise NotSRWError(
-                f"escape rate {escape[i]} at {R[i]} is not unit-rate nearest-neighbor"
-            )
+    """Escape rates (0 or 1) of a unit-rate nearest-neighbor generator on
+    interval R, read from :func:`density.range_rates`; ``NotSRWError`` names
+    the first offending rate (row-major), else the first escape rate."""
+    rates = range_rates(gen, R)
+    bad = np.argwhere(np.abs(rates.B - np.eye(len(R), k=1) - np.eye(len(R), k=-1)) > 1e-12)
+    if bad.size:
+        i, j = bad[0]
+        raise NotSRWError(
+            f"rate {rates.B[i, j]} from {R[i]} to {R[j]} is not unit nearest-neighbor")
+    escape = -rates.diag - rates.B.sum(axis=1)
+    # the distance to the allowed values: 0 inside, 0 or 1 at the two ends
+    miss = np.abs(escape)
+    miss[[0, -1]] = np.minimum(miss[[0, -1]], np.abs(escape[[0, -1]] - 1.0))
+    if np.any(miss > 1e-12):
+        i = int(np.argmax(miss > 1e-12))
+        raise NotSRWError(
+            f"escape rate {escape[i]} at {R[i]} is not unit-rate nearest-neighbor")
     return np.where(np.abs(escape) < 1e-12, 0.0, 1.0)
 
 

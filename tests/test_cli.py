@@ -1,4 +1,5 @@
 import json
+import time
 
 import numpy as np
 import pytest
@@ -70,6 +71,17 @@ def test_simulate_is_deterministic(twostate, capsys):
     first = capsys.readouterr().out
     assert main(args) == 0
     assert capsys.readouterr().out == first
+
+
+def test_simulate_hopeless_horizon_exits_1_at_once(tmp_path, capsys):
+    srw = tmp_path / "srw.json"
+    srw.write_text(json.dumps({"srw": [0, 2]}))
+    start = time.perf_counter()
+    status = main(["simulate", "--generator", str(srw), "--start", "0",
+                   "--T", "1e308", "--samples", "2"])
+    assert time.perf_counter() - start < 1.0
+    assert status == 1
+    assert capsys.readouterr().err.startswith("error: 2 paths refused before drawing")
 
 
 def test_simulate_inverse_mode(twostate, capsys):

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 import scipy.special as sp
 from scipy import integrate
+from scipy.sparse.csgraph import connected_components
 
 from loctimes.chain import Generator, srw_generator, validate_generator
 from loctimes.density import (
@@ -16,6 +17,9 @@ from loctimes.density import (
     _cofactor_subset_weights,
     _gamma_arguments,
     _poisson_tails,
+    _range_rates,
+    _reachability,
+    _undirected_support,
     density,
     density_batch,
     density_certified,
@@ -164,10 +168,17 @@ def test_cofactor_subset_weights_drop_exact_zeros():
 # torus series
 # ---------------------------------------------------------------------------
 
+def operator_series(Bt, weights):
+    """The operator ``weights`` applied to the flow series of ``Bt``, whose
+    range rates are ``Bt`` itself (zero diagonal)."""
+    Bt = np.ascontiguousarray(Bt, dtype=float)
+    return _OperatorSeries(_range_rates(Bt.tobytes(), len(Bt)), Bt, weights)
+
+
 def series_at(Bt, weights, l, order):
     """The operator ``weights`` ({Q: weight}) applied to the flow series of
     ``Bt`` truncated at ``order``, at one point: (value, certified bound)."""
-    series = _OperatorSeries(np.asarray(Bt, dtype=float), weights)
+    series = operator_series(Bt, weights)
     L = np.asarray(l, dtype=float)[None, :]
     products = series.subset_products(L)
     tail = series.tails(series.majorant(L, products), np.array([order]))[0, 0]
@@ -435,7 +446,7 @@ def test_tails_at_orders_off_the_schedule():
     rng = np.random.default_rng(1210)
     Bt = rng.uniform(0.5, 2.0, (3, 3))
     np.fill_diagonal(Bt, 0.0)
-    series = _OperatorSeries(Bt, _cofactor_subset_weights(Bt, 0, 1))
+    series = operator_series(Bt, _cofactor_subset_weights(Bt, 0, 1))
     L = rng.uniform(0.3, 1.0, (2, 3))
     majorant = series.majorant(L, series.subset_products(L))
     off = series.tails(majorant, np.array([0, 3, 26, 200]))
@@ -561,7 +572,7 @@ def test_order_selection_matches_loop_over_schedule():
 
     B = g.submatrix(R)
     np.fill_diagonal(B, 0.0)
-    series = _OperatorSeries(B, _cofactor_subset_weights(B, 0, 2))
+    series = _OperatorSeries(range_rates(g, R), B, _cofactor_subset_weights(B, 0, 2))
     diag_factor = np.exp(L @ np.diag(g.submatrix(R)))
     majorant = series.majorant(L, series.subset_products(L))
     for p in range(len(L)):
@@ -940,6 +951,19 @@ def test_range_structure():
     assert structure(star) == (((0, 1), (0, 2), (0, 3)), 0, True)
     assert structure(star, (1, 2, 3)) == ((), 0, False)
     assert structure(star, (2,)) == ((), 0, True)
+    # against scipy's components on random supports of 1 to 9 states: weak
+    # ones for the structure, strong ones for the reachability closure
+    rng = np.random.default_rng(2919)
+    for _ in range(300):
+        n = int(rng.integers(1, 10))
+        B = rng.random((n, n)) * (rng.random((n, n)) < rng.uniform(0.0, 0.6))
+        np.fill_diagonal(B, 0.0)
+        edges, cyclomatic, tree = _undirected_support(B)
+        weak = connected_components(B, directed=True, connection="weak")[0]
+        assert cyclomatic == len(edges) - n + weak
+        assert tree == (weak == 1 and cyclomatic == 0)
+        strong = connected_components(B, directed=True, connection="strong")[0]
+        assert _reachability(B > 0).all() == (strong == 1)
 
 
 def test_density_routes_by_structure(monkeypatch):
@@ -1230,8 +1254,8 @@ def test_prepared_arrays_are_read_only():
     gen = _pinned_chain(rng, "support", 4)
     R = gen.states
     density_certified(gen, R, 0, 2, random_point(rng, 4, 1.5))
-    prepared = prepare_range(gen, R, 0, 2)
-    rates, series = prepared.rates, prepared.series
+    series = prepare_range(gen, R, 0, 2)
+    rates = series.rates
     arrays = [rates.A, rates.B, rates.diag, series.w]
     assert series._terms
     for terms in series._terms.values():

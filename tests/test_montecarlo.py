@@ -6,6 +6,7 @@ reference simulator kept in this module)."""
 
 import hashlib
 import math
+import time
 
 import numpy as np
 import pytest
@@ -179,13 +180,41 @@ def test_fixed_time_absorbing_start_ends_in_the_first_round():
 
 
 def test_fixed_time_rounds_are_budgeted(monkeypatch):
-    # about 10^6 jumps to the horizon, against a budget of 50 rounds
+    # about 10^6 jumps to the horizon, against a budget of 50 rounds: refused
+    # before drawing
     monkeypatch.setattr(montecarlo, "_MAX_ROUNDS", 50)
     g = srw_generator(0, 2)
-    with pytest.raises(BudgetExceededError, match="3 paths still running after 50 rounds"):
+    with pytest.raises(BudgetExceededError, match="3 paths refused before drawing"):
         sample_paths_fixed_time(g, 0, 1e6, 3, np.random.default_rng(0))
-    with pytest.raises(BudgetExceededError, match="after 50 rounds"):
+    with pytest.raises(BudgetExceededError, match="budget of 50 rounds"):
         next(fixed_time_blocks(g, 0, 1e6, 3, np.random.default_rng(0)))
+    # T q_min = 90 is below twice the budget, so the rounds run out instead
+    # (each path makes about 120 jumps)
+    with pytest.raises(BudgetExceededError, match="3 paths still running after 50 rounds"):
+        sample_paths_fixed_time(g, 0, 90.0, 3, np.random.default_rng(0))
+
+
+def test_hopeless_batches_are_refused_before_drawing():
+    g = srw_generator(0, 2)
+    calls = [
+        lambda rng: sample_paths_fixed_time(g, 0, 1e308, 2, rng),
+        lambda rng: next(fixed_time_blocks(g, 0, 1e308, 2, rng)),
+        lambda rng: sample_paths_inverse_local_time(g, 0, 2, 1e308, 2, rng),
+    ]
+    for call in calls:
+        rng = np.random.default_rng(0)
+        start = time.perf_counter()
+        with pytest.raises(BudgetExceededError, match="2 paths refused before drawing"):
+            call(rng)
+        assert time.perf_counter() - start < 1.0
+        # nothing was drawn
+        assert rng.random() == np.random.default_rng(0).random()
+    # no paths, nothing to refuse
+    assert sample_paths_fixed_time(g, 0, 1e308, 0, np.random.default_rng(0)).endpoints.size == 0
+    # an absorbing state ends paths at any horizon, so nothing is refused
+    batch = sample_paths_fixed_time(ABSORBING, 0, 1e308, 100, np.random.default_rng(54))
+    assert np.all(batch.endpoints == 2)
+    assert batch.local_times.sum(axis=1) == pytest.approx(np.full(100, 1e308), rel=1e-12)
 
 
 def test_fixed_time_blocks_reuse_one_set_of_outputs():

@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from loctimes.chain import generator_from_triples, srw_generator, validate_generator
+from loctimes.chain import Generator, generator_from_triples, srw_generator, validate_generator
 from loctimes.density import _replaced_matrix, density
 from loctimes.errors import (
+    NegativeRateError,
     NotConvergedError,
     NotSymmetricError,
     TooEarlyError,
@@ -207,6 +208,26 @@ def test_rate_general_irreducibility_needs_every_jump_of_a_cycle():
     A[n - 1, 0], A[n - 1, n - 2] = 0.0, 1.0
     with pytest.raises(UnboundedRateError):
         rate_general(validate_generator(A), mu)
+
+
+def test_rate_general_refuses_a_negative_rate_in_the_support():
+    # a complete block with one rate of -0.2, and a block where that rate is
+    # the only way out of state 0: the same error whatever the support's shape
+    A = np.ones((3, 3))
+    A[0, 1] = -0.2
+    np.fill_diagonal(A, 0.0)
+    np.fill_diagonal(A, -A.sum(axis=1))
+    with pytest.raises(NegativeRateError, match="negative rate -0.2 from position 0"):
+        rate_general(Generator((0, 1, 2), A), np.full(3, 1.0 / 3.0))
+    B = np.array([[0.0, -0.2, 0.0], [1.0, 0.0, 1.0], [1.0, 1.0, 0.0]])
+    np.fill_diagonal(B, -B.sum(axis=1))
+    with pytest.raises(NegativeRateError, match="negative rate -0.2 from position 0"):
+        rate_general(Generator((0, 1, 2), B), np.full(3, 1.0 / 3.0))
+    # outside the support of mu the rate is not read
+    positive = A.copy()
+    positive[0, 1], positive[0, 0] = 0.2, -1.2
+    sol = rate_general(Generator((0, 1, 2), A), [0.0, 0.5, 0.5])
+    assert sol.value == rate_general(validate_generator(positive), [0.0, 0.5, 0.5]).value
 
 
 def test_rate_general_rejects_bad_mu():

@@ -6,9 +6,9 @@ import pytest
 import scipy.special as sp
 from scipy import integrate, stats
 
-from loctimes.chain import srw_generator, validate_generator
+from loctimes.chain import Generator, srw_generator, validate_generator
 from loctimes.density import density, density_tridiagonal
-from loctimes.errors import DomainError, NotSRWError
+from loctimes.errors import DomainError, NegativeRateError, NotSRWError
 from loctimes.montecarlo import sample_paths_inverse_local_time
 from loctimes.rayknight import (
     rk_fixed_time_check,
@@ -282,6 +282,32 @@ def test_fixed_time_rejects_non_srw():
                            (0, 1, 2))
     with pytest.raises(NotSRWError):
         rk_fixed_time_check((0, 1, 2), 0, 2, [0.3, 0.4, 0.3], generator=g)
+
+
+def test_fixed_time_check_names_the_first_offending_rate():
+    # two rates are off; the first in row-major order is named
+    g = validate_generator([[0.0, 1.0, 0.5], [1.0, 0.0, 3.0], [0.0, 1.0, 0.0]], (4, 5, 6))
+    with pytest.raises(NotSRWError, match=r"^rate 0.5 from 4 to 6 is not unit"):
+        rk_fixed_time_check((4, 5, 6), 4, 6, [0.3, 0.4, 0.3], generator=g)
+    # unit rates, but the walk escapes from the interior state 5
+    A = srw_generator(4, 6).rates.copy()
+    A[1, 1] = -3.0
+    with pytest.raises(NotSRWError, match=r"^escape rate 1.0 at 5 is not"):
+        rk_fixed_time_check((4, 5, 6), 4, 6, [0.3, 0.4, 0.3], generator=Generator((4, 5, 6), A))
+    # an end may escape at rate 0 or 1, not 0.5
+    A = srw_generator(4, 6).rates.copy()
+    A[2, 2] = -1.5
+    with pytest.raises(NotSRWError, match=r"^escape rate 0.5 at 6 is not"):
+        rk_fixed_time_check((4, 5, 6), 4, 6, [0.3, 0.4, 0.3], generator=Generator((4, 5, 6), A))
+
+
+def test_fixed_time_check_refuses_a_negative_rate():
+    # as every density route does, not as a walk that is merely not simple
+    A = srw_generator(0, 2).rates.copy()
+    A[0, 2] = -0.2
+    gen = Generator((0, 1, 2), A)
+    with pytest.raises(NegativeRateError, match="negative rate -0.2 from position 0"):
+        rk_fixed_time_check((0, 1, 2), 0, 2, [0.3, 0.4, 0.3], generator=gen)
 
 
 def test_fixed_time_sweep_small_intervals():
