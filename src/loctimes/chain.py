@@ -26,6 +26,16 @@ def _is_symmetric(A: np.ndarray) -> bool:
     return bool(np.all(np.abs(A - A.T) <= _SYMMETRIC_TOL))
 
 
+def _reachability(adjacent: np.ndarray) -> np.ndarray:
+    """reach[x, y]: y is reachable from x along the pairs of the boolean
+    m x m ``adjacent``; each squaring doubles the steps, up to m - 1."""
+    m = len(adjacent)
+    reach = adjacent | np.eye(m, dtype=bool)
+    for _ in range(max(m - 2, 0).bit_length()):
+        reach = reach @ reach
+    return reach
+
+
 @dataclass(eq=False)
 class Generator:
     """A conservative rate matrix over an ordered finite label set."""

@@ -56,21 +56,38 @@ and :func:`range_rates` raises ``NegativeRateError`` on a negative rate in R
 and ``ValueError`` on a rate that is not finite.
 
 The density depends only on the rates inside R x R, and only the local times
-change from point to point.  The rates are one :class:`RangeRates` per rate
-block, read by every route, the bounds and rate function in :mod:`rates` and
-the Ray-Knight check: the block, B, the diagonal, eta, the symmetry flag and
-the undirected support with its cyclomatic number and tree flag.  The series
-of a request on (R, a, b) (:func:`prepare_range`) holds its
-:class:`RangeRates`, the cofactor operator's subsets and weights, and, filled
-on first use, the flow-series terms of each truncation order.  The caches are
-keyed by content (the bytes of the rate block and, for the series, the
-positions of a and b and the conjugation vector), so an in-place edit of
-``gen.rates`` misses them instead of reading a stale value; each is bounded at
-16 entries, and every cached array is read-only.  The diagonal stays the
-strided view ``np.diag(A)``: a contiguous copy changes ``L @ diag`` in the
-last bit, and the values must match an uncached evaluation bit for bit.  The
-tree route reads only the :class:`RangeRates` and the factors of its product
-(:func:`_tree_factors`, cached by the rate block and the positions of a and b).
+change from point to point.  A request's cold work splits into what depends
+on the shape of the request alone and what depends on its rates, and each
+part has its own caches, so a fresh chain of a known shape pays only for its
+rates.  Every cached array is read-only.
+
+* Structure, keyed by shape and never by a rate: the derivative subsets of
+  the cofactor operator with the mask and unit entries of their determinant
+  stack, per (|R|, a, b) (:func:`_subset_layout`); the balanced flows, per
+  (directed support, |R|, truncation order) (:func:`flows.flow_table`, whose
+  counts and out-degrees are stored as the floats the series multiplies);
+  the gamma-function arguments of the tail bound, per (orders, shifts); and
+  the quadrature's phases and minor layout, per range size.
+* Values, keyed by content, so an in-place edit of ``gen.rates`` misses them
+  instead of reading a stale value: the key is the bytes of the rate block
+  (``gen.rates`` itself where R is the whole state tuple, in order, with no
+  gather) and its size.  One :class:`RangeRates` per block is read by every
+  route, the bounds and rate function in :mod:`rates` and the Ray-Knight
+  check: the block, B, the diagonal, eta, the symmetry flag and the
+  undirected support with its cyclomatic number and tree flag.  The series
+  of a request on (R, a, b) (:func:`prepare_range`, further keyed by the
+  positions of a and b and the conjugation vector) holds its
+  :class:`RangeRates`, the operator weights (one determinant call over the
+  cached stack layout) and, filled on first use, the terms of each
+  truncation order: the log coefficients and the subset factors, which
+  depend on the weights and so stay with the series.  The tree route reads
+  only the :class:`RangeRates` and the factors of its product
+  (:func:`_tree_factors`, keyed like the series without a conjugation).
+  Each value cache is bounded at 16 entries.
+
+The diagonal stays the strided view ``np.diag(A)``: a contiguous copy changes
+``L @ diag`` in the last bit, and the values must match an uncached
+evaluation bit for bit.
 """
 
 import math
@@ -83,7 +100,7 @@ import numpy as np
 from scipy.special import gammainc
 
 from .bessel import scaled_edge_kernel
-from .chain import Generator, _is_symmetric
+from .chain import Generator, _is_symmetric, _reachability
 from .errors import (
     DomainError,
     NegativeRateError,
@@ -106,12 +123,22 @@ _TINY = np.finfo(float).tiny
 
 def _check_local_times(L: np.ndarray) -> None:
     """Raise ``DomainError`` unless every local time in ``L`` is finite and
-    at least MIN_LOCAL_TIME: the one domain check of every density route."""
+    at least MIN_LOCAL_TIME: the one domain check of every density route.
+    The vector of one request is checked on Python floats, which is cheaper
+    at its size than array passes; a batch is checked in arrays.  Both name
+    the first bad value in row order."""
+    if L.ndim == 1:
+        for x in L.tolist():
+            if not (x >= MIN_LOCAL_TIME and math.isfinite(x)):
+                raise DomainError(_domain_message(x))
+        return
     ok = np.isfinite(L) & (L >= MIN_LOCAL_TIME)
     if not ok.all():
-        raise DomainError(
-            f"local times must be finite and at least {MIN_LOCAL_TIME}; "
-            f"got {L[~ok].flat[0]:.3e}")
+        raise DomainError(_domain_message(L[~ok].flat[0]))
+
+
+def _domain_message(x: float) -> str:
+    return f"local times must be finite and at least {MIN_LOCAL_TIME}; got {x:.3e}"
 
 
 @dataclass
@@ -193,21 +220,37 @@ def _cofactor_subset_weights(
     That cofactor is the determinant of the (b,a)-replaced -B with the rows
     and columns of Q also replaced by unit vectors (Laplace expansion along
     them), so all subsets are one stack of |R| x |R| matrices and one
-    ``np.linalg.det`` call.  Returns {Q (sorted positions): weight}, dropping
-    exact zero weights.
+    ``np.linalg.det`` call; the stack's layout comes from
+    :func:`_subset_layout`, so only the determinants depend on B.  Returns
+    {Q (sorted positions): weight}, dropping exact zero weights.
     """
-    r = B.shape[0]
+    subsets, replaced, units = _subset_layout(B.shape[0], a, b)
+    dets = np.linalg.det(np.where(replaced, units, _replaced_matrix(-B, a, b)))
+    return {Q: float(w) for Q, w in zip(subsets, dets) if w != 0.0}
+
+
+# shapes (|R|, a, b) kept per process: every shape of a range of up to 6
+# states fits, and a layout of 6 states holds 16 subsets of 36 entries
+@lru_cache(maxsize=128)
+def _subset_layout(r: int, a: int, b: int) -> Tuple[Tuple[Tuple[int, ...], ...],
+                                                    np.ndarray, np.ndarray]:
+    """The derivative subsets Q of R \\ {a, b} (by size, then
+    lexicographically) of :func:`_cofactor_subset_weights` for |R| = r, and,
+    per subset, the mask of the rows and columns of Q and the unit entries
+    that replace them (1 on Q's diagonal, 0 elsewhere); read-only.  They
+    depend on (r, a, b) alone, so every rate block of one shape shares
+    them."""
     others = [x for x in range(r) if x != a and x != b]
-    subsets = [Q for size in range(len(others) + 1) for Q in combinations(others, size)]
+    subsets = tuple(Q for size in range(len(others) + 1) for Q in combinations(others, size))
     in_Q = np.zeros((len(subsets), r), dtype=bool)
     for k, Q in enumerate(subsets):
         in_Q[k, list(Q)] = True
-    stack = np.where(in_Q[:, :, None] | in_Q[:, None, :], 0.0,
-                     _replaced_matrix(-B, a, b))
+    replaced = in_Q[:, :, None] | in_Q[:, None, :]
+    units = np.zeros(replaced.shape)
     layer, x = np.nonzero(in_Q)
-    stack[layer, x, x] = 1.0
-    dets = np.linalg.det(stack)
-    return {Q: float(w) for Q, w in zip(subsets, dets) if w != 0.0}
+    units[layer, x, x] = 1.0
+    _read_only(replaced, units)
+    return subsets, replaced, units
 
 
 # ---------------------------------------------------------------------------
@@ -281,11 +324,12 @@ def _tail_sums(sizes: Sequence[int], S: np.ndarray,
     return sums
 
 
-def _series_support(Btilde: np.ndarray) -> Tuple[Tuple[int, int], ...]:
-    r = Btilde.shape[0]
-    return tuple(
-        (x, y) for x in range(r) for y in range(r) if x != y and Btilde[x, y] != 0.0
-    )
+def _series_support(Btilde: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """The tails and heads of the off-diagonal nonzero entries of
+    ``Btilde``, in row order."""
+    nonzero = Btilde != 0.0
+    np.fill_diagonal(nonzero, False)
+    return np.nonzero(nonzero)
 
 
 def _read_only(*arrays: np.ndarray) -> None:
@@ -298,7 +342,7 @@ class _OrderTerms(NamedTuple):
 
     n_flows: int
     log_coef: np.ndarray    # (F,) log of prod_e w_e^{n_e} / n_e!
-    degree: np.ndarray      # (F, n_nodes) out-degrees as floats
+    degree: np.ndarray      # (F, n_nodes) out-degrees, the flow table's floats
     factors: np.ndarray     # (subsets, F) prod_{x in Q} degree[:, x]
 
 
@@ -317,13 +361,12 @@ class _OperatorSeries:
                  weights: Dict[Tuple[int, ...], float]):
         self.rates = rates
         self.n_nodes = Btilde.shape[0]
-        self.edges = _series_support(Btilde)
-        self.w = np.array([Btilde[e] for e in self.edges])
-        touched = {x for e in self.edges for x in e}
+        self._xs, self._ys = _series_support(Btilde)
+        self.edges = tuple(zip(self._xs.tolist(), self._ys.tolist()))
+        self.w = Btilde[self._xs, self._ys]
+        touched = set(self._xs.tolist()) | set(self._ys.tolist())
         self.weights = {Q: c for Q, c in weights.items() if touched.issuperset(Q)}
         self._subsets = list(self.weights)
-        self._xs = np.array([x for x, _ in self.edges], dtype=int)
-        self._ys = np.array([y for _, y in self.edges], dtype=int)
         self._coefs = np.array([self.weights[Q] for Q in self._subsets])
         self._abs_coefs = np.abs(self._coefs)
         # subset positions padded to one width with position n_nodes, which
@@ -390,9 +433,9 @@ class _OperatorSeries:
             return terms
         table = flow_table(self.edges, self.n_nodes, order)
         log_coef = table.counts @ np.log(self.w) - table.log_count_factorials
-        degree = table.out_degree.astype(float)
+        degree = table.out_degree
         factors = np.stack([degree[:, list(Q)].prod(axis=1) for Q in self._subsets])
-        _read_only(log_coef, degree, factors)
+        _read_only(log_coef, factors)
         terms = _OrderTerms(table.n_flows, log_coef, degree, factors)
         self._terms[order] = terms
         return terms
@@ -445,24 +488,19 @@ class RangeRates:
     tree: bool          # the support is connected and acyclic
 
 
-def _reachability(adjacent: np.ndarray) -> np.ndarray:
-    """reach[x, y]: y is reachable from x along the pairs of the boolean
-    m x m ``adjacent``; each squaring doubles the steps, up to m - 1."""
-    m = len(adjacent)
-    reach = adjacent | np.eye(m, dtype=bool)
-    for _ in range(max(m - 2, 0).bit_length()):
-        reach = reach @ reach
-    return reach
-
-
 def _undirected_support(B: np.ndarray) -> Tuple[Tuple[Tuple[int, int], ...], int, bool]:
     """The pairs x < y (in row order) with B_xy or B_yx nonzero, the
-    cyclomatic number of that graph, and whether it is a tree."""
+    cyclomatic number of that graph, and whether it is a tree.
+
+    The graph is undirected, so a row of its reachability closure is the
+    component of its state, and each component is counted once, at its
+    lowest state (the row whose first reachable state is itself)."""
     adjacent = (B != 0.0) | (B.T != 0.0)
     xs, ys = np.nonzero(np.triu(adjacent, 1))
     edges = tuple(zip(xs.tolist(), ys.tolist()))
-    components = len(np.unique(_reachability(adjacent), axis=0))
-    cyclomatic = len(edges) - B.shape[0] + components
+    r = len(B)
+    components = int(np.count_nonzero(_reachability(adjacent).argmax(axis=1) == np.arange(r)))
+    cyclomatic = len(edges) - r + components
     return edges, cyclomatic, components == 1 and cyclomatic == 0
 
 
@@ -491,8 +529,14 @@ def _range_rates(block: bytes, r: int) -> RangeRates:
 
 def _rate_block(gen: Generator, R: Tuple) -> Tuple[bytes, int]:
     """The key of the rate caches: the bytes and size of the block of
-    ``gen`` on R (R already read by :func:`_distinct_labels`)."""
-    A = np.asarray(gen.submatrix(R), dtype=float)
+    ``gen`` on R (R already read by :func:`_distinct_labels`).  Where R is
+    the generator's whole state tuple, in its order, the block is
+    ``gen.rates`` itself, read without a gather; ``tobytes`` gives C order
+    either way, so both keys are the same bytes."""
+    if R == gen.states:
+        A = np.asarray(gen.rates, dtype=float)
+    else:
+        A = np.asarray(gen.submatrix(R), dtype=float)
     return A.tobytes(), A.shape[0]
 
 

@@ -17,6 +17,12 @@ remaining-budget bound on the positive imbalance prunes the rest.  The table
 lists the flows lexicographically in the closing order, a pure function of
 the support, so repeated evaluations reduce in the same order, and tables are
 memoized per (support, max_total) for reuse across derivative subsets.
+
+The enumeration runs on integers, but a table stores its counts and
+out-degrees as float64, the type the series multiplies them in: they are
+small integers, exact in a double, so a table built once serves every later
+evaluation on its support with no cast.  Its arrays are read-only, since one
+table serves every caller.
 """
 
 from dataclasses import dataclass
@@ -37,8 +43,8 @@ class FlowTable:
 
     edges: Tuple[Tuple[int, int], ...]   # directed edges as node-position pairs
     n_nodes: int
-    counts: np.ndarray                   # (F, E) int64, one row per flow
-    out_degree: np.ndarray               # (F, n_nodes) int64, row sums per tail node
+    counts: np.ndarray                   # (F, E) float64, one row per flow
+    out_degree: np.ndarray               # (F, n_nodes) float64, row sums per tail node
     log_count_factorials: np.ndarray     # (F,) sum_e log(n_e!)
 
     @property
@@ -132,15 +138,18 @@ def flow_table(
     if max_total < 0:
         raise ValueError("max_total must be >= 0")
     counts = _enumerate(tuple(edges), n_nodes, max_total, _FLOW_CAP)
-    out_degree = np.zeros((counts.shape[0], n_nodes), dtype=np.int64)
+    # log(n!) is read from a table of the max_total + 1 possible counts
+    log_count_factorials = gammaln(np.arange(max_total + 1) + 1.0)[counts].sum(axis=1)
+    counts = counts.astype(float)
+    out_degree = np.zeros((counts.shape[0], n_nodes))
     for k, (i, _) in enumerate(edges):
         out_degree[:, i] += counts[:, k]
-    # log(n!) is read from a table of the max_total + 1 possible counts
-    log_factorial = gammaln(np.arange(max_total + 1) + 1.0)
+    for arr in (counts, out_degree, log_count_factorials):
+        arr.flags.writeable = False
     return FlowTable(
         edges=tuple(edges),
         n_nodes=n_nodes,
         counts=counts,
         out_degree=out_degree,
-        log_count_factorials=log_factorial[counts].sum(axis=1),
+        log_count_factorials=log_count_factorials,
     )

@@ -25,9 +25,10 @@ uniform and one gather-and-compare per extra target.
   draws exactly as the general round would.  A batch still running after
   ``_MAX_ROUNDS`` rounds (a horizon too long for the chain's jump rates)
   raises :class:`BudgetExceededError`, and both samplers refuse a batch that
-  could only end so before any draw (:func:`_refuse_hopeless`): where no exit
-  rate is 0 and T min(q) is twice the budget or more, or, for the inverse
-  sampler, q_b * level is.  One workspace per request
+  could only end so before any draw (:func:`_refuse_hopeless`): where T
+  min(q), over the states the start can reach, is twice the budget or more
+  (so no reachable exit rate is 0), or, for the inverse sampler, q_b * level
+  is.  One workspace per request
   (:class:`_FixedTimeSampler`) holds the jump table and the round buffers,
   which every block and round fill with ``out=``, so a request allocates
   them once, not once per block and round.
@@ -63,7 +64,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .chain import Generator
+from .chain import Generator, _reachability
 from .errors import BudgetExceededError
 
 # paths per block of the fixed-time sampler: a block's working arrays and its
@@ -195,9 +196,14 @@ class _FixedTimeSampler:
         self.s0 = gen.index(start)
         self.T = T
         self.table = jump_table(gen)
-        self.absorbing = bool(np.any(self.table.exit_rates <= 0))
-        if not self.absorbing:
-            _refuse_hopeless(self.n_paths, T * float(self.table.exit_rates.min()),
+        q = self.table.exit_rates
+        self.absorbing = bool(np.any(q <= 0))
+        if self.n_paths and T * float(q.max()) >= 2 * _MAX_ROUNDS:
+            # only a horizon this long can be hopeless, so only such a request
+            # pays for the closure; a path visits only the states the start
+            # reaches, and one of them with exit rate 0 may end it at once
+            reachable = _reachability(gen.off_diagonal() > 0)[self.s0]
+            _refuse_hopeless(self.n_paths, T * float(q[reachable].min()),
                              f"horizon T = {T!r}")
         m = min(_BLOCK, self.n_paths)
         self._hold, self._rate, self._remaining, self._u = np.empty((4, m))

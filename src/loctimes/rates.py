@@ -21,8 +21,8 @@ from typing import Dict, Sequence
 
 import numpy as np
 
-from .chain import Generator
-from .density import _local_times, _range_positions, _reachability, range_rates
+from .chain import Generator, _reachability
+from .density import _local_times, _range_positions, range_rates
 from .errors import (
     NotConvergedError,
     NotSymmetricError,

@@ -1,8 +1,9 @@
-import hashlib
 import importlib
+import json
 import math
 import warnings
 from itertools import combinations, permutations
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,11 +15,15 @@ from loctimes.chain import Generator, srw_generator, validate_generator
 from loctimes.density import (
     _ORDER_SCHEDULE,
     _OperatorSeries,
+    _check_local_times,
     _cofactor_subset_weights,
     _gamma_arguments,
     _poisson_tails,
     _range_rates,
+    _rate_block,
     _reachability,
+    _series_support,
+    _subset_layout,
     _undirected_support,
     density,
     density_batch,
@@ -149,6 +154,48 @@ def test_cofactor_subset_weights_match_per_subset_determinants(r):
                 assert list(got) == list(expected)
                 for Q, w in expected.items():
                     assert got[Q] == pytest.approx(w, rel=1e-12)
+
+
+def _stacked_weights_reference(B, a, b):
+    """The subset weights as one stack built per call, each subset's rows and
+    columns zeroed and its diagonal set to 1 in place (the layout before it
+    was cached per (|R|, a, b))."""
+    r = B.shape[0]
+    others = [x for x in range(r) if x != a and x != b]
+    subsets = [Q for size in range(len(others) + 1) for Q in combinations(others, size)]
+    in_Q = np.zeros((len(subsets), r), dtype=bool)
+    for k, Q in enumerate(subsets):
+        in_Q[k, list(Q)] = True
+    stack = np.where(in_Q[:, :, None] | in_Q[:, None, :], 0.0, _replaced_matrix(-B, a, b))
+    layer, x = np.nonzero(in_Q)
+    stack[layer, x, x] = 1.0
+    dets = np.linalg.det(stack)
+    return {Q: float(w) for Q, w in zip(subsets, dets) if w != 0.0}
+
+
+def test_subset_layout_is_shared_by_chains_of_one_shape():
+    rng = np.random.default_rng(1010)
+    r, a, b = 5, 1, 3
+    weights, hits = [], []
+    for _ in range(2):
+        B = rng.uniform(0.5, 1.5, (r, r)) * (rng.random((r, r)) < 0.7)
+        np.fill_diagonal(B, 0.0)
+        before = _subset_layout.cache_info()
+        got = _cofactor_subset_weights(B, a, b)
+        after = _subset_layout.cache_info()
+        assert after.hits + after.misses == before.hits + before.misses + 1
+        hits.append(after.hits - before.hits)
+        weights.append(got)
+        # bit for bit the weights of a stack built per call
+        expected = _stacked_weights_reference(B, a, b)
+        assert list(got) == list(expected)
+        assert [w.hex() for w in got.values()] == [w.hex() for w in expected.values()]
+    # the second chain reads the layout the first one left
+    assert hits[1] == 1
+    subsets, replaced, units = _subset_layout(r, a, b)
+    assert len(subsets) == 2 ** (r - 2) and replaced.shape == units.shape == (8, r, r)
+    assert not replaced.flags.writeable and not units.flags.writeable
+    assert weights[0] != weights[1]
 
 
 def test_cofactor_subset_weights_drop_exact_zeros():
@@ -936,6 +983,88 @@ def test_tree_route_at_large_local_times(route):
     assert value == pytest.approx(math.exp(-200.0) * sp.ive(0, 800.0), rel=1e-12, abs=0)
 
 
+def _union_find_components(n, pairs):
+    parent = list(range(n))
+
+    def root(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for x, y in pairs:
+        parent[root(x)] = root(y)
+    return len({root(x) for x in range(n)})
+
+
+def test_support_structure_against_union_find():
+    # random directed supports of 1 to 8 states, many of them disconnected
+    rng = np.random.default_rng(2921)
+    seen_disconnected = seen_tree = 0
+    for _ in range(400):
+        n = int(rng.integers(1, 9))
+        B = rng.random((n, n)) * (rng.random((n, n)) < rng.uniform(0.0, 0.5))
+        np.fill_diagonal(B, 0.0)
+        edges, cyclomatic, tree = _undirected_support(B)
+        pairs = [(x, y) for x in range(n) for y in range(x + 1, n) if B[x, y] or B[y, x]]
+        components = _union_find_components(n, pairs)
+        assert edges == tuple(pairs)
+        assert cyclomatic == len(pairs) - n + components
+        assert tree == (components == 1 and cyclomatic == 0)
+        seen_disconnected += components > 1
+        seen_tree += tree
+    assert seen_disconnected > 50 and seen_tree > 20
+    # one state is a tree with no edges
+    assert _undirected_support(np.zeros((1, 1))) == ((), 0, True)
+    assert _undirected_support(np.zeros((3, 3))) == ((), 0, False)
+
+
+def test_series_support_is_the_row_order_of_the_off_diagonal():
+    rng = np.random.default_rng(2922)
+    for n in range(1, 7):
+        M = rng.random((n, n)) * (rng.random((n, n)) < 0.5)   # diagonal may be nonzero
+        xs, ys = _series_support(M)
+        loop = [(x, y) for x in range(n) for y in range(n) if x != y and M[x, y] != 0.0]
+        assert list(zip(xs.tolist(), ys.tolist())) == loop
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0, 0.0, 1e-13],
+                         ids=["nan", "inf", "negative", "zero", "below-minimum"])
+def test_single_point_check_matches_the_batch_check(bad):
+    point = np.array([0.5, bad, 0.7, 1e-14])
+    with pytest.raises(DomainError) as single:
+        _check_local_times(point)
+    with pytest.raises(DomainError) as batch:
+        _check_local_times(point[None, :])
+    assert type(single.value) is type(batch.value) is DomainError
+    assert str(single.value) == str(batch.value)
+    assert str(single.value).endswith(f"got {bad:.3e}")
+    # the smallest allowed local time passes both
+    ok = np.array([0.5, density_module.MIN_LOCAL_TIME])
+    _check_local_times(ok)
+    _check_local_times(ok[None, :])
+
+
+def test_whole_state_block_key_is_the_gathered_block():
+    rng = np.random.default_rng(2923)
+    gen = random_conservative(rng, 4)
+    block, r = _rate_block(gen, gen.states)
+    assert (block, r) == (gen.submatrix(gen.states).tobytes(), 4)
+    # a Fortran-ordered rate matrix gives the same C-ordered bytes
+    fortran = Generator(states=gen.states, rates=np.asfortranarray(gen.rates))
+    assert _rate_block(fortran, fortran.states) == (block, r)
+    # a reordered or partial range is gathered
+    assert _rate_block(gen, (3, 2, 1, 0))[0] == gen.submatrix((3, 2, 1, 0)).tobytes()
+    assert _rate_block(gen, (0, 1))[0] == gen.submatrix((0, 1)).tobytes()
+    # an in-place edit changes the key, so the caches miss
+    before = range_rates(gen, gen.states)
+    gen.rates[0, 1] += 0.25
+    gen.rates[0, 0] -= 0.25
+    after = range_rates(gen, gen.states)
+    assert after is not before
+    assert np.array_equal(after.A, gen.rates) and not np.array_equal(before.A, gen.rates)
+
+
 def test_range_structure():
     def structure(rates, R=None):
         gen = validate_generator(rates)
@@ -1209,14 +1338,46 @@ def _pinned_outputs():
     return out
 
 
+PINNED_ROUTES = Path(__file__).with_name("pinned_routes.json")
+
+
+def _moved_report(moved) -> str:
+    """The entries that moved, as (index, pinned, now), and the largest
+    relative change of a float among them."""
+    def floats(entry):
+        return [float.fromhex(x) for x in ([entry] if isinstance(entry, str) else entry)
+                if isinstance(x, str)]
+
+    largest = max((abs(now - was) / abs(was) if was else math.inf
+                   for _, pinned, got in moved
+                   for was, now in zip(floats(pinned), floats(got)) if was != now),
+                  default=0.0)
+    lines = [f"{k}: pinned {pinned!r}, now {got!r}" for k, pinned, got in moved]
+    return (f"{len(moved)} pinned route outputs moved, largest relative change "
+            f"{largest:.3e}:\n" + "\n".join(lines))
+
+
 def test_routes_match_pinned_digest():
-    # sha256 of the float.hex outputs of every route: a cache or a refactor
-    # must not move a single bit; a change of arithmetic re-pins it and lists
-    # the entries it moved in CHANGES.md
+    # the float.hex outputs of every route, entry by entry against the
+    # committed file: a cache or a refactor must not move a single bit; a
+    # change of arithmetic re-pins the file and lists the entries it moved in
+    # CHANGES.md
+    pinned = [tuple(e) if isinstance(e, list) else e
+              for e in json.loads(PINNED_ROUTES.read_text())]
     out = _pinned_outputs()
-    assert len(out) == 143
-    assert hashlib.sha256(repr(out).encode()).hexdigest() == (
-        "c72c377ef9869abcb075f0990e5be8adfa9513992b13433d3cde4e166fef5fbc")
+    assert len(out) == len(pinned) == 143
+    moved = [(k, want, got) for k, (want, got) in enumerate(zip(pinned, out)) if want != got]
+    assert not moved, _moved_report(moved)
+
+
+def test_moved_report_names_entries_and_largest_change():
+    pinned = [(1.0.hex(), 2.0.hex(), 18), 4.0.hex()]
+    now = [(1.0.hex(), 2.5.hex(), 18), (4.0 * (1 + 2 ** -52)).hex()]
+    moved = [(k, p, q) for k, (p, q) in enumerate(zip(pinned, now)) if p != q]
+    report = _moved_report(moved)
+    assert report.startswith("2 pinned route outputs moved, largest relative change 2.500e-01")
+    assert "0: pinned ('0x1.0000000000000p+0', '0x1.0000000000000p+1', 18)" in report
+    assert "1: pinned '0x1.0000000000000p+2', now '0x1.0000000000001p+2'" in report
 
 
 def test_repeated_request_is_identical_and_shares_the_range():

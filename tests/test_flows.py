@@ -1,3 +1,4 @@
+import math
 from itertools import product
 
 import numpy as np
@@ -141,8 +142,8 @@ def expand_and_prune(edges, n_nodes, max_total):
     return full
 
 
-def assert_same_table(got, expected):
-    assert got.dtype == np.int64 and got.shape == expected.shape
+def assert_same_table(got, expected, dtype=np.int64):
+    assert got.dtype == dtype and got.shape == expected.shape
     assert np.array_equal(got, expected)
 
 
@@ -167,8 +168,19 @@ def assert_same_table(got, expected):
     ],
 )
 def test_table_rows_in_closing_order(edges, n_nodes, max_total):
-    assert_same_table(flow_table(edges, n_nodes, max_total).counts,
-                      ordered_brute_force(edges, n_nodes, max_total))
+    # the enumeration is integral; the table stores its counts and
+    # out-degrees as exact floats, read-only since every caller shares them
+    table = flow_table(edges, n_nodes, max_total)
+    expected = ordered_brute_force(edges, n_nodes, max_total)
+    assert_same_table(table.counts, expected, np.float64)
+    degree = np.zeros((len(expected), n_nodes), dtype=np.int64)
+    for k, (i, _) in enumerate(edges):
+        degree[:, i] += expected[:, k]
+    assert_same_table(table.out_degree, degree, np.float64)
+    factorials = [sum(math.lgamma(n + 1) for n in row) for row in expected.tolist()]
+    assert table.log_count_factorials == pytest.approx(factorials, rel=1e-14, abs=1e-14)
+    for arr in (table.counts, table.out_degree, table.log_count_factorials):
+        assert not arr.flags.writeable
 
 
 def random_support(rng, n):
@@ -190,3 +202,4 @@ def test_forced_counts_match_expand_and_prune(seed):
         for max_total in _ORDER_SCHEDULE[:5]:
             assert_same_table(_enumerate(edges, n, max_total, _FLOW_CAP),
                               expand_and_prune(edges, n, max_total))
+

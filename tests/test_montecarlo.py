@@ -217,6 +217,23 @@ def test_hopeless_batches_are_refused_before_drawing():
     assert batch.local_times.sum(axis=1) == pytest.approx(np.full(100, 1e308), rel=1e-12)
 
 
+def test_unreachable_absorbing_state_does_not_lift_the_refusal():
+    # state 2 has exit rate 0 but the start cannot reach it, so the paths
+    # jump about T times each, as on a chain without it
+    isolated = validate_generator([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+    for call in (lambda rng: sample_paths_fixed_time(isolated, 0, 1e308, 2, rng),
+                 lambda rng: next(fixed_time_blocks(isolated, 0, 1e308, 2, rng))):
+        rng = np.random.default_rng(0)
+        start = time.perf_counter()
+        with pytest.raises(BudgetExceededError, match="2 paths refused before drawing"):
+            call(rng)
+        assert time.perf_counter() - start < 1.0
+        assert rng.random() == np.random.default_rng(0).random()
+    # from the absorbing state itself the paths end at once
+    batch = sample_paths_fixed_time(isolated, 2, 1e308, 3, np.random.default_rng(0))
+    assert np.all(batch.endpoints == 2) and np.all(batch.jumps == 0)
+
+
 def test_fixed_time_blocks_reuse_one_set_of_outputs():
     # every block of a request is written into the same output buffers
     blocks = fixed_time_blocks(FOUR_STATE, 0, 3.0, 2 * _BLOCK + 17, np.random.default_rng(42))
