@@ -7,12 +7,13 @@ all reductions in fixed order, so replaying a config reproduces each number
 exactly.
 
 The two fixed-time checks (the density law and the LDP probability bound)
-take their paths block by block from :func:`montecarlo.fixed_time_blocks`,
-reduce each block before taking the next (the iterator writes every block
-into the same buffers), and keep only per-path counts, summed over the
-blocks, so their memory is O(block), whatever the sample count, and every
-number they report equals the one a whole batch gives, bit for bit (the
-counts are integers).
+reduce their paths chunk by chunk through :func:`montecarlo.fixed_time_chunks`:
+chunk k holds paths k * 2^16 onward and draws from its own stream, child k of
+``SeedSequence(seed)``, and each chunk is reduced to integer counts as it is
+drawn, so memory is two blocks' worth (one per lane), whatever the sample
+count.  The chunks run on two lanes where the process may use two CPUs, and
+the counts are summed in chunk order, so a seed gives the same bytes
+whatever the lane count or the schedule.
 The Ray-Knight check keeps its whole batches: its moments are reductions
 over all samples at once, whose bits depend on that.  Its two sides run at
 once on independent streams spawned from the seed, the profile side on one
@@ -42,7 +43,7 @@ from .errors import ConfigParseError, InsufficientConditionedError, NotSymmetric
 from .montecarlo import (
     BatchPaths,
     _path_count,
-    fixed_time_blocks,
+    fixed_time_chunks,
     sample_paths_inverse_local_time,
 )
 from .rates import ldp_probability_bound, ldp_varadhan_bound
@@ -411,10 +412,13 @@ def verify_density_mc(
     every conditioned path lands in one.  The report's ``cell`` is the flat
     index over (s, v_1, ...); with d = 1 it is the local time's own cell.
 
-    The paths are conditioned and binned one sampler block at a time, so
-    memory is O(block), not O(``n_samples``), and the counts (integers)
-    equal those of one whole batch bit for bit.  ``ValueError``, before any
-    path is drawn, on an ``n_samples`` that is negative or not an integer,
+    The paths are conditioned and binned one chunk of 2^16 at a time, each
+    chunk from its own stream spawned from ``seed``
+    (:func:`montecarlo.fixed_time_chunks`), on two lanes where the process
+    may use two CPUs: memory is two blocks' worth, not O(``n_samples``), and
+    the counts (integers) are summed in chunk order, so they do not depend
+    on the lane count or the schedule.  ``ValueError``, before any path is
+    drawn, on an ``n_samples`` that is negative or not an integer,
     a ``cells_per_axis`` that is not an integer >= 1, and on a ``range_``
     that repeats a state, misses the start or the endpoint, or has fewer
     than 2 or more than 4 states: the density rows the cells need grow as
@@ -430,19 +434,23 @@ def verify_density_mc(
     cells_per_axis = _path_count(cells_per_axis, "cells_per_axis")
     if cells_per_axis < 1:
         raise ValueError(f"cells_per_axis must be at least 1, got {cells_per_axis}")
-    blocks = fixed_time_blocks(gen, start, T, n_samples, np.random.default_rng(seed))
     conditioned = conditioning_mask(gen, R, endpoint)
     free_states = [x for x in R if x != endpoint]
     free_idx = gen.indices(free_states)
     edges = [np.linspace(0.0, T, cells_per_axis + 1)]
     edges += [np.linspace(0.0, 1.0, cells_per_axis + 1) for _ in free_states[1:]]
+
+    def bin_chunk(batch: BatchPaths) -> Tuple[int, np.ndarray]:
+        rows = np.flatnonzero(conditioned(batch))
+        free = [batch.local_times[rows, j] for j in free_idx]
+        return rows.size, _grid_counts(_collapsed_coordinates(free, T), edges)
+
     counts = np.zeros(tuple(len(e) - 1 for e in edges))
     n_cond = 0
-    for batch in blocks:
-        rows = np.flatnonzero(conditioned(batch))
-        n_cond += rows.size
-        free = [batch.local_times[rows, j] for j in free_idx]
-        counts += _grid_counts(_collapsed_coordinates(free, T), edges)
+    for chunk_cond, chunk_counts in fixed_time_chunks(gen, start, T, n_samples, seed,
+                                                      bin_chunk):
+        n_cond += chunk_cond
+        counts += chunk_counts
     if n_cond < 1000:
         raise InsufficientConditionedError(
             f"only {n_cond} of {n_samples} samples hit the conditioning event"
@@ -772,21 +780,25 @@ def ldp_probability_experiment(
     """Monte Carlo estimate of P(normalized local time at ``state`` >=
     ``threshold``, range within S) against the closed-form upper bound.
 
-    The hits are counted one sampler block at a time, so memory is
-    O(block), not O(``n_samples``), and the count equals that of one whole
-    batch.  ``ValueError`` on an ``n_samples`` that is negative or not
+    The hits are counted one chunk of 2^16 paths at a time, each chunk from
+    its own stream spawned from ``seed`` (:func:`montecarlo.fixed_time_chunks`),
+    on two lanes where the process may use two CPUs: memory is two blocks'
+    worth, not O(``n_samples``), and the per-chunk counts are summed in
+    chunk order, so the total does not depend on the lane count or the
+    schedule.  ``ValueError`` on an ``n_samples`` that is negative or not
     an integer."""
     if not gen.is_symmetric():
         raise NotSymmetricError("the probability bound requires a symmetric generator")
     S = tuple(S)
     n_samples = _path_count(n_samples, "n_samples")
-    blocks = fixed_time_blocks(gen, start, T, n_samples, np.random.default_rng(seed))
     others = np.setdiff1d(np.arange(gen.n_states), gen.indices(S))
     j = gen.index(state)
-    n_hits = 0
-    for batch in blocks:
+
+    def count_hits(batch: BatchPaths) -> int:
         local = batch.local_times
-        n_hits += int((~(local[:, others] > 0).any(axis=1) & (local[:, j] / T >= threshold)).sum())
+        return int((~(local[:, others] > 0).any(axis=1) & (local[:, j] / T >= threshold)).sum())
+
+    n_hits = sum(fixed_time_chunks(gen, start, T, n_samples, seed, count_hits))
 
     inf_rate = halfspace_rate_infimum(gen, S, state, threshold)
     bound = ldp_probability_bound(gen, S, inf_rate, T)

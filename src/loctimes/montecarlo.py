@@ -32,10 +32,15 @@ uniform and one gather-and-compare per extra target.
   (:class:`_FixedTimeSampler`) holds the jump table and the round buffers,
   which every block and round fill with ``out=``, so a request allocates
   them once, not once per block and round.
-  :func:`fixed_time_blocks` hands the same blocks out one at a time, each
-  written into one set of block-sized output buffers, so a reduction over a
-  large batch needs memory for one block only; a yielded block is valid
-  until the iterator advances.
+* Fixed horizon in seeded chunks: :func:`fixed_time_chunks` splits a request
+  into chunks of ``_BLOCK`` paths, draws chunk k from its own stream,
+  ``default_rng(SeedSequence(seed).spawn(n_chunks)[k])``, and reduces each
+  chunk as it is drawn, so a reduction over a large request needs memory for
+  one block per lane.  No chunk's draws depend on another's, so the chunks
+  run on two lanes (the calling thread and one worker thread per call) where
+  the process may use two CPUs, and the reductions come back in chunk order
+  whatever the schedule: chunk k is ``sample_paths_fixed_time`` of its size
+  on its own stream, bit for bit.
 * Inverse local time: the jump-chain/holding-time split (Norris, *Markov
   Chains*, 1997, section 2.6).  The number of pivot visits is drawn first,
   ``1 + Poisson(q_b * level)``; the rounds run only the discrete jump chain,
@@ -51,21 +56,28 @@ buffer, one contiguous row per state, and returns its transpose: the same
 ``(n_paths, n)`` shape, Fortran-ordered, whose column for a state reads as a
 contiguous vector; its horizons are those rows added in state order.
 
-All draws come from one stream in a fixed order (for the fixed horizon,
-block after block), so a seed reproduces every emitted number bit for bit.
-Both samplers raise ``ValueError`` on an ``n_paths`` that is negative or not
+Each sampler draws from one stream in a fixed order (for the fixed horizon,
+block after block), and the chunks of :func:`fixed_time_chunks` each from
+their own, so a seed reproduces every emitted number bit for bit.  Both
+samplers raise ``ValueError`` on an ``n_paths`` that is negative or not
 an integer.
 """
 
+import copy
 import math
 import operator
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Callable, List, TypeVar
 
 import numpy as np
 
-from .chain import Generator, _reachability
+from .chain import Generator
 from .errors import BudgetExceededError
+
+Reduced = TypeVar("Reduced")
 
 # paths per block of the fixed-time sampler: a block's working arrays and its
 # slice of the accumulator stay near a core's L2 cache, whereas one pass over a
@@ -83,8 +95,9 @@ _MAX_ROUNDS = 2_000_000
 class BatchPaths:
     """Local times (one row per path), endpoints and jump counts.
 
-    A batch from :func:`fixed_time_blocks` is a set of views of buffers
-    that the next block overwrites; copy it to keep it.
+    A chunk that :func:`fixed_time_chunks` hands to a reduction is a set of
+    views of buffers that the lane's next chunk overwrites; copy it to keep
+    it.
 
     ``local_times`` is C-ordered from the fixed-time sampler and the
     Fortran-ordered transpose of a site-major buffer from the inverse
@@ -144,6 +157,19 @@ def jump_table(gen: Generator) -> JumpTable:
     return JumpTable(exit_rates=exit_rates, thresholds=thresholds, targets=targets)
 
 
+def _reachable_states(table: JumpTable, s0: int) -> np.ndarray:
+    """Mask of the states a path from ``s0`` can visit, ``s0`` included: a
+    breadth-first search over the table's targets, O(n · depth)."""
+    seen = np.zeros(table.exit_rates.size, dtype=bool)
+    seen[s0] = True
+    frontier = np.array([s0])
+    while frontier.size:
+        reached = np.unique(table.targets[:, frontier])
+        frontier = reached[~seen[reached]]
+        seen[frontier] = True
+    return seen
+
+
 def _path_count(value, name: str = "n_paths") -> int:
     """``value`` as a Python int, or ``ValueError`` naming the argument
     ``name`` if it is negative, a bool or not integral (any other integer
@@ -200,11 +226,15 @@ class _FixedTimeSampler:
         self.absorbing = bool(np.any(q <= 0))
         if self.n_paths and T * float(q.max()) >= 2 * _MAX_ROUNDS:
             # only a horizon this long can be hopeless, so only such a request
-            # pays for the closure; a path visits only the states the start
+            # pays for the search; a path visits only the states the start
             # reaches, and one of them with exit rate 0 may end it at once
-            reachable = _reachability(gen.off_diagonal() > 0)[self.s0]
+            reachable = _reachable_states(self.table, self.s0)
             _refuse_hopeless(self.n_paths, T * float(q[reachable].min()),
                              f"horizon T = {T!r}")
+        self._allocate()
+
+    def _allocate(self) -> None:
+        """The round buffers of :meth:`run`, ``min(_BLOCK, n_paths)`` long."""
         m = min(_BLOCK, self.n_paths)
         self._hold, self._rate, self._remaining, self._u = np.empty((4, m))
         self._done = np.empty(m, dtype=bool)
@@ -293,25 +323,12 @@ class _FixedTimeSampler:
             state = self.table.step(state, rng.random(out=self._u[:alive.size]))
             rounds += 1
 
-    def blocks(self, rng: np.random.Generator) -> Iterator[BatchPaths]:
-        """The request's paths as consecutive blocks of at most ``_BLOCK``,
-        each one zero-filled into, and yielded as views of, one set of
-        output buffers: a block is valid until the iterator advances."""
-        n = self.table.exit_rates.size
-        m = self._hold.size
-        local = np.empty(m * n)
-        endpoints = np.empty(m, dtype=np.int64)
-        jumps = np.empty(m, dtype=np.int64)
-        horizons = np.full(m, float(self.T))
-        for lo in range(0, self.n_paths, _BLOCK):
-            k = min(_BLOCK, self.n_paths - lo)
-            local[:k * n] = 0.0
-            endpoints[:k] = self.s0
-            jumps[:k] = 0
-            self.run(rng, local[:k * n], endpoints[:k], jumps[:k])
-            yield BatchPaths(local_times=local[:k * n].reshape(k, n),
-                             endpoints=endpoints[:k], jumps=jumps[:k],
-                             horizons=horizons[:k])
+    def twin(self) -> "_FixedTimeSampler":
+        """A second workspace of the same request: the same checks and jump
+        table, and round buffers of its own, allocated by the caller."""
+        twin = copy.copy(self)
+        twin._allocate()
+        return twin
 
 
 def sample_paths_fixed_time(
@@ -336,21 +353,106 @@ def sample_paths_fixed_time(
     )
 
 
-def fixed_time_blocks(
-    gen: Generator, start, T: float, n_paths: int, rng: np.random.Generator
-) -> Iterator[BatchPaths]:
-    """The rows of ``sample_paths_fixed_time(gen, start, T, n_paths, rng)``
-    as consecutive batches of at most ``_BLOCK`` paths each, drawn one at a
-    time as the iterator advances: the same draws in the same order, so the
-    blocks are the whole batch's rows bit for bit, and a caller that reduces
-    each block before taking the next holds one block, not the batch.
+class _Lane:
+    """One lane of :func:`fixed_time_chunks`: a sampler workspace and one
+    block's outputs, all allocated on the thread that makes the lane, so a
+    worker thread that runs the lane keeps none of them in its own heap."""
 
-    Every block is written into the same buffers, and the jump table and
-    round buffers are made once for the request: a yielded block's arrays
-    are valid only until the iterator advances, so a caller that keeps a
-    block must copy it.  The arguments are checked at the call, before any
-    block is drawn."""
-    return _FixedTimeSampler(gen, start, T, n_paths).blocks(rng)
+    def __init__(self, sampler: _FixedTimeSampler) -> None:
+        self.sampler = sampler
+        m, n = sampler._hold.size, sampler.table.exit_rates.size
+        self.local = np.empty(m * n)
+        self.endpoints = np.empty(m, dtype=np.int64)
+        self.jumps = np.empty(m, dtype=np.int64)
+        self.horizons = np.full(m, float(sampler.T))
+
+    def draw(self, k: int, seed: np.random.SeedSequence) -> BatchPaths:
+        """Chunk ``k`` of the request, drawn from ``default_rng(seed)`` into
+        this lane's outputs, as views of them."""
+        sampler = self.sampler
+        n = sampler.table.exit_rates.size
+        size = min(_BLOCK, sampler.n_paths - k * _BLOCK)
+        local = self.local[:size * n]
+        local.fill(0.0)
+        self.endpoints[:size] = sampler.s0
+        self.jumps[:size] = 0
+        sampler.run(np.random.default_rng(seed), local, self.endpoints[:size],
+                    self.jumps[:size])
+        return BatchPaths(local_times=local.reshape(size, n),
+                          endpoints=self.endpoints[:size], jumps=self.jumps[:size],
+                          horizons=self.horizons[:size])
+
+
+def _lane_count() -> int:
+    """Lanes for :func:`fixed_time_chunks`: 2 where the process may run on 2
+    or more CPUs, else 1."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:
+        cpus = os.cpu_count() or 1
+    return min(2, cpus)
+
+
+def fixed_time_chunks(
+    gen: Generator, start, T: float, n_paths: int, seed,
+    reduce: Callable[[BatchPaths], Reduced],
+) -> List[Reduced]:
+    """``reduce`` of each chunk of a fixed-time request, in chunk order.
+
+    The ``n_paths`` paths are split into chunks of ``_BLOCK`` (the last one
+    partial), and chunk k is ``sample_paths_fixed_time(gen, start, T, size_k,
+    default_rng(SeedSequence(seed).spawn(n_chunks)[k]))`` bit for bit.  A
+    chunk is handed to ``reduce`` as views of its lane's outputs, valid only
+    during that call, so memory is one block per lane whatever ``n_paths``.
+
+    The chunks run on two lanes where the process may use two CPUs (else on
+    one): the calling thread and one worker thread, started for this call
+    and joined before it returns, each taking the next chunk from one shared
+    counter.  ``reduce`` must therefore be safe to call from both at once.
+    As no chunk reads another's draws, the results do not depend on the
+    lane count or the schedule.  The arguments are checked, the jump table
+    built and a hopeless request refused on the calling thread before any
+    draw or thread.  A chunk that raises stops the lanes from taking new
+    chunks, and after the join the error of the lowest failed chunk is
+    raised: the one that a single lane, taking the chunks in order, raises.
+    """
+    sampler = _FixedTimeSampler(gen, start, T, n_paths)
+    n_chunks = -(-sampler.n_paths // _BLOCK)
+    seeds = np.random.SeedSequence(seed).spawn(n_chunks)
+    lanes = [_Lane(sampler)]
+    if min(_lane_count(), n_chunks) >= 2:
+        lanes.append(_Lane(sampler.twin()))
+    results: List[Reduced] = [None] * n_chunks
+    errors = {}
+    lock = threading.Lock()
+    taken = iter(range(n_chunks))
+    stop = threading.Event()
+
+    def run_lane(lane: _Lane) -> None:
+        while not stop.is_set():
+            with lock:
+                k = next(taken, None)
+            if k is None:
+                return
+            try:
+                results[k] = reduce(lane.draw(k, seeds[k]))
+            except Exception as exc:
+                errors[k] = exc
+                stop.set()
+
+    if len(lanes) == 1:
+        run_lane(lanes[0])
+    else:
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            pending = pool.submit(run_lane, lanes[1])
+            try:
+                run_lane(lanes[0])
+            finally:
+                stop.set()          # an interrupt here stops the worker too
+                pending.result()
+    if errors:
+        raise errors[min(errors)]
+    return results
 
 
 def sample_paths_inverse_local_time(
@@ -424,7 +526,10 @@ def sample_paths_inverse_local_time(
         if x == b:
             local[x] = level
         elif exit_rates[x] > 0:
-            local[x] = rng.gamma(visits[x], 1.0 / exit_rates[x])
+            # Gamma(v, 1/q) is (1/q) Gamma(v, 1) per draw: the same values from
+            # the same draws, without the two-argument broadcast
+            rng.standard_gamma(visits[x], out=local[x])
+            local[x] *= 1.0 / exit_rates[x]
     return BatchPaths(
         local_times=local.T,
         endpoints=np.full(n_paths, b, dtype=np.int64),

@@ -76,8 +76,10 @@ def rk_outer_density(h1: float, h2: float) -> float:
 def _step(cur: np.ndarray, shift: float, rng: np.random.Generator) -> np.ndarray:
     """One step of a profile chain: Gamma(K + shift, 1) with K ~ Poisson(cur).
     Shift 1 is the inner kernel f, shift 0 the outer kernel P*, whose
-    Gamma(0, 1) is the point mass at 0 where the chain is absorbed."""
-    return rng.gamma(rng.poisson(cur) + shift)
+    Gamma(0, 1) is the point mass at 0 where the chain is absorbed.  The
+    one-parameter ``standard_gamma`` draws what ``gamma(shape)`` draws, bit
+    for bit, without its broadcast against the scale."""
+    return rng.standard_gamma(rng.poisson(cur) + shift)
 
 
 def _profile_arguments(b, h: float, window, n) -> Tuple[int, int, int]:

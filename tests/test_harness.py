@@ -13,7 +13,7 @@ from scipy.linalg import expm
 
 from loctimes.chain import srw_generator, validate_generator
 from loctimes.density import range_rates
-from loctimes import harness
+from loctimes import harness, montecarlo
 from loctimes.errors import ConfigParseError, InsufficientConditionedError, NotSymmetricError
 from loctimes.harness import (
     _chi2_sf,
@@ -198,18 +198,19 @@ def _report_digest(report) -> str:
     return hashlib.sha256(data.encode()).hexdigest()
 
 
-# several blocks of paths and a partial one; the digests were taken from the
-# whole-batch reduction, so a block-by-block one must give the same bits
+# several chunks of paths and a partial one, each chunk drawn from its own
+# child of the seed; one lane and two, in whatever order they take the
+# chunks, must give these bits
 MULTI_BLOCK = 3 * _BLOCK + 1_234
 
 
 VERIFY_DENSITY_DIGESTS = {
-    0: "37172de41fd8cd402b71eff6c5d73a41e3bb6813612af7d4270de233e3d304d8",
-    1: "314f03ae42c60041feaa398ddbe817d5c4d97b9f4493a81f6283115742457560",
+    0: "308eeb935e6808d33de66a818e436e0b58a036e4c1e3c66395bf33fe863791a6",
+    1: "3c209eed47c55043a1b036dd8fdc83926e45273200b2489a26f97e6bb7d2fbef",
 }
 LDP_PROBABILITY_DIGESTS = {
-    0: "9ebf5b47390ab29ff255a240d8d719fe0889c4d39636a5d12886b8a63596fb09",
-    1: "e42b00a7a03f383d6bcdb68370c7f50a868278c516704509337951d14901c537",
+    0: "b6b171897001cf5b9e259267494d9db73f8fa8a82042d9e206e9abff2997589a",
+    1: "b1502860ddd9651eab383b1a20f4e9100ac42d900c82f57a4d234d4b2cc9f0a6",
 }
 
 
@@ -227,18 +228,44 @@ def test_ldp_probability_over_several_blocks_pinned(seed):
     assert _report_digest(report) == LDP_PROBABILITY_DIGESTS[seed]
 
 
-def test_verify_density_memory_is_one_block():
-    # 16 blocks of paths held at once peak at about 67 MB; taken one block at
-    # a time, the traced peak is about 11 MB at any number of blocks
+def test_verify_density_memory_is_one_block(monkeypatch):
+    # 16 blocks of paths held at once peak at about 67 MB; reduced one chunk
+    # at a time on each of two lanes, the traced peak is about 20 MB (10 MB
+    # per lane), whatever the number of chunks
+    monkeypatch.setattr(montecarlo, "_lane_count", lambda: 2)
     g = srw_generator(0, 2)
     verify_density_mc(g, 0, 2, (0, 1, 2), 2.0, 2 * _BLOCK, seed=0)  # warm caches
-    tracemalloc.start()
-    try:
-        verify_density_mc(g, 0, 2, (0, 1, 2), 2.0, 16 * _BLOCK, seed=0)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 16 * 2 ** 20
+    peaks = {}
+    for blocks in (4, 16):
+        tracemalloc.start()
+        try:
+            verify_density_mc(g, 0, 2, (0, 1, 2), 2.0, blocks * _BLOCK, seed=0)
+            peaks[blocks] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[16] < 2 * 16 * 2 ** 20
+    assert peaks[16] <= 1.05 * peaks[4]
+
+
+def test_fixed_time_checks_do_not_depend_on_the_lanes(monkeypatch):
+    # one lane, two lanes, and two lanes of which one sleeps before each of
+    # its chunks (so the other takes chunks out of turn) give the pinned bits
+    g = srw_generator(0, 2)
+    draw = montecarlo._Lane.draw
+    main = threading.current_thread()
+
+    def draw_late(self, k, seed):
+        if threading.current_thread() is main:
+            time.sleep(0.2)
+        return draw(self, k, seed)
+
+    for lanes, late in ((1, False), (2, False), (2, True)):
+        monkeypatch.setattr(montecarlo, "_lane_count", lambda: lanes)
+        monkeypatch.setattr(montecarlo._Lane, "draw", draw_late if late else draw)
+        report = verify_density_mc(g, 0, 2, (0, 1, 2), 2.0, MULTI_BLOCK, seed=1)
+        assert _report_digest(report) == VERIFY_DENSITY_DIGESTS[1], (lanes, late)
+        report = ldp_probability_experiment(g, 0, (0, 1), 0, 0.6, 2.0, MULTI_BLOCK, seed=1)
+        assert _report_digest(report) == LDP_PROBABILITY_DIGESTS[1], (lanes, late)
 
 
 @pytest.mark.parametrize("bad", [-1, 2.5])
@@ -258,7 +285,7 @@ def test_verify_density_rejects_a_bad_range_before_drawing(monkeypatch, start, e
     def no_blocks(*args):
         raise AssertionError("a block was drawn")
 
-    monkeypatch.setattr(harness, "fixed_time_blocks", no_blocks)
+    monkeypatch.setattr(harness, "fixed_time_chunks", no_blocks)
     with pytest.raises(ValueError, match="range_"):
         verify_density_mc(srw_generator(0, 2), start, endpoint, range_, 2.0, 1000)
 
@@ -268,7 +295,7 @@ def test_verify_density_rejects_bad_cell_counts(monkeypatch, cells):
     def no_blocks(*args):
         raise AssertionError("a block was drawn")
 
-    monkeypatch.setattr(harness, "fixed_time_blocks", no_blocks)
+    monkeypatch.setattr(harness, "fixed_time_chunks", no_blocks)
     with pytest.raises(ValueError, match="cells_per_axis"):
         verify_density_mc(srw_generator(0, 2), 0, 2, (0, 1, 2), 2.0, 1000,
                           cells_per_axis=cells)
@@ -840,10 +867,10 @@ PINNED_CONFIG = {"seed": 3, "experiments": [
 ]}
 PINNED_DIGESTS = {
     "exponential.csv": "7644721e0ec7eb06c670051d0259bb7a14726e203419291bf75991d3a75c6af7",
-    "halfspace.csv": "7eff0499b1f3d53ea89960076d0cb860d2b58284304d3d480aa756020e699091",
-    "law.csv": "5dea1b3f1793b3ca7c7559645163c1202331075ebe579db26b1cc4b2a314b5a5",
+    "halfspace.csv": "26ff8d1e836e00a81eb1f1dc62463db31563d30a34fb3be19f18be81896b826a",
+    "law.csv": "2ea55d328737ed2465fe77c4947dcdc0da38d3c8b9b50fe70d7336245ed817b0",
     "profile.csv": "71feca5453fcbf3d97dfaaef54dd729fdc67822d091ead6f5dc17ced7dcc32b3",
-    "summary.json": "a51ce2ff89dad9a44b1dd8f55a77e409f20ecb0e0473d6bbf7e25863817c7e98",
+    "summary.json": "16cc0ccaaaff6f241336fbf0b6aabb59448ffdf50658afd6076b717fc637754d",
 }
 
 
@@ -854,16 +881,15 @@ def test_run_suite_output_of_every_kind_pinned(tmp_path):
     assert digests == PINNED_DIGESTS
 
 
-# sha256 of every file a run of configs/demo.json writes, taken before the
-# sampler reused its buffers: the 3-state 200,000-path law and the
+# sha256 of every file a run of configs/demo.json writes: the 3-state 200,000-path law and the
 # 200,000-path half-space bound are pinned nowhere else
 DEMO_CONFIG = os.path.join(os.path.dirname(__file__), os.pardir, "configs", "demo.json")
 DEMO_DIGESTS = {
     "exponential-bound.csv": "c0bd97132aca3dbb108b98cd718d004fe5735b066683baef882693bdc727458c",
-    "halfspace-bound.csv": "83e26729640e378bc45613f09e77990b4cffb8f1119072e04c98e0d6ffe211e4",
+    "halfspace-bound.csv": "61325573c59f4c747689c21cab07c7d5087d4ad5687655a73c042f3c793302b3",
     "profile-equivalence.csv": "e26339f7f4d74bc05c594a1c9553806acd77f946f49b2ea4f6fe9aa2c5f333fe",
-    "summary.json": "00478b40bd320df29a51225a3c100daf99aaf6e17c9ee7da2869d699ef454040",
-    "three-state-law.csv": "a281e48c2f82e8a3b083b3a0e67b482a5bfbf8866debe5369875ec91d98f02d7",
+    "summary.json": "12912d1f04e2bbc52196b7db0702ce8df3b12ea89466d0b221769e9169b9d794",
+    "three-state-law.csv": "96ce1f18122bb05a44e621ad01f8d15d068d53e754bc3c6472a6cdc4b8f5c1eb",
 }
 
 

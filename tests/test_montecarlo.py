@@ -1,23 +1,27 @@
 """Batch samplers: the shared jump table, the fixed-time output it must leave
-unchanged, the fixed-time sampler's block order, block iterator and one
-workspace per request, and the jump-chain inverse-local-time sampler (its
-pinned output, its site-major layout, and its law against an event-driven
-reference simulator kept in this module)."""
+unchanged, the fixed-time sampler's block order and one workspace per
+request, the chunk engine (one seeded stream per chunk, two lanes, results
+independent of the schedule), and the jump-chain inverse-local-time sampler
+(its pinned output, its site-major layout, and its law against an
+event-driven reference simulator kept in this module)."""
 
 import hashlib
 import math
+import sys
+import threading
 import time
 
 import numpy as np
 import pytest
 from scipy import linalg, stats
 
-from loctimes.chain import srw_generator, validate_generator
+from loctimes.chain import _reachability, srw_generator, validate_generator
 from loctimes import montecarlo
 from loctimes.errors import BudgetExceededError, UnknownLabelError
 from loctimes.montecarlo import (
     _BLOCK,
-    fixed_time_blocks,
+    _reachable_states,
+    fixed_time_chunks,
     jump_table,
     sample_paths_fixed_time,
     sample_paths_inverse_local_time,
@@ -64,6 +68,27 @@ def _digest(batch) -> str:
     for b in _bytes(batch):
         h.update(b)
     return h.hexdigest()
+
+
+def _size(batch) -> int:
+    return batch.endpoints.size
+
+
+def _child_rngs(seed, n_chunks):
+    return [np.random.default_rng(c) for c in np.random.SeedSequence(seed).spawn(n_chunks)]
+
+
+def _never_reduced(batch):
+    raise AssertionError("a chunk was drawn")
+
+
+def _no_thread(*args, **kwargs):
+    raise AssertionError("a thread was started")
+
+
+def _set_lanes(monkeypatch, lanes):
+    """Run the chunk engine on ``lanes`` lanes, whatever the CPUs."""
+    monkeypatch.setattr(montecarlo, "_lane_count", lambda: lanes)
 
 
 # ---------------------------------------------------------------------------
@@ -136,23 +161,25 @@ def test_fixed_time_block_output_pinned(gen, n_paths, seed, digest):
 
 @pytest.mark.parametrize("gen", [FOUR_STATE, ABSORBING], ids=["four-state", "absorbing"])
 @pytest.mark.parametrize("n_paths", [0, 1, _BLOCK, 2 * _BLOCK + 17])
-def test_fixed_time_block_iterator_is_the_whole_batch(gen, n_paths):
-    # the blocks are _BLOCK paths each and the rest last; joined, they are
-    # the whole batch byte for byte.  A block is valid until the iterator
-    # advances, so its bytes are taken as it arrives
-    blocks = [(b.local_times.shape[0], _bytes(b))
-              for b in fixed_time_blocks(gen, 0, 3.0, n_paths, np.random.default_rng(41))]
-    whole = sample_paths_fixed_time(gen, 0, 3.0, n_paths, np.random.default_rng(41))
+def test_fixed_time_block_iterator_is_the_whole_batch(monkeypatch, gen, n_paths):
+    # the chunks are _BLOCK paths each and the rest last, in chunk order;
+    # chunk k is the whole-batch sampler of its size on child k of the seed,
+    # byte for byte, on one lane or two.  A chunk is valid during its
+    # reduction only, so its bytes are taken there
     full, rest = divmod(n_paths, _BLOCK)
-    assert [size for size, _ in blocks] == [_BLOCK] * full + [rest] * (rest > 0)
-    for k, w in enumerate(_bytes(whole)):
-        assert w == b"".join(b[k] for _, b in blocks)
+    sizes = [_BLOCK] * full + [rest] * (rest > 0)
+    expected = [(size, _bytes(sample_paths_fixed_time(gen, 0, 3.0, size, rng)))
+                for size, rng in zip(sizes, _child_rngs(41, len(sizes)))]
+    for lanes in (1, 2):
+        _set_lanes(monkeypatch, lanes)
+        assert fixed_time_chunks(gen, 0, 3.0, n_paths, 41,
+                                 lambda b: (b.local_times.shape[0], _bytes(b))) == expected
 
 
 # the first round runs every path from the start state at once: digests of
 # the round-by-round kernel on cases where that round ends every path (a start
 # in an absorbing state, local time T there), most paths (a short horizon) or
-# few, across two full blocks and a partial one, whole and block by block
+# few, across two full blocks and a partial one, whole and chunk by chunk
 @pytest.mark.parametrize("gen, start, T, seed, digest", [
     (ABSORBING, 2, 3.0, 50,
      "6d0f5e91cea7f1028a0be2ffd100c5560c0387ed31928f9914a09c5eb39a3584"),
@@ -165,12 +192,11 @@ def test_fixed_time_first_round_output_pinned(gen, start, T, seed, digest):
     n_paths = 2 * _BLOCK + 17
     batch = sample_paths_fixed_time(gen, start, T, n_paths, np.random.default_rng(seed))
     assert _digest(batch) == digest
-    blocks = [_bytes(b) for b in fixed_time_blocks(gen, start, T, n_paths,
-                                                    np.random.default_rng(seed))]
-    h = hashlib.sha256()
-    for k in range(4):
-        h.update(b"".join(b[k] for b in blocks))
-    assert h.hexdigest() == digest
+    # the chunk engine runs the same first round on each chunk's own stream
+    chunks = fixed_time_chunks(gen, start, T, n_paths, seed, _digest)
+    sizes = [_BLOCK, _BLOCK, 17]
+    assert chunks == [_digest(sample_paths_fixed_time(gen, start, T, size, rng))
+                      for size, rng in zip(sizes, _child_rngs(seed, 3))]
 
 
 def test_fixed_time_absorbing_start_ends_in_the_first_round():
@@ -187,7 +213,7 @@ def test_fixed_time_rounds_are_budgeted(monkeypatch):
     with pytest.raises(BudgetExceededError, match="3 paths refused before drawing"):
         sample_paths_fixed_time(g, 0, 1e6, 3, np.random.default_rng(0))
     with pytest.raises(BudgetExceededError, match="budget of 50 rounds"):
-        next(fixed_time_blocks(g, 0, 1e6, 3, np.random.default_rng(0)))
+        fixed_time_chunks(g, 0, 1e6, 3, 0, _never_reduced)
     # T q_min = 90 is below twice the budget, so the rounds run out instead
     # (each path makes about 120 jumps)
     with pytest.raises(BudgetExceededError, match="3 paths still running after 50 rounds"):
@@ -198,7 +224,7 @@ def test_hopeless_batches_are_refused_before_drawing():
     g = srw_generator(0, 2)
     calls = [
         lambda rng: sample_paths_fixed_time(g, 0, 1e308, 2, rng),
-        lambda rng: next(fixed_time_blocks(g, 0, 1e308, 2, rng)),
+        lambda rng: fixed_time_chunks(g, 0, 1e308, 2, 0, _never_reduced),
         lambda rng: sample_paths_inverse_local_time(g, 0, 2, 1e308, 2, rng),
     ]
     for call in calls:
@@ -222,7 +248,7 @@ def test_unreachable_absorbing_state_does_not_lift_the_refusal():
     # jump about T times each, as on a chain without it
     isolated = validate_generator([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
     for call in (lambda rng: sample_paths_fixed_time(isolated, 0, 1e308, 2, rng),
-                 lambda rng: next(fixed_time_blocks(isolated, 0, 1e308, 2, rng))):
+                 lambda rng: fixed_time_chunks(isolated, 0, 1e308, 2, 0, _never_reduced)):
         rng = np.random.default_rng(0)
         start = time.perf_counter()
         with pytest.raises(BudgetExceededError, match="2 paths refused before drawing"):
@@ -234,37 +260,210 @@ def test_unreachable_absorbing_state_does_not_lift_the_refusal():
     assert np.all(batch.endpoints == 2) and np.all(batch.jumps == 0)
 
 
-def test_fixed_time_blocks_reuse_one_set_of_outputs():
-    # every block of a request is written into the same output buffers
-    blocks = fixed_time_blocks(FOUR_STATE, 0, 3.0, 2 * _BLOCK + 17, np.random.default_rng(42))
-    first = next(blocks)
-    for later in blocks:
-        for name in ("local_times", "endpoints", "jumps"):
-            assert np.shares_memory(getattr(first, name), getattr(later, name))
+def test_fixed_time_blocks_reuse_one_set_of_outputs(monkeypatch):
+    # every chunk a lane draws is written into that lane's one set of output
+    # buffers, so a request holds one block of outputs per lane
+    for lanes in (1, 2):
+        _set_lanes(monkeypatch, lanes)
+        seen = []
+        fixed_time_chunks(FOUR_STATE, 0, 3.0, 5 * _BLOCK + 17, 42,
+                          lambda b: seen.append((b.local_times, b.endpoints, b.jumps)))
+        assert len(seen) == 6
+        buffers = []
+        for arrays in seen:
+            if not any(all(np.shares_memory(a, b) for a, b in zip(arrays, kept))
+                       for kept in buffers):
+                buffers.append(arrays)
+        assert len(buffers) <= lanes
 
 
 def test_fixed_time_blocks_build_the_jump_table_once(monkeypatch):
+    # once per request, on the calling thread, however many lanes draw
     calls = []
 
     def counting_jump_table(gen):
-        calls.append(gen)
+        calls.append(threading.current_thread())
         return jump_table(gen)
 
     monkeypatch.setattr(montecarlo, "jump_table", counting_jump_table)
-    for _ in fixed_time_blocks(FOUR_STATE, 0, 3.0, 2 * _BLOCK + 17, np.random.default_rng(43)):
-        pass
-    assert len(calls) == 1
+    for lanes in (1, 2):
+        _set_lanes(monkeypatch, lanes)
+        calls.clear()
+        fixed_time_chunks(FOUR_STATE, 0, 3.0, 2 * _BLOCK + 17, 43, _size)
+        assert calls == [threading.current_thread()]
 
 
 @pytest.mark.parametrize("start, T, n_paths, error", [
     (0, 3.0, -1, ValueError), (0, 3.0, 2.5, ValueError),
     (0, math.nan, 5, ValueError), (9, 3.0, 0, UnknownLabelError),
 ], ids=["negative", "fractional", "nan-horizon", "unknown-start"])
-def test_fixed_time_block_iterator_checks_at_the_call(start, T, n_paths, error):
-    # the arguments are checked when the iterator is made, before any block,
+def test_fixed_time_block_iterator_checks_at_the_call(monkeypatch, start, T, n_paths, error):
+    # the arguments are checked before any chunk is drawn or thread started,
     # so a request for no paths with a bad start still fails
+    monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", _no_thread)
     with pytest.raises(error):
-        fixed_time_blocks(FOUR_STATE, start, T, n_paths, np.random.default_rng(0))
+        fixed_time_chunks(FOUR_STATE, start, T, n_paths, 0, _never_reduced)
+
+
+def test_chunk_engine_refuses_a_hopeless_request_before_any_thread(monkeypatch):
+    _set_lanes(monkeypatch, 2)
+    monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", _no_thread)
+    with pytest.raises(BudgetExceededError, match="refused before drawing"):
+        fixed_time_chunks(srw_generator(0, 2), 0, 1e308, 3 * _BLOCK, 0, _never_reduced)
+
+
+def test_chunk_engine_uses_one_lane_on_one_cpu(monkeypatch):
+    # one lane draws every chunk on the calling thread; two run one worker
+    _set_lanes(monkeypatch, 1)
+    monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", _no_thread)
+    threads = set()
+    fixed_time_chunks(FOUR_STATE, 0, 1.0, 3 * _BLOCK, 5,
+                      lambda b: threads.add(threading.current_thread()))
+    assert threads == {threading.current_thread()}
+
+
+def test_chunk_engine_with_one_chunk_starts_no_thread(monkeypatch):
+    _set_lanes(monkeypatch, 2)
+    monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", _no_thread)
+    assert fixed_time_chunks(FOUR_STATE, 0, 1.0, _BLOCK, 5, _size) == [_BLOCK]
+    assert fixed_time_chunks(FOUR_STATE, 0, 1.0, 0, 5, _size) == []
+
+
+def _chunk_index(monkeypatch):
+    """Record, per thread, the index of the chunk being reduced."""
+    current = threading.local()
+    draw = montecarlo._Lane.draw
+
+    def recording_draw(self, k, seed):
+        current.k = k
+        return draw(self, k, seed)
+
+    monkeypatch.setattr(montecarlo._Lane, "draw", recording_draw)
+    return current
+
+
+@pytest.mark.parametrize("slow", ["calling", "worker"])
+def test_chunk_engine_results_do_not_depend_on_the_schedule(monkeypatch, slow):
+    # one lane sleeps 0.2 s in each of its reductions, so the other takes
+    # most of the chunks: the results, in chunk order, are those of one lane
+    _set_lanes(monkeypatch, 1)
+    expected = fixed_time_chunks(FOUR_STATE, 0, 2.0, 5 * _BLOCK + 5, 7, _digest)
+    _set_lanes(monkeypatch, 2)
+    main = threading.current_thread()
+    threads = []
+
+    def reduce(batch):
+        on_main = threading.current_thread() is main
+        threads.append(on_main)
+        if on_main == (slow == "calling"):
+            time.sleep(0.2)
+        return _digest(batch)
+
+    assert fixed_time_chunks(FOUR_STATE, 0, 2.0, 5 * _BLOCK + 5, 7, reduce) == expected
+    assert True in threads and False in threads
+
+
+@pytest.mark.parametrize("lanes, slow", [(1, None), (2, None), (2, "calling"), (2, "worker")])
+def test_chunk_engine_raises_the_lowest_failed_chunk(monkeypatch, lanes, slow):
+    # chunks 3, 4 and 5 of 6 fail; whichever lane reaches a failure first,
+    # the error is chunk 3's, as one lane taking the chunks in order raises,
+    # and the lanes take no chunk after a failure has stopped them
+    _set_lanes(monkeypatch, lanes)
+    current = _chunk_index(monkeypatch)
+    main = threading.current_thread()
+    reduced = []
+    before = threading.active_count()
+
+    def reduce(batch):
+        k = current.k
+        reduced.append(k)
+        if k == 3 and (threading.current_thread() is main) == (slow == "calling"):
+            time.sleep(0.2)
+        if k >= 3:
+            raise ValueError(f"chunk {k}")
+        return k
+
+    with pytest.raises(ValueError, match="^chunk 3$"):
+        fixed_time_chunks(FOUR_STATE, 0, 1.0, 6 * _BLOCK, 8, reduce)
+    assert threading.active_count() == before
+    assert set(range(4)) <= set(reduced) <= set(range(6))
+    if lanes == 1:
+        assert reduced == [0, 1, 2, 3]
+
+
+def test_chunk_engine_takes_every_chunk_once_under_frequent_switches(monkeypatch):
+    # the shared counter hands each of 32 short chunks to exactly one lane
+    # while the interpreter switches threads every microsecond
+    _set_lanes(monkeypatch, 1)
+    expected = fixed_time_chunks(FOUR_STATE, 0, 1e-3, 32 * _BLOCK, 10, _digest)
+    _set_lanes(monkeypatch, 2)
+    current = _chunk_index(monkeypatch)
+    reduced = []
+
+    def reduce(batch):
+        reduced.append(current.k)
+        return _digest(batch)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        assert fixed_time_chunks(FOUR_STATE, 0, 1e-3, 32 * _BLOCK, 10, reduce) == expected
+    finally:
+        sys.setswitchinterval(interval)
+    assert sorted(reduced) == list(range(32))
+
+
+def test_chunk_engine_joins_its_worker(monkeypatch):
+    _set_lanes(monkeypatch, 2)
+    before = threading.active_count()
+    assert fixed_time_chunks(FOUR_STATE, 0, 1.0, 4 * _BLOCK, 9, _size) == [_BLOCK] * 4
+    assert threading.active_count() == before
+
+
+def test_reachable_states_match_the_closure():
+    # random supports, with isolated states (no rates in or out) and
+    # absorbing ones (no rates out), from every start
+    rng = np.random.default_rng(60)
+    for trial in range(40):
+        n = int(rng.integers(2, 12))
+        rates = np.where(rng.random((n, n)) < rng.uniform(0.05, 0.5), rng.uniform(0.1, 2.0, (n, n)), 0.0)
+        np.fill_diagonal(rates, 0.0)
+        cut = rng.random(n)
+        rates[cut < 0.15, :] = 0.0
+        rates[:, cut < 0.15] = 0.0
+        rates[(cut >= 0.15) & (cut < 0.3), :] = 0.0
+        gen = validate_generator(rates)
+        table = jump_table(gen)
+        closure = _reachability(gen.off_diagonal() > 0)
+        for s0 in range(n):
+            assert np.array_equal(_reachable_states(table, s0), closure[s0]), (trial, s0)
+
+
+def test_long_path_graph_is_refused_quickly():
+    # 2,000 states in a path: the refusal reads the start's reachable states
+    # by a search over the jump table, not by squaring a 2,000 x 2,000 closure
+    g = srw_generator(0, 1999)
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceededError, match="2 paths refused before drawing"):
+        sample_paths_fixed_time(g, 0, 1e308, 2, np.random.default_rng(0))
+    assert time.perf_counter() - start < 2.0
+
+
+@pytest.mark.parametrize("shapes", [
+    np.array([0, 3, 0, 1, 7, 2], dtype=np.int32),
+    np.array([0.0, 1.0, 2.5, 0.0, 4.0]),
+], ids=["int", "float"])
+@pytest.mark.parametrize("scale", [1.0, 1.0 / 3.7])
+def test_standard_gamma_times_scale_is_gamma(shapes, scale):
+    # the samplers' one-parameter Gamma draws, scaled after, are numpy's
+    # gamma(shape, scale) bit for bit, shape 0 included, and leave the
+    # stream where it would: the next draw is the same
+    ours, numpys = np.random.default_rng(61), np.random.default_rng(61)
+    got = np.empty(shapes.size)
+    ours.standard_gamma(shapes, out=got)
+    got *= scale
+    assert got.tobytes() == numpys.gamma(shapes, scale).tobytes()
+    assert ours.random() == numpys.random()
 
 
 @pytest.mark.parametrize("bad", [-1, 2.5, True])
