@@ -2,11 +2,14 @@
 
 A generator (Q-matrix) is a square rate matrix over an ordered, finite label
 set: off-diagonal entries are nonnegative jump rates and every row sums to
-zero.  Paths are sampled by the batch samplers of :mod:`montecarlo`.
+zero.  Paths are sampled by the batch samplers of :mod:`montecarlo`.  Which
+states reach which is one linear-time search, :func:`_reach`, for every
+caller: the structure of a range's support, the strong connectivity that
+``rate_general`` needs, and the states a fixed-time path can visit.
 """
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -26,14 +29,27 @@ def _is_symmetric(A: np.ndarray) -> bool:
     return bool(np.all(np.abs(A - A.T) <= _SYMMETRIC_TOL))
 
 
-def _reachability(adjacent: np.ndarray) -> np.ndarray:
-    """reach[x, y]: y is reachable from x along the pairs of the boolean
-    m x m ``adjacent``; each squaring doubles the steps, up to m - 1."""
-    m = len(adjacent)
-    reach = adjacent | np.eye(m, dtype=bool)
-    for _ in range(max(m - 2, 0).bit_length()):
-        reach = reach @ reach
-    return reach
+def _reach(adjacent: np.ndarray, starts: Iterable[int]) -> List[Optional[int]]:
+    """The predecessor of each state in a depth-first search along the pairs
+    (x, y) with ``adjacent[x, y]`` true, from each start that no earlier
+    start reached: a start is its own predecessor, and a state no start
+    reaches has None.  After one pass over ``adjacent`` for the successor
+    lists, O(states + pairs) in all (Tarjan, SIAM J. Comput. 1, 1972)."""
+    successors: List[List[int]] = [[] for _ in range(len(adjacent))]
+    for x, y in zip(*(v.tolist() for v in np.nonzero(adjacent))):
+        successors[x].append(y)
+    pred: List[Optional[int]] = [None] * len(adjacent)
+    for start in starts:
+        if pred[start] is None:
+            pred[start] = start
+            stack = [start]
+            while stack:
+                x = stack.pop()
+                for y in successors[x]:
+                    if pred[y] is None:
+                        pred[y] = x
+                        stack.append(y)
+    return pred
 
 
 @dataclass(eq=False)

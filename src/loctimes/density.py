@@ -47,13 +47,15 @@ between them by the structure of the undirected support of B on R:
   and no flows.  :func:`density_tridiagonal` is this product on the path
   graph of an integer interval, for nearest-neighbor chains.
 
-:func:`density` takes the tree product where the support is a tree and the
-certified series' value everywhere else.
-
-Every route, the density bound and the Ray-Knight check read a request in one
-place: :func:`_range_positions` checks R, a and b, :func:`_local_times` reads l,
-and :func:`range_rates` raises ``NegativeRateError`` on a negative rate in R
-and ``ValueError`` on a rate that is not finite.
+Every point entry and the density bound read a request once, through
+:func:`_read_request`, in one order: R, a and b (:func:`_range_positions`),
+then l, then the rate caches' key (:func:`_rate_block`) and its
+:class:`RangeRates`, which raises ``NegativeRateError`` on a negative rate in
+R and ``ValueError`` on a rate that is not finite; the Ray-Knight check reads
+its local times there too.  The routes are functions of the request it
+returns: :func:`density` takes the tree product where the support is a tree
+(found by one linear-time search, :func:`chain._reach`) and the certified
+series' value everywhere else.
 
 The density depends only on the rates inside R x R, and only the local times
 change from point to point.  A request's cold work splits into what depends
@@ -75,15 +77,15 @@ rates.  Every cached array is read-only.
   route, the bounds and rate function in :mod:`rates` and the Ray-Knight
   check: the block, B, the diagonal, eta, the symmetry flag and the
   undirected support with its cyclomatic number and tree flag.  The series
-  of a request on (R, a, b) (:func:`prepare_range`, further keyed by the
-  positions of a and b and the conjugation vector) holds its
-  :class:`RangeRates`, the operator weights (one determinant call over the
-  cached stack layout) and, filled on first use, the terms of each
-  truncation order: the log coefficients and the subset factors, which
-  depend on the weights and so stay with the series.  The tree route reads
-  only the :class:`RangeRates` and the factors of its product
-  (:func:`_tree_factors`, keyed like the series without a conjugation).
-  Each value cache is bounded at 16 entries.
+  of a request on (R, a, b) (:func:`_prepared_range`, keyed by that
+  :class:`RangeRates` object, the positions of a and b and the conjugation
+  vector) holds the :class:`RangeRates`, the operator weights (one
+  determinant call over the cached stack layout) and, filled on first use,
+  the terms of each truncation order: the log coefficients and the subset
+  factors, which depend on the weights and so stay with the series.  The
+  tree route reads only the :class:`RangeRates` and the factors of its
+  product (:func:`_tree_factors`, keyed like the series without a
+  conjugation).  Each value cache is bounded at 16 entries.
 
 The diagonal stays the strided view ``np.diag(A)``: a contiguous copy changes
 ``L @ diag`` in the last bit, and the values must match an uncached
@@ -100,7 +102,7 @@ import numpy as np
 from scipy.special import gammainc
 
 from .bessel import scaled_edge_kernel
-from .chain import Generator, _is_symmetric, _reachability
+from .chain import Generator, _is_symmetric, _reach
 from .errors import (
     DomainError,
     NegativeRateError,
@@ -170,27 +172,6 @@ def _range_positions(R: Sequence, a, b) -> Tuple[Tuple, int, int]:
         if site not in R:
             raise ValueError(f"site {site!r} is not in the range {R!r}")
     return R, R.index(a), R.index(b)
-
-
-def _local_times(R: Tuple, l) -> np.ndarray:
-    """The local times of a request as floats in the order of R.
-
-    ``l`` is a dict keyed by the states of R or a sequence in R's order; a
-    missing state or a wrong length raises ``ValueError``, and a value
-    outside the domain ``DomainError`` (see :func:`_check_local_times`).
-    """
-    if isinstance(l, dict):
-        missing = [x for x in R if x not in l]
-        if missing:
-            raise ValueError(f"local times miss the state {missing[0]!r} of the range")
-        vec = np.array([float(l[x]) for x in R])
-    else:
-        vec = np.asarray(l, dtype=float)
-        if vec.shape != (len(R),):
-            raise ValueError(f"local-time vector of shape {vec.shape} does not match "
-                             f"the range of {len(R)} states")
-    _check_local_times(vec)
-    return vec
 
 
 # ---------------------------------------------------------------------------
@@ -480,7 +461,7 @@ class RangeRates:
 
     A: np.ndarray       # the rate block, killed outside R (no re-conservation)
     B: np.ndarray       # its off-diagonal part, nonnegative
-    diag: np.ndarray    # np.diag(A), the strided view of A (see range_rates)
+    diag: np.ndarray    # np.diag(A), the strided view of A (see the module)
     eta: float          # max row/column sum of B, floored at 1
     symmetric: bool     # A equals its transpose entrywise to 1e-12
     edges: Tuple[Tuple[int, int], ...]  # undirected support of B, x < y, row order
@@ -492,14 +473,14 @@ def _undirected_support(B: np.ndarray) -> Tuple[Tuple[Tuple[int, int], ...], int
     """The pairs x < y (in row order) with B_xy or B_yx nonzero, the
     cyclomatic number of that graph, and whether it is a tree.
 
-    The graph is undirected, so a row of its reachability closure is the
-    component of its state, and each component is counted once, at its
-    lowest state (the row whose first reachable state is itself)."""
+    The components are counted by one search from every state in turn
+    (:func:`chain._reach`): each is rooted at its first state, the one state
+    that is its own predecessor."""
     adjacent = (B != 0.0) | (B.T != 0.0)
     xs, ys = np.nonzero(np.triu(adjacent, 1))
     edges = tuple(zip(xs.tolist(), ys.tolist()))
     r = len(B)
-    components = int(np.count_nonzero(_reachability(adjacent).argmax(axis=1) == np.arange(r)))
+    components = sum(x == root for x, root in enumerate(_reach(adjacent, range(r))))
     cyclomatic = len(edges) - r + components
     return edges, cyclomatic, components == 1 and cyclomatic == 0
 
@@ -533,31 +514,24 @@ def _rate_block(gen: Generator, R: Tuple) -> Tuple[bytes, int]:
     the generator's whole state tuple, in its order, the block is
     ``gen.rates`` itself, read without a gather; ``tobytes`` gives C order
     either way, so both keys are the same bytes."""
-    if R == gen.states:
-        A = np.asarray(gen.rates, dtype=float)
-    else:
-        A = np.asarray(gen.submatrix(R), dtype=float)
+    A = np.asarray(gen.rates if R == gen.states else gen.submatrix(R), dtype=float)
     return A.tobytes(), A.shape[0]
 
 
 def range_rates(gen: Generator, R: Sequence) -> RangeRates:
-    """The :class:`RangeRates` of ``gen`` on ``R``, memoized by content.
-
-    The key is the bytes and size of the rate block, so an in-place edit of
-    ``gen.rates`` misses the cache instead of reading a stale entry.  A
-    repeated label in R raises ``ValueError``, as in :func:`_range_positions`;
-    a negative off-diagonal rate raises ``NegativeRateError``, a non-finite
-    one ``ValueError``.  The diagonal stays the strided view ``np.diag(A)`` of
-    a C-ordered block, as a fresh slice would give: a contiguous copy can
-    change ``L @ diag`` in the last bit.
-    """
+    """The :class:`RangeRates` of ``gen`` on ``R``, memoized by the content
+    of the rate block (:func:`_rate_block`), so an in-place edit of
+    ``gen.rates`` misses the cache.  A repeated label in R raises
+    ``ValueError``, as in :func:`_range_positions`; a negative off-diagonal
+    rate ``NegativeRateError``, a non-finite one ``ValueError``."""
     return _range_rates(*_rate_block(gen, _distinct_labels(R)))
 
 
 @lru_cache(maxsize=_PREPARED_RANGES)
-def _prepared_range(block: bytes, r: int, a: int, b: int,
+def _prepared_range(rates: RangeRates, a: int, b: int,
                     conjugation: Optional[bytes]) -> _OperatorSeries:
-    rates = _range_rates(block, r)
+    """The :class:`_OperatorSeries` of a series request, memoized by its
+    :class:`RangeRates`, a and b and the conjugation's bytes."""
     B = rates.B
     if conjugation is not None:
         rvec = np.frombuffer(conjugation)
@@ -567,20 +541,38 @@ def _prepared_range(block: bytes, r: int, a: int, b: int,
     return _OperatorSeries(rates, Btilde, _cofactor_subset_weights(B, a, b))
 
 
-def prepare_range(gen: Generator, R: Sequence, a, b,
-                  conjugation: Optional[Sequence] = None) -> _OperatorSeries:
-    """The :class:`_OperatorSeries` of a density request, holding its
-    :class:`RangeRates` as ``.rates``, memoized by content: the rate block as
-    in :func:`range_rates`, the positions of a and b, and the bytes of the
-    conjugation vector (see :func:`density_batch`)."""
+class _Request(NamedTuple):
+    """A density point request as :func:`_read_request` read it."""
+
+    R: Tuple                # as a tuple, in the caller's order
+    a: int                  # the positions of a and b in R
+    b: int
+    l: np.ndarray           # in the order of R
+    rates: RangeRates
+
+
+def _read_request(gen: Generator, R: Sequence, a, b, l) -> _Request:
+    """The front door of every point request: R, a and b, then l, then the
+    rate caches' key and its :class:`RangeRates`, always in that order, so a
+    request wrong in two ways names one first error everywhere.
+
+    ``l`` is a dict keyed by the states of R or a sequence in R's order; a
+    missing state or a wrong length raises ``ValueError``, and a value
+    outside the domain ``DomainError`` (see :func:`_check_local_times`).
+    """
     R, a_pos, b_pos = _range_positions(R, a, b)
-    conj = None
-    if conjugation is not None:
-        rvec = np.asarray(conjugation, dtype=float)
-        if rvec.shape != (len(R),) or np.any(rvec <= 0):
-            raise ValueError("conjugation must be a positive vector on R")
-        conj = rvec.tobytes()
-    return _prepared_range(*_rate_block(gen, R), a_pos, b_pos, conj)
+    if isinstance(l, dict):
+        missing = [x for x in R if x not in l]
+        if missing:
+            raise ValueError(f"local times miss the state {missing[0]!r} of the range")
+        lvec = np.array([float(l[x]) for x in R])
+    else:
+        lvec = np.asarray(l, dtype=float)
+        if lvec.shape != (len(R),):
+            raise ValueError(f"local-time vector of shape {lvec.shape} does not match "
+                             f"the range of {len(R)} states")
+    _check_local_times(lvec)
+    return _Request(R, a_pos, b_pos, lvec, _range_rates(*_rate_block(gen, R)))
 
 
 # ---------------------------------------------------------------------------
@@ -604,7 +596,7 @@ def density_batch(
 
     The support, the cofactor subset weights (one batched determinant, see
     :func:`_cofactor_subset_weights`), diag(A) and the flow-series terms of
-    each order come from the memoized :func:`prepare_range`, so repeated
+    each order come from the memoized :func:`_prepared_range`, so repeated
     calls on one range build them once.  The tail
     certificate is a closed formula, evaluated at every order of the schedule
     and every point in one array pass, so each point gets the lowest order of
@@ -622,20 +614,29 @@ def density_batch(
     r_x B[x,y] / r_y for a positive vector r on R (the operator weights keep
     the unconjugated -B); the result is r-independent.
     """
-    R = tuple(R)
+    R, a_pos, b_pos = _range_positions(R, a, b)
     L = np.asarray(L, dtype=float)
     if L.ndim != 2 or L.shape[1] != len(R):
         raise ValueError(f"local times must be an array of shape (P, {len(R)})")
     _check_local_times(L)
-    return _certified_rows(prepare_range(gen, R, a, b, conjugation), L, tol)
+    return _certified_rows(_range_rates(*_rate_block(gen, R)), a_pos, b_pos, conjugation, L, tol)
 
 
 def _certified_rows(
-    series: _OperatorSeries, L: np.ndarray, tol: float
+    rates: RangeRates, a: int, b: int, conjugation: Optional[Sequence], L: np.ndarray,
+    tol: float,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """:func:`density_batch` on rows ``L`` that already passed
-    :func:`_check_local_times`."""
-    log_diag = L @ series.rates.diag
+    """:func:`density_batch` on the range of ``rates``, a and b given as
+    positions, and rows ``L`` that passed :func:`_check_local_times`: the
+    series of :func:`_prepared_range`, once the conjugation is checked."""
+    conj = None
+    if conjugation is not None:
+        rvec = np.asarray(conjugation, dtype=float)
+        if rvec.shape != rates.diag.shape or np.any(rvec <= 0):
+            raise ValueError("conjugation must be a positive vector on R")
+        conj = rvec.tobytes()
+    series = _prepared_range(rates, a, b, conj)
+    log_diag = L @ rates.diag
     products = series.subset_products(L)
     # one errstate for the pass: a bound beyond double range (an overflowed
     # tail, or one times a diagonal factor that underflowed to 0) is inf or
@@ -696,9 +697,15 @@ def density_certified(
     the lowest truncation order whose certified remainder is below ``tol``.
     A batch of one for :func:`density_batch`, which documents the arguments.
     """
-    lvec = _local_times(tuple(R), l)
-    values, bounds, orders = _certified_rows(
-        prepare_range(gen, R, a, b, conjugation), lvec[None, :], tol)
+    return _certified_point(_read_request(gen, R, a, b, l), tol, conjugation)
+
+
+def _certified_point(request: _Request, tol: float,
+                     conjugation: Optional[Sequence]) -> DensityEvaluation:
+    """The series route of a read request: its :func:`_prepared_range` and
+    one row of :func:`_certified_rows`."""
+    values, bounds, orders = _certified_rows(request.rates, request.a, request.b, conjugation,
+                                             request.l[None, :], tol)
     return DensityEvaluation(value=float(values[0]), error_bound=float(bounds[0]),
                              order=int(orders[0]))
 
@@ -723,9 +730,10 @@ def density(
     bit for bit, whose evaluation contract and errors
     :func:`density_certified` documents.
     """
-    if range_rates(gen, R).tree:
-        return density_tree(gen, R, a, b, l)
-    return density_certified(gen, R, a, b, l, tol, conjugation).value
+    request = _read_request(gen, R, a, b, l)
+    if request.rates.tree:
+        return _tree_value(request)
+    return _certified_point(request, tol, conjugation).value
 
 
 _QUAD_GRID = 32
@@ -817,11 +825,9 @@ def density_quadrature(gen: Generator, R: Sequence, a, b, l) -> float:
 
     |R| > 4 raises ``ValueError``.
     """
-    R, a_pos, b_pos = _range_positions(R, a, b)
-    lvec = _local_times(R, l)
+    R, a_pos, b_pos, lvec, rates = _read_request(gen, R, a, b, l)
     if len(R) > 4:
         raise ValueError("density_quadrature is limited to |R| <= 4")
-    rates = range_rates(gen, R)
     value = _quadrature_value(rates.A, rates.B, lvec, a_pos, b_pos, _QUAD_GRID)
     if abs(value.imag) > 1e-8 * abs(value.real) + 1e-12:
         raise ResidualImaginaryError(
@@ -858,19 +864,15 @@ def density_tridiagonal(gen: Generator, R: Sequence, a, b, l) -> float:
     are not a contiguous integer interval raise ``NotIntervalError``, and a
     rate beyond nearest neighbors ``NotTridiagonalError``.
     """
-    R, _, _ = _range_positions(R, a, b)
-    lvec = _local_times(R, l)
-    R_sorted = _integer_interval(R)
-    if R != R_sorted:
-        lvec = _local_times(R_sorted, dict(zip(R, lvec)))
-    block, r = _rate_block(gen, R_sorted)
-    rates = _range_rates(block, r)
-    if any(y - x >= 2 for x, y in rates.edges):
+    request = _read_request(gen, R, a, b, l)
+    R_sorted = _integer_interval(request.R)
+    if request.R != R_sorted:
+        request = _read_request(gen, R_sorted, a, b, dict(zip(request.R, request.l)))
+    if any(y - x >= 2 for x, y in request.rates.edges):
         raise NotTridiagonalError("generator has rates beyond nearest neighbors in R")
-    if not rates.tree:
+    if not request.rates.tree:
         return 0.0
-    factors = _tree_factors(block, r, R_sorted.index(int(a)), R_sorted.index(int(b)))
-    return _tree_product(factors, rates.diag, lvec)
+    return _tree_value(request)
 
 
 class _TreeFactor(NamedTuple):
@@ -885,28 +887,17 @@ class _TreeFactor(NamedTuple):
 
 
 @lru_cache(maxsize=_PREPARED_RANGES)
-def _tree_factors(block: bytes, r: int, a: int, b: int) -> Tuple[_TreeFactor, ...]:
+def _tree_factors(rates: RangeRates, a: int, b: int) -> Tuple[_TreeFactor, ...]:
     """The factors of :func:`density_tree`, in the order of the edges, for
-    the rate block ``block``, whose support (:class:`RangeRates` ``edges``)
-    is a tree, and endpoints at positions a and b.
+    ``rates``, whose support (``rates.edges``) is a tree, and endpoints at
+    positions a and b.
 
     Rooted at a, the a-b path is b and its ancestors, and each edge off the
     path joins a child (the end farther from the path, since no descendant of
     an off-path node is on the path) to its parent.
     """
-    rates = _range_rates(block, r)
     A, tree = rates.A, rates.edges
-    neighbors: Dict[int, List[int]] = {x: [] for x in range(r)}
-    for x, y in tree:
-        neighbors[x].append(y)
-        neighbors[y].append(x)
-    parent = {a: a}
-    queue = [a]
-    for x in queue:
-        for y in neighbors[x]:
-            if y not in parent:
-                parent[y] = x
-                queue.append(y)
+    parent = _reach((rates.B != 0.0) | (rates.B.T != 0.0), [a])
     on_path = set()
     x = b
     while x != a:
@@ -923,14 +914,15 @@ def _tree_factors(block: bytes, r: int, a: int, b: int) -> Tuple[_TreeFactor, ..
     return tuple(factors)
 
 
-def _tree_product(factors: Tuple[_TreeFactor, ...], diag: np.ndarray, lvec: np.ndarray) -> float:
-    """The product of the scaled ``factors`` times one exponential of
+def _tree_value(request: _Request) -> float:
+    """The tree route of a read request whose support is a tree: the product
+    of its scaled :func:`_tree_factors` times one exponential of
     sum A_xx l_x + sum_e z_e; by AM-GM each z_e <= B_xy l_x + B_yx l_y, so
     the exponent is <= 0 and neither the product nor its exponent overflows
     where the density is a double."""
-    l = lvec.tolist()
-    factor, exponent = 1.0, float(np.dot(diag, lvec))
-    for order, first, second, c, rate in factors:
+    l = request.l.tolist()
+    factor, exponent = 1.0, float(np.dot(request.rates.diag, request.l))
+    for order, first, second, c, rate in _tree_factors(request.rates, request.a, request.b):
         z, scaled = scaled_edge_kernel(order, c, l[first], l[second])
         factor *= scaled * rate
         exponent += z
@@ -958,12 +950,10 @@ def density_tree(gen: Generator, R: Sequence, a, b, l) -> float:
     pays no graph search.  A support that is not a tree raises
     ``NotTreeError``.
     """
-    R, a_pos, b_pos = _range_positions(R, a, b)
-    lvec = _local_times(R, l)
-    block, r = _rate_block(gen, R)
-    rates = _range_rates(block, r)
+    request = _read_request(gen, R, a, b, l)
+    rates = request.rates
     if not rates.tree:
         raise NotTreeError(
-            f"the support on {R!r} is not a tree (cyclomatic number {rates.cyclomatic}"
-            f"{'' if rates.cyclomatic else ', not connected'})")
-    return _tree_product(_tree_factors(block, r, a_pos, b_pos), rates.diag, lvec)
+            f"the support on {request.R!r} is not a tree (cyclomatic number "
+            f"{rates.cyclomatic}{'' if rates.cyclomatic else ', not connected'})")
+    return _tree_value(request)

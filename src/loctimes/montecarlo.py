@@ -74,7 +74,7 @@ from typing import Callable, List, TypeVar
 
 import numpy as np
 
-from .chain import Generator
+from .chain import Generator, _reach
 from .errors import BudgetExceededError
 
 Reduced = TypeVar("Reduced")
@@ -157,19 +157,6 @@ def jump_table(gen: Generator) -> JumpTable:
     return JumpTable(exit_rates=exit_rates, thresholds=thresholds, targets=targets)
 
 
-def _reachable_states(table: JumpTable, s0: int) -> np.ndarray:
-    """Mask of the states a path from ``s0`` can visit, ``s0`` included: a
-    breadth-first search over the table's targets, O(n · depth)."""
-    seen = np.zeros(table.exit_rates.size, dtype=bool)
-    seen[s0] = True
-    frontier = np.array([s0])
-    while frontier.size:
-        reached = np.unique(table.targets[:, frontier])
-        frontier = reached[~seen[reached]]
-        seen[frontier] = True
-    return seen
-
-
 def _path_count(value, name: str = "n_paths") -> int:
     """``value`` as a Python int, or ``ValueError`` naming the argument
     ``name`` if it is negative, a bool or not integral (any other integer
@@ -228,7 +215,9 @@ class _FixedTimeSampler:
             # only a horizon this long can be hopeless, so only such a request
             # pays for the search; a path visits only the states the start
             # reaches, and one of them with exit rate 0 may end it at once
-            reachable = _reachable_states(self.table, self.s0)
+            jumps = np.zeros((q.size, q.size), dtype=bool)
+            jumps[np.arange(q.size), self.table.targets] = True
+            reachable = [x for x, p in enumerate(_reach(jumps, [self.s0])) if p is not None]
             _refuse_hopeless(self.n_paths, T * float(q[reachable].min()),
                              f"horizon T = {T!r}")
         self._allocate()

@@ -21,8 +21,8 @@ from typing import Dict, Sequence
 
 import numpy as np
 
-from .chain import Generator, _reachability
-from .density import _local_times, _range_positions, range_rates
+from .chain import Generator, _reach
+from .density import _read_request, range_rates
 from .errors import (
     NotConvergedError,
     NotSymmetricError,
@@ -127,7 +127,7 @@ def rate_general(gen: Generator, mu, tol: float = 1e-10) -> RateSolution:
             iterations=0,
             final_gradient_norm=0.0,
         )
-    if not _reachability(rates.B > 0).all():
+    if None in _reach(rates.B > 0, [0]) or None in _reach(rates.B.T > 0, [0]):
         raise UnboundedRateError(
             "support of mu is not irreducible under the generator"
         )
@@ -202,10 +202,8 @@ def density_upper_bound(
     |R| [1 + 1/(4 eta T)] (equality for unit-rate complete supports); the
     sharper form is kept in both branches.
     """
-    R, a_pos, b_pos = _range_positions(R, a, b)
-    lvec = _local_times(R, l)
+    R, a_pos, b_pos, lvec, rates = _read_request(gen, R, a, b, l)
     T = float(lvec.sum())
-    rates = range_rates(gen, R)
     B, eta_R = rates.B, rates.eta
 
     log_prefactor = 0.5 * sum(

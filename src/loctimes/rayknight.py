@@ -24,7 +24,7 @@ import numpy as np
 
 from .bessel import scaled_edge_kernel
 from .chain import Generator, srw_generator
-from .density import (_integer_interval, _local_times, _range_positions, density_certified,
+from .density import (_integer_interval, _range_positions, _read_request, density_certified,
                       range_rates)
 from .errors import DomainError, NotSRWError
 from .montecarlo import _path_count
@@ -198,7 +198,7 @@ def rk_fixed_time_check(
         generator = srw_generator(R_sorted[0], R_sorted[-1])
     escape = _check_srw_on_interval(generator, R_sorted)
 
-    lvec = dict(zip(R, _local_times(R, l)))
+    lvec = dict(zip(R, _read_request(generator, R, a, b, l).l))
     # the series, not the routed density: on an interval that would be the
     # tree product, which is this kernel product again
     rho = density_certified(generator, R_sorted, a, b, lvec, tol=1e-13).value

@@ -15,13 +15,56 @@ def twostate(tmp_path):
     return str(path)
 
 
-def test_density_command_prints_value_and_certificate(twostate, capsys):
+def _complete_three_state(tmp_path):
+    path = tmp_path / "complete.json"
+    path.write_text(json.dumps({"states": [0, 1, 2], "rates": [
+        [x, y, 1.0] for x in range(3) for y in range(3) if x != y]}))
+    return str(path)
+
+
+def test_density_command_prints_value_and_certificate(tmp_path, twostate, capsys):
+    # the routing of density(): a tree support prints the exact product, any
+    # other support the series value and its certificate
     status = main(["density", "--generator", twostate, "--R", "1,2",
                    "--a", "1", "--b", "2", "--l", "0.5,0.5"])
     out = capsys.readouterr().out
     assert status == 0
     assert out.startswith("0.4657596")
-    assert "certified truncation error" in out
+    assert out.splitlines()[1] == "exact tree product of Bessel kernels (no truncation to certify)"
+    status = main(["density", "--generator", _complete_three_state(tmp_path), "--R", "0,1,2",
+                   "--a", "0", "--b", "2", "--l", "0.5,0.7,0.8"])
+    value, certificate = capsys.readouterr().out.splitlines()
+    assert status == 0
+    assert float(value) > 0.0
+    assert certificate.startswith("certified truncation error <= ")
+
+
+def test_density_command_bounds_an_underflowing_series_in_log_space(tmp_path, capsys):
+    # no tree on (0, 1, 2), and the diagonal factor exp(-732) underflows:
+    # the certificate is the log-space bound, not a false 0
+    killed = tmp_path / "killed.json"
+    killed.write_text(json.dumps({"states": [0, 1, 2, 3], "rates": [
+        *([x, y, 0.1] for x in range(3) for y in range(3) if x != y),
+        *([x, 3, 12.0] for x in range(3)), [3, 0, 1.0]]}))
+    assert main(["density", "--generator", str(killed), "--R", "0,1,2", "--a", "0",
+                 "--b", "1", "--l", "20,20,20"]) == 0
+    value, certificate = capsys.readouterr().out.splitlines()
+    assert float(value) > 0.0
+    assert certificate.startswith("certified truncation error <= ")
+    assert "<= 0.000e+00" not in certificate
+
+
+def test_density_command_answers_a_tree_the_series_refuses(tmp_path, capsys):
+    srw = tmp_path / "srw.json"
+    srw.write_text(json.dumps({"srw": [0, 2]}))
+    request = ["--R", "0,1,2", "--a", "0", "--b", "2", "--l", "20,20,20"]
+    assert main(["density", "--generator", str(srw), *request]) == 0
+    assert capsys.readouterr().out.startswith("0.004004140704\n")
+    # the complete graph is no tree, and the series cannot certify it there
+    assert main(["density", "--generator", _complete_three_state(tmp_path), *request]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: certified tail ")
+    assert "Traceback" not in err and "nan" not in err
 
 
 def test_bound_command(twostate, capsys):

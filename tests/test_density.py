@@ -1,6 +1,7 @@
 import importlib
 import json
 import math
+import time
 import warnings
 from itertools import combinations, permutations
 from pathlib import Path
@@ -9,9 +10,10 @@ import numpy as np
 import pytest
 import scipy.special as sp
 from scipy import integrate
-from scipy.sparse.csgraph import connected_components
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import breadth_first_order, connected_components
 
-from loctimes.chain import Generator, srw_generator, validate_generator
+from loctimes.chain import Generator, _reach, srw_generator, validate_generator
 from loctimes.density import (
     _ORDER_SCHEDULE,
     _OperatorSeries,
@@ -21,7 +23,6 @@ from loctimes.density import (
     _poisson_tails,
     _range_rates,
     _rate_block,
-    _reachability,
     _series_support,
     _subset_layout,
     _undirected_support,
@@ -31,7 +32,6 @@ from loctimes.density import (
     density_quadrature,
     density_tree,
     density_tridiagonal,
-    prepare_range,
     range_rates,
     _replaced_matrix,
     _tail_sums,
@@ -45,7 +45,7 @@ from loctimes.errors import (
     NotTridiagonalError,
     ResidualImaginaryError,
 )
-from loctimes.rates import density_upper_bound, eta
+from loctimes.rates import density_upper_bound, eta, rate_general
 from loctimes.rayknight import rk_fixed_time_check
 
 # the package exports a function named density, so fetch the module itself
@@ -1080,8 +1080,10 @@ def test_range_structure():
     assert structure(star) == (((0, 1), (0, 2), (0, 3)), 0, True)
     assert structure(star, (1, 2, 3)) == ((), 0, False)
     assert structure(star, (2,)) == ((), 0, True)
-    # against scipy's components on random supports of 1 to 9 states: weak
-    # ones for the structure, strong ones for the reachability closure
+    # against scipy on random supports of 1 to 9 states: weak components for
+    # the structure, strong ones for the forward and backward search from
+    # state 0 (rate_general's test), and the breadth-first order from every
+    # state for the states each search reaches
     rng = np.random.default_rng(2919)
     for _ in range(300):
         n = int(rng.integers(1, 10))
@@ -1092,7 +1094,12 @@ def test_range_structure():
         assert cyclomatic == len(edges) - n + weak
         assert tree == (weak == 1 and cyclomatic == 0)
         strong = connected_components(B, directed=True, connection="strong")[0]
-        assert _reachability(B > 0).all() == (strong == 1)
+        assert (None not in _reach(B > 0, [0]) + _reach(B.T > 0, [0])) == (strong == 1)
+        for s0 in range(n):
+            order = breadth_first_order(csr_matrix(B), s0, directed=True,
+                                        return_predecessors=False)
+            reached = [x for x, pred in enumerate(_reach(B > 0, [s0])) if pred is not None]
+            assert reached == sorted(order.tolist())
 
 
 def test_density_routes_by_structure(monkeypatch):
@@ -1118,6 +1125,20 @@ def test_density_routes_by_structure(monkeypatch):
 
 def _refuse(*args, **kwargs):
     raise AssertionError("the tree route built a part of the series")
+
+
+def test_large_range_structure_is_one_linear_search():
+    # a 1,000-state path: its structure, eta and the strong-connectivity test
+    # of rate_general are each one search over successor lists, not a
+    # closure of a 1,000 x 1,000 boolean matrix (4.2 s for eta alone)
+    g = srw_generator(0, 999)
+    for check in (lambda: eta(g, g.states) == 2.0,
+                  lambda: range_rates(g, g.states).tree,
+                  lambda: rate_general(g, np.full(1000, 1e-3)).final_gradient_norm <= 1e-10):
+        density_module._range_rates.cache_clear()
+        start = time.perf_counter()
+        assert check()
+        assert time.perf_counter() - start < 2.0
 
 
 def test_tree_route_rejects_a_support_with_a_cycle():
@@ -1227,6 +1248,34 @@ def test_every_route_names_a_label_outside_the_request(R, a, b, l, message):
     if not isinstance(l, dict):
         with pytest.raises(ValueError, match=message):
             density_batch(g, R, a, b, [l])
+
+
+def test_a_request_wrong_in_two_ways_names_the_same_first_error():
+    # a outside R and l of the wrong length: every entry, and the batch,
+    # checks R, a and b before it reads l, and density() does so on every
+    # support
+    complete = validate_generator(np.ones((3, 3)) - np.eye(3))
+    for g in (srw_generator(0, 2), complete):
+        assert range_rates(g, (0, 1, 2)).tree == (g is not complete)
+        for route in POINT_ROUTES:
+            with pytest.raises(ValueError) as error:
+                route(g, (0, 1, 2), 5, 2, [0.5, 0.7])
+            assert type(error.value) is ValueError
+            assert str(error.value) == "site 5 is not in the range (0, 1, 2)"
+        with pytest.raises(ValueError, match="site 5 is not in the range"):
+            density_batch(g, (0, 1, 2), 5, 2, [[0.5, 0.7]])
+
+
+def test_density_reads_the_rate_block_once(monkeypatch):
+    calls = []
+    rate_block = density_module._rate_block
+    monkeypatch.setattr(density_module, "_rate_block",
+                        lambda gen, R: calls.append(R) or rate_block(gen, R))
+    complete = validate_generator(np.ones((3, 3)) - np.eye(3))
+    for g in (srw_generator(0, 2), complete):
+        calls.clear()
+        density(g, (0, 1, 2), 0, 2, [0.5, 0.7, 0.8])
+        assert calls == [(0, 1, 2)]
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
@@ -1388,8 +1437,9 @@ def test_repeated_request_is_identical_and_shares_the_range():
     again = density_certified(gen, R, 0, 3, l)
     assert (again.value, again.error_bound, again.order) == (
         first.value, first.error_bound, first.order)
-    assert prepare_range(gen, R, 0, 3) is prepare_range(gen, R, 0, 3)
-    assert prepare_range(gen, R, 0, 3).rates is range_rates(gen, R)
+    series = density_module._prepared_range(range_rates(gen, R), 0, 3, None)
+    assert series is density_module._prepared_range(range_rates(gen, R), 0, 3, None)
+    assert series.rates is range_rates(gen, R)
 
 
 def test_in_place_rate_edit_misses_the_cache():
@@ -1415,7 +1465,7 @@ def test_prepared_arrays_are_read_only():
     gen = _pinned_chain(rng, "support", 4)
     R = gen.states
     density_certified(gen, R, 0, 2, random_point(rng, 4, 1.5))
-    series = prepare_range(gen, R, 0, 2)
+    series = density_module._prepared_range(range_rates(gen, R), 0, 2, None)
     rates = series.rates
     arrays = [rates.A, rates.B, rates.diag, series.w]
     assert series._terms

@@ -14,13 +14,14 @@ import time
 import numpy as np
 import pytest
 from scipy import linalg, stats
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import breadth_first_order
 
-from loctimes.chain import _reachability, srw_generator, validate_generator
+from loctimes.chain import _reach, srw_generator, validate_generator
 from loctimes import montecarlo
 from loctimes.errors import BudgetExceededError, UnknownLabelError
 from loctimes.montecarlo import (
     _BLOCK,
-    _reachable_states,
     fixed_time_chunks,
     jump_table,
     sample_paths_fixed_time,
@@ -422,7 +423,9 @@ def test_chunk_engine_joins_its_worker(monkeypatch):
 
 def test_reachable_states_match_the_closure():
     # random supports, with isolated states (no rates in or out) and
-    # absorbing ones (no rates out), from every start
+    # absorbing ones (no rates out), from every start: the fixed-time
+    # refusal's search over the jump table's targets against scipy's
+    # breadth-first order on the positive rates
     rng = np.random.default_rng(60)
     for trial in range(40):
         n = int(rng.integers(2, 12))
@@ -433,10 +436,13 @@ def test_reachable_states_match_the_closure():
         rates[:, cut < 0.15] = 0.0
         rates[(cut >= 0.15) & (cut < 0.3), :] = 0.0
         gen = validate_generator(rates)
-        table = jump_table(gen)
-        closure = _reachability(gen.off_diagonal() > 0)
+        jumps = np.zeros((n, n), dtype=bool)
+        jumps[np.arange(n), jump_table(gen).targets] = True
+        positive = csr_matrix(gen.off_diagonal() > 0)
         for s0 in range(n):
-            assert np.array_equal(_reachable_states(table, s0), closure[s0]), (trial, s0)
+            order = breadth_first_order(positive, s0, directed=True, return_predecessors=False)
+            reached = [x for x, pred in enumerate(_reach(jumps, [s0])) if pred is not None]
+            assert reached == sorted(order.tolist()), (trial, s0)
 
 
 def test_long_path_graph_is_refused_quickly():
