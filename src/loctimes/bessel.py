@@ -1,30 +1,44 @@
-"""Scalar edge kernels, the one place a Bessel function is evaluated.
+"""Edge kernels, the one place a Bessel function is evaluated.
 
 For c = B_xy * B_yx >= 0 the kernel of one nearest-neighbor edge is I0(z),
 with z = 2*sqrt(c*lx*ly), and its derivative in lx is c*ly * I1(z) / (z/2).
 Both are read from scipy's exponentially scaled ``ive``:
 :func:`scaled_edge_kernel` returns z and the kernel divided by e^z, which is
 a double at every z, so a product of kernels can apply its exponent once.
-The tridiagonal density route and the Ray-Knight transition kernels are
-built on it.  :func:`edge_kernel` multiplies by e^z and raises
+It takes scalars, for the Ray-Knight transition kernels, or arrays, for the
+tree route of the density (every edge at every row of local times at once).
+:func:`edge_kernel` multiplies by e^z and raises
 NonConvergedTruncationError rather than return inf.
 """
 
 import math
 from typing import Tuple
 
+import numpy as np
 from scipy.special import ive
 
 from .errors import NonConvergedTruncationError
 
 
-def scaled_edge_kernel(order: int, c: float, lx: float, ly: float) -> Tuple[float, float]:
+def scaled_edge_kernel(order, c, lx, ly) -> Tuple:
     """(z, K / e^z) for the edge kernel K (order 0) or its derivative in lx
     (order 1), with z = 2*sqrt(c*lx*ly).
 
     Order 0 is ive(0, z); order 1 is c*ly * ive(1, z) / (z/2), and exactly
-    c*ly at z = 0.  A rate product c < 0 raises ``ValueError``.
+    c*ly at z = 0.  ``c``, ``lx`` and ``ly`` are floats, or arrays that
+    broadcast with an ``order`` of 0s and 1s, giving the scalar bits entry
+    by entry.  A rate product c < 0 raises ``ValueError``.
     """
+    if isinstance(c, np.ndarray) or isinstance(lx, np.ndarray) or isinstance(ly, np.ndarray):
+        c = np.asarray(c, dtype=float)
+        if c.size and c.min() < 0:
+            raise ValueError(f"edge kernel rate product must be >= 0; got {c.min()!r}")
+        half = np.sqrt(c * lx * ly)
+        z = half + half
+        scaled = ive(order, z)
+        derivative = np.multiply(c, ly, out=np.empty_like(half))  # c*ly where z = 0
+        np.divide(derivative * scaled, half, out=derivative, where=half != 0.0)
+        return z, np.where(order, derivative, scaled)
     c, lx, ly = float(c), float(lx), float(ly)  # Python floats do not warn
     if c < 0:
         raise ValueError(f"edge kernel rate product must be >= 0; got {c!r}")

@@ -13,7 +13,6 @@ from contextlib import contextmanager
 import numpy as np
 
 from . import harness
-from .density import _certified_point, _read_request, _tree_value
 from .errors import ConfigParseError, LoctimesError
 from .montecarlo import sample_paths_fixed_time, sample_paths_inverse_local_time
 from .rates import (
@@ -68,16 +67,14 @@ def _add_generator_point_args(p):
 def cmd_density(args) -> int:
     gen = harness.generator_from_config(args.generator)
     with _request_errors():
-        request = _read_request(gen, _parse_labels(args.R), _parse_label(args.a),
-                                _parse_label(args.b), _parse_floats(args.l))
-        if request.rates.tree:
-            print(f"{_tree_value(request):.10g}")
-            print("exact tree product of Bessel kernels (no truncation to certify)")
-            return 0
-        result = _certified_point(request, args.tol, None)
-    print(f"{result.value:.10g}")
-    print(f"certified truncation error <= {result.error_bound:.3e} "
-          f"(series order {result.order})")
+        value, bound, order, route = harness.density_point(
+            gen, _parse_labels(args.R), _parse_label(args.a), _parse_label(args.b),
+            _parse_floats(args.l), args.tol)
+    print(f"{value:.10g}")
+    if route == "tree":
+        print("exact tree product of Bessel kernels (no truncation to certify)")
+    else:
+        print(f"certified truncation error <= {bound:.3e} (series order {order})")
     return 0
 
 

@@ -12,22 +12,23 @@ where B is the off-diagonal part of A on R, det_ab is the (b,a) cofactor
     G(l) = integral over [0,2pi]^R of
            exp(sum_{x,y} B[x,y] sqrt(l_x l_y) e^{i(th_x - th_y)}) dth/(2pi)^R.
 
-Three independent evaluations are provided, and :func:`density` routes
-between them by the structure of the undirected support of B on R:
+Three independent evaluations are provided, and :func:`_routed_rows` chooses
+between the series and the tree product by the structure of the undirected
+support of B on R:
 
 * :func:`density_certified` - expand G as a power series over balanced
   integer flows (only balanced monomials survive the circle averages), apply
   the cofactor operator in closed form, and certify the truncation remainder;
   :func:`density_batch` does this for many points of one range at once, and
-  the single-point functions are batches of one in code path; they are the
-  only way into the series.  A point's value and bound can differ from its
-  row in a larger batch in the last bits (relative differences up to 1.2e-13
-  were measured on random 3- to 5-state ranges, median 6e-16), because
-  numpy's matrix products take other kernels and summation orders at other
-  batch sizes.  The operator's subset weights come from one batched
-  determinant call, and the closed-form tail bound picks every point's
-  truncation order in one array pass over the order schedule, under one
-  ``np.errstate``.  The pass reads its fixed data from module constants and
+  the single-point functions are batches of one in code path; with the route
+  choice they are the only way into the series.  A point's value and bound
+  can differ from its row in a larger batch in the last bits (relative
+  differences up to 1.2e-13 were measured on random 3- to 5-state ranges,
+  median 6e-16), because numpy's matrix products take other kernels and
+  summation orders at other batch sizes.  The operator's subset weights come
+  from batched determinant calls, and the closed-form tail bound picks every
+  point's truncation order in one array pass over the order schedule, under
+  one ``np.errstate``.  The pass reads its fixed data from module constants and
   caches: the schedule as a read-only array, the smallest normal double, and
   per (orders, shifts) the read-only gamma-function arguments and mask of the
   Poisson tails (:func:`_gamma_arguments`), so the tails are one ``gammainc``
@@ -41,11 +42,12 @@ between them by the structure of the undirected support of B on R:
   vectors whose determinant is one closed-form Laplace expansion, with no
   LAPACK call;
 * :func:`density_tree` - where the support is a tree the cofactor factorizes
-  along it: one scalar edge kernel per edge of the a-b path (times the rate
-  across it from a toward b) and one kernel derivative per edge off it, each
-  scaled by e^{-z} and multiplied by one final exponential, O(|R|) kernels
-  and no flows.  :func:`density_tridiagonal` is this product on the path
-  graph of an integer interval, for nearest-neighbor chains.
+  along it: one edge kernel per edge of the a-b path (times the rate across
+  it from a toward b) and one kernel derivative per edge off it, each scaled
+  by e^{-z} and multiplied by one final exponential, O(|R|) kernels and no
+  flows, over many rows at once (:func:`_tree_rows`), a point being a row
+  with the same bits.  :func:`density_tridiagonal` is this product on the
+  path graph of an integer interval, for nearest-neighbor chains.
 
 Every point entry and the density bound read a request once, through
 :func:`_read_request`, in one order: R, a and b (:func:`_range_positions`),
@@ -53,9 +55,11 @@ then l, then the rate caches' key (:func:`_rate_block`) and its
 :class:`RangeRates`, which raises ``NegativeRateError`` on a negative rate in
 R and ``ValueError`` on a rate that is not finite; the Ray-Knight check reads
 its local times there too.  The routes are functions of the request it
-returns: :func:`density` takes the tree product where the support is a tree
-(found by one linear-time search, :func:`chain._reach`) and the certified
-series' value everywhere else.
+returns: :func:`_routed_rows`, the one route choice (of :func:`density`,
+:func:`density_tree`, :func:`density_tridiagonal`, ``loctimes density`` and
+the law check), takes the tree product where the support is a tree (found by
+one linear-time search, :func:`chain._reach`) and the certified series
+everywhere else.
 
 The density depends only on the rates inside R x R, and only the local times
 change from point to point.  A request's cold work splits into what depends
@@ -65,7 +69,7 @@ rates.  Every cached array is read-only.
 
 * Structure, keyed by shape and never by a rate: the derivative subsets of
   the cofactor operator with the mask and unit entries of their determinant
-  stack, per (|R|, a, b) (:func:`_subset_layout`); the balanced flows, per
+  stacks, per (|R|, a, b) (:func:`_subset_layout`); the balanced flows, per
   (directed support, |R|, truncation order) (:func:`flows.flow_table`, whose
   counts and out-degrees are stored as the floats the series multiplies);
   the gamma-function arguments of the tail bound, per (orders, shifts); and
@@ -79,8 +83,8 @@ rates.  Every cached array is read-only.
   undirected support with its cyclomatic number and tree flag.  The series
   of a request on (R, a, b) (:func:`_prepared_range`, keyed by that
   :class:`RangeRates` object, the positions of a and b and the conjugation
-  vector) holds the :class:`RangeRates`, the operator weights (one
-  determinant call over the cached stack layout) and, filled on first use,
+  vector) holds the :class:`RangeRates`, the operator weights (determinant
+  calls over stacks built from the cached layout) and, filled on first use,
   the terms of each truncation order: the log coefficients and the subset
   factors, which depend on the weights and so stay with the series.  The
   tree route reads only the :class:`RangeRates` and the factors of its
@@ -105,6 +109,7 @@ from .bessel import scaled_edge_kernel
 from .chain import Generator, _is_symmetric, _reach
 from .errors import (
     DomainError,
+    ExplosionGuardError,
     NegativeRateError,
     NonConvergedTruncationError,
     NotIntervalError,
@@ -187,6 +192,13 @@ def _replaced_matrix(M: np.ndarray, a: int, b: int) -> np.ndarray:
     return N
 
 
+# at most 2^18 derivative subsets (20 states with a != b, the most the series
+# answered under a 3 GB address-space limit), in stacks of at most 2^22
+# entries (the whole stack of 16 states: 2^14 subsets of 256, about 37 MB)
+_MAX_FREE_STATES = 18
+_STACK_ENTRIES = 1 << 22
+
+
 def _cofactor_subset_weights(
     B: np.ndarray, a: int, b: int
 ) -> Dict[Tuple[int, ...], float]:
@@ -200,13 +212,15 @@ def _cofactor_subset_weights(
     so each subset Q carries the cofactor of -B restricted to its complement.
     That cofactor is the determinant of the (b,a)-replaced -B with the rows
     and columns of Q also replaced by unit vectors (Laplace expansion along
-    them), so all subsets are one stack of |R| x |R| matrices and one
-    ``np.linalg.det`` call; the stack's layout comes from
+    them), so all subsets are stacks of |R| x |R| matrices (one up to 16
+    states), one ``np.linalg.det`` call each; the stacks' layout comes from
     :func:`_subset_layout`, so only the determinants depend on B.  Returns
     {Q (sorted positions): weight}, dropping exact zero weights.
     """
-    subsets, replaced, units = _subset_layout(B.shape[0], a, b)
-    dets = np.linalg.det(np.where(replaced, units, _replaced_matrix(-B, a, b)))
+    subsets, stacks, unit = _subset_layout(B.shape[0], a, b)
+    replaced_B = _replaced_matrix(-B, a, b)
+    dets = np.concatenate([np.linalg.det(np.where(replaced, unit, replaced_B))
+                           for replaced in stacks])
     return {Q: float(w) for Q, w in zip(subsets, dets) if w != 0.0}
 
 
@@ -214,24 +228,29 @@ def _cofactor_subset_weights(
 # states fits, and a layout of 6 states holds 16 subsets of 36 entries
 @lru_cache(maxsize=128)
 def _subset_layout(r: int, a: int, b: int) -> Tuple[Tuple[Tuple[int, ...], ...],
-                                                    np.ndarray, np.ndarray]:
+                                                    Tuple[np.ndarray, ...], np.ndarray]:
     """The derivative subsets Q of R \\ {a, b} (by size, then
-    lexicographically) of :func:`_cofactor_subset_weights` for |R| = r, and,
-    per subset, the mask of the rows and columns of Q and the unit entries
-    that replace them (1 on Q's diagonal, 0 elsewhere); read-only.  They
-    depend on (r, a, b) alone, so every rate block of one shape shares
-    them."""
+    lexicographically) of :func:`_cofactor_subset_weights` for |R| = r, the
+    masks of the rows and columns of Q, in stacks of at most _STACK_ENTRIES
+    entries, and the unit matrix whose entries replace them; read-only.  They
+    depend on (r, a, b) alone, so every rate block of one shape shares them.
+    Raises ``ExplosionGuardError`` rather than enumerate over
+    2^_MAX_FREE_STATES subsets."""
     others = [x for x in range(r) if x != a and x != b]
+    if len(others) > _MAX_FREE_STATES:
+        raise ExplosionGuardError(
+            f"a range of {r} states has 2^{len(others)} derivative subsets, above the "
+            f"series' cap of 2^{_MAX_FREE_STATES}")
     subsets = tuple(Q for size in range(len(others) + 1) for Q in combinations(others, size))
     in_Q = np.zeros((len(subsets), r), dtype=bool)
     for k, Q in enumerate(subsets):
         in_Q[k, list(Q)] = True
-    replaced = in_Q[:, :, None] | in_Q[:, None, :]
-    units = np.zeros(replaced.shape)
-    layer, x = np.nonzero(in_Q)
-    units[layer, x, x] = 1.0
-    _read_only(replaced, units)
-    return subsets, replaced, units
+    step = max(1, _STACK_ENTRIES // (r * r))
+    stacks = tuple(q[:, :, None] | q[:, None, :]
+                   for q in (in_Q[lo:lo + step] for lo in range(0, len(subsets), step)))
+    unit = np.eye(r)
+    _read_only(unit, *stacks)
+    return subsets, stacks, unit
 
 
 # ---------------------------------------------------------------------------
@@ -697,17 +716,34 @@ def density_certified(
     the lowest truncation order whose certified remainder is below ``tol``.
     A batch of one for :func:`density_batch`, which documents the arguments.
     """
-    return _certified_point(_read_request(gen, R, a, b, l), tol, conjugation)
-
-
-def _certified_point(request: _Request, tol: float,
-                     conjugation: Optional[Sequence]) -> DensityEvaluation:
-    """The series route of a read request: its :func:`_prepared_range` and
-    one row of :func:`_certified_rows`."""
+    request = _read_request(gen, R, a, b, l)
     values, bounds, orders = _certified_rows(request.rates, request.a, request.b, conjugation,
                                              request.l[None, :], tol)
     return DensityEvaluation(value=float(values[0]), error_bound=float(bounds[0]),
                              order=int(orders[0]))
+
+
+def _routed_rows(
+    rates: RangeRates, a: int, b: int, L: np.ndarray, tol: float = 1e-10,
+    conjugation: Optional[Sequence] = None,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, str]:
+    """``(values, bounds, orders, route)`` of rows ``L`` that passed
+    :func:`_check_local_times` on the range of ``rates``, a and b given as
+    positions: the ``"tree"`` product (bounds and orders 0; ``tol`` and
+    ``conjugation`` do not apply) where the support is a tree, else the
+    ``"series"`` of :func:`_certified_rows`."""
+    if rates.tree:
+        return _tree_rows(rates, a, b, L), np.zeros(len(L)), np.zeros(len(L), dtype=int), "tree"
+    return (*_certified_rows(rates, a, b, conjugation, L, tol), "series")
+
+
+def _routed_point(request: _Request, tol: float = 1e-10,
+                  conjugation: Optional[Sequence] = None) -> Tuple[float, float, int, str]:
+    """:func:`_routed_rows` on the one row of a read request, as
+    ``(value, bound, order, route)``."""
+    values, bounds, orders, route = _routed_rows(request.rates, request.a, request.b,
+                                                 request.l[None, :], tol, conjugation)
+    return float(values[0]), float(bounds[0]), int(orders[0]), route
 
 
 def density(
@@ -730,10 +766,7 @@ def density(
     bit for bit, whose evaluation contract and errors
     :func:`density_certified` documents.
     """
-    request = _read_request(gen, R, a, b, l)
-    if request.rates.tree:
-        return _tree_value(request)
-    return _certified_point(request, tol, conjugation).value
+    return _routed_point(_read_request(gen, R, a, b, l), tol, conjugation)[0]
 
 
 _QUAD_GRID = 32
@@ -855,7 +888,7 @@ def density_tridiagonal(gen: Generator, R: Sequence, a, b, l) -> float:
     The tree product (:func:`density_tree`) on the sorted interval, whose
     support is its path graph where no rate pair is 0 (a pair of 0 rates cuts
     the interval, and the density is 0): one
-    scalar edge kernel per middle edge (between a and b, each weighted by the
+    edge kernel per middle edge (between a and b, each weighted by the
     rate across it in the direction from a to b) and one kernel derivative
     per outer edge (outside min(a, b)..max(a, b)), times the diagonal
     exponential, multiplied from left to right.  For unit-rate walks the
@@ -872,31 +905,33 @@ def density_tridiagonal(gen: Generator, R: Sequence, a, b, l) -> float:
         raise NotTridiagonalError("generator has rates beyond nearest neighbors in R")
     if not request.rates.tree:
         return 0.0
-    return _tree_value(request)
+    return _routed_point(request)[0]
 
 
-class _TreeFactor(NamedTuple):
-    """One factor of the tree product: the scaled kernel of ``order`` (0 on
-    the a-b path, 1 off it) at (l_first, l_second), times ``rate``."""
+class _TreeFactors(NamedTuple):
+    """The factors of the tree product in edge order: the scaled kernel of
+    ``order`` (0 on the a-b path, 1 off it) at the positions (``first``,
+    ``second``), times ``rate``; values are (1, n) rows, so that a single
+    row of local times broadcasts nothing."""
 
-    order: int
-    first: int      # on the path the lower position, off it the far end
-    second: int
-    c: float        # B_xy * B_yx
-    rate: float     # on the path the rate from a toward b, off it 1.0
+    order: np.ndarray       # as floats, the type ``ive`` takes
+    first: np.ndarray       # on the path the lower position, off it the far end
+    second: np.ndarray
+    c: np.ndarray           # B_xy * B_yx
+    rate: np.ndarray        # on the path the rate from a toward b, off it 1.0
+    diag: np.ndarray        # A_xx, contiguous
 
 
 @lru_cache(maxsize=_PREPARED_RANGES)
-def _tree_factors(rates: RangeRates, a: int, b: int) -> Tuple[_TreeFactor, ...]:
-    """The factors of :func:`density_tree`, in the order of the edges, for
-    ``rates``, whose support (``rates.edges``) is a tree, and endpoints at
-    positions a and b.
+def _tree_factors(rates: RangeRates, a: int, b: int) -> _TreeFactors:
+    """The factors of :func:`density_tree` for ``rates``, whose support
+    (``rates.edges``) is a tree, and endpoints at positions a and b.
 
     Rooted at a, the a-b path is b and its ancestors, and each edge off the
     path joins a child (the end farther from the path, since no descendant of
     an off-path node is on the path) to its parent.
     """
-    A, tree = rates.A, rates.edges
+    A = rates.A
     parent = _reach((rates.B != 0.0) | (rates.B.T != 0.0), [a])
     on_path = set()
     x = b
@@ -904,29 +939,34 @@ def _tree_factors(rates: RangeRates, a: int, b: int) -> Tuple[_TreeFactor, ...]:
         on_path.add(x)
         x = parent[x]
     factors = []
-    for x, y in tree:
+    for x, y in rates.edges:
         child, near = (y, x) if parent[y] == x else (x, y)
         c = float(A[x, y]) * float(A[y, x])
         if child in on_path:
-            factors.append(_TreeFactor(0, x, y, c, float(A[near, child])))
+            factors.append((0, x, y, c, float(A[near, child])))
         else:
-            factors.append(_TreeFactor(1, child, near, c, 1.0))
-    return tuple(factors)
+            factors.append((1, child, near, c, 1.0))
+    order, first, second, c, rate = np.array(factors, dtype=float).reshape(-1, 5).T
+    arrays = _TreeFactors(order[None], first.astype(int), second.astype(int), c[None],
+                          rate[None], rates.diag[None].copy())
+    _read_only(*arrays)
+    return arrays
 
 
-def _tree_value(request: _Request) -> float:
-    """The tree route of a read request whose support is a tree: the product
-    of its scaled :func:`_tree_factors` times one exponential of
-    sum A_xx l_x + sum_e z_e; by AM-GM each z_e <= B_xy l_x + B_yx l_y, so
-    the exponent is <= 0 and neither the product nor its exponent overflows
-    where the density is a double."""
-    l = request.l.tolist()
-    factor, exponent = 1.0, float(np.dot(request.rates.diag, request.l))
-    for order, first, second, c, rate in _tree_factors(request.rates, request.a, request.b):
-        z, scaled = scaled_edge_kernel(order, c, l[first], l[second])
-        factor *= scaled * rate
-        exponent += z
-    return factor * math.exp(exponent)
+def _tree_rows(rates: RangeRates, a: int, b: int, L: np.ndarray) -> np.ndarray:
+    """The tree product at each row of ``L``: the product, in edge order, of
+    the scaled kernels of :func:`_tree_factors`, all from one
+    :func:`bessel.scaled_edge_kernel` call, times one exponential per row of
+    sum A_xx l_x + sum_e z_e, added left to right.  By AM-GM each z_e <=
+    B_xy l_x + B_yx l_y, so the exponent is <= 0 and neither the product nor
+    its exponent overflows where the density is a double.  Every operation
+    is elementwise or runs along one row, so a row's bits do not depend on
+    the other rows."""
+    f = _tree_factors(rates, a, b)
+    z, kernels = scaled_edge_kernel(f.order, f.c, L.take(f.first, axis=1),
+                                    L.take(f.second, axis=1))
+    exponent = np.add.accumulate(np.concatenate([L * f.diag, z], axis=1), axis=1)[:, -1]
+    return np.multiply.reduce(kernels * f.rate, axis=1) * np.exp(exponent)
 
 
 def density_tree(gen: Generator, R: Sequence, a, b, l) -> float:
@@ -956,4 +996,4 @@ def density_tree(gen: Generator, R: Sequence, a, b, l) -> float:
         raise NotTreeError(
             f"the support on {request.R!r} is not a tree (cyclomatic number "
             f"{rates.cyclomatic}{'' if rates.cyclomatic else ', not connected'})")
-    return _tree_value(request)
+    return _routed_point(request)[0]

@@ -38,7 +38,8 @@ import numpy as np
 from scipy.special import chdtrc
 
 from .chain import Generator, generator_from_triples, srw_generator, validate_generator
-from .density import _range_positions, density_batch, range_rates
+from .density import (_check_local_times, _range_positions, _read_request, _routed_point,
+                      _routed_rows, range_rates)
 from .errors import ConfigParseError, InsufficientConditionedError, NotSymmetricError
 from .montecarlo import (
     BatchPaths,
@@ -347,6 +348,13 @@ def expected_cell_masses(rho, edges: List[np.ndarray]):
     return fine.reshape(shape), flagged
 
 
+def density_point(gen: Generator, R: Sequence, a, b, l,
+                  tol: float = 1e-10) -> Tuple[float, float, int, str]:
+    """``(value, error_bound, order, route)`` of one request, routed as
+    :func:`density.density` routes it, for ``loctimes density``."""
+    return _routed_point(_read_request(gen, R, a, b, l), tol)
+
+
 # ---------------------------------------------------------------------------
 # reports
 # ---------------------------------------------------------------------------
@@ -423,9 +431,10 @@ def verify_density_mc(
     that repeats a state, misses the start or the endpoint, or has fewer
     than 2 or more than 4 states: the density rows the cells need grow as
     ``cells_per_axis ** (|R| - 1)``, about 13 million at |R| = 5 with the
-    default 7 cells."""
+    default 7 cells.  The cells' rows are routed as :func:`density.density`
+    routes: a tree range integrates the exact product, any other the series."""
     try:
-        R = _range_positions(range_, start, endpoint)[0]
+        R, a_pos, b_pos = _range_positions(range_, start, endpoint)
     except ValueError as exc:
         raise ValueError(f"range_: {exc}") from None
     if not 2 <= len(R) <= 4:
@@ -457,13 +466,13 @@ def verify_density_mc(
         )
 
     free_pos = [R.index(x) for x in free_states]
-    elim_pos = R.index(endpoint)
 
     def rho(free: np.ndarray) -> np.ndarray:
         L = np.empty((len(free), len(R)))
         L[:, free_pos] = free
-        L[:, elim_pos] = T - free.sum(axis=1)
-        return density_batch(gen, R, start, endpoint, L, _DENSITY_TOL)[0]
+        L[:, b_pos] = T - free.sum(axis=1)
+        _check_local_times(L)
+        return _routed_rows(range_rates(gen, R), a_pos, b_pos, L, _DENSITY_TOL)[0]
 
     masses, flagged = expected_cell_masses(rho, edges)
 

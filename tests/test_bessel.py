@@ -100,3 +100,32 @@ def test_edge_kernel_large_argument_below_the_cap():
     z = 2.0 * math.sqrt(1e4)
     assert edge_kernel(1.0, 100.0, 100.0) == pytest.approx(sp.iv(0, z), rel=1e-13)
     assert edge_kernel_d(1.0, 100.0, 100.0) == pytest.approx(sp.iv(1, z), rel=1e-13)
+
+
+def test_array_kernels_equal_the_scalar_ones_bit_for_bit():
+    # the tree route evaluates every edge at every row in one call, with one
+    # order per edge; each entry must be the scalar kernel's bits, z = 0
+    # (c = 0, a one-way edge) included, and warn about nothing
+    rng = np.random.default_rng(9)
+    c = np.array([[0.0, 0.7, 2.5, 0.0, 1e-3]])
+    order = np.array([[0.0, 1.0, 0.0, 1.0, 1.0]])
+    lx, ly = rng.uniform(1e-3, 40.0, (2, 30, 5))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for orders in (0, 1, order):
+            z, scaled = scaled_edge_kernel(orders, c, lx, ly)
+            assert z.shape == scaled.shape == (30, 5)
+            for p in range(30):
+                for e in range(5):
+                    k = int(np.broadcast_to(orders, (1, 5))[0, e])
+                    want = scaled_edge_kernel(k, float(c[0, e]), float(lx[p, e]),
+                                              float(ly[p, e]))
+                    assert z[p, e].hex() == want[0].hex()
+                    assert scaled[p, e].hex() == want[1].hex()
+    # c*ly exactly at z = 0
+    assert scaled_edge_kernel(1, np.zeros(2), np.ones(2), np.full(2, 3.0))[1].tolist() == [0.0, 0.0]
+
+
+def test_array_kernels_reject_a_negative_rate_product():
+    with pytest.raises(ValueError, match="rate product must be >= 0"):
+        scaled_edge_kernel(0, np.array([1.0, -0.5]), np.ones(2), np.ones(2))

@@ -13,6 +13,7 @@ from scipy import integrate
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import breadth_first_order, connected_components
 
+from loctimes.bessel import scaled_edge_kernel
 from loctimes.chain import Generator, _reach, srw_generator, validate_generator
 from loctimes.density import (
     _ORDER_SCHEDULE,
@@ -38,6 +39,7 @@ from loctimes.density import (
 )
 from loctimes.errors import (
     DomainError,
+    ExplosionGuardError,
     NegativeRateError,
     NonConvergedTruncationError,
     NotIntervalError,
@@ -192,9 +194,9 @@ def test_subset_layout_is_shared_by_chains_of_one_shape():
         assert [w.hex() for w in got.values()] == [w.hex() for w in expected.values()]
     # the second chain reads the layout the first one left
     assert hits[1] == 1
-    subsets, replaced, units = _subset_layout(r, a, b)
-    assert len(subsets) == 2 ** (r - 2) and replaced.shape == units.shape == (8, r, r)
-    assert not replaced.flags.writeable and not units.flags.writeable
+    subsets, (replaced,), unit = _subset_layout(r, a, b)
+    assert len(subsets) == 2 ** (r - 2) and replaced.shape == (8, r, r)
+    assert not replaced.flags.writeable and not unit.flags.writeable
     assert weights[0] != weights[1]
 
 
@@ -1139,6 +1141,121 @@ def test_large_range_structure_is_one_linear_search():
         start = time.perf_counter()
         assert check()
         assert time.perf_counter() - start < 2.0
+
+
+def test_routed_rows_are_every_tree_route_bit_for_bit():
+    # 4,900 random rows on the 5-state walk and on the walk with the edge
+    # 3 -> 4 one-way: the routed rows are the rows of density(),
+    # density_tree and density_tridiagonal, bit for bit, with edges off the
+    # path (1, 3), a > b, a == b and the whole path (0, 4), where the one-way
+    # edge is on the path; the series agrees within its bounds (on three of
+    # the pairs, to keep the test short)
+    rng = np.random.default_rng(3500)
+    walk = srw_generator(0, 4)
+    A = walk.rates.copy()
+    A[4, 3] = A[4, 4] = 0.0
+    one_way = validate_generator(A)
+    L = rng.uniform(0.02, 1.5, (4900, 5))
+    for gen, series_pairs in ((walk, {(1, 3), (2, 2)}), (one_way, {(0, 4)})):
+        R = gen.states
+        for a, b in ((1, 3), (3, 1), (2, 2), (0, 4)):
+            values, bounds, orders, route = density_module._routed_rows(
+                range_rates(gen, R), a, b, L)
+            assert route == "tree" and not bounds.any() and not orders.any()
+            for k, l in enumerate(L):
+                want = values[k].hex()
+                assert density(gen, R, a, b, l).hex() == want
+                assert density_tree(gen, R, a, b, l).hex() == want
+                assert density_tridiagonal(gen, R, a, b, l).hex() == want
+                # the scalar loop over the edges, which sums the exponent in
+                # another order: within a few ulp of an exponent below 8
+                assert values[k] == pytest.approx(_tree_loop(gen, a, b, l), rel=1e-14, abs=0)
+            if (a, b) in series_pairs:
+                series, series_bounds, _ = density_batch(gen, R, a, b, L)
+                # the series' bound covers its truncation, not its rounding,
+                # which reaches 4.4e-11 of the value at a == b = 2 with
+                # l_2 = 0.025, where its derivative subsets cancel (see
+                # test_certified_bound_covers_rounding_where_subsets_cancel)
+                assert np.all(np.abs(series - values) <= series_bounds + 1e-10 * values)
+    # the one-way edge off the path has a zero rate product, so the density
+    # is exactly 0 there
+    assert not density_module._routed_rows(range_rates(one_way, one_way.states), 1, 3, L)[0].any()
+
+
+def _tree_loop(gen, a, b, l):
+    """The tree product on the path graph of gen.states, edge by edge on
+    Python floats, the scaled kernels from bessel.scaled_edge_kernel."""
+    A, n = gen.rates, len(l)
+    lo, hi = min(a, b), max(a, b)
+    factor, exponent = 1.0, sum(A[x, x] * l[x] for x in range(n))
+    for x in range(n - 1):
+        c = A[x, x + 1] * A[x + 1, x]
+        if lo <= x < hi:
+            z, scaled = scaled_edge_kernel(0, c, l[x], l[x + 1])
+            scaled *= A[x, x + 1] if a < b else A[x + 1, x]
+        else:
+            far, near = (x, x + 1) if x < lo else (x + 1, x)
+            z, scaled = scaled_edge_kernel(1, c, l[far], l[near])
+        factor *= scaled
+        exponent += z
+    return factor * math.exp(exponent)
+
+
+def test_routed_rows_take_the_series_off_trees():
+    rng = np.random.default_rng(3501)
+    gen = _pinned_chain(rng, "support", 4)
+    R, L = gen.states, rng.uniform(0.05, 1.0, (50, 4))
+    values, bounds, orders, route = density_module._routed_rows(range_rates(gen, R), 0, 2, L,
+                                                                1e-11)
+    assert route == "series"
+    want = density_batch(gen, R, 0, 2, L, 1e-11)
+    assert [values.tolist(), bounds.tolist(), orders.tolist()] == [w.tolist() for w in want]
+
+
+def test_subset_layout_refuses_a_large_range_before_allocating():
+    # a 30-state walk has 2^28 derivative subsets: the series refuses it at
+    # once (it allocated until it ran out of memory), and density() answers
+    # the same request through the tree product
+    g = srw_generator(0, 29)
+    l = np.full(30, 2 / 30)
+    start = time.perf_counter()
+    with pytest.raises(ExplosionGuardError, match="range of 30 states has 2\\^28 derivative "
+                                                  "subsets, above the series' cap of 2\\^18"):
+        density_certified(g, g.states, 0, 29, l)
+    assert time.perf_counter() - start < 1.0
+    assert density(g, g.states, 0, 29, l).hex() == density_tree(g, g.states, 0, 29, l).hex()
+
+
+def test_subset_guard_counts_the_states_other_than_a_and_b(monkeypatch):
+    monkeypatch.setattr(density_module, "_MAX_FREE_STATES", 3)
+    _subset_layout.cache_clear()
+    try:
+        assert len(_subset_layout(5, 0, 4)[0]) == 8
+        for r, a, b in ((6, 0, 5), (5, 2, 2)):
+            with pytest.raises(ExplosionGuardError, match=f"range of {r} states has 2\\^4 "):
+                _subset_layout(r, a, b)
+    finally:
+        _subset_layout.cache_clear()
+
+
+def test_subset_stack_in_chunks_keeps_the_weights_bits(monkeypatch):
+    # a stack of at most two 5 x 5 matrices at a time gives every weight of
+    # the one-stack evaluation, bit for bit
+    monkeypatch.setattr(density_module, "_STACK_ENTRIES", 50)
+    rng = np.random.default_rng(3502)
+    B = rng.uniform(0.5, 1.5, (5, 5))
+    np.fill_diagonal(B, 0.0)
+    _subset_layout.cache_clear()
+    try:
+        assert [len(stack) for stack in _subset_layout(5, 0, 4)[1]] == [2, 2, 2, 2]
+        for a in range(5):
+            for b in range(5):
+                got = _cofactor_subset_weights(B, a, b)
+                expected = _stacked_weights_reference(B, a, b)
+                assert list(got) == list(expected)
+                assert [w.hex() for w in got.values()] == [w.hex() for w in expected.values()]
+    finally:
+        _subset_layout.cache_clear()
 
 
 def test_tree_route_rejects_a_support_with_a_cycle():

@@ -1,4 +1,5 @@
 import hashlib
+import importlib
 import json
 import math
 import os
@@ -42,6 +43,9 @@ from loctimes.harness import (
 )
 from loctimes.montecarlo import _BLOCK, sample_paths_inverse_local_time
 from loctimes.rates import eta, ldp_probability_bound
+
+# the package exports a function named density, so fetch the module itself
+density_module = importlib.import_module("loctimes.density")
 
 TWO_STATE = validate_generator([[0.0, 1.0], [1.0, 0.0]], (1, 2))
 
@@ -187,6 +191,31 @@ def test_verify_density_three_state_quick():
     assert abs(report.diagnostics["conditioning_z"]) < 4.0
 
 
+def test_verify_density_integrates_the_tree_product_on_trees(monkeypatch):
+    # the law check's cells read the routed rows: on the path 0-1-2 the
+    # exact tree product, never the series; on a 3-cycle the series
+    calls = []
+    certified_rows = density_module._certified_rows
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return certified_rows(*args, **kwargs)
+
+    def refused(*args, **kwargs):
+        raise AssertionError("the law check entered the series on a tree")
+
+    monkeypatch.setattr(density_module, "_certified_rows", refused)
+    report = verify_density_mc(srw_generator(0, 2), 0, 2, (0, 1, 2), 2.0, 20_000,
+                               cells_per_axis=3, seed=103)
+    assert report.diagnostics["p_value"] > 1e-3
+    cycle = validate_generator([[0.0, 1.0, 0.5], [0.5, 0.0, 1.0], [1.0, 0.5, 0.0]])
+    monkeypatch.setattr(density_module, "_certified_rows", counted)
+    report = verify_density_mc(cycle, 0, 2, (0, 1, 2), 1.0, 20_000, cells_per_axis=3,
+                               seed=104)
+    assert len(calls) == 1 and not calls[0].tree
+    assert report.diagnostics["p_value"] > 1e-3
+
+
 def test_verify_density_insufficient_conditioning():
     with pytest.raises(InsufficientConditionedError):
         verify_density_mc(TWO_STATE, 1, 2, (1, 2), 0.01, 2000, seed=1)
@@ -205,8 +234,8 @@ MULTI_BLOCK = 3 * _BLOCK + 1_234
 
 
 VERIFY_DENSITY_DIGESTS = {
-    0: "308eeb935e6808d33de66a818e436e0b58a036e4c1e3c66395bf33fe863791a6",
-    1: "3c209eed47c55043a1b036dd8fdc83926e45273200b2489a26f97e6bb7d2fbef",
+    0: "37e737c5505d4ba33ad99f3d70410bc270e34b08da9a2ce859890aae31190f57",
+    1: "dd957953d0c537d93713b6a179801a93b8a1db5cca5c9f8b1afa147ae5a69d1a",
 }
 LDP_PROBABILITY_DIGESTS = {
     0: "b6b171897001cf5b9e259267494d9db73f8fa8a82042d9e206e9abff2997589a",
@@ -868,9 +897,9 @@ PINNED_CONFIG = {"seed": 3, "experiments": [
 PINNED_DIGESTS = {
     "exponential.csv": "7644721e0ec7eb06c670051d0259bb7a14726e203419291bf75991d3a75c6af7",
     "halfspace.csv": "26ff8d1e836e00a81eb1f1dc62463db31563d30a34fb3be19f18be81896b826a",
-    "law.csv": "2ea55d328737ed2465fe77c4947dcdc0da38d3c8b9b50fe70d7336245ed817b0",
+    "law.csv": "4be6b42bfa417ed4a1f0fc933eae83506fe0c114e506a759b3f5b66dae6dfe3b",
     "profile.csv": "71feca5453fcbf3d97dfaaef54dd729fdc67822d091ead6f5dc17ced7dcc32b3",
-    "summary.json": "16cc0ccaaaff6f241336fbf0b6aabb59448ffdf50658afd6076b717fc637754d",
+    "summary.json": "ef6317f27881c7b2ab995667f9ed568f34001c21f1ca24b6f5f2381a13fa818a",
 }
 
 
@@ -888,8 +917,8 @@ DEMO_DIGESTS = {
     "exponential-bound.csv": "c0bd97132aca3dbb108b98cd718d004fe5735b066683baef882693bdc727458c",
     "halfspace-bound.csv": "61325573c59f4c747689c21cab07c7d5087d4ad5687655a73c042f3c793302b3",
     "profile-equivalence.csv": "e26339f7f4d74bc05c594a1c9553806acd77f946f49b2ea4f6fe9aa2c5f333fe",
-    "summary.json": "12912d1f04e2bbc52196b7db0702ce8df3b12ea89466d0b221769e9169b9d794",
-    "three-state-law.csv": "96ce1f18122bb05a44e621ad01f8d15d068d53e754bc3c6472a6cdc4b8f5c1eb",
+    "summary.json": "547555b6c58b1f3e42f894c1be44841cf5043b120a427786aa9f88adf73885ae",
+    "three-state-law.csv": "da678558447cc1368c8bb832ffa2b28617241686e6be0ceb51792df972777564",
 }
 
 
