@@ -5,14 +5,16 @@ with z = 2*sqrt(c*lx*ly), and its derivative in lx is c*ly * I1(z) / (z/2).
 Both are read from scipy's exponentially scaled ``ive``:
 :func:`scaled_edge_kernel` returns z and the kernel divided by e^z, which is
 a double at every z, so a product of kernels can apply its exponent once.
-It takes scalars, for the Ray-Knight transition kernels, or arrays, for the
-tree route of the density (every edge at every row of local times at once).
+It takes scalars, for the Ray-Knight transition kernels, or arrays; the
+tree route of the density calls the array form, :func:`_scaled_kernels`,
+directly (every edge at every row of local times at once), since its rate
+products are nonnegative by construction.
 :func:`edge_kernel` multiplies by e^z and raises
 NonConvergedTruncationError rather than return inf.
 """
 
 import math
-from typing import Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 from scipy.special import ive
@@ -33,12 +35,7 @@ def scaled_edge_kernel(order, c, lx, ly) -> Tuple:
         c = np.asarray(c, dtype=float)
         if c.size and c.min() < 0:
             raise ValueError(f"edge kernel rate product must be >= 0; got {c.min()!r}")
-        half = np.sqrt(c * lx * ly)
-        z = half + half
-        scaled = ive(order, z)
-        derivative = np.multiply(c, ly, out=np.empty_like(half))  # c*ly where z = 0
-        np.divide(derivative * scaled, half, out=derivative, where=half != 0.0)
-        return z, np.where(order, derivative, scaled)
+        return _scaled_kernels(order, c, lx, ly)
     c, lx, ly = float(c), float(lx), float(ly)  # Python floats do not warn
     if c < 0:
         raise ValueError(f"edge kernel rate product must be >= 0; got {c!r}")
@@ -48,6 +45,22 @@ def scaled_edge_kernel(order, c, lx, ly) -> Tuple:
     if z == 0.0:
         return z, c * ly
     return z, c * ly * float(ive(1, z)) / (z / 2)
+
+
+def _scaled_kernels(order, c: np.ndarray, lx, ly,
+                    z: Optional[np.ndarray] = None) -> Tuple[np.ndarray, np.ndarray]:
+    """:func:`scaled_edge_kernel` on arrays, for rate products ``c`` already
+    known to be >= 0; z is written into ``z`` where one is given (it must
+    have the broadcast shape).  An ``order`` of the int 0 is order 0 at
+    every entry, and no derivative is computed."""
+    half = np.sqrt(c * lx * ly)
+    z = np.add(half, half, out=z)
+    scaled = ive(order, z)
+    if isinstance(order, int) and order == 0:
+        return z, scaled
+    derivative = c * ly  # the kernel where z = 0
+    np.divide(derivative * scaled, half, out=derivative, where=half != 0.0)
+    return z, np.where(order, derivative, scaled)
 
 
 def edge_kernel(c: float, lx: float, ly: float) -> float:

@@ -26,15 +26,19 @@ support of B on R:
   differences up to 1.2e-13 were measured on random 3- to 5-state ranges,
   median 6e-16), because numpy's matrix products take other kernels and
   summation orders at other batch sizes.  The operator's subset weights come
-  from batched determinant calls, and the closed-form tail bound picks every
-  point's truncation order in one array pass over the order schedule, under
-  one ``np.errstate``.  The pass reads its fixed data from module constants and
-  caches: the schedule as a read-only array, the smallest normal double, and
-  per (orders, shifts) the read-only gamma-function arguments and mask of the
-  Poisson tails (:func:`_gamma_arguments`), so the tails are one ``gammainc``
-  and one ``where``; the subset products of the local times are computed once
-  and shared by the bound and the values, and a batch whose points share one
-  order (a batch of one always does) skips the per-order group masks;
+  from batched determinant calls, and the closed-form tail bound
+  (:meth:`_OperatorSeries.certificate`) picks every point's truncation order
+  in one array pass over the order schedule, under one ``np.errstate``: S
+  from the support, the per-size subset sums as one product with a
+  (subsets x sizes) |weight| matrix, their Stirling combinations as one
+  product with a (sizes x shifts) matrix (:func:`_stirling_matrix`), the
+  Poisson tails of every shift and order from one ``gammainc`` call over
+  read-only arguments (:func:`_gamma_arguments`), and one contraction over
+  the shifts.  The matrices and the schedule's arguments are built once per
+  series, so a request runs no loop over subset sizes; the subset products
+  of the local times are computed once and shared by the bound and the
+  values, and a batch whose points share one order (a batch of one always
+  does) skips the per-order group masks;
 * :func:`density_quadrature` - the derivative-free cofactor-inside-the-
   integral form, evaluated by tensor-product periodic trapezoidal quadrature
   on a fixed grid of 32 points per angle, whose phases are products of roots
@@ -46,7 +50,8 @@ support of B on R:
   it from a toward b) and one kernel derivative per edge off it, each scaled
   by e^{-z} and multiplied by one final exponential, O(|R|) kernels and no
   flows, over many rows at once (:func:`_tree_rows`), a point being a row
-  with the same bits.  :func:`density_tridiagonal` is this product on the
+  with the same bits; a row is a dozen or so numpy calls, laid out to keep
+  that count down.  :func:`density_tridiagonal` is this product on the
   path graph of an integer interval, for nearest-neighbor chains.
 
 Every point entry and the density bound read a request once, through
@@ -79,17 +84,19 @@ rates.  Every cached array is read-only.
   (``gen.rates`` itself where R is the whole state tuple, in order, with no
   gather) and its size.  One :class:`RangeRates` per block is read by every
   route, the bounds and rate function in :mod:`rates` and the Ray-Knight
-  check: the block, B, the diagonal, eta, the symmetry flag and the
-  undirected support with its cyclomatic number and tree flag.  The series
-  of a request on (R, a, b) (:func:`_prepared_range`, keyed by that
-  :class:`RangeRates` object, the positions of a and b and the conjugation
-  vector) holds the :class:`RangeRates`, the operator weights (determinant
-  calls over stacks built from the cached layout) and, filled on first use,
-  the terms of each truncation order: the log coefficients and the subset
-  factors, which depend on the weights and so stay with the series.  The
-  tree route reads only the :class:`RangeRates` and the factors of its
-  product (:func:`_tree_factors`, keyed like the series without a
-  conjugation).  Each value cache is bounded at 16 entries.
+  check: the block, B, the diagonal, eta, the symmetry flag, the undirected
+  support with its cyclomatic number and tree flag, and the reversible
+  measure with the symmetrized block (:class:`Reversible`) where detailed
+  balance holds.  The series of a request on (R, a, b)
+  (:func:`_prepared_range`, keyed by that :class:`RangeRates` object, the
+  positions of a and b and the conjugation vector) holds the
+  :class:`RangeRates`, the operator weights (determinant calls over stacks
+  built from the cached layout) and, filled on first use, the terms of each
+  truncation order: the log coefficients and the subset factors, which
+  depend on the weights and so stay with the series.  The tree route reads
+  only the :class:`RangeRates` and the factors of its product
+  (:func:`_tree_factors`, keyed like the series without a conjugation).
+  Each value cache is bounded at 16 entries.
 
 The diagonal stays the strided view ``np.diag(A)``: a contiguous copy changes
 ``L @ diag`` in the last bit, and the values must match an uncached
@@ -100,12 +107,12 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 from scipy.special import gammainc
 
-from .bessel import scaled_edge_kernel
+from .bessel import _scaled_kernels
 from .chain import Generator, _is_symmetric, _reach
 from .errors import (
     DomainError,
@@ -197,6 +204,10 @@ def _replaced_matrix(M: np.ndarray, a: int, b: int) -> np.ndarray:
 # entries (the whole stack of 16 states: 2^14 subsets of 256, about 37 MB)
 _MAX_FREE_STATES = 18
 _STACK_ENTRIES = 1 << 22
+# layouts of at most this many states are kept (one of 16 states holds its
+# 2^14 subsets in about 4 MB); larger ones are built per call, since one of 20
+# states holds 2^18 subsets in about 105 MB
+_CACHED_LAYOUT_STATES = 16
 
 
 def _cofactor_subset_weights(
@@ -214,10 +225,13 @@ def _cofactor_subset_weights(
     and columns of Q also replaced by unit vectors (Laplace expansion along
     them), so all subsets are stacks of |R| x |R| matrices (one up to 16
     states), one ``np.linalg.det`` call each; the stacks' layout comes from
-    :func:`_subset_layout`, so only the determinants depend on B.  Returns
-    {Q (sorted positions): weight}, dropping exact zero weights.
+    :func:`_subset_layout`, so only the determinants depend on B; it is
+    cached up to _CACHED_LAYOUT_STATES states and built per call above.
+    Returns {Q (sorted positions): weight}, dropping exact zero weights.
     """
-    subsets, stacks, unit = _subset_layout(B.shape[0], a, b)
+    r = B.shape[0]
+    layout = _subset_layout if r <= _CACHED_LAYOUT_STATES else _subset_layout.__wrapped__
+    subsets, stacks, unit = layout(r, a, b)
     replaced_B = _replaced_matrix(-B, a, b)
     dets = np.concatenate([np.linalg.det(np.where(replaced, unit, replaced_B))
                            for replaced in stacks])
@@ -264,13 +278,17 @@ _BLOCK_TERMS = 1 << 18
 
 
 @lru_cache(maxsize=None)
-def _stirling2(q: int) -> Tuple[int, ...]:
-    """Stirling numbers of the second kind S(q, k) for k = 0..q."""
-    row = (1,)
-    for n in range(1, q + 1):
-        row = tuple((k * row[k] if k < n else 0) + (row[k - 1] if k else 0)
-                    for k in range(n + 1))
-    return row
+def _stirling_matrix(sizes: int) -> np.ndarray:
+    """Stirling numbers of the second kind S(q, k) for q, k < ``sizes`` (rows
+    q, columns k), as floats, which hold them exactly up to q = 18 (S(q, k) <
+    2^53); read-only."""
+    stirling = np.zeros((sizes, sizes))
+    stirling[0, 0] = 1.0
+    for q in range(1, sizes):
+        for k in range(1, q + 1):
+            stirling[q, k] = k * stirling[q - 1, k] + stirling[q - 1, k - 1]
+    _read_only(stirling)
+    return stirling
 
 
 @lru_cache(maxsize=16)
@@ -284,44 +302,6 @@ def _gamma_arguments(orders: Tuple[int, ...], shifts: int) -> Tuple[np.ndarray, 
     above = n0 >= k
     _read_only(arguments, above)
     return arguments, above
-
-
-def _poisson_tails(S: np.ndarray, orders: Sequence[int], shifts: int) -> np.ndarray:
-    """P(Poisson(S) > n0 - k) for every shift k < ``shifts`` (axis 0), every
-    truncation order n0 in ``orders`` (axis 1) and every S (axis 2), as one
-    call of the regularized lower incomplete gamma function P(n0 - k + 1, S);
-    1 where n0 < k.  The arguments come from :func:`_gamma_arguments`."""
-    arguments, above = _gamma_arguments(tuple(map(int, orders)), shifts)
-    return np.where(above, gammainc(arguments, S), 1.0)
-
-
-def _tail_sums(sizes: Sequence[int], S: np.ndarray,
-               poisson: np.ndarray) -> List[np.ndarray]:
-    """sum over N > n0 of N^q S^N / N! in closed form, for each q in
-    ``sizes``, every truncation order n0 of ``poisson`` (rows) and every S
-    (columns).
-
-    Expanding N^q = sum_k S(q,k) N(N-1)...(N-k+1) turns each piece into a
-    Poisson tail, sum_{N > n0} N(N-1)...(N-k+1) S^N/N! =
-    S^k e^S P(Poisson(S) > n0 - k), read from ``poisson`` (see
-    :func:`_poisson_tails`); the powers S^k and e^S are shared by all sizes.
-    An overflow gives inf; the certificate pass runs this under its one
-    ``np.errstate``.
-    """
-    powers = [S ** k for k in range(max(sizes) + 1)]
-    growth = np.exp(S)
-    # S(q, k) = 1 multiplies exactly, so S^k P(...) serves every such (q, k);
-    # these shared terms are never added into, so the first sum is a new array
-    unit = [powers[k] * poisson[k] for k in range(len(powers))]
-    sums = []
-    for q in sizes:
-        terms = [unit[k] if c == 1 else c * powers[k] * poisson[k]
-                 for k, c in enumerate(_stirling2(q)) if c]
-        total = terms[0] if len(terms) == 1 else terms[0] + terms[1]
-        for term in terms[2:]:
-            total += term
-        sums.append(growth * total)
-    return sums
 
 
 def _series_support(Btilde: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -352,9 +332,10 @@ class _OperatorSeries:
 
     Holds what does not depend on the local times: ``rates``, the support
     edges and their weights, the derivative subsets Q with their operator
-    weights and index data, and, filled on first use, the terms of each
-    truncation order.  A subset holding a state that no support edge touches
-    is dropped, since the derivative in that state kills every term.
+    weights and index data, the fixed data of :meth:`certificate`, and,
+    filled on first use, the terms of each truncation order.  A subset
+    holding a state that no support edge touches is dropped, since the
+    derivative in that state kills every term.
     """
 
     def __init__(self, rates: "RangeRates", Btilde: np.ndarray,
@@ -368,18 +349,20 @@ class _OperatorSeries:
         self.weights = {Q: c for Q, c in weights.items() if touched.issuperset(Q)}
         self._subsets = list(self.weights)
         self._coefs = np.array([self.weights[Q] for Q in self._subsets])
-        self._abs_coefs = np.abs(self._coefs)
         # subset positions padded to one width with position n_nodes, which
         # subset_products points at a column of ones
         width = max((len(Q) for Q in self._subsets), default=0)
         self._padded = np.full((len(self._subsets), width), self.n_nodes)
-        by_size: Dict[int, list] = {}
+        # |weight| of each subset in the column of its size
+        self._size_weights = np.zeros((len(self._subsets), width + 1))
         for k, Q in enumerate(self._subsets):
             self._padded[k, :len(Q)] = Q
-            by_size.setdefault(len(Q), []).append(k)
-        self._by_size = {q: np.array(cols) for q, cols in by_size.items()}
-        _read_only(self.w, self._xs, self._ys, self._coefs,
-                   self._abs_coefs, self._padded, *self._by_size.values())
+            self._size_weights[k, len(Q)] = abs(self._coefs[k])
+        self._stirling = _stirling_matrix(width + 1)
+        self._shifts = np.arange(width + 1.0)
+        self._schedule_gamma = _gamma_arguments(_ORDER_SCHEDULE, width + 1)
+        _read_only(self.w, self._xs, self._ys, self._coefs, self._padded,
+                   self._size_weights, self._shifts)
         self._terms: Dict[int, _OrderTerms] = {}
 
     def subset_products(self, L: np.ndarray) -> np.ndarray:
@@ -390,42 +373,39 @@ class _OperatorSeries:
         Lp = np.concatenate([L, np.ones((len(L), 1))], axis=1)
         return np.multiply.reduce(Lp[:, self._padded], axis=2)
 
-    def majorant(self, L: np.ndarray,
-                 products: np.ndarray) -> Tuple[np.ndarray, Dict[int, np.ndarray]]:
-        """The order-independent part of the remainder bound at each row of L,
-        whose :meth:`subset_products` are ``products``.
+    def certificate(self, L: np.ndarray, products: np.ndarray,
+                    orders: Optional[Sequence[int]] = None) -> np.ndarray:
+        """Certified remainder bounds at each truncation order in ``orders``
+        (rows; by default the schedule, whose gamma-function arguments the
+        series holds) and each row of L (columns), whose
+        :meth:`subset_products` are ``products``, in one array pass.
 
         The dropped terms are majorized by the full unbalanced series: with
         S = sum Btilde[x,y] sqrt(l_x l_y), the undifferentiated tail is at
-        most sum_{N > order} S^N/N!, and a derivative in x at most multiplies
-        an order-N term by N / l_x.  Returns S and, per subset size q, the
-        sum over |Q| = q of |weight| / prod_{x in Q} l_x, accumulated in the
-        order of the subsets.
+        most sum_{N > n0} S^N/N!, and a derivative in x at most multiplies
+        an order-N term by N / l_x.  So the bound is sum_q W_q T_q, with W_q
+        the sum over |Q| = q of |weight| / prod_{x in Q} l_x and T_q =
+        sum_{N > n0} N^q S^N / N!.  Expanding N^q = sum_k S(q,k)
+        N(N-1)...(N-k+1) turns T_q into sum_k S(q,k) S^k e^S P(Poisson(S) >
+        n0 - k), and P(Poisson(S) > n0 - k) is the regularized gamma function
+        P(n0 - k + 1, S) (1 where n0 < k).  The pass takes W as one product
+        with the (subsets x sizes) |weight| matrix, sum_q W_q S(q, k) as one
+        product with the Stirling matrix, every Poisson tail from one
+        ``gammainc`` call, and adds the shifts k in order
+        (``np.add.accumulate``), so a bound does not depend on the other
+        orders asked for.  An overflow gives inf or nan, which certify
+        nothing; the caller runs this under its one ``np.errstate``.
         """
+        arguments, above = (self._schedule_gamma if orders is None
+                            else _gamma_arguments(tuple(map(int, orders)), len(self._shifts)))
+        if not self._subsets:
+            return np.zeros((arguments.shape[1], len(L)))
         S = np.sqrt(L[:, self._xs] * L[:, self._ys]) @ self.w
-        parts = self._abs_coefs / products
-        by_size = {q: parts[:, cols[0]] if len(cols) == 1
-                   else np.add.accumulate(parts[:, cols], axis=1)[:, -1]
-                   for q, cols in self._by_size.items()}
-        return S, by_size
-
-    @staticmethod
-    def tails(majorant: Tuple[np.ndarray, Dict[int, np.ndarray]],
-              orders: Sequence[int]) -> np.ndarray:
-        """Certified remainder bounds at each truncation order in ``orders``
-        (rows) and each point (columns); see :meth:`majorant`.  The Poisson
-        tails of every Stirling shift come from one gamma-function call
-        shared by all subset sizes, with its arguments cached per orders."""
-        S, by_size = majorant
-        if not by_size:
-            return np.zeros((len(orders), len(S)))
-        poisson = _poisson_tails(S, orders, max(by_size) + 1)
-        terms = [scale * tail for scale, tail in
-                 zip(by_size.values(), _tail_sums(list(by_size), S, poisson))]
-        total = terms[0]
-        for term in terms[1:]:
-            total += term
-        return total
+        shift_weights = (np.reciprocal(products) @ self._size_weights) @ self._stirling
+        shift_weights *= S[:, None] ** self._shifts
+        terms = np.where(above, gammainc(arguments, S), 1.0)
+        terms *= shift_weights.T[:, None, :]
+        return np.exp(S) * np.add.accumulate(terms, axis=0)[-1]
 
     def _order_terms(self, order: int) -> _OrderTerms:
         terms = self._terms.get(order)
@@ -473,6 +453,16 @@ class _OperatorSeries:
 _PREPARED_RANGES = 16
 
 
+class Reversible(NamedTuple):
+    """The reversible measure of a rate block and the symmetrized block it
+    makes.  With H = diag(sqrt(pi)), H A H^-1 is symmetric, and its
+    off-diagonal entries are sqrt(B_xy B_yx) whatever the scale of pi."""
+
+    log_pi: np.ndarray  # log pi, 0 at the first state: pi_x B_xy = pi_y B_yx
+    A: np.ndarray       # the symmetrized block; A itself where A is symmetric
+    B: np.ndarray       # its off-diagonal part; B itself where A is symmetric
+
+
 @dataclass(frozen=True, eq=False)
 class RangeRates:
     """The rates on R x R and what depends on them alone.  Every array is
@@ -486,6 +476,7 @@ class RangeRates:
     edges: Tuple[Tuple[int, int], ...]  # undirected support of B, x < y, row order
     cyclomatic: int     # len(edges) - |R| + connected components
     tree: bool          # the support is connected and acyclic
+    reversible: Optional[Reversible]    # see :func:`_reversible`
 
 
 def _undirected_support(B: np.ndarray) -> Tuple[Tuple[Tuple[int, int], ...], int, bool]:
@@ -504,6 +495,52 @@ def _undirected_support(B: np.ndarray) -> Tuple[Tuple[Tuple[int, int], ...], int
     return edges, cyclomatic, components == 1 and cyclomatic == 0
 
 
+def _reversible(A: np.ndarray, B: np.ndarray, symmetric: bool) -> Optional[Reversible]:
+    """The :class:`Reversible` of a block: pi = 1 and the block itself where
+    it is symmetric.  Else, where every edge of the support is two-way, one
+    search from the first state (:func:`chain._reach`) must reach every state,
+    and pi is multiplied out along its tree (pi_y = pi_x B_xy / B_yx from x
+    to its successor y); it is kept when the conjugated block B_xy
+    sqrt(pi_x / pi_y) passes the symmetry test of :func:`chain._is_symmetric`,
+    which is Kolmogorov's cycle condition on the edges off the tree.  None
+    where an edge is one-way, a cycle is unbalanced or the support is not
+    connected."""
+    r = len(A)
+    if symmetric:
+        log_pi = np.zeros(r)
+        _read_only(log_pi)
+        return Reversible(log_pi, A, B)
+    if np.any((B != 0.0) != (B.T != 0.0)):
+        return None
+    pred = _reach(B != 0.0, [0])
+    if None in pred:
+        return None
+    rates = B.tolist()
+    logs: List[Optional[float]] = [0.0] + [None] * (r - 1)
+    for start in range(r):
+        path, x = [], start
+        while logs[x] is None:
+            path.append(x)
+            x = pred[x]
+        for y in reversed(path):
+            p = pred[y]
+            logs[y] = logs[p] + math.log(rates[p][y]) - math.log(rates[y][p])
+    log_pi = np.array(logs)
+    xs, ys = np.nonzero(B)
+    conjugated = np.zeros_like(B)
+    # an unbalanced cycle may push a conjugated rate past double range: inf
+    # fails the test as it should
+    with np.errstate(over="ignore"):
+        conjugated[xs, ys] = B[xs, ys] * np.exp(0.5 * (log_pi[xs] - log_pi[ys]))
+    if not _is_symmetric(conjugated):
+        return None
+    Bs = np.sqrt(B * B.T)
+    As = Bs.copy()
+    np.fill_diagonal(As, np.diag(A))
+    _read_only(log_pi, Bs, As)
+    return Reversible(log_pi, As, Bs)
+
+
 @lru_cache(maxsize=_PREPARED_RANGES)
 def _range_rates(block: bytes, r: int) -> RangeRates:
     A = np.frombuffer(block).reshape(r, r)
@@ -519,11 +556,13 @@ def _range_rates(block: bytes, r: int) -> RangeRates:
             f"negative rate {B[x, y]} from position {x} to position {y} of the range")
     _read_only(B)
     edges, cyclomatic, tree = _undirected_support(B)
+    symmetric = _is_symmetric(A)
     return RangeRates(
         A=A, B=B, diag=np.diag(A),
         eta=float(max(B.sum(axis=1).max(), B.sum(axis=0).max(), 1.0)),
-        symmetric=_is_symmetric(A),
+        symmetric=symmetric,
         edges=edges, cyclomatic=cyclomatic, tree=tree,
+        reversible=_reversible(A, B, symmetric),
     )
 
 
@@ -664,7 +703,7 @@ def _certified_rows(
     # is finite there
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         diag_factor = np.exp(log_diag)
-        raw_tails = series.tails(series.majorant(L, products), _ORDER_SCHEDULE)
+        raw_tails = series.certificate(L, products)
         tails = diag_factor * raw_tails
         certified = tails <= tol
         first = certified.argmax(axis=0)
@@ -910,14 +949,16 @@ def density_tridiagonal(gen: Generator, R: Sequence, a, b, l) -> float:
 
 class _TreeFactors(NamedTuple):
     """The factors of the tree product in edge order: the scaled kernel of
-    ``order`` (0 on the a-b path, 1 off it) at the positions (``first``,
-    ``second``), times ``rate``; values are (1, n) rows, so that a single
-    row of local times broadcasts nothing."""
+    ``order`` (0 on the a-b path, 1 off it) at the positions ``ends`` (the
+    first positions of every edge, then the second ones, so that one
+    ``take`` reads both), times ``rate``; values are (1, n) rows, so that a
+    single row of local times broadcasts nothing."""
 
-    order: np.ndarray       # as floats, the type ``ive`` takes
-    first: np.ndarray       # on the path the lower position, off it the far end
-    second: np.ndarray
-    c: np.ndarray           # B_xy * B_yx
+    order: Union[np.ndarray, int]   # as floats, the type ``ive`` takes; the
+                                    # int 0 where every edge is on the path
+    ends: np.ndarray        # first: on the path the lower position, off it the
+                            # far end; then second: the other end
+    c: np.ndarray           # B_xy * B_yx, >= 0 since B is
     rate: np.ndarray        # on the path the rate from a toward b, off it 1.0
     diag: np.ndarray        # A_xx, contiguous
 
@@ -947,26 +988,35 @@ def _tree_factors(rates: RangeRates, a: int, b: int) -> _TreeFactors:
         else:
             factors.append((1, child, near, c, 1.0))
     order, first, second, c, rate = np.array(factors, dtype=float).reshape(-1, 5).T
-    arrays = _TreeFactors(order[None], first.astype(int), second.astype(int), c[None],
+    arrays = _TreeFactors(order[None], np.concatenate([first, second]).astype(int), c[None],
                           rate[None], rates.diag[None].copy())
     _read_only(*arrays)
-    return arrays
+    return arrays if order.any() else arrays._replace(order=0)
 
 
 def _tree_rows(rates: RangeRates, a: int, b: int, L: np.ndarray) -> np.ndarray:
     """The tree product at each row of ``L``: the product, in edge order, of
     the scaled kernels of :func:`_tree_factors`, all from one
-    :func:`bessel.scaled_edge_kernel` call, times one exponential per row of
+    :func:`bessel._scaled_kernels` call, times one exponential per row of
     sum A_xx l_x + sum_e z_e, added left to right.  By AM-GM each z_e <=
     B_xy l_x + B_yx l_y, so the exponent is <= 0 and neither the product nor
     its exponent overflows where the density is a double.  Every operation
     is elementwise or runs along one row, so a row's bits do not depend on
-    the other rows."""
+    the other rows.
+
+    A row costs about a dozen numpy calls, so the layout keeps their count
+    down: both ends of every edge come from one ``take``, and the terms of
+    the exponent are written into one buffer, z by the kernel call itself,
+    and summed in place."""
     f = _tree_factors(rates, a, b)
-    z, kernels = scaled_edge_kernel(f.order, f.c, L.take(f.first, axis=1),
-                                    L.take(f.second, axis=1))
-    exponent = np.add.accumulate(np.concatenate([L * f.diag, z], axis=1), axis=1)[:, -1]
-    return np.multiply.reduce(kernels * f.rate, axis=1) * np.exp(exponent)
+    r, edges = L.shape[1], f.c.shape[1]
+    ends = L.take(f.ends, axis=1)
+    terms = np.empty((len(L), r + edges))
+    np.multiply(L, f.diag, out=terms[:, :r])
+    _, kernels = _scaled_kernels(f.order, f.c, ends[:, :edges], ends[:, edges:], terms[:, r:])
+    kernels *= f.rate
+    np.add.accumulate(terms, axis=1, out=terms)
+    return np.multiply.reduce(kernels, axis=1) * np.exp(terms[:, -1])
 
 
 def density_tree(gen: Generator, R: Sequence, a, b, l) -> float:

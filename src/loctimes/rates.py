@@ -2,12 +2,19 @@
 
 The occupation-measure rate function of a chain with generator A is
 
-    I_A(mu) = -inf { <A g, mu/g> : g positive },
+    I_A(mu) = -inf { <A g, mu/g> : g positive }.
 
-which collapses to the Dirichlet form <sqrt(mu), (-A) sqrt(mu)> when A is
-symmetric.  The general case is solved by substituting g = e^u: the objective
-becomes concave in u, and a damped Newton iteration with the gauge u = 0
-pinned at the first support state finds the optimum.
+Where A is reversible with measure pi (pi_x A_xy = pi_y A_yx), the infimum
+is attained at g = sqrt(mu/pi), and I_A(mu) is the Dirichlet form
+<sqrt(mu), (-A~) sqrt(mu)> of the symmetrized block A~_xy = sqrt(A_xy A_yx)
+(Donsker and Varadhan, CPAM 28, 1975); a symmetric A is its own A~.  The
+measure and A~ are computed once per rate block
+(:class:`density.RangeRates`), so the density bound reads the closed form
+directly.  Only where detailed balance fails is the rate solved: the
+substitution g = e^u makes the objective concave in u, and a damped Newton
+iteration with the gauge u = 0 pinned at the first support state finds the
+optimum.  It starts from sqrt(mu/pi) where the rates are reversible, which is
+the optimum, and from sqrt(mu) elsewhere.
 
 The discrete rescaled quantity chi of a box of Z^d takes a linear
 functional V, so it is one eigenvalue: the smallest of
@@ -58,6 +65,10 @@ def _coerce_probability(gen: Generator, mu) -> np.ndarray:
         vec = np.asarray(mu, dtype=float)
         if vec.shape != (gen.n_states,):
             raise ValueError("mu does not match the state set")
+    finite = np.isfinite(vec)
+    if not finite.all():
+        i = int(np.argmin(finite))
+        raise ValueError(f"mu must be finite; got {float(vec[i])!r} at state {gen.states[i]!r}")
     if np.any(vec < 0):
         raise ValueError("mu must be nonnegative")
     if abs(vec.sum() - 1.0) > 1e-9:
@@ -101,6 +112,11 @@ def _support_objective(B: np.ndarray, diag: np.ndarray, mu_sub: np.ndarray):
     return pieces
 
 
+def _check_tol(tol: float, caller: str) -> None:
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"{caller} needs a finite tol > 0, got {tol!r}")
+
+
 def rate_general(gen: Generator, mu, tol: float = 1e-10) -> RateSolution:
     """Variational rate function for a general conservative generator.
 
@@ -110,10 +126,12 @@ def rate_general(gen: Generator, mu, tol: float = 1e-10) -> RateSolution:
     mu (:func:`density.range_rates`, so a negative one raises
     ``NegativeRateError``) must be irreducible (strongly connected through
     positive rates), otherwise the optimum escapes to infinity and
-    ``UnboundedRateError`` is raised.
+    ``UnboundedRateError`` is raised.  Where they are reversible, the
+    iteration starts at the optimum sqrt(mu/pi) and stops at its first
+    gradient check.  A ``mu`` that is not finite, negative or does not sum
+    to 1 raises ``ValueError``.
     """
-    if not (math.isfinite(tol) and tol > 0):
-        raise ValueError(f"rate_general needs a finite tol > 0, got {tol!r}")
+    _check_tol(tol, "rate_general")
     vec = _coerce_probability(gen, mu)
     support = np.nonzero(vec > 0)[0]
     labels = [gen.states[i] for i in support]
@@ -137,8 +155,13 @@ def rate_general(gen: Generator, mu, tol: float = 1e-10) -> RateSolution:
     # the optimum a step can lower J by a few ulps of that size and still be
     # the exact Newton step; the sufficient-increase test cannot see it then
     rounding = 16.0 * np.finfo(float).eps * float(np.dot(mu_sub, -rates.diag))
-    # warm start g = sqrt(mu), exact for symmetric generators
-    u = 0.5 * (np.log(mu_sub) - np.log(mu_sub[0]))
+    # warm start g = sqrt(mu / pi), the optimum where the rates are
+    # reversible (log pi is 0 at the first state, and 0 everywhere on a
+    # symmetric block); g = sqrt(mu) where they are not
+    log_mu = np.log(mu_sub)
+    if rates.reversible is not None:
+        log_mu = log_mu - rates.reversible.log_pi
+    u = 0.5 * (log_mu - np.log(mu_sub[0]))
     J, grad, H = pieces(u)
     iterations = 0
     for iterations in range(1, _NEWTON_MAX_ITER + 1):
@@ -196,12 +219,18 @@ def density_upper_bound(
                 * eta^{|R|-1} * exp(correction),
 
     where the correction exponent is [1/eta + 1/(4 eta^2 T)] times
-    sum_{x,y} sqrt(l_x) g_y B[x,y] / (sqrt(l_y) g_x).  When the rates on R
-    are symmetric the minimizer is g = sqrt(mu), the conjugated weights
-    collapse back to B, and the exponent is bounded by the coarser
-    |R| [1 + 1/(4 eta T)] (equality for unit-rate complete supports); the
-    sharper form is kept in both branches.
+    sum_{x,y} sqrt(l_x) g_y B[x,y] / (sqrt(l_y) g_x).  Where the rates on R
+    are reversible (:class:`density.Reversible`), the minimizer is
+    g = sqrt(mu/pi), the rate is the Dirichlet form of the symmetrized block
+    A~ at sqrt(mu) and the conjugated weights are its off-diagonal part
+    sqrt(B_xy B_yx), all in closed form; on a symmetric block A~ is A, and the
+    exponent is bounded by the coarser |R| [1 + 1/(4 eta T)] (equality for
+    unit-rate complete supports).  Only where detailed balance fails is the
+    minimizer solved by :func:`rate_general` with ``rate_tol``.  ``rate_tol``
+    is checked on every request: one that is not finite and positive raises
+    ``ValueError``.
     """
+    _check_tol(rate_tol, "density_upper_bound")
     R, a_pos, b_pos, lvec, rates = _read_request(gen, R, a, b, l)
     T = float(lvec.sum())
     B, eta_R = rates.B, rates.eta
@@ -211,17 +240,18 @@ def density_upper_bound(
     )
     log_prefactor += (len(R) - 1) * math.log(eta_R)
 
-    if rates.symmetric:
+    reversible = rates.reversible
+    if reversible is not None:
         s = np.sqrt(lvec / T)
-        rate = float(s @ (-rates.A) @ s)
-        correction = (1.0 / eta_R + 1.0 / (4.0 * eta_R**2 * T)) * float(B.sum())
+        rate = float(s @ (-reversible.A) @ s)
+        btilde = reversible.B
     else:
         sol = rate_general(gen, {x: v / T for x, v in zip(R, lvec)}, tol=rate_tol)
         rate = sol.value
         g = np.array([sol.minimizer[x] for x in R])
         sq = np.sqrt(lvec)
         btilde = B * (sq[:, None] / sq[None, :]) * (g[None, :] / g[:, None])
-        correction = (1.0 / eta_R + 1.0 / (4.0 * eta_R**2 * T)) * float(btilde.sum())
+    correction = (1.0 / eta_R + 1.0 / (4.0 * eta_R**2 * T)) * float(btilde.sum())
     return math.exp(-T * rate + log_prefactor + correction)
 
 

@@ -83,6 +83,28 @@ def test_rate_command(twostate, capsys):
     assert "dirichlet form" in out
 
 
+@pytest.fixture()
+def reversible_path(tmp_path):
+    path = tmp_path / "path.json"
+    path.write_text(json.dumps({"states": [0, 1, 2], "rates": [
+        [0, 1, 2.0], [1, 0, 1.0], [1, 2, 0.5], [2, 1, 3.0]]}))
+    return str(path)
+
+
+def test_rate_command_on_a_reversible_chain_stops_at_the_first_check(reversible_path, capsys):
+    status = main(["rate", "--generator", reversible_path, "--mu", "0.2,0.5,0.3"])
+    assert status == 0
+    assert "iterations = 1," in capsys.readouterr().out
+
+
+def test_rate_command_refuses_a_mu_that_is_not_finite(reversible_path, capsys):
+    # it printed `value = 0.5`, the nan state dropped from the support
+    status = main(["rate", "--generator", reversible_path, "--mu", "nan,0.5,0.5"])
+    captured = capsys.readouterr()
+    assert status == 2 and captured.out == ""
+    assert captured.err == "usage error: mu must be finite; got nan at state 0\n"
+
+
 def test_ldp_command_halfspace(twostate, capsys):
     status = main(["ldp", "--generator", twostate, "--S", "1,2",
                    "--T", "10", "--mode", "prob", "--halfspace", "2:0.8"])

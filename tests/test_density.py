@@ -21,7 +21,6 @@ from loctimes.density import (
     _check_local_times,
     _cofactor_subset_weights,
     _gamma_arguments,
-    _poisson_tails,
     _range_rates,
     _rate_block,
     _series_support,
@@ -35,7 +34,6 @@ from loctimes.density import (
     density_tridiagonal,
     range_rates,
     _replaced_matrix,
-    _tail_sums,
 )
 from loctimes.errors import (
     DomainError,
@@ -230,7 +228,7 @@ def series_at(Bt, weights, l, order):
     series = operator_series(Bt, weights)
     L = np.asarray(l, dtype=float)[None, :]
     products = series.subset_products(L)
-    tail = series.tails(series.majorant(L, products), np.array([order]))[0, 0]
+    tail = series.certificate(L, products, [order])[0, 0]
     return series.values(L, products, order)[0], tail
 
 
@@ -460,17 +458,26 @@ def test_certified_bound_covers_rounding_where_subsets_cancel():
 
 
 def test_tail_sums_closed_form_matches_direct_sum():
-    S = np.array([0.3, 2.0, 9.0])
-    orders = np.array([0, 3, 8, 26])
+    # one subset of size q at unit local times: the certificate is the tail
+    # sum_{N > n0} N^q S^N / N! itself, at orders below and above the shifts
+    orders = [0, 3, 8, 26]
     for q in range(4):
-        for n0, got in zip(orders, _tail_sums([q], S, _poisson_tails(S, orders, q + 1))[0]):
-            for s, g in zip(S, got):
+        for target in (0.3, 2.0, 9.0):
+            Bt = np.full((4, 4), target / 12)
+            np.fill_diagonal(Bt, 0.0)
+            series = operator_series(Bt, {tuple(range(q)): 1.0})
+            L = np.ones((1, 4))
+            S = float((np.sqrt(L[:, series._xs] * L[:, series._ys]) @ series.w)[0])
+            got = series.certificate(L, series.subset_products(L), orders)[:, 0]
+            for n0, g in zip(orders, got):
                 direct = math.fsum(
-                    math.exp(q * math.log(N) + N * math.log(s) - math.lgamma(N + 1.0))
+                    math.exp(q * math.log(N) + N * math.log(S) - math.lgamma(N + 1.0))
                     for N in range(n0 + 1, n0 + 200))
                 assert g == pytest.approx(direct, rel=1e-12, abs=0)
-    zero, order = np.zeros(3), np.array([8])
-    assert np.all(_tail_sums([2], zero, _poisson_tails(zero, order, 3))[0] == 0.0)
+    # no support: S = 0, and no term is dropped
+    series = operator_series(np.zeros((3, 3)), {(): 1.0})
+    L = np.ones((2, 3))
+    assert np.all(series.certificate(L, series.subset_products(L)) == 0.0)
 
 
 def test_cached_poisson_tail_arguments_are_read_only_and_shared():
@@ -480,15 +487,19 @@ def test_cached_poisson_tail_arguments_are_read_only_and_shared():
         assert not arr.flags.writeable
         with pytest.raises(ValueError):
             arr[(0,) * arr.ndim] = 1
-    # two calls share the arrays and each gives the uncached formula bit for bit
-    for S in (np.array([0.3, 2.0]), np.array([9.0, 0.0, 40.0])):
-        n0 = np.array(_ORDER_SCHEDULE)[None, :, None]
-        k = np.arange(4)[:, None, None]
-        direct = np.where(n0 >= k, sp.gammainc(np.maximum(n0 - k + 1, 1), S), 1.0)
-        assert np.array_equal(_poisson_tails(S, _ORDER_SCHEDULE, 4), direct)
-        assert _gamma_arguments(_ORDER_SCHEDULE, 4)[1] is above
-    # orders below a shift read 1
-    assert np.all(_poisson_tails(np.array([5.0]), np.array([0, 1]), 3)[2] == 1.0)
+    n0 = np.array(_ORDER_SCHEDULE)[None, :, None]
+    k = np.arange(4)[:, None, None]
+    assert np.array_equal(arguments, np.maximum(n0 - k + 1, 1))
+    assert np.array_equal(above, n0 >= k)
+    # a series holds the schedule's arguments for its widest subset
+    rng = np.random.default_rng(1211)
+    Bt = rng.uniform(0.5, 2.0, (4, 4))
+    np.fill_diagonal(Bt, 0.0)
+    series = operator_series(Bt, _cofactor_subset_weights(Bt, 0, 1))
+    assert series._schedule_gamma[0] is _gamma_arguments(_ORDER_SCHEDULE, 3)[0]
+    stirling = series._stirling
+    assert not stirling.flags.writeable
+    assert stirling.tolist() == [[1, 0, 0], [0, 1, 0], [0, 1, 1]]
 
 
 def test_tails_at_orders_off_the_schedule():
@@ -497,19 +508,19 @@ def test_tails_at_orders_off_the_schedule():
     np.fill_diagonal(Bt, 0.0)
     series = operator_series(Bt, _cofactor_subset_weights(Bt, 0, 1))
     L = rng.uniform(0.3, 1.0, (2, 3))
-    majorant = series.majorant(L, series.subset_products(L))
-    off = series.tails(majorant, np.array([0, 3, 26, 200]))
-    on = series.tails(majorant, _ORDER_SCHEDULE)
+    products = series.subset_products(L)
+    off = series.certificate(L, products, [0, 3, 26, 200])
+    on = series.certificate(L, products)
     # a row depends on its own order only
     assert np.array_equal(off[2], on[_ORDER_SCHEDULE.index(26)])
-    assert np.array_equal(series.tails(majorant, [3]), off[1:2])
-    S, by_size = majorant
+    assert np.array_equal(series.certificate(L, products, [3]), off[1:2])
+    S = np.sqrt(L[:, series._xs] * L[:, series._ys]) @ series.w
     for p in range(len(L)):
         for n0, got in zip((0, 3, 200), off[[0, 1, 3], p]):
             direct = math.fsum(
-                by_size[q][p] * math.exp(q * math.log(N) + N * math.log(S[p])
-                                         - math.lgamma(N + 1.0))
-                for q in by_size for N in range(n0 + 1, n0 + 300))
+                abs(w) / np.prod(L[p, list(Q)])
+                * math.exp(len(Q) * math.log(N) + N * math.log(S[p]) - math.lgamma(N + 1.0))
+                for Q, w in series.weights.items() for N in range(n0 + 1, n0 + 300))
             assert got == pytest.approx(direct, rel=1e-12, abs=0)
 
 
@@ -623,10 +634,10 @@ def test_order_selection_matches_loop_over_schedule():
     np.fill_diagonal(B, 0.0)
     series = _OperatorSeries(range_rates(g, R), B, _cofactor_subset_weights(B, 0, 2))
     diag_factor = np.exp(L @ np.diag(g.submatrix(R)))
-    majorant = series.majorant(L, series.subset_products(L))
+    products = series.subset_products(L)
     for p in range(len(L)):
         for order in _ORDER_SCHEDULE:
-            tail = diag_factor[p] * series.tails(majorant, np.array([order]))[0, p]
+            tail = diag_factor[p] * series.certificate(L, products, [order])[0, p]
             if tail <= tol:
                 break
         assert orders[p] == order
@@ -1182,6 +1193,52 @@ def test_routed_rows_are_every_tree_route_bit_for_bit():
     assert not density_module._routed_rows(range_rates(one_way, one_way.states), 1, 3, L)[0].any()
 
 
+def _tree_rows_reference(rates, a, b, L):
+    """The tree product as laid out before its one-take layout: each end by
+    its own take, the kernels from the public scaled_edge_kernel, and the
+    exponent's terms concatenated, then added left to right."""
+    f = density_module._tree_factors(rates, a, b)
+    edges = f.c.shape[1]
+    order = f.order if isinstance(f.order, np.ndarray) else np.zeros((1, edges))
+    z, kernels = scaled_edge_kernel(order, f.c, L.take(f.ends[:edges], axis=1),
+                                    L.take(f.ends[edges:], axis=1))
+    exponent = np.add.accumulate(np.concatenate([L * f.diag, z], axis=1), axis=1)[:, -1]
+    return np.multiply.reduce(kernels * f.rate, axis=1) * np.exp(exponent)
+
+
+def test_tree_row_is_its_row_in_a_batch():
+    # random trees of 2 to 7 states, some edges one-way: one row, alone,
+    # equals its row in a 100-row batch and the previous layout bit for bit,
+    # with edges off the a-b path, a == b and a > b
+    rng = np.random.default_rng(3504)
+    seen = set()
+    for _ in range(60):
+        n = int(rng.integers(2, 8))
+        A = np.zeros((n, n))
+        for y in range(1, n):
+            x = int(rng.integers(0, y))
+            A[x, y], A[y, x] = rng.uniform(0.3, 2.0, 2)
+            if rng.random() < 0.25:
+                A[(x, y) if rng.random() < 0.5 else (y, x)] = 0.0
+        gen = validate_generator(A)
+        rates = range_rates(gen, gen.states)
+        assert rates.tree
+        L = rng.uniform(0.02, 3.0, (100, n))
+        for a, b in ((0, n - 1), (n - 1, 0), (n // 2, n // 2),
+                     tuple(int(x) for x in rng.integers(0, n, 2))):
+            f = density_module._tree_factors(rates, a, b)
+            seen.add(("off-path", isinstance(f.order, np.ndarray)))
+            seen.add(("one-way", bool((f.c == 0.0).any())))
+            seen.add(("a vs b", (a > b) - (a < b)))
+            rows = density_module._tree_rows(rates, a, b, L)
+            assert [v.hex() for v in rows] == [
+                v.hex() for v in _tree_rows_reference(rates, a, b, L)]
+            for k in range(len(L)):
+                assert density_module._tree_rows(rates, a, b, L[k:k + 1])[0].hex() == rows[k].hex()
+    assert seen == {("off-path", True), ("off-path", False), ("one-way", True),
+                    ("one-way", False), ("a vs b", -1), ("a vs b", 0), ("a vs b", 1)}
+
+
 def _tree_loop(gen, a, b, l):
     """The tree product on the path graph of gen.states, edge by edge on
     Python floats, the scaled kernels from bessel.scaled_edge_kernel."""
@@ -1256,6 +1313,31 @@ def test_subset_stack_in_chunks_keeps_the_weights_bits(monkeypatch):
                 assert [w.hex() for w in got.values()] == [w.hex() for w in expected.values()]
     finally:
         _subset_layout.cache_clear()
+
+
+def test_subset_layouts_above_16_states_are_not_kept():
+    # a layout of 20 states holds 2^18 subsets in about 105 MB, so one of more
+    # than 16 states is built per call; 16 and fewer are kept and shared
+    rng = np.random.default_rng(3503)
+    for r in (5, 16):
+        B = rng.uniform(0.5, 1.5, (r, r)) * (rng.random((r, r)) < 0.3)
+        np.fill_diagonal(B, 0.0)
+        _cofactor_subset_weights(B, 0, r - 1)
+        before = _subset_layout.cache_info()
+        _cofactor_subset_weights(B, 0, r - 1)
+        after = _subset_layout.cache_info()
+        assert (after.hits, after.currsize) == (before.hits + 1, before.currsize)
+    B = srw_generator(0, 16).off_diagonal()
+    B[5, 9] = B[9, 5] = 0.75
+    before = _subset_layout.cache_info()
+    first = _cofactor_subset_weights(B, 0, 16)
+    again = _cofactor_subset_weights(B, 0, 16)
+    after = _subset_layout.cache_info()
+    assert (after.hits, after.misses, after.currsize) == (
+        before.hits, before.misses, before.currsize)
+    assert len(first) > 1
+    assert list(first) == list(again)
+    assert [w.hex() for w in first.values()] == [w.hex() for w in again.values()]
 
 
 def test_tree_route_rejects_a_support_with_a_cycle():

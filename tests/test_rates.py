@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from loctimes.chain import Generator, generator_from_triples, srw_generator, validate_generator
-from loctimes.density import _replaced_matrix, density
+from loctimes.density import _replaced_matrix, density, range_rates
 from loctimes.errors import (
     NegativeRateError,
     NotConvergedError,
@@ -237,11 +237,204 @@ def test_rate_general_rejects_bad_mu():
         rate_general(TWO_STATE, [-0.1, 1.1])
 
 
+def test_rate_functions_reject_a_mu_that_is_not_finite():
+    # nan fails both `vec < 0` and `|sum - 1| > 1e-9`; rate_general dropped
+    # the state (value 0.5) and rate_symmetric returned nan
+    g = srw_generator(0, 2)
+    for mu, shown in (([math.nan, 0.5, 0.5], "nan at state 0"),
+                      ([0.5, math.inf, 0.5], "inf at state 1"),
+                      ({0: 0.5, 2: -math.inf}, "-inf at state 2")):
+        for rate in (rate_general, rate_symmetric):
+            with pytest.raises(ValueError, match=f"mu must be finite; got {shown}"):
+                rate(g, mu)
+
+
 @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1.0])
 def test_rate_general_rejects_a_tolerance_that_is_not_finite_and_positive(tol):
     # with tol = nan the final check `gnorm > tol` never fires
     with pytest.raises(ValueError, match="finite tol > 0"):
         rate_general(TWO_STATE, [0.75, 0.25], tol=tol)
+
+
+def _newton_from_sqrt_mu(A: np.ndarray, mu: np.ndarray, tol: float = 1e-10):
+    """(value, minimizer, iterations) of the rate function of the block A
+    at a mu positive on all of it: the damped Newton iteration of
+    rate_general as it was before its reversible warm start, from g =
+    sqrt(mu), kept as a reference."""
+    B = A - np.diag(np.diag(A))
+    const = -float(mu @ np.diag(A))
+
+    def pieces(u):
+        W = mu[:, None] * B * np.exp(u[None, :] - u[:, None])
+        C = W + W.T
+        return const - W.sum(), W.sum(axis=1) - W.sum(axis=0), C - np.diag(C.sum(axis=1))
+
+    rounding = 16.0 * np.finfo(float).eps * float(mu @ -np.diag(A))
+    u = 0.5 * (np.log(mu) - np.log(mu[0]))
+    J, grad, H = pieces(u)
+    for iterations in range(1, 201):
+        gnorm = float(np.linalg.norm(grad[1:]))
+        if gnorm <= tol:
+            break
+        step = np.linalg.solve(-H[1:, 1:], grad[1:])
+        alpha = 1.0
+        while alpha > 1e-14:
+            u_try = u.copy()
+            u_try[1:] += alpha * step
+            J_try, grad_try, H_try = pieces(u_try)
+            if (J_try >= J + 1e-4 * alpha * float(grad[1:] @ step)
+                    or (J_try >= J - rounding
+                        and float(np.linalg.norm(grad_try[1:])) < gnorm)):
+                u, J, grad, H = u_try, J_try, grad_try, H_try
+                break
+            alpha *= 0.5
+    assert float(np.linalg.norm(grad[1:])) <= tol
+    return J, np.exp(u - u[0]), iterations
+
+
+def _random_reversible(rng, shape: str, n: int):
+    """A chain on n states with pi_x B_xy = pi_y B_yx for a random pi: a
+    random tree, or an n-cycle (n = 3 or 4), with random symmetric
+    conductances s_xy and rates B_xy = s_xy / pi_x."""
+    if shape == "tree":
+        pairs = [(int(rng.integers(0, x)), x) for x in range(1, n)]
+    else:
+        pairs = [(x, (x + 1) % n) for x in range(n)]
+    pi = rng.uniform(0.2, 3.0, n)
+    A = np.zeros((n, n))
+    for x, y in pairs:
+        s = rng.uniform(0.3, 1.5)
+        A[x, y], A[y, x] = s / pi[x], s / pi[y]
+    return validate_generator(A)
+
+
+def test_reversible_ranges_take_the_closed_form():
+    # trees with two-way edges and Kolmogorov-balanced 3- and 4-cycles:
+    # rate_general starts at the optimum sqrt(mu / pi) and stops at its
+    # first gradient check, with the value of Newton from sqrt(mu), and the
+    # bound reads the symmetrized block without solving
+    rng = np.random.default_rng(3600)
+    shapes = [("tree", n) for n in (2, 3, 4, 5, 6)] + [("cycle", 3), ("cycle", 4)]
+    checked = 0
+    for k in range(140):
+        shape, n = shapes[k % len(shapes)]
+        g = _random_reversible(rng, shape, n)
+        rates = range_rates(g, g.states)
+        assert rates.reversible is not None and not rates.symmetric
+        mu = rng.dirichlet(np.full(n, 2.0))
+        mu = np.maximum(mu, 1e-3) / np.maximum(mu, 1e-3).sum()
+        sol = rate_general(g, mu)
+        value, minimizer, iterations = _newton_from_sqrt_mu(rates.A, mu)
+        assert sol.iterations == 1
+        assert sol.value == pytest.approx(value, rel=1e-10, abs=0)
+        g_sol = np.array([sol.minimizer[x] for x in g.states])
+        assert np.allclose(g_sol, minimizer, rtol=1e-6)
+        # the bound: the formula with the minimizer Newton finds
+        T = rng.uniform(0.5, 3.0)
+        l = T * mu
+        a, b = (int(x) for x in rng.integers(0, n, 2))
+        sq = np.sqrt(l)
+        btilde = rates.B * (sq[:, None] / sq[None, :]) * (minimizer[None, :] / minimizer[:, None])
+        log_bound = (-T * value
+                     + 0.5 * sum(math.log(T / l[i]) for i in range(n) if i not in (a, b))
+                     + (n - 1) * math.log(rates.eta)
+                     + (1.0 / rates.eta + 1.0 / (4.0 * rates.eta**2 * T)) * btilde.sum())
+        bound = density_upper_bound(g, g.states, a, b, l)
+        assert bound == pytest.approx(math.exp(log_bound), rel=1e-9)
+        assert bound >= density(g, g.states, a, b, l)
+        checked += 1
+    assert checked >= 100
+
+
+def _symmetric_bound_reference(g, R, a, b, l):
+    """The bound's symmetric branch as written before the reversible one:
+    the Dirichlet form of A and the weights B themselves."""
+    rates = range_rates(g, R)
+    l = np.asarray(l, dtype=float)
+    T = float(l.sum())
+    log_prefactor = 0.5 * sum(math.log(T / l[i]) for i in range(len(R))
+                              if i not in (R.index(a), R.index(b)))
+    log_prefactor += (len(R) - 1) * math.log(rates.eta)
+    s = np.sqrt(l / T)
+    rate = float(s @ (-rates.A) @ s)
+    correction = (1.0 / rates.eta + 1.0 / (4.0 * rates.eta**2 * T)) * float(rates.B.sum())
+    return math.exp(-T * rate + log_prefactor + correction)
+
+
+def _newton_bound_reference(g, R, a, b, l):
+    """The bound's general branch: the minimizer of rate_general."""
+    rates = range_rates(g, R)
+    l = np.asarray(l, dtype=float)
+    T = float(l.sum())
+    log_prefactor = 0.5 * sum(math.log(T / l[i]) for i in range(len(R))
+                              if i not in (R.index(a), R.index(b)))
+    log_prefactor += (len(R) - 1) * math.log(rates.eta)
+    sol = rate_general(g, {x: v / T for x, v in zip(R, l)})
+    gvec = np.array([sol.minimizer[x] for x in R])
+    sq = np.sqrt(l)
+    btilde = rates.B * (sq[:, None] / sq[None, :]) * (gvec[None, :] / gvec[:, None])
+    correction = (1.0 / rates.eta + 1.0 / (4.0 * rates.eta**2 * T)) * float(btilde.sum())
+    return math.exp(-T * sol.value + log_prefactor + correction), sol.iterations
+
+
+def test_symmetric_ranges_keep_their_bound_bits():
+    rng = np.random.default_rng(3601)
+    for _ in range(50):
+        n = int(rng.integers(1, 6))
+        g = random_symmetric_generator(rng, max(n, 2))
+        R = tuple(range(n))
+        l = rng.uniform(0.05, 2.0, n)
+        a, b = (int(x) for x in rng.integers(0, n, 2))
+        assert range_rates(g, R).reversible.A is range_rates(g, R).A
+        assert (density_upper_bound(g, R, a, b, l).hex()
+                == _symmetric_bound_reference(g, R, a, b, l).hex())
+    # a symmetric support that is not connected keeps its bound too
+    g = srw_generator(0, 2)
+    assert (density_upper_bound(g, (0, 2), 0, 2, [0.4, 0.6]).hex()
+            == _symmetric_bound_reference(g, (0, 2), 0, 2, [0.4, 0.6]).hex())
+
+
+def test_ranges_without_detailed_balance_keep_the_newton_path():
+    rng = np.random.default_rng(3602)
+    l = [0.6, 0.9, 0.4, 0.7]
+    # a one-way 4-cycle with a chord: strongly connected, one-way edges
+    A = np.zeros((4, 4))
+    for k in range(4):
+        A[k, (k + 1) % 4] = rng.uniform(0.5, 1.5)
+    A[0, 2] = 0.8
+    # a two-way 4-cycle whose rates fail Kolmogorov's condition
+    C = np.zeros((4, 4))
+    for k in range(4):
+        C[k, (k + 1) % 4], C[(k + 1) % 4, k] = rng.uniform(0.5, 1.5, 2)
+    for rates_matrix in (A, C):
+        g = validate_generator(rates_matrix)
+        assert range_rates(g, g.states).reversible is None
+        want, iterations = _newton_bound_reference(g, g.states, 0, 2, l)
+        assert iterations > 1
+        assert density_upper_bound(g, g.states, 0, 2, l).hex() == want.hex()
+    # a one-way edge on a path, and two two-way components: the optimum
+    # escapes to infinity, as before
+    P = np.zeros((3, 3))
+    P[0, 1], P[1, 0], P[1, 2] = 1.0, 2.0, 0.5
+    D = np.zeros((4, 4))
+    D[0, 1], D[1, 0], D[2, 3], D[3, 2] = 1.0, 2.0, 0.5, 1.5
+    for rates_matrix in (P, D):
+        g = validate_generator(rates_matrix)
+        assert range_rates(g, g.states).reversible is None
+        with pytest.raises(UnboundedRateError):
+            density_upper_bound(g, g.states, 0, 1, l[:len(g.states)])
+
+
+@pytest.mark.parametrize("rate_tol", [math.nan, math.inf, 0.0, -1.0])
+def test_upper_bound_checks_rate_tol_on_every_branch(rate_tol):
+    # the symmetric walk, a reversible path and a one-way cycle: only the
+    # last one reaches rate_general, yet all three refuse the tolerance
+    path = np.zeros((3, 3))
+    path[0, 1], path[1, 0], path[1, 2], path[2, 1] = 2.0, 1.0, 0.5, 3.0
+    cycle = np.roll(np.eye(3), 1, axis=1)
+    for g in (srw_generator(0, 2), validate_generator(path), validate_generator(cycle)):
+        with pytest.raises(ValueError, match="density_upper_bound needs a finite tol > 0"):
+            density_upper_bound(g, (0, 1, 2), 0, 2, [0.5, 0.7, 0.8], rate_tol=rate_tol)
 
 
 # ---------------------------------------------------------------------------
