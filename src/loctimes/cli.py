@@ -13,6 +13,7 @@ from contextlib import contextmanager
 import numpy as np
 
 from . import harness
+from .density import density_rows
 from .errors import ConfigParseError, LoctimesError
 from .montecarlo import sample_paths_fixed_time, sample_paths_inverse_local_time
 from .rates import (
@@ -67,14 +68,14 @@ def _add_generator_point_args(p):
 def cmd_density(args) -> int:
     gen = harness.generator_from_config(args.generator)
     with _request_errors():
-        value, bound, order, route = harness.density_point(
+        values, bounds, orders, route = density_rows(
             gen, _parse_labels(args.R), _parse_label(args.a), _parse_label(args.b),
-            _parse_floats(args.l), args.tol)
-    print(f"{value:.10g}")
+            [_parse_floats(args.l)], args.tol)
+    print(f"{values[0]:.10g}")
     if route == "tree":
         print("exact tree product of Bessel kernels (no truncation to certify)")
     else:
-        print(f"certified truncation error <= {bound:.3e} (series order {order})")
+        print(f"certified truncation error <= {bounds[0]:.3e} (series order {orders[0]})")
     return 0
 
 

@@ -12,9 +12,9 @@ where B is the off-diagonal part of A on R, det_ab is the (b,a) cofactor
     G(l) = integral over [0,2pi]^R of
            exp(sum_{x,y} B[x,y] sqrt(l_x l_y) e^{i(th_x - th_y)}) dth/(2pi)^R.
 
-Three independent evaluations are provided, and :func:`_routed_rows` chooses
-between the series and the tree product by the structure of the undirected
-support of B on R:
+Three independent evaluations are provided, and :func:`density_rows`, the
+one public entry of the routed engine, chooses between the series and the
+tree product by the structure of the undirected support of B on R:
 
 * :func:`density_certified` - expand G as a power series over balanced
   integer flows (only balanced monomials survive the circle averages), apply
@@ -54,14 +54,15 @@ support of B on R:
   that count down.  :func:`density_tridiagonal` is this product on the
   path graph of an integer interval, for nearest-neighbor chains.
 
-Every point entry and the density bound read a request once, through
+Every entry and the density bound read a request once, through
 :func:`_read_request`, in one order: R, a and b (:func:`_range_positions`),
-then l, then the rate caches' key (:func:`_rate_block`) and its
-:class:`RangeRates`, which raises ``NegativeRateError`` on a negative rate in
-R and ``ValueError`` on a rate that is not finite; the Ray-Knight check reads
-its local times there too.  The routes are functions of the request it
-returns: :func:`_routed_rows`, the one route choice (of :func:`density`,
-:func:`density_tree`, :func:`density_tridiagonal`, ``loctimes density`` and
+then l (one point, or with ``rows`` a (P, |R|) array), then the rate caches'
+key (:func:`_rate_block`) and its :class:`RangeRates`, which raises
+``NegativeRateError`` on a negative rate in R and ``ValueError`` on a rate
+that is not finite; the Ray-Knight check reads its local times there too.
+The routes are functions of the request it returns: :func:`density_rows`,
+the one route choice (of :func:`density`, :func:`density_tree` and
+:func:`density_tridiagonal`, its one-row case, of ``loctimes density`` and of
 the law check), takes the tree product where the support is a tree (found by
 one linear-time search, :func:`chain._reach`) and the certified series
 everywhere else.
@@ -166,9 +167,11 @@ class DensityEvaluation:
 
 
 def _distinct_labels(R: Sequence) -> Tuple:
-    """R as a tuple; raises ``ValueError``, naming the label, when R repeats
-    a label."""
+    """R as a tuple; raises ``ValueError`` when R is empty, and, naming the
+    label, when R repeats a label."""
     R = tuple(R)
+    if not R:
+        raise ValueError("the range is empty")
     if len(set(R)) != len(R):
         repeated = next(x for i, x in enumerate(R) if x in R[:i])
         raise ValueError(f"range {R!r} repeats the label {repeated!r}")
@@ -579,9 +582,9 @@ def _rate_block(gen: Generator, R: Tuple) -> Tuple[bytes, int]:
 def range_rates(gen: Generator, R: Sequence) -> RangeRates:
     """The :class:`RangeRates` of ``gen`` on ``R``, memoized by the content
     of the rate block (:func:`_rate_block`), so an in-place edit of
-    ``gen.rates`` misses the cache.  A repeated label in R raises
-    ``ValueError``, as in :func:`_range_positions`; a negative off-diagonal
-    rate ``NegativeRateError``, a non-finite one ``ValueError``."""
+    ``gen.rates`` misses the cache.  An empty R or a repeated label in R
+    raises ``ValueError``, as in :func:`_range_positions`; a negative
+    off-diagonal rate ``NegativeRateError``, a non-finite one ``ValueError``."""
     return _range_rates(*_rate_block(gen, _distinct_labels(R)))
 
 
@@ -600,26 +603,31 @@ def _prepared_range(rates: RangeRates, a: int, b: int,
 
 
 class _Request(NamedTuple):
-    """A density point request as :func:`_read_request` read it."""
+    """A density request as :func:`_read_request` read it."""
 
     R: Tuple                # as a tuple, in the caller's order
     a: int                  # the positions of a and b in R
     b: int
-    l: np.ndarray           # in the order of R
+    l: np.ndarray           # in the order of R: one point, or (P, |R|) rows
     rates: RangeRates
 
 
-def _read_request(gen: Generator, R: Sequence, a, b, l) -> _Request:
-    """The front door of every point request: R, a and b, then l, then the
-    rate caches' key and its :class:`RangeRates`, always in that order, so a
+def _read_request(gen: Generator, R: Sequence, a, b, l, rows: bool = False) -> _Request:
+    """The front door of every request: R, a and b, then l, then the rate
+    caches' key and its :class:`RangeRates`, always in that order, so a
     request wrong in two ways names one first error everywhere.
 
-    ``l`` is a dict keyed by the states of R or a sequence in R's order; a
-    missing state or a wrong length raises ``ValueError``, and a value
+    A point ``l`` is a dict keyed by the states of R or a sequence in R's
+    order; with ``rows``, ``l`` is a (P, |R|) array of points, P >= 0.  A
+    missing state or a wrong shape raises ``ValueError``, and a value
     outside the domain ``DomainError`` (see :func:`_check_local_times`).
     """
     R, a_pos, b_pos = _range_positions(R, a, b)
-    if isinstance(l, dict):
+    if rows:
+        lvec = np.asarray(l, dtype=float)
+        if lvec.ndim != 2 or lvec.shape[1] != len(R):
+            raise ValueError(f"local times must be an array of shape (P, {len(R)})")
+    elif isinstance(l, dict):
         missing = [x for x in R if x not in l]
         if missing:
             raise ValueError(f"local times miss the state {missing[0]!r} of the range")
@@ -672,12 +680,8 @@ def density_batch(
     r_x B[x,y] / r_y for a positive vector r on R (the operator weights keep
     the unconjugated -B); the result is r-independent.
     """
-    R, a_pos, b_pos = _range_positions(R, a, b)
-    L = np.asarray(L, dtype=float)
-    if L.ndim != 2 or L.shape[1] != len(R):
-        raise ValueError(f"local times must be an array of shape (P, {len(R)})")
-    _check_local_times(L)
-    return _certified_rows(_range_rates(*_rate_block(gen, R)), a_pos, b_pos, conjugation, L, tol)
+    request = _read_request(gen, R, a, b, L, rows=True)
+    return _certified_rows(request.rates, request.a, request.b, conjugation, request.l, tol)
 
 
 def _certified_rows(
@@ -762,50 +766,49 @@ def density_certified(
                              order=int(orders[0]))
 
 
-def _routed_rows(
-    rates: RangeRates, a: int, b: int, L: np.ndarray, tol: float = 1e-10,
-    conjugation: Optional[Sequence] = None,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, str]:
-    """``(values, bounds, orders, route)`` of rows ``L`` that passed
-    :func:`_check_local_times` on the range of ``rates``, a and b given as
-    positions: the ``"tree"`` product (bounds and orders 0; ``tol`` and
-    ``conjugation`` do not apply) where the support is a tree, else the
-    ``"series"`` of :func:`_certified_rows`."""
+def _routed_rows(request: _Request,
+                 tol: float = 1e-10) -> Tuple[np.ndarray, np.ndarray, np.ndarray, str]:
+    """:func:`density_rows` on a read request, whose point is its one row."""
+    rates, a, b = request.rates, request.a, request.b
+    L = request.l.reshape(-1, len(request.R))
+    route = "tree" if rates.tree else "series"
+    if not len(L):
+        return np.zeros(0), np.zeros(0), np.zeros(0, dtype=int), route
     if rates.tree:
-        return _tree_rows(rates, a, b, L), np.zeros(len(L)), np.zeros(len(L), dtype=int), "tree"
-    return (*_certified_rows(rates, a, b, conjugation, L, tol), "series")
+        return _tree_rows(rates, a, b, L), np.zeros(len(L)), np.zeros(len(L), dtype=int), route
+    return (*_certified_rows(rates, a, b, None, L, tol), route)
 
 
-def _routed_point(request: _Request, tol: float = 1e-10,
-                  conjugation: Optional[Sequence] = None) -> Tuple[float, float, int, str]:
-    """:func:`_routed_rows` on the one row of a read request, as
-    ``(value, bound, order, route)``."""
-    values, bounds, orders, route = _routed_rows(request.rates, request.a, request.b,
-                                                 request.l[None, :], tol, conjugation)
-    return float(values[0]), float(bounds[0]), int(orders[0]), route
+def density_rows(
+    gen: Generator, R: Sequence, a, b, L, tol: float = 1e-10
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, str]:
+    """The density at many local-time vectors on one range, routed by the
+    structure of the undirected support of B on R, which is computed once
+    per rate block (:class:`RangeRates`).
 
-
-def density(
-    gen: Generator,
-    R: Sequence,
-    a,
-    b,
-    l,
-    tol: float = 1e-10,
-    conjugation: Optional[Sequence] = None,
-) -> float:
-    """Joint density of the local times on {range = R, endpoint = b}.
-
-    Routes by the structure of the undirected support of B on R, which is
-    computed once per rate block (:class:`RangeRates`): where it is a tree,
-    the kernel product :func:`density_tree`, O(|R|) Bessel kernels and no
-    flow series, for which ``tol`` and ``conjugation`` do not apply (the
-    product has no truncation to certify); everywhere else the certified
-    series, ``density_certified(gen, R, a, b, l, tol, conjugation).value``
-    bit for bit, whose evaluation contract and errors
-    :func:`density_certified` documents.
+    ``L`` is a (P, |R|) array with one strictly positive local-time vector
+    per row, in the order of ``R``.  Returns ``(values, error_bounds,
+    orders, route)``, the arrays of length P.  Where the support is a tree,
+    ``route`` is ``"tree"`` and the values are the kernel product of
+    :func:`density_tree`, O(|R|) Bessel kernels and no flow series, a row's
+    bits independent of the other rows, with bounds and orders 0: the
+    product has no truncation to certify, and ``tol`` does not apply.
+    Everywhere else ``route`` is ``"series"`` and the arrays are
+    :func:`density_batch`'s, whose evaluation contract and errors it
+    documents.  With P = 0 it checks R, a, b and the rates and returns empty
+    arrays.  :func:`density`, :func:`density_tree` and
+    :func:`density_tridiagonal` are its one-row case: they read one point
+    and take the same route, with the same bits.
     """
-    return _routed_point(_read_request(gen, R, a, b, l), tol, conjugation)[0]
+    return _routed_rows(_read_request(gen, R, a, b, L, rows=True), tol)
+
+
+def density(gen: Generator, R: Sequence, a, b, l, tol: float = 1e-10) -> float:
+    """Joint density of the local times on {range = R, endpoint = b} at the
+    point ``l`` (a dict keyed by the states of R or a sequence in R's
+    order): the one row of :func:`density_rows`, so on the series route
+    ``density_certified(gen, R, a, b, l, tol).value`` bit for bit."""
+    return float(_routed_rows(_read_request(gen, R, a, b, l), tol)[0][0])
 
 
 _QUAD_GRID = 32
@@ -944,7 +947,7 @@ def density_tridiagonal(gen: Generator, R: Sequence, a, b, l) -> float:
         raise NotTridiagonalError("generator has rates beyond nearest neighbors in R")
     if not request.rates.tree:
         return 0.0
-    return _routed_point(request)[0]
+    return float(_routed_rows(request)[0][0])
 
 
 class _TreeFactors(NamedTuple):
@@ -1046,4 +1049,4 @@ def density_tree(gen: Generator, R: Sequence, a, b, l) -> float:
         raise NotTreeError(
             f"the support on {request.R!r} is not a tree (cyclomatic number "
             f"{rates.cyclomatic}{'' if rates.cyclomatic else ', not connected'})")
-    return _routed_point(request)[0]
+    return float(_routed_rows(request)[0][0])

@@ -38,8 +38,7 @@ import numpy as np
 from scipy.special import chdtrc
 
 from .chain import Generator, generator_from_triples, srw_generator, validate_generator
-from .density import (_check_local_times, _range_positions, _read_request, _routed_point,
-                      _routed_rows, range_rates)
+from .density import density_rows, range_rates
 from .errors import ConfigParseError, InsufficientConditionedError, NotSymmetricError
 from .montecarlo import (
     BatchPaths,
@@ -303,16 +302,21 @@ def _collapsed_rule(lo: np.ndarray, hi: np.ndarray, n: int):
     whose Jacobian s^{d-1} prod_{k<=d-2} (1 - v_k)^{d-1-k} is a polynomial
     the rule integrates exactly.  In one dimension l_1 = s and the rule is
     the plain Gauss-Legendre rule on the interval.
+
+    ``lo`` and ``hi`` are one cell's corners, (d,), or those of many cells,
+    (cells, d); the nodes are then (n^d, d) or (cells, n^d, d), and the
+    weights (n^d,) or (cells, n^d), each cell's the same bits either way.
     """
-    dim = len(lo)
+    dim = lo.shape[-1]
     unit_x, unit_w = _unit_rule(n, dim)
+    lo, hi = lo[..., None, :], hi[..., None, :]
     y = lo + (hi - lo) * unit_x
-    s, v = y[:, :1], y[:, 1:]
+    s, v = y[..., :1], y[..., 1:]
     ones = np.ones_like(s)
-    prefix = np.concatenate([ones, np.cumprod(1.0 - v, axis=1)], axis=1)
-    jacobian = s[:, 0] ** (dim - 1) * np.prod(prefix[:, :-1], axis=1)
-    nodes = s * prefix * np.concatenate([v, ones], axis=1)
-    return nodes, unit_w * float(np.prod(hi - lo)) * jacobian
+    prefix = np.concatenate([ones, np.cumprod(1.0 - v, axis=-1)], axis=-1)
+    jacobian = s[..., 0] ** (dim - 1) * np.prod(prefix[..., :-1], axis=-1)
+    nodes = s * prefix * np.concatenate([v, ones], axis=-1)
+    return nodes, unit_w * np.prod(hi - lo, axis=-1) * jacobian
 
 
 def expected_cell_masses(rho, edges: List[np.ndarray]):
@@ -326,33 +330,27 @@ def expected_cell_masses(rho, edges: List[np.ndarray]):
     is entire in l, so the rules converge spectrally, and a cell is flagged
     when the two masses differ by more than _FLAG_REL of the finer one.
     Returns (masses, flagged).
+
+    The rules are built for all cells at once, their nodes in the order
+    (cell, rule, node), so the per-rule sums add the same rows in the same
+    order as a loop over the cells would.
     """
-    dim = len(edges)
     shape = tuple(len(e) - 1 for e in edges)
-    nodes, weights, slots = [], [], []
-    for flat, idx in enumerate(np.ndindex(*shape)):
-        lo = np.array([edges[k][idx[k]] for k in range(dim)])
-        hi = np.array([edges[k][idx[k] + 1] for k in range(dim)])
-        for level, n in enumerate(_CELL_ORDERS):
-            x, w = _collapsed_rule(lo, hi, n)
-            nodes.append(x)
-            weights.append(w)
-            slots.append(np.full(len(w), len(_CELL_ORDERS) * flat + level))
-    n_cells = int(np.prod(shape))
-    values = np.asarray(rho(np.concatenate(nodes)))
-    per_rule = np.bincount(np.concatenate(slots), weights=np.concatenate(weights) * values,
+    lo, hi = (np.stack([g.ravel() for g in np.meshgrid(*ends, indexing="ij")], axis=1)
+              for ends in ([e[:-1] for e in edges], [e[1:] for e in edges]))
+    rules = [_collapsed_rule(lo, hi, n) for n in _CELL_ORDERS]
+    n_cells = len(lo)
+    nodes = np.concatenate([x for x, _ in rules], axis=1).reshape(-1, len(edges))
+    weights = np.concatenate([w for _, w in rules], axis=1).ravel()
+    slots = np.repeat(np.arange(len(_CELL_ORDERS) * n_cells),
+                      np.tile([w.shape[1] for _, w in rules], n_cells))
+    values = np.asarray(rho(nodes))
+    per_rule = np.bincount(slots, weights=weights * values,
                            minlength=len(_CELL_ORDERS) * n_cells)
     per_rule = per_rule.reshape(n_cells, len(_CELL_ORDERS))
     coarse, fine = per_rule[:, 0], per_rule[:, -1]
     flagged = int(np.sum(np.abs(fine - coarse) > _FLAG_REL * np.abs(fine)))
     return fine.reshape(shape), flagged
-
-
-def density_point(gen: Generator, R: Sequence, a, b, l,
-                  tol: float = 1e-10) -> Tuple[float, float, int, str]:
-    """``(value, error_bound, order, route)`` of one request, routed as
-    :func:`density.density` routes it, for ``loctimes density``."""
-    return _routed_point(_read_request(gen, R, a, b, l), tol)
 
 
 # ---------------------------------------------------------------------------
@@ -431,10 +429,11 @@ def verify_density_mc(
     that repeats a state, misses the start or the endpoint, or has fewer
     than 2 or more than 4 states: the density rows the cells need grow as
     ``cells_per_axis ** (|R| - 1)``, about 13 million at |R| = 5 with the
-    default 7 cells.  The cells' rows are routed as :func:`density.density`
-    routes: a tree range integrates the exact product, any other the series."""
+    default 7 cells.  The cells' rows go through :func:`density.density_rows`:
+    a tree range integrates the exact product, any other the series."""
+    R = tuple(range_)
     try:
-        R, a_pos, b_pos = _range_positions(range_, start, endpoint)
+        density_rows(gen, R, start, endpoint, np.empty((0, len(R))))
     except ValueError as exc:
         raise ValueError(f"range_: {exc}") from None
     if not 2 <= len(R) <= 4:
@@ -470,9 +469,8 @@ def verify_density_mc(
     def rho(free: np.ndarray) -> np.ndarray:
         L = np.empty((len(free), len(R)))
         L[:, free_pos] = free
-        L[:, b_pos] = T - free.sum(axis=1)
-        _check_local_times(L)
-        return _routed_rows(range_rates(gen, R), a_pos, b_pos, L, _DENSITY_TOL)[0]
+        L[:, R.index(endpoint)] = T - free.sum(axis=1)
+        return density_rows(gen, R, start, endpoint, L, _DENSITY_TOL)[0]
 
     masses, flagged = expected_cell_masses(rho, edges)
 
@@ -725,8 +723,10 @@ def halfspace_rate_infimum(gen: Generator, S: Sequence, state, threshold: float)
     quadratic constraint (S-lemma).  As d(lam) <= Q_jj - lam (1 - threshold),
     one bounded search over [0, (Q_jj - d(0)) / (1 - threshold)] finds it, and
     each d(lam) is a lower bound, so search error only loosens an LDP bound."""
-    S, j, _ = _range_positions(S, state, state)
+    S = tuple(S)
+    density_rows(gen, S, state, state, np.empty((0, len(S))))  # checks S and the state
     Q = _dirichlet_block(gen, S)
+    j = S.index(state)
     if not math.isfinite(threshold):
         raise ValueError(f"the threshold must be finite, got {threshold!r}")
     if threshold > 1.0:

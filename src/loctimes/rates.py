@@ -47,10 +47,7 @@ _NEWTON_MAX_ITER = 200  # Newton iterations of rate_general before it gives up
 
 def eta(gen: Generator, R: Sequence) -> float:
     """Maximum absolute row/column sum of the off-diagonal part over R,
-    floored at 1.  Nondecreasing in R."""
-    R = tuple(R)
-    if not R:
-        raise ValueError("eta needs a nonempty subset")
+    floored at 1.  Nondecreasing in R.  An empty R raises ``ValueError``."""
     return range_rates(gen, R).eta
 
 
@@ -125,9 +122,10 @@ def rate_general(gen: Generator, mu, tol: float = 1e-10) -> RateSolution:
     backtracking converges to the global value.  The rates on the support of
     mu (:func:`density.range_rates`, so a negative one raises
     ``NegativeRateError``) must be irreducible (strongly connected through
-    positive rates), otherwise the optimum escapes to infinity and
-    ``UnboundedRateError`` is raised.  Where they are reversible, the
-    iteration starts at the optimum sqrt(mu/pi) and stops at its first
+    positive rates) or symmetric, otherwise the optimum escapes to infinity
+    and ``UnboundedRateError`` is raised.  Where they are reversible (a
+    symmetric support may split into components), the iteration starts at
+    the optimum sqrt(mu/pi), on every component, and stops at its first
     gradient check.  A ``mu`` that is not finite, negative or does not sum
     to 1 raises ``ValueError``.
     """
@@ -145,7 +143,8 @@ def rate_general(gen: Generator, mu, tol: float = 1e-10) -> RateSolution:
             iterations=0,
             final_gradient_norm=0.0,
         )
-    if None in _reach(rates.B > 0, [0]) or None in _reach(rates.B.T > 0, [0]):
+    if rates.reversible is None and (None in _reach(rates.B > 0, [0])
+                                     or None in _reach(rates.B.T > 0, [0])):
         raise UnboundedRateError(
             "support of mu is not irreducible under the generator"
         )
@@ -260,19 +259,26 @@ def density_upper_bound(
 # ---------------------------------------------------------------------------
 
 def _ldp_error_terms(gen: Generator, S: Sequence, T: float) -> float:
-    eta_S = eta(gen, S)
-    s = len(tuple(S))
-    return s * math.log(eta_S * math.sqrt(8.0 * math.e) * T) + math.log(s) + s / (4.0 * T)
+    """The terms the finite-time bounds add to T times the rate, from the
+    rates on S, which must be symmetric: the bounds are proved for the
+    Dirichlet form, and the Dirichlet form of a non-symmetric block is no
+    rate function."""
+    rates = range_rates(gen, S)
+    if not rates.symmetric:
+        raise NotSymmetricError(f"the rates on {tuple(S)!r} are not symmetric")
+    s = len(rates.diag)
+    return s * math.log(rates.eta * math.sqrt(8.0 * math.e) * T) + math.log(s) + s / (4.0 * T)
 
 
 def ldp_probability_bound(gen: Generator, S: Sequence, inf_rate: float, T: float) -> float:
     """Upper bound on log P(normalized local times in Gamma, range within S)
-    for a symmetric generator:
+    for rates symmetric on S:
 
         -T * inf_rate + |S| log(eta_S sqrt(8e) T) + log|S| + |S|/(4T),
 
     with inf_rate the infimum of the Dirichlet form over Gamma (supplied by
-    the caller).  Valid for T >= 1.
+    the caller).  Valid for T >= 1; rates on S that are not symmetric raise
+    ``NotSymmetricError``.
     """
     if T < 1.0:
         raise TooEarlyError("the finite-time bound requires T >= 1")
@@ -285,6 +291,8 @@ def ldp_varadhan_bound(gen: Generator, S: Sequence, sup_value: float, T: float) 
         T * sup_value + |S| log(eta_S sqrt(8e) T) + log|S| + |S|/(4T),
 
     with sup_value = sup_mu [F(mu) - Dirichlet(mu)] supplied by the caller.
+    Valid for T >= 1 and rates symmetric on S, as
+    :func:`ldp_probability_bound`.
     """
     if T < 1.0:
         raise TooEarlyError("the finite-time bound requires T >= 1")

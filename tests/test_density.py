@@ -30,6 +30,7 @@ from loctimes.density import (
     density_batch,
     density_certified,
     density_quadrature,
+    density_rows,
     density_tree,
     density_tridiagonal,
     range_rates,
@@ -1117,21 +1118,21 @@ def test_range_structure():
 
 def test_density_routes_by_structure(monkeypatch):
     rng = np.random.default_rng(2920)
-    # not a tree: the series, bit for bit, with tol and conjugation applied
+    # not a tree: the series, bit for bit, with tol applied
     for gen in (_pinned_chain(rng, "support", 3), _pinned_chain(rng, "support", 5),
                 random_conservative(rng, 4)):
         n = len(gen.states)
-        R, l, r = gen.states, random_point(rng, n, 1.5), rng.uniform(0.7, 1.4, n)
+        R, l = gen.states, random_point(rng, n, 1.5)
         assert not range_rates(gen, R).tree
         assert density(gen, R, 0, 1, l).hex() == density_certified(gen, R, 0, 1, l).value.hex()
-        assert density(gen, R, 0, 1, l, tol=1e-12, conjugation=r).hex() == (
-            density_certified(gen, R, 0, 1, l, tol=1e-12, conjugation=r).value.hex())
-    # a tree: the product, whatever tol and conjugation, and no part of the
-    # series is built, even where the series cannot converge
+        assert density(gen, R, 0, 1, l, tol=1e-12).hex() == (
+            density_certified(gen, R, 0, 1, l, tol=1e-12).value.hex())
+    # a tree: the product, whatever tol, and no part of the series is built,
+    # even where the series cannot converge
     monkeypatch.setattr(density_module, "_prepared_range", _refuse)
     monkeypatch.setattr(density_module, "flow_table", _refuse)
     gen = validate_generator([[0.0, 60.0], [60.0, 0.0]], (1, 2))
-    value = density(gen, (1, 2), 1, 2, [1.0, 1.0], tol=1e-13, conjugation=[1.0, 2.0])
+    value = density(gen, (1, 2), 1, 2, [1.0, 1.0], tol=1e-13)
     assert value.hex() == density_tree(gen, (1, 2), 1, 2, [1.0, 1.0]).hex()
     assert value == pytest.approx(math.exp(-120.0) * sp.iv(0, 120.0) * 60.0, rel=1e-12)
 
@@ -1170,8 +1171,7 @@ def test_routed_rows_are_every_tree_route_bit_for_bit():
     for gen, series_pairs in ((walk, {(1, 3), (2, 2)}), (one_way, {(0, 4)})):
         R = gen.states
         for a, b in ((1, 3), (3, 1), (2, 2), (0, 4)):
-            values, bounds, orders, route = density_module._routed_rows(
-                range_rates(gen, R), a, b, L)
+            values, bounds, orders, route = density_rows(gen, R, a, b, L)
             assert route == "tree" and not bounds.any() and not orders.any()
             for k, l in enumerate(L):
                 want = values[k].hex()
@@ -1190,7 +1190,7 @@ def test_routed_rows_are_every_tree_route_bit_for_bit():
                 assert np.all(np.abs(series - values) <= series_bounds + 1e-10 * values)
     # the one-way edge off the path has a zero rate product, so the density
     # is exactly 0 there
-    assert not density_module._routed_rows(range_rates(one_way, one_way.states), 1, 3, L)[0].any()
+    assert not density_rows(one_way, one_way.states, 1, 3, L)[0].any()
 
 
 def _tree_rows_reference(rates, a, b, L):
@@ -1262,8 +1262,7 @@ def test_routed_rows_take_the_series_off_trees():
     rng = np.random.default_rng(3501)
     gen = _pinned_chain(rng, "support", 4)
     R, L = gen.states, rng.uniform(0.05, 1.0, (50, 4))
-    values, bounds, orders, route = density_module._routed_rows(range_rates(gen, R), 0, 2, L,
-                                                                1e-11)
+    values, bounds, orders, route = density_rows(gen, R, 0, 2, L, 1e-11)
     assert route == "series"
     want = density_batch(gen, R, 0, 2, L, 1e-11)
     assert [values.tolist(), bounds.tolist(), orders.tolist()] == [w.tolist() for w in want]
@@ -1556,33 +1555,41 @@ def _pinned_chain(rng, kind, n):
     return validate_generator(A)
 
 
-def _pinned_outputs():
-    """Every route on seeded chains with |R| = 3..6, a < b and a == b, as
-    float.hex strings; one batch is conjugated."""
+def _pinned_inputs():
+    """The seeded chains with |R| = 3..6 of the pinned outputs, each with its
+    kind, three rows of local times and, for one chain, a conjugation
+    vector (else None), drawn from one stream in a fixed order."""
     rng = np.random.default_rng(2024)
-    out = []
     for n in (3, 4, 5, 6):
         for kind in ("interval", "support"):
             gen = _pinned_chain(rng, kind, n)
-            R = gen.states
             T = 1.0 + rng.uniform(0.0, 1.0)
             L = T * np.maximum(rng.dirichlet(np.full(n, 2.0), 3), 0.02)
-            for a, b in ((0, n - 1), (1, 1)):
-                for l in L:
-                    ev = density_certified(gen, R, a, b, l)
-                    out.append((ev.value.hex(), ev.error_bound.hex(), ev.order))
-                    if kind == "interval":
-                        out.append(density_tridiagonal(gen, R, a, b, l).hex())
-                values, bounds, orders = density_batch(gen, R, a, b, L)
-                out.extend((v.hex(), e.hex(), int(o)) for v, e, o in zip(values, bounds, orders))
-                if n <= 4:
-                    out.append(density_quadrature(gen, R, a, b, L[0]).hex())
-                if kind == "support" or n % 2 == 0:    # irreducible on R
-                    out.append(density_upper_bound(gen, R, a, b, L[0]).hex())
-            if n == 4 and kind == "support":
-                r = rng.uniform(0.7, 1.4, n)
-                values, bounds, orders = density_batch(gen, R, 0, 2, L, conjugation=r)
-                out.extend((v.hex(), e.hex(), int(o)) for v, e, o in zip(values, bounds, orders))
+            r = rng.uniform(0.7, 1.4, n) if n == 4 and kind == "support" else None
+            yield kind, gen, L, r
+
+
+def _pinned_outputs():
+    """Every route on the pinned inputs, a < b and a == b, as float.hex
+    strings; one batch is conjugated."""
+    out = []
+    for kind, gen, L, r in _pinned_inputs():
+        R, n = gen.states, len(gen.states)
+        for a, b in ((0, n - 1), (1, 1)):
+            for l in L:
+                ev = density_certified(gen, R, a, b, l)
+                out.append((ev.value.hex(), ev.error_bound.hex(), ev.order))
+                if kind == "interval":
+                    out.append(density_tridiagonal(gen, R, a, b, l).hex())
+            values, bounds, orders = density_batch(gen, R, a, b, L)
+            out.extend((v.hex(), e.hex(), int(o)) for v, e, o in zip(values, bounds, orders))
+            if n <= 4:
+                out.append(density_quadrature(gen, R, a, b, L[0]).hex())
+            if kind == "support" or n % 2 == 0:    # irreducible on R
+                out.append(density_upper_bound(gen, R, a, b, L[0]).hex())
+        if r is not None:
+            values, bounds, orders = density_batch(gen, R, 0, 2, L, conjugation=r)
+            out.extend((v.hex(), e.hex(), int(o)) for v, e, o in zip(values, bounds, orders))
     return out
 
 
@@ -1616,6 +1623,54 @@ def test_routes_match_pinned_digest():
     assert len(out) == len(pinned) == 143
     moved = [(k, want, got) for k, (want, got) in enumerate(zip(pinned, out)) if want != got]
     assert not moved, _moved_report(moved)
+
+
+def test_density_rows_are_the_point_routes_row_by_row():
+    # on the pinned inputs, each row alone is the row of density() bit for
+    # bit, and of density_tree and density_tridiagonal where they apply; the
+    # tree route's rows do not depend on the batch
+    routes = set()
+    for kind, gen, L, _ in _pinned_inputs():
+        R, n = gen.states, len(gen.states)
+        for a, b in ((0, n - 1), (1, 1), (n - 1, 0)):
+            batch = density_rows(gen, R, a, b, L)
+            routes.add(batch[3])
+            assert batch[3] == ("tree" if range_rates(gen, R).tree else "series")
+            for k, l in enumerate(L):
+                values, bounds, orders, route = density_rows(gen, R, a, b, l[None, :])
+                assert route == batch[3] and values.shape == bounds.shape == orders.shape == (1,)
+                assert values[0].hex() == density(gen, R, a, b, l).hex()
+                if route == "tree":
+                    assert not bounds[0] and not orders[0]
+                    assert values[0].hex() == batch[0][k].hex()
+                    assert values[0].hex() == density_tree(gen, R, a, b, l).hex()
+                    assert values[0].hex() == density_tridiagonal(gen, R, a, b, l).hex()
+                else:
+                    ev = density_certified(gen, R, a, b, l)
+                    assert (bounds[0], orders[0]) == (ev.error_bound, ev.order)
+    assert routes == {"tree", "series"}
+
+
+def test_density_rows_of_no_rows_check_the_request():
+    g = srw_generator(0, 3)
+    for R, a, b, route in (((0, 1, 2), 0, 2, "tree"), ((0, 1, 2, 3), 3, 3, "tree")):
+        values, bounds, orders, got = density_rows(g, R, a, b, np.empty((0, len(R))))
+        assert got == route and values.shape == bounds.shape == orders.shape == (0,)
+    cycle = validate_generator([[0.0, 1.0, 1.0], [1.0, 0.0, 1.0], [1.0, 1.0, 0.0]])
+    assert density_rows(cycle, (0, 1, 2), 0, 1, np.empty((0, 3)))[3] == "series"
+    for R, a, b, message in (((0, 1, 1), 0, 1, "repeats the label 1"),
+                             ((0, 1), 0, 5, "site 5 is not in the range"),
+                             ((1, 2), 0, 2, "site 0 is not in the range")):
+        with pytest.raises(ValueError, match=message):
+            density(g, R, a, b, [0.5] * len(R))
+        with pytest.raises(ValueError, match=message):
+            density_rows(g, R, a, b, np.empty((0, len(R))))
+    with pytest.raises(ValueError, match="of shape \\(P, 3\\)"):
+        density_rows(g, (0, 1, 2), 0, 2, [0.5, 0.5, 0.5])
+    bad = validate_generator([[0.0, 1.0], [1.0, 0.0]])
+    bad.rates[0, 1] = -1.0
+    with pytest.raises(NegativeRateError):
+        density_rows(bad, (0, 1), 0, 1, np.empty((0, 2)))
 
 
 def test_moved_report_names_entries_and_largest_change():

@@ -1,3 +1,4 @@
+import ast
 import os
 import subprocess
 import sys
@@ -34,11 +35,27 @@ def test_public_api_is_pinned():
     # adding or removing an export is a deliberate edit of this list
     assert sorted(loctimes.__all__) == [
         "DensityEvaluation", "Generator", "RateSolution", "density", "density_batch",
-        "density_certified", "density_quadrature", "density_tree", "density_tridiagonal",
-        "density_upper_bound", "edge_kernel", "errors", "eta", "generator_from_triples",
-        "ldp_probability_bound", "ldp_varadhan_bound", "rate_general", "rate_symmetric",
-        "rescaled_chi_discrete", "rk_fixed_time_check", "rk_inner_density", "rk_outer_atom",
-        "rk_outer_density", "sample_paths_fixed_time", "sample_paths_inverse_local_time",
-        "sample_rk_profile_batch", "srw_generator", "validate_generator",
+        "density_certified", "density_quadrature", "density_rows", "density_tree",
+        "density_tridiagonal", "density_upper_bound", "edge_kernel", "errors", "eta",
+        "generator_from_triples", "ldp_probability_bound", "ldp_varadhan_bound", "rate_general",
+        "rate_symmetric", "rescaled_chi_discrete", "rk_fixed_time_check", "rk_inner_density",
+        "rk_outer_atom", "rk_outer_density", "sample_paths_fixed_time",
+        "sample_paths_inverse_local_time", "sample_rk_profile_batch", "srw_generator",
+        "validate_generator",
     ]
     assert all(hasattr(loctimes, name) for name in loctimes.__all__)
+
+
+def test_harness_and_cli_use_no_private_density_name():
+    # the routed density is reached through density_rows and the other
+    # public names; the modules above the engine import none of its
+    # underscore names
+    package = Path(SRC) / "loctimes"
+    for name in ("harness.py", "cli.py"):
+        tree = ast.parse((package / name).read_text())
+        imported = [alias.name for node in ast.walk(tree)
+                    if isinstance(node, ast.ImportFrom)
+                    and (node.level, node.module) in ((1, "density"), (0, "loctimes.density"))
+                    for alias in node.names]
+        assert imported, name
+        assert not [n for n in imported if n.startswith("_")], name

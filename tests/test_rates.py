@@ -195,6 +195,17 @@ def test_rate_general_reducible_support_is_unbounded():
         rate_general(g, [0.5, 0.5, 0.0])
 
 
+def test_rate_general_answers_a_symmetric_support_in_components():
+    # mu on {0, 1} and {3} of the walk on 0..3: two components of a
+    # symmetric support, where sqrt(mu) is the optimum on each
+    g = srw_generator(0, 3)
+    mu = [0.3, 0.3, 0.0, 0.4]
+    sol = rate_general(g, mu)
+    assert sol.iterations == 1 and sol.final_gradient_norm <= 1e-10
+    assert sol.value == pytest.approx(rate_symmetric(g, mu), rel=1e-14)
+    assert sol.value == pytest.approx(0.7, rel=1e-14)
+
+
 def test_rate_general_irreducibility_needs_every_jump_of_a_cycle():
     # a directed 5-cycle connects its states only through paths of up to 4
     # jumps; sending the last state back instead of around leaves it one-way
@@ -534,6 +545,35 @@ def test_ldp_bounds_reject_early_times():
         ldp_probability_bound(TWO_STATE, (1, 2), 0.0, 0.5)
     with pytest.raises(TooEarlyError):
         ldp_varadhan_bound(TWO_STATE, (1, 2), 0.0, 0.99)
+
+
+# the reversible path 0 <-> 1 at 2 / 1, 1 <-> 2 at 0.5 / 3: not symmetric
+REVERSIBLE_PATH = generator_from_triples([0, 1, 2], [(0, 1, 2.0), (1, 0, 1.0), (1, 2, 0.5),
+                                                     (2, 1, 3.0)])
+
+
+def test_ldp_probability_bound_refuses_a_non_symmetric_block():
+    with pytest.raises(NotSymmetricError, match="not symmetric"):
+        ldp_probability_bound(REVERSIBLE_PATH, (0, 1, 2), 0.3, 5.0)
+    # the symmetric block of a non-symmetric generator is answered
+    g = validate_generator([[0.0, 1.0, 0.0], [1.0, 0.0, 2.0], [0.0, 0.5, 0.0]])
+    assert ldp_probability_bound(g, (0, 1), 0.3, 5.0) == ldp_probability_bound(
+        srw_generator(0, 1), (0, 1), 0.3, 5.0)
+
+
+def test_ldp_varadhan_bound_refuses_a_non_symmetric_block():
+    with pytest.raises(NotSymmetricError, match="not symmetric"):
+        ldp_varadhan_bound(REVERSIBLE_PATH, (0, 1, 2), 0.1, 5.0)
+    with pytest.raises(NotSymmetricError):
+        ldp_varadhan_bound(REVERSIBLE_PATH, (1, 2), 0.1, 5.0)
+    assert math.isfinite(ldp_varadhan_bound(srw_generator(0, 2), (0, 1, 2), 0.1, 5.0))
+
+
+def test_an_empty_range_is_named():
+    for call in (lambda: eta(TWO_STATE, ()), lambda: range_rates(TWO_STATE, []),
+                 lambda: ldp_probability_bound(TWO_STATE, (), 0.0, 2.0)):
+        with pytest.raises(ValueError, match="the range is empty"):
+            call()
 
 
 # ---------------------------------------------------------------------------
