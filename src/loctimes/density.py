@@ -626,7 +626,8 @@ def _read_request(gen: Generator, R: Sequence, a, b, l, rows: bool = False) -> _
     if rows:
         lvec = np.asarray(l, dtype=float)
         if lvec.ndim != 2 or lvec.shape[1] != len(R):
-            raise ValueError(f"local times must be an array of shape (P, {len(R)})")
+            raise ValueError(f"local times must be an array of shape (P, {len(R)}); "
+                             f"got shape {lvec.shape}")
     elif isinstance(l, dict):
         missing = [x for x in R if x not in l]
         if missing:

@@ -32,6 +32,7 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Callable, Dict, List, NamedTuple, Sequence, Tuple
 
 import numpy as np
@@ -197,22 +198,6 @@ def wilson_upper(successes: int, total: int, z: float = 2.3263478740408408) -> f
     return min(1.0, (center + half) / denom)
 
 
-def two_state_event_probabilities(T: float) -> Tuple[float, float, float]:
-    """Exact (no-jump, range-full-and-switched, range-full-and-returned)
-    probabilities for the canonical two-state unit-rate chain."""
-    return (
-        math.exp(-T),
-        math.exp(-T) * math.sinh(T),
-        math.exp(-T) * (math.cosh(T) - 1.0),
-    )
-
-
-def is_canonical_two_state(gen: Generator) -> bool:
-    return gen.n_states == 2 and np.allclose(
-        gen.off_diagonal(), np.array([[0.0, 1.0], [1.0, 0.0]])
-    )
-
-
 def conditioning_mask(gen: Generator, R: Sequence, b) -> Callable[[BatchPaths], np.ndarray]:
     """The conditioning event of a request as a test of a batch: the mask of
     the paths whose visited set equals R exactly and whose endpoint is b.
@@ -228,6 +213,30 @@ def conditioning_mask(gen: Generator, R: Sequence, b) -> Callable[[BatchPaths], 
         return hit & (batch.endpoints == b_idx)
 
     return mask
+
+
+def _killed_exponential(gen: Generator, S: Sequence, T: float, V=None) -> np.ndarray:
+    """expm(T (A_S + diag V)) of ``gen`` killed outside S; V in S's order, or None."""
+    from scipy.linalg import expm
+
+    A = range_rates(gen, S).A
+    return expm(T * (A if V is None else A + np.diag(V)))
+
+
+def range_probability(gen: Generator, a, b, R: Sequence, T: float) -> float:
+    """P_a(range up to T is R, X_T = b), the density's mass on {sum of l = T}:
+    inclusion-exclusion over the S with {a, b} within S within R of the (a, b)
+    entries of :func:`_killed_exponential` on S.  R, a and b are checked as
+    in a density request."""
+    R = tuple(R)
+    density_rows(gen, R, a, b, np.empty((0, len(R))))  # checks R, a and b
+    others = [x for x in R if x not in (a, b)]
+    total = 0.0
+    for k in range(len(others) + 1):
+        for dropped in combinations(others, k):
+            S = tuple(x for x in R if x not in dropped)
+            total += (-1) ** k * _killed_exponential(gen, S, T)[S.index(a), S.index(b)]
+    return float(total)
 
 
 # ---------------------------------------------------------------------------
@@ -406,9 +415,8 @@ def verify_density_mc(
     seed: int = 0,
 ) -> Report:
     """Bin conditioned local times and compare with cell integrals of the
-    density by a chi-square shape test; also compare the conditioning
-    probability with the density normalization (and with the closed-form
-    values for the canonical two-state chain).
+    density by a chi-square shape test; also compare the conditioning frequency
+    with the cells' total mass and with the exact :func:`range_probability`.
 
     The free coordinates are the local times l_1 .. l_d off the endpoint,
     in the order of ``range_``.  They are binned in collapsed coordinates
@@ -478,26 +486,21 @@ def verify_density_mc(
 
     p_mc = n_cond / n_samples
     p_quad = float(masses.sum())
-    se = math.sqrt(max(p_quad * (1 - p_quad), 1e-300) / n_samples)
-    z_cond = (p_mc - p_quad) / se
+    z_cond = (p_mc - p_quad) / math.sqrt(max(p_quad * (1 - p_quad), 1e-300) / n_samples)
+    p_exact = range_probability(gen, start, endpoint, R, T)
+    z_exact = _z(p_mc - p_exact, math.sqrt(p_exact * (1 - p_exact) / n_samples))
 
     diagnostics = {
         "p_value": p_value, "conditioning_z": z_cond,
         "n_samples": n_samples, "n_conditioned": n_cond, "chi2": stat, "dof": dof,
         "worst_cell_z": worst, "conditioning_mc": p_mc, "conditioning_quadrature": p_quad,
-        "flagged_cells": flagged,
+        "conditioning_exact": p_exact, "flagged_cells": flagged, "z_analytic": z_exact,
     }
     checks = [
         CheckResult("chi_square_p_value", p_value > _P_THRESHOLD, p_value, _P_THRESHOLD),
         _z_check("conditioning_probability_z", z_cond, 4.0),
+        _z_check("conditioning_vs_analytic_z", z_exact, 4.0),
     ]
-    if is_canonical_two_state(gen):
-        no_jump, switched, returned = two_state_event_probabilities(T)
-        target = switched if endpoint != start else returned
-        se_t = math.sqrt(target * (1 - target) / n_samples)
-        z_t = (p_mc - target) / se_t
-        diagnostics.update(no_jump=no_jump, switched=switched, returned=returned, z_analytic=z_t)
-        checks.append(_z_check("conditioning_vs_analytic_z", z_t, 4.0))
 
     cells = enumerate(zip(counts.ravel(), masses.ravel()))
     return Report(checks, ("cell", "observed", "expected_mass"),
@@ -773,12 +776,9 @@ def linear_varadhan_supremum(gen: Generator, S: Sequence, V) -> float:
 
 def log_mgf_exact(gen: Generator, start, S: Sequence, V, T: float) -> float:
     """log E[exp(<V, local times>); range within S], by the matrix exponential
-    of the killed generator A|SxS + diag(V)."""
-    from scipy.linalg import expm
-
+    of the killed generator A|SxS + diag(V) (:func:`_killed_exponential`)."""
     S = tuple(S)
-    A = range_rates(gen, S).A  # killed outside S: no re-conservation
-    M = expm(T * (A + np.diag(_functional_on(S, V))))
+    M = _killed_exponential(gen, S, T, _functional_on(S, V))
     return float(np.log(M[S.index(start), :].sum()))
 
 
@@ -795,11 +795,13 @@ def ldp_probability_experiment(
     worth, not O(``n_samples``), and the per-chunk counts are summed in
     chunk order, so the total does not depend on the lane count or the
     schedule.  ``ValueError`` on an ``n_samples`` that is negative or not
-    an integer."""
-    if not gen.is_symmetric():
-        raise NotSymmetricError("the probability bound requires a symmetric generator")
+    an integer, and ``NotSymmetricError`` where the rates on S (those
+    outside S may be anything) are not symmetric, both before any path is
+    drawn."""
     S = tuple(S)
     n_samples = _path_count(n_samples, "n_samples")
+    inf_rate = halfspace_rate_infimum(gen, S, state, threshold)
+    bound = ldp_probability_bound(gen, S, inf_rate, T)
     others = np.setdiff1d(np.arange(gen.n_states), gen.indices(S))
     j = gen.index(state)
 
@@ -808,9 +810,6 @@ def ldp_probability_experiment(
         return int((~(local[:, others] > 0).any(axis=1) & (local[:, j] / T >= threshold)).sum())
 
     n_hits = sum(fixed_time_chunks(gen, start, T, n_samples, seed, count_hits))
-
-    inf_rate = halfspace_rate_infimum(gen, S, state, threshold)
-    bound = ldp_probability_bound(gen, S, inf_rate, T)
     p_upper = wilson_upper(n_hits, n_samples)
     log_p_hat = math.log(n_hits / n_samples) if n_hits else -math.inf
     log_p_upper = math.log(p_upper)
@@ -824,9 +823,8 @@ def ldp_probability_experiment(
 
 def ldp_varadhan_experiment(gen: Generator, start, S: Sequence, V, T: float) -> Report:
     """Exact exponential-functional value (matrix exponential) against the
-    closed-form upper bound for a linear functional."""
-    if not gen.is_symmetric():
-        raise NotSymmetricError("the exponential bound requires a symmetric generator")
+    closed-form upper bound for a linear functional; ``NotSymmetricError``
+    where the rates on S (not outside it) are not symmetric."""
     S = tuple(S)
     sup_value = linear_varadhan_supremum(gen, S, V)
     bound = ldp_varadhan_bound(gen, S, sup_value, T)

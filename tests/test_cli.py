@@ -393,6 +393,15 @@ def test_point_command_with_a_bad_request_exits_2(twostate, capsys, command, opt
     assert capsys.readouterr().err.startswith("usage error: ")
 
 
+def test_density_command_names_the_shape_of_a_wrong_length_point(tmp_path, capsys):
+    srw = tmp_path / "srw.json"
+    srw.write_text(json.dumps({"srw": [0, 2]}))
+    assert main(["density", "--generator", str(srw), "--R", "0,1,2", "--a", "0", "--b", "2",
+                 "--l", "0.5,0.7"]) == 2
+    assert capsys.readouterr().err == (
+        "usage error: local times must be an array of shape (P, 3); got shape (1, 2)\n")
+
+
 def test_usage_and_config_errors_carry_their_own_labels(tmp_path, twostate, capsys):
     # a bad command-line request involves no config; a bad config document does
     request = ["--R", "1,2", "--a", "5", "--b", "2", "--l", "0.5,0.5"]

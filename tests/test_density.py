@@ -1665,7 +1665,7 @@ def test_density_rows_of_no_rows_check_the_request():
             density(g, R, a, b, [0.5] * len(R))
         with pytest.raises(ValueError, match=message):
             density_rows(g, R, a, b, np.empty((0, len(R))))
-    with pytest.raises(ValueError, match="of shape \\(P, 3\\)"):
+    with pytest.raises(ValueError, match="of shape \\(P, 3\\); got shape \\(3,\\)$"):
         density_rows(g, (0, 1, 2), 0, 2, [0.5, 0.5, 0.5])
     bad = validate_generator([[0.0, 1.0], [1.0, 0.0]])
     bad.rates[0, 1] = -1.0

@@ -10,7 +10,6 @@ from itertools import combinations
 
 import numpy as np
 import pytest
-from scipy.linalg import expm
 
 from loctimes.chain import srw_generator, validate_generator
 from loctimes.density import range_rates
@@ -27,15 +26,14 @@ from loctimes.harness import (
     expected_cell_masses,
     generator_from_config,
     halfspace_rate_infimum,
-    is_canonical_two_state,
     ldp_probability_experiment,
     ldp_varadhan_experiment,
     linear_varadhan_supremum,
     load_config,
     log_mgf_exact,
     merge_cells,
+    range_probability,
     run_suite,
-    two_state_event_probabilities,
     verify_density_mc,
     verify_rayknight_mc,
     wilson_upper,
@@ -59,7 +57,7 @@ def test_generator_from_config_forms(tmp_path):
     assert g.states == (0, 1, 2, 3)
     g = generator_from_config(
         {"states": [1, 2], "rates": [[1, 2, 1.0], [2, 1, 1.0]]})
-    assert is_canonical_two_state(g)
+    assert g.states == (1, 2) and np.array_equal(g.rates, [[-1.0, 1.0], [1.0, -1.0]])
     g = generator_from_config(
         {"states": ["a", "b"], "matrix": [[-1.0, 1.0], [2.0, -2.0]]})
     assert g.rates[1, 0] == 2.0
@@ -150,9 +148,38 @@ def test_wilson_upper_bounds_proportion():
     assert wilson_upper(1000, 1000) == pytest.approx(1.0, abs=1e-12)
 
 
-def test_two_state_probabilities_sum_to_one():
-    for T in (0.1, 1.0, 5.0):
-        assert sum(two_state_event_probabilities(T)) == pytest.approx(1.0, abs=1e-14)
+@pytest.mark.parametrize("T", [0.1, 1.0, 5.0])
+def test_range_probability_is_the_two_state_closed_form(T):
+    # from 1, the unit two-state chain has switched an odd number of times
+    # with probability e^-T sinh T, and an even positive number e^-T (cosh T - 1)
+    switched = range_probability(TWO_STATE, 1, 2, (1, 2), T)
+    returned = range_probability(TWO_STATE, 1, 1, (1, 2), T)
+    no_jump = range_probability(TWO_STATE, 1, 1, (1,), T)
+    assert switched == pytest.approx(math.exp(-T) * math.sinh(T), rel=1e-13)
+    assert returned == pytest.approx(math.exp(-T) * (math.cosh(T) - 1.0), rel=1e-13)
+    assert no_jump == pytest.approx(math.exp(-T), rel=1e-15)
+    assert no_jump + switched + returned == pytest.approx(1.0, abs=1e-14)
+
+
+@pytest.mark.parametrize("T", [0.5, 3.0])
+def test_range_probabilities_of_a_non_symmetric_chain_sum_to_one(T):
+    # every range R holding the start and every endpoint b in R: the events
+    # {range = R, X_T = b} partition the paths
+    g = validate_generator([[0.0, 1.3, 0.4], [0.6, 0.0, 0.9], [2.0, 1.7, 0.0]])
+    total = 0.0
+    for size in range(3):
+        for others in combinations((1, 2), size):
+            R = (0, *others)
+            total += sum(range_probability(g, 0, b, R, T) for b in R)
+    assert total == pytest.approx(1.0, abs=1e-12)
+
+
+def test_range_probability_checks_the_request():
+    g = srw_generator(0, 2)
+    with pytest.raises(ValueError, match="site 5 is not in the range"):
+        range_probability(g, 0, 5, (0, 1, 2), 1.0)
+    with pytest.raises(ValueError, match="repeats the label 1"):
+        range_probability(g, 0, 2, (0, 1, 1, 2), 1.0)
 
 
 def spawn_rngs(seed, n: int):
@@ -234,8 +261,8 @@ MULTI_BLOCK = 3 * _BLOCK + 1_234
 
 
 VERIFY_DENSITY_DIGESTS = {
-    0: "37e737c5505d4ba33ad99f3d70410bc270e34b08da9a2ce859890aae31190f57",
-    1: "dd957953d0c537d93713b6a179801a93b8a1db5cca5c9f8b1afa147ae5a69d1a",
+    0: "e920a78a31c22dec89a8c8948353508c077d13a3ba95ba83d2d0ccb918b4b0dc",
+    1: "2a0e3934016d50558c3f903b6b3c4006003a8bd5308c7d27a6221afaf4fccf8f",
 }
 LDP_PROBABILITY_DIGESTS = {
     0: "b6b171897001cf5b9e259267494d9db73f8fa8a82042d9e206e9abff2997589a",
@@ -747,6 +774,31 @@ def test_ldp_varadhan_experiment_values():
     assert report.diagnostics["log_mgf"] <= report.diagnostics["bound"]
 
 
+# symmetric on S = {0, 1}; the rate from 1 to 2 has no way back
+ONE_WAY_OUT = validate_generator([[0.0, 1.0, 0.0], [1.0, 0.0, 0.5], [0.0, 0.0, 0.0]])
+
+
+def test_ldp_experiments_take_a_chain_symmetric_on_S():
+    assert not ONE_WAY_OUT.is_symmetric()
+    report = ldp_probability_experiment(ONE_WAY_OUT, 0, (0, 1), 0, 0.6, 2.0, 20_000, seed=3)
+    assert report.passed and report.diagnostics["n_hits"] > 0
+    assert report.diagnostics["inf_rate"] == halfspace_rate_infimum(ONE_WAY_OUT, (0, 1), 0, 0.6)
+    report = ldp_varadhan_experiment(ONE_WAY_OUT, 0, (0, 1), [0.0, 0.5], 2.0)
+    assert report.passed
+    assert report.diagnostics["log_mgf"] == log_mgf_exact(ONE_WAY_OUT, 0, (0, 1), [0.0, 0.5], 2.0)
+
+
+def test_ldp_experiments_refuse_rates_on_S_that_are_not_symmetric(monkeypatch):
+    def no_blocks(*args):
+        raise AssertionError("a block was drawn")
+
+    monkeypatch.setattr(harness, "fixed_time_chunks", no_blocks)
+    with pytest.raises(NotSymmetricError, match="not symmetric"):
+        ldp_probability_experiment(ONE_WAY_OUT, 0, (0, 1, 2), 0, 0.6, 2.0, 20_000)
+    with pytest.raises(NotSymmetricError, match="not symmetric"):
+        ldp_varadhan_experiment(ONE_WAY_OUT, 0, (0, 1, 2), [0.0, 0.5, 0.1], 2.0)
+
+
 # ---------------------------------------------------------------------------
 # suite runner
 # ---------------------------------------------------------------------------
@@ -797,13 +849,13 @@ def test_run_suite_replay_is_bit_for_bit(tmp_path):
         (tmp_path / "b" / "replay.csv").read_bytes()
     assert (tmp_path / "a" / "summary.json").read_bytes() == \
         (tmp_path / "b" / "summary.json").read_bytes()
-    # the summary entry carries the law check's diagnostics, the analytic
-    # two-state values included
+    # the summary entry carries the law check's diagnostics, the exact
+    # conditioning probability included
     entry = json.loads((tmp_path / "a" / "summary.json").read_text())["experiments"][0]
     assert list(entry) == [
         "name", "kind", "passed", "p_value", "conditioning_z", "n_samples", "n_conditioned",
         "chi2", "dof", "worst_cell_z", "conditioning_mc", "conditioning_quadrature",
-        "flagged_cells", "no_jump", "switched", "returned", "z_analytic", "checks"]
+        "conditioning_exact", "flagged_cells", "z_analytic", "checks"]
     rows = (tmp_path / "a" / "replay.csv").read_text().splitlines()[2:]
     assert entry["n_samples"] == 40_000
     assert entry["n_conditioned"] == sum(int(r.split(",")[1]) for r in rows)
@@ -899,7 +951,7 @@ PINNED_DIGESTS = {
     "halfspace.csv": "26ff8d1e836e00a81eb1f1dc62463db31563d30a34fb3be19f18be81896b826a",
     "law.csv": "4be6b42bfa417ed4a1f0fc933eae83506fe0c114e506a759b3f5b66dae6dfe3b",
     "profile.csv": "71feca5453fcbf3d97dfaaef54dd729fdc67822d091ead6f5dc17ced7dcc32b3",
-    "summary.json": "ef6317f27881c7b2ab995667f9ed568f34001c21f1ca24b6f5f2381a13fa818a",
+    "summary.json": "c4cd183ca638f53f5cfcc3954790aa822376ffe44ec22c1167fd5c6e493fe274",
 }
 
 
@@ -917,7 +969,7 @@ DEMO_DIGESTS = {
     "exponential-bound.csv": "c0bd97132aca3dbb108b98cd718d004fe5735b066683baef882693bdc727458c",
     "halfspace-bound.csv": "61325573c59f4c747689c21cab07c7d5087d4ad5687655a73c042f3c793302b3",
     "profile-equivalence.csv": "e26339f7f4d74bc05c594a1c9553806acd77f946f49b2ea4f6fe9aa2c5f333fe",
-    "summary.json": "547555b6c58b1f3e42f894c1be44841cf5043b120a427786aa9f88adf73885ae",
+    "summary.json": "9b046c583ed316aac9a8b80b0994baeac78c60bc3250e4ef1b17620778fe0197",
     "three-state-law.csv": "da678558447cc1368c8bb832ffa2b28617241686e6be0ceb51792df972777564",
 }
 
@@ -941,19 +993,6 @@ def test_verify_density_asymmetric_chain():
     assert abs(report.diagnostics["conditioning_z"]) < 4.0
 
 
-def exact_range_probability(gen, a, b, R, T):
-    """P(range up to T is exactly R, endpoint b): inclusion-exclusion over
-    the subsets S of R holding a and b, each term expm(T A_S)[a, b] of the
-    chain killed outside S."""
-    others = [x for x in R if x not in (a, b)]
-    total = 0.0
-    for k in range(len(others) + 1):
-        for dropped in combinations(others, k):
-            S = [x for x in R if x not in dropped]
-            total += (-1) ** k * expm(T * gen.submatrix(S))[S.index(a), S.index(b)]
-    return total
-
-
 @pytest.mark.parametrize("gen, T, cells", [
     (srw_generator(0, 2), 2.0, 7),
     (validate_generator([[0.0, 1.3, 0.0], [0.6, 0.0, 0.9], [0.0, 1.7, 0.0]], (0, 1, 2)),
@@ -964,7 +1003,8 @@ def test_cell_masses_sum_to_exact_range_probability(gen, T, cells):
     # the range is every state, from the first to the last
     R, end = gen.states, gen.states[-1]
     report = verify_density_mc(gen, 0, end, R, T, 20_000, cells_per_axis=cells, seed=5)
-    exact = exact_range_probability(gen, 0, end, R, T)
+    exact = report.diagnostics["conditioning_exact"]
+    assert exact == range_probability(gen, 0, end, R, T)
     assert report.diagnostics["conditioning_quadrature"] == pytest.approx(exact, rel=1e-8)
     assert report.diagnostics["flagged_cells"] == 0
     assert len(report.rows) == cells ** (len(R) - 1)
