@@ -14,6 +14,7 @@ from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import (
+    ConfigParseError,
     NegativeRateError,
     NonConservativeError,
     TooSmallStateSpaceError,
@@ -27,6 +28,16 @@ _SYMMETRIC_TOL = 1e-12
 def _is_symmetric(A: np.ndarray) -> bool:
     """Whether A equals its transpose entrywise to within _SYMMETRIC_TOL."""
     return bool(np.all(np.abs(A - A.T) <= _SYMMETRIC_TOL))
+
+
+def _match_label(states: Sequence, key):
+    """JSON object keys are strings; map them back onto the label set."""
+    if key in states:
+        return key
+    for s in states:
+        if str(s) == key:
+            return s
+    raise ConfigParseError(f"key {key!r} is not a state label")
 
 
 def _reach(adjacent: np.ndarray, starts: Iterable[int]) -> List[Optional[int]]:

@@ -18,8 +18,10 @@ from .errors import ConfigParseError, LoctimesError
 from .montecarlo import sample_paths_fixed_time, sample_paths_inverse_local_time
 from .rates import (
     density_upper_bound,
+    halfspace_rate_infimum,
     ldp_probability_bound,
     ldp_varadhan_bound,
+    linear_varadhan_supremum,
     rate_general,
     rate_symmetric,
     rescaled_chi_discrete,
@@ -120,11 +122,11 @@ def cmd_ldp(args) -> int:
                     f"--halfspace needs STATE:THRESH with a finite threshold, "
                     f"got {args.halfspace!r}")
             with _request_errors():
-                inf_rate = harness.halfspace_rate_infimum(
-                    gen, S, _parse_label(state_text), threshold)
+                inf_rate = halfspace_rate_infimum(gen, S, _parse_label(state_text), threshold)
         else:
             raise UsageError("ldp prob needs --inf-rate or --halfspace STATE:THRESH")
-        bound = ldp_probability_bound(gen, S, inf_rate, args.T)
+        with _request_errors():
+            bound = ldp_probability_bound(gen, S, inf_rate, args.T)
         print(f"inf_rate = {inf_rate:.10g}")
         print(f"log-probability bound = {bound:.10g}")
     else:
@@ -132,10 +134,11 @@ def cmd_ldp(args) -> int:
             sup_value = args.sup_value
         elif args.V is not None:
             with _request_errors():
-                sup_value = harness.linear_varadhan_supremum(gen, S, _parse_floats(args.V))
+                sup_value = linear_varadhan_supremum(gen, S, _parse_floats(args.V))
         else:
             raise UsageError("ldp varadhan needs --sup-value or --V v1,v2,...")
-        bound = ldp_varadhan_bound(gen, S, sup_value, args.T)
+        with _request_errors():
+            bound = ldp_varadhan_bound(gen, S, sup_value, args.T)
         print(f"sup_value = {sup_value:.10g}")
         print(f"log-moment bound = {bound:.10g}")
     return 0

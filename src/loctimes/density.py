@@ -65,7 +65,8 @@ the one route choice (of :func:`density`, :func:`density_tree` and
 :func:`density_tridiagonal`, its one-row case, of ``loctimes density`` and of
 the law check), takes the tree product where the support is a tree (found by
 one linear-time search, :func:`chain._reach`) and the certified series
-everywhere else.
+everywhere else.  The density's exact mass, :func:`range_probability`,
+reads R, a and b the same way, then T (:func:`_check_horizon`).
 
 The density depends only on the rates inside R x R, and only the local times
 change from point to point.  A request's cold work splits into what depends
@@ -810,6 +811,38 @@ def density(gen: Generator, R: Sequence, a, b, l, tol: float = 1e-10) -> float:
     order): the one row of :func:`density_rows`, so on the series route
     ``density_certified(gen, R, a, b, l, tol).value`` bit for bit."""
     return float(_routed_rows(_read_request(gen, R, a, b, l), tol)[0][0])
+
+
+def _check_horizon(T: float) -> None:
+    """``ValueError`` naming T unless it is finite and at least 0."""
+    if not (math.isfinite(T) and T >= 0.0):
+        raise ValueError(f"T must be finite and >= 0, got {T!r}")
+
+
+def _killed_exponential(rates: RangeRates, T: float, V=None) -> np.ndarray:
+    """expm(T (A + diag V)) of the rate block A of ``rates``, killed outside
+    its states; V in their order, or None."""
+    from scipy.linalg import expm
+
+    A = rates.A
+    return expm(T * (A if V is None else A + np.diag(V)))
+
+
+def range_probability(gen: Generator, a, b, R: Sequence, T: float) -> float:
+    """P_a(range up to T is R, X_T = b), the density's mass on {sum of l = T}:
+    inclusion-exclusion over the S with {a, b} within S within R of the (a, b)
+    entries of :func:`_killed_exponential` on S.  R, a and b are checked as
+    in a density request, then T."""
+    R = _range_positions(R, a, b)[0]
+    _check_horizon(T)
+    others = [x for x in R if x not in (a, b)]
+    total = 0.0
+    for k in range(len(others) + 1):
+        for dropped in combinations(others, k):
+            S = tuple(x for x in R if x not in dropped)
+            M = _killed_exponential(range_rates(gen, S), T)
+            total += (-1) ** k * M[S.index(a), S.index(b)]
+    return float(total)
 
 
 _QUAD_GRID = 32

@@ -35,6 +35,9 @@ from scipy.special import gammaln
 from .errors import ExplosionGuardError
 
 _FLOW_CAP = 2_000_000
+# bytes the prefix arrays of one expansion may take: the largest answered
+# request of the density sweep expands to about 5 MB
+_FLOW_BYTES = 256 << 20
 
 
 @dataclass(frozen=True)
@@ -76,6 +79,9 @@ def _enumerate(edges, n_nodes, max_total, cap) -> np.ndarray:
         last_touch[i] = pos
         last_touch[j] = pos
 
+    # bytes of one prefix row with all m counts: the int32 counts, imbalance
+    # and used total, and the int64 row index and offset that build it
+    row_bytes = 4 * (m + n_nodes + 1) + 16
     # partial assignments: counts over visited edges, imbalance per node, used total
     counts = np.zeros((1, 0), dtype=np.int32)
     imbalance = np.zeros((1, n_nodes), dtype=np.int32)
@@ -96,11 +102,15 @@ def _enumerate(edges, n_nodes, max_total, cap) -> np.ndarray:
             offsets = offsets[rows]
         else:
             reps = max_total - used + 1
-            if int(reps.sum()) > 4 * cap:
-                # guard the expansion allocation itself, not just the result
+            # guard the expansion allocation itself, not just the result: its
+            # rows, and its bytes at the widest a prefix row gets
+            n_rows = int(reps.sum())
+            n_bytes = n_rows * row_bytes
+            if n_rows > 4 * cap or n_bytes > _FLOW_BYTES:
                 raise ExplosionGuardError(
-                    f"balanced-flow expansion would exceed {4 * cap} rows; "
-                    f"shrink the support or max_total"
+                    f"balanced-flow expansion would take {n_rows} rows of {row_bytes} "
+                    f"bytes ({n_bytes / 2**20:.0f} MB), over the cap of {4 * cap} rows "
+                    f"or {_FLOW_BYTES >> 20} MB; shrink the support or max_total"
                 )
             rows = np.repeat(np.arange(counts.shape[0]), reps)
             offsets = (np.arange(reps.sum()) - np.repeat(np.cumsum(reps) - reps, reps)

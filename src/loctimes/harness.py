@@ -32,22 +32,23 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Callable, Dict, List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 from scipy.special import chdtrc
 
-from .chain import Generator, generator_from_triples, srw_generator, validate_generator
-from .density import density_rows, range_rates
-from .errors import ConfigParseError, InsufficientConditionedError, NotSymmetricError
+from .chain import (Generator, _match_label, generator_from_triples, srw_generator,
+                    validate_generator)
+from .density import density_rows, range_probability
+from .errors import ConfigParseError, InsufficientConditionedError
 from .montecarlo import (
     BatchPaths,
     _path_count,
     fixed_time_chunks,
     sample_paths_inverse_local_time,
 )
-from .rates import ldp_probability_bound, ldp_varadhan_bound
+from .rates import (halfspace_rate_infimum, ldp_probability_bound, ldp_varadhan_bound,
+                    linear_varadhan_supremum, log_mgf_exact)
 from .rayknight import _profile_arguments, sample_rk_profile_batch
 
 
@@ -102,16 +103,6 @@ def generator_from_config(spec) -> Generator:
         raise ConfigParseError(f"generator spec is missing field {exc}") from None
     except Exception as exc:
         raise ConfigParseError(f"generator spec: {exc}") from None
-
-
-def _match_label(states, key):
-    """JSON object keys are strings; map them back onto the label set."""
-    if key in states:
-        return key
-    for s in states:
-        if str(s) == key:
-            return s
-    raise ConfigParseError(f"key {key!r} is not a state label")
 
 
 def config_hash(resolved: dict) -> str:
@@ -213,30 +204,6 @@ def conditioning_mask(gen: Generator, R: Sequence, b) -> Callable[[BatchPaths], 
         return hit & (batch.endpoints == b_idx)
 
     return mask
-
-
-def _killed_exponential(gen: Generator, S: Sequence, T: float, V=None) -> np.ndarray:
-    """expm(T (A_S + diag V)) of ``gen`` killed outside S; V in S's order, or None."""
-    from scipy.linalg import expm
-
-    A = range_rates(gen, S).A
-    return expm(T * (A if V is None else A + np.diag(V)))
-
-
-def range_probability(gen: Generator, a, b, R: Sequence, T: float) -> float:
-    """P_a(range up to T is R, X_T = b), the density's mass on {sum of l = T}:
-    inclusion-exclusion over the S with {a, b} within S within R of the (a, b)
-    entries of :func:`_killed_exponential` on S.  R, a and b are checked as
-    in a density request."""
-    R = tuple(R)
-    density_rows(gen, R, a, b, np.empty((0, len(R))))  # checks R, a and b
-    others = [x for x in R if x not in (a, b)]
-    total = 0.0
-    for k in range(len(others) + 1):
-        for dropped in combinations(others, k):
-            S = tuple(x for x in R if x not in dropped)
-            total += (-1) ** k * _killed_exponential(gen, S, T)[S.index(a), S.index(b)]
-    return float(total)
 
 
 # ---------------------------------------------------------------------------
@@ -708,96 +675,17 @@ def verify_rayknight_mc(
 # experiment: finite-time LDP bounds
 # ---------------------------------------------------------------------------
 
-def _dirichlet_block(gen: Generator, S: Tuple) -> np.ndarray:
-    """Q = -A on S x S, killed outside S: the Dirichlet form of mu is <psi, Q psi>
-    with psi = sqrt(mu), and as Q has no positive off-diagonal entry, |psi|
-    does as well as psi, so psi may range over all unit vectors."""
-    rates = range_rates(gen, S)
-    if not rates.symmetric:
-        raise NotSymmetricError(f"the rates on {S!r} are not symmetric")
-    return -rates.A
-
-
-def halfspace_rate_infimum(gen: Generator, S: Sequence, state, threshold: float) -> float:
-    """inf of the Dirichlet form over {mu on S : mu(state) >= threshold}: the
-    least psi^T Q psi over unit psi with psi_j^2 >= threshold.  Its Lagrange
-    dual, the max over lam >= 0 of the concave
-    d(lam) = lambda_min(Q - lam e_j e_j^T) + lam threshold, is exact for one
-    quadratic constraint (S-lemma).  As d(lam) <= Q_jj - lam (1 - threshold),
-    one bounded search over [0, (Q_jj - d(0)) / (1 - threshold)] finds it, and
-    each d(lam) is a lower bound, so search error only loosens an LDP bound."""
-    S = tuple(S)
-    density_rows(gen, S, state, state, np.empty((0, len(S))))  # checks S and the state
-    Q = _dirichlet_block(gen, S)
-    j = S.index(state)
-    if not math.isfinite(threshold):
-        raise ValueError(f"the threshold must be finite, got {threshold!r}")
-    if threshold > 1.0:
-        return math.inf
-    if threshold == 1.0:
-        return float(Q[j, j])
-
-    def dual(lam: float) -> float:
-        shifted = Q.copy()
-        shifted[j, j] -= lam
-        return float(np.linalg.eigvalsh(shifted)[0]) + lam * threshold
-
-    best = dual(0.0)
-    hi = (Q[j, j] - best) / (1.0 - threshold)
-    if hi > 0.0:
-        from scipy.optimize import minimize_scalar
-
-        res = minimize_scalar(lambda lam: -dual(lam), bounds=(0.0, hi), method="bounded",
-                              options={"xatol": 1e-12})
-        best = max(best, -float(res.fun))
-    return best
-
-
-def _functional_on(S: Tuple, V) -> np.ndarray:
-    """A linear functional on S, given as a list in the order of S or as a
-    dict keyed by state (string keys of a JSON object are matched to the
-    labels), as a vector."""
-    if isinstance(V, dict):
-        V = {_match_label(S, k): v for k, v in V.items()}
-    else:
-        if len(V) != len(S):
-            raise ValueError(f"V has {len(V)} entries but S has {len(S)} states")
-        V = dict(zip(S, V))
-    return np.array([float(V[x]) for x in S])
-
-
-def linear_varadhan_supremum(gen: Generator, S: Sequence, V) -> float:
-    """sup over mu on S of <V, mu> - Dirichlet(mu) for a linear functional:
-    the top eigenvalue of diag(V) - Q, reached at psi = sqrt(mu)."""
-    S = tuple(S)
-    v = _functional_on(S, V)
-    return float(np.linalg.eigvalsh(np.diag(v) - _dirichlet_block(gen, S))[-1])
-
-
-def log_mgf_exact(gen: Generator, start, S: Sequence, V, T: float) -> float:
-    """log E[exp(<V, local times>); range within S], by the matrix exponential
-    of the killed generator A|SxS + diag(V) (:func:`_killed_exponential`)."""
-    S = tuple(S)
-    M = _killed_exponential(gen, S, T, _functional_on(S, V))
-    return float(np.log(M[S.index(start), :].sum()))
-
-
 def ldp_probability_experiment(
     gen: Generator, start, S: Sequence, state, threshold: float, T: float,
     n_samples: int, seed: int = 0,
 ) -> Report:
     """Monte Carlo estimate of P(normalized local time at ``state`` >=
-    ``threshold``, range within S) against the closed-form upper bound.
-
-    The hits are counted one chunk of 2^16 paths at a time, each chunk from
-    its own stream spawned from ``seed`` (:func:`montecarlo.fixed_time_chunks`),
-    on two lanes where the process may use two CPUs: memory is two blocks'
-    worth, not O(``n_samples``), and the per-chunk counts are summed in
-    chunk order, so the total does not depend on the lane count or the
-    schedule.  ``ValueError`` on an ``n_samples`` that is negative or not
-    an integer, and ``NotSymmetricError`` where the rates on S (those
-    outside S may be anything) are not symmetric, both before any path is
-    drawn."""
+    ``threshold``, range within S) against the closed-form upper bound, the
+    hits counted chunk by chunk as the module describes.  Before any path is
+    drawn: ``ValueError`` on an ``n_samples`` that is negative or not an
+    integer, then the errors of the LDP front door (:func:`rates._read_ldp`),
+    ``NotSymmetricError`` among them where the rates on S (not outside it)
+    are not symmetric."""
     S = tuple(S)
     n_samples = _path_count(n_samples, "n_samples")
     inf_rate = halfspace_rate_infimum(gen, S, state, threshold)

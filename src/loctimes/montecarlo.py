@@ -134,26 +134,45 @@ class JumpTable:
         return self.targets.ravel()[flat]
 
 
+def _row_ranks(xs: np.ndarray, n: int):
+    """The number of entries in each of n rows, and the rank of each entry
+    within its row, of entries listed in row order by their rows ``xs``."""
+    count = np.bincount(xs, minlength=n)
+    return count, np.arange(xs.size) - (np.cumsum(count) - count)[xs]
+
+
 def jump_table(gen: Generator) -> JumpTable:
     """The :class:`JumpTable` of a generator, built from the cumulative
     jump probabilities so that a uniform selects the same target as the
-    dense rule ``(u >= cum[x]).sum()`` wherever that rule is in range."""
+    dense rule ``(u >= cum[x]).sum()`` wherever that rule is in range.
+
+    Only the nonzero off-diagonal rates of states with a positive exit rate
+    are read.  Each state's jump probabilities are packed left, in label
+    order, into one row of a (states, max out-degree) array, whose row
+    cumulative sums add the same terms in the same order as the dense rows
+    (a zero adds nothing), so every threshold has the dense rule's bits.  A
+    target is kept where its row's sum strictly increases, which drops one
+    whose probability rounds away."""
     exit_rates = gen.exit_rates()
-    with np.errstate(invalid="ignore", divide="ignore"):
-        P = np.where(exit_rates[:, None] > 0,
-                     gen.off_diagonal() / exit_rates[:, None], 0.0)
-    cum = np.cumsum(P, axis=1)
     n = gen.n_states
+    xs, ys = np.nonzero(gen.rates)
+    jumps = (xs != ys) & (exit_rates[xs] > 0)
+    xs, ys = xs[jumps], ys[jumps]
+    degree, col = _row_ranks(xs, n)
+    P = np.zeros((n, max(1, int(degree.max(initial=0)))))
+    P[xs, col] = gen.rates[xs, ys] / exit_rates[xs]
+    cum = np.cumsum(P, axis=1)
     # a target is reachable where the cumulative sum strictly increases
-    reachable = np.diff(cum, axis=1, prepend=0.0) > 0
-    depth = max(1, int(reachable.sum(axis=1).max()))
-    thresholds = np.full((depth, n), np.inf)
-    targets = np.tile(np.arange(n), (depth, 1))
-    for x in range(n):
-        ys = np.flatnonzero(reachable[x])
-        if ys.size:
-            thresholds[: ys.size - 1, x] = cum[x, ys[:-1]]
-            targets[: ys.size, x] = ys
+    kept = (np.diff(cum, axis=1, prepend=0.0) > 0)[xs, col]
+    cum = cum[xs, col]
+    if not kept.all():
+        xs, ys, cum = xs[kept], ys[kept], cum[kept]
+        degree, col = _row_ranks(xs, n)
+    thresholds = np.full((max(1, int(degree.max(initial=0))), n), np.inf)
+    targets = np.tile(np.arange(n), (len(thresholds), 1))
+    targets[col, xs] = ys
+    inner = col < degree[xs] - 1   # the last target of a state keeps +inf
+    thresholds[col[inner], xs[inner]] = cum[inner]
     return JumpTable(exit_rates=exit_rates, thresholds=thresholds, targets=targets)
 
 

@@ -1,4 +1,6 @@
-"""Rate functions, the pointwise density bound, and finite-time LDP bounds.
+"""Rate functions, the pointwise density bound, and the LDP layer: the
+variational values, the exact side and the finite-time bounds, each reading
+its request through one front door, :func:`_read_ldp`.
 
 The occupation-measure rate function of a chain with generator A is
 
@@ -24,13 +26,15 @@ alpha^2 L - alpha^d diag(V), L the box's graph Laplacian.
 import math
 from dataclasses import dataclass
 from itertools import product
-from typing import Dict, Sequence
+from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
-from .chain import Generator, _reach
-from .density import _read_request, range_rates
+from .chain import Generator, _match_label, _reach
+from .density import (_check_horizon, _distinct_labels, _killed_exponential, _range_positions,
+                      _read_request, range_rates)
 from .errors import (
+    NonConvergedTruncationError,
     NotConvergedError,
     NotSymmetricError,
     TooEarlyError,
@@ -255,17 +259,111 @@ def density_upper_bound(
 
 
 # ---------------------------------------------------------------------------
-# finite-time large-deviation bounds
+# the LDP layer: variational values, the exact side and finite-time bounds
 # ---------------------------------------------------------------------------
 
-def _ldp_error_terms(gen: Generator, S: Sequence, T: float) -> float:
-    """The terms the finite-time bounds add to T times the rate, from the
-    rates on S, which must be symmetric: the bounds are proved for the
-    Dirichlet form, and the Dirichlet form of a non-symmetric block is no
-    rate function."""
+def _read_ldp(gen: Generator, S: Sequence, sites=(), V=None, T=None, bound=False,
+              value=None, finite=False, symmetric=False):
+    """The front door of every LDP entry, which reads, in this order so that a
+    request wrong in two ways names one first error everywhere: S, the
+    ``sites`` (a start or state) in S, V (:func:`_functional_on`), T (finite
+    and >= 0; >= 1 for a ``bound``, else ``TooEarlyError``), the (name,
+    number) ``value`` (not nan, nor infinite if ``finite``), and the rates on
+    S, ``symmetric`` where a spectral value or a bound needs it.  Returns S,
+    the sites' positions, V as a vector and the rates."""
+    S = _distinct_labels(S)
+    positions = [_range_positions(S, x, x)[1] for x in sites]
+    v = None if V is None else _functional_on(S, V)
+    if T is not None:
+        if bound and math.isfinite(T) and T < 1.0:
+            raise TooEarlyError(f"the finite-time bound requires T >= 1, got {T!r}")
+        _check_horizon(T)
+    if value is not None and (math.isnan(value[1]) or (finite and math.isinf(value[1]))):
+        raise ValueError(f"{value[0]} must be {'finite' if finite else 'a number'}, "
+                         f"got {value[1]!r}")
     rates = range_rates(gen, S)
-    if not rates.symmetric:
-        raise NotSymmetricError(f"the rates on {tuple(S)!r} are not symmetric")
+    if symmetric and not rates.symmetric:
+        raise NotSymmetricError(f"the rates on {S!r} are not symmetric")
+    return S, positions, v, rates
+
+
+def _functional_on(S: Tuple, V) -> np.ndarray:
+    """A linear functional on S, given as a list in the order of S or as a
+    dict keyed by state (string keys of a JSON object are matched to the
+    labels), as a vector of finite values, else ``ValueError`` naming V."""
+    if isinstance(V, dict):
+        V = {_match_label(S, k): v for k, v in V.items()}
+        if len(V) != len(S):
+            raise ValueError(f"V misses the state {next(x for x in S if x not in V)!r} of S")
+    else:
+        if len(V) != len(S):
+            raise ValueError(f"V has {len(V)} entries but S has {len(S)} states")
+        V = dict(zip(S, V))
+    v = np.array([float(V[x]) for x in S])
+    for x, vx in zip(S, v.tolist()):
+        if not math.isfinite(vx):
+            raise ValueError(f"V must be finite; got {vx!r} at state {x!r}")
+    return v
+
+
+def halfspace_rate_infimum(gen: Generator, S: Sequence, state, threshold: float) -> float:
+    """inf of the Dirichlet form over {mu on S : mu(state) >= threshold}: the
+    least psi^T Q psi over unit psi with psi_j^2 >= threshold, Q = -A on S x S
+    killed outside S (|psi| does as well as psi).  Its Lagrange dual, the max
+    over lam >= 0 of the concave
+    d(lam) = lambda_min(Q - lam e_j e_j^T) + lam threshold, is exact for one
+    quadratic constraint (S-lemma).  As d(lam) <= Q_jj - lam (1 - threshold),
+    one bounded search over [0, (Q_jj - d(0)) / (1 - threshold)] finds it, and
+    each d(lam) is a lower bound, so search error only loosens an LDP bound."""
+    _, (j,), _, rates = _read_ldp(gen, S, (state,), value=("the threshold", threshold),
+                                  finite=True, symmetric=True)
+    Q = -rates.A
+    if threshold > 1.0:
+        return math.inf
+    if threshold == 1.0:
+        return float(Q[j, j])
+
+    def dual(lam: float) -> float:
+        shifted = Q.copy()
+        shifted[j, j] -= lam
+        return float(np.linalg.eigvalsh(shifted)[0]) + lam * threshold
+
+    best = dual(0.0)
+    hi = (Q[j, j] - best) / (1.0 - threshold)
+    if hi > 0.0:
+        from scipy.optimize import minimize_scalar
+
+        res = minimize_scalar(lambda lam: -dual(lam), bounds=(0.0, hi), method="bounded",
+                              options={"xatol": 1e-12})
+        best = max(best, -float(res.fun))
+    return best
+
+
+def linear_varadhan_supremum(gen: Generator, S: Sequence, V) -> float:
+    """sup over mu on S of <V, mu> - Dirichlet(mu) for a linear functional:
+    the top eigenvalue of diag(V) - Q, reached at psi = sqrt(mu)."""
+    _, _, v, rates = _read_ldp(gen, S, V=V, symmetric=True)
+    return float(np.linalg.eigvalsh(np.diag(v) + rates.A)[-1])
+
+
+def log_mgf_exact(gen: Generator, start, S: Sequence, V, T: float) -> float:
+    """log E[exp(<V, local times>); range within S], by the matrix exponential
+    of the killed generator A|SxS + diag(V), for any rates on S;
+    ``NonConvergedTruncationError`` where that value is not a double."""
+    _, (i,), v, rates = _read_ldp(gen, S, (start,), V=V, T=T)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        value = float(np.log(_killed_exponential(rates, T, v)[i, :].sum()))
+    if not math.isfinite(value):
+        raise NonConvergedTruncationError(
+            f"log E[exp(<V, l>)] at T = {T!r} is not a double: {value!r}")
+    return value
+
+
+def _ldp_error_terms(gen: Generator, S: Sequence, T: float, value) -> float:
+    """The terms the finite-time bounds add to T times the rate ``value``,
+    from the rates on S: the bounds are proved for the Dirichlet form, and
+    that of a non-symmetric block is no rate function."""
+    rates = _read_ldp(gen, S, T=T, bound=True, value=value, symmetric=True)[3]
     s = len(rates.diag)
     return s * math.log(rates.eta * math.sqrt(8.0 * math.e) * T) + math.log(s) + s / (4.0 * T)
 
@@ -280,9 +378,7 @@ def ldp_probability_bound(gen: Generator, S: Sequence, inf_rate: float, T: float
     the caller).  Valid for T >= 1; rates on S that are not symmetric raise
     ``NotSymmetricError``.
     """
-    if T < 1.0:
-        raise TooEarlyError("the finite-time bound requires T >= 1")
-    return -T * inf_rate + _ldp_error_terms(gen, S, T)
+    return -T * inf_rate + _ldp_error_terms(gen, S, T, ("inf_rate", inf_rate))
 
 
 def ldp_varadhan_bound(gen: Generator, S: Sequence, sup_value: float, T: float) -> float:
@@ -294,9 +390,7 @@ def ldp_varadhan_bound(gen: Generator, S: Sequence, sup_value: float, T: float) 
     Valid for T >= 1 and rates symmetric on S, as
     :func:`ldp_probability_bound`.
     """
-    if T < 1.0:
-        raise TooEarlyError("the finite-time bound requires T >= 1")
-    return T * sup_value + _ldp_error_terms(gen, S, T)
+    return T * sup_value + _ldp_error_terms(gen, S, T, ("sup_value", sup_value))
 
 
 # ---------------------------------------------------------------------------

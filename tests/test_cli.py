@@ -295,6 +295,41 @@ def test_ldp_varadhan_rejects_V_of_wrong_length(twostate, capsys, V):
     assert "V has" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("args, named", [
+    (["--S", "0,1,1", "--T", "5", "--inf-rate", "0.3"], "range (0, 1, 1) repeats the label 1"),
+    (["--S", "0,1,2", "--T", "nan", "--inf-rate", "0.3"], "T must be finite and >= 0, got nan"),
+    (["--S", "0,1,2", "--T", "inf", "--inf-rate", "0.3"], "T must be finite and >= 0, got inf"),
+    (["--S", "0,1,2", "--T", "5", "--inf-rate", "nan"], "inf_rate must be a number, got nan"),
+    (["--S", "0,1,2", "--T", "5", "--mode", "varadhan", "--sup-value", "nan"],
+     "sup_value must be a number, got nan"),
+    (["--S", "0,1,2", "--T", "5", "--mode", "varadhan", "--V", "0,nan,0.1"],
+     "V must be finite; got nan at state 1")],
+    ids=["repeated-label", "nan-T", "infinite-T", "nan-inf-rate", "nan-sup-value", "nan-V"])
+def test_malformed_ldp_requests_are_usage_errors(tmp_path, capsys, args, named):
+    srw = tmp_path / "srw.json"
+    srw.write_text(json.dumps({"srw": [0, 2]}))
+    assert main(["ldp", "--generator", str(srw), *args]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"usage error: {named}\n"
+
+
+def test_ldp_keeps_its_failures_of_the_chain_and_of_the_horizon(tmp_path, capsys):
+    # rates that are not symmetric on S, and a T below the bounds' 1, are
+    # answers about the request's chain and time, not usage errors: exit 1
+    reversible = tmp_path / "reversible.json"
+    reversible.write_text(json.dumps({"states": [0, 1, 2], "rates": [
+        [0, 1, 2.0], [1, 0, 1.0], [1, 2, 0.5], [2, 1, 3.0]]}))
+    assert main(["ldp", "--generator", str(reversible), "--S", "0,1,2", "--T", "5",
+                 "--inf-rate", "0.3"]) == 1
+    assert capsys.readouterr().err == "error: the rates on (0, 1, 2) are not symmetric\n"
+    srw = tmp_path / "srw.json"
+    srw.write_text(json.dumps({"srw": [0, 2]}))
+    assert main(["ldp", "--generator", str(srw), "--S", "0,1,2", "--T", "0.5",
+                 "--inf-rate", "0.3"]) == 1
+    assert capsys.readouterr().err == "error: the finite-time bound requires T >= 1, got 0.5\n"
+
+
 @pytest.mark.parametrize("V", [[0.5], [0.0, 0.5, 0.1]], ids=["short", "long"])
 def test_verify_config_with_V_of_wrong_length_exits_2(tmp_path, capsys, V):
     cfg = tmp_path / "cfg.json"

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from itertools import product
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 
 from loctimes.errors import ExplosionGuardError
 from loctimes.density import _ORDER_SCHEDULE
+from loctimes import flows
 from loctimes.flows import _FLOW_CAP, _closing_order, _enumerate, flow_table
 
 
@@ -66,6 +68,23 @@ def test_explosion_guard():
     edges = tuple((i, j) for i in range(4) for j in range(4) if i != j)
     with pytest.raises(ExplosionGuardError):
         _enumerate(edges, 4, 40, 1000)
+
+
+def test_explosion_guard_counts_bytes_before_allocating(monkeypatch):
+    # the complete digraph on 4 nodes at total 20 expands to about 1.5e5
+    # rows of 84 bytes, far below the row caps; a 1 MB byte budget refuses
+    # it from the projected size, before the prefix arrays are built
+    edges = tuple((i, j) for i in range(4) for j in range(4) if i != j)
+    assert len(_enumerate(edges, 4, 20, _FLOW_CAP)) == 181_328
+    monkeypatch.setattr(flows, "_FLOW_BYTES", 1 << 20)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ExplosionGuardError, match=r"rows of 84 bytes .* or 1 MB"):
+            _enumerate(edges, 4, 20, _FLOW_CAP)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_flow_table_packs_out_degrees():

@@ -59,3 +59,23 @@ def test_harness_and_cli_use_no_private_density_name():
                     for alias in node.names]
         assert imported, name
         assert not [n for n in imported if n.startswith("_")], name
+
+
+LDP_NAMES = {"halfspace_rate_infimum", "linear_varadhan_supremum", "log_mgf_exact",
+             "_functional_on", "_killed_exponential", "range_probability"}
+
+
+def test_the_ldp_layer_lives_in_rates_and_density():
+    # rates owns the LDP values and bounds and density the exact mass;
+    # harness, which runs the experiments, defines none of them, and cli
+    # reaches none of them through harness
+    package = Path(SRC) / "loctimes"
+    defined = {name: {node.name for node in ast.parse((package / name).read_text()).body
+                      if isinstance(node, ast.FunctionDef)}
+               for name in ("harness.py", "rates.py", "density.py")}
+    assert not defined["harness.py"] & (LDP_NAMES | {"_dirichlet_block"})
+    assert LDP_NAMES <= defined["rates.py"] | defined["density.py"]
+    cli = ast.parse((package / "cli.py").read_text())
+    through_harness = [node.attr for node in ast.walk(cli) if isinstance(node, ast.Attribute)
+                       and isinstance(node.value, ast.Name) and node.value.id == "harness"]
+    assert not set(through_harness) & LDP_NAMES

@@ -535,6 +535,53 @@ def test_jump_table_matches_dense_rule():
         assert np.all(rates[state, table.step(state, u)] > 0)
 
 
+def _loop_jump_table(gen):
+    """The jump table as the dense rule builds it, one state at a time: the
+    reference the table built from the nonzero rates must equal bit for bit."""
+    exit_rates = gen.exit_rates()
+    with np.errstate(invalid="ignore", divide="ignore"):
+        P = np.where(exit_rates[:, None] > 0, gen.off_diagonal() / exit_rates[:, None], 0.0)
+    cum = np.cumsum(P, axis=1)
+    reachable = np.diff(cum, axis=1, prepend=0.0) > 0
+    depth = max(1, int(reachable.sum(axis=1).max()))
+    thresholds = np.full((depth, gen.n_states), np.inf)
+    targets = np.tile(np.arange(gen.n_states), (depth, 1))
+    for x in range(gen.n_states):
+        ys = np.flatnonzero(reachable[x])
+        if ys.size:
+            thresholds[: ys.size - 1, x] = cum[x, ys[:-1]]
+            targets[: ys.size, x] = ys
+    return thresholds, targets
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_jump_table_is_bit_equal_to_the_loop_over_states(seed):
+    rng = np.random.default_rng(5200 + seed)
+    for trial in range(40):
+        n = int(rng.integers(2, 12))
+        rates = rng.uniform(0.1, 2.0, (n, n)) * (rng.random((n, n)) < rng.uniform(0.2, 1.0))
+        rates[np.arange(n), (np.arange(n) + 1) % n] += 0.5
+        x = int(rng.integers(n))
+        if trial % 3 == 0:
+            rates[x] = 0.0                          # an absorbing state
+        elif trial % 3 == 1:
+            rates[x, (x + 2) % n] = 1e-17 * rates[x].sum()  # rounds away
+        np.fill_diagonal(rates, 0.0)
+        gen = validate_generator(rates)
+        table = jump_table(gen)
+        thresholds, targets = _loop_jump_table(gen)
+        assert table.thresholds.tobytes() == thresholds.tobytes()
+        assert table.targets.shape == targets.shape
+        assert np.array_equal(table.targets, targets)
+    # a probability that rounds away drops its target: 0 jumps to 1 or 3
+    rates = np.zeros((4, 4))
+    rates[0, 1:] = [1.0, 1e-17, 1.0]
+    rates[1:, 0] = 1.0
+    table = jump_table(validate_generator(rates))
+    assert table.targets[:, 0].tolist() == [1, 3]
+    assert table.thresholds[:, 0].tolist() == [0.5, math.inf]
+
+
 def test_jump_table_state_without_out_jumps():
     # state 2 is absorbing: its column has itself as the only target
     gen = validate_generator([[0.0, 1.0, 1.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])

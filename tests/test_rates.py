@@ -1,24 +1,29 @@
+import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from loctimes.chain import Generator, generator_from_triples, srw_generator, validate_generator
-from loctimes.density import _replaced_matrix, density, range_rates
+from loctimes.density import _replaced_matrix, density, range_probability, range_rates
 from loctimes.errors import (
     NegativeRateError,
+    NonConvergedTruncationError,
     NotConvergedError,
     NotSymmetricError,
     TooEarlyError,
     UnboundedRateError,
 )
-from loctimes.harness import linear_varadhan_supremum
 from loctimes.rates import (
     _box_edges,
     density_upper_bound,
     eta,
+    halfspace_rate_infimum,
     ldp_probability_bound,
     ldp_varadhan_bound,
+    linear_varadhan_supremum,
+    log_mgf_exact,
     rate_general,
     rate_symmetric,
     rescaled_chi_discrete,
@@ -574,6 +579,111 @@ def test_an_empty_range_is_named():
                  lambda: ldp_probability_bound(TWO_STATE, (), 0.0, 2.0)):
         with pytest.raises(ValueError, match="the range is empty"):
             call()
+
+
+# ---------------------------------------------------------------------------
+# the LDP layer's front door
+# ---------------------------------------------------------------------------
+
+# every LDP value, exact side and bound as a call on one request: the chain,
+# S, the site (a start or a state), V, T and the scalar (the threshold,
+# inf_rate or sup_value), and the parts of it that each entry reads, "gen"
+# where it needs the rates on S symmetric
+LDP_ENTRIES = {
+    "halfspace_rate_infimum": (lambda r: halfspace_rate_infimum(r["gen"], r["S"], r["site"],
+                                                                r["value"]),
+                               {"S", "site", "value", "gen"}),
+    "linear_varadhan_supremum": (lambda r: linear_varadhan_supremum(r["gen"], r["S"], r["V"]),
+                                 {"S", "V", "gen"}),
+    "log_mgf_exact": (lambda r: log_mgf_exact(r["gen"], r["site"], r["S"], r["V"], r["T"]),
+                      {"S", "site", "V", "T"}),
+    "ldp_probability_bound": (lambda r: ldp_probability_bound(r["gen"], r["S"], r["value"],
+                                                              r["T"]),
+                              {"S", "T", "value", "gen"}),
+    "ldp_varadhan_bound": (lambda r: ldp_varadhan_bound(r["gen"], r["S"], r["value"], r["T"]),
+                           {"S", "T", "value", "gen"}),
+    "range_probability": (lambda r: range_probability(r["gen"], r["site"], r["site"], r["S"],
+                                                      r["T"]),
+                          {"S", "site", "T"}),
+}
+GOOD_REQUEST = {"gen": srw_generator(0, 2), "S": (0, 1, 2), "site": 1, "V": [0.0, 0.3, 0.1],
+                "T": 5.0, "value": 0.4}
+VALUE_NAMES = {"halfspace_rate_infimum": "the threshold must be finite",
+               "ldp_probability_bound": "inf_rate must be a number",
+               "ldp_varadhan_bound": "sup_value must be a number"}
+
+
+def _time_error(entry):
+    if entry.endswith("bound"):
+        return TooEarlyError, "requires T >= 1, got -1.0"
+    return ValueError, "T must be finite and >= 0, got -1.0"
+
+
+# in the front door's order: (the part of the request, its wrong value, the
+# error of an entry that reads it)
+LDP_FAULTS = {
+    "repeated-label": ("S", (0, 1, 1), lambda e: (ValueError, "repeats the label 1")),
+    "site-outside-S": ("site", 7, lambda e: (ValueError, "site 7 is not in the range")),
+    "short-V": ("V", [0.0, 0.3], lambda e: (ValueError, "V has 2 entries but S has 3")),
+    "nan-V": ("V", [0.0, math.nan, 0.1],
+              lambda e: (ValueError, "V must be finite; got nan at state 1")),
+    "infinite-V": ("V", [0.0, 0.3, math.inf],
+                   lambda e: (ValueError, "V must be finite; got inf at state 2")),
+    "nan-T": ("T", math.nan, lambda e: (ValueError, "T must be finite")),
+    "negative-T": ("T", -1.0, _time_error),
+    "infinite-T": ("T", math.inf, lambda e: (ValueError, "T must be finite")),
+    "nan-value": ("value", math.nan, lambda e: (ValueError, VALUE_NAMES[e])),
+    "not-symmetric": ("gen", REVERSIBLE_PATH,
+                      lambda e: (NotSymmetricError, r"rates on \(0, 1, 2\) are not symmetric")),
+}
+
+
+def test_the_good_request_is_answered_by_every_entry():
+    for entry, (call, _) in LDP_ENTRIES.items():
+        assert math.isfinite(call(GOOD_REQUEST)), entry
+
+
+@pytest.mark.parametrize("entry, fault", [
+    (entry, fault) for entry, (_, reads) in LDP_ENTRIES.items()
+    for fault, (part, _, _) in LDP_FAULTS.items() if part in reads])
+def test_every_ldp_entry_names_a_malformed_argument(entry, fault):
+    call, _ = LDP_ENTRIES[entry]
+    part, wrong, error = LDP_FAULTS[fault]
+    kind, message = error(entry)
+    with pytest.raises(kind, match=message):
+        call(dict(GOOD_REQUEST, **{part: wrong}))
+
+
+def test_a_request_wrong_in_two_ways_names_the_first_error_everywhere():
+    # the front door reads S, the site, V, T, the scalar and the rates in
+    # that order, in every entry
+    faults = list(LDP_FAULTS.items())
+    for (first, (p1, w1, e1)), (second, (p2, w2, e2)) in itertools.combinations(faults, 2):
+        if p1 == p2:
+            continue
+        request = dict(GOOD_REQUEST, **{p1: w1, p2: w2})
+        for entry, (call, reads) in LDP_ENTRIES.items():
+            named = [error for part, error in ((p1, e1), (p2, e2)) if part in reads]
+            if named:
+                kind, message = named[0](entry)
+                with pytest.raises(kind, match=message):
+                    call(request)
+
+
+def test_the_exact_side_takes_rates_that_are_not_symmetric():
+    assert math.isfinite(log_mgf_exact(REVERSIBLE_PATH, 1, (0, 1, 2), [0.0, 0.3, 0.1], 5.0))
+    assert 0.0 < range_probability(REVERSIBLE_PATH, 1, 1, (0, 1, 2), 5.0) < 1.0
+
+
+@pytest.mark.parametrize("V, sign", [([0.0, 0.3, 0.1], "inf"), ([0.0, -300.0, -300.0], "-inf")])
+def test_log_mgf_exact_outside_double_range_raises(V, sign):
+    # at T = 1e4 the expectation overflows, or its mass underflows to 0,
+    # and no RuntimeWarning escapes
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonConvergedTruncationError, match=f"is not a double: {sign}"):
+            log_mgf_exact(srw_generator(0, 2), 0, (0, 1, 2), V, 1e4)
+        assert math.isfinite(log_mgf_exact(srw_generator(0, 2), 0, (0, 1, 2), V, 300.0))
 
 
 # ---------------------------------------------------------------------------
