@@ -77,7 +77,7 @@ def cmd_density(args) -> int:
     if route == "tree":
         print("exact tree product of Bessel kernels (no truncation to certify)")
     else:
-        print(f"certified truncation error <= {bounds[0]:.3e} (series order {orders[0]})")
+        print(f"certified truncation error <= {bounds[0]:.3e} (visit order {orders[0]})")
     return 0
 
 

@@ -12,16 +12,16 @@ where B is the off-diagonal part of A on R, det_ab is the (b,a) cofactor
     G(l) = integral over [0,2pi]^R of
            exp(sum_{x,y} B[x,y] sqrt(l_x l_y) e^{i(th_x - th_y)}) dth/(2pi)^R.
 
-Three independent evaluations are provided, and :func:`density_rows`, the
-one public entry of the routed engine, chooses between the series and the
+Four evaluations are provided, and :func:`density_rows`, the one public
+entry of the routed engine, chooses between the visit-count series and the
 tree product by the structure of the undirected support of B on R:
 
 * :func:`density_certified` - expand G as a power series over balanced
   integer flows (only balanced monomials survive the circle averages), apply
   the cofactor operator in closed form, and certify the truncation remainder;
   :func:`density_batch` does this for many points of one range at once, and
-  the single-point functions are batches of one in code path; with the route
-  choice they are the only way into the series.  A point's value and bound
+  the single-point functions are batches of one in code path; they are the
+  only way into the flow series.  A point's value and bound
   can differ from its row in a larger batch in the last bits (relative
   differences up to 1.2e-13 were measured on random 3- to 5-state ranges,
   median 6e-16), because numpy's matrix products take other kernels and
@@ -52,7 +52,16 @@ tree product by the structure of the undirected support of B on R:
   flows, over many rows at once (:func:`_tree_rows`), a point being a row
   with the same bits; a row is a dozen or so numpy calls, laid out to keep
   that count down.  :func:`density_tridiagonal` is this product on the
-  path graph of an integer interval, for nearest-neighbor chains.
+  path graph of an integer interval, for nearest-neighbor chains;
+* the visit-count series (:func:`_visit_rows`) - no torus at all: the sum
+  over the jump paths from a to b inside R that visit every state, grouped
+  by their visit vectors, whose terms are all nonnegative, so neither a
+  cofactor nor an inclusion-exclusion cancels.  Its work is polynomial in
+  the order for a fixed |R| (C(N + |R|, |R|) visit vectors at order N),
+  where the balanced flows grow exponentially with the edges; each row's
+  order comes from a closed-form tail bound before any coefficient is
+  computed, and an order whose series would pass the flow guard's byte cap
+  is refused before anything is allocated.
 
 Every entry and the density bound read a request once, through
 :func:`_read_request`, in one order: R, a and b (:func:`_range_positions`),
@@ -64,8 +73,9 @@ The routes are functions of the request it returns: :func:`density_rows`,
 the one route choice (of :func:`density`, :func:`density_tree` and
 :func:`density_tridiagonal`, its one-row case, of ``loctimes density`` and of
 the law check), takes the tree product where the support is a tree (found by
-one linear-time search, :func:`chain._reach`) and the certified series
-everywhere else.  The density's exact mass, :func:`range_probability`,
+one linear-time search, :func:`chain._reach`) and the visit-count series
+everywhere else; :func:`density_certified` and :func:`density_batch` are the
+balanced-flow series, whatever the support.  The density's exact mass, :func:`range_probability`,
 reads R, a and b the same way, then T (:func:`_check_horizon`).
 
 The density depends only on the rates inside R x R, and only the local times
@@ -79,8 +89,10 @@ rates.  Every cached array is read-only.
   stacks, per (|R|, a, b) (:func:`_subset_layout`); the balanced flows, per
   (directed support, |R|, truncation order) (:func:`flows.flow_table`, whose
   counts and out-degrees are stored as the floats the series multiplies);
-  the gamma-function arguments of the tail bound, per (orders, shifts); and
-  the quadrature's phases and minor layout, per range size.
+  the gamma-function arguments of the tail bound, per (orders, shifts); the
+  visit vectors of the visit series, layer by layer, per range size
+  (:func:`visits.visit_structure`); and the quadrature's phases and minor
+  layout, per range size.
 * Values, keyed by content, so an in-place edit of ``gen.rates`` misses them
   instead of reading a stale value: the key is the bytes of the rate block
   (``gen.rates`` itself where R is the whole state tuple, in order, with no
@@ -97,8 +109,10 @@ rates.  Every cached array is read-only.
   truncation order: the log coefficients and the subset factors, which
   depend on the weights and so stay with the series.  The tree route reads
   only the :class:`RangeRates` and the factors of its product
-  (:func:`_tree_factors`, keyed like the series without a conjugation).
-  Each value cache is bounded at 16 entries.
+  (:func:`_tree_factors`, keyed like the series without a conjugation), and
+  the visit series the coefficients of its jump chain, grown with the order
+  (:func:`_visit_series`, keyed the same way).  Each value cache is bounded
+  at 16 entries.
 
 The diagonal stays the strided view ``np.diag(A)``: a contiguous copy changes
 ``L @ diag`` in the last bit, and the values must match an uncached
@@ -106,6 +120,7 @@ evaluation bit for bit.
 """
 
 import math
+import threading
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
@@ -126,7 +141,8 @@ from .errors import (
     NotTridiagonalError,
     ResidualImaginaryError,
 )
-from .flows import flow_table
+from .flows import _FLOW_BYTES, flow_table
+from .visits import projected_bytes, visit_structure
 
 MIN_LOCAL_TIME = 1e-12
 _ORDER_SCHEDULE = (8, 12, 18, 26, 36, 48, 64, 84, 110, 140)
@@ -686,6 +702,43 @@ def density_batch(
     return _certified_rows(request.rates, request.a, request.b, conjugation, request.l, tol)
 
 
+# from this many free states (2^12 derivative subsets) on, the series asks the
+# flow guard before it builds the subset weights, which take seconds at 2^18
+_EARLY_REFUSAL_STATES = 12
+
+
+def _refuse_before_weights(rates: RangeRates, a: int, b: int, conjugation: Optional[bytes],
+                           L: np.ndarray, tol: float) -> None:
+    """Raise the flow guard's ``ExplosionGuardError`` where the series of
+    :func:`_certified_rows` would raise it, before the subset weights are
+    built.
+
+    The certificate is a sum of nonnegative terms, one of them the tail of
+    the empty subset, exp(sum A_xx l_x) |w| e^S P(n0 + 1, S) with w the
+    cofactor of -B (one determinant).  So no row certifies below the first
+    order of the schedule at which that term alone is below tol (taken with
+    a margin of 1e-6 for the rounding of a second determinant), and the
+    flow table of the largest such order over the rows is one the series
+    would enumerate, or a smaller one: enumerating it asks the guard, whose
+    expansion only grows with the order.  Where some row certifies at no
+    order, the series raises its own error, so nothing is asked."""
+    Btilde = rates.B
+    if conjugation is not None:
+        rvec = np.frombuffer(conjugation)
+        Btilde = rates.B * rvec[:, None] / rvec[None, :]
+    xs, ys = _series_support(Btilde)
+    S = np.sqrt(L[:, xs] * L[:, ys]) @ Btilde[xs, ys]
+    weight = abs(float(np.linalg.det(_replaced_matrix(-rates.B, a, b))))
+    with np.errstate(over="ignore", invalid="ignore", under="ignore"):
+        empty = (np.exp(L @ rates.diag + S) * weight
+                 * gammainc(_SCHEDULE[:, None] + 1.0, S) * (1.0 - 1e-6))
+        certified = empty <= tol
+    if not certified.any(axis=0).all():
+        return
+    order = int(_SCHEDULE[certified.argmax(axis=0)].max())
+    flow_table(tuple(zip(xs.tolist(), ys.tolist())), len(rates.diag), order)
+
+
 def _certified_rows(
     rates: RangeRates, a: int, b: int, conjugation: Optional[Sequence], L: np.ndarray,
     tol: float,
@@ -699,6 +752,9 @@ def _certified_rows(
         if rvec.shape != rates.diag.shape or np.any(rvec <= 0):
             raise ValueError("conjugation must be a positive vector on R")
         conj = rvec.tobytes()
+    free = len(rates.diag) - len({a, b})
+    if _EARLY_REFUSAL_STATES <= free <= _MAX_FREE_STATES:
+        _refuse_before_weights(rates, a, b, conj, L, tol)
     series = _prepared_range(rates, a, b, conj)
     log_diag = L @ rates.diag
     products = series.subset_products(L)
@@ -768,17 +824,252 @@ def density_certified(
                              order=int(orders[0]))
 
 
+# ---------------------------------------------------------------------------
+# visit-count series
+# ---------------------------------------------------------------------------
+
+# the largest order the search for a row's certified order considers
+_VISIT_SEARCH = 1 << 20
+_UNIT = np.finfo(float).eps / 2
+# log of the smallest subnormal double, 2^-1074
+_LOG_SUBNORMAL = -1074 * math.log(2.0)
+
+
+class _VisitSeries:
+    """The coefficients of the visit-count series of one (R, a, b), grown
+    with the order and kept.
+
+    With s_x = sum_y B_xy and the jump chain P = B / s, the paths from x to
+    b with visit vector n weigh h_n(x) = prod_z s_z^{n_z - [z = b]} times
+    g_n(x), where g_{e_b}(b) = 1 and g_n(x) = sum_y P_xy g_{n - e_x}(y).
+    Layer K of g (over the visit vectors of :mod:`visits`) is one product
+    with P^T and one gather along the layer's predecessor ranks, so no sum
+    ever leaves [0, 1].  ``logc`` holds log g_n(a) - sum_x log (n_x - 1)!
+    for the vectors with every n_x >= 1, in the structure's order (-inf
+    where g is 0), ``finite[K]`` how many of those in layers <= K are
+    finite and ``absmax[K]`` their largest magnitude.  ``sink`` is set where
+    some state other than b has no rate inside R: no path of range R ends
+    at b then, and the density is 0.
+    """
+
+    def __init__(self, rates: RangeRates, a: int, b: int):
+        self.r, self.a, self.b = len(rates.diag), a, b
+        exits = rates.B.sum(axis=1)
+        self.sink = bool(np.any(np.delete(exits, b) == 0.0))
+        scale = np.where(exits > 0.0, exits, 1.0)
+        self.Pt = (rates.B / scale[:, None]).T.copy()
+        # log s_x, with 0 where s_b = 0: b is then visited once, exponent 0
+        self.log_exits = np.log(scale)
+        self.log_exits_off_b = float(np.delete(self.log_exits, b).sum())
+        self.exits = exits
+        self.structure = visit_structure(self.r)
+        self.logc = np.zeros(0)
+        self.finite = [0]
+        self.absmax = [0.0]
+        self._layer: Optional[np.ndarray] = None
+        self._lock = threading.Lock()
+        _read_only(self.Pt, self.log_exits, self.exits)
+
+    def extend(self, N: int) -> None:
+        """Grow the coefficients to the layers 1 .. N."""
+        with self._lock:
+            done = len(self.finite) - 1
+            if done >= N:
+                return
+            layers = self.structure.extend(N)
+            pieces = []
+            g = self._layer
+            for K in range(done + 1, N + 1):
+                layer = layers[K - 1]
+                if K == 1:
+                    g = np.zeros((self.r, self.r))
+                    g[self.r - 1 - self.b, self.b] = 1.0    # rank(e_b) = r - 1 - b
+                else:
+                    step = np.zeros((len(g) + 1, self.r))
+                    np.matmul(g, self.Pt, out=step[:-1])
+                    g = np.take_along_axis(step, layer.pred, axis=0)
+                coef = g[layer.full, self.a]
+                with np.errstate(divide="ignore"):
+                    logc = np.log(coef)
+                lo, hi = self.structure.ends[K - 1], self.structure.ends[K]
+                logc -= self.structure.log_factorials[lo:hi]
+                pieces.append(logc)
+                finite = np.isfinite(logc)
+                self.finite.append(self.finite[-1] + int(finite.sum()))
+                self.absmax.append(max(self.absmax[-1],
+                                       float(np.abs(logc[finite]).max(initial=0.0))))
+            self._layer = g
+            self.logc = np.concatenate([self.logc] + pieces)
+            _read_only(self.logc)
+
+    def row_terms(self, rates: RangeRates,
+                  L: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """For each row of L: the log of the terms' common factor,
+        sum_x A_xx l_x + sum_{x != b} log s_x; S = sum_x s_x l_x, floored
+        at the smallest normal double (S only scales the bound, which grows
+        with it, and the floor keeps q above 0); and the logs log s_x l_x
+        (0 where s_x = 0, whose exponent is 0 on every finite term)."""
+        log_scale = (L * rates.diag).sum(axis=1) + self.log_exits_off_b
+        S = np.maximum((L * self.exits).sum(axis=1), _TINY)
+        V = L * self.exits
+        V[:, self.exits == 0.0] = 1.0
+        return log_scale, S, np.log(V)
+
+    def log_values(self, log_scale: np.ndarray, V: np.ndarray, N: int) -> np.ndarray:
+        """The log of the series truncated at order N, grown to N if it is
+        shorter, at each row of :meth:`row_terms`; some coefficient up to N
+        must be finite.  It is log_scale plus the log of the sum of the
+        terms logc_n + sum_x (n_x - 1) v_x, summed about their largest.
+        Each row is reduced on its own, so its bits do not depend on the
+        other rows."""
+        self.extend(N)
+        F = self.structure.ends[N]
+        logc, E = self.logc[:F], self.structure.exponents[:, :F]
+        peaks, sums = np.empty(len(V)), np.empty(len(V))
+        chunk = max(1, _BLOCK_TERMS // max(F, 1))
+        for lo in range(0, len(V), chunk):
+            rows = V[lo:lo + chunk]
+            terms = np.empty((len(rows), F))
+            terms[:] = logc
+            scaled = np.empty_like(terms)
+            for x in range(self.r):
+                np.multiply(rows[:, x, None], E[x], out=scaled)
+                terms += scaled
+            peak = terms.max(axis=1)
+            terms -= peak[:, None]
+            np.exp(terms, out=terms)
+            peaks[lo:lo + chunk] = peak
+            sums[lo:lo + chunk] = terms.sum(axis=1)
+        return log_scale + peaks + np.log(sums)
+
+
+@lru_cache(maxsize=_PREPARED_RANGES)
+def _visit_series(rates: RangeRates, a: int, b: int) -> _VisitSeries:
+    return _VisitSeries(rates, a, b)
+
+
+def _visit_log_tail(log_scale: np.ndarray, S: np.ndarray, N: np.ndarray, r: int) -> np.ndarray:
+    """The log of the certified tail of the visit series beyond order N:
+    log_scale + S/q + (N + 1 - r) log q - log(1 - q) at the q in (0, 1)
+    that minimizes it (see :func:`_visit_rows`)."""
+    n1 = N + 1.0 - r
+    q = 2.0 * S / ((S + n1) + np.sqrt((S - n1) ** 2 + 4.0 * S))
+    return log_scale + S / q + n1 * np.log(q) - np.log1p(-q)
+
+
+def _visit_rows(rates: RangeRates, a: int, b: int, L: np.ndarray,
+                tol: float) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The density at each row of ``L`` by the visit-count series, with a
+    certified bound and the order of each row.
+
+    Summing over the jump paths from a to b inside R that visit every state
+    of R, with n_x visits to x and the holding times of each state spread
+    over a simplex,
+
+        rho(l) = exp(sum_x A_xx l_x) sum_{n >= 1} h_n(a) prod_x l_x^{n_x - 1} / (n_x - 1)!,
+
+    h as in :class:`_VisitSeries`: every term is nonnegative, and there is
+    no cofactor, no inclusion-exclusion and no torus.  With g and s from
+    there, a term is exp(sum_x A_xx l_x) prod_{x != b} s_x g_n(a) prod_x
+    (s_x l_x)^{n_x - 1} / (n_x - 1)!.
+
+    The order comes first.  For any q in (0, 1), u^m / m! <= e^{u/q} q^m,
+    so the terms of total |n| = K are at most e^{S/q} q^{K - r} times the
+    prefactor, times the sum of g_n(a) over every n of total K (dropping n
+    >= 1 only adds nonnegative terms), which is [P^{K-1}]_ab <= 1 for the
+    stochastic P; here S = sum_x s_x l_x.  So everything beyond order N is
+    at most exp(sum A_xx l_x) prod_{x != b} s_x e^{S/q} q^{N+1-r} / (1 - q),
+    whose log :func:`_visit_log_tail` minimizes over q in closed form, and
+    each row takes the smallest N >= |R| whose tail is at most tol / 2, by
+    bisection.  The bytes of the series at the largest such N are projected
+    (:func:`visits.projected_bytes`) and a request over the flow guard's cap
+    raises ``ExplosionGuardError`` before anything is allocated.
+
+    The terms are summed in logs about their largest, so nothing overflows
+    at any scale (the raw sum of the unit 3-cycle at l = 200 is above
+    e^600) and a value whose diagonal factor underflows keeps its size until
+    the last exponential.  The bound of a row is its tail, plus a rounding
+    term: the coefficients carry at most (N + 1)(|R| + 2) roundings of a
+    sum of nonnegative terms each, and the log terms an absolute error
+    proportional to their magnitudes, so relative (N + 1)(|R| + 2) u plus a
+    multiple of u times the largest log magnitude; plus the coefficients
+    lost to subnormal underflow (each at most 2^-1074, carried with weight
+    at most e^S).  Where the value itself is below the smallest normal
+    double its last rounding, 2^-1074, is added.  A row whose bound is
+    above ``tol`` raises ``NonConvergedTruncationError``.  A row's value,
+    bound and order do not depend on the other rows, nor on what the caches
+    held: the coefficients of a layer are the same bits whatever order
+    extended them.
+    """
+    n_rows, r = L.shape
+    series = _visit_series(rates, a, b)
+    if series.sink:
+        return np.zeros(n_rows), np.zeros(n_rows), np.zeros(n_rows, dtype=int)
+    if not tol > 0.0:
+        raise NonConvergedTruncationError(f"tol {tol!r} certifies no visit order")
+    log_scale, S, V = series.row_terms(rates, L)
+    target = math.log(tol / 2.0)
+    # the tail falls with N: bracket each row's order between r - 1 + 2^(k-1)
+    # and r - 1 + 2^k in one pass over k, then bisect inside the bracket
+    steps = r - 1 + (1 << np.arange(_VISIT_SEARCH.bit_length()))
+    with np.errstate(over="ignore"):
+        ok = _visit_log_tail(log_scale[:, None], S[:, None], steps, r) <= target
+        if not ok[:, -1].all():
+            raise ExplosionGuardError(
+                f"the visit series needs an order above {steps[-1]} at some point")
+        k = ok.argmax(axis=1)
+        hi = steps[k]
+        lo = np.where(k > 0, steps[np.maximum(k - 1, 0)], r - 1)
+        while np.any(hi - lo > 1):
+            mid = (lo + hi) // 2
+            ok = _visit_log_tail(log_scale, S, mid, r) <= target
+            hi, lo = np.where(ok, mid, hi), np.where(ok, lo, mid)
+    orders = hi
+    top = int(orders.max())
+    need = projected_bytes(r, top)
+    if need > _FLOW_BYTES:
+        raise ExplosionGuardError(
+            f"the visit series of order {top} on {r} states would take {need / 2**20:.0f} MB, "
+            f"over the cap of {_FLOW_BYTES >> 20} MB; shrink the local times or the range")
+    series.extend(top)
+    values, bounds = np.zeros(n_rows), np.zeros(n_rows)
+    # a value or bound beyond double range is inf, which certifies nothing
+    with np.errstate(over="ignore"):
+        for order in sorted(set(orders.tolist())):
+            group = np.flatnonzero(orders == order)
+            tail = np.exp(_visit_log_tail(log_scale[group], S[group], order, r))
+            floor = np.exp(log_scale[group] + S[group] + _LOG_SUBNORMAL
+                           + math.log(math.comb(order + r, r) * r * (order + 1)))
+            if not series.finite[order]:
+                bounds[group] = tail + floor
+                continue
+            value = np.exp(series.log_values(log_scale[group], V[group], order))
+            magnitude = (np.abs(log_scale[group]) + series.absmax[order]
+                         + (order + 1 - r) * np.abs(V[group]).max(axis=1))
+            rel = _UNIT * ((order + 1) * (r + 2) + 2 * math.log2(series.structure.ends[order] + 1)
+                           + 40 + 4 * (r + 2) * magnitude)
+            bound = tail * (1.0 + rel) + rel * value + floor
+            bound[value < _TINY] += math.exp(_LOG_SUBNORMAL)
+            values[group], bounds[group] = value, bound
+    if not np.all(bounds <= tol):
+        failed = ~(bounds <= tol)
+        raise NonConvergedTruncationError(
+            f"certified error {np.max(bounds[failed]):.3e} above tol {tol:.3e} at visit order "
+            f"{int(orders[failed].max())} ({int(failed.sum())} of {n_rows} points)")
+    return values, bounds, orders
+
+
 def _routed_rows(request: _Request,
                  tol: float = 1e-10) -> Tuple[np.ndarray, np.ndarray, np.ndarray, str]:
     """:func:`density_rows` on a read request, whose point is its one row."""
     rates, a, b = request.rates, request.a, request.b
     L = request.l.reshape(-1, len(request.R))
-    route = "tree" if rates.tree else "series"
+    route = "tree" if rates.tree else "visits"
     if not len(L):
         return np.zeros(0), np.zeros(0), np.zeros(0, dtype=int), route
     if rates.tree:
         return _tree_rows(rates, a, b, L), np.zeros(len(L)), np.zeros(len(L), dtype=int), route
-    return (*_certified_rows(rates, a, b, None, L, tol), route)
+    return (*_visit_rows(rates, a, b, L, tol), route)
 
 
 def density_rows(
@@ -795,10 +1086,11 @@ def density_rows(
     :func:`density_tree`, O(|R|) Bessel kernels and no flow series, a row's
     bits independent of the other rows, with bounds and orders 0: the
     product has no truncation to certify, and ``tol`` does not apply.
-    Everywhere else ``route`` is ``"series"`` and the arrays are
-    :func:`density_batch`'s, whose evaluation contract and errors it
-    documents.  With P = 0 it checks R, a, b and the rates and returns empty
-    arrays.  :func:`density`, :func:`density_tree` and
+    Everywhere else ``route`` is ``"visits"`` and the arrays are those of the
+    visit-count series (:func:`_visit_rows`, which documents its contract
+    and errors): each bound at most ``tol`` and each order the series' N,
+    a row's bits again independent of the other rows.  With P = 0 it checks
+    R, a, b and the rates and returns empty arrays.  :func:`density`, :func:`density_tree` and
     :func:`density_tridiagonal` are its one-row case: they read one point
     and take the same route, with the same bits.
     """
@@ -808,8 +1100,7 @@ def density_rows(
 def density(gen: Generator, R: Sequence, a, b, l, tol: float = 1e-10) -> float:
     """Joint density of the local times on {range = R, endpoint = b} at the
     point ``l`` (a dict keyed by the states of R or a sequence in R's
-    order): the one row of :func:`density_rows`, so on the series route
-    ``density_certified(gen, R, a, b, l, tol).value`` bit for bit."""
+    order): the one row of :func:`density_rows`, bit for bit."""
     return float(_routed_rows(_read_request(gen, R, a, b, l), tol)[0][0])
 
 

@@ -36,7 +36,8 @@ class DomainError(LoctimesError):
 
 
 class ExplosionGuardError(LoctimesError):
-    """Balanced-flow enumeration would exceed the configured cap."""
+    """A balanced-flow enumeration or a visit-count series would exceed the
+    configured cap."""
 
 
 class NonConvergedTruncationError(LoctimesError):

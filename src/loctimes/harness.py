@@ -405,7 +405,8 @@ def verify_density_mc(
     than 2 or more than 4 states: the density rows the cells need grow as
     ``cells_per_axis ** (|R| - 1)``, about 13 million at |R| = 5 with the
     default 7 cells.  The cells' rows go through :func:`density.density_rows`:
-    a tree range integrates the exact product, any other the series."""
+    a tree range integrates the exact product, any other the visit-count
+    series."""
     R = tuple(range_)
     try:
         density_rows(gen, R, start, endpoint, np.empty((0, len(R))))
@@ -685,10 +686,14 @@ def ldp_probability_experiment(
     drawn: ``ValueError`` on an ``n_samples`` that is negative or not an
     integer, then the errors of the LDP front door (:func:`rates._read_ldp`),
     ``NotSymmetricError`` among them where the rates on S (not outside it)
-    are not symmetric."""
+    are not symmetric, then ``ValueError`` on a ``threshold`` above 1, where
+    the event is empty and the bound is -inf, so no estimate could meet it."""
     S = tuple(S)
     n_samples = _path_count(n_samples, "n_samples")
     inf_rate = halfspace_rate_infimum(gen, S, state, threshold)
+    if threshold > 1.0:
+        raise ValueError(f"threshold must be at most 1, got {threshold!r}: "
+                         f"the normalized local time never exceeds 1")
     bound = ldp_probability_bound(gen, S, inf_rate, T)
     others = np.setdiff1d(np.arange(gen.n_states), gen.indices(S))
     j = gen.index(state)

@@ -60,11 +60,14 @@ def test_density_command_answers_a_tree_the_series_refuses(tmp_path, capsys):
     request = ["--R", "0,1,2", "--a", "0", "--b", "2", "--l", "20,20,20"]
     assert main(["density", "--generator", str(srw), *request]) == 0
     assert capsys.readouterr().out.startswith("0.004004140704\n")
-    # the complete graph is no tree, and the series cannot certify it there
-    assert main(["density", "--generator", _complete_three_state(tmp_path), *request]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: certified tail ")
-    assert "Traceback" not in err and "nan" not in err
+    # the complete graph is no tree; the flow series cannot certify it
+    # there, and the visit series answers at the value of a 96-point grid,
+    # 0.006881999292223956
+    assert main(["density", "--generator", _complete_three_state(tmp_path), *request]) == 0
+    value, certificate = capsys.readouterr().out.splitlines()
+    assert abs(float(value) - 0.006881999292223956) <= 1e-9 * 0.006881999292223956
+    assert certificate.startswith("certified truncation error <= ")
+    assert certificate.endswith(" (visit order 210)")
 
 
 def test_bound_command(twostate, capsys):
@@ -406,6 +409,20 @@ def test_verify_config_with_a_bad_number_exits_2(tmp_path, capsys, command, expe
     err = capsys.readouterr().err
     assert err.startswith(f"config error: experiment 'bad-count': {message}")
     assert not (tmp_path / "out" / "bad-count.csv").exists()
+
+
+def test_ldp_probability_config_with_a_threshold_above_one_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"experiments": [{
+        "kind": "ldp-probability", "name": "empty-event",
+        "generator": {"states": [1, 2], "rates": [[1, 2, 1.0], [2, 1, 1.0]]},
+        "start": 1, "S": [1, 2], "state": 2, "threshold": 1.5, "T": 5.0,
+        "samples": 20000}]}))
+    status = main(["verify-density", "--config", str(cfg), "--out", str(tmp_path / "out")])
+    assert status == 2
+    assert capsys.readouterr().err.startswith(
+        "config error: experiment 'empty-event': threshold must be at most 1, got 1.5")
+    assert not (tmp_path / "out" / "empty-event.csv").exists()
 
 
 @pytest.mark.parametrize("document", ["[1, 2]", "3", '"config"', "null"])

@@ -1118,19 +1118,26 @@ def test_range_structure():
 
 def test_density_routes_by_structure(monkeypatch):
     rng = np.random.default_rng(2920)
-    # not a tree: the series, bit for bit, with tol applied
-    for gen in (_pinned_chain(rng, "support", 3), _pinned_chain(rng, "support", 5),
-                random_conservative(rng, 4)):
-        n = len(gen.states)
-        R, l = gen.states, random_point(rng, n, 1.5)
-        assert not range_rates(gen, R).tree
-        assert density(gen, R, 0, 1, l).hex() == density_certified(gen, R, 0, 1, l).value.hex()
-        assert density(gen, R, 0, 1, l, tol=1e-12).hex() == (
-            density_certified(gen, R, 0, 1, l, tol=1e-12).value.hex())
-    # a tree: the product, whatever tol, and no part of the series is built,
-    # even where the series cannot converge
+    chains = [_pinned_chain(rng, "support", 3), _pinned_chain(rng, "support", 5),
+              random_conservative(rng, 4)]
+    points = [random_point(rng, len(gen.states), 1.5) for gen in chains]
+    certified = [[density_certified(gen, gen.states, 0, 1, l, tol=tol)
+                  for tol in (1e-10, 1e-12)] for gen, l in zip(chains, points)]
+    # neither route builds any part of the flow series from here on
     monkeypatch.setattr(density_module, "_prepared_range", _refuse)
     monkeypatch.setattr(density_module, "flow_table", _refuse)
+    # not a tree: the visit series, with tol applied, within the summed
+    # bounds of the flow series
+    for gen, l, evs in zip(chains, points, certified):
+        R = gen.states
+        assert not range_rates(gen, R).tree
+        for tol, ev in zip((1e-10, 1e-12), evs):
+            values, bounds, orders, route = density_rows(gen, R, 0, 1, l[None, :], tol)
+            assert route == "visits" and bounds[0] <= tol
+            assert density(gen, R, 0, 1, l, tol=tol).hex() == values[0].hex()
+            assert abs(values[0] - ev.value) <= bounds[0] + ev.error_bound
+    # a tree: the product, whatever tol, even where the series cannot
+    # converge
     gen = validate_generator([[0.0, 60.0], [60.0, 0.0]], (1, 2))
     value = density(gen, (1, 2), 1, 2, [1.0, 1.0], tol=1e-13)
     assert value.hex() == density_tree(gen, (1, 2), 1, 2, [1.0, 1.0]).hex()
@@ -1138,7 +1145,7 @@ def test_density_routes_by_structure(monkeypatch):
 
 
 def _refuse(*args, **kwargs):
-    raise AssertionError("the tree route built a part of the series")
+    raise AssertionError("the routed rows built a part of the flow series")
 
 
 def test_large_range_structure_is_one_linear_search():
@@ -1259,13 +1266,16 @@ def _tree_loop(gen, a, b, l):
 
 
 def test_routed_rows_take_the_series_off_trees():
+    # off trees the routed rows are the visit-count series: each row within
+    # the summed bounds of the flow series' batch, at its own visit order
     rng = np.random.default_rng(3501)
     gen = _pinned_chain(rng, "support", 4)
     R, L = gen.states, rng.uniform(0.05, 1.0, (50, 4))
     values, bounds, orders, route = density_rows(gen, R, 0, 2, L, 1e-11)
-    assert route == "series"
-    want = density_batch(gen, R, 0, 2, L, 1e-11)
-    assert [values.tolist(), bounds.tolist(), orders.tolist()] == [w.tolist() for w in want]
+    assert route == "visits"
+    want, want_bounds, _ = density_batch(gen, R, 0, 2, L, 1e-11)
+    assert np.all(bounds <= 1e-11) and np.all(orders >= 4)
+    assert np.all(np.abs(values - want) <= bounds + want_bounds)
 
 
 def test_subset_layout_refuses_a_large_range_before_allocating():
@@ -1635,20 +1645,21 @@ def test_density_rows_are_the_point_routes_row_by_row():
         for a, b in ((0, n - 1), (1, 1), (n - 1, 0)):
             batch = density_rows(gen, R, a, b, L)
             routes.add(batch[3])
-            assert batch[3] == ("tree" if range_rates(gen, R).tree else "series")
+            assert batch[3] == ("tree" if range_rates(gen, R).tree else "visits")
             for k, l in enumerate(L):
                 values, bounds, orders, route = density_rows(gen, R, a, b, l[None, :])
                 assert route == batch[3] and values.shape == bounds.shape == orders.shape == (1,)
                 assert values[0].hex() == density(gen, R, a, b, l).hex()
+                assert values[0].hex() == batch[0][k].hex()
+                assert (bounds[0], orders[0]) == (batch[1][k], batch[2][k])
                 if route == "tree":
                     assert not bounds[0] and not orders[0]
-                    assert values[0].hex() == batch[0][k].hex()
                     assert values[0].hex() == density_tree(gen, R, a, b, l).hex()
                     assert values[0].hex() == density_tridiagonal(gen, R, a, b, l).hex()
                 else:
                     ev = density_certified(gen, R, a, b, l)
-                    assert (bounds[0], orders[0]) == (ev.error_bound, ev.order)
-    assert routes == {"tree", "series"}
+                    assert abs(values[0] - ev.value) <= bounds[0] + ev.error_bound
+    assert routes == {"tree", "visits"}
 
 
 def test_density_rows_of_no_rows_check_the_request():
@@ -1657,7 +1668,7 @@ def test_density_rows_of_no_rows_check_the_request():
         values, bounds, orders, got = density_rows(g, R, a, b, np.empty((0, len(R))))
         assert got == route and values.shape == bounds.shape == orders.shape == (0,)
     cycle = validate_generator([[0.0, 1.0, 1.0], [1.0, 0.0, 1.0], [1.0, 1.0, 0.0]])
-    assert density_rows(cycle, (0, 1, 2), 0, 1, np.empty((0, 3)))[3] == "series"
+    assert density_rows(cycle, (0, 1, 2), 0, 1, np.empty((0, 3)))[3] == "visits"
     for R, a, b, message in (((0, 1, 1), 0, 1, "repeats the label 1"),
                              ((0, 1), 0, 5, "site 5 is not in the range"),
                              ((1, 2), 0, 2, "site 0 is not in the range")):
@@ -1742,3 +1753,286 @@ def test_eta_leaves_its_inputs_unchanged():
     assert np.array_equal(gen.rates, rates)
     assert np.array_equal(range_rates(gen, R).A, rates)
     assert density_certified(gen, R, 0, 3, l).value == value
+
+
+# ---------------------------------------------------------------------------
+# visit-count series
+# ---------------------------------------------------------------------------
+
+def _complete(n, rate=1.0):
+    A = np.full((n, n), rate)
+    np.fill_diagonal(A, 0.0)
+    return validate_generator(A)
+
+
+def _strongly_connected(rng, n, extra):
+    """A random Hamiltonian cycle plus ``extra`` random chords, rates in
+    [0.5, 1.5]; most chords are one-way edges."""
+    A = np.zeros((n, n))
+    order = rng.permutation(n)
+    for k in range(n):
+        A[order[k], order[(k + 1) % n]] = rng.uniform(0.5, 1.5)
+    free = np.argwhere((A == 0) & ~np.eye(n, dtype=bool))
+    for x, y in free[rng.choice(len(free), extra, replace=False)]:
+        A[x, y] = rng.uniform(0.5, 1.5)
+    return validate_generator(A)
+
+
+def _reversible_not_symmetric():
+    """Rates pi_x B_xy = pi_y B_yx with pi = (1, 2, 4, 3) on K4: reversible,
+    and no rate pair is equal."""
+    pi = np.array([1.0, 2.0, 4.0, 3.0])
+    S = np.array([[0.0, 1.0, 0.6, 0.9], [1.0, 0.0, 1.4, 0.5],
+                  [0.6, 1.4, 0.0, 1.1], [0.9, 0.5, 1.1, 0.0]])
+    gen = validate_generator(S / pi[:, None])
+    assert range_rates(gen, gen.states).reversible is not None
+    assert not gen.is_symmetric()
+    return gen
+
+
+def _visit_inputs():
+    """(id, generator, a, b, rows) of the visit-series families: fixed-seed
+    random strongly connected supports with |R| = 3..5, complete graphs, a
+    reversible chain that is not symmetric, a one-way cycle, a == b, and
+    local times down to 1e-9."""
+    rng = np.random.default_rng(4100)
+    out = []
+    for n in (3, 4, 5):
+        gen = _strongly_connected(rng, n, n - 1)
+        out.append((f"random-{n}", gen, 0, n - 1, rng.uniform(0.05, 1.2, (3, n))))
+    for n in (3, 4):
+        out.append((f"complete-{n}", _complete(n), 0, n - 1, rng.uniform(0.1, 1.0, (3, n))))
+    out.append(("reversible", _reversible_not_symmetric(), 1, 3,
+                rng.uniform(0.05, 0.35, (3, 4))))
+    cycle = _strongly_connected(rng, 4, 0)
+    out.append(("one-way-cycle", cycle, 2, 1, rng.uniform(0.1, 1.5, (3, 4))))
+    out.append(("a-equals-b", _strongly_connected(rng, 4, 3), 2, 2,
+                rng.uniform(0.1, 1.0, (3, 4))))
+    tiny = rng.uniform(0.1, 1.0, (3, 3))
+    tiny[:, 1] = (1e-9, 1e-7, 1e-5)
+    out.append(("tiny-l", _complete(3, 2.0), 0, 2, tiny))
+    return out
+
+
+VISIT_INPUTS = _visit_inputs()
+VISIT_IDS = [name for name, *_ in VISIT_INPUTS]
+# the inputs with |R| <= 4, whose series stay small twenty layers on and
+# whose 64-point grids take a fraction of a second
+SMALL_VISIT_INPUTS = [case for case in VISIT_INPUTS if len(case[1].states) <= 4]
+SMALL_VISIT_IDS = [name for name, *_ in SMALL_VISIT_INPUTS]
+
+
+@pytest.mark.parametrize("name, gen, a, b, L", VISIT_INPUTS, ids=VISIT_IDS)
+def test_visit_series_agrees_with_the_flow_series_within_both_bounds(name, gen, a, b, L):
+    R = gen.states
+    values, bounds, orders, route = density_rows(gen, R, a, b, L)
+    assert route == "visits" and np.all(bounds <= 1e-10) and np.all(orders >= len(R))
+    assert np.all(np.isfinite(values)) and np.all(values >= 0.0)
+    for l, v, e in zip(L, values, bounds):
+        try:
+            ev = density_certified(gen, R, a, b, l)
+        except (ExplosionGuardError, NonConvergedTruncationError):
+            continue
+        assert abs(v - ev.value) <= e + ev.error_bound
+
+
+@pytest.mark.parametrize("name, gen, a, b, L", SMALL_VISIT_INPUTS, ids=SMALL_VISIT_IDS)
+def test_visit_series_agrees_with_a_64_point_quadrature(name, gen, a, b, L):
+    R = gen.states
+    rates = range_rates(gen, R)
+    values = density_rows(gen, R, a, b, L)[0]
+    for l, v in zip(L, values):
+        grid = density_module._quadrature_value(rates.A, rates.B, l, a, b, 64)
+        assert abs(v - grid.real) <= 1e-9 * abs(grid.real)
+
+
+@pytest.mark.parametrize("tol", [1e-4, 1e-10])
+@pytest.mark.parametrize("name, gen, a, b, L", SMALL_VISIT_INPUTS, ids=SMALL_VISIT_IDS)
+def test_visit_tail_covers_twenty_more_layers(name, gen, a, b, L, tol):
+    # every term is nonnegative, so the value grows with the order, and by no
+    # more than the certified tail of the order the row took
+    R = gen.states
+    rates = range_rates(gen, R)
+    values, _, orders, _ = density_rows(gen, R, a, b, L, tol)
+    series = density_module._visit_series(rates, a, b)
+    log_scale, S, V = series.row_terms(rates, L)
+    tails = np.exp(density_module._visit_log_tail(log_scale, S, orders, len(R)))
+    assert np.all(tails <= tol / 2)
+    for k, order in enumerate(orders.tolist()):
+        later = math.exp(series.log_values(log_scale[k:k + 1], V[k:k + 1], order + 20)[0])
+        assert -1e-13 * values[k] <= later - values[k] <= tails[k] + 1e-13 * later
+
+
+def test_visit_tail_is_the_minimum_over_q_of_the_chernoff_bound():
+    # the closed-form q minimizes S/q + (N + 1 - r) log q - log(1 - q): no q
+    # on a fine grid does better, and the bound holds at every grid point
+    for S, N, r in ((0.3, 5, 3), (10.0, 47, 5), (120.0, 210, 3), (1e-12, 4, 4)):
+        best = density_module._visit_log_tail(np.zeros(1), np.array([S]), np.array([N]), r)[0]
+        q = np.linspace(1e-6, 1 - 1e-6, 200_001)
+        grid = S / q + (N + 1 - r) * np.log(q) - np.log1p(-q)
+        assert best <= grid.min() + 1e-9 * max(1.0, abs(best))
+
+
+def test_visit_layers_are_the_ranked_compositions():
+    # the predecessor ranks and the vectors with every n_x >= 1 against a
+    # brute-force enumeration ranked by the combinatorial number system
+    from loctimes.visits import VisitStructure
+
+    for r in (2, 3, 4):
+        structure = VisitStructure(r)
+        layers = structure.extend(7)
+        previous = {0: (0,) * r}
+        for K, layer in enumerate(layers, 1):
+            def rank(n):
+                bars = np.cumsum(n)[:r - 1] + np.arange(r - 1)
+                return sum(math.comb(int(c), i + 1) for i, c in enumerate(bars))
+
+            vectors = sorted((n for n in np.ndindex(*(K + 1,) * r) if sum(n) == K), key=rank)
+            assert [rank(n) for n in vectors] == list(range(len(vectors)))
+            for j, n in enumerate(vectors):
+                for x in range(r):
+                    if n[x]:
+                        m = list(n)
+                        m[x] -= 1
+                        assert previous[layer.pred[j, x]] == tuple(m)
+                    else:
+                        assert layer.pred[j, x] == len(previous)
+            full = [j for j, n in enumerate(vectors) if min(n) >= 1]
+            assert layer.full.tolist() == full
+            lo, hi = structure.ends[K - 1], structure.ends[K]
+            assert structure.exponents[:, lo:hi].T.tolist() == [
+                [c - 1 for c in vectors[j]] for j in full]
+            assert np.allclose(structure.log_factorials[lo:hi],
+                               [sum(math.lgamma(c) for c in vectors[j]) for j in full])
+            previous = dict(enumerate(vectors))
+
+
+def test_visit_series_answers_the_reach_inputs():
+    # K4 and K5 at l = 0.5, where the flow enumeration explodes, and the unit
+    # 3-cycle at l = 20, where the flow series cannot certify: the first two
+    # against the quadrature, the last against a 96-point grid
+    for n, l, grid in ((4, 0.5, 64), (5, 0.5, None), (3, 20.0, 96)):
+        gen = _complete(n)
+        R = gen.states
+        values, bounds, orders, route = density_rows(gen, R, 0, n - 1, np.full((1, n), l))
+        assert route == "visits" and bounds[0] <= 1e-10
+        if grid is None:
+            assert 0.0 < values[0] < 1.0
+            continue
+        rates = range_rates(gen, R)
+        want = density_module._quadrature_value(rates.A, rates.B, np.full(n, l), 0, n - 1,
+                                                grid).real
+        assert abs(values[0] - want) <= 1e-9 * want
+
+
+def test_visit_series_at_large_local_times_is_finite_or_typed():
+    # K3 at l = 200: the raw sum is above e^600; no nan, inf or warning, and
+    # the certified order is unaffordable, so a typed error
+    gen = _complete(3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        try:
+            value = density(gen, gen.states, 0, 2, [200.0] * 3)
+        except (ExplosionGuardError, NonConvergedTruncationError) as exc:
+            assert "nan" not in str(exc)
+        else:
+            assert math.isfinite(value)
+
+
+def test_visit_series_refuses_an_unaffordable_order_before_allocating(monkeypatch):
+    # K4 at l = 40 needs an order near 650: billions of visit vectors.  The
+    # projection refuses it before any layer is built
+    def refused(*args, **kwargs):
+        raise AssertionError("a layer was built")
+
+    monkeypatch.setattr(density_module._VisitSeries, "extend", refused)
+    gen = _complete(4)
+    start = time.perf_counter()
+    with pytest.raises(ExplosionGuardError, match=r"visit series of order \d+ on 4 states "
+                                                  r"would take \d+ MB, over the cap of 256 MB"):
+        density(gen, gen.states, 0, 3, [40.0] * 4)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_visit_series_of_a_range_with_a_trap_is_zero():
+    # state 2 has no rate inside R = (0, 1, 2) and is not b: no path of range
+    # R ends at b, and the density is exactly 0 (the flow series agrees)
+    gen = validate_generator([[0.0, 1.0, 1.0, 0.0], [1.0, 0.0, 1.0, 0.0],
+                              [0.0, 0.0, 0.0, 1.0], [1.0, 0.0, 0.0, 0.0]])
+    values, bounds, orders, route = density_rows(gen, (0, 1, 2), 0, 1, np.full((2, 3), 0.5))
+    assert route == "visits" and not values.any() and not bounds.any() and not orders.any()
+    ev = density_certified(gen, (0, 1, 2), 0, 1, [0.5] * 3)
+    assert abs(ev.value) <= ev.error_bound
+
+
+def test_visit_series_bounds_an_underflowing_value_in_log_space():
+    # the diagonal factor exp(-732) underflows: the value keeps its size until
+    # the last exponential, and the bound covers its rounding instead of a
+    # false 0
+    gen = validate_generator([[0.0, 0.1, 0.1, 12.0], [0.1, 0.0, 0.1, 12.0],
+                              [0.1, 0.1, 0.0, 12.0], [1.0, 0.0, 0.0, 0.0]])
+    values, bounds, _, route = density_rows(gen, (0, 1, 2), 0, 1, np.full((1, 3), 20.0))
+    assert route == "visits" and 0.0 < values[0] < 1e-300 and values[0] <= bounds[0] <= 1e-10
+    # killed at rate 20, exp(-1212): the value rounds to 0, and so does every
+    # tail, but the bound keeps the last rounding, not a false 0
+    gen = validate_generator([[0.0, 0.1, 0.1, 20.0], [0.1, 0.0, 0.1, 20.0],
+                              [0.1, 0.1, 0.0, 20.0], [1.0, 0.0, 0.0, 0.0]])
+    values, bounds, _, _ = density_rows(gen, (0, 1, 2), 0, 1, np.full((1, 3), 20.0))
+    assert values[0] == 0.0 and 0.0 < bounds[0] <= 1e-10
+
+
+def test_visit_bound_covers_the_rounding_of_a_large_value():
+    # the unit 3-cycle at rate 1000 and l = 5e-4: a density of 2.55e5, whose
+    # rounding alone is above an absolute tol of 1e-10, so it is refused
+    # there; at tol 1e-5 it is answered within its bound of a 64-point grid
+    gen = validate_generator(_complete(3).rates * 1000.0)
+    L = np.full((1, 3), 5e-4)
+    with pytest.raises(NonConvergedTruncationError, match="above tol 1.000e-10 at visit order"):
+        density_rows(gen, gen.states, 0, 2, L)
+    values, bounds, _, _ = density_rows(gen, gen.states, 0, 2, L, 1e-5)
+    rates = range_rates(gen, gen.states)
+    grid = density_module._quadrature_value(rates.A, rates.B, L[0], 0, 2, 64).real
+    assert 1e-13 * values[0] <= bounds[0] <= 1e-5
+    assert abs(values[0] - grid) <= bounds[0]
+
+
+def test_visit_rows_do_not_depend_on_the_batch_or_the_cache():
+    # a row's value, bound and order are the same bits alone, in a batch, and
+    # after a longer series was built for another row
+    gen = _strongly_connected(np.random.default_rng(4101), 4, 3)
+    R, rates = gen.states, range_rates(gen, R := gen.states)
+    L = np.random.default_rng(4102).uniform(0.1, 2.0, (6, 4))
+    density_module._visit_series.cache_clear()
+    alone = [density_rows(gen, R, 0, 3, l[None, :]) for l in L]
+    density_module._visit_series(rates, 0, 3).extend(int(max(x[2][0] for x in alone)) + 10)
+    batch = density_rows(gen, R, 0, 3, L)
+    for k, single in enumerate(alone):
+        assert [x[0].hex() if x.dtype == float else x[0] for x in single[:3]] == [
+            x[k].hex() if x.dtype == float else x[k] for x in batch[:3]]
+
+
+def test_flow_series_refuses_a_long_walk_before_its_subset_weights(monkeypatch):
+    # srw(0, 19) at l = 0.1: the empty subset's tail alone needs order 26, and
+    # that flow table is over the guard's cap, so the series refuses before
+    # it builds 2^18 subset weights (4.3 s before, 0.7 s after)
+    def refused(*args, **kwargs):
+        raise AssertionError("the subset weights were built")
+
+    monkeypatch.setattr(density_module, "_subset_layout", refused)
+    g = srw_generator(0, 19)
+    with pytest.raises(ExplosionGuardError, match="balanced-flow expansion would take"):
+        density_certified(g, g.states, 0, 19, [0.1] * 20)
+
+
+def test_early_refusal_keeps_the_bits_of_a_series_it_lets_through(monkeypatch):
+    # 12 free states ask the guard first; where it lets the request through,
+    # the value, bound and order are those of the series without the check
+    g = srw_generator(0, 13)
+    l = [0.004] * 14
+    checked = density_certified(g, g.states, 0, 13, l)
+    monkeypatch.setattr(density_module, "_EARLY_REFUSAL_STATES", 99)
+    density_module._prepared_range.cache_clear()
+    plain = density_certified(g, g.states, 0, 13, l)
+    assert (checked.value.hex(), checked.error_bound.hex(), checked.order) == (
+        plain.value.hex(), plain.error_bound.hex(), plain.order)
+    assert abs(checked.value - density_tree(g, g.states, 0, 13, l)) <= checked.error_bound

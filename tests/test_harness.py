@@ -220,27 +220,44 @@ def test_verify_density_three_state_quick():
 
 def test_verify_density_integrates_the_tree_product_on_trees(monkeypatch):
     # the law check's cells read the routed rows: on the path 0-1-2 the
-    # exact tree product, never the series; on a 3-cycle the series
+    # exact tree product, never a series; on a 3-cycle the visit series, and
+    # never the flow series
     calls = []
-    certified_rows = density_module._certified_rows
+    visit_rows = density_module._visit_rows
 
     def counted(*args, **kwargs):
         calls.append(args[0])
-        return certified_rows(*args, **kwargs)
+        return visit_rows(*args, **kwargs)
 
     def refused(*args, **kwargs):
-        raise AssertionError("the law check entered the series on a tree")
+        raise AssertionError("the law check entered a series it should not")
 
     monkeypatch.setattr(density_module, "_certified_rows", refused)
+    monkeypatch.setattr(density_module, "_visit_rows", refused)
     report = verify_density_mc(srw_generator(0, 2), 0, 2, (0, 1, 2), 2.0, 20_000,
                                cells_per_axis=3, seed=103)
     assert report.diagnostics["p_value"] > 1e-3
     cycle = validate_generator([[0.0, 1.0, 0.5], [0.5, 0.0, 1.0], [1.0, 0.5, 0.0]])
-    monkeypatch.setattr(density_module, "_certified_rows", counted)
+    monkeypatch.setattr(density_module, "_visit_rows", counted)
     report = verify_density_mc(cycle, 0, 2, (0, 1, 2), 1.0, 20_000, cells_per_axis=3,
                                seed=104)
     assert len(calls) == 1 and not calls[0].tree
     assert report.diagnostics["p_value"] > 1e-3
+
+
+def test_ldp_probability_refuses_a_threshold_above_one(monkeypatch):
+    # above 1 the event is empty and the bound is -inf, which no Wilson limit
+    # can meet: the threshold is refused before any path is drawn; at 1 the
+    # event (never leaving the state) has mass, and the check runs
+    def refused(*args, **kwargs):
+        raise AssertionError("a path was drawn")
+
+    monkeypatch.setattr(harness, "fixed_time_chunks", refused)
+    with pytest.raises(ValueError, match="^threshold must be at most 1, got 1.5"):
+        ldp_probability_experiment(TWO_STATE, 1, (1, 2), 2, 1.5, 5.0, 20_000, seed=0)
+    monkeypatch.undo()
+    report = ldp_probability_experiment(TWO_STATE, 2, (1, 2), 2, 1.0, 1.0, 20_000, seed=0)
+    assert report.diagnostics["n_hits"] > 0 and all(c.passed for c in report.checks)
 
 
 def test_verify_density_insufficient_conditioning():
@@ -912,10 +929,11 @@ PROBABILITY = {"kind": "ldp-probability", "name": "halfspace", "generator": TWO_
     ({"kind": "verify-rayknight", "pivot": "2"}, "'pivot' must be an integer, got '2'"),
     (dict(PROBABILITY, samples=math.inf), "'samples' must be an integer, got inf"),
     (dict(LAW, seed=2.6), "'seed' must be an integer, got 2.6"),
+    (dict(PROBABILITY, threshold=1.5), "threshold must be at most 1, got 1.5"),
 ], ids=["cells-0", "cells-negative", "density-samples-0", "rayknight-samples-0",
         "rayknight-samples-1", "probability-samples-negative", "density-samples-fraction",
         "cells-fraction", "pivot-fraction", "samples-bool", "pivot-string",
-        "samples-infinite", "seed-fraction"])
+        "samples-infinite", "seed-fraction", "probability-threshold-above-one"])
 def test_run_suite_rejects_a_bad_count(tmp_path, experiment, message):
     with pytest.raises(ConfigParseError, match=message):
         run_suite({"experiments": [experiment]}, str(tmp_path))
