@@ -75,8 +75,9 @@ the one route choice (of :func:`density`, :func:`density_tree` and
 the law check), takes the tree product where the support is a tree (found by
 one linear-time search, :func:`chain._reach`) and the visit-count series
 everywhere else; :func:`density_certified` and :func:`density_batch` are the
-balanced-flow series, whatever the support.  The density's exact mass, :func:`range_probability`,
-reads R, a and b the same way, then T (:func:`_check_horizon`).
+balanced-flow series, whatever the support.  The density's exact mass,
+:func:`range_probability`, reads R, a and b the same way, then T
+(:func:`_check_horizon`).
 
 The density depends only on the rates inside R x R, and only the local times
 change from point to point.  A request's cold work splits into what depends
@@ -610,13 +611,17 @@ def _prepared_range(rates: RangeRates, a: int, b: int,
                     conjugation: Optional[bytes]) -> _OperatorSeries:
     """The :class:`_OperatorSeries` of a series request, memoized by its
     :class:`RangeRates`, a and b and the conjugation's bytes."""
-    B = rates.B
-    if conjugation is not None:
-        rvec = np.frombuffer(conjugation)
-        Btilde = B * rvec[:, None] / rvec[None, :]
-    else:
-        Btilde = B
-    return _OperatorSeries(rates, Btilde, _cofactor_subset_weights(B, a, b))
+    return _OperatorSeries(rates, _conjugated(rates.B, conjugation),
+                           _cofactor_subset_weights(rates.B, a, b))
+
+
+def _conjugated(B: np.ndarray, conjugation: Optional[bytes]) -> np.ndarray:
+    """The series weights: B, or r_x B[x,y] / r_y for the positive vector r
+    whose bytes are ``conjugation``."""
+    if conjugation is None:
+        return B
+    rvec = np.frombuffer(conjugation)
+    return B * rvec[:, None] / rvec[None, :]
 
 
 class _Request(NamedTuple):
@@ -722,10 +727,7 @@ def _refuse_before_weights(rates: RangeRates, a: int, b: int, conjugation: Optio
     would enumerate, or a smaller one: enumerating it asks the guard, whose
     expansion only grows with the order.  Where some row certifies at no
     order, the series raises its own error, so nothing is asked."""
-    Btilde = rates.B
-    if conjugation is not None:
-        rvec = np.frombuffer(conjugation)
-        Btilde = rates.B * rvec[:, None] / rvec[None, :]
+    Btilde = _conjugated(rates.B, conjugation)
     xs, ys = _series_support(Btilde)
     S = np.sqrt(L[:, xs] * L[:, ys]) @ Btilde[xs, ys]
     weight = abs(float(np.linalg.det(_replaced_matrix(-rates.B, a, b))))
@@ -843,8 +845,8 @@ class _VisitSeries:
     b with visit vector n weigh h_n(x) = prod_z s_z^{n_z - [z = b]} times
     g_n(x), where g_{e_b}(b) = 1 and g_n(x) = sum_y P_xy g_{n - e_x}(y).
     Layer K of g (over the visit vectors of :mod:`visits`) is one product
-    with P^T and one gather along the layer's predecessor ranks, so no sum
-    ever leaves [0, 1].  ``logc`` holds log g_n(a) - sum_x log (n_x - 1)!
+    with P^T and one gather along the layer's predecessor indices, so no
+    sum ever leaves [0, 1].  ``logc`` holds log g_n(a) - sum_x log (n_x - 1)!
     for the vectors with every n_x >= 1, in the structure's order (-inf
     where g is 0), ``finite[K]`` how many of those in layers <= K are
     finite and ``absmax[K]`` their largest magnitude.  ``sink`` is set where
@@ -857,18 +859,17 @@ class _VisitSeries:
         exits = rates.B.sum(axis=1)
         self.sink = bool(np.any(np.delete(exits, b) == 0.0))
         scale = np.where(exits > 0.0, exits, 1.0)
-        self.Pt = (rates.B / scale[:, None]).T.copy()
-        # log s_x, with 0 where s_b = 0: b is then visited once, exponent 0
-        self.log_exits = np.log(scale)
-        self.log_exits_off_b = float(np.delete(self.log_exits, b).sum())
+        self.P = rates.B / scale[:, None]
+        self.log_exits_off_b = float(np.log(np.delete(scale, b)).sum())
         self.exits = exits
+        self.diag = rates.diag
         self.structure = visit_structure(self.r)
         self.logc = np.zeros(0)
         self.finite = [0]
         self.absmax = [0.0]
         self._layer: Optional[np.ndarray] = None
         self._lock = threading.Lock()
-        _read_only(self.Pt, self.log_exits, self.exits)
+        _read_only(self.P, self.exits)
 
     def extend(self, N: int) -> None:
         """Grow the coefficients to the layers 1 .. N."""
@@ -877,39 +878,42 @@ class _VisitSeries:
             if done >= N:
                 return
             layers = self.structure.extend(N)
-            pieces = []
+            ends = self.structure.ends
+            coefs = []
             g = self._layer
             for K in range(done + 1, N + 1):
                 layer = layers[K - 1]
                 if K == 1:
                     g = np.zeros((self.r, self.r))
-                    g[self.r - 1 - self.b, self.b] = 1.0    # rank(e_b) = r - 1 - b
+                    g[self.b, self.r - 1 - self.b] = 1.0    # rank(e_b) = r - 1 - b
                 else:
-                    step = np.zeros((len(g) + 1, self.r))
-                    np.matmul(g, self.Pt, out=step[:-1])
-                    g = np.take_along_axis(step, layer.pred, axis=0)
-                coef = g[layer.full, self.a]
-                with np.errstate(divide="ignore"):
-                    logc = np.log(coef)
-                lo, hi = self.structure.ends[K - 1], self.structure.ends[K]
-                logc -= self.structure.log_factorials[lo:hi]
-                pieces.append(logc)
-                finite = np.isfinite(logc)
-                self.finite.append(self.finite[-1] + int(finite.sum()))
-                self.absmax.append(max(self.absmax[-1],
-                                       float(np.abs(logc[finite]).max(initial=0.0))))
+                    step = np.empty((self.r, g.shape[1] + 1))
+                    step[:, -1] = 0.0
+                    step[:, :-1] = self.P @ g
+                    g = np.take(step.ravel(), layer.pred)
+                coefs.append(g[self.a, layer.full])
             self._layer = g
-            self.logc = np.concatenate([self.logc] + pieces)
+            with np.errstate(divide="ignore"):
+                logc = np.log(np.concatenate(coefs))
+            logc -= self.structure.log_factorials[ends[done]:ends[N]]
+            finite = np.isfinite(logc)
+            # the running count and largest magnitude at the end of each layer
+            at = np.array(ends[done + 1:N + 1]) - ends[done]
+            count = np.concatenate([[0], np.cumsum(finite)])[at]
+            largest = np.concatenate([[0.0], np.maximum.accumulate(
+                np.where(finite, np.abs(logc), 0.0))])[at]
+            self.finite.extend((self.finite[-1] + count).tolist())
+            self.absmax.extend(np.maximum(self.absmax[-1], largest).tolist())
+            self.logc = np.concatenate([self.logc, logc])
             _read_only(self.logc)
 
-    def row_terms(self, rates: RangeRates,
-                  L: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def row_terms(self, L: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """For each row of L: the log of the terms' common factor,
         sum_x A_xx l_x + sum_{x != b} log s_x; S = sum_x s_x l_x, floored
         at the smallest normal double (S only scales the bound, which grows
         with it, and the floor keeps q above 0); and the logs log s_x l_x
         (0 where s_x = 0, whose exponent is 0 on every finite term)."""
-        log_scale = (L * rates.diag).sum(axis=1) + self.log_exits_off_b
+        log_scale = (L * self.diag).sum(axis=1) + self.log_exits_off_b
         S = np.maximum((L * self.exits).sum(axis=1), _TINY)
         V = L * self.exits
         V[:, self.exits == 0.0] = 1.0
@@ -980,8 +984,8 @@ def _visit_rows(rates: RangeRates, a: int, b: int, L: np.ndarray,
     stochastic P; here S = sum_x s_x l_x.  So everything beyond order N is
     at most exp(sum A_xx l_x) prod_{x != b} s_x e^{S/q} q^{N+1-r} / (1 - q),
     whose log :func:`_visit_log_tail` minimizes over q in closed form, and
-    each row takes the smallest N >= |R| whose tail is at most tol / 2, by
-    bisection.  The bytes of the series at the largest such N are projected
+    each row takes the smallest N >= |R| whose tail is at most tol / 2 (a
+    power-of-two bracket, then bisection).  The bytes of the series at the largest such N are projected
     (:func:`visits.projected_bytes`) and a request over the flow guard's cap
     raises ``ExplosionGuardError`` before anything is allocated.
 
@@ -1007,7 +1011,7 @@ def _visit_rows(rates: RangeRates, a: int, b: int, L: np.ndarray,
         return np.zeros(n_rows), np.zeros(n_rows), np.zeros(n_rows, dtype=int)
     if not tol > 0.0:
         raise NonConvergedTruncationError(f"tol {tol!r} certifies no visit order")
-    log_scale, S, V = series.row_terms(rates, L)
+    log_scale, S, V = series.row_terms(L)
     target = math.log(tol / 2.0)
     # the tail falls with N: bracket each row's order between r - 1 + 2^(k-1)
     # and r - 1 + 2^k in one pass over k, then bisect inside the bracket

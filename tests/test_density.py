@@ -51,6 +51,7 @@ from loctimes.rayknight import rk_fixed_time_check
 
 # the package exports a function named density, so fetch the module itself
 density_module = importlib.import_module("loctimes.density")
+flows_module = importlib.import_module("loctimes.flows")
 
 TWO_STATE = validate_generator([[0.0, 1.0], [1.0, 0.0]], (1, 2))
 
@@ -1801,7 +1802,7 @@ def _visit_inputs():
         gen = _strongly_connected(rng, n, n - 1)
         out.append((f"random-{n}", gen, 0, n - 1, rng.uniform(0.05, 1.2, (3, n))))
     for n in (3, 4):
-        out.append((f"complete-{n}", _complete(n), 0, n - 1, rng.uniform(0.1, 1.0, (3, n))))
+        out.append((f"complete-{n}", _complete(n), 0, n - 1, rng.uniform(0.2, 0.6, (3, n))))
     out.append(("reversible", _reversible_not_symmetric(), 1, 3,
                 rng.uniform(0.05, 0.35, (3, 4))))
     cycle = _strongly_connected(rng, 4, 0)
@@ -1855,7 +1856,7 @@ def test_visit_tail_covers_twenty_more_layers(name, gen, a, b, L, tol):
     rates = range_rates(gen, R)
     values, _, orders, _ = density_rows(gen, R, a, b, L, tol)
     series = density_module._visit_series(rates, a, b)
-    log_scale, S, V = series.row_terms(rates, L)
+    log_scale, S, V = series.row_terms(L)
     tails = np.exp(density_module._visit_log_tail(log_scale, S, orders, len(R)))
     assert np.all(tails <= tol / 2)
     for k, order in enumerate(orders.tolist()):
@@ -1891,12 +1892,14 @@ def test_visit_layers_are_the_ranked_compositions():
             assert [rank(n) for n in vectors] == list(range(len(vectors)))
             for j, n in enumerate(vectors):
                 for x in range(r):
+                    state, rank = divmod(int(layer.pred[x, j]), len(previous) + 1)
+                    assert state == x
                     if n[x]:
                         m = list(n)
                         m[x] -= 1
-                        assert previous[layer.pred[j, x]] == tuple(m)
+                        assert previous[rank] == tuple(m)
                     else:
-                        assert layer.pred[j, x] == len(previous)
+                        assert rank == len(previous)
             full = [j for j, n in enumerate(vectors) if min(n) >= 1]
             assert layer.full.tolist() == full
             lo, hi = structure.ends[K - 1], structure.ends[K]
@@ -2000,7 +2003,8 @@ def test_visit_rows_do_not_depend_on_the_batch_or_the_cache():
     # a row's value, bound and order are the same bits alone, in a batch, and
     # after a longer series was built for another row
     gen = _strongly_connected(np.random.default_rng(4101), 4, 3)
-    R, rates = gen.states, range_rates(gen, R := gen.states)
+    R = gen.states
+    rates = range_rates(gen, R)
     L = np.random.default_rng(4102).uniform(0.1, 2.0, (6, 4))
     density_module._visit_series.cache_clear()
     alone = [density_rows(gen, R, 0, 3, l[None, :]) for l in L]
@@ -2014,13 +2018,17 @@ def test_visit_rows_do_not_depend_on_the_batch_or_the_cache():
 def test_flow_series_refuses_a_long_walk_before_its_subset_weights(monkeypatch):
     # srw(0, 19) at l = 0.1: the empty subset's tail alone needs order 26, and
     # that flow table is over the guard's cap, so the series refuses before
-    # it builds 2^18 subset weights (4.3 s before, 0.7 s after)
+    # it builds 2^18 subset weights (4.3 s before, 0.7 s after).  The cap is
+    # lowered to 16 MB here, which the table passes as well, so the guard
+    # refuses it sooner
     def refused(*args, **kwargs):
         raise AssertionError("the subset weights were built")
 
     monkeypatch.setattr(density_module, "_subset_layout", refused)
+    monkeypatch.setattr(flows_module, "_FLOW_BYTES", 16 << 20)
     g = srw_generator(0, 19)
-    with pytest.raises(ExplosionGuardError, match="balanced-flow expansion would take"):
+    with pytest.raises(ExplosionGuardError, match="balanced-flow expansion would take .* "
+                                                  "over the cap of .* or 16 MB"):
         density_certified(g, g.states, 0, 19, [0.1] * 20)
 
 
