@@ -844,14 +844,14 @@ class _VisitSeries:
     With s_x = sum_y B_xy and the jump chain P = B / s, the paths from x to
     b with visit vector n weigh h_n(x) = prod_z s_z^{n_z - [z = b]} times
     g_n(x), where g_{e_b}(b) = 1 and g_n(x) = sum_y P_xy g_{n - e_x}(y).
-    Layer K of g (over the visit vectors of :mod:`visits`) is one product
-    with P^T and one gather along the layer's predecessor indices, so no
-    sum ever leaves [0, 1].  ``logc`` holds log g_n(a) - sum_x log (n_x - 1)!
-    for the vectors with every n_x >= 1, in the structure's order (-inf
-    where g is 0), ``finite[K]`` how many of those in layers <= K are
-    finite and ``absmax[K]`` their largest magnitude.  ``sink`` is set where
-    some state other than b has no rate inside R: no path of range R ends
-    at b then, and the density is 0.
+    Layer K of g (over the visit vectors of :mod:`visits`, one row per
+    state) is one product with P and one gather along the layer's
+    predecessor indices, so no sum ever leaves [0, 1].  ``logc`` holds
+    log g_n(a) - sum_x log (n_x - 1)! for the vectors with every n_x >= 1,
+    in the structure's order (-inf where g is 0), ``finite[K]`` how many of
+    those in layers <= K are finite and ``absmax[K]`` their largest
+    magnitude.  ``sink`` is set where some state other than b has no rate
+    inside R: no path of range R ends at b then, and the density is 0.
     """
 
     def __init__(self, rates: RangeRates, a: int, b: int):
@@ -985,9 +985,10 @@ def _visit_rows(rates: RangeRates, a: int, b: int, L: np.ndarray,
     at most exp(sum A_xx l_x) prod_{x != b} s_x e^{S/q} q^{N+1-r} / (1 - q),
     whose log :func:`_visit_log_tail` minimizes over q in closed form, and
     each row takes the smallest N >= |R| whose tail is at most tol / 2 (a
-    power-of-two bracket, then bisection).  The bytes of the series at the largest such N are projected
-    (:func:`visits.projected_bytes`) and a request over the flow guard's cap
-    raises ``ExplosionGuardError`` before anything is allocated.
+    power-of-two bracket, then bisection).  The bytes of the series at the
+    largest such N are projected (:func:`visits.projected_bytes`) and a
+    request over the flow guard's cap raises ``ExplosionGuardError`` before
+    anything is allocated.
 
     The terms are summed in logs about their largest, so nothing overflows
     at any scale (the raw sum of the unit 3-cycle at l = 200 is above
